@@ -1,4 +1,4 @@
-// Shared pieces of the location-service benchmark: the metric list, result
+// Shared pieces of the location-service benchmark: metrics, result
 // statistics, the span tracer and the two measuring shims (a Transport
 // decorator and a SpatialIndex decorator) that wrap the layers' public
 // interfaces from outside the library.
@@ -43,7 +43,6 @@ class Metrics {
     std::string unit;
   };
   void set(const std::string& name, double value, const std::string& unit);
-  double get(const std::string& name) const;
   const std::vector<Entry>& entries() const { return entries_; }
 
  private:
@@ -58,8 +57,13 @@ const char* op_name(Op op);
 /// Timing samples of one measured phase (untraced or traced).
 struct Samples {
   std::array<std::vector<double>, kOpTypes> wall_us;  // request -> answer
-  std::vector<double> lan_us;       // virtual response times (SimNetwork)
-  std::vector<double> block_ops_s;  // throughput of each fixed-size block
+  std::vector<double> lan_us;  // virtual response times (SimNetwork)
+  // One entry per window: a fixed number of blocks with a fixed operation
+  // mix. Latency percentiles are over every operation type of the window.
+  std::vector<double> window_p50_us;
+  std::vector<double> window_p99_us;
+  std::vector<double> window_ops_s;
+  std::uint64_t blocks = 0;
   std::uint64_t ops = 0;
   double active_s = 0.0;  // time spent inside the system (excludes oracle)
 };
@@ -83,10 +87,12 @@ struct Outcome {
 /// far apart. Every wall-time measurement is therefore scaled by how long a
 /// fixed reference kernel took just before it, relative to the kernel's
 /// nominal time: timings read as on a host that runs the kernel in
-/// kNominalNs. The report prints the raw speed factor of each run.
+/// kNominalNs. The kernel's code is brought into cache by an untimed pass
+/// first, so the factor does not depend on what the measured work left in
+/// the cache. The report prints the median speed factor of each run.
 class HostSpeed {
  public:
-  static constexpr double kNominalNs = 240000.0;
+  static constexpr double kNominalNs = 400000.0;
 
   /// Runs the reference kernel; returns the factor to multiply durations
   /// measured right after it by (nominal time / measured time).
@@ -95,7 +101,6 @@ class HostSpeed {
   double median_factor() const;
 
  private:
-  std::vector<std::uint64_t> table_ = std::vector<std::uint64_t>(1 << 15, 1);
   std::uint64_t sink_ = 0;
   std::vector<double> factors_;
 };
@@ -104,9 +109,10 @@ double percentile(std::vector<double> v, double q);
 double median(std::vector<double> v);
 double peak_rss_mb();
 
-/// Fills the end-to-end metrics shared by every workload and the per-type
-/// latency lines of the report. `rss_mb` is read before the measured phase,
-/// so the benchmark's own sample buffers do not count.
+/// Fills the end-to-end metrics shared by every workload (latencies and
+/// throughput as medians over windows, setup_s as the median set-up) and
+/// the per-type latency lines of the report. `rss_mb` is read before the
+/// measured phase, so the benchmark's own sample buffers do not count.
 void fill_e2e(Outcome& out, const Samples& s, const std::vector<double>& setup_s,
               double rss_mb);
 /// Per-operation-type latencies (the op.* per-layer entries).
@@ -227,18 +233,13 @@ spatial::IndexFactory tracing_index_factory(Tracer& tracer, IndexCounters& count
 /// wire::encode_envelope_into; fills the wire.* metrics.
 void replay_wire(Metrics& m, const std::vector<std::vector<std::uint8_t>>& datagrams);
 
-/// The full per-layer metric list (name, unit). Every traced run reports
-/// each of them; a layer a workload never reaches reads 0.
-const std::vector<std::pair<std::string, std::string>>& layer_metric_list();
-/// Handler message types reported as core.handle_ns.<MsgType>.
-const std::vector<std::string>& handled_types();
-
 // --- workloads -----------------------------------------------------------------
+// A traced run reports only the per-layer metrics its workload reaches;
+// run.py takes the full list from BENCHMARK.json and fills the rest with 0.
 
 Outcome run_update_path(const Args& args);
 Outcome run_query_path(const Args& args);
 Outcome run_city_rush(const Args& args);
-Outcome run_hot_leaf_udp(const Args& args);
 
 /// The paper's Table 2 rows in SimNetwork virtual time (paper.t2.*).
 void table2_rows(Outcome& out);

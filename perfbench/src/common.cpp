@@ -1,8 +1,10 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 #include "bench.hpp"
 #include "wire/messages.hpp"
@@ -20,13 +22,6 @@ void Metrics::set(const std::string& name, double value, const std::string& unit
     }
   }
   entries_.push_back({name, value, unit});
-}
-
-double Metrics::get(const std::string& name) const {
-  for (const Entry& e : entries_) {
-    if (e.name == name) return e.value;
-  }
-  return 0.0;
 }
 
 const char* op_name(Op op) {
@@ -61,17 +56,41 @@ double peak_rss_mb() {
   return static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is KiB
 }
 
+namespace {
+
+// The reference kernel's code: 1024 distinct small functions, called
+// through a table in data-dependent order. Like the protocol path (codec,
+// handler dispatch, std::function and variant visits), it keeps the front
+// end busy with mispredicted indirect calls over a large code footprint, so
+// it slows down with the host the way that path does. A dependent chain
+// over a data table tracked the host's slow spells only a third as much.
+template <int I>
+std::uint64_t ref_step(std::uint64_t x) {
+  x ^= x >> (I % 29 + 3);
+  x *= 0x9e3779b97f4a7c15ULL + 2 * static_cast<std::uint64_t>(I);
+  return x + I;
+}
+
+using RefStep = std::uint64_t (*)(std::uint64_t);
+
+template <std::size_t... I>
+std::array<RefStep, sizeof...(I)> ref_steps(std::index_sequence<I...>) {
+  return {&ref_step<static_cast<int>(I)>...};
+}
+
+const std::array<RefStep, 1024> kRefSteps = ref_steps(std::make_index_sequence<1024>());
+
+}  // namespace
+
 double HostSpeed::calibrate() {
-  // A dependent hash chain over a 256 KiB table: integer work plus L2
-  // traffic, like the protocol path it calibrates.
-  constexpr int kSteps = 25000;
-  const std::int64_t t0 = now_ns();
+  // Untimed: call every function once first, so the timed pass never
+  // refetches code the measured work evicted. The factor then follows the
+  // host's speed, not the cache footprint of the code under test.
   std::uint64_t x = 0x9e3779b97f4a7c15ULL ^ sink_;
-  for (int i = 0; i < kSteps; ++i) {
-    x ^= x >> 31;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x += table_[x & (table_.size() - 1)]++;
-  }
+  for (const RefStep step : kRefSteps) x = step(x);
+  constexpr int kCalls = 20000;
+  const std::int64_t t0 = now_ns();
+  for (int i = 0; i < kCalls; ++i) x = kRefSteps[(x >> 20) & (kRefSteps.size() - 1)](x);
   sink_ = x;
   const double factor =
       kNominalNs / static_cast<double>(std::max<std::int64_t>(now_ns() - t0, 1));
@@ -95,24 +114,26 @@ double p99_or_zero(const std::vector<double>& v) {
 
 void fill_e2e(Outcome& out, const Samples& s, const std::vector<double>& setup_s,
               double rss_mb) {
-  std::vector<double> all;
-  for (const auto& v : s.wall_us) all.insert(all.end(), v.begin(), v.end());
   out.e2e.set("setup_s", median(setup_s), "s");
-  out.e2e.set("throughput_ops_s", median(s.block_ops_s), "ops/s");
-  out.e2e.set("latency_p50_us", median(all), "us");
-  out.e2e.set("latency_p99_us", percentile(all, 0.99), "us");
+  out.e2e.set("throughput_ops_s", median(s.window_ops_s), "ops/s");
+  out.e2e.set("latency_p50_us", median(s.window_p50_us), "us");
+  out.e2e.set("latency_p99_us", median(s.window_p99_us), "us");
   out.e2e.set("rss_mb", rss_mb, "MiB");
   char line[256];
   std::snprintf(line, sizeof line,
-                "measured: %llu ops in %zu blocks, %.3f s inside the system",
-                static_cast<unsigned long long>(s.ops), s.block_ops_s.size(),
+                "measured: %llu ops in %llu blocks, %zu windows, %.3f s inside the system",
+                static_cast<unsigned long long>(s.ops),
+                static_cast<unsigned long long>(s.blocks), s.window_ops_s.size(),
                 s.active_s);
   out.note(line);
-  std::snprintf(line, sizeof line,
-                "block throughput (ops/s): p10 %.0f  p50 %.0f  p90 %.0f",
-                percentile(s.block_ops_s, 0.1), median(s.block_ops_s),
-                percentile(s.block_ops_s, 0.9));
-  out.note(line);
+  for (const auto& [name, v] : {std::pair{"throughput (ops/s)", &s.window_ops_s},
+                                std::pair{"latency p50 (us)", &s.window_p50_us},
+                                std::pair{"latency p99 (us)", &s.window_p99_us}}) {
+    std::snprintf(line, sizeof line, "window %-18s min %.2f  median %.2f  max %.2f", name,
+                  *std::min_element(v->begin(), v->end()), median(*v),
+                  *std::max_element(v->begin(), v->end()));
+    out.note(line);
+  }
   for (std::size_t t = 0; t < kOpTypes; ++t) {
     const auto& v = s.wall_us[t];
     if (v.empty()) continue;
@@ -306,12 +327,7 @@ spatial::IndexFactory tracing_index_factory(Tracer& tracer, IndexCounters& count
 }
 
 void replay_wire(Metrics& m, const std::vector<std::vector<std::uint8_t>>& datagrams) {
-  if (datagrams.empty()) {
-    m.set("wire.decode_ns_per_msg", 0.0, "ns");
-    m.set("wire.encode_ns_per_msg", 0.0, "ns");
-    m.set("wire.bytes_per_msg", 0.0, "B");
-    return;
-  }
+  if (datagrams.empty()) return;
   std::vector<wire::Envelope> decoded(datagrams.size());
   double bytes = 0.0;
   for (std::size_t i = 0; i < datagrams.size(); ++i) {
@@ -346,74 +362,6 @@ void replay_wire(Metrics& m, const std::vector<std::vector<std::uint8_t>>& datag
   m.set("wire.decode_ns_per_msg", decode_ns, "ns");
   m.set("wire.encode_ns_per_msg", encode_ns, "ns");
   m.set("wire.bytes_per_msg", bytes / static_cast<double>(datagrams.size()), "B");
-}
-
-const std::vector<std::string>& handled_types() {
-  static const std::vector<std::string> types = {
-      "UpdateReq",      "HandoverReq",     "HandoverRes",      "CreatePath",
-      "RemovePath",     "PosQueryReq",     "PosQueryFwd",      "PosQueryRes",
-      "RangeQueryReq",  "RangeQueryFwd",   "RangeQuerySubRes", "NNQueryReq",
-      "NNProbeFwd",     "NNProbeSubRes",   "BatchedUpdateReq"};
-  return types;
-}
-
-const std::vector<std::pair<std::string, std::string>>& layer_metric_list() {
-  static const std::vector<std::pair<std::string, std::string>> list = [] {
-    std::vector<std::pair<std::string, std::string>> l = {
-        {"wire.decode_ns_per_msg", "ns"},
-        {"wire.encode_ns_per_msg", "ns"},
-        {"wire.bytes_per_msg", "B"},
-        {"net.msgs_per_op", "count"},
-        {"net.bytes_per_op", "B"},
-        {"net.deliver_ns_per_msg", "ns"},
-        {"net.tx_syscalls_per_datagram", "ratio"},
-        {"net.tx_dropped", "count"},
-        {"net.inbox_dropped", "count"},
-        {"net.busy_wakeups_avoided", "count"},
-    };
-    for (const std::string& t : handled_types()) l.emplace_back("core.handle_ns." + t, "ns");
-    const std::vector<std::pair<std::string, std::string>> rest = {
-        {"core.leaf_self_ns_per_op", "ns"},
-        {"core.inner_self_ns_per_op", "ns"},
-        {"core.handles_per_op", "count"},
-        {"core.nn_rings_per_query", "count"},
-        {"core.handovers_per_op", "ratio"},
-        {"core.sub_res_pinned_frac", "ratio"},
-        {"core.batch_factor", "ratio"},
-        {"spatial.insert_ns", "ns"},
-        {"spatial.update_ns", "ns"},
-        {"spatial.remove_ns", "ns"},
-        {"spatial.query_rect_ns", "ns"},
-        {"spatial.query_circle_ns", "ns"},
-        {"spatial.k_nearest_ns", "ns"},
-        {"spatial.calls_per_op", "count"},
-        {"spatial.range_candidates_per_result", "ratio"},
-        {"spatial.nn_candidates_per_answer", "ratio"},
-        {"sim.gen_ns_per_sighting", "ns"},
-        {"trace.coverage", "ratio"},
-        {"trace.overhead_frac", "ratio"},
-        {"paper.t2.update_us", "us"},
-        {"paper.t2.local_pos_us", "us"},
-        {"paper.t2.remote_pos_us", "us"},
-        {"paper.t2.local_range_us", "us"},
-        {"paper.t2.remote_range_1_us", "us"},
-        {"paper.t2.remote_range_2_us", "us"},
-        {"paper.t2.remote_range_4_us", "us"},
-        {"paper.t2.nn_us", "us"},
-        {"op.update_p50_us", "us"},
-        {"op.update_p99_us", "us"},
-        {"op.pos_p50_us", "us"},
-        {"op.range_p50_us", "us"},
-        {"op.range_p99_us", "us"},
-        {"op.nn_p50_us", "us"},
-        {"op.nn_p99_us", "us"},
-        {"op.lan_p50_us", "us"},
-        {"op.failed_frac", "ratio"},
-    };
-    l.insert(l.end(), rest.begin(), rest.end());
-    return l;
-  }();
-  return list;
 }
 
 }  // namespace perfbench

@@ -1,6 +1,8 @@
 // Benchmark driver: runs one workload and prints a report, then, as the
 // last line of standard output, one JSON object with the keys correct,
-// attempted, failed and metrics. Exits non-zero on a wrong answer.
+// attempted, failed and metrics (the end-to-end metrics, or with --trace 1
+// the per-layer metrics the workload reached). Exits non-zero on a wrong
+// answer.
 //
 //   perfbench --workload NAME --seed N --seconds S --trace 0|1 [--trace-dir DIR]
 #include <unistd.h>
@@ -22,7 +24,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: perfbench --workload NAME --seed N --seconds S --trace 0|1 "
                "[--trace-dir DIR]\n"
-               "workloads: update_path query_path city_rush hot_leaf_udp\n");
+               "workloads: update_path query_path city_rush\n");
   return 2;
 }
 
@@ -33,7 +35,6 @@ int main(int argc, char** argv) {
       {"update_path", perfbench::run_update_path},
       {"query_path", perfbench::run_query_path},
       {"city_rush", perfbench::run_city_rush},
-      {"hot_leaf_udp", perfbench::run_hot_leaf_udp},
   };
   Args a;
   try {
@@ -71,14 +72,7 @@ int main(int argc, char** argv) {
   for (const std::string& line : out.notes) std::printf("%s\n", line.c_str());
   for (const std::string& e : out.errors) std::fprintf(stderr, "FAIL: %s\n", e.c_str());
 
-  perfbench::Metrics shown;
-  if (a.trace) {
-    for (const auto& [name, unit] : perfbench::layer_metric_list()) {
-      shown.set(name, out.layers.get(name), unit);
-    }
-  } else {
-    shown = out.e2e;
-  }
+  const perfbench::Metrics& shown = a.trace ? out.layers : out.e2e;
   std::string json = "{\"correct\": ";
   json += out.failed == 0 ? "true" : "false";
   json += ", \"attempted\": " + std::to_string(out.attempted);

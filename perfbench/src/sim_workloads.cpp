@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <map>
 
 #include "core/hierarchy_builder.hpp"
 #include "core/update_coalescer.hpp"
@@ -20,25 +21,44 @@ namespace {
 
 // --- generic run structure -------------------------------------------------------
 
-/// Runs blocks until `seconds` of wall time have passed (at least three).
-/// Each block's timings are scaled by the host-speed factor measured just
-/// before it.
+/// Runs whole windows of Bench::kWindowBlocks blocks until `seconds` of
+/// wall time have passed (at least three windows). A window holds a fixed
+/// operation mix and enough operations for a p99; the end-to-end metrics
+/// are medians over windows, so a short slow spell of the host moves one
+/// window, not the run. The host-speed factor is measured before every
+/// block; a window's timings are scaled by the median of its factors, so
+/// no single reference sample decides a window's tail.
 template <typename Bench>
 void measure(Bench& b, double seconds, Samples& s, Outcome& out, HostSpeed& speed) {
   const std::int64_t deadline = now_ns() + static_cast<std::int64_t>(seconds * 1e9);
   do {
-    const double k = speed.calibrate();
     std::array<std::size_t, kOpTypes> first{};
     for (std::size_t t = 0; t < kOpTypes; ++t) first[t] = s.wall_us[t].size();
-    const auto [ops, active_ns] = b.block(s, out);
+    std::vector<double> factors;
+    std::uint64_t ops = 0;
+    std::int64_t active_ns = 0;
+    for (std::size_t blk = 0; blk < Bench::kWindowBlocks; ++blk) {
+      factors.push_back(speed.calibrate());
+      const auto [block_ops, block_ns] = b.block(s, out);
+      ops += block_ops;
+      active_ns += block_ns;
+    }
+    const double k = median(factors);
+    std::vector<double> window_us;  // every latency of this window
     for (std::size_t t = 0; t < kOpTypes; ++t) {
-      for (std::size_t j = first[t]; j < s.wall_us[t].size(); ++j) s.wall_us[t][j] *= k;
+      for (std::size_t j = first[t]; j < s.wall_us[t].size(); ++j) {
+        s.wall_us[t][j] *= k;
+        window_us.push_back(s.wall_us[t][j]);
+      }
     }
     const double active_s = static_cast<double>(active_ns) * k / 1e9;
+    s.window_p50_us.push_back(median(window_us));
+    s.window_p99_us.push_back(percentile(window_us, 0.99));
+    s.window_ops_s.push_back(static_cast<double>(ops) / std::max(active_s, 1e-9));
+    s.blocks += Bench::kWindowBlocks;
     s.ops += ops;
     s.active_s += active_s;
-    s.block_ops_s.push_back(static_cast<double>(ops) / std::max(active_s, 1e-9));
-  } while (now_ns() < deadline || s.block_ops_s.size() < 3);
+  } while (now_ns() < deadline || s.window_ops_s.size() < 3);
 }
 
 bool same(const Check& a, const Check& b) {
@@ -77,11 +97,18 @@ void span_metrics(Metrics& m, const Tracer& tr, const IndexCounters& ic,
   const Tracer::Agg op = tr.agg_prefix("op.");
   m.set("net.deliver_ns_per_msg", ratio(d(step.self_ns), static_cast<double>(t.delivered)),
         "ns");
-  for (const std::string& type : handled_types()) {
-    const Tracer::Agg l = tr.agg_prefix("handle.leaf." + type);
-    const Tracer::Agg i = tr.agg_prefix("handle.inner." + type);
-    m.set("core.handle_ns." + type,
-          ratio(d(l.total_ns + i.total_ns), static_cast<double>(l.count + i.count)), "ns");
+  // One mean handler span per message type seen, leaf and inner together.
+  std::map<std::string, Tracer::Agg> by_type;
+  for (const std::string prefix : {"handle.leaf.", "handle.inner."}) {
+    tr.for_each(prefix, [&](const std::string& name, const Tracer::Agg& a) {
+      if (a.count == 0) return;
+      Tracer::Agg& sum = by_type[name.substr(prefix.size())];
+      sum.count += a.count;
+      sum.total_ns += a.total_ns;
+    });
+  }
+  for (const auto& [type, a] : by_type) {
+    m.set("core.handle_ns." + type, ratio(d(a.total_ns), static_cast<double>(a.count)), "ns");
   }
   m.set("core.leaf_self_ns_per_op", ratio(d(leaf.self_ns), ops), "ns");
   m.set("core.inner_self_ns_per_op", ratio(d(inner.self_ns), ops), "ns");
@@ -136,15 +163,12 @@ struct StatsWindow {
   }
 };
 
-/// Set-ups timed beyond the three the determinism checks need: set-up is
-/// short and the host's speed drifts, so setup_s takes a median over more.
-constexpr int kExtraSetups = 4;
-
 /// The shared shape of every SimNetwork workload run:
 ///  1. set up with seed+1 and run the check prefix (its CRC must differ),
-///  2. set up with the seed and run the prefix; set up kExtraSetups more
-///     times for timing only; set up once more and run the prefix, which
-///     must match the first bit for bit,
+///  2. set up with the seed and run the prefix; set up Bench::kExtraSetups
+///     more times for timing only (set-up is short and the host's speed
+///     drifts, so setup_s takes a median over many); set up once more and
+///     run the prefix, which must match the first bit for bit,
 ///  3. measure untraced on the last world (the end-to-end metrics),
 ///  4. with --trace 1: set up a traced world with the seed, check that its
 ///     prefix matches the untraced one, and measure it for the per-layer
@@ -172,7 +196,7 @@ Outcome run_sim(const Args& a, const char* why) {
     auto b = build(a.seed);
     first = b->check_prefix(out);
   }
-  for (int k = 0; k < kExtraSetups; ++k) build(a.seed);
+  for (int k = 0; k < Bench::kExtraSetups; ++k) build(a.seed);
   auto b = build(a.seed);
   base = b->check_prefix(out);
   out.note("check prefix, seed " + std::to_string(a.seed) + ":   " + describe(base));
@@ -190,7 +214,7 @@ Outcome run_sim(const Args& a, const char* why) {
            std::to_string(speed.median_factor()));
   if (!a.trace) return out;
 
-  const double untraced_tput = median(s.block_ops_s);
+  const double untraced_tput = median(s.window_ops_s);
   fill_op_metrics(out.layers, s, out.failed, out.attempted);
   out.layers.set("net.msgs_per_op",
                  static_cast<double>(base.msgs) / static_cast<double>(base.ops), "count");
@@ -220,7 +244,7 @@ Outcome run_sim(const Args& a, const char* why) {
   TraceTotals totals = tb->end_traced(out.layers);
   totals.ops = ts.ops;
   span_metrics(out.layers, tracer, counters, totals);
-  out.layers.set("trace.overhead_frac", untraced_tput / median(ts.block_ops_s) - 1.0,
+  out.layers.set("trace.overhead_frac", untraced_tput / median(ts.window_ops_s) - 1.0,
                  "ratio");
   table2_rows(out);
 
@@ -440,11 +464,17 @@ SimWorld::Timed Table2Bench::nn_query(Outcome& out, AnswerCrc& crc, std::uint32_
 }
 
 /// update_path / query_path: a block is kBlockOps operations drawn by Pick
-/// from the seeded stream; the check prefix is kPrefixOps of them plus
-/// kProbes local position queries that check the oracle's model.
-template <typename Pick, std::size_t kPrefixOps, std::size_t kBlockOps, std::size_t kProbes>
+/// from the seeded stream, a window kWindow blocks; the check prefix is
+/// kPrefixOps of them plus kProbes local position queries that check the
+/// oracle's model.
+template <typename Pick, std::size_t kPrefixOps, std::size_t kBlockOps, std::size_t kProbes,
+          std::size_t kWindow>
 class Table2Workload {
  public:
+  /// ~25 ms each: about half a second of timed set-ups per run.
+  static constexpr int kExtraSetups = 20;
+  static constexpr std::size_t kWindowBlocks = kWindow;
+
   Table2Workload(std::uint64_t seed, Tracer* t, IndexCounters* c, Outcome& out)
       : b_(seed, t, c, out), pick_rng_(seed ^ 0x7ab1e2) {}
 
@@ -483,8 +513,6 @@ class Table2Workload {
     TraceTotals t = window_.end(world(), m, b_.nn_queries);
     t.range_results = b_.range_results;
     t.nn_answers = b_.nn_answers;
-    m.set("core.batch_factor", 0.0, "ratio");
-    m.set("sim.gen_ns_per_sighting", 0.0, "ns");
     return t;
   }
 
@@ -523,6 +551,7 @@ struct QueryPick {
 // --- city_rush -----------------------------------------------------------------
 
 constexpr std::size_t kCityObjects = 100000;
+constexpr int kCityRounds = 8;
 constexpr std::size_t kChunk = 512;           // sightings per gateway flush
 constexpr std::size_t kQueriesPerRound = 64;  // alternating position / range
 constexpr NodeId kGateway{901};
@@ -532,6 +561,7 @@ sim::ScenarioParams city_params(std::uint64_t seed) {
   p.kind = sim::ScenarioKind::kCommuterRush;
   p.seed = seed;
   p.objects = kCityObjects;
+  p.rounds = kCityRounds;
   return p;
 }
 
@@ -541,6 +571,12 @@ sim::ScenarioParams city_params(std::uint64_t seed) {
 /// against the scenario's last positions.
 class CityRush {
  public:
+  /// ~0.4 s each.
+  static constexpr int kExtraSetups = 4;
+  /// One walk out and back. Departures and arrivals bunch in the middle
+  /// rounds, so only whole walks give every window the same work.
+  static constexpr std::size_t kWindowBlocks = 2 * (kCityRounds - 1);
+
   CityRush(std::uint64_t seed, Tracer* tracer, IndexCounters* counters, Outcome& out)
       : scn_(city_params(seed)),
         w_(seed, core::HierarchyBuilder::grid(scn_.params().area, 4, 4, 1), tracer,
@@ -592,9 +628,8 @@ class CityRush {
   /// out and back (1..7, 6..0, 1..) so every block sees commuters on the
   /// move and handover storms stay correlated.
   std::pair<std::uint64_t, std::int64_t> block(Samples& s, Outcome& out) {
-    const int period = 2 * (scn_.params().rounds - 1);
-    const int k = static_cast<int>(++blocks_ % static_cast<std::uint64_t>(period));
-    const int r = k < scn_.params().rounds ? k : period - k;
+    const auto k = static_cast<int>(++blocks_ % kWindowBlocks);
+    const int r = k < kCityRounds ? k : static_cast<int>(kWindowBlocks) - k;
     return round(r, s, out, crc_);
   }
 
@@ -769,7 +804,7 @@ class CityRush {
 }  // namespace
 
 Outcome run_update_path(const Args& args) {
-  using W = Table2Workload<UpdatePick, 2000, 2000, 256>;
+  using W = Table2Workload<UpdatePick, 2000, 2000, 256, 50>;  // 100k updates a window
   return run_sim<W>(args,
                     "per-message cost does almost all the work: small-message codec, "
                     "SimNetwork delivery, update/handover dispatch and the quadtree move; "
@@ -777,7 +812,7 @@ Outcome run_update_path(const Args& args) {
 }
 
 Outcome run_query_path(const Args& args) {
-  using W = Table2Workload<QueryPick, 1000, 500, 0>;
+  using W = Table2Workload<QueryPick, 1000, 500, 0, 20>;  // 10k queries a window
   return run_sim<W>(args,
                     "read-only: spatial queries, sub-result pinning and merge, and the NN "
                     "expanding ring do the work while the update path is idle");
