@@ -87,20 +87,33 @@ struct Outcome {
 /// far apart. Every wall-time measurement is therefore scaled by how long a
 /// fixed reference kernel took just before it, relative to the kernel's
 /// nominal time: timings read as on a host that runs the kernel in
-/// kNominalNs. The kernel's code is brought into cache by an untimed pass
-/// first, so the factor does not depend on what the measured work left in
-/// the cache. The report prints the median speed factor of each run.
+/// kNominalNs. The kernel has three parts, timed together: indirect calls
+/// through many small functions (front-end bound, its code brought into
+/// cache by an untimed pass first), lookups in a hash table far larger
+/// than L2 (cache- and memory-bound) and malloc/free churn on the heap.
+/// The host's slow spells hit the protocol path through all three. The
+/// report prints the median speed factor of each run.
 class HostSpeed {
  public:
-  static constexpr double kNominalNs = 400000.0;
+  static constexpr double kNominalNs = 1300000.0;
+
+  HostSpeed();
+  ~HostSpeed();
+  HostSpeed(const HostSpeed&) = delete;
+  HostSpeed& operator=(const HostSpeed&) = delete;
 
   /// Runs the reference kernel; returns the factor to multiply durations
   /// measured right after it by (nominal time / measured time).
   double calibrate();
   /// Median of every factor returned so far (for the report).
   double median_factor() const;
+  /// Resident memory of the reference table, to keep out of rss_mb. The
+  /// table lives in its own mapping, so the program's heap is as without it.
+  double table_mb() const;
 
  private:
+  struct Table;
+  std::unique_ptr<Table> table_;
   std::uint64_t sink_ = 0;
   std::vector<double> factors_;
 };

@@ -1,9 +1,13 @@
-#include <sys/resource.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <new>
+#include <unordered_map>
 #include <utility>
 
 #include "bench.hpp"
@@ -51,9 +55,17 @@ double percentile(std::vector<double> v, double q) {
 double median(std::vector<double> v) { return percentile(std::move(v), 0.5); }
 
 double peak_rss_mb() {
-  rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
-  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is KiB
+  // VmHWM, not getrusage's ru_maxrss: that one survives execve, so it
+  // reported the launching Python process's RSS whenever that was larger.
+  double kib = 0.0;
+  if (FILE* f = std::fopen("/proc/self/status", "r")) {
+    char line[256];
+    while (std::fgets(line, sizeof line, f) != nullptr) {
+      if (std::sscanf(line, "VmHWM: %lf kB", &kib) == 1) break;
+    }
+    std::fclose(f);
+  }
+  return kib / 1024.0;
 }
 
 namespace {
@@ -80,17 +92,109 @@ std::array<RefStep, sizeof...(I)> ref_steps(std::index_sequence<I...>) {
 
 const std::array<RefStep, 1024> kRefSteps = ref_steps(std::make_index_sequence<1024>());
 
+// The reference table: 200k hash-table nodes of 32 bytes plus the bucket
+// array, 8 MiB in all, so most lookups miss L2 whatever the measured work
+// left there.
+constexpr std::uint64_t kTableKeys = 200000;
+constexpr std::uint64_t kTableStride = 0x9e3779b97f4a7c15ULL;
+constexpr std::size_t kArenaBytes = 16u << 20;
+
+/// Bump allocation from one private mapping that is never freed before the
+/// table: the table stays off the program's heap, and its resident size is
+/// exactly the bytes handed out.
+struct Arena {
+  char* base = nullptr;
+  std::size_t used = 0;
+
+  Arena() {
+    void* p = mmap(nullptr, kArenaBytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    madvise(p, kArenaBytes, MADV_NOHUGEPAGE);
+    base = static_cast<char*>(p);
+  }
+  ~Arena() { munmap(base, kArenaBytes); }
+  Arena(const Arena&) = delete;
+  Arena& operator=(const Arena&) = delete;
+
+  void* take(std::size_t bytes, std::size_t align) {
+    const std::size_t at = (used + align - 1) / align * align;
+    if (at + bytes > kArenaBytes) throw std::bad_alloc();
+    used = at + bytes;
+    return base + at;
+  }
+};
+
+template <typename T>
+struct ArenaAlloc {
+  using value_type = T;
+  Arena* arena;
+  explicit ArenaAlloc(Arena* a) : arena(a) {}
+  template <typename U>
+  ArenaAlloc(const ArenaAlloc<U>& o) : arena(o.arena) {}  // NOLINT: rebinding
+  T* allocate(std::size_t n) { return static_cast<T*>(arena->take(n * sizeof(T), alignof(T))); }
+  void deallocate(T*, std::size_t) {}
+  bool operator==(const ArenaAlloc& o) const { return arena == o.arena; }
+};
+
 }  // namespace
+
+struct HostSpeed::Table {
+  // The padded value makes a node 32 bytes, the spacing glibc gives a
+  // 24-byte node; the kernel's tracking was measured with that layout.
+  using Value = std::array<std::uint64_t, 2>;
+  using Map = std::unordered_map<std::uint64_t, Value, std::hash<std::uint64_t>,
+                                 std::equal_to<>,
+                                 ArenaAlloc<std::pair<const std::uint64_t, Value>>>;
+  Arena arena;
+  Map map{0, std::hash<std::uint64_t>{}, std::equal_to<>{}, Map::allocator_type(&arena)};
+};
+
+HostSpeed::HostSpeed() : table_(std::make_unique<Table>()) {
+  table_->map.reserve(kTableKeys);
+  for (std::uint64_t i = 0; i < kTableKeys; ++i) table_->map[i * kTableStride] = {i, 0};
+}
+
+HostSpeed::~HostSpeed() = default;
+
+double HostSpeed::table_mb() const {
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  const std::size_t resident = (table_->arena.used + page - 1) / page * page;
+  return static_cast<double>(resident) / (1024.0 * 1024.0);
+}
 
 double HostSpeed::calibrate() {
   // Untimed: call every function once first, so the timed pass never
-  // refetches code the measured work evicted. The factor then follows the
-  // host's speed, not the cache footprint of the code under test.
+  // refetches code the measured work evicted. The table is not warmed: it
+  // is too large for L2 either way, and a 96 MiB random-write sweep before
+  // the kernel slowed the whole kernel by only ~1 % against a 512 KiB one.
   std::uint64_t x = 0x9e3779b97f4a7c15ULL ^ sink_;
   for (const RefStep step : kRefSteps) x = step(x);
+  // Each part takes about a quarter of the time, the allocator half: that
+  // mix tracked the protocol path's slow spells best of the kernels tried.
   constexpr int kCalls = 20000;
+  constexpr int kLookups = 6000;
+  constexpr int kAllocs = 30000;
+  std::array<void*, 256> live{};
   const std::int64_t t0 = now_ns();
   for (int i = 0; i < kCalls; ++i) x = kRefSteps[(x >> 20) & (kRefSteps.size() - 1)](x);
+  for (int i = 0; i < kLookups; ++i) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    const auto it = table_->map.find(((x >> 33) % kTableKeys) * kTableStride);
+    if (it != table_->map.end()) it->second[0] += x;
+  }
+  // Allocator churn on the program's own heap: fixed sizes and order, the
+  // message buffers' size range, at most 256 blocks live.
+  std::uint64_t y = 12345;
+  for (int i = 0; i < kAllocs; ++i) {
+    y = y * 6364136223846793005ULL + 1442695040888963407ULL;
+    void*& slot = live[(y >> 40) & 255];
+    std::free(slot);
+    slot = std::malloc(16 + ((y >> 20) & 511));
+    if (slot == nullptr) throw std::bad_alloc();
+    static_cast<char*>(slot)[0] = static_cast<char>(x);
+  }
+  for (void* p : live) std::free(p);
   sink_ = x;
   const double factor =
       kNominalNs / static_cast<double>(std::max<std::int64_t>(now_ns() - t0, 1));

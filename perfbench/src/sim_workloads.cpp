@@ -206,7 +206,7 @@ Outcome run_sim(const Args& a, const char* why) {
   }
   if (other.crc == base.crc) out.fail("determinism: a different seed gave the same CRC");
 
-  const double rss_mb = peak_rss_mb();
+  const double rss_mb = peak_rss_mb() - speed.table_mb();
   Samples s;
   measure(*b, a.trace ? a.seconds / 2 : a.seconds, s, out, speed);
   fill_e2e(out, s, setup, rss_mb);
@@ -562,6 +562,7 @@ sim::ScenarioParams city_params(std::uint64_t seed) {
   p.seed = seed;
   p.objects = kCityObjects;
   p.rounds = kCityRounds;
+  p.zones = 64;
   return p;
 }
 
