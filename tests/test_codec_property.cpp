@@ -10,6 +10,7 @@
 //    encodings sticky-fail.
 #include <gtest/gtest.h>
 
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 #include "wire/messages.hpp"
 
@@ -239,6 +240,82 @@ TEST(CodecProperty, EncodeDecodeReencodeIsByteStableForEveryType) {
     for (std::size_t i = 0; i < kVariantCount; ++i) {
       ASSERT_TRUE(covered[i]) << "no generator for variant index " << i;
     }
+  }
+}
+
+// --- golden bytes ----------------------------------------------------------
+
+TEST(CodecProperty, WireBytesMatchGolden) {
+  // Pins the encoder's OUTPUT, not just its round-trip stability: byte count
+  // and chained CRC32 of every message type over a fixed-seed draw. A codec
+  // change that moves any byte on the wire fails here.
+  struct Golden {
+    MsgType type;
+    std::size_t bytes;
+    std::uint32_t crc;
+  };
+  static constexpr Golden kGolden[] = {
+      {MsgType::kRegisterReq, 1341, 0x657e2447u},
+      {MsgType::kRegisterRes, 458, 0xd31f9590u},
+      {MsgType::kRegisterFailed, 452, 0xbc3dce2eu},
+      {MsgType::kCreatePath, 141, 0x65cc312du},
+      {MsgType::kRemovePath, 200, 0x296e3337u},
+      {MsgType::kUpdateReq, 651, 0xc055c567u},
+      {MsgType::kUpdateAck, 299, 0xe7a09111u},
+      {MsgType::kHandoverReq, 2126, 0x103db781u},
+      {MsgType::kHandoverRes, 1194, 0x04e87867u},
+      {MsgType::kAgentChanged, 382, 0x9e042d1cu},
+      {MsgType::kPosQueryReq, 310, 0x399d16bbu},
+      {MsgType::kPosQueryFwd, 397, 0xdf9762ffu},
+      {MsgType::kPosQueryRes, 1183, 0x37188d55u},
+      {MsgType::kRangeQueryReq, 1592, 0xa9a89d3cu},
+      {MsgType::kRangeQueryFwd, 1416, 0xfad88cf2u},
+      {MsgType::kRangeQuerySubRes, 2277, 0xc3778364u},
+      {MsgType::kRangeQueryRes, 1045, 0x0c8faf4cu},
+      {MsgType::kNNQueryReq, 760, 0xe6d1833au},
+      {MsgType::kNNProbeFwd, 839, 0x67679116u},
+      {MsgType::kNNProbeSubRes, 2038, 0x83192b77u},
+      {MsgType::kNNQueryRes, 1756, 0xd713434du},
+      {MsgType::kChangeAccReq, 583, 0xbddcbb6du},
+      {MsgType::kChangeAccRes, 390, 0x41a2ff6cu},
+      {MsgType::kNotifyAvailAcc, 284, 0x6f087897u},
+      {MsgType::kDeregisterReq, 164, 0xd1eb07a2u},
+      {MsgType::kRefreshReq, 177, 0xe5ab1dadu},
+      {MsgType::kEventSubscribe, 1423, 0x57651b6eu},
+      {MsgType::kEventInstall, 1646, 0x60c19ca5u},
+      {MsgType::kEventDelta, 576, 0x9bd064e6u},
+      {MsgType::kEventNotify, 290, 0x59e649e0u},
+      {MsgType::kEventUnsubscribe, 245, 0x2ca8c241u},
+      {MsgType::kBatchedUpdateReq, 1591, 0x109dca36u},
+      {MsgType::kBatchedUpdateAck, 579, 0x1d3187feu},
+      {MsgType::kHeartbeat, 249, 0x091cb293u},
+      {MsgType::kHeartbeatAck, 249, 0xe2133fb6u},
+      {MsgType::kRecoveryHello, 248, 0xd472f014u},
+      {MsgType::kBatchedRefreshReq, 412, 0xa361b300u},
+      {MsgType::kBatchedPathUpdate, 487, 0xb1f76d8bu},
+      {MsgType::kShardLoadStats, 1726, 0x1348afc2u},
+      {MsgType::kBucketMigrate, 2817, 0x6366544eu},
+      {MsgType::kReplicaTee, 2766, 0x5502c049u},
+      {MsgType::kStandbyPromote, 327, 0x9ecdeec2u},
+      {MsgType::kStandbyDemote, 331, 0x20ee2b94u},
+  };
+  ASSERT_EQ(std::size(kGolden), kVariantCount);
+  std::vector<std::size_t> bytes(kVariantCount + 1, 0);
+  std::vector<std::uint32_t> crc(kVariantCount + 1, 0);
+  Rng rng(1313);
+  for (int iter = 0; iter < 16; ++iter) {
+    for (const Message& m : random_messages(rng)) {
+      const Buffer wire = encode_envelope(NodeId{77}, m);
+      const auto t = static_cast<std::size_t>(message_type(m));
+      bytes[t] += wire.size();
+      crc[t] = crc32(wire.data(), wire.size(), crc[t]);
+    }
+  }
+  for (const Golden& g : kGolden) {
+    const auto t = static_cast<std::size_t>(g.type);
+    EXPECT_EQ(bytes[t], g.bytes) << msg_type_name(g.type);
+    EXPECT_EQ(crc[t], g.crc) << msg_type_name(g.type) << " crc 0x" << std::hex
+                             << crc[t];
   }
 }
 
