@@ -245,9 +245,10 @@ MergeCost baseline_merge(const std::vector<std::vector<wm::Buffer>>& groups,
         const auto* sub = std::get_if<wm::RangeQuerySubRes>(&scratch.msg);
         if (sub == nullptr) std::abort();
         decoded.clear();
-        wm::PackedResults::Cursor cur = sub->results.iter();
-        core::ObjectResult r;
-        while (cur.next(r)) decoded.push_back(r);  // wire -> decoded vector
+        wm::ItemView<core::ObjectResult> items = sub->results.items();
+        while (const auto item = items.next()) {
+          decoded.push_back(item->value);  // wire -> decoded vector
+        }
         cost.bytes_copied += decoded.size() * sizeof(core::ObjectResult);
         pending.insert(pending.end(), decoded.begin(), decoded.end());
         cost.bytes_copied += decoded.size() * sizeof(core::ObjectResult);
@@ -272,7 +273,7 @@ MergeCost baseline_merge(const std::vector<std::vector<wm::Buffer>>& groups,
         w.boolean(true);
         w.u64(pending.size());
         w.u64(packed_bytes);
-        for (const core::ObjectResult& r : pending) wm::put_object_result(w, r);
+        for (const core::ObjectResult& r : pending) wm::put(w, r);
         cost.bytes_copied += packed_bytes;  // vector -> wire, once
       }
       if (round == 0) cost.merged_results += pending.size();
@@ -313,9 +314,9 @@ MergeCost view_merge(const std::vector<std::vector<wm::Buffer>>& groups,
       std::uint64_t kept = 0;
       std::size_t kept_bytes = 0;
       for (const Segment& seg : segments) {
-        wm::ResultCursor cur(seg.data, seg.len);
-        while (const auto item = cur.next()) {
-          if (dedup && !seen.insert(item->res.oid)) continue;
+        wm::ItemView<core::ObjectResult> items(seg.data, seg.len);
+        while (const auto item = items.next()) {
+          if (dedup && !seen.insert(item->value.oid)) continue;
           ++kept;
           kept_bytes += item->len;
         }
@@ -331,9 +332,9 @@ MergeCost view_merge(const std::vector<std::vector<wm::Buffer>>& groups,
         w.u64(kept_bytes);
         seen.clear();
         for (const Segment& seg : segments) {
-          wm::ResultCursor cur(seg.data, seg.len);
-          while (const auto item = cur.next()) {
-            if (dedup && !seen.insert(item->res.oid)) continue;
+          wm::ItemView<core::ObjectResult> items(seg.data, seg.len);
+          while (const auto item = items.next()) {
+            if (dedup && !seen.insert(item->value.oid)) continue;
             w.bytes(item->data, item->len);
           }
         }

@@ -163,10 +163,9 @@ void TrackedObject::handle(const std::uint8_t* data, std::size_t len) {
           // Batched recovery sweep: answer if our oid is listed (clients
           // owning one object get single-entry batches; gateways fan out).
           if (state_ != State::kTracked) return;
-          wm::BatchedRefreshReq::Cursor cur = m.oids();
-          ObjectId oid;
-          while (cur.next(oid)) {
-            if (oid != oid_) continue;
+          wm::ItemView<ObjectId> oids = m.oids.items();
+          while (const auto oid = oids.next()) {
+            if (oid->value != oid_) continue;
             ++refreshes_answered_;
             send_update(last_fed_pos_);
             break;

@@ -128,8 +128,9 @@ void LocationServer::handle(const net::Datagram& dg) {
       handle_sub_res_view(view, dg);
       return;
     }
-    // Another packed type, or malformed: fall through to the full decode,
-    // which handles (or reports and counts) it exactly once.
+    // Another packed type, or malformed (the view accepts every sub-result
+    // the full decode accepts): fall through to the full decode, which
+    // handles (or reports and counts) it exactly once.
   }
   // Decode into the scratch envelope: a steady stream of one message type
   // reuses its vectors' capacity, so dispatch allocates nothing.
@@ -169,14 +170,10 @@ void LocationServer::handle(const net::Datagram& dg) {
           on_range_query_req(src, m);
         } else if constexpr (std::is_same_v<T, wm::RangeQueryFwd>) {
           on_range_query_fwd(src, m);
-        } else if constexpr (std::is_same_v<T, wm::RangeQuerySubRes>) {
-          on_range_query_sub_res(src, m);
         } else if constexpr (std::is_same_v<T, wm::NNQueryReq>) {
           on_nn_query_req(src, m);
         } else if constexpr (std::is_same_v<T, wm::NNProbeFwd>) {
           on_nn_probe_fwd(src, m);
-        } else if constexpr (std::is_same_v<T, wm::NNProbeSubRes>) {
-          on_nn_probe_sub_res(src, m);
         } else if constexpr (std::is_same_v<T, wm::ChangeAccReq>) {
           on_change_acc_req(src, m);
         } else if constexpr (std::is_same_v<T, wm::DeregisterReq>) {
@@ -306,16 +303,16 @@ void LocationServer::send_path(bool create, ObjectId oid) {
     }
     return;
   }
-  if (path_batch_.empty()) path_batch_oldest_ = now();
-  path_batch_.append(create, oid);
-  if (path_batch_.count >= opts_.path_batch_max) flush_path_batch();
+  if (path_batch_.ops.empty()) path_batch_oldest_ = now();
+  path_batch_.ops.append({create, oid});
+  if (path_batch_.ops.count >= opts_.path_batch_max) flush_path_batch();
 }
 
 void LocationServer::flush_path_batch() {
-  if (path_batch_.empty()) return;
+  if (path_batch_.ops.empty()) return;
   ++stats_.path_batches_sent;
   send_msg(cfg_.parent, path_batch_);
-  path_batch_.clear();
+  path_batch_.ops.clear();
 }
 
 void LocationServer::on_create_path(NodeId src, const wm::CreatePath& m) {
@@ -339,11 +336,10 @@ void LocationServer::on_batched_path_update(NodeId src,
   // Entries replay in order, each exactly like its unbatched message; the
   // upward forwards re-enter this server's own coalescer, so a burst stays
   // batched hop by hop toward the root.
-  wm::BatchedPathUpdate::Cursor cur = m.entries();
-  bool create = false;
-  ObjectId oid;
-  while (cur.next(create, oid)) {
-    if (create) {
+  wm::ItemView<wm::BatchedPathUpdate::Entry> ops = m.ops.items();
+  while (const auto op = ops.next()) {
+    const ObjectId oid = op->value.oid;
+    if (op->value.create) {
       visitor_db_.set_forward(oid, src);
       send_path(true, oid);
     } else {
@@ -390,9 +386,8 @@ void LocationServer::on_update_req(NodeId src, const wm::UpdateReq& m) {
 void LocationServer::on_batched_update_req(NodeId src, const wm::BatchedUpdateReq& m) {
   if (!cfg_.is_leaf()) return;  // updates always go to the agent (a leaf)
   if (standby_passive()) {
-    wm::BatchedUpdateReq::Cursor bcur = m.sightings();
-    Sighting bs;
-    while (bcur.next(bs)) bounce_sighting(bs);
+    wm::ItemView<Sighting> bounced = m.sightings.items();
+    while (const auto item = bounced.next()) bounce_sighting(item->value);
     flush_bounce();
     return;
   }
@@ -403,10 +398,10 @@ void LocationServer::on_batched_update_req(NodeId src, const wm::BatchedUpdateRe
   // acks travel back as one packed BatchedUpdateAck to the coalescing sender.
   batch_apply_scratch_.clear();
   wm::BatchedUpdateAck& ack = batch_ack_scratch_;
-  ack.clear();
-  wm::BatchedUpdateReq::Cursor cur = m.sightings();
-  Sighting s;
-  while (cur.next(s)) {
+  ack.acks.clear();
+  wm::ItemView<Sighting> sightings = m.sightings.items();
+  while (const auto item = sightings.next()) {
+    const Sighting& s = item->value;
     const store::VisitorRecord* rec = visitor_db_.find(s.oid);
     if (rec == nullptr || !rec->leaf) {
       ++stats_.updates_unknown;  // stale agent; the object relearns via timeout
@@ -421,7 +416,7 @@ void LocationServer::on_batched_update_req(NodeId src, const wm::BatchedUpdateRe
     }
     batch_apply_scratch_.push_back({s, rec->leaf->offered_acc});
     tee_upsert(s, rec->leaf->offered_acc, rec->leaf->reg_info);
-    ack.append(s.oid, rec->leaf->offered_acc);
+    ack.acks.append({s.oid, rec->leaf->offered_acc});
     ++stats_.updates_applied;
   }
   if (!batch_apply_scratch_.empty()) {
@@ -431,7 +426,7 @@ void LocationServer::on_batched_update_req(NodeId src, const wm::BatchedUpdateRe
       if (!awaiting_refresh_.empty()) flush_awaiting_refresh(item.s.oid);
     }
   }
-  if (!ack.empty()) send_msg(src, ack);
+  if (!ack.acks.empty()) send_msg(src, ack);
 }
 
 void LocationServer::initiate_handover(NodeId object_node, const Sighting& s) {
@@ -604,8 +599,8 @@ std::size_t LocationServer::extract_for_migration(
     const store::SightingDb::Record* rec = sightings_->find(oid);
     const store::VisitorRecord* vis = visitor_db_.find(oid);
     if (rec == nullptr || vis == nullptr || !vis->leaf) continue;
-    out.append({rec->sighting, rec->offered_acc, rec->expiry,
-                vis->leaf->reg_info});
+    out.entries.append({rec->sighting, rec->offered_acc, rec->expiry,
+                        vis->leaf->reg_info});
     // Silent drop: no presence event (the object stays on this leaf) and no
     // path prune (the forwarding path still targets this NodeId).
     sightings_->remove(oid);
@@ -620,9 +615,9 @@ void LocationServer::on_bucket_migrate(NodeId src, const wire::BucketMigrate& m)
   // Intra-leaf only: the donor shard stamps the migration with the leaf's
   // own NodeId. Anything else is a stray or forged datagram -- drop it.
   if (!cfg_.is_leaf() || src != self_ || !sightings_) return;
-  wire::BucketMigrate::Cursor cur = m.entries();
-  wire::BucketMigrate::Entry e;
-  while (cur.next(e)) {
+  wire::ItemView<wire::BucketMigrate::Entry> entries = m.entries.items();
+  while (const auto item = entries.next()) {
+    const wire::BucketMigrate::Entry& e = item->value;
     visitor_db_.insert_leaf(e.s.oid, e.offered_acc, e.reg);
     if (sightings_->find(e.s.oid) != nullptr) sightings_->remove(e.s.oid);
     // Install with the ORIGINAL expiry: migration must not extend the
@@ -647,7 +642,7 @@ void LocationServer::tee_upsert(const Sighting& s, double offered_acc,
   // TTL (§5) beyond what the primary granted.
   e.expiry = sighting_expiry();
   e.reg = reg;
-  tee_scratch_.append(e);
+  tee_scratch_.entries.append(e);
 }
 
 void LocationServer::tee_set_acc(ObjectId oid, double offered_acc,
@@ -658,7 +653,7 @@ void LocationServer::tee_set_acc(ObjectId oid, double offered_acc,
   e.s.oid = oid;
   e.offered_acc = offered_acc;
   e.reg = reg;
-  tee_scratch_.append(e);
+  tee_scratch_.entries.append(e);
 }
 
 void LocationServer::tee_remove(ObjectId oid) {
@@ -666,14 +661,14 @@ void LocationServer::tee_remove(ObjectId oid) {
   wire::ReplicaTee::Entry e;
   e.op = wire::ReplicaTee::Op::kRemove;
   e.s.oid = oid;
-  tee_scratch_.append(e);
+  tee_scratch_.entries.append(e);
 }
 
 void LocationServer::flush_tee() {
-  if (!standby_.valid() || tee_scratch_.empty()) return;
+  if (!standby_.valid() || tee_scratch_.entries.empty()) return;
   ++stats_.tee_datagrams_sent;
   send_msg(standby_, tee_scratch_);
-  tee_scratch_.clear();
+  tee_scratch_.entries.clear();
 }
 
 void LocationServer::bounce_sighting(const Sighting& s) {
@@ -685,14 +680,14 @@ void LocationServer::bounce_sighting(const Sighting& s) {
   wire::ReplicaTee::Entry e{};
   e.op = wire::ReplicaTee::Op::kUpsert;
   e.s = s;
-  tee_scratch_.append(e);  // unused in the replica role outside bounces
+  tee_scratch_.entries.append(e);  // unused in the replica role outside bounces
 }
 
 void LocationServer::flush_bounce() {
-  if (tee_scratch_.empty()) return;
+  if (tee_scratch_.entries.empty()) return;
   ++stats_.tee_datagrams_sent;
   send_msg(standby_primary_, tee_scratch_);
-  tee_scratch_.clear();
+  tee_scratch_.entries.clear();
 }
 
 void LocationServer::on_replica_tee(NodeId src, const wm::ReplicaTee& m) {
@@ -702,9 +697,9 @@ void LocationServer::on_replica_tee(NodeId src, const wm::ReplicaTee& m) {
     // to the demoted replica (see bounce_sighting). Apply each against OUR
     // registration record -- the primary is authoritative for admission
     // state -- and re-tee it so the rebuilding mirror sees it too.
-    wire::ReplicaTee::Cursor cur = m.entries();
-    wire::ReplicaTee::Entry e;
-    while (cur.next(e)) {
+    wire::ItemView<wire::ReplicaTee::Entry> entries = m.entries.items();
+    while (const auto item = entries.next()) {
+      const wire::ReplicaTee::Entry& e = item->value;
       if (e.op != wire::ReplicaTee::Op::kUpsert) continue;
       const store::VisitorRecord* rec = visitor_db_.find(e.s.oid);
       if (rec == nullptr || !rec->leaf) continue;
@@ -717,9 +712,9 @@ void LocationServer::on_replica_tee(NodeId src, const wm::ReplicaTee& m) {
   }
   // Replica role: accept only from the one primary this server mirrors.
   if (!standby_primary_.valid() || src != standby_primary_) return;
-  wire::ReplicaTee::Cursor cur = m.entries();
-  wire::ReplicaTee::Entry e;
-  while (cur.next(e)) {
+  wire::ItemView<wire::ReplicaTee::Entry> entries = m.entries.items();
+  while (const auto item = entries.next()) {
+    const wire::ReplicaTee::Entry& e = item->value;
     ++stats_.tee_entries_applied;
     switch (e.op) {
       case wire::ReplicaTee::Op::kRemove:
@@ -1023,7 +1018,7 @@ void LocationServer::on_range_query_req(NodeId src, const wm::RangeQueryReq& m) 
       wm::Writer w(*local.buf);
       query_view().objects_in_area_emit(
           m.area, m.req_acc, m.req_overlap, [&](const ObjectResult& r) {
-            wm::put_object_result(w, r);
+            wm::put(w, r);
             ++local.count;
           });
     }  // Writer flushes at scope exit
@@ -1155,30 +1150,6 @@ void LocationServer::on_range_query_fwd(NodeId src, const wm::RangeQueryFwd& m) 
   }
 }
 
-void LocationServer::on_range_query_sub_res(NodeId src,
-                                            const wm::RangeQuerySubRes& m) {
-  // Legacy (version-1) or re-framed arrival: the packed bytes were already
-  // owned by the envelope decode, so re-frame them into a pooled segment by
-  // one copy. Version-2 datagrams never reach this handler -- they take the
-  // pinning view path (handle_sub_res_view).
-  (void)src;
-  const auto it = pending_range_.find(m.req_id);
-  if (it == pending_range_.end()) return;
-  learn_origin(m.origin);
-  it->second.covered += m.covered_size;
-  if (!m.results.empty()) {
-    SubSegment seg;
-    seg.buf = net::PooledBuffer(send_pool_, send_pool_->acquire());
-    seg.buf->assign(m.results.packed.begin(), m.results.packed.end());
-    seg.data = seg.buf->data();
-    seg.len = seg.buf->size();
-    seg.count = m.results.count;
-    ++stats_.sub_res_copied;
-    it->second.segments.push_back(std::move(seg));
-  }
-  try_complete_range(m.req_id);
-}
-
 void LocationServer::handle_sub_res_view(wm::SubResView& view,
                                          const net::Datagram& dg) {
   if (view.type() == wm::MsgType::kRangeQuerySubRes) {
@@ -1217,9 +1188,9 @@ void LocationServer::handle_sub_res_view(wm::SubResView& view,
     learn_origin(origin_scratch_);
   }
   it->second.covered += view.covered_size();
-  wm::ResultCursor cur = view.items();
-  while (const auto item = cur.next()) {
-    it->second.candidates[item->res.oid] = item->res.ld;
+  wm::ItemView<ObjectResult> items = view.items();
+  while (const auto item = items.next()) {
+    it->second.candidates[item->value.oid] = item->value.ld;
   }
   check_nn_ring(view.req_id());
 }
@@ -1250,9 +1221,9 @@ void LocationServer::emit_range_result(NodeId client, std::uint64_t client_req_i
   std::uint64_t kept = 0;
   std::size_t kept_bytes = 0;
   for (const SubSegment& seg : pending.segments) {
-    wm::ResultCursor cur(seg.data, seg.len);
-    while (const auto item = cur.next()) {
-      if (dedup && !merge_seen_scratch_.insert(item->res.oid)) {
+    wm::ItemView<ObjectResult> items(seg.data, seg.len);
+    while (const auto item = items.next()) {
+      if (dedup && !merge_seen_scratch_.insert(item->value.oid)) {
         ++stats_.merge_dedup_dropped;
         continue;
       }
@@ -1273,17 +1244,16 @@ void LocationServer::emit_range_result(NodeId client, std::uint64_t client_req_i
     w.u64(kept_bytes);
     merge_seen_scratch_.clear();
     for (const SubSegment& seg : pending.segments) {
-      wm::ResultCursor cur(seg.data, seg.len);
-      while (const auto item = cur.next()) {
-        if (dedup && !merge_seen_scratch_.insert(item->res.oid)) continue;
+      wm::ItemView<ObjectResult> items(seg.data, seg.len);
+      while (const auto item = items.next()) {
+        if (dedup && !merge_seen_scratch_.insert(item->value.oid)) continue;
         w.bytes(item->data, item->len);
       }
     }
   }  // Writer flushes at scope exit
   pending.segments.clear();  // release the pinned receive buffers
   if (!client.valid()) return;
-  ++stats_.msgs_sent;
-  net_.send(self_, client, std::move(out));
+  send_buffer(client, std::move(out));
 }
 
 // --------------------------------------------------------------------------
@@ -1420,20 +1390,6 @@ void LocationServer::on_nn_probe_fwd(NodeId src, const wm::NNProbeFwd& m) {
     send_msg(m.coordinator, sub);
   }
   route_nn_probe(m, src);
-}
-
-void LocationServer::on_nn_probe_sub_res(NodeId src, const wm::NNProbeSubRes& m) {
-  (void)src;
-  const auto it = pending_nn_.find(m.req_id);
-  if (it == pending_nn_.end()) return;
-  // Legacy (version-1) arrival; version-2 datagrams take the view path
-  // (handle_sub_res_view). Same lazy per-item merge either way.
-  learn_origin(m.origin);
-  it->second.covered += m.covered_size;
-  wm::PackedResults::Cursor cur = m.candidates.iter();
-  ObjectResult r;
-  while (cur.next(r)) it->second.candidates[r.oid] = r.ld;
-  check_nn_ring(m.req_id);
 }
 
 void LocationServer::check_nn_ring(std::uint64_t ring_key) {
@@ -1573,22 +1529,22 @@ void LocationServer::send_refresh_batches(
   // hash order) and groups targets per client node.
   std::sort(targets.begin(), targets.end());
   wm::BatchedRefreshReq& batch = refresh_batch_scratch_;
-  batch.clear();
+  batch.oids.clear();
   NodeId current = targets.front().first;
   const auto flush = [&](NodeId to) {
-    if (batch.empty()) return;
+    if (batch.oids.empty()) return;
     ++stats_.refresh_batches_sent;
     send_msg(to, batch);
-    batch.clear();
+    batch.oids.clear();
   };
   for (const auto& [client, oid] : targets) {
     if (client != current) {
       flush(current);
       current = client;
     }
-    batch.append(oid);
+    batch.oids.append(oid);
     ++stats_.refresh_requests;
-    if (batch.count >= opts_.refresh_batch_max) flush(current);
+    if (batch.oids.count >= opts_.refresh_batch_max) flush(current);
   }
   flush(current);
 }
@@ -1671,9 +1627,9 @@ void LocationServer::on_batched_refresh_req(NodeId src,
   // but whose volatile sighting did not. Oids without a leaf record were
   // lost wholesale; those clients recover via nack_unknown_updates.
   refresh_targets_scratch_.clear();
-  wm::BatchedRefreshReq::Cursor cur = m.oids();
-  ObjectId oid;
-  while (cur.next(oid)) {
+  wm::ItemView<ObjectId> oids = m.oids.items();
+  while (const auto item = oids.next()) {
+    const ObjectId oid = item->value;
     const store::VisitorRecord* rec = visitor_db_.find(oid);
     if (rec == nullptr || !rec->leaf) continue;
     if (sightings_ && sightings_->find(oid) != nullptr) continue;  // fresh
@@ -1908,7 +1864,7 @@ void LocationServer::tick_body(TimePoint t) {
     next_heartbeat_ = t + opts_.heartbeat_interval;
   }
   // Deadline flush for coalesced forwarding-path maintenance.
-  if (opts_.coalesce_paths && !path_batch_.empty() &&
+  if (opts_.coalesce_paths && !path_batch_.ops.empty() &&
       t >= path_batch_oldest_ + opts_.path_batch_delay) {
     flush_path_batch();
   }

@@ -75,14 +75,14 @@
 //
 // Zero-materialization query merge (read-path invariants; wire/messages.hpp
 // has the framing side):
-//  * sub-results never decode into owned vectors. A version-2
-//    RangeQuerySubRes/NNProbeSubRes datagram is consumed through
-//    wire::SubResView straight off the receive buffer: NN candidates stream
-//    item-by-item into the pending ring's candidate map; range sub-results
-//    PIN the datagram (net::Datagram::take -- zero-copy on both transports)
-//    and the pending operation holds just the packed byte range until the
-//    merge completes. Legacy version-1 datagrams fall back to the full
-//    decode path and are re-framed by one copy.
+//  * sub-results never decode into owned lists. Every RangeQuerySubRes/
+//    NNProbeSubRes datagram is consumed through wire::SubResView straight
+//    off the receive buffer: NN candidates stream item-by-item into the
+//    pending ring's candidate map; range sub-results PIN the datagram
+//    (net::Datagram::take -- zero-copy on both transports) and the pending
+//    operation holds just the packed byte range until the merge completes.
+//    A sub-result the view rejects is malformed (the view accepts every
+//    sub-result the full decode accepts) and counts as a decode error.
 //  * the final RangeQueryRes is written DIRECTLY into an outgoing pooled
 //    envelope: kept item byte ranges are memcpy'd from the pinned
 //    sub-result buffers, deduplicated on emit (first occurrence of an
@@ -399,10 +399,8 @@ class LocationServer {
   void on_pos_query_res(NodeId src, const wire::PosQueryRes& m);
   void on_range_query_req(NodeId src, const wire::RangeQueryReq& m);
   void on_range_query_fwd(NodeId src, const wire::RangeQueryFwd& m);
-  void on_range_query_sub_res(NodeId src, const wire::RangeQuerySubRes& m);
   void on_nn_query_req(NodeId src, const wire::NNQueryReq& m);
   void on_nn_probe_fwd(NodeId src, const wire::NNProbeFwd& m);
-  void on_nn_probe_sub_res(NodeId src, const wire::NNProbeSubRes& m);
   void on_change_acc_req(NodeId src, const wire::ChangeAccReq& m);
   void on_deregister_req(NodeId src, const wire::DeregisterReq& m);
   void on_event_subscribe(NodeId src, const wire::EventSubscribe& m);
@@ -419,26 +417,29 @@ class LocationServer {
   void on_standby_demote(NodeId src, const wire::StandbyDemote& m);
 
   // -- helpers --
-  /// Encodes into a pooled transport buffer (zero allocations in steady
-  /// state) and sends. Templated so concrete message types hit the per-type
+  /// Encodes into a pooled buffer (zero allocations in steady state) and
+  /// sends it. Templated so concrete message types hit the per-type
   /// encode_envelope_into overloads -- no Message variant construction, no
-  /// copy of embedded result vectors.
+  /// copy of embedded lists.
   template <typename M>
   void send_msg(NodeId to, const M& msg) {
     if (!to.valid()) return;
-    ++stats_.msgs_sent;
     // send_pool_ is the transport's shared pool by default, a private
     // per-shard pool under sharding (no cross-shard send contention).
+    net::PooledBuffer buf(send_pool_, send_pool_->acquire());
+    wire::encode_envelope_into(*buf, self_, msg);
+    send_buffer(to, std::move(buf));
+  }
+  /// The one exit of every outgoing envelope: the dedicated transmit channel
+  /// when set_tx_sender installed one (the shared transport is then never
+  /// touched), else the transport.
+  void send_buffer(NodeId to, net::PooledBuffer buf) {
+    ++stats_.msgs_sent;
     if (tx_sender_ != nullptr) {
-      // Dedicated transmit channel (per-shard socket + ring): encode into a
-      // pooled envelope exactly like net::send_message, hand it to the
-      // channel -- the shared transport is never touched.
-      net::PooledBuffer buf(send_pool_, send_pool_->acquire());
-      wire::encode_envelope_into(*buf, self_, msg);
       tx_sender_->send(to, std::move(buf));
       return;
     }
-    net::send_message(net_, *send_pool_, self_, to, msg);
+    net_.send(self_, to, std::move(buf));
   }
   std::uint64_t next_req_id();
   /// §6.5 piggyback, cached at construction (config is immutable): avoids
@@ -661,7 +662,7 @@ class LocationServer {
   /// One contributed slice of a pending range merge: the raw packed-result
   /// bytes of a sub-result, held WITHOUT decoding. `buf` pins the receive
   /// buffer the bytes live in (zero-copy path) or owns a pooled copy
-  /// (legacy/non-pinnable arrivals); (data, len) delimit the packed region.
+  /// (non-pinnable arrivals); (data, len) delimit the packed region.
   struct SubSegment {
     net::PooledBuffer buf;
     const std::uint8_t* data = nullptr;

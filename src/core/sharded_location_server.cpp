@@ -167,30 +167,29 @@ std::uint32_t ShardedLocationServer::route(const std::uint8_t* data,
 void ShardedLocationServer::handle(const net::Datagram& dg) {
   const std::uint8_t* data = dg.data();
   const std::size_t len = dg.size();
-  // Batched updates carry sightings for MANY objects: split them per owning
-  // shard instead of routing the whole datagram to one reactor.
-  if (shards_.size() > 1 && len > 1 &&
-      static_cast<wire::MsgType>(data[1]) == wire::MsgType::kBatchedUpdateReq) {
-    if (split_batched_update(data, len)) return;
-    // Malformed batch: shard 0 runs the full decode and counts the error.
+  const auto type = len > 1 ? static_cast<wire::MsgType>(data[1]) : wire::MsgType{};
+  // Batched updates and recovery sweeps carry entries for MANY objects:
+  // split them per owning shard instead of routing the whole datagram to one
+  // reactor, so each shard updates / refreshes only its own slice. A
+  // malformed list falls through to shard 0, which counts the decode error.
+  if (shards_.size() > 1) {
+    if (type == wire::MsgType::kBatchedUpdateReq &&
+        split_by_owner<wire::BatchedUpdateReq>(data, len)) {
+      return;
+    }
+    if (type == wire::MsgType::kBatchedRefreshReq &&
+        split_by_owner<wire::BatchedRefreshReq>(data, len)) {
+      return;
+    }
   }
-  // Batched recovery sweeps likewise list MANY objects; each shard must
-  // refresh only the visitors of its own slice.
-  if (shards_.size() > 1 && len > 1 &&
-      static_cast<wire::MsgType>(data[1]) == wire::MsgType::kBatchedRefreshReq) {
-    if (split_batched_refresh(data, len)) return;
-  }
-  if (len > 1 &&
-      static_cast<wire::MsgType>(data[1]) == wire::MsgType::kReplicaTee) {
+  if (type == wire::MsgType::kReplicaTee) {
     // Mirror stream from the primary: each packed entry routes to the shard
     // owning its ObjectId, so every standby shard mirrors its own slice.
-    if (shards_.size() > 1 && split_replica_tee(data, len)) return;
+    if (shards_.size() > 1 && split_by_owner<wire::ReplicaTee>(data, len)) return;
     deliver(*shards_[0], dg);
     return;
   }
-  if (len > 1 &&
-      (static_cast<wire::MsgType>(data[1]) == wire::MsgType::kStandbyPromote ||
-       static_cast<wire::MsgType>(data[1]) == wire::MsgType::kStandbyDemote)) {
+  if (type == wire::MsgType::kStandbyPromote || type == wire::MsgType::kStandbyDemote) {
     // Promotion flips every shard of the replica leaf (ascending index order
     // keeps inline SimNetwork execution deterministic): each shard fans
     // AgentChanged for -- or drops -- exactly its own mirrored slice.
@@ -222,100 +221,49 @@ void ShardedLocationServer::deliver(Shard& sh, const net::Datagram& dg) {
   wake(sh);
 }
 
-bool ShardedLocationServer::split_batched_update(const std::uint8_t* data,
-                                                 std::size_t len) {
-  const std::uint32_t n = static_cast<std::uint32_t>(shards_.size());
-  // Pass 1: peek every sighting's owner; a batch that lands entirely on one
-  // shard (or is empty) forwards unchanged -- no copy, no re-framing.
+namespace {
+// The ObjectId that picks the owning shard of a packed-list entry.
+ObjectId owner_key(ObjectId oid) { return oid; }
+ObjectId owner_key(const Sighting& s) { return s.oid; }
+ObjectId owner_key(const wire::ReplicaTee::Entry& e) { return e.s.oid; }
+}  // namespace
+
+template <typename M>
+bool ShardedLocationServer::split_by_owner(const std::uint8_t* data, std::size_t len) {
+  const auto items = wire::list_items<M>(data, len);
+  if (!items) return false;
+  // Pass 1: a list whose entries all belong to one shard (or an empty list)
+  // forwards unchanged -- no copy, no re-framing.
   {
-    wire::BatchedUpdateView peek(data, len);
-    if (!peek.valid()) return false;
+    auto peek = *items;
+    std::optional<std::uint32_t> first;
     bool mixed = false;
-    std::uint32_t first = 0;
-    bool have_first = false;
     while (const auto item = peek.next()) {
-      const std::uint32_t owner = shard_for(item->oid);
-      if (!have_first) {
+      const std::uint32_t owner = shard_for(owner_key(item->value));
+      if (!first) {
         first = owner;
-        have_first = true;
-      } else if (owner != first) {
+      } else if (owner != *first) {
         mixed = true;
         break;
       }
     }
     if (!mixed) {
-      deliver(*shards_[have_first ? first : 0], net::Datagram(data, len));
+      deliver(*shards_[first.value_or(0)], net::Datagram(data, len));
       return true;
     }
   }
-  // Pass 2: re-frame. The item byte ranges are copied verbatim into
+  // Pass 2: re-frame. The entry byte ranges are copied verbatim into
   // per-shard packed regions (scratch buffers, capacity reused), then each
-  // sub-batch is re-enveloped under the ORIGINAL header bytes so the source
-  // node -- and with it the ack destination -- is preserved.
-  split_packed_.resize(n);
-  split_counts_.assign(n, 0);
-  for (auto& buf : split_packed_) buf.clear();
-  wire::BatchedUpdateView view(data, len);
-  while (const auto item = view.next()) {
-    const std::uint32_t owner = shard_for(item->oid);
-    split_packed_[owner].insert(split_packed_[owner].end(), item->data,
-                                item->data + item->len);
-    ++split_counts_[owner];
-  }
-  constexpr std::size_t kHeaderLen = 6;  // [version][type][src u32_fixed]
-  for (std::uint32_t s = 0; s < n; ++s) {
-    if (split_counts_[s] == 0) continue;
-    split_datagram_.clear();
-    wire::Writer w(split_datagram_);
-    w.reserve(kHeaderLen + 20 + split_packed_[s].size());
-    w.bytes(data, kHeaderLen);
-    w.u64(split_counts_[s]);
-    w.u64(split_packed_[s].size());
-    w.bytes(split_packed_[s].data(), split_packed_[s].size());
-    w.flush();
-    deliver(*shards_[s],
-            net::Datagram(split_datagram_.data(), split_datagram_.size()));
-  }
-  return true;
-}
-
-bool ShardedLocationServer::split_batched_refresh(const std::uint8_t* data,
-                                                  std::size_t len) {
+  // sub-list is re-enveloped under the ORIGINAL header bytes, so the source
+  // node -- and with it the reply destination or the tee's primary -- is
+  // preserved.
   const std::uint32_t n = static_cast<std::uint32_t>(shards_.size());
-  // Pass 1: a sweep whose oids all hash to one shard forwards unchanged.
-  {
-    wire::BatchedRefreshView peek(data, len);
-    if (!peek.valid()) return false;
-    bool mixed = false;
-    std::uint32_t first = 0;
-    bool have_first = false;
-    while (const auto item = peek.next()) {
-      const std::uint32_t owner = shard_for(item->oid);
-      if (!have_first) {
-        first = owner;
-        have_first = true;
-      } else if (owner != first) {
-        mixed = true;
-        break;
-      }
-    }
-    if (!mixed) {
-      deliver(*shards_[have_first ? first : 0], net::Datagram(data, len));
-      return true;
-    }
-  }
-  // Pass 2: re-frame per owning shard under the ORIGINAL header bytes (the
-  // source node stays the parent, so replies route correctly). The item byte
-  // ranges are copied verbatim -- no re-encoding, so this splitter never
-  // duplicates the ObjectId wire format. Same scratch protocol as
-  // split_batched_update -- handle() runs in the node's single receive
-  // context.
   split_packed_.resize(n);
   split_counts_.assign(n, 0);
   for (auto& buf : split_packed_) buf.clear();
-  wire::BatchedRefreshView view(data, len);
+  auto view = *items;
   while (const auto item = view.next()) {
-    const std::uint32_t owner = shard_for(item->oid);
+    const std::uint32_t owner = shard_for(owner_key(item->value));
     split_packed_[owner].insert(split_packed_[owner].end(), item->data,
                                 item->data + item->len);
     ++split_counts_[owner];
@@ -327,65 +275,7 @@ bool ShardedLocationServer::split_batched_refresh(const std::uint8_t* data,
     wire::Writer w(split_datagram_);
     w.reserve(kHeaderLen + 20 + split_packed_[s].size());
     w.bytes(data, kHeaderLen);
-    w.u64(split_counts_[s]);
-    w.u64(split_packed_[s].size());
-    w.bytes(split_packed_[s].data(), split_packed_[s].size());
-    w.flush();
-    deliver(*shards_[s],
-            net::Datagram(split_datagram_.data(), split_datagram_.size()));
-  }
-  return true;
-}
-
-bool ShardedLocationServer::split_replica_tee(const std::uint8_t* data,
-                                              std::size_t len) {
-  const std::uint32_t n = static_cast<std::uint32_t>(shards_.size());
-  // Pass 1: a tee whose entries all belong to one shard forwards unchanged.
-  {
-    wire::ReplicaTeeView peek(data, len);
-    if (!peek.valid()) return false;
-    bool mixed = false;
-    std::uint32_t first = 0;
-    bool have_first = false;
-    while (const auto item = peek.next()) {
-      const std::uint32_t owner = shard_for(item->oid);
-      if (!have_first) {
-        first = owner;
-        have_first = true;
-      } else if (owner != first) {
-        mixed = true;
-        break;
-      }
-    }
-    if (!mixed) {
-      deliver(*shards_[have_first ? first : 0], net::Datagram(data, len));
-      return true;
-    }
-  }
-  // Pass 2: re-frame per owning shard under the ORIGINAL header bytes (the
-  // source stays the primary NodeId, which the replica shards verify against
-  // their standby_primary_). Entry byte ranges are copied verbatim; ascending
-  // shard order keeps inline SimNetwork execution deterministic.
-  split_packed_.resize(n);
-  split_counts_.assign(n, 0);
-  for (auto& buf : split_packed_) buf.clear();
-  wire::ReplicaTeeView view(data, len);
-  while (const auto item = view.next()) {
-    const std::uint32_t owner = shard_for(item->oid);
-    split_packed_[owner].insert(split_packed_[owner].end(), item->data,
-                                item->data + item->len);
-    ++split_counts_[owner];
-  }
-  constexpr std::size_t kHeaderLen = 6;  // [version][type][src u32_fixed]
-  for (std::uint32_t s = 0; s < n; ++s) {
-    if (split_counts_[s] == 0) continue;
-    split_datagram_.clear();
-    wire::Writer w(split_datagram_);
-    w.reserve(kHeaderLen + 20 + split_packed_[s].size());
-    w.bytes(data, kHeaderLen);
-    w.u64(split_counts_[s]);
-    w.u64(split_packed_[s].size());
-    w.bytes(split_packed_[s].data(), split_packed_[s].size());
+    wire::put(w, wire::PackedRegion{split_counts_[s], split_packed_[s]});
     w.flush();
     deliver(*shards_[s],
             net::Datagram(split_datagram_.data(), split_datagram_.size()));
@@ -395,23 +285,15 @@ bool ShardedLocationServer::split_replica_tee(const std::uint8_t* data,
 
 void ShardedLocationServer::set_standby(NodeId standby) {
   for (auto& sh : shards_) {
-    if (opts_.threaded) {
-      std::lock_guard<std::mutex> lock(sh->reactor_mu);
-      sh->server->set_standby(standby);
-    } else {
-      sh->server->set_standby(standby);
-    }
+    store::MaybeGuard guard(reactor_lock(*sh));
+    sh->server->set_standby(standby);
   }
 }
 
 void ShardedLocationServer::set_standby_role(NodeId primary) {
   for (auto& sh : shards_) {
-    if (opts_.threaded) {
-      std::lock_guard<std::mutex> lock(sh->reactor_mu);
-      sh->server->set_standby_role(primary);
-    } else {
-      sh->server->set_standby_role(primary);
-    }
+    store::MaybeGuard guard(reactor_lock(*sh));
+    sh->server->set_standby_role(primary);
   }
 }
 
@@ -513,24 +395,16 @@ bool ShardedLocationServer::drain_sighting_deltas() {
 
 void ShardedLocationServer::tick(TimePoint now) {
   for (auto& sh : shards_) {
-    if (opts_.threaded) {
-      std::lock_guard<std::mutex> lock(sh->reactor_mu);
-      sh->server->tick(now);
-    } else {
-      sh->server->tick(now);
-    }
+    store::MaybeGuard guard(reactor_lock(*sh));
+    sh->server->tick(now);
   }
   if (opts_.balance.rebalance && shards_.size() > 1) rebalance();
 }
 
 void ShardedLocationServer::request_refresh_all() {
   for (auto& sh : shards_) {
-    if (opts_.threaded) {
-      std::lock_guard<std::mutex> lock(sh->reactor_mu);
-      sh->server->request_refresh_all();
-    } else {
-      sh->server->request_refresh_all();
-    }
+    store::MaybeGuard guard(reactor_lock(*sh));
+    sh->server->request_refresh_all();
   }
 }
 
@@ -539,35 +413,21 @@ void ShardedLocationServer::announce_recovery() {
   // announce degenerates to a local sweep, which the other shards mirror for
   // their own slices via request_refresh_all below).
   {
-    auto& coord = *shards_[0];
-    if (opts_.threaded) {
-      std::lock_guard<std::mutex> lock(coord.reactor_mu);
-      coord.server->announce_recovery();
-    } else {
-      coord.server->announce_recovery();
-    }
+    store::MaybeGuard guard(reactor_lock(*shards_[0]));
+    shards_[0]->server->announce_recovery();
   }
   if (!shards_[0]->server->config().is_root()) return;
   for (std::size_t i = 1; i < shards_.size(); ++i) {
-    auto& sh = *shards_[i];
-    if (opts_.threaded) {
-      std::lock_guard<std::mutex> lock(sh.reactor_mu);
-      sh.server->request_refresh_all();
-    } else {
-      sh.server->request_refresh_all();
-    }
+    store::MaybeGuard guard(reactor_lock(*shards_[i]));
+    shards_[i]->server->request_refresh_all();
   }
 }
 
 LocationServer::Stats ShardedLocationServer::stats() const {
   LocationServer::Stats total;
   for (const auto& sh : shards_) {
-    if (opts_.threaded) {
-      std::lock_guard<std::mutex> lock(sh->reactor_mu);
-      total.add(sh->server->stats());
-    } else {
-      total.add(sh->server->stats());
-    }
+    store::MaybeGuard guard(reactor_lock(*sh));
+    total.add(sh->server->stats());
   }
   return total;
 }
@@ -580,17 +440,12 @@ std::vector<ShardedLocationServer::ShardLoad> ShardedLocationServer::shard_loads
     ShardLoad load;
     load.shard = sh->index;
     load.inbox_depth = sh->inbox.size();
-    const auto snapshot = [&] {
+    {
+      store::MaybeGuard guard(reactor_lock(*sh));
       const store::SightingDb* slice = sh->server->sightings();
       load.sightings = slice != nullptr ? slice->size() : 0;
       load.visitors = sh->server->visitors().size();
       load.msgs_handled = sh->server->stats().msgs_handled;
-    };
-    if (opts_.threaded) {
-      std::lock_guard<std::mutex> lock(sh->reactor_mu);
-      snapshot();
-    } else {
-      snapshot();
     }
     loads.push_back(load);
   }
@@ -601,8 +456,8 @@ void ShardedLocationServer::encode_load_stats(wire::Buffer& out) {
   wire::ShardLoadStats msg;
   msg.seq = ++load_seq_;
   for (const ShardLoad& load : shard_loads()) {
-    msg.append({load.shard, load.sightings, load.visitors, load.msgs_handled,
-                load.inbox_depth});
+    msg.entries.append({load.shard, load.sightings, load.visitors, load.msgs_handled,
+                        load.inbox_depth});
   }
   wire::encode_envelope_into(out, self_, msg);
 }
@@ -669,7 +524,7 @@ void ShardedLocationServer::move_bucket(std::uint32_t b, std::uint32_t donor,
     first_lock = std::unique_lock<std::mutex>(first.reactor_mu);
     second_lock = std::unique_lock<std::mutex>(second.reactor_mu);
   }
-  migrate_scratch_.clear();
+  migrate_scratch_.entries.clear();
   migrate_scratch_.bucket = b;
   from.server->extract_for_migration(
       [&](ObjectId oid) { return bucket_of(oid) == b; }, migrate_scratch_);
@@ -678,12 +533,12 @@ void ShardedLocationServer::move_bucket(std::uint32_t b, std::uint32_t donor,
   // reactor lock is held). Stale datagrams already queued on the donor
   // degrade to unknown-object drops/nacks -- UDP semantics.
   bucket_to_shard_[b].store(recipient, std::memory_order_release);
-  if (!migrate_scratch_.empty()) {
+  if (!migrate_scratch_.entries.empty()) {
     // Through the real codec on purpose: migration exercises the same
     // validated framing whether the shards share an address space or not.
     wire::encode_envelope_into(migrate_datagram_, self_, migrate_scratch_);
     to.server->handle(migrate_datagram_.data(), migrate_datagram_.size());
-    objects_migrated_.fetch_add(migrate_scratch_.count,
+    objects_migrated_.fetch_add(migrate_scratch_.entries.count,
                                 std::memory_order_relaxed);
   }
   buckets_migrated_.fetch_add(1, std::memory_order_relaxed);

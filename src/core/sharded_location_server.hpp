@@ -41,8 +41,8 @@
 //
 // Fault tolerance: a restarted sharded leaf announces recovery once (shard 0
 // sends the RecoveryHello); the parent's BatchedRefreshReq sweep is split
-// per owning shard exactly like batched updates (wire::BatchedRefreshView),
-// so each shard refreshes only the visitors of its own slice.
+// per owning shard exactly like batched updates (split_by_owner), so each
+// shard refreshes only the visitors of its own slice.
 #pragma once
 
 #include <array>
@@ -296,23 +296,20 @@ class ShardedLocationServer {
   std::uint32_t route(const std::uint8_t* data, std::size_t len) const;
   /// Delivers one datagram to a shard (inline call or SPSC inbox push).
   void deliver(Shard& sh, const net::Datagram& dg);
-  /// Splits a BatchedUpdateReq per owning shard (wire::BatchedUpdateView
-  /// delimits each packed sighting without a full envelope decode). A batch whose
-  /// sightings all hash to one shard is forwarded unchanged; a straddling
-  /// batch is re-framed into per-shard sub-batches (ascending shard order,
-  /// keeping inline SimNetwork execution deterministic). Returns false if
-  /// the datagram is not a well-formed batch (caller falls back to shard 0).
-  bool split_batched_update(const std::uint8_t* data, std::size_t len);
-  /// Refresh analogue of split_batched_update: splits a BatchedRefreshReq
-  /// recovery sweep per owning shard (wire::BatchedRefreshView yields the
-  /// packed oids without a full decode). Returns false if the datagram is
-  /// not a well-formed refresh batch (caller falls back to shard 0).
-  bool split_batched_refresh(const std::uint8_t* data, std::size_t len);
-  /// Replication analogue: splits a ReplicaTee mirror stream per owning shard
-  /// (wire::ReplicaTeeView delimits each packed entry; the entry's leading
-  /// ObjectId picks the shard). Returns false if the datagram is not a
-  /// well-formed tee (caller falls back to shard 0).
-  bool split_replica_tee(const std::uint8_t* data, std::size_t len);
+  /// Splits a datagram of M -- a message whose only field is a packed list
+  /// of object-keyed entries: BatchedUpdateReq, BatchedRefreshReq,
+  /// ReplicaTee -- per owning shard (wire::list_items delimits each entry
+  /// without a full envelope decode). A list whose entries all belong to one
+  /// shard is forwarded unchanged; a straddling list is re-framed into
+  /// per-shard sub-lists under the original envelope header (ascending shard
+  /// order, keeping inline SimNetwork execution deterministic). Returns false
+  /// if the datagram is not a well-formed M (caller falls back to shard 0).
+  template <typename M>
+  bool split_by_owner(const std::uint8_t* data, std::size_t len);
+  /// The reactor lock of `sh` in threaded mode; null (no locking) inline.
+  std::mutex* reactor_lock(Shard& sh) const {
+    return opts_.threaded ? &sh.reactor_mu : nullptr;
+  }
   void shard_loop(Shard& sh);
   void wake(Shard& sh);
   /// Applies queued sibling-shard sighting deltas on the coordinator shard.
@@ -345,9 +342,9 @@ class ShardedLocationServer {
   std::vector<SightingDelta> deltas_;
   std::vector<SightingDelta> delta_scratch_;  // coordinator-thread drain swap
 
-  // Batch-split scratch (handle() runs in the node's single receive context,
+  // List-split scratch (handle() runs in the node's single receive context,
   // so these are never touched concurrently): per-shard packed regions /
-  // counts, and the sub-batch datagram under construction.
+  // counts, and the sub-list datagram under construction.
   std::vector<wire::Buffer> split_packed_;
   std::vector<std::uint64_t> split_counts_;
   wire::Buffer split_datagram_;

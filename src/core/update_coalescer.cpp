@@ -33,23 +33,23 @@ void UpdateCoalescer::enqueue(NodeId agent, const Sighting& s) {
   if (!agent.valid()) return;
   std::lock_guard<std::mutex> lock(mu_);
   Pending& p = pending_[agent];
-  if (p.batch.empty()) p.oldest = clock_.now();
-  p.batch.append(s);
+  if (p.batch.sightings.empty()) p.oldest = clock_.now();
+  p.batch.sightings.append(s);
   ++stats_.sightings_enqueued;
-  if (p.batch.count >= opts_.max_batch) {
+  if (p.batch.sightings.count >= opts_.max_batch) {
     ++stats_.flushes_size;
     flush_locked(agent, p);
-  } else if (p.batch.payload_bytes() >= opts_.max_bytes) {
+  } else if (p.batch.sightings.payload_bytes() >= opts_.max_bytes) {
     ++stats_.flushes_bytes;
     flush_locked(agent, p);
   }
 }
 
 void UpdateCoalescer::flush_locked(NodeId agent, Pending& p) {
-  if (p.batch.empty()) return;
+  if (p.batch.sightings.empty()) return;
   ++stats_.batches_sent;
   net::send_message(net_, *pool_, self_, agent, p.batch);
-  p.batch.clear();  // count = 0; packed keeps its capacity
+  p.batch.sightings.clear();  // count = 0; packed keeps its capacity
 }
 
 void UpdateCoalescer::tick(TimePoint now) {
@@ -60,7 +60,7 @@ void UpdateCoalescer::tick(TimePoint now) {
   // flush in enqueue() stays inline, keeping per-batch latency unchanged).
   net_.cork(self_);
   for (auto& [agent, p] : pending_) {
-    if (p.batch.empty() || now - p.oldest < opts_.max_delay) continue;
+    if (p.batch.sightings.empty() || now - p.oldest < opts_.max_delay) continue;
     ++stats_.flushes_deadline;
     flush_locked(agent, p);
   }
@@ -72,7 +72,7 @@ void UpdateCoalescer::flush_all() {
   std::lock_guard<std::mutex> lock(mu_);
   net_.cork(self_);  // one per-agent batch each -- same bracket as tick()
   for (auto& [agent, p] : pending_) {
-    if (p.batch.empty()) continue;
+    if (p.batch.sightings.empty()) continue;
     ++stats_.flushes_forced;
     flush_locked(agent, p);
   }
@@ -88,7 +88,7 @@ UpdateCoalescer::Stats UpdateCoalescer::stats() const {
 std::size_t UpdateCoalescer::pending_sightings() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::size_t n = 0;
-  for (const auto& [agent, p] : pending_) n += p.batch.count;
+  for (const auto& [agent, p] : pending_) n += p.batch.sightings.count;
   return n;
 }
 
@@ -100,13 +100,11 @@ void UpdateCoalescer::handle(const std::uint8_t* data, std::size_t len) {
       [&](const auto& m) {
         using T = std::decay_t<decltype(m)>;
         if constexpr (std::is_same_v<T, wm::BatchedUpdateAck>) {
-          wm::BatchedUpdateAck::Cursor cur = m.acks();
-          ObjectId oid;
-          double acc = 0.0;
+          wm::ItemView<wm::UpdateAck> acks = m.acks.items();
           std::uint64_t n = 0;
-          while (cur.next(oid, acc)) {
+          while (const auto ack = acks.next()) {
             ++n;
-            if (on_ack_) on_ack_(oid, acc);
+            if (on_ack_) on_ack_(ack->value.oid, ack->value.offered_acc);
           }
           std::lock_guard<std::mutex> lock(mu_);
           stats_.acks_received += n;
@@ -116,9 +114,8 @@ void UpdateCoalescer::handle(const std::uint8_t* data, std::size_t len) {
           }
         } else if constexpr (std::is_same_v<T, wm::BatchedRefreshReq>) {
           if (on_refresh_) {
-            wm::BatchedRefreshReq::Cursor cur = m.oids();
-            ObjectId oid;
-            while (cur.next(oid)) on_refresh_(oid);
+            wm::ItemView<ObjectId> oids = m.oids.items();
+            while (const auto oid = oids.next()) on_refresh_(oid->value);
           }
         }
       },

@@ -9,55 +9,46 @@
 //  * soft-state / recovery messages (removePath, refreshReq) of §5,
 //  * the event mechanism sketched in §1/§8 (subscribe/delta/notify).
 //
+// Each message is declared once: a struct, its field list
+// (LOCS_WIRE_FIELDS, in wire order; wire/fields.hpp derives encode, decode,
+// size hint and routing peek from it) and one LOCS_WIRE_FOR_EACH_MESSAGE
+// entry (which generates the Message variant, the per-type encode overloads,
+// the decode dispatch and msg_type_name). Adding a message: append a MsgType
+// value, declare the struct with kType and its field list, append it to
+// LOCS_WIRE_FOR_EACH_MESSAGE.
+//
 // Server-to-server messages carry an optional origin (leaf id + service
 // area): the §6.5 piggyback that feeds the (leaf server -> service area)
 // cache: "in each request and response message forwarded within the server
 // hierarchy the originator of the message includes a specification of its
 // (leaf) service area".
 //
-// Batched update framing (BatchedUpdateReq / BatchedUpdateAck): under heavy
-// load many UpdateReqs land on the same leaf within one latency window, so a
-// coalescing sender (core/update_coalescer.hpp) packs whole sighting lists
-// into ONE datagram and the leaf acknowledges them with one packed ack.
-// Invariants:
-//  * framing -- payload is [count u64][packed_len u64][packed bytes]; the
-//    packed region is the concatenation of the sightings (acks: oid +
-//    offered_acc pairs) in the exact per-field encoding of the unbatched
-//    messages, so batching changes the envelope count, never the field
-//    format. `count` is advisory; consumers iterate the packed bytes and
-//    stop at the first malformed entry (a truncated DATAGRAM still sticky-
-//    fails the envelope decode via the packed_len prefix).
-//  * decode is lazy -- handlers walk the packed region with a Reader-backed
-//    Cursor, one sighting at a time; no intermediate vector of sightings is
-//    ever materialized, and BatchedUpdateView routes a batch per owning
-//    shard by peeking each sighting's leading ObjectId varint without a
-//    full envelope decode (the batch analogue of peek_object_key).
+// Packed lists (PackedList<E>, framing [count u64][packed_len u64][packed]):
+// every bulk message carries its entries as the concatenated encodings of
+// E, so batching changes the envelope count, never the per-field format --
+// a batched update's entries are Sightings, encoded exactly as UpdateReq
+// carries them; a batched ack's entries are UpdateAcks. Invariants:
+//  * `count` is advisory; consumers iterate the packed bytes (ItemView) and
+//    stop at the first malformed entry. A truncated DATAGRAM still
+//    sticky-fails the envelope decode via the packed_len prefix.
+//  * decode is lazy -- handlers walk the packed region one entry at a time;
+//    no intermediate vector of entries is ever materialized. A sharded leaf
+//    splits a list per owning shard by the raw byte range of each entry
+//    (list_items), without a full envelope decode.
 //  * a single-sighting batch is intentionally DISTINCT from a plain
-//    UpdateReq (different MsgType byte) -- receivers never have to guess,
-//    and the unbatched hot path keeps its exact wire format.
-//  * flush policy lives in the SENDER (size / byte-budget / deadline, see
-//    UpdateCoalescer::Options); the wire format carries no timing state, so
-//    a batch is valid no matter which policy emitted it.
+//    UpdateReq (different MsgType byte); flush policy lives in the SENDER
+//    (core/update_coalescer.hpp), so the wire format carries no timing state.
 //
-// Packed query results (read-path analogue of the batched updates): the bulk
-// result messages -- RangeQuerySubRes / NNProbeSubRes and the entry-server
-// finals RangeQueryRes / NNQueryRes (near_set) -- carry their ObjectResult
-// lists in the same [count][packed_len][packed] framing (PackedResults).
-// Invariants:
-//  * the per-result encoding inside `packed` is IDENTICAL to the historical
-//    vector elements, so a merge loop re-frames sub-results into the final
-//    answer by copying raw item byte ranges -- never decode + re-encode.
-//  * these four messages are stamped with envelope version
-//    kWireVersionPacked (2); a version-1 envelope of the same MsgType still
-//    decodes (the legacy length-prefixed vector layout), so traces recorded
-//    before the framing change stay comparable for one release. Everything
-//    else remains version 1, byte for byte.
-//  * decode is lazy -- receivers iterate `packed` with a Reader-backed
-//    Cursor (or, without any envelope decode, through SubResView); `count`
-//    is advisory exactly as in the batched updates.
-//  * read-path borrow/lifetime contract: SubResView and ResultCursor point
-//    INTO the datagram. They are valid only while the receive buffer is
-//    alive and unmodified -- for the duration of the transport handler
+// Packed query results: RangeQuerySubRes / NNProbeSubRes and the entry
+// server's finals RangeQueryRes / NNQueryRes (near_set) carry their
+// ObjectResult lists as PackedResults and are stamped with envelope version
+// kWireVersionPacked (2); every other message is version 1. Each type
+// accepts only its own version byte.
+//  * a merge loop re-frames sub-results into the final answer by copying
+//    raw item byte ranges -- never decode + re-encode.
+//  * read-path borrow/lifetime contract: SubResView and ItemView point INTO
+//    the datagram. They are valid only while the receive buffer is alive
+//    and unmodified -- for the duration of the transport handler
 //    invocation, unless the handler pins the buffer via
 //    net::Datagram::take() (see net/transport.hpp), in which case views
 //    stay valid for the lifetime of the returned PooledBuffer. The entry
@@ -65,6 +56,7 @@
 //    multi-datagram merge without copying.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -76,6 +68,7 @@
 #include "util/ids.hpp"
 #include "util/result.hpp"
 #include "wire/codec.hpp"
+#include "wire/fields.hpp"
 
 namespace locs::wire {
 
@@ -85,11 +78,8 @@ using core::ObjectResult;
 using core::RegInfo;
 using core::Sighting;
 
-/// Envelope version bytes. Every message is stamped kWireVersion except the
-/// packed query result messages (see is_packed_result_type below), which
-/// carry kWireVersionPacked; their version-1 (legacy vector) layout stays
-/// decodable for one release (see the packed-query-results invariants in
-/// the header comment).
+/// Envelope version bytes: kWireVersionPacked for the packed query result
+/// types (is_packed_result_type), kWireVersion for every other message.
 inline constexpr std::uint8_t kWireVersion = 1;
 inline constexpr std::uint8_t kWireVersionPacked = 2;
 
@@ -142,12 +132,16 @@ enum class MsgType : std::uint8_t {
 const char* msg_type_name(MsgType t);
 
 /// THE definition of which message types use the packed result framing and
-/// the kWireVersionPacked envelope byte. Every version-dispatch site (the
-/// encoder's version stamp, begin_envelope, the decode switch) keys off
-/// this single predicate, so the set cannot silently drift.
+/// the kWireVersionPacked envelope byte.
 constexpr bool is_packed_result_type(MsgType t) {
   return t == MsgType::kRangeQuerySubRes || t == MsgType::kRangeQueryRes ||
          t == MsgType::kNNProbeSubRes || t == MsgType::kNNQueryRes;
+}
+
+/// The only envelope version byte a message of type `t` is encoded with and
+/// accepted under.
+constexpr std::uint8_t version_of(MsgType t) {
+  return is_packed_result_type(t) ? kWireVersionPacked : kWireVersion;
 }
 
 /// §6.5 piggyback: originating leaf server and its service area.
@@ -155,6 +149,10 @@ struct OriginArea {
   NodeId leaf;
   geo::Polygon area;
 };
+LOCS_WIRE_FIELDS(OriginArea, m.leaf, m.area)
+
+/// The ObjectResult lists of the query result messages.
+using PackedResults = PackedList<ObjectResult>;
 
 // --- Registration (Algorithm 6-1) ------------------------------------------
 
@@ -166,6 +164,7 @@ struct RegisterReq {
   NodeId reg_inst;  // registering instance, receives the response
   std::uint64_t req_id = 0;
 };
+LOCS_WIRE_FIELDS(RegisterReq, m.s, m.obj_info, m.acc_range, m.reg_inst, m.req_id)
 
 struct RegisterRes {
   static constexpr MsgType kType = MsgType::kRegisterRes;
@@ -173,6 +172,7 @@ struct RegisterRes {
   double offered_acc = 0.0;
   std::uint64_t req_id = 0;
 };
+LOCS_WIRE_FIELDS(RegisterRes, m.agent, m.offered_acc, m.req_id)
 
 struct RegisterFailed {
   static constexpr MsgType kType = MsgType::kRegisterFailed;
@@ -180,6 +180,7 @@ struct RegisterFailed {
   double best_acc = 0.0;  // the accuracy the server could have offered
   std::uint64_t req_id = 0;
 };
+LOCS_WIRE_FIELDS(RegisterFailed, m.server, m.best_acc, m.req_id)
 
 /// Sent leaf-to-root to create the forwarding path (Alg 6-1 "create path");
 /// the forwarding reference at each receiver points to the message's sender.
@@ -187,6 +188,7 @@ struct CreatePath {
   static constexpr MsgType kType = MsgType::kCreatePath;
   ObjectId oid;
 };
+LOCS_WIRE_FIELDS(CreatePath, m.oid)
 
 /// Leaf-to-root removal of a forwarding path (deregistration §3.1 and
 /// soft-state expiry §5).
@@ -194,6 +196,7 @@ struct RemovePath {
   static constexpr MsgType kType = MsgType::kRemovePath;
   ObjectId oid;
 };
+LOCS_WIRE_FIELDS(RemovePath, m.oid)
 
 // --- Updates and handover (Algorithms 6-2 / 6-3) ---------------------------
 
@@ -201,71 +204,30 @@ struct UpdateReq {
   static constexpr MsgType kType = MsgType::kUpdateReq;
   Sighting s;
 };
+LOCS_WIRE_FIELDS(UpdateReq, m.s)
 
 struct UpdateAck {
   static constexpr MsgType kType = MsgType::kUpdateAck;
   ObjectId oid;
   double offered_acc = 0.0;
 };
+LOCS_WIRE_FIELDS(UpdateAck, m.oid, m.offered_acc)
 
 /// Coalesced position updates: many sightings bound for one leaf in a single
-/// datagram (see the batched-update framing invariants in the header
-/// comment). The sightings live varint-packed in `packed`; append() packs on
-/// the sender, Cursor lazily unpacks on the receiver -- no intermediate
-/// vector of sightings exists on either side.
+/// datagram (see the packed-list invariants in the header comment).
 struct BatchedUpdateReq {
   static constexpr MsgType kType = MsgType::kBatchedUpdateReq;
-  std::uint64_t count = 0;  // sightings in `packed` (advisory; see header)
-  Buffer packed;            // concatenated per-field encodings of Sighting
-
-  void clear() {
-    count = 0;
-    packed.clear();
-  }
-  bool empty() const { return count == 0; }
-  std::size_t payload_bytes() const { return packed.size(); }
-
-  /// Packs one sighting (same field encoding as UpdateReq carries).
-  void append(const Sighting& s);
-
-  /// Lazy Reader-backed unpacker: decodes one sighting per next() call,
-  /// stopping at the end of the packed region or the first malformed entry.
-  class Cursor {
-   public:
-    explicit Cursor(const Buffer& packed) : r_(packed) {}
-    bool next(Sighting& out);
-
-   private:
-    Reader r_;
-  };
-  Cursor sightings() const { return Cursor(packed); }
+  PackedList<Sighting> sightings;
 };
+LOCS_WIRE_FIELDS(BatchedUpdateReq, m.sightings)
 
-/// Packed acknowledgement for a BatchedUpdateReq: one (oid, offered_acc)
-/// entry per APPLIED sighting, same framing discipline as the request.
+/// Packed acknowledgement for a BatchedUpdateReq: one UpdateAck entry per
+/// APPLIED sighting.
 struct BatchedUpdateAck {
   static constexpr MsgType kType = MsgType::kBatchedUpdateAck;
-  std::uint64_t count = 0;
-  Buffer packed;  // concatenated [oid varint][offered_acc f64] entries
-
-  void clear() {
-    count = 0;
-    packed.clear();
-  }
-  bool empty() const { return count == 0; }
-
-  void append(ObjectId oid, double offered_acc);
-
-  class Cursor {
-   public:
-    explicit Cursor(const Buffer& packed) : r_(packed) {}
-    bool next(ObjectId& oid, double& offered_acc);
-
-   private:
-    Reader r_;
-  };
-  Cursor acks() const { return Cursor(packed); }
+  PackedList<UpdateAck> acks;
 };
+LOCS_WIRE_FIELDS(BatchedUpdateAck, m.acks)
 
 struct HandoverReq {
   static constexpr MsgType kType = MsgType::kHandoverReq;
@@ -280,6 +242,8 @@ struct HandoverReq {
   std::uint64_t req_id = 0;
   std::optional<OriginArea> origin;  // old agent's leaf area (cache piggyback)
 };
+LOCS_WIRE_FIELDS(HandoverReq, m.s, m.reg_info, m.prev_offered_acc, m.direct, m.req_id,
+                 m.origin)
 
 /// Propagated back along the request path hop by hop; every intermediate
 /// server repairs its forwarding pointer (Alg 6-3 lines 11-14).
@@ -291,6 +255,7 @@ struct HandoverRes {
   std::uint64_t req_id = 0;
   std::optional<OriginArea> origin;  // new agent's leaf area (cache piggyback)
 };
+LOCS_WIRE_FIELDS(HandoverRes, m.oid, m.new_agent, m.offered_acc, m.req_id, m.origin)
 
 /// Old agent -> tracked object: "your new agent is ...".
 struct AgentChanged {
@@ -299,6 +264,7 @@ struct AgentChanged {
   NodeId new_agent;
   double offered_acc = 0.0;
 };
+LOCS_WIRE_FIELDS(AgentChanged, m.oid, m.new_agent, m.offered_acc)
 
 // --- Position query (Algorithm 6-4) -----------------------------------------
 
@@ -307,6 +273,7 @@ struct PosQueryReq {
   ObjectId oid;
   std::uint64_t req_id = 0;
 };
+LOCS_WIRE_FIELDS(PosQueryReq, m.oid, m.req_id)
 
 struct PosQueryFwd {
   static constexpr MsgType kType = MsgType::kPosQueryFwd;
@@ -314,6 +281,7 @@ struct PosQueryFwd {
   NodeId entry;  // lse: entry server that receives the result directly
   std::uint64_t req_id = 0;
 };
+LOCS_WIRE_FIELDS(PosQueryFwd, m.oid, m.entry, m.req_id)
 
 struct PosQueryRes {
   static constexpr MsgType kType = MsgType::kPosQueryRes;
@@ -324,53 +292,7 @@ struct PosQueryRes {
   std::uint64_t req_id = 0;
   std::optional<OriginArea> origin;
 };
-
-// --- Packed result lists (read-path batching helper) -------------------------
-
-/// Reusable [count][packed_len][packed] list of ObjectResults -- the framing
-/// discipline of the batched update/refresh messages applied to the query
-/// read path (see the packed-query-results invariants in the header
-/// comment). append() packs on the sender; Cursor lazily unpacks on the
-/// receiver; to_vector()/assign() are cold-path conveniences for tests and
-/// client-facing boundaries.
-struct PackedResults {
-  std::uint64_t count = 0;  // results in `packed` (advisory; see header)
-  Buffer packed;            // concatenated per-field encodings of ObjectResult
-
-  void clear() {
-    count = 0;
-    packed.clear();
-  }
-  bool empty() const { return count == 0; }
-  std::size_t payload_bytes() const { return packed.size(); }
-
-  /// Packs one result (same field encoding the vector framing carried).
-  void append(const ObjectResult& r);
-
-  /// Lazy Reader-backed unpacker: decodes one result per next() call,
-  /// stopping at the end of the packed region or the first malformed entry.
-  class Cursor {
-   public:
-    explicit Cursor(const Buffer& packed) : r_(packed) {}
-    bool next(ObjectResult& out);
-
-   private:
-    Reader r_;
-  };
-  Cursor iter() const { return Cursor(packed); }
-
-  std::vector<ObjectResult> to_vector() const;
-  void assign(const std::vector<ObjectResult>& v);
-
-  bool operator==(const PackedResults& other) const {
-    return count == other.count && packed == other.packed;
-  }
-};
-
-/// Writes one ObjectResult in the packed per-field encoding. The direct-emit
-/// merge loops (core/location_server) use this to stream store results
-/// straight into an outgoing buffer without an intermediate vector.
-void put_object_result(Writer& w, const ObjectResult& r);
+LOCS_WIRE_FIELDS(PosQueryRes, m.oid, m.found, m.ld, m.agent, m.req_id, m.origin)
 
 // --- Range query (Algorithm 6-5) --------------------------------------------
 
@@ -381,6 +303,7 @@ struct RangeQueryReq {
   double req_overlap = 0.0;
   std::uint64_t req_id = 0;
 };
+LOCS_WIRE_FIELDS(RangeQueryReq, m.area, m.req_acc, m.req_overlap, m.req_id)
 
 struct RangeQueryFwd {
   static constexpr MsgType kType = MsgType::kRangeQueryFwd;
@@ -393,6 +316,8 @@ struct RangeQueryFwd {
   // locally and must not propagate the query further.
   bool direct = false;
 };
+LOCS_WIRE_FIELDS(RangeQueryFwd, m.area, m.req_acc, m.req_overlap, m.entry, m.req_id,
+                 m.direct)
 
 /// Partial result from one leaf: its matching objects plus the size of the
 /// covered portion (area ∩ leaf service area) for the entry server's
@@ -401,16 +326,18 @@ struct RangeQuerySubRes {
   static constexpr MsgType kType = MsgType::kRangeQuerySubRes;
   std::uint64_t req_id = 0;
   double covered_size = 0.0;
-  PackedResults results;  // packed framing; see the header invariants
+  PackedResults results;
   std::optional<OriginArea> origin;
 };
+LOCS_WIRE_FIELDS(RangeQuerySubRes, m.req_id, m.covered_size, m.results, m.origin)
 
 struct RangeQueryRes {
   static constexpr MsgType kType = MsgType::kRangeQueryRes;
   std::uint64_t req_id = 0;
   bool complete = true;  // false if assembled on timeout
-  PackedResults results;  // packed framing; see the header invariants
+  PackedResults results;
 };
+LOCS_WIRE_FIELDS(RangeQueryRes, m.req_id, m.complete, m.results)
 
 // --- Nearest-neighbor query (§3.2 semantics) ---------------------------------
 
@@ -421,6 +348,7 @@ struct NNQueryReq {
   double near_qual = 0.0;
   std::uint64_t req_id = 0;
 };
+LOCS_WIRE_FIELDS(NNQueryReq, m.p, m.req_acc, m.near_qual, m.req_id)
 
 /// Internal expanding-ring probe: "report objects with ld.acc <= req_acc and
 /// position within `radius` of p in your subtree".
@@ -432,22 +360,25 @@ struct NNProbeFwd {
   NodeId coordinator;
   std::uint64_t req_id = 0;
 };
+LOCS_WIRE_FIELDS(NNProbeFwd, m.p, m.radius, m.req_acc, m.coordinator, m.req_id)
 
 struct NNProbeSubRes {
   static constexpr MsgType kType = MsgType::kNNProbeSubRes;
   std::uint64_t req_id = 0;
   double covered_size = 0.0;  // size of probe-disk ∩ leaf area
-  PackedResults candidates;  // packed framing; see the header invariants
+  PackedResults candidates;
   std::optional<OriginArea> origin;
 };
+LOCS_WIRE_FIELDS(NNProbeSubRes, m.req_id, m.covered_size, m.candidates, m.origin)
 
 struct NNQueryRes {
   static constexpr MsgType kType = MsgType::kNNQueryRes;
   std::uint64_t req_id = 0;
   bool found = false;
   ObjectResult nearest;
-  PackedResults near_set;  // nearObjSet per §3.2; packed framing
+  PackedResults near_set;  // nearObjSet per §3.2
 };
+LOCS_WIRE_FIELDS(NNQueryRes, m.req_id, m.found, m.nearest, m.near_set)
 
 // --- Accuracy management (§3.1) ---------------------------------------------
 
@@ -457,6 +388,7 @@ struct ChangeAccReq {
   AccuracyRange acc_range;
   std::uint64_t req_id = 0;
 };
+LOCS_WIRE_FIELDS(ChangeAccReq, m.oid, m.acc_range, m.req_id)
 
 struct ChangeAccRes {
   static constexpr MsgType kType = MsgType::kChangeAccRes;
@@ -464,12 +396,14 @@ struct ChangeAccRes {
   bool ok = false;
   double offered_acc = 0.0;
 };
+LOCS_WIRE_FIELDS(ChangeAccRes, m.req_id, m.ok, m.offered_acc)
 
 struct NotifyAvailAcc {
   static constexpr MsgType kType = MsgType::kNotifyAvailAcc;
   ObjectId oid;
   double offered_acc = 0.0;
 };
+LOCS_WIRE_FIELDS(NotifyAvailAcc, m.oid, m.offered_acc)
 
 // --- Lifecycle ---------------------------------------------------------------
 
@@ -477,6 +411,7 @@ struct DeregisterReq {
   static constexpr MsgType kType = MsgType::kDeregisterReq;
   ObjectId oid;
 };
+LOCS_WIRE_FIELDS(DeregisterReq, m.oid)
 
 /// Server -> tracked object: request an immediate position update (used
 /// after recovery, when the persistent visitorDB survived but the in-memory
@@ -485,6 +420,7 @@ struct RefreshReq {
   static constexpr MsgType kType = MsgType::kRefreshReq;
   ObjectId oid;
 };
+LOCS_WIRE_FIELDS(RefreshReq, m.oid)
 
 // --- Fault tolerance (failure detection + batched soft-state recovery) -------
 //
@@ -499,27 +435,26 @@ struct RefreshReq {
 //    sweep of every object it still forwards to that child. Duplicate hellos
 //    just repeat the sweep; refreshes are filtered against present sightings
 //    on the leaf, so the steady state converges.
-//  * BatchedRefreshReq reuses the batched-update framing discipline --
-//    payload [count u64][packed_len u64][packed oid varints]; `count` is
-//    advisory, consumers iterate the packed bytes lazily (Cursor) and stop at
-//    the first malformed entry; a truncated datagram sticky-fails the
-//    envelope decode via the packed_len prefix. The same message travels
-//    parent -> restarted leaf (oids with forwarding paths into that leaf)
-//    and leaf -> registering instance (oids whose sightings need a refresh),
-//    replacing one RefreshReq datagram per object with one sweep datagram
-//    per client node (chunked; see LocationServer::Options::refresh_batch_max).
+//  * BatchedRefreshReq is a packed list of ObjectIds. The same message
+//    travels parent -> restarted leaf (oids with forwarding paths into that
+//    leaf) and leaf -> registering instance (oids whose sightings need a
+//    refresh), replacing one RefreshReq datagram per object with one sweep
+//    datagram per client node (chunked; see
+//    LocationServer::Options::refresh_batch_max).
 
 /// Parent -> child liveness probe (miss-threshold failure detection).
 struct Heartbeat {
   static constexpr MsgType kType = MsgType::kHeartbeat;
   std::uint64_t seq = 0;
 };
+LOCS_WIRE_FIELDS(Heartbeat, m.seq)
 
 /// Child -> parent heartbeat answer (echoes the probe's sequence number).
 struct HeartbeatAck {
   static constexpr MsgType kType = MsgType::kHeartbeatAck;
   std::uint64_t seq = 0;
 };
+LOCS_WIRE_FIELDS(HeartbeatAck, m.seq)
 
 /// Restarted leaf -> parent: "I am back with incarnation N; tell me which
 /// objects you still forward to me" (§5 crash recovery, batched).
@@ -527,93 +462,44 @@ struct RecoveryHello {
   static constexpr MsgType kType = MsgType::kRecoveryHello;
   std::uint64_t incarnation = 0;
 };
+LOCS_WIRE_FIELDS(RecoveryHello, m.incarnation)
 
-/// Batched refresh sweep: a varint-packed list of ObjectIds that need an
-/// immediate position refresh (the batch analogue of RefreshReq; see the
-/// fault-tolerance framing invariants above).
+/// Batched refresh sweep: the ObjectIds that need an immediate position
+/// refresh (the batch analogue of RefreshReq).
 struct BatchedRefreshReq {
   static constexpr MsgType kType = MsgType::kBatchedRefreshReq;
-  std::uint64_t count = 0;  // oids in `packed` (advisory; see framing note)
-  Buffer packed;            // concatenated ObjectId varints
-
-  void clear() {
-    count = 0;
-    packed.clear();
-  }
-  bool empty() const { return count == 0; }
-
-  void append(ObjectId oid);
-
-  /// Lazy unpacker: one oid per next() call, stopping at the end of the
-  /// packed region or the first malformed varint.
-  class Cursor {
-   public:
-    explicit Cursor(const Buffer& packed) : r_(packed) {}
-    bool next(ObjectId& out);
-
-   private:
-    Reader r_;
-  };
-  Cursor oids() const { return Cursor(packed); }
+  PackedList<ObjectId> oids;
 };
+LOCS_WIRE_FIELDS(BatchedRefreshReq, m.oids)
 
 /// Coalesced server-to-server forwarding-path maintenance: a burst of
 /// CreatePath/RemovePath messages bound for the same parent travels as ONE
-/// datagram (same framing discipline as the batched updates; the entries
-/// keep their relative order, so create/remove sequences for one object
-/// replay in order). Each entry is [op u8: 1=create, 0=remove][oid varint].
-/// Sent only when LocationServer::Options::coalesce_paths is on -- default
-/// traces carry the unbatched messages bit for bit.
+/// datagram; the entries keep their relative order, so create/remove
+/// sequences for one object replay in order. Sent only when
+/// LocationServer::Options::coalesce_paths is on -- default traces carry
+/// the unbatched messages bit for bit.
 struct BatchedPathUpdate {
   static constexpr MsgType kType = MsgType::kBatchedPathUpdate;
-  std::uint64_t count = 0;  // entries in `packed` (advisory; see framing note)
-  Buffer packed;            // concatenated [op u8][oid varint] entries
-
-  void clear() {
-    count = 0;
-    packed.clear();
-  }
-  bool empty() const { return count == 0; }
-  std::size_t payload_bytes() const { return packed.size(); }
-
-  void append(bool create, ObjectId oid);
-
-  /// Lazy unpacker: one (op, oid) entry per next() call, stopping at the end
-  /// of the packed region or the first malformed entry.
-  class Cursor {
-   public:
-    explicit Cursor(const Buffer& packed) : r_(packed) {}
-    bool next(bool& create, ObjectId& oid);
-
-   private:
-    Reader r_;
+  struct Entry {
+    bool create = false;  // CreatePath (true) or RemovePath (false)
+    ObjectId oid;
   };
-  Cursor entries() const { return Cursor(packed); }
+  PackedList<Entry> ops;
 };
+LOCS_WIRE_FIELDS(BatchedPathUpdate::Entry, m.create, m.oid)
+LOCS_WIRE_FIELDS(BatchedPathUpdate, m.ops)
 
 // --- Sharded-leaf skew balancing (core/sharded_location_server) --------------
 //
-// Balancing invariants:
-//  * Both messages reuse the batched framing discipline -- the payload ends
-//    with [count u64][packed_len u64][packed entries]; `count` is advisory,
-//    consumers iterate the packed bytes lazily (Cursor) and stop at the
-//    first malformed entry; a truncated datagram sticky-fails the envelope
-//    decode via the packed_len prefix.
-//  * BucketMigrate never leaves its leaf NodeId: the donor shard reactor
-//    encodes it and a recipient shard reactor of the SAME sharded leaf
-//    consumes it (envelope src == the leaf itself; other sources are
-//    ignored), so soft state moves between slices with wire-validated
-//    framing but no network hop.
+// BucketMigrate never leaves its leaf NodeId: the donor shard reactor
+// encodes it and a recipient shard reactor of the SAME sharded leaf consumes
+// it (envelope src == the leaf itself; other sources are ignored), so soft
+// state moves between slices with wire-validated framing but no network hop.
 
 /// Per-shard load snapshot of a sharded leaf (queue depth + occupancy),
-/// published for monitors and rebalancer decision logs. Entry layout:
-/// [shard u32][sightings u64][visitors u64][msgs_handled u64][inbox_depth u64].
+/// published for monitors and rebalancer decision logs.
 struct ShardLoadStats {
   static constexpr MsgType kType = MsgType::kShardLoadStats;
-  std::uint64_t seq = 0;    // snapshot sequence number
-  std::uint64_t count = 0;  // entries in `packed` (advisory; see framing note)
-  Buffer packed;            // concatenated per-shard entries
-
   struct Entry {
     std::uint32_t shard = 0;
     std::uint64_t sightings = 0;     // slice occupancy (SightingDb records)
@@ -621,77 +507,35 @@ struct ShardLoadStats {
     std::uint64_t msgs_handled = 0;  // reactor lifetime message count
     std::uint64_t inbox_depth = 0;   // SPSC inbox backlog (threaded mode)
   };
-
-  void clear() {
-    seq = 0;
-    count = 0;
-    packed.clear();
-  }
-  bool empty() const { return count == 0; }
-
-  void append(const Entry& e);
-
-  /// Lazy unpacker: one per-shard entry per next() call, stopping at the end
-  /// of the packed region or the first malformed entry.
-  class Cursor {
-   public:
-    explicit Cursor(const Buffer& packed) : r_(packed) {}
-    bool next(Entry& out);
-
-   private:
-    Reader r_;
-  };
-  Cursor entries() const { return Cursor(packed); }
+  std::uint64_t seq = 0;  // snapshot sequence number
+  PackedList<Entry> entries;
 };
+LOCS_WIRE_FIELDS(ShardLoadStats::Entry, m.shard, m.sightings, m.visitors, m.msgs_handled,
+                 m.inbox_depth)
+LOCS_WIRE_FIELDS(ShardLoadStats, m.seq, m.entries)
 
 /// One ObjectId bucket's soft state moving between two shard reactors of the
 /// same leaf (incremental skew rebalancing). Entries carry everything a leaf
 /// slice stores per visitor -- the sighting, the offered accuracy, the
 /// ABSOLUTE expiry (migration must not extend the soft-state TTL) and the
-/// registration info: [sighting][offered_acc f64][expiry i64][reg_info].
+/// registration info.
 struct BucketMigrate {
   static constexpr MsgType kType = MsgType::kBucketMigrate;
-  std::uint32_t bucket = 0;  // ObjectId bucket being re-assigned
-  std::uint64_t count = 0;   // entries in `packed` (advisory; see framing note)
-  Buffer packed;             // concatenated visitor entries
-
   struct Entry {
     core::Sighting s;
     double offered_acc = 0.0;
     TimePoint expiry = 0;
     core::RegInfo reg;
   };
-
-  void clear() {
-    bucket = 0;
-    count = 0;
-    packed.clear();
-  }
-  bool empty() const { return count == 0; }
-
-  void append(const Entry& e);
-
-  /// Lazy unpacker: one visitor entry per next() call, stopping at the end
-  /// of the packed region or the first malformed entry.
-  class Cursor {
-   public:
-    explicit Cursor(const Buffer& packed) : r_(packed) {}
-    bool next(Entry& out);
-
-   private:
-    Reader r_;
-  };
-  Cursor entries() const { return Cursor(packed); }
+  std::uint32_t bucket = 0;  // ObjectId bucket being re-assigned
+  PackedList<Entry> entries;
 };
+LOCS_WIRE_FIELDS(BucketMigrate::Entry, m.s, m.offered_acc, m.expiry, m.reg)
+LOCS_WIRE_FIELDS(BucketMigrate, m.bucket, m.entries)
 
 // --- Leaf hot-standby replication (answer-complete failover) -----------------
 //
 // Replication invariants:
-//  * ReplicaTee reuses the batched framing discipline -- payload
-//    [count u64][packed_len u64][packed entries]; `count` is advisory,
-//    consumers iterate the packed bytes lazily (Cursor) and stop at the
-//    first malformed entry; a truncated datagram sticky-fails the envelope
-//    decode via the packed_len prefix.
 //  * Entries carry the ABSOLUTE expiry the primary stored, so the replica's
 //    soft-state TTLs match the primary's exactly (teeing must not extend a
 //    TTL). The replica applies entries with insert-or-update semantics in
@@ -706,16 +550,13 @@ struct BucketMigrate {
 //    traces (the parent's engaged flag is authoritative for routing).
 
 /// Primary leaf -> standby replica: the accepted-sighting stream of one
-/// handled datagram/tick, teed with original expiries (see the replication
-/// invariants above). Entry ops: upsert (apply a sighting), remove (visitor
-/// departed/expired), set_acc (accuracy change without an index mutation).
+/// handled datagram/tick, teed with original expiries. Entry ops: upsert
+/// (apply a sighting), remove (visitor departed/expired), set_acc (accuracy
+/// change without an index mutation).
 struct ReplicaTee {
   static constexpr MsgType kType = MsgType::kReplicaTee;
 
   enum class Op : std::uint8_t { kUpsert = 0, kRemove = 1, kSetAcc = 2 };
-
-  std::uint64_t count = 0;  // entries in `packed` (advisory; see framing note)
-  Buffer packed;            // concatenated [op u8][sighting][acc f64][expiry i64][reg]
 
   struct Entry {
     Op op = Op::kUpsert;
@@ -724,28 +565,17 @@ struct ReplicaTee {
     TimePoint expiry = 0;      // absolute, as stored by the primary
     core::RegInfo reg;
   };
-
-  void clear() {
-    count = 0;
-    packed.clear();
-  }
-  bool empty() const { return count == 0; }
-  std::size_t payload_bytes() const { return packed.size(); }
-
-  void append(const Entry& e);
-
-  /// Lazy unpacker: one entry per next() call, stopping at the end of the
-  /// packed region or the first malformed entry.
-  class Cursor {
-   public:
-    explicit Cursor(const Buffer& packed) : r_(packed) {}
-    bool next(Entry& out);
-
-   private:
-    Reader r_;
-  };
-  Cursor entries() const { return Cursor(packed); }
+  PackedList<Entry> entries;
 };
+/// Op byte; anything beyond kSetAcc sticky-fails.
+inline void put(Writer& w, ReplicaTee::Op op) { w.u8(static_cast<std::uint8_t>(op)); }
+inline void get(Reader& r, ReplicaTee::Op& op) {
+  const std::uint8_t v = r.u8();
+  if (v > static_cast<std::uint8_t>(ReplicaTee::Op::kSetAcc)) r.fail();
+  op = static_cast<ReplicaTee::Op>(v);
+}
+LOCS_WIRE_FIELDS(ReplicaTee::Entry, m.op, m.s, m.offered_acc, m.expiry, m.reg)
+LOCS_WIRE_FIELDS(ReplicaTee, m.entries)
 
 /// Parent -> standby replica: "your primary is suspect; answer for it". The
 /// standby fans AgentChanged to its mirrored visitors so clients re-point.
@@ -754,6 +584,7 @@ struct StandbyPromote {
   NodeId primary;
   std::uint64_t incarnation = 0;
 };
+LOCS_WIRE_FIELDS(StandbyPromote, m.primary, m.incarnation)
 
 /// Parent -> standby replica: "your primary is back; stand down". The standby
 /// re-points clients at the primary and clears its mirror (the primary's
@@ -763,6 +594,7 @@ struct StandbyDemote {
   NodeId primary;
   std::uint64_t incarnation = 0;
 };
+LOCS_WIRE_FIELDS(StandbyDemote, m.primary, m.incarnation)
 
 // --- Event mechanism (extension; §1 / §8 future work) ------------------------
 
@@ -770,6 +602,8 @@ enum class PredicateKind : std::uint8_t {
   kAreaCount = 0,  // "more than N objects are in a certain area"
   kProximity = 1,  // "two users of the system meet"
 };
+inline void put(Writer& w, PredicateKind k) { w.u8(static_cast<std::uint8_t>(k)); }
+inline void get(Reader& r, PredicateKind& k) { k = static_cast<PredicateKind>(r.u8()); }
 
 struct EventSubscribe {
   static constexpr MsgType kType = MsgType::kEventSubscribe;
@@ -781,6 +615,8 @@ struct EventSubscribe {
   double dist = 0.0;
   NodeId subscriber;
 };
+LOCS_WIRE_FIELDS(EventSubscribe, m.sub_id, m.kind, m.area, m.threshold, m.obj_a, m.obj_b,
+                 m.dist, m.subscriber)
 
 /// Coordinator -> leaf: install local membership tracking for a predicate.
 struct EventInstall {
@@ -792,6 +628,8 @@ struct EventInstall {
   double dist = 0.0;
   NodeId coordinator;
 };
+LOCS_WIRE_FIELDS(EventInstall, m.sub_id, m.kind, m.area, m.obj_a, m.obj_b, m.dist,
+                 m.coordinator)
 
 /// Leaf -> coordinator: membership change for a predicate.
 struct EventDelta {
@@ -801,6 +639,7 @@ struct EventDelta {
   bool entered = false;  // entered (true) / left (false) the predicate scope
   geo::Point pos;        // current position (used by proximity predicates)
 };
+LOCS_WIRE_FIELDS(EventDelta, m.sub_id, m.oid, m.entered, m.pos)
 
 struct EventNotify {
   static constexpr MsgType kType = MsgType::kEventNotify;
@@ -808,16 +647,19 @@ struct EventNotify {
   bool fired = false;  // predicate became true (fired) / false again
   std::uint32_t count = 0;
 };
+LOCS_WIRE_FIELDS(EventNotify, m.sub_id, m.fired, m.count)
 
 struct EventUnsubscribe {
   static constexpr MsgType kType = MsgType::kEventUnsubscribe;
   std::uint64_t sub_id = 0;
 };
+LOCS_WIRE_FIELDS(EventUnsubscribe, m.sub_id)
 
 // --- Envelope ----------------------------------------------------------------
 
-/// Every protocol message type, in MsgType order. Drives the Message variant
-/// helpers, the per-type encode overloads and the decode dispatch.
+/// Every protocol message type, in MsgType order. Generates the Message
+/// variant, the per-type encode overloads, the decode dispatch and
+/// msg_type_name.
 #define LOCS_WIRE_FOR_EACH_MESSAGE(X)                                          \
   X(RegisterReq)                                                               \
   X(RegisterRes)                                                               \
@@ -863,15 +705,15 @@ struct EventUnsubscribe {
   X(StandbyPromote)                                                            \
   X(StandbyDemote)
 
-using Message = std::variant<
-    RegisterReq, RegisterRes, RegisterFailed, CreatePath, RemovePath, UpdateReq,
-    UpdateAck, HandoverReq, HandoverRes, AgentChanged, PosQueryReq, PosQueryFwd,
-    PosQueryRes, RangeQueryReq, RangeQueryFwd, RangeQuerySubRes, RangeQueryRes,
-    NNQueryReq, NNProbeFwd, NNProbeSubRes, NNQueryRes, ChangeAccReq, ChangeAccRes,
-    NotifyAvailAcc, DeregisterReq, RefreshReq, EventSubscribe, EventInstall,
-    EventDelta, EventNotify, EventUnsubscribe, BatchedUpdateReq, BatchedUpdateAck,
-    Heartbeat, HeartbeatAck, RecoveryHello, BatchedRefreshReq, BatchedPathUpdate,
-    ShardLoadStats, BucketMigrate, ReplicaTee, StandbyPromote, StandbyDemote>;
+namespace detail {
+template <typename Ignored, typename... Ts>
+using VariantOfTail = std::variant<Ts...>;
+}  // namespace detail
+
+#define LOCS_WIRE_LEADING_COMMA(T) , T
+using Message =
+    detail::VariantOfTail<void LOCS_WIRE_FOR_EACH_MESSAGE(LOCS_WIRE_LEADING_COMMA)>;
+#undef LOCS_WIRE_LEADING_COMMA
 
 struct Envelope {
   NodeId src;
@@ -884,7 +726,7 @@ MsgType message_type(const Message& msg);
 // (cleared first), reserving a per-message size hint so a recycled buffer
 // never reallocates in steady state. The per-type overloads skip Message
 // variant construction entirely -- senders holding a concrete message type
-// (the common case in core/) pay no copy of embedded vectors/polygons.
+// (the common case in core/) pay no copy of embedded lists/polygons.
 #define LOCS_WIRE_DECLARE_ENCODE_INTO(T) \
   void encode_envelope_into(Buffer& out, NodeId src, const T& msg);
 LOCS_WIRE_FOR_EACH_MESSAGE(LOCS_WIRE_DECLARE_ENCODE_INTO)
@@ -895,10 +737,11 @@ void encode_envelope_into(Buffer& out, NodeId src, const Message& msg);
 Buffer encode_envelope(NodeId src, const Message& msg);
 
 /// Hot-path decode into a reusable scratch envelope. When `env.msg` already
-/// holds the incoming message type, the contained vectors/polygons/strings
+/// holds the incoming message type, the contained lists/polygons/strings
 /// keep their capacity -- decoding a steady message stream allocates
-/// nothing. All variable-length fields are OWNED by the envelope (the §
-/// "own() step" happens inside), so the envelope may outlive the datagram.
+/// nothing. All variable-length fields are OWNED by the envelope, so the
+/// envelope may outlive the datagram. A datagram whose version byte is not
+/// its type's version_of() is rejected.
 Status decode_envelope_into(Envelope& env, const std::uint8_t* data,
                             std::size_t len);
 
@@ -909,134 +752,41 @@ inline Result<Envelope> decode_envelope(const Buffer& buf) {
 }
 
 /// Cheap routing peek for sharded dispatch (core/sharded_location_server):
-/// for object-keyed messages -- every message whose payload leads with an
-/// ObjectId (updates, handover, per-object queries and their responses) --
+/// for object-keyed messages -- those whose first field is an ObjectId or a
+/// Sighting (updates, handover, per-object queries and their responses) --
 /// returns that id WITHOUT a full envelope decode. Returns nullopt for
 /// area-keyed / coordinator messages (range, NN, events) and for malformed
 /// datagrams (the full decode then reports the error).
 std::optional<ObjectId> peek_object_key(const std::uint8_t* data, std::size_t len);
 
-/// Batch analogue of peek_object_key: walks an ENCODED BatchedUpdateReq
-/// datagram and yields each sighting's ObjectId plus the raw byte range of
-/// its packed encoding, without a full envelope decode. A sharded leaf uses
-/// this to split one incoming batch into per-shard sub-batches by memcpy of
-/// the item ranges (core/sharded_location_server). Iteration stops at the
-/// end of the packed region or the first malformed entry; a datagram that is
-/// not a well-formed batch envelope yields valid() == false.
-class BatchedUpdateView {
- public:
-  BatchedUpdateView(const std::uint8_t* data, std::size_t len);
+/// Routing peek over an ENCODED datagram of M, a message whose only field is
+/// a packed list (BatchedUpdateReq, BatchedRefreshReq, ReplicaTee): an
+/// ItemView over the packed region, without a full envelope decode. A sharded
+/// leaf splits one datagram into per-shard sub-lists by memcpy of the item
+/// ranges. nullopt when the datagram is not a well-formed envelope of M.
+template <typename M>
+std::optional<ItemView<typename FieldType<M, 0>::Entry>> list_items(
+    const std::uint8_t* data, std::size_t len) {
+  static_assert(std::tuple_size_v<decltype(fields(std::declval<const M&>()))> == 1,
+                "list_items needs a message whose only field is a packed list");
+  Reader r(data, len);
+  if (r.u8() != version_of(M::kType) || r.u8() != static_cast<std::uint8_t>(M::kType)) {
+    return std::nullopt;
+  }
+  (void)r.u32_fixed();  // src
+  PackedRegion region;
+  get(r, region);
+  if (!r.ok()) return std::nullopt;
+  return ItemView<typename FieldType<M, 0>::Entry>(region.bytes.data(), region.bytes.size());
+}
 
-  bool valid() const { return valid_; }
-  std::uint64_t count() const { return count_; }  // advisory (see framing note)
-
-  struct Item {
-    ObjectId oid;
-    const std::uint8_t* data;  // raw packed encoding of this sighting
-    std::size_t len;
-  };
-  std::optional<Item> next();
-
- private:
-  Reader r_;
-  const std::uint8_t* packed_base_ = nullptr;
-  std::size_t packed_len_ = 0;
-  std::uint64_t count_ = 0;
-  bool valid_ = false;
-};
-
-/// Shard-routing view over an ENCODED BatchedRefreshReq datagram: yields each
-/// packed ObjectId without a full envelope decode, so a sharded leaf can
-/// split one recovery sweep into per-shard sub-batches (the refresh analogue
-/// of BatchedUpdateView; core/sharded_location_server). Iteration stops at
-/// the end of the packed region or the first malformed varint; a datagram
-/// that is not a well-formed refresh batch yields valid() == false.
-class BatchedRefreshView {
- public:
-  BatchedRefreshView(const std::uint8_t* data, std::size_t len);
-
-  bool valid() const { return valid_; }
-  std::uint64_t count() const { return count_; }  // advisory (see framing note)
-
-  /// Like BatchedUpdateView::Item: the decoded key PLUS the raw byte range
-  /// of its packed encoding, so shard splitting re-frames by memcpy and
-  /// never duplicates the ObjectId wire encoding.
-  struct Item {
-    ObjectId oid;
-    const std::uint8_t* data;
-    std::size_t len;
-  };
-  std::optional<Item> next();
-
- private:
-  Reader r_;
-  const std::uint8_t* packed_base_ = nullptr;
-  std::size_t packed_len_ = 0;
-  std::uint64_t count_ = 0;
-  bool valid_ = false;
-};
-
-/// Shard-routing view over an ENCODED ReplicaTee datagram: yields each
-/// entry's leading ObjectId plus the raw byte range of its packed encoding,
-/// without a full envelope decode, so a sharded standby splits one tee into
-/// per-shard sub-tees by memcpy of the item ranges (the replication analogue
-/// of BatchedUpdateView; core/sharded_location_server). Iteration stops at
-/// the end of the packed region or the first malformed entry; a datagram
-/// that is not a well-formed tee envelope yields valid() == false.
-class ReplicaTeeView {
- public:
-  ReplicaTeeView(const std::uint8_t* data, std::size_t len);
-
-  bool valid() const { return valid_; }
-  std::uint64_t count() const { return count_; }  // advisory (see framing note)
-
-  struct Item {
-    ObjectId oid;
-    const std::uint8_t* data;  // raw packed encoding of this entry
-    std::size_t len;
-  };
-  std::optional<Item> next();
-
- private:
-  Reader r_;
-  const std::uint8_t* packed_base_ = nullptr;
-  std::size_t packed_len_ = 0;
-  std::uint64_t count_ = 0;
-  bool valid_ = false;
-};
-
-/// Iterates a raw packed-ObjectResult region (the `packed` bytes of any
-/// PackedResults-framed message), yielding each decoded result PLUS the raw
-/// byte range of its encoding -- the merge loops copy kept ranges verbatim
-/// into the outgoing envelope, never re-encoding. Stops at the end of the
-/// region or the first malformed entry. Borrow contract: items point into
-/// the caller's buffer (see the read-path lifetime invariants above).
-class ResultCursor {
- public:
-  ResultCursor(const std::uint8_t* data, std::size_t len)
-      : r_(data, len), base_(data), len_(len) {}
-
-  struct Item {
-    ObjectResult res;
-    const std::uint8_t* data;  // raw packed encoding of this result
-    std::size_t len;
-  };
-  std::optional<Item> next();
-
- private:
-  Reader r_;
-  const std::uint8_t* base_;
-  std::size_t len_;
-};
-
-/// Read-path analogue of BatchedUpdateView: a peek over an ENCODED
-/// version-2 RangeQuerySubRes or NNProbeSubRes datagram. Exposes the header
-/// fields and the raw packed-results region without a full envelope decode,
-/// so the entry server can merge a sub-result by borrowing its bytes (pin
-/// the receive buffer via net::Datagram::take) instead of materializing an
-/// owned vector. valid() == false for malformed datagrams, other message
-/// types, and version-1 (legacy vector) framings -- those fall back to the
-/// full decode path.
+/// Read-path view over an ENCODED version-2 RangeQuerySubRes or
+/// NNProbeSubRes datagram. Exposes the header fields and the raw
+/// packed-results region without a full envelope decode, so the entry
+/// server can merge a sub-result by borrowing its bytes (pin the receive
+/// buffer via net::Datagram::take) instead of materializing an owned list.
+/// valid() == false for malformed datagrams and other message types;
+/// it accepts every sub-result the full decode accepts.
 class SubResView {
  public:
   SubResView(const std::uint8_t* data, std::size_t len);
@@ -1046,14 +796,16 @@ class SubResView {
   NodeId src() const { return src_; }
   std::uint64_t req_id() const { return req_id_; }
   double covered_size() const { return covered_size_; }
-  std::uint64_t count() const { return count_; }  // advisory (framing note)
+  std::uint64_t count() const { return results_.count; }  // advisory
 
   /// The raw packed-results region (borrowed from the datagram).
-  const std::uint8_t* packed_data() const { return packed_base_; }
-  std::size_t packed_size() const { return packed_len_; }
+  const std::uint8_t* packed_data() const { return results_.bytes.data(); }
+  std::size_t packed_size() const { return results_.bytes.size(); }
 
   /// Lazy per-item iteration over the packed region.
-  ResultCursor items() const { return ResultCursor(packed_base_, packed_len_); }
+  ItemView<ObjectResult> items() const {
+    return ItemView<ObjectResult>(packed_data(), packed_size());
+  }
 
   /// Decodes the trailing §6.5 origin piggyback (cold: cache learning only).
   /// Returns false when absent or malformed.
@@ -1064,19 +816,16 @@ class SubResView {
   NodeId src_;
   std::uint64_t req_id_ = 0;
   double covered_size_ = 0.0;
-  std::uint64_t count_ = 0;
-  const std::uint8_t* packed_base_ = nullptr;
-  std::size_t packed_len_ = 0;
-  const std::uint8_t* tail_base_ = nullptr;  // origin piggyback bytes
-  std::size_t tail_len_ = 0;
+  PackedRegion results_;
+  std::span<const std::uint8_t> tail_;  // origin piggyback bytes
   bool valid_ = false;
 };
 
 /// Direct-emit support for the merge loops: writes the envelope prefix
-/// ([version][type][src]) for `type`, choosing the version byte the normal
-/// encode path would use. A merge loop that follows this with the exact
-/// per-field writes of the message body produces bytes IDENTICAL to
-/// encode_envelope_into of the equivalent owned message (pinned by test).
+/// ([version][type][src]) for `type` with its version_of() byte. A merge
+/// loop that follows this with the exact per-field writes of the message
+/// body produces bytes IDENTICAL to encode_envelope_into of the equivalent
+/// owned message (pinned by test).
 void begin_envelope(Writer& w, NodeId src, MsgType type);
 
 }  // namespace locs::wire

@@ -266,7 +266,7 @@ TEST(ShardedBatchSplit, BatchStraddlingShardBoundariesAppliesEverywhere) {
   wire::BatchedUpdateReq batch;
   std::vector<bool> shard_hit(kShards, false);
   for (std::uint64_t i = 1; i <= 32; ++i) {
-    batch.append({ObjectId{i}, 1, {50.0 + i, 60.0 + i}, 5.0});
+    batch.sightings.append({ObjectId{i}, 1, {50.0 + i, 60.0 + i}, 5.0});
     shard_hit[ShardedLocationServer::shard_of(ObjectId{i}, kShards)] = true;
   }
   for (std::uint32_t s = 0; s < kShards; ++s) {
@@ -310,7 +310,7 @@ TEST(ShardedBatchSplit, SingleShardBatchForwardsUnchanged) {
 
   wire::BatchedUpdateReq batch;
   for (const ObjectId oid : same_shard) {
-    batch.append({oid, 1, {40.0 + static_cast<double>(oid.value), 44}, 5.0});
+    batch.sightings.append({oid, 1, {40.0 + static_cast<double>(oid.value), 44}, 5.0});
   }
   send_batch(w, w.client_node(), leaf, batch);
 
@@ -334,7 +334,7 @@ TEST(ShardedBatchSplit, ShardedMatchesUnshardedApplication) {
     const NodeId leaf = objs[0]->agent();
     wire::BatchedUpdateReq batch;
     for (std::uint64_t i = 1; i <= 24; ++i) {
-      batch.append({ObjectId{i}, 2, {90.0 + i, 77.0}, 5.0});
+      batch.sightings.append({ObjectId{i}, 2, {90.0 + i, 77.0}, 5.0});
     }
     send_batch(w, w.client_node(), leaf, batch);
     // Identical application and identical positions regardless of sharding.
@@ -369,7 +369,7 @@ TEST(BatchedUpdateEdge, SingleSightingBatchIsDistinctButEquivalent) {
   const core::Sighting s{ObjectId{7}, 3, {120, 130}, 5.0};
   // Explicitly distinct on the wire from a plain UpdateReq (MsgType byte).
   wire::BatchedUpdateReq batch;
-  batch.append(s);
+  batch.sightings.append(s);
   const wire::Buffer batch_wire = wire::encode_envelope(NodeId{5}, batch);
   const wire::Buffer plain_wire =
       wire::encode_envelope(NodeId{5}, wire::UpdateReq{s});
@@ -390,10 +390,10 @@ TEST(BatchedUpdateEdge, SingleSightingBatchIsDistinctButEquivalent) {
     const auto env = wire::decode_envelope(data, len);
     ASSERT_TRUE(env.ok());
     if (const auto* m = std::get_if<wire::BatchedUpdateAck>(&env.value().msg)) {
-      wire::BatchedUpdateAck::Cursor cur = m->acks();
-      ObjectId oid;
-      double acc = 0.0;
-      while (cur.next(oid, acc)) acks.emplace_back(oid, acc);
+      wire::ItemView<wire::UpdateAck> items = m->acks.items();
+      while (const auto ack = items.next()) {
+        acks.emplace_back(ack->value.oid, ack->value.offered_acc);
+      }
     }
   });
   send_batch(w, ack_sink, leaf, batch);
@@ -410,8 +410,8 @@ TEST(BatchedUpdateEdge, UnknownObjectsAreSkippedKnownOnesApplied) {
   auto obj = w.register_object(ObjectId{1}, {100, 100});
   const NodeId leaf = obj->agent();
   wire::BatchedUpdateReq batch;
-  batch.append({ObjectId{999}, 1, {110, 110}, 5.0});  // never registered
-  batch.append({ObjectId{1}, 1, {140, 150}, 5.0});
+  batch.sightings.append({ObjectId{999}, 1, {110, 110}, 5.0});  // never registered
+  batch.sightings.append({ObjectId{1}, 1, {140, 150}, 5.0});
   send_batch(w, w.client_node(), leaf, batch);
   const core::LocationServer::Stats stats = w.deployment->total_stats();
   EXPECT_EQ(stats.updates_applied, 1u);

@@ -5,7 +5,9 @@
 //    byte always breaks the final required field,
 //  * bit-flipped and purely random datagrams never crash the decoder; when
 //    a flip happens to decode, the result re-encodes without crashing,
-//  * the routing peek (wire::peek_object_key) agrees with the full decode,
+//  * the routing peeks (wire::peek_object_key, wire::list_items) agree with
+//    the full decode,
+//  * the encoder's bytes match a golden table for every type,
 //  * hardened varints: boundary values round-trip, overlong and overflowing
 //    encodings sticky-fail.
 #include <gtest/gtest.h>
@@ -81,28 +83,34 @@ std::string rand_str(Rng& rng) {
 BatchedUpdateReq rand_batch(Rng& rng) {
   BatchedUpdateReq b;
   const std::size_t n = rng.next_below(6);  // including empty batches
-  for (std::size_t i = 0; i < n; ++i) b.append(rand_sighting(rng));
+  for (std::size_t i = 0; i < n; ++i) b.sightings.append(rand_sighting(rng));
   return b;
 }
 
 BatchedUpdateAck rand_batch_ack(Rng& rng) {
   BatchedUpdateAck b;
   const std::size_t n = rng.next_below(6);
-  for (std::size_t i = 0; i < n; ++i) b.append(rand_oid(rng), rng.uniform(0, 500));
+  for (std::size_t i = 0; i < n; ++i) {
+    const double acc = rng.uniform(0, 500);
+    b.acks.append({rand_oid(rng), acc});
+  }
   return b;
 }
 
 BatchedRefreshReq rand_refresh_batch(Rng& rng) {
   BatchedRefreshReq b;
   const std::size_t n = rng.next_below(8);  // including empty sweeps
-  for (std::size_t i = 0; i < n; ++i) b.append(rand_oid(rng));
+  for (std::size_t i = 0; i < n; ++i) b.oids.append(rand_oid(rng));
   return b;
 }
 
 BatchedPathUpdate rand_path_batch(Rng& rng) {
   BatchedPathUpdate b;
   const std::size_t n = rng.next_below(8);  // including empty batches
-  for (std::size_t i = 0; i < n; ++i) b.append(rng.next_below(2) == 0, rand_oid(rng));
+  for (std::size_t i = 0; i < n; ++i) {
+    const ObjectId oid = rand_oid(rng);
+    b.ops.append({rng.next_below(2) == 0, oid});
+  }
   return b;
 }
 
@@ -111,8 +119,8 @@ ShardLoadStats rand_load_stats(Rng& rng) {
   m.seq = rng.next_u64();
   const std::size_t n = rng.next_below(6);  // including empty snapshots
   for (std::size_t i = 0; i < n; ++i) {
-    m.append({static_cast<std::uint32_t>(rng.next_below(64)), rng.next_u64() >> 8,
-              rng.next_u64() >> 8, rng.next_u64() >> 8, rng.next_below(100000)});
+    m.entries.append({static_cast<std::uint32_t>(rng.next_below(64)), rng.next_u64() >> 8,
+                      rng.next_u64() >> 8, rng.next_u64() >> 8, rng.next_below(100000)});
   }
   return m;
 }
@@ -122,8 +130,8 @@ BucketMigrate rand_bucket_migrate(Rng& rng) {
   m.bucket = static_cast<std::uint32_t>(rng.next_below(256));
   const std::size_t n = rng.next_below(5);  // including empty migrations
   for (std::size_t i = 0; i < n; ++i) {
-    m.append({rand_sighting(rng), rng.uniform(0, 500),
-              static_cast<TimePoint>(rng.next_u64() >> 20), rand_reg_info(rng)});
+    m.entries.append({rand_sighting(rng), rng.uniform(0, 500),
+                      static_cast<TimePoint>(rng.next_u64() >> 20), rand_reg_info(rng)});
   }
   return m;
 }
@@ -132,9 +140,9 @@ ReplicaTee rand_replica_tee(Rng& rng) {
   ReplicaTee m;
   const std::size_t n = rng.next_below(5);  // including empty tees
   for (std::size_t i = 0; i < n; ++i) {
-    m.append({static_cast<ReplicaTee::Op>(rng.next_below(3)), rand_sighting(rng),
-              rng.uniform(0, 500), static_cast<TimePoint>(rng.next_u64() >> 20),
-              rand_reg_info(rng)});
+    m.entries.append({static_cast<ReplicaTee::Op>(rng.next_below(3)), rand_sighting(rng),
+                      rng.uniform(0, 500), static_cast<TimePoint>(rng.next_u64() >> 20),
+                      rand_reg_info(rng)});
   }
   return m;
 }
@@ -425,7 +433,103 @@ TEST(CodecProperty, RandomGarbageNeverCrashesTheDecoder) {
   }
 }
 
-// --- batched updates (framing invariants of wire/messages.hpp) ---------------
+// --- packed lists (framing invariants of wire/messages.hpp) ------------------
+
+/// Field-wise equality of any wire value (entries need no operator==).
+template <typename T>
+bool same(const T& a, const T& b) {
+  if constexpr (FieldList<T>) {
+    return fields(a) == fields(b);
+  } else {
+    return a == b;
+  }
+}
+
+/// The packed-list field of a list message (always its last field).
+template <typename M>
+const auto& list_of(const M& m) {
+  constexpr std::size_t kFields = std::tuple_size_v<decltype(fields(m))>;
+  return std::get<kFields - 1>(fields(m));
+}
+
+/// Encodes `msg`, decodes it again and checks the decoded list yields
+/// exactly `in`, entry by entry.
+template <typename M, typename E>
+void expect_list_round_trip(const M& msg, const std::vector<E>& in) {
+  EXPECT_EQ(list_of(msg).count, in.size());
+  const Buffer wire = encode_envelope(NodeId{4}, msg);
+  const auto decoded = decode_envelope(wire);
+  ASSERT_TRUE(decoded.ok());
+  const auto& out = std::get<M>(decoded.value().msg);
+  EXPECT_TRUE(same(out, msg));
+  ItemView<E> items = list_of(out).items();
+  std::size_t i = 0;
+  while (const auto item = items.next()) {
+    ASSERT_LT(i, in.size());
+    EXPECT_TRUE(same(item->value, in[i]));
+    ++i;
+  }
+  EXPECT_EQ(i, in.size());
+}
+
+/// The list_items routing view of an encoded single-list message agrees with
+/// the owned list entry by entry, and the raw item ranges re-concatenate to
+/// exactly the packed region (shard splitting re-frames by memcpy of them).
+template <typename M>
+void expect_view_matches_list(const M& msg) {
+  const Buffer wire = encode_envelope(NodeId{6}, msg);
+  auto view = list_items<M>(wire.data(), wire.size());
+  ASSERT_TRUE(view.has_value());
+  auto owned = list_of(msg).items();
+  Buffer reassembled;
+  std::size_t items = 0;
+  while (const auto item = view->next()) {
+    const auto expected = owned.next();
+    ASSERT_TRUE(expected.has_value());
+    EXPECT_TRUE(same(item->value, expected->value));
+    reassembled.insert(reassembled.end(), item->data, item->data + item->len);
+    ++items;
+  }
+  EXPECT_FALSE(owned.next().has_value());
+  EXPECT_EQ(items, list_of(msg).count);
+  EXPECT_EQ(reassembled, list_of(msg).packed);
+}
+
+template <typename E>
+std::size_t count_items(ItemView<E> view) {
+  std::size_t n = 0;
+  while (view.next()) ++n;
+  return n;
+}
+
+/// Flips one random bit of the encoded `msg`: whatever it hits, the routing
+/// view (single-list messages) and the lazy iteration of a list that still
+/// decodes stay in bounds, and the decoded message re-encodes cleanly.
+template <typename M>
+void flip_one_bit_and_iterate(Rng& rng, const M& msg) {
+  Buffer wire = encode_envelope(NodeId{8}, msg);
+  const std::size_t byte = rng.next_below(wire.size());
+  wire[byte] ^= static_cast<std::uint8_t>(1u << rng.next_below(8));
+  if constexpr (std::tuple_size_v<decltype(fields(msg))> == 1) {
+    if (const auto view = list_items<M>(wire.data(), wire.size())) count_items(*view);
+  }
+  const auto decoded = decode_envelope(wire);
+  if (!decoded.ok()) return;
+  if (const auto* m = std::get_if<M>(&decoded.value().msg)) {
+    count_items(list_of(*m).items());
+    encode_envelope(NodeId{8}, *m);
+  }
+}
+
+/// Every cut into the encoded `msg` that drops at least `min_cut` bytes
+/// breaks the packed_len prefix: the envelope sticky-fails.
+template <typename M>
+void expect_cuts_fail(const M& msg, std::size_t min_cut, std::size_t max_cut) {
+  const Buffer wire = encode_envelope(NodeId{3}, msg);
+  for (std::size_t cut = min_cut; cut < max_cut; ++cut) {
+    EXPECT_FALSE(decode_envelope(wire.data(), wire.size() - cut).ok()) << cut;
+  }
+}
 
 TEST(CodecProperty, BatchCursorRoundTripsEverySighting) {
   Rng rng(88);
@@ -434,85 +538,38 @@ TEST(CodecProperty, BatchCursorRoundTripsEverySighting) {
     BatchedUpdateReq batch;
     for (auto& s : in) {
       s = rand_sighting(rng);
-      batch.append(s);
+      batch.sightings.append(s);
     }
-    EXPECT_EQ(batch.count, in.size());
-    const Buffer wire = encode_envelope(NodeId{4}, batch);
-    const auto decoded = decode_envelope(wire);
-    ASSERT_TRUE(decoded.ok());
-    const auto& out = std::get<BatchedUpdateReq>(decoded.value().msg);
-    EXPECT_EQ(out.count, in.size());
-    BatchedUpdateReq::Cursor cur = out.sightings();
-    core::Sighting s;
-    std::size_t i = 0;
-    while (cur.next(s)) {
-      ASSERT_LT(i, in.size());
-      EXPECT_EQ(s.oid, in[i].oid);
-      EXPECT_EQ(s.t, in[i].t);
-      EXPECT_EQ(s.pos, in[i].pos);
-      EXPECT_EQ(s.acc_sens, in[i].acc_sens);
-      ++i;
-    }
-    EXPECT_EQ(i, in.size());
+    expect_list_round_trip(batch, in);
   }
 }
 
 TEST(CodecProperty, BatchViewAgreesWithCursorAndReencodesItems) {
   Rng rng(89);
-  for (int iter = 0; iter < 64; ++iter) {
-    BatchedUpdateReq batch = rand_batch(rng);
-    const Buffer wire = encode_envelope(NodeId{6}, batch);
-    BatchedUpdateView view(wire.data(), wire.size());
-    ASSERT_TRUE(view.valid());
-    EXPECT_EQ(view.count(), batch.count);
-    BatchedUpdateReq::Cursor cur = batch.sightings();
-    core::Sighting s;
-    Buffer reassembled;
-    std::size_t items = 0;
-    while (const auto item = view.next()) {
-      ASSERT_TRUE(cur.next(s));
-      EXPECT_EQ(item->oid, s.oid);  // the routing peek sees the same key
-      reassembled.insert(reassembled.end(), item->data, item->data + item->len);
-      ++items;
-    }
-    EXPECT_FALSE(cur.next(s));
-    EXPECT_EQ(items, batch.count);
-    // The concatenated item ranges ARE the packed region (shard splitting
-    // re-frames batches by memcpy of these ranges).
-    EXPECT_EQ(reassembled, batch.packed);
-  }
+  for (int iter = 0; iter < 64; ++iter) expect_view_matches_list(rand_batch(rng));
   // Non-batch datagrams are rejected.
   const Buffer other = encode_envelope(NodeId{6}, UpdateReq{{}});
-  EXPECT_FALSE(BatchedUpdateView(other.data(), other.size()).valid());
-  EXPECT_FALSE(BatchedUpdateView(nullptr, 0).valid());
+  EXPECT_FALSE(list_items<BatchedUpdateReq>(other.data(), other.size()));
+  EXPECT_FALSE(list_items<BatchedUpdateReq>(nullptr, 0));
 }
 
 TEST(CodecProperty, TruncatedBatchTailStopsIterationWithoutCrashing) {
   Rng rng(90);
   BatchedUpdateReq batch;
-  for (int i = 0; i < 4; ++i) batch.append(rand_sighting(rng));
+  for (int i = 0; i < 4; ++i) batch.sightings.append(rand_sighting(rng));
   // Cut the packed region mid-sighting: the ENVELOPE must sticky-fail (the
   // packed_len prefix no longer fits the datagram) ...
-  const Buffer wire = encode_envelope(NodeId{3}, batch);
-  for (std::size_t cut = 1; cut < 30; ++cut) {
-    EXPECT_FALSE(decode_envelope(wire.data(), wire.size() - cut).ok());
-  }
+  expect_cuts_fail(batch, 1, 30);
   // ... and a batch whose OWNED packed region is malformed (bit rot, buggy
   // sender) stops lazy iteration at the damage instead of overrunning.
   BatchedUpdateReq damaged = batch;
-  damaged.packed.resize(damaged.packed.size() - 7);
-  BatchedUpdateReq::Cursor cur = damaged.sightings();
-  core::Sighting s;
-  std::size_t complete = 0;
-  while (cur.next(s)) ++complete;
-  EXPECT_EQ(complete, 3u);
+  damaged.sightings.packed.resize(damaged.sightings.packed.size() - 7);
+  EXPECT_EQ(count_items(damaged.sightings.items()), 3u);
   // Same for the routing view over a re-encoded damaged batch.
   const Buffer damaged_wire = encode_envelope(NodeId{3}, damaged);
-  BatchedUpdateView view(damaged_wire.data(), damaged_wire.size());
-  ASSERT_TRUE(view.valid());
-  std::size_t viewed = 0;
-  while (view.next()) ++viewed;
-  EXPECT_EQ(viewed, 3u);
+  const auto view = list_items<BatchedUpdateReq>(damaged_wire.data(), damaged_wire.size());
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(count_items(*view), 3u);
 }
 
 TEST(CodecProperty, BatchBitFlipsNeverCrashCursorOrView) {
@@ -520,25 +577,8 @@ TEST(CodecProperty, BatchBitFlipsNeverCrashCursorOrView) {
   for (int iter = 0; iter < 200; ++iter) {
     BatchedUpdateReq batch;
     const std::size_t n = 1 + rng.next_below(6);
-    for (std::size_t i = 0; i < n; ++i) batch.append(rand_sighting(rng));
-    Buffer wire = encode_envelope(NodeId{8}, batch);
-    const std::size_t byte = rng.next_below(wire.size());
-    wire[byte] ^= static_cast<std::uint8_t>(1u << rng.next_below(8));
-    // The view never crashes, whatever the flip hit.
-    BatchedUpdateView view(wire.data(), wire.size());
-    while (view.next()) {
-    }
-    // If the envelope still decodes, lazy iteration must stay in bounds.
-    const auto decoded = decode_envelope(wire);
-    if (decoded.ok()) {
-      if (const auto* m = std::get_if<BatchedUpdateReq>(&decoded.value().msg)) {
-        BatchedUpdateReq::Cursor cur = m->sightings();
-        core::Sighting s;
-        while (cur.next(s)) {
-        }
-        encode_envelope(NodeId{8}, *m);  // and re-encode cleanly
-      }
-    }
+    for (std::size_t i = 0; i < n; ++i) batch.sightings.append(rand_sighting(rng));
+    flip_one_bit_and_iterate(rng, batch);
   }
 }
 
@@ -551,76 +591,37 @@ TEST(CodecProperty, RefreshBatchCursorRoundTripsEveryOid) {
     BatchedRefreshReq batch;
     for (auto& oid : in) {
       oid = rand_oid(rng);
-      batch.append(oid);
+      batch.oids.append(oid);
     }
-    EXPECT_EQ(batch.count, in.size());
-    const Buffer wire = encode_envelope(NodeId{4}, batch);
-    const auto decoded = decode_envelope(wire);
-    ASSERT_TRUE(decoded.ok());
-    const auto& out = std::get<BatchedRefreshReq>(decoded.value().msg);
-    EXPECT_EQ(out.count, in.size());
-    BatchedRefreshReq::Cursor cur = out.oids();
-    ObjectId oid;
-    std::size_t i = 0;
-    while (cur.next(oid)) {
-      ASSERT_LT(i, in.size());
-      EXPECT_EQ(oid, in[i]);
-      ++i;
-    }
-    EXPECT_EQ(i, in.size());
+    expect_list_round_trip(batch, in);
   }
 }
 
 TEST(CodecProperty, RefreshViewAgreesWithCursorAndRejectsOtherTypes) {
   Rng rng(93);
-  for (int iter = 0; iter < 64; ++iter) {
-    BatchedRefreshReq batch = rand_refresh_batch(rng);
-    const Buffer wire = encode_envelope(NodeId{6}, batch);
-    BatchedRefreshView view(wire.data(), wire.size());
-    ASSERT_TRUE(view.valid());
-    EXPECT_EQ(view.count(), batch.count);
-    BatchedRefreshReq::Cursor cur = batch.oids();
-    ObjectId oid;
-    Buffer reassembled;
-    std::size_t items = 0;
-    while (const auto item = view.next()) {
-      ASSERT_TRUE(cur.next(oid));
-      EXPECT_EQ(item->oid, oid);  // the routing peek sees the same key
-      reassembled.insert(reassembled.end(), item->data, item->data + item->len);
-      ++items;
-    }
-    EXPECT_FALSE(cur.next(oid));
-    EXPECT_EQ(items, batch.count);
-    // The concatenated item ranges ARE the packed region (shard splitting
-    // re-frames recovery sweeps by memcpy of these ranges).
-    EXPECT_EQ(reassembled, batch.packed);
-  }
+  for (int iter = 0; iter < 64; ++iter) expect_view_matches_list(rand_refresh_batch(rng));
   // Non-refresh datagrams are rejected (incl. the other batch type).
   const Buffer update = encode_envelope(NodeId{6}, UpdateReq{{}});
-  EXPECT_FALSE(BatchedRefreshView(update.data(), update.size()).valid());
+  EXPECT_FALSE(list_items<BatchedRefreshReq>(update.data(), update.size()));
   const Buffer batch_upd = encode_envelope(NodeId{6}, BatchedUpdateReq{});
-  EXPECT_FALSE(BatchedRefreshView(batch_upd.data(), batch_upd.size()).valid());
-  EXPECT_FALSE(BatchedRefreshView(nullptr, 0).valid());
+  EXPECT_FALSE(list_items<BatchedRefreshReq>(batch_upd.data(), batch_upd.size()));
+  EXPECT_FALSE(list_items<BatchedRefreshReq>(nullptr, 0));
 }
 
 TEST(CodecProperty, TruncatedRefreshBatchStickyFailsAndStopsIteration) {
   Rng rng(94);
   BatchedRefreshReq batch;
-  for (int i = 0; i < 6; ++i) batch.append(ObjectId{(1ULL << 40) + rng.next_u64() % 1000});
+  for (int i = 0; i < 6; ++i) {
+    batch.oids.append(ObjectId{(1ULL << 40) + rng.next_u64() % 1000});
+  }
   // Cutting the datagram breaks the packed_len prefix: envelope sticky-fails.
   const Buffer wire = encode_envelope(NodeId{3}, batch);
-  for (std::size_t cut = 1; cut < wire.size() - 6; ++cut) {
-    EXPECT_FALSE(decode_envelope(wire.data(), wire.size() - cut).ok());
-  }
+  expect_cuts_fail(batch, 1, wire.size() - 6);
   // A batch whose OWNED packed region is damaged mid-varint stops lazy
   // iteration at the damage instead of overrunning.
   BatchedRefreshReq damaged = batch;
-  damaged.packed.resize(damaged.packed.size() - 2);
-  BatchedRefreshReq::Cursor cur = damaged.oids();
-  ObjectId oid;
-  std::size_t complete = 0;
-  while (cur.next(oid)) ++complete;
-  EXPECT_EQ(complete, 5u);
+  damaged.oids.packed.resize(damaged.oids.packed.size() - 2);
+  EXPECT_EQ(count_items(damaged.oids.items()), 5u);
 }
 
 TEST(CodecProperty, RefreshBatchBitFlipsNeverCrashCursorOrView) {
@@ -628,25 +629,8 @@ TEST(CodecProperty, RefreshBatchBitFlipsNeverCrashCursorOrView) {
   for (int iter = 0; iter < 200; ++iter) {
     BatchedRefreshReq batch;
     const std::size_t n = 1 + rng.next_below(8);
-    for (std::size_t i = 0; i < n; ++i) batch.append(rand_oid(rng));
-    Buffer wire = encode_envelope(NodeId{8}, batch);
-    const std::size_t byte = rng.next_below(wire.size());
-    wire[byte] ^= static_cast<std::uint8_t>(1u << rng.next_below(8));
-    // The view never crashes, whatever the flip hit.
-    BatchedRefreshView view(wire.data(), wire.size());
-    while (view.next()) {
-    }
-    // If the envelope still decodes, lazy iteration must stay in bounds.
-    const auto decoded = decode_envelope(wire);
-    if (decoded.ok()) {
-      if (const auto* m = std::get_if<BatchedRefreshReq>(&decoded.value().msg)) {
-        BatchedRefreshReq::Cursor cur = m->oids();
-        ObjectId oid;
-        while (cur.next(oid)) {
-        }
-        encode_envelope(NodeId{8}, *m);  // and re-encode cleanly
-      }
-    }
+    for (std::size_t i = 0; i < n; ++i) batch.oids.append(rand_oid(rng));
+    flip_one_bit_and_iterate(rng, batch);
   }
 }
 
@@ -661,28 +645,9 @@ TEST(CodecProperty, ShardLoadStatsCursorRoundTripsEveryEntry) {
     for (auto& e : in) {
       e = {static_cast<std::uint32_t>(rng.next_below(64)), rng.next_u64() >> 8,
            rng.next_u64() >> 8, rng.next_u64() >> 8, rng.next_below(100000)};
-      stats.append(e);
+      stats.entries.append(e);
     }
-    EXPECT_EQ(stats.count, in.size());
-    const Buffer wire = encode_envelope(NodeId{4}, stats);
-    const auto decoded = decode_envelope(wire);
-    ASSERT_TRUE(decoded.ok());
-    const auto& out = std::get<ShardLoadStats>(decoded.value().msg);
-    EXPECT_EQ(out.seq, stats.seq);
-    EXPECT_EQ(out.count, in.size());
-    ShardLoadStats::Cursor cur = out.entries();
-    ShardLoadStats::Entry e;
-    std::size_t i = 0;
-    while (cur.next(e)) {
-      ASSERT_LT(i, in.size());
-      EXPECT_EQ(e.shard, in[i].shard);
-      EXPECT_EQ(e.sightings, in[i].sightings);
-      EXPECT_EQ(e.visitors, in[i].visitors);
-      EXPECT_EQ(e.msgs_handled, in[i].msgs_handled);
-      EXPECT_EQ(e.inbox_depth, in[i].inbox_depth);
-      ++i;
-    }
-    EXPECT_EQ(i, in.size());
+    expect_list_round_trip(stats, in);
   }
 }
 
@@ -695,30 +660,9 @@ TEST(CodecProperty, BucketMigrateCursorRoundTripsEveryEntry) {
     for (auto& e : in) {
       e = {rand_sighting(rng), rng.uniform(0, 500),
            static_cast<TimePoint>(rng.next_u64() >> 20), rand_reg_info(rng)};
-      mig.append(e);
+      mig.entries.append(e);
     }
-    EXPECT_EQ(mig.count, in.size());
-    const Buffer wire = encode_envelope(NodeId{4}, mig);
-    const auto decoded = decode_envelope(wire);
-    ASSERT_TRUE(decoded.ok());
-    const auto& out = std::get<BucketMigrate>(decoded.value().msg);
-    EXPECT_EQ(out.bucket, mig.bucket);
-    EXPECT_EQ(out.count, in.size());
-    BucketMigrate::Cursor cur = out.entries();
-    BucketMigrate::Entry e;
-    std::size_t i = 0;
-    while (cur.next(e)) {
-      ASSERT_LT(i, in.size());
-      EXPECT_EQ(e.s.oid, in[i].s.oid);
-      EXPECT_EQ(e.s.t, in[i].s.t);
-      EXPECT_EQ(e.s.pos, in[i].s.pos);
-      EXPECT_EQ(e.s.acc_sens, in[i].s.acc_sens);
-      EXPECT_EQ(e.offered_acc, in[i].offered_acc);
-      EXPECT_EQ(e.expiry, in[i].expiry);
-      EXPECT_EQ(e.reg, in[i].reg);
-      ++i;
-    }
-    EXPECT_EQ(i, in.size());
+    expect_list_round_trip(mig, in);
   }
 }
 
@@ -727,56 +671,29 @@ TEST(CodecProperty, TruncatedMigrateStickyFailsAndStopsIteration) {
   BucketMigrate mig;
   mig.bucket = 17;
   for (int i = 0; i < 4; ++i) {
-    mig.append({rand_sighting(rng), rng.uniform(0, 500),
-                static_cast<TimePoint>(rng.next_u64() >> 20), rand_reg_info(rng)});
+    mig.entries.append({rand_sighting(rng), rng.uniform(0, 500),
+                        static_cast<TimePoint>(rng.next_u64() >> 20), rand_reg_info(rng)});
   }
   // Cutting the datagram breaks the packed_len prefix: envelope sticky-fails.
-  const Buffer wire = encode_envelope(NodeId{3}, mig);
-  for (std::size_t cut = 1; cut < 40; ++cut) {
-    EXPECT_FALSE(decode_envelope(wire.data(), wire.size() - cut).ok());
-  }
+  expect_cuts_fail(mig, 1, 40);
   // A migration whose OWNED packed region is damaged mid-entry stops lazy
   // iteration at the damage instead of overrunning.
   BucketMigrate damaged = mig;
-  damaged.packed.resize(damaged.packed.size() - 5);
-  BucketMigrate::Cursor cur = damaged.entries();
-  BucketMigrate::Entry e;
-  std::size_t complete = 0;
-  while (cur.next(e)) ++complete;
-  EXPECT_EQ(complete, 3u);
+  damaged.entries.packed.resize(damaged.entries.packed.size() - 5);
+  EXPECT_EQ(count_items(damaged.entries.items()), 3u);
 }
 
 TEST(CodecProperty, MigrateAndLoadStatsBitFlipsNeverCrashTheCursors) {
   Rng rng(100);
   for (int iter = 0; iter < 200; ++iter) {
-    Buffer wire;
     if (iter % 2 == 0) {
       BucketMigrate mig = rand_bucket_migrate(rng);
-      mig.append({rand_sighting(rng), 1.0, 2, rand_reg_info(rng)});
-      wire = encode_envelope(NodeId{8}, mig);
+      mig.entries.append({rand_sighting(rng), 1.0, 2, rand_reg_info(rng)});
+      flip_one_bit_and_iterate(rng, mig);
     } else {
       ShardLoadStats stats = rand_load_stats(rng);
-      stats.append({1, 2, 3, 4, 5});
-      wire = encode_envelope(NodeId{8}, stats);
-    }
-    const std::size_t byte = rng.next_below(wire.size());
-    wire[byte] ^= static_cast<std::uint8_t>(1u << rng.next_below(8));
-    // If the envelope still decodes, lazy iteration must stay in bounds and
-    // the result must re-encode cleanly.
-    const auto decoded = decode_envelope(wire);
-    if (!decoded.ok()) continue;
-    if (const auto* m = std::get_if<BucketMigrate>(&decoded.value().msg)) {
-      BucketMigrate::Cursor cur = m->entries();
-      BucketMigrate::Entry e;
-      while (cur.next(e)) {
-      }
-      encode_envelope(NodeId{8}, *m);
-    } else if (const auto* s = std::get_if<ShardLoadStats>(&decoded.value().msg)) {
-      ShardLoadStats::Cursor cur = s->entries();
-      ShardLoadStats::Entry e;
-      while (cur.next(e)) {
-      }
-      encode_envelope(NodeId{8}, *s);
+      stats.entries.append({1, 2, 3, 4, 5});
+      flip_one_bit_and_iterate(rng, stats);
     }
   }
 }
@@ -792,121 +709,54 @@ TEST(CodecProperty, ReplicaTeeCursorRoundTripsEveryEntry) {
       e = {static_cast<ReplicaTee::Op>(rng.next_below(3)), rand_sighting(rng),
            rng.uniform(0, 500), static_cast<TimePoint>(rng.next_u64() >> 20),
            rand_reg_info(rng)};
-      tee.append(e);
+      tee.entries.append(e);
     }
-    EXPECT_EQ(tee.count, in.size());
-    const Buffer wire = encode_envelope(NodeId{4}, tee);
-    const auto decoded = decode_envelope(wire);
-    ASSERT_TRUE(decoded.ok());
-    const auto& out = std::get<ReplicaTee>(decoded.value().msg);
-    EXPECT_EQ(out.count, in.size());
-    ReplicaTee::Cursor cur = out.entries();
-    ReplicaTee::Entry e;
-    std::size_t i = 0;
-    while (cur.next(e)) {
-      ASSERT_LT(i, in.size());
-      EXPECT_EQ(e.op, in[i].op);
-      EXPECT_EQ(e.s.oid, in[i].s.oid);
-      EXPECT_EQ(e.s.t, in[i].s.t);
-      EXPECT_EQ(e.s.pos, in[i].s.pos);
-      EXPECT_EQ(e.s.acc_sens, in[i].s.acc_sens);
-      EXPECT_EQ(e.offered_acc, in[i].offered_acc);
-      EXPECT_EQ(e.expiry, in[i].expiry);
-      EXPECT_EQ(e.reg, in[i].reg);
-      ++i;
-    }
-    EXPECT_EQ(i, in.size());
+    expect_list_round_trip(tee, in);
   }
 }
 
 TEST(CodecProperty, ReplicaTeeViewAgreesWithCursorAndReencodesItems) {
   Rng rng(102);
-  for (int iter = 0; iter < 64; ++iter) {
-    ReplicaTee tee = rand_replica_tee(rng);
-    const Buffer wire = encode_envelope(NodeId{6}, tee);
-    ReplicaTeeView view(wire.data(), wire.size());
-    ASSERT_TRUE(view.valid());
-    EXPECT_EQ(view.count(), tee.count);
-    ReplicaTee::Cursor cur = tee.entries();
-    ReplicaTee::Entry e;
-    Buffer reassembled;
-    std::size_t items = 0;
-    while (const auto item = view.next()) {
-      ASSERT_TRUE(cur.next(e));
-      EXPECT_EQ(item->oid, e.s.oid);  // the routing peek sees the same key
-      reassembled.insert(reassembled.end(), item->data, item->data + item->len);
-      ++items;
-    }
-    EXPECT_FALSE(cur.next(e));
-    EXPECT_EQ(items, tee.count);
-    // The concatenated item ranges ARE the packed region (shard splitting
-    // re-frames tees by memcpy of these ranges).
-    EXPECT_EQ(reassembled, tee.packed);
-  }
+  for (int iter = 0; iter < 64; ++iter) expect_view_matches_list(rand_replica_tee(rng));
   // Non-tee datagrams are rejected (incl. the look-alike batch framings).
   const Buffer update = encode_envelope(NodeId{6}, UpdateReq{{}});
-  EXPECT_FALSE(ReplicaTeeView(update.data(), update.size()).valid());
+  EXPECT_FALSE(list_items<ReplicaTee>(update.data(), update.size()));
   const Buffer batch = encode_envelope(NodeId{6}, BatchedUpdateReq{});
-  EXPECT_FALSE(ReplicaTeeView(batch.data(), batch.size()).valid());
-  EXPECT_FALSE(ReplicaTeeView(nullptr, 0).valid());
+  EXPECT_FALSE(list_items<ReplicaTee>(batch.data(), batch.size()));
+  EXPECT_FALSE(list_items<ReplicaTee>(nullptr, 0));
 }
 
 TEST(CodecProperty, TruncatedReplicaTeeStickyFailsAndStopsIteration) {
   Rng rng(103);
   ReplicaTee tee;
   for (int i = 0; i < 4; ++i) {
-    tee.append({ReplicaTee::Op::kUpsert, rand_sighting(rng), rng.uniform(0, 500),
-                static_cast<TimePoint>(rng.next_u64() >> 20), rand_reg_info(rng)});
+    tee.entries.append({ReplicaTee::Op::kUpsert, rand_sighting(rng), rng.uniform(0, 500),
+                        static_cast<TimePoint>(rng.next_u64() >> 20), rand_reg_info(rng)});
   }
   // Cutting the datagram breaks the packed_len prefix: envelope sticky-fails.
-  const Buffer wire = encode_envelope(NodeId{3}, tee);
-  for (std::size_t cut = 1; cut < 40; ++cut) {
-    EXPECT_FALSE(decode_envelope(wire.data(), wire.size() - cut).ok());
-  }
+  expect_cuts_fail(tee, 1, 40);
   // A tee whose OWNED packed region is damaged mid-entry stops lazy iteration
   // at the damage instead of overrunning.
   ReplicaTee damaged = tee;
-  damaged.packed.resize(damaged.packed.size() - 5);
-  ReplicaTee::Cursor cur = damaged.entries();
-  ReplicaTee::Entry e;
-  std::size_t complete = 0;
-  while (cur.next(e)) ++complete;
-  EXPECT_EQ(complete, 3u);
-  // An out-of-range op byte stops both the cursor and the view.
+  damaged.entries.packed.resize(damaged.entries.packed.size() - 5);
+  EXPECT_EQ(count_items(damaged.entries.items()), 3u);
+  // An out-of-range op byte stops both the owned iteration and the view.
   ReplicaTee bad_op = tee;
-  bad_op.packed[0] = 0x7F;
-  ReplicaTee::Cursor bad_cur = bad_op.entries();
-  EXPECT_FALSE(bad_cur.next(e));
+  bad_op.entries.packed[0] = 0x7F;
+  EXPECT_EQ(count_items(bad_op.entries.items()), 0u);
   const Buffer bad_wire = encode_envelope(NodeId{3}, bad_op);
-  ReplicaTeeView bad_view(bad_wire.data(), bad_wire.size());
-  ASSERT_TRUE(bad_view.valid());
-  EXPECT_FALSE(bad_view.next().has_value());
+  const auto bad_view = list_items<ReplicaTee>(bad_wire.data(), bad_wire.size());
+  ASSERT_TRUE(bad_view.has_value());
+  EXPECT_EQ(count_items(*bad_view), 0u);
 }
 
 TEST(CodecProperty, ReplicaTeeBitFlipsNeverCrashCursorOrView) {
   Rng rng(104);
   for (int iter = 0; iter < 200; ++iter) {
     ReplicaTee tee = rand_replica_tee(rng);
-    tee.append({ReplicaTee::Op::kRemove, rand_sighting(rng), 1.0, 2,
-                rand_reg_info(rng)});
-    Buffer wire = encode_envelope(NodeId{8}, tee);
-    const std::size_t byte = rng.next_below(wire.size());
-    wire[byte] ^= static_cast<std::uint8_t>(1u << rng.next_below(8));
-    // The view never crashes, whatever the flip hit.
-    ReplicaTeeView view(wire.data(), wire.size());
-    while (view.next()) {
-    }
-    // If the envelope still decodes, lazy iteration must stay in bounds.
-    const auto decoded = decode_envelope(wire);
-    if (decoded.ok()) {
-      if (const auto* m = std::get_if<ReplicaTee>(&decoded.value().msg)) {
-        ReplicaTee::Cursor cur = m->entries();
-        ReplicaTee::Entry e;
-        while (cur.next(e)) {
-        }
-        encode_envelope(NodeId{8}, *m);  // and re-encode cleanly
-      }
-    }
+    tee.entries.append({ReplicaTee::Op::kRemove, rand_sighting(rng), 1.0, 2,
+                        rand_reg_info(rng)});
+    flip_one_bit_and_iterate(rng, tee);
   }
 }
 
@@ -984,31 +834,6 @@ NNProbeSubRes rand_nn_sub(Rng& rng) {
                        rand_origin(rng)};
 }
 
-void write_result_v1(Writer& w, const core::ObjectResult& r) {
-  w.u64(r.oid.value);
-  w.f64(r.ld.pos.x);
-  w.f64(r.ld.pos.y);
-  w.f64(r.ld.acc);
-}
-
-/// Hand-encodes the legacy (version-1) vector framing of a result list.
-void write_results_v1(Writer& w, const std::vector<core::ObjectResult>& v) {
-  w.u64(v.size());
-  for (const auto& r : v) write_result_v1(w, r);
-}
-
-void write_origin(Writer& w, const std::optional<OriginArea>& origin) {
-  w.boolean(origin.has_value());
-  if (origin) {
-    w.u64(origin->leaf.value);
-    w.u64(origin->area.size());
-    for (const geo::Point& p : origin->area.vertices()) {
-      w.f64(p.x);
-      w.f64(p.y);
-    }
-  }
-}
-
 }  // namespace
 
 TEST(CodecProperty, SubResViewAgreesWithOwnedDecode) {
@@ -1054,12 +879,12 @@ TEST(CodecProperty, SubResViewAgreesWithOwnedDecode) {
     // Item iteration agrees with the owned decode, and the raw byte ranges
     // re-concatenate to exactly the packed region (the merge loops copy
     // these ranges verbatim).
-    ResultCursor cur = view.items();
+    ItemView<core::ObjectResult> items = view.items();
     Buffer reassembled;
     std::size_t i = 0;
-    while (const auto item = cur.next()) {
+    while (const auto item = items.next()) {
       ASSERT_LT(i, owned.size());
-      EXPECT_EQ(item->res, owned[i]);
+      EXPECT_EQ(item->value, owned[i]);
       reassembled.insert(reassembled.end(), item->data, item->data + item->len);
       ++i;
     }
@@ -1077,69 +902,43 @@ TEST(CodecProperty, SubResViewAgreesWithOwnedDecode) {
   }
 }
 
-TEST(CodecProperty, LegacyV1ResultFramingsStillDecode) {
+TEST(CodecProperty, EveryTypeAcceptsOnlyItsOwnVersionByte) {
+  // The packed result types are version 2, everything else version 1; a
+  // datagram stamped with the other version byte -- e.g. a version-1
+  // (legacy vector) sub-result -- is rejected by the decode, the routing
+  // peek and the sub-result view alike.
   Rng rng(777);
-  for (int iter = 0; iter < 64; ++iter) {
-    const std::uint64_t req_id = rng.next_u64();
-    const double covered = rng.uniform(0, 1e6);
-    PackedResults results = rand_results(rng);
-    const std::vector<core::ObjectResult> owned = results.to_vector();
-    const std::optional<OriginArea> origin = rand_origin(rng);
-
-    // Hand-encode the PRE-REFACTOR (version 1, length-prefixed vector)
-    // RangeQuerySubRes layout...
-    Buffer v1;
-    {
-      Writer w(v1);
-      w.u8(kWireVersion);
-      w.u8(static_cast<std::uint8_t>(MsgType::kRangeQuerySubRes));
-      w.u32_fixed(7);
-      w.u64(req_id);
-      w.f64(covered);
-      write_results_v1(w, owned);
-      write_origin(w, origin);
-    }
-    // ...which must not be viewable (views are version-2 only)...
-    EXPECT_FALSE(SubResView(v1.data(), v1.size()).valid());
-    // ...but must still decode, into the packed representation, with the
-    // packed bytes byte-identical to a natively packed message.
-    const auto decoded = decode_envelope(v1);
-    ASSERT_TRUE(decoded.ok());
-    const auto* sub = std::get_if<RangeQuerySubRes>(&decoded.value().msg);
-    ASSERT_NE(sub, nullptr);
-    EXPECT_EQ(sub->req_id, req_id);
-    EXPECT_EQ(sub->results, results);
-    EXPECT_EQ(sub->origin.has_value(), origin.has_value());
-
-    // Truncating the v1 results region must sticky-fail, not mis-decode.
-    if (!owned.empty()) {
-      Buffer origin_buf;
-      {
-        Writer w(origin_buf);
-        write_origin(w, origin);
-      }
-      const std::size_t keep = v1.size() - origin_buf.size() - 3;
-      EXPECT_FALSE(decode_envelope(v1.data(), keep).ok());
-    }
-
-    // Same drill for the legacy NNQueryRes near_set framing.
-    Buffer nn1;
-    {
-      Writer w(nn1);
-      w.u8(kWireVersion);
-      w.u8(static_cast<std::uint8_t>(MsgType::kNNQueryRes));
-      w.u32_fixed(7);
-      w.u64(req_id);
-      w.boolean(true);
-      write_result_v1(w, owned.empty() ? core::ObjectResult{} : owned.front());
-      write_results_v1(w, owned);
-    }
-    const auto nn_decoded = decode_envelope(nn1);
-    ASSERT_TRUE(nn_decoded.ok());
-    const auto* nn = std::get_if<NNQueryRes>(&nn_decoded.value().msg);
-    ASSERT_NE(nn, nullptr);
-    EXPECT_EQ(nn->near_set, results);
+  for (const Message& m : random_messages(rng)) {
+    Buffer wire = encode_envelope(NodeId{7}, m);
+    ASSERT_EQ(wire[0], version_of(message_type(m)));
+    wire[0] = wire[0] == kWireVersion ? kWireVersionPacked : kWireVersion;
+    EXPECT_FALSE(decode_envelope(wire).ok()) << msg_type_name(message_type(m));
+    EXPECT_FALSE(peek_object_key(wire.data(), wire.size()).has_value());
+    EXPECT_FALSE(SubResView(wire.data(), wire.size()).valid());
   }
+}
+
+TEST(CodecProperty, OversizedPolygonVertexCountIsRejected) {
+  // A vertex count the remaining bytes cannot hold must sticky-fail: the
+  // fields after the polygon would otherwise be read from the wrong bytes.
+  Buffer wire;
+  {
+    Writer w(wire);
+    begin_envelope(w, NodeId{7}, MsgType::kRangeQueryReq);
+    w.u64(2'000'000);  // vertex count, no points follow
+    w.f64(10.0);       // req_acc
+    w.f64(0.5);        // req_overlap
+    w.u64(42);         // req_id
+  }
+  EXPECT_FALSE(decode_envelope(wire).ok());
+  // Just enough bytes for the claimed points still decodes.
+  RangeQueryReq req;
+  req.area = geo::Polygon::from_rect(geo::Rect{{0, 0}, {1, 1}});
+  req.req_id = 42;
+  const Buffer ok = encode_envelope(NodeId{7}, req);
+  const auto decoded = decode_envelope(ok);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(std::get<RangeQueryReq>(decoded.value().msg).area.size(), 4u);
 }
 
 TEST(CodecProperty, PackedResultTruncationAndBitFlipsNeverCrash) {
@@ -1151,11 +950,7 @@ TEST(CodecProperty, PackedResultTruncationAndBitFlipsNeverCrash) {
     for (std::size_t len = 0; len < wire.size(); ++len) {
       (void)decode_envelope(wire.data(), len);
       SubResView view(wire.data(), len);
-      if (view.valid()) {
-        ResultCursor cur = view.items();
-        while (cur.next()) {
-        }
-      }
+      if (view.valid()) count_items(view.items());
     }
     // Bit flips: iterate everything that still parses; never crash.
     Buffer flipped = wire;
@@ -1163,10 +958,7 @@ TEST(CodecProperty, PackedResultTruncationAndBitFlipsNeverCrash) {
       flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
       SubResView view(flipped.data(), flipped.size());
       if (view.valid()) {
-        ResultCursor cur = view.items();
-        std::uint64_t n = 0;
-        while (cur.next()) ++n;
-        EXPECT_LE(n * 25, view.packed_size() + 25);
+        EXPECT_LE(count_items(view.items()) * 25, view.packed_size() + 25);
         std::optional<OriginArea> o;
         view.origin(o);
       }

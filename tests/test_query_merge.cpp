@@ -1,6 +1,7 @@
 // Zero-materialization query merge: end-to-end equivalence, dedup-on-emit,
-// legacy-framing compat, partial answers on timeout, and the coalesced
-// CreatePath/RemovePath machinery riding on the same batch framing.
+// rejection of the retired version-1 framing, partial answers on timeout,
+// the range answer's transmit channel, and the coalesced CreatePath/
+// RemovePath machinery riding on the same packed-list framing.
 //
 // The merge path under test (core/location_server): version-2 sub-results
 // are consumed through wire::SubResView straight off the receive buffer,
@@ -180,7 +181,8 @@ struct EntryHarness {
     net.run_until_idle();
   }
 
-  /// One child's LEGACY (version 1, length-prefixed vector) sub-result.
+  /// One child's sub-result in the RETIRED version-1 (length-prefixed
+  /// vector) framing.
   void send_v1_sub(NodeId from, double covered,
                    const std::vector<ObjectResult>& results) {
     wm::Buffer v1;
@@ -223,19 +225,24 @@ TEST(QueryMerge, DedupOnEmitDropsCrossSegmentDuplicates) {
   EXPECT_EQ(h.server.stats().sub_res_pinned, 2u);
 }
 
-TEST(QueryMerge, LegacyV1SubResultsStillMerge) {
+TEST(QueryMerge, LegacyV1SubResultsAreRejected) {
   EntryHarness h;
   h.start_query();
   h.send_v1_sub(NodeId{2}, h.fwd_area.area() / 2.0,
                 {{ObjectId{7}, {{10, 10}, 5.0}}});
+  EXPECT_EQ(h.server.stats().decode_errors, 1u);
   h.send_packed_sub(NodeId{3}, h.fwd_area.area() / 2.0,
                     {{ObjectId{8}, {{990, 990}, 5.0}}});
+  // The version-1 half never counts as coverage, so only the timeout
+  // answers -- without the version-1 object.
+  ASSERT_FALSE(h.answer.has_value());
+  h.net.clock().advance(h.server.options().pending_timeout + 1);
+  h.server.tick(h.net.now());
+  h.net.run_until_idle();
   ASSERT_TRUE(h.answer.has_value());
-  EXPECT_TRUE(h.answer->complete);
-  EXPECT_EQ(sorted_ids(h.answer->objects),
-            (std::vector<ObjectId>{ObjectId{7}, ObjectId{8}}));
-  // One legacy copy, one pinned view.
-  EXPECT_EQ(h.server.stats().sub_res_copied, 1u);
+  EXPECT_FALSE(h.answer->complete);
+  EXPECT_EQ(sorted_ids(h.answer->objects), (std::vector<ObjectId>{ObjectId{8}}));
+  EXPECT_EQ(h.server.stats().sub_res_copied, 0u);
   EXPECT_EQ(h.server.stats().sub_res_pinned, 1u);
 }
 
@@ -252,6 +259,56 @@ TEST(QueryMerge, TimeoutEmitsPartialAnswerAndReleasesPins) {
   ASSERT_TRUE(h.answer.has_value());
   EXPECT_FALSE(h.answer->complete);
   EXPECT_EQ(sorted_ids(h.answer->objects), (std::vector<ObjectId>{ObjectId{5}}));
+}
+
+// --- transmit channel ---------------------------------------------------------
+
+/// Records every envelope handed to a shard's transmit channel.
+struct RecordingSender : net::Sender {
+  std::vector<std::pair<NodeId, wm::Buffer>> sent;
+  void send(NodeId to, net::PooledBuffer bytes) override {
+    sent.emplace_back(to, *bytes);
+  }
+  void flush() override {}
+};
+
+TEST(QueryMerge, RangeAnswerLeavesThroughTheTransmitChannel) {
+  // A leaf entry emits its merged RangeQueryRes directly into a pooled
+  // envelope (emit_range_result). With a transmit channel installed, that
+  // answer must take the channel like every other send, never the shared
+  // transport.
+  net::SimNetwork net;
+  core::ConfigRecord cfg;
+  cfg.sa = geo::Polygon::from_rect(geo::Rect{{0, 0}, {1000, 1000}});
+  cfg.parent = kNoNode;  // a lone leaf: the query never leaves it
+  core::LocationServer leaf(NodeId{1}, cfg, net, net.clock(), {});
+  RecordingSender tx;
+  leaf.set_tx_sender(&tx);
+  const NodeId client{900};
+
+  const wm::Buffer reg = wm::encode_envelope(
+      client, wm::RegisterReq{{ObjectId{3}, 0, {150, 150}, 1.0}, "", {10.0, 100.0},
+                              client, 1});
+  leaf.handle(reg.data(), reg.size());
+  wm::RangeQueryReq req;
+  req.area = rect_poly(100, 100, 200, 200);
+  req.req_acc = 50.0;
+  req.req_id = 5;
+  const wm::Buffer query = wm::encode_envelope(client, req);
+  leaf.handle(query.data(), query.size());
+
+  EXPECT_EQ(net.messages_sent(), 0u);
+  ASSERT_EQ(tx.sent.size(), 2u);  // RegisterRes, RangeQueryRes
+  EXPECT_EQ(tx.sent[1].first, client);
+  const auto decoded = wm::decode_envelope(tx.sent[1].second);
+  ASSERT_TRUE(decoded.ok());
+  const auto* res = std::get_if<wm::RangeQueryRes>(&decoded.value().msg);
+  ASSERT_NE(res, nullptr);
+  EXPECT_EQ(res->req_id, 5u);
+  EXPECT_TRUE(res->complete);
+  ASSERT_EQ(res->results.to_vector().size(), 1u);
+  EXPECT_EQ(res->results.to_vector()[0].oid, ObjectId{3});
+  EXPECT_EQ(leaf.stats().msgs_sent, 2u);
 }
 
 // --- coalesced forwarding-path maintenance -----------------------------------
