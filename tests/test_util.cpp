@@ -5,7 +5,6 @@
 #include "util/clock.hpp"
 #include "util/crc32.hpp"
 #include "util/ids.hpp"
-#include "util/metrics.hpp"
 #include "util/result.hpp"
 #include "util/rng.hpp"
 
@@ -152,23 +151,6 @@ TEST(Clock, DurationConversions) {
   EXPECT_EQ(milliseconds(3), 3'000);
   EXPECT_DOUBLE_EQ(to_seconds(seconds(5)), 5.0);
   EXPECT_DOUBLE_EQ(to_millis(milliseconds(7)), 7.0);
-}
-
-TEST(Metrics, HistogramPercentiles) {
-  LatencyHistogram h;
-  for (int i = 1; i <= 100; ++i) h.record(i);
-  EXPECT_EQ(h.count(), 100u);
-  EXPECT_NEAR(h.mean_us(), 50.5, 1e-9);
-  EXPECT_EQ(h.percentile_us(0.0), 1);
-  EXPECT_EQ(h.percentile_us(1.0), 100);
-  EXPECT_NEAR(static_cast<double>(h.percentile_us(0.5)), 50, 1);
-}
-
-TEST(Metrics, ThroughputMeter) {
-  ThroughputMeter m;
-  m.start(0);
-  m.add(500);
-  EXPECT_DOUBLE_EQ(m.ops_per_sec(seconds(2)), 250.0);
 }
 
 }  // namespace
