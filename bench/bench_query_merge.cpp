@@ -245,7 +245,7 @@ MergeCost baseline_merge(const std::vector<std::vector<wm::Buffer>>& groups,
         const auto* sub = std::get_if<wm::RangeQuerySubRes>(&scratch.msg);
         if (sub == nullptr) std::abort();
         decoded.clear();
-        wm::ItemView<core::ObjectResult> items = sub->results.items();
+        auto items = sub->results.items();
         while (const auto item = items.next()) {
           decoded.push_back(item->value);  // wire -> decoded vector
         }

@@ -302,7 +302,7 @@ void TwoTierServer::on_range_query_sub_res(NodeId src,
   const auto it = pending_range_.find(m.req_id);
   if (it == pending_range_.end()) return;
   it->second.covered += m.covered_size;
-  wm::ItemView<core::ObjectResult> results = m.results.items();
+  auto results = m.results.items();
   while (const auto r = results.next()) it->second.results.push_back(r->value);
   try_complete_range(m.req_id);
 }

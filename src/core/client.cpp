@@ -163,7 +163,7 @@ void TrackedObject::handle(const std::uint8_t* data, std::size_t len) {
           // Batched recovery sweep: answer if our oid is listed (clients
           // owning one object get single-entry batches; gateways fan out).
           if (state_ != State::kTracked) return;
-          wm::ItemView<ObjectId> oids = m.oids.items();
+          auto oids = m.oids.items();
           while (const auto oid = oids.next()) {
             if (oid->value != oid_) continue;
             ++refreshes_answered_;

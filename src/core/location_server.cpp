@@ -336,7 +336,7 @@ void LocationServer::on_batched_path_update(NodeId src,
   // Entries replay in order, each exactly like its unbatched message; the
   // upward forwards re-enter this server's own coalescer, so a burst stays
   // batched hop by hop toward the root.
-  wm::ItemView<wm::BatchedPathUpdate::Entry> ops = m.ops.items();
+  auto ops = m.ops.items();
   while (const auto op = ops.next()) {
     const ObjectId oid = op->value.oid;
     if (op->value.create) {
@@ -386,7 +386,7 @@ void LocationServer::on_update_req(NodeId src, const wm::UpdateReq& m) {
 void LocationServer::on_batched_update_req(NodeId src, const wm::BatchedUpdateReq& m) {
   if (!cfg_.is_leaf()) return;  // updates always go to the agent (a leaf)
   if (standby_passive()) {
-    wm::ItemView<Sighting> bounced = m.sightings.items();
+    auto bounced = m.sightings.items();
     while (const auto item = bounced.next()) bounce_sighting(item->value);
     flush_bounce();
     return;
@@ -399,7 +399,7 @@ void LocationServer::on_batched_update_req(NodeId src, const wm::BatchedUpdateRe
   batch_apply_scratch_.clear();
   wm::BatchedUpdateAck& ack = batch_ack_scratch_;
   ack.acks.clear();
-  wm::ItemView<Sighting> sightings = m.sightings.items();
+  auto sightings = m.sightings.items();
   while (const auto item = sightings.next()) {
     const Sighting& s = item->value;
     const store::VisitorRecord* rec = visitor_db_.find(s.oid);
@@ -615,7 +615,7 @@ void LocationServer::on_bucket_migrate(NodeId src, const wire::BucketMigrate& m)
   // Intra-leaf only: the donor shard stamps the migration with the leaf's
   // own NodeId. Anything else is a stray or forged datagram -- drop it.
   if (!cfg_.is_leaf() || src != self_ || !sightings_) return;
-  wire::ItemView<wire::BucketMigrate::Entry> entries = m.entries.items();
+  auto entries = m.entries.items();
   while (const auto item = entries.next()) {
     const wire::BucketMigrate::Entry& e = item->value;
     visitor_db_.insert_leaf(e.s.oid, e.offered_acc, e.reg);
@@ -697,7 +697,7 @@ void LocationServer::on_replica_tee(NodeId src, const wm::ReplicaTee& m) {
     // to the demoted replica (see bounce_sighting). Apply each against OUR
     // registration record -- the primary is authoritative for admission
     // state -- and re-tee it so the rebuilding mirror sees it too.
-    wire::ItemView<wire::ReplicaTee::Entry> entries = m.entries.items();
+    auto entries = m.entries.items();
     while (const auto item = entries.next()) {
       const wire::ReplicaTee::Entry& e = item->value;
       if (e.op != wire::ReplicaTee::Op::kUpsert) continue;
@@ -712,7 +712,7 @@ void LocationServer::on_replica_tee(NodeId src, const wm::ReplicaTee& m) {
   }
   // Replica role: accept only from the one primary this server mirrors.
   if (!standby_primary_.valid() || src != standby_primary_) return;
-  wire::ItemView<wire::ReplicaTee::Entry> entries = m.entries.items();
+  auto entries = m.entries.items();
   while (const auto item = entries.next()) {
     const wire::ReplicaTee::Entry& e = item->value;
     ++stats_.tee_entries_applied;
@@ -1188,7 +1188,7 @@ void LocationServer::handle_sub_res_view(wm::SubResView& view,
     learn_origin(origin_scratch_);
   }
   it->second.covered += view.covered_size();
-  wm::ItemView<ObjectResult> items = view.items();
+  auto items = view.items();
   while (const auto item = items.next()) {
     it->second.candidates[item->value.oid] = item->value.ld;
   }
@@ -1627,7 +1627,7 @@ void LocationServer::on_batched_refresh_req(NodeId src,
   // but whose volatile sighting did not. Oids without a leaf record were
   // lost wholesale; those clients recover via nack_unknown_updates.
   refresh_targets_scratch_.clear();
-  wm::ItemView<ObjectId> oids = m.oids.items();
+  auto oids = m.oids.items();
   while (const auto item = oids.next()) {
     const ObjectId oid = item->value;
     const store::VisitorRecord* rec = visitor_db_.find(oid);

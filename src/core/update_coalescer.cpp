@@ -100,7 +100,7 @@ void UpdateCoalescer::handle(const std::uint8_t* data, std::size_t len) {
       [&](const auto& m) {
         using T = std::decay_t<decltype(m)>;
         if constexpr (std::is_same_v<T, wm::BatchedUpdateAck>) {
-          wm::ItemView<wm::UpdateAck> acks = m.acks.items();
+          auto acks = m.acks.items();
           std::uint64_t n = 0;
           while (const auto ack = acks.next()) {
             ++n;
@@ -114,7 +114,7 @@ void UpdateCoalescer::handle(const std::uint8_t* data, std::size_t len) {
           }
         } else if constexpr (std::is_same_v<T, wm::BatchedRefreshReq>) {
           if (on_refresh_) {
-            wm::ItemView<ObjectId> oids = m.oids.items();
+            auto oids = m.oids.items();
             while (const auto oid = oids.next()) on_refresh_(oid->value);
           }
         }

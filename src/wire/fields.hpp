@@ -150,7 +150,6 @@ inline void get(Reader& r, PackedRegion& p) {
 template <typename E>
 class ItemView {
  public:
-  ItemView() : r_(nullptr, 0) {}
   ItemView(const std::uint8_t* data, std::size_t len) : r_(data, len), base_(data), len_(len) {}
 
   struct Item {
@@ -172,8 +171,8 @@ class ItemView {
 
  private:
   Reader r_;
-  const std::uint8_t* base_ = nullptr;
-  std::size_t len_ = 0;
+  const std::uint8_t* base_;
+  std::size_t len_;
 };
 
 /// An owned packed list of E: append() packs on the sender, items() lazily

@@ -390,7 +390,7 @@ TEST(BatchedUpdateEdge, SingleSightingBatchIsDistinctButEquivalent) {
     const auto env = wire::decode_envelope(data, len);
     ASSERT_TRUE(env.ok());
     if (const auto* m = std::get_if<wire::BatchedUpdateAck>(&env.value().msg)) {
-      wire::ItemView<wire::UpdateAck> items = m->acks.items();
+      auto items = m->acks.items();
       while (const auto ack = items.next()) {
         acks.emplace_back(ack->value.oid, ack->value.offered_acc);
       }

@@ -462,7 +462,7 @@ void expect_list_round_trip(const M& msg, const std::vector<E>& in) {
   ASSERT_TRUE(decoded.ok());
   const auto& out = std::get<M>(decoded.value().msg);
   EXPECT_TRUE(same(out, msg));
-  ItemView<E> items = list_of(out).items();
+  auto items = list_of(out).items();
   std::size_t i = 0;
   while (const auto item = items.next()) {
     ASSERT_LT(i, in.size());
@@ -879,7 +879,7 @@ TEST(CodecProperty, SubResViewAgreesWithOwnedDecode) {
     // Item iteration agrees with the owned decode, and the raw byte ranges
     // re-concatenate to exactly the packed region (the merge loops copy
     // these ranges verbatim).
-    ItemView<core::ObjectResult> items = view.items();
+    auto items = view.items();
     Buffer reassembled;
     std::size_t i = 0;
     while (const auto item = items.next()) {
