@@ -39,7 +39,7 @@ void UpdateCoalescer::enqueue(NodeId agent, const Sighting& s) {
   if (p.batch.sightings.count >= opts_.max_batch) {
     ++stats_.flushes_size;
     flush_locked(agent, p);
-  } else if (p.batch.sightings.payload_bytes() >= opts_.max_bytes) {
+  } else if (p.batch.sightings.packed.size() >= opts_.max_bytes) {
     ++stats_.flushes_bytes;
     flush_locked(agent, p);
   }

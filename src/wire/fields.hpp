@@ -191,7 +191,6 @@ struct PackedList {
     packed.clear();
   }
   bool empty() const { return count == 0; }
-  std::size_t payload_bytes() const { return packed.size(); }
 
   void append(const E& e) {
     Writer w(packed);

@@ -56,7 +56,6 @@
 //    multi-datagram merge without copying.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -79,7 +78,7 @@ using core::RegInfo;
 using core::Sighting;
 
 /// Envelope version bytes: kWireVersionPacked for the packed query result
-/// types (is_packed_result_type), kWireVersion for every other message.
+/// types, kWireVersion for every other message (version_of).
 inline constexpr std::uint8_t kWireVersion = 1;
 inline constexpr std::uint8_t kWireVersionPacked = 2;
 
@@ -131,17 +130,14 @@ enum class MsgType : std::uint8_t {
 
 const char* msg_type_name(MsgType t);
 
-/// THE definition of which message types use the packed result framing and
-/// the kWireVersionPacked envelope byte.
-constexpr bool is_packed_result_type(MsgType t) {
-  return t == MsgType::kRangeQuerySubRes || t == MsgType::kRangeQueryRes ||
-         t == MsgType::kNNProbeSubRes || t == MsgType::kNNQueryRes;
-}
-
 /// The only envelope version byte a message of type `t` is encoded with and
-/// accepted under.
+/// accepted under: THE definition of which types carry the packed result
+/// framing (kWireVersionPacked).
 constexpr std::uint8_t version_of(MsgType t) {
-  return is_packed_result_type(t) ? kWireVersionPacked : kWireVersion;
+  const bool packed_results =
+      t == MsgType::kRangeQuerySubRes || t == MsgType::kRangeQueryRes ||
+      t == MsgType::kNNProbeSubRes || t == MsgType::kNNQueryRes;
+  return packed_results ? kWireVersionPacked : kWireVersion;
 }
 
 /// §6.5 piggyback: originating leaf server and its service area.

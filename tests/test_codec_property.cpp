@@ -423,9 +423,11 @@ TEST(CodecProperty, RandomGarbageNeverCrashesTheDecoder) {
     Buffer junk(rng.next_below(160));
     for (auto& b : junk) b = static_cast<std::uint8_t>(rng.next_below(256));
     if (!junk.empty() && rng.next_below(2) == 0) {
-      junk[0] = 1;  // valid version byte: reach the per-type decoders
+      // Valid type and version bytes: reach the per-type decoders.
+      junk[0] = kWireVersion;
       if (junk.size() > 1) {
         junk[1] = static_cast<std::uint8_t>(1 + rng.next_below(kVariantCount + 2));
+        junk[0] = version_of(static_cast<MsgType>(junk[1]));
       }
     }
     (void)decode_envelope_into(scratch, junk.data(), junk.size());
