@@ -108,7 +108,7 @@ TEST(QueryMerge, EmittedRangeResultIsByteIdenticalToCanonicalEncoding) {
   EXPECT_EQ(finals[0], reencoded);
 }
 
-// --- handcrafted sub-results: dedup, legacy framing, timeouts ----------------
+// --- handcrafted sub-results: dedup, retired framing, timeouts ---------------
 
 /// Harness around one ENTRY server with two fake children: the test plays
 /// the children, so it controls exactly which sub-results arrive and how
