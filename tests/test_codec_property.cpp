@@ -91,6 +91,7 @@ BatchedUpdateAck rand_batch_ack(Rng& rng) {
   BatchedUpdateAck b;
   const std::size_t n = rng.next_below(6);
   for (std::size_t i = 0; i < n; ++i) {
+    // Draws stay in this order: WireBytesMatchGolden pins their bytes.
     const double acc = rng.uniform(0, 500);
     b.acks.append({rand_oid(rng), acc});
   }
@@ -108,6 +109,7 @@ BatchedPathUpdate rand_path_batch(Rng& rng) {
   BatchedPathUpdate b;
   const std::size_t n = rng.next_below(8);  // including empty batches
   for (std::size_t i = 0; i < n; ++i) {
+    // Draws stay in this order: WireBytesMatchGolden pins their bytes.
     const ObjectId oid = rand_oid(rng);
     b.ops.append({rng.next_below(2) == 0, oid});
   }
