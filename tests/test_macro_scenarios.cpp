@@ -6,6 +6,8 @@
 //    default 100k -- the suite carries the `macro`/`slow` ctest labels),
 //  * sharded leaves answer exactly like unsharded ones at N in {1, 4}, with
 //    the bucket rebalancer on or off (answer-CRC equivalence),
+//  * the sharded flash crowd at bench_macro's parameters keeps its pinned
+//    trace CRC, answer CRC and message / byte counts,
 //  * the balancer never loses or duplicates a visitor: after a skewed run
 //    every object lives in EXACTLY one shard slice, at its last position,
 //  * the shard-key fix is pinned: raw modulo routing aliases a strided-id
@@ -71,6 +73,25 @@ TEST(MacroScenarios, DifferentSeedsDiverge) {
   p.seed = 24;
   const sim::DriveResult b = sim::drive_scenario(p, opts);
   EXPECT_NE(a.trace_crc, b.trace_crc);
+}
+
+// Pins the sharded flash crowd at bench_macro's parameters -- 4x4 leaves x 4
+// shards, default shard key, seed 11, 30k objects, 6 rounds -- so a change to
+// shard routing or to the sharded leaf's message flow shows up as a changed
+// trace, not only as changed answers.
+TEST(MacroScenarios, ShardedFlashCrowdFingerprintIsPinned) {
+  sim::ScenarioParams p;
+  p.kind = sim::ScenarioKind::kFlashCrowd;
+  p.seed = 11;
+  p.objects = 30000;
+  p.rounds = 6;
+  sim::DriveOptions opts;
+  opts.leaf_shards = 4;
+  const sim::DriveResult r = sim::drive_scenario(p, opts);
+  EXPECT_EQ(r.trace_crc, 0x2c258e76u) << std::hex << r.trace_crc;
+  EXPECT_EQ(r.answer_crc, 0xd4757147u) << std::hex << r.answer_crc;
+  EXPECT_EQ(r.messages, 378020u);
+  EXPECT_EQ(r.bytes, 32696661u);
 }
 
 // Sharding is an implementation detail of a leaf: for N in {1, 4}, with and
