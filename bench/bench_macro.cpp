@@ -1,22 +1,20 @@
-// City-scale macro bench -- skew-aware shard balancing under the flash-crowd
-// scenario (sim/scenario.hpp), gated by scripts/check_bench.py against
+// City-scale macro bench -- shard routing under the flash-crowd scenario
+// (sim/scenario.hpp), gated by scripts/check_bench.py against
 // bench/baselines/macro.json.
 //
-// Four deterministic SimNetwork runs over a 4x4 leaf grid, 4 shard reactors
-// per leaf, with the shard key UNMIXED (Balance::mix_keys = false) so the
-// crowd's strided ObjectIds really do alias onto one shard:
+// Four deterministic SimNetwork runs over a 4x4 leaf grid:
 //
-//   uniform/balanced   -- no-skew control for the throughput ratio,
-//   flash/balanced     -- bucket rebalancing ON: the sweep must spread the
-//                         crowd's buckets off the hot shard,
-//   flash/control      -- rebalancing OFF: pins how bad the skew is, and its
-//                         answer CRC must equal the balanced run's (the
-//                         migration moved soft state without changing it),
-//   flash/balanced bis -- replay: trace CRC equality = bit-identical runs.
+//   uniform/sharded    -- no-skew control for the throughput ratio,
+//   flash/sharded      -- 4 shard reactors per leaf: the crowd's strided
+//                         ObjectIds must spread over the stadium leaf's
+//                         shards (ShardedLocationServer::shard_of),
+//   flash/sharded bis  -- replay: trace CRC equality = bit-identical runs,
+//   flash/unsharded    -- plain LocationServer leaves: the answer CRC must
+//                         equal the sharded run's.
 //
-// Headline metrics: hot-leaf max/mean shard occupancy with and without the
-// balancer (imbalance ~shard_count without, ~1 with), p99 shard occupancy,
-// and flash-vs-uniform wall-clock throughput (target: within ~1.5x).
+// Headline metrics: hot-leaf max/mean shard occupancy (~1 when the key
+// spreads the crowd), p99 shard occupancy, and flash-vs-uniform wall-clock
+// message throughput (target: within ~1.5x).
 // Scale via LOCS_MACRO_OBJECTS / LOCS_MACRO_ROUNDS (defaults 30000 / 6).
 #include <algorithm>
 #include <cstdio>
@@ -45,11 +43,9 @@ sim::ScenarioParams scenario(sim::ScenarioKind kind) {
   return p;
 }
 
-sim::DriveOptions deployment(bool rebalance) {
+sim::DriveOptions deployment(std::uint32_t leaf_shards) {
   sim::DriveOptions o;
-  o.leaf_shards = 4;
-  o.balance.mix_keys = false;  // expose the raw-modulo aliasing on purpose
-  o.balance.rebalance = rebalance;
+  o.leaf_shards = leaf_shards;
   return o;
 }
 
@@ -121,34 +117,27 @@ int main() {
               "(SimNetwork, deterministic)\n",
               flash.objects, flash.rounds);
 
-  const sim::DriveResult uni = sim::drive_scenario(uniform, deployment(true));
-  const sim::DriveResult bal = sim::drive_scenario(flash, deployment(true));
-  const sim::DriveResult ctl = sim::drive_scenario(flash, deployment(false));
-  const sim::DriveResult rep = sim::drive_scenario(flash, deployment(true));
+  const sim::DriveResult uni = sim::drive_scenario(uniform, deployment(4));
+  const sim::DriveResult fl = sim::drive_scenario(flash, deployment(4));
+  const sim::DriveResult rep = sim::drive_scenario(flash, deployment(4));
+  const sim::DriveResult plain = sim::drive_scenario(flash, deployment(1));
 
-  const double ctl_imb = hot_leaf_imbalance(ctl, 4);
-  const double bal_imb = hot_leaf_imbalance(bal, 4);
-  const double gain = bal_imb > 0.0 ? ctl_imb / bal_imb : 0.0;
-  const bool answers_equal = bal.answer_crc == ctl.answer_crc;
+  const double imbalance = hot_leaf_imbalance(fl, 4);
+  const bool answers_equal = fl.answer_crc == plain.answer_crc;
   const bool deterministic =
-      bal.trace_crc == rep.trace_crc && bal.answer_crc == rep.answer_crc;
+      fl.trace_crc == rep.trace_crc && fl.answer_crc == rep.answer_crc;
   const double uni_tp = updates_per_sec(uni);
-  const double flash_tp = updates_per_sec(bal);
+  const double flash_tp = updates_per_sec(fl);
   const double uni_mps = messages_per_sec(uni);
-  const double flash_mps = messages_per_sec(bal);
+  const double flash_mps = messages_per_sec(fl);
   const double tp_ratio = uni_mps > 0.0 ? flash_mps / uni_mps : 0.0;
 
-  std::printf("  hot-leaf shard imbalance (max/mean): %.2f unbalanced -> %.2f "
-              "balanced (%.1fx gain, %llu buckets / %llu objects migrated)\n",
-              ctl_imb, bal_imb, gain,
-              static_cast<unsigned long long>(bal.buckets_migrated),
-              static_cast<unsigned long long>(bal.objects_migrated));
-  std::printf("  p99 shard occupancy: %.0f unbalanced -> %.0f balanced\n",
-              p99_occupancy(ctl), p99_occupancy(bal));
-  std::printf("  answers balanced vs control: %s (crc %08x)\n",
-              answers_equal ? "EQUAL" : "DIVERGED", bal.answer_crc);
+  std::printf("  hot-leaf shard imbalance (max/mean): %.3f\n", imbalance);
+  std::printf("  p99 shard occupancy: %.0f\n", p99_occupancy(fl));
+  std::printf("  answers sharded vs unsharded: %s (crc %08x)\n",
+              answers_equal ? "EQUAL" : "DIVERGED", fl.answer_crc);
   std::printf("  deterministic replay: %s (trace crc %08x)\n",
-              deterministic ? "yes" : "NO", bal.trace_crc);
+              deterministic ? "yes" : "NO", fl.trace_crc);
   std::printf("  throughput: uniform %.0f up/s (%.0f msg/s), flash-crowd "
               "%.0f up/s (%.0f msg/s); message-rate ratio %.2f\n",
               uni_tp, uni_mps, flash_tp, flash_mps, tp_ratio);
@@ -163,14 +152,9 @@ int main() {
       "  \"objects\": %zu,\n"
       "  \"rounds\": %d,\n"
       "  \"leaf_shards\": 4,\n"
-      "  \"control_hot_imbalance\": %.3f,\n"
-      "  \"balanced_hot_imbalance\": %.3f,\n"
-      "  \"balance_gain\": %.3f,\n"
-      "  \"p99_shard_occupancy_control\": %.0f,\n"
-      "  \"p99_shard_occupancy_balanced\": %.0f,\n"
-      "  \"buckets_migrated\": %llu,\n"
-      "  \"objects_migrated\": %llu,\n"
-      "  \"answers_equal_balanced_vs_control\": %s,\n"
+      "  \"hot_imbalance\": %.3f,\n"
+      "  \"p99_shard_occupancy\": %.0f,\n"
+      "  \"answers_equal_sharded_vs_unsharded\": %s,\n"
       "  \"deterministic\": %s,\n"
       "  \"uniform_updates_per_sec\": %.1f,\n"
       "  \"flash_updates_per_sec\": %.1f,\n"
@@ -179,21 +163,17 @@ int main() {
       "  \"flash_vs_uniform_throughput\": %.3f,\n"
       "  \"per_leaf_updates_flash\": %s,\n"
       "  \"leaf_occupancy_flash\": %s,\n"
-      "  \"shard_occupancy_balanced\": %s,\n"
-      "  \"shard_occupancy_control\": %s\n"
+      "  \"shard_occupancy_flash\": %s\n"
       "}\n",
-      flash.objects, flash.rounds, ctl_imb, bal_imb, gain, p99_occupancy(ctl),
-      p99_occupancy(bal), static_cast<unsigned long long>(bal.buckets_migrated),
-      static_cast<unsigned long long>(bal.objects_migrated),
+      flash.objects, flash.rounds, imbalance, p99_occupancy(fl),
       answers_equal ? "true" : "false", deterministic ? "true" : "false",
       uni_tp, flash_tp, uni_mps, flash_mps, tp_ratio,
-      u64_list(bal.per_leaf_updates).c_str(),
-      size_list(bal.leaf_occupancy).c_str(),
-      size_list(bal.shard_occupancy).c_str(),
-      size_list(ctl.shard_occupancy).c_str());
+      u64_list(fl.per_leaf_updates).c_str(),
+      size_list(fl.leaf_occupancy).c_str(),
+      size_list(fl.shard_occupancy).c_str());
   std::fclose(f);
 
-  // Self-check: migration must happen, must not change answers, and the
-  // whole scenario must replay bit-identically.
-  return (answers_equal && deterministic && bal.buckets_migrated > 0) ? 0 : 1;
+  // Self-check: sharding must not change answers, and the whole scenario
+  // must replay bit-identically.
+  return (answers_equal && deterministic) ? 0 : 1;
 }

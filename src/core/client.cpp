@@ -6,6 +6,11 @@ namespace locs::core {
 
 namespace wm = locs::wire;
 
+namespace {
+/// Resend an unacknowledged update after this long (on next sensor feed).
+constexpr Duration kUpdateRetry = seconds(2);
+}  // namespace
+
 // --------------------------------------------------------------------------
 // TrackedObject
 
@@ -46,7 +51,7 @@ bool TrackedObject::feed_position(geo::Point pos) {
   const bool threshold_crossed =
       geo::distance(pos, last_sent_pos_) > offered_acc_;
   const bool retry = update_pending_ &&
-                     clock_.now() - last_send_time_ >= opts_.update_retry;
+                     clock_.now() - last_send_time_ >= kUpdateRetry;
   if (!threshold_crossed && !retry) return false;
   send_update(pos);
   return true;

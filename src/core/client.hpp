@@ -33,8 +33,6 @@ class TrackedObject {
   enum class State { kIdle, kRegistering, kTracked, kFailed, kDeregistered };
 
   struct Options {
-    /// Resend an unacknowledged update after this long (on next sensor feed).
-    Duration update_retry = seconds(2);
     /// Recovery behavior for AgentChanged{kNoNode}: instead of treating the
     /// agent loss as deregistration, immediately RE-REGISTER through the
     /// announcing server (a restarted leaf that lost its visitorDB nacks

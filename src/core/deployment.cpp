@@ -71,9 +71,7 @@ void Deployment::make_entry(const HierarchySpec::Node& node, Entry& entry) {
     ShardedLocationServer::Options sopts;
     sopts.shards = shards;
     sopts.threaded = cfg_.shard_threads;
-    sopts.busy_poll_us = cfg_.shard_busy_poll_us;
     sopts.server = opts;
-    sopts.balance = cfg_.leaf_balance;
     ShardedLocationServer::ShardVisitorDbFactory vdb_factory;
     if (cfg_.sharded_visitor_db_factory) {
       vdb_factory = [factory = cfg_.sharded_visitor_db_factory,

@@ -51,18 +51,10 @@ class Deployment {
     /// Run one reactor thread per shard (UdpNetwork). Leave false over
     /// SimNetwork: inline shard execution keeps delivery deterministic.
     bool shard_threads = false;
-    /// Adaptive busy-poll window for threaded shard reactors, in
-    /// microseconds (ShardedLocationServer::Options::busy_poll_us; 0 = off,
-    /// the default -- idle reactors sleep/wake exactly as before).
-    std::uint32_t shard_busy_poll_us = 0;
     /// Build ShardedLocationServer leaves even at shards == 1. Used by the
     /// determinism tests: the single-shard wrapper must be pass-through
     /// (trace bit-identical to plain LocationServer leaves).
     bool force_leaf_sharding = false;
-    /// Skew-aware shard routing / bucket rebalancing knobs, forwarded to
-    /// every sharded leaf (ShardedLocationServer::Balance). Defaults keep
-    /// routing identical to the fixed hash and leave rebalancing off.
-    ShardedLocationServer::Balance leaf_balance;
     /// Hot-standby replication: primary leaf NodeId -> standby NodeId. For
     /// each entry the deployment builds an EXTRA replica server (same
     /// service area and parent as the primary; not part of the

@@ -14,6 +14,25 @@ namespace {
 /// service area of the entire LS".
 constexpr double kOutOfServiceArea = -1.0;
 
+/// Give up expanding NN rings beyond this radius (empty database guard).
+constexpr double kNNMaxRadius = 1e7;
+
+/// Max ObjectIds packed into one BatchedRefreshReq datagram (recovery sweeps
+/// are chunked per client node; keeps sweeps MTU-friendly).
+constexpr std::size_t kRefreshBatchMax = 256;
+
+/// Compact the persistent visitorDB log once it exceeds this many mutation
+/// records (bounds recovery time; §5).
+constexpr std::uint64_t kVisitorCompactThreshold = 1 << 18;
+
+/// Sides of the polygon circumscribing NN probe circles.
+constexpr int kNNProbeSides = 32;
+
+/// The polygon an NN probe circle is routed and credited by.
+geo::Polygon nn_probe_polygon(geo::Point p, double radius) {
+  return geo::Polygon::circumscribed_circle(p, radius, kNNProbeSides);
+}
+
 double coverage_epsilon(double target) {
   return std::max(1e-6, 1e-9 * target);
 }
@@ -40,9 +59,7 @@ LocationServer::LocationServer(NodeId self, ConfigRecord cfg, net::Transport& ne
     sightings_.emplace(std::move(index_factory));
     own_view_.add_slice(&*sightings_, /*mu=*/nullptr);
   }
-  if (opts_.piggyback_origin && cfg_.is_leaf()) {
-    origin_cache_ = wm::OriginArea{self_, cfg_.sa};
-  }
+  if (cfg_.is_leaf()) origin_cache_ = wm::OriginArea{self_, cfg_.sa};
 }
 
 void LocationServer::Stats::add(const Stats& other) {
@@ -72,13 +89,9 @@ void LocationServer::Stats::add(const Stats& other) {
   suspect_short_circuits += other.suspect_short_circuits;
   recovery_hellos += other.recovery_hellos;
   refresh_batches_sent += other.refresh_batches_sent;
-  path_batches_sent += other.path_batches_sent;
   sub_res_pinned += other.sub_res_pinned;
   sub_res_copied += other.sub_res_copied;
   merge_dedup_dropped += other.merge_dedup_dropped;
-  bucket_migrations += other.bucket_migrations;
-  objects_migrated_in += other.objects_migrated_in;
-  objects_migrated_out += other.objects_migrated_out;
   tee_datagrams_sent += other.tee_datagrams_sent;
   tee_entries_applied += other.tee_entries_applied;
   standby_promotions += other.standby_promotions;
@@ -150,8 +163,6 @@ void LocationServer::handle(const net::Datagram& dg) {
           on_create_path(src, m);
         } else if constexpr (std::is_same_v<T, wm::RemovePath>) {
           on_remove_path(src, m);
-        } else if constexpr (std::is_same_v<T, wm::BatchedPathUpdate>) {
-          on_batched_path_update(src, m);
         } else if constexpr (std::is_same_v<T, wm::UpdateReq>) {
           on_update_req(src, m);
         } else if constexpr (std::is_same_v<T, wm::BatchedUpdateReq>) {
@@ -194,8 +205,6 @@ void LocationServer::handle(const net::Datagram& dg) {
           on_recovery_hello(src, m);
         } else if constexpr (std::is_same_v<T, wm::BatchedRefreshReq>) {
           on_batched_refresh_req(src, m);
-        } else if constexpr (std::is_same_v<T, wm::BucketMigrate>) {
-          on_bucket_migrate(src, m);
         } else if constexpr (std::is_same_v<T, wm::ReplicaTee>) {
           on_replica_tee(src, m);
         } else if constexpr (std::is_same_v<T, wm::StandbyPromote>) {
@@ -295,24 +304,11 @@ void LocationServer::on_register_req(NodeId src, const wm::RegisterReq& m) {
 
 void LocationServer::send_path(bool create, ObjectId oid) {
   if (cfg_.is_root()) return;
-  if (!opts_.coalesce_paths) {
-    if (create) {
-      send_msg(cfg_.parent, wm::CreatePath{oid});
-    } else {
-      send_msg(cfg_.parent, wm::RemovePath{oid});
-    }
-    return;
+  if (create) {
+    send_msg(cfg_.parent, wm::CreatePath{oid});
+  } else {
+    send_msg(cfg_.parent, wm::RemovePath{oid});
   }
-  if (path_batch_.ops.empty()) path_batch_oldest_ = now();
-  path_batch_.ops.append({create, oid});
-  if (path_batch_.ops.count >= opts_.path_batch_max) flush_path_batch();
-}
-
-void LocationServer::flush_path_batch() {
-  if (path_batch_.ops.empty()) return;
-  ++stats_.path_batches_sent;
-  send_msg(cfg_.parent, path_batch_);
-  path_batch_.ops.clear();
 }
 
 void LocationServer::on_create_path(NodeId src, const wm::CreatePath& m) {
@@ -329,27 +325,6 @@ void LocationServer::on_remove_path(NodeId src, const wm::RemovePath& m) {
   if (rec == nullptr || rec->leaf.has_value() || rec->forward_ref != src) return;
   visitor_db_.remove(m.oid);
   send_path(false, m.oid);
-}
-
-void LocationServer::on_batched_path_update(NodeId src,
-                                            const wm::BatchedPathUpdate& m) {
-  // Entries replay in order, each exactly like its unbatched message; the
-  // upward forwards re-enter this server's own coalescer, so a burst stays
-  // batched hop by hop toward the root.
-  auto ops = m.ops.items();
-  while (const auto op = ops.next()) {
-    const ObjectId oid = op->value.oid;
-    if (op->value.create) {
-      visitor_db_.set_forward(oid, src);
-      send_path(true, oid);
-    } else {
-      const store::VisitorRecord* rec = visitor_db_.find(oid);
-      if (rec == nullptr || rec->leaf.has_value() || rec->forward_ref != src)
-        continue;
-      visitor_db_.remove(oid);
-      send_path(false, oid);
-    }
-  }
 }
 
 // --------------------------------------------------------------------------
@@ -577,55 +552,6 @@ void LocationServer::drop_leaf_visitor(ObjectId oid, bool prune_path) {
   visitor_db_.remove(oid);
   tee_remove(oid);
   if (prune_path) send_path(false, oid);
-}
-
-// --------------------------------------------------------------------------
-// intra-leaf bucket migration (shard skew rebalancing)
-
-std::size_t LocationServer::extract_for_migration(
-    const std::function<bool(ObjectId)>& pred, wire::BucketMigrate& out) {
-  if (!sightings_ || !cfg_.is_leaf()) return 0;
-  // Collect-then-mutate: the SightingDb mutators take the slice lock
-  // themselves, so the iteration must not remove in place. Sorting makes the
-  // packed migration entries independent of hash-map layout.
-  std::vector<ObjectId> matched;
-  sightings_->for_each([&](ObjectId oid, const store::SightingDb::Record&) {
-    if (handover_in_flight_.count(oid) == 0 && pred(oid)) matched.push_back(oid);
-  });
-  std::sort(matched.begin(), matched.end(),
-            [](ObjectId a, ObjectId b) { return a.value < b.value; });
-  std::size_t moved = 0;
-  for (const ObjectId oid : matched) {
-    const store::SightingDb::Record* rec = sightings_->find(oid);
-    const store::VisitorRecord* vis = visitor_db_.find(oid);
-    if (rec == nullptr || vis == nullptr || !vis->leaf) continue;
-    out.entries.append({rec->sighting, rec->offered_acc, rec->expiry,
-                        vis->leaf->reg_info});
-    // Silent drop: no presence event (the object stays on this leaf) and no
-    // path prune (the forwarding path still targets this NodeId).
-    sightings_->remove(oid);
-    visitor_db_.remove(oid);
-    ++moved;
-  }
-  stats_.objects_migrated_out += moved;
-  return moved;
-}
-
-void LocationServer::on_bucket_migrate(NodeId src, const wire::BucketMigrate& m) {
-  // Intra-leaf only: the donor shard stamps the migration with the leaf's
-  // own NodeId. Anything else is a stray or forged datagram -- drop it.
-  if (!cfg_.is_leaf() || src != self_ || !sightings_) return;
-  auto entries = m.entries.items();
-  while (const auto item = entries.next()) {
-    const wire::BucketMigrate::Entry& e = item->value;
-    visitor_db_.insert_leaf(e.s.oid, e.offered_acc, e.reg);
-    if (sightings_->find(e.s.oid) != nullptr) sightings_->remove(e.s.oid);
-    // Install with the ORIGINAL expiry: migration must not extend the
-    // soft-state TTL (§5 -- only visitor contact does).
-    sightings_->insert(e.s, e.offered_acc, e.expiry);
-    ++stats_.objects_migrated_in;
-  }
-  ++stats_.bucket_migrations;
 }
 
 // --------------------------------------------------------------------------
@@ -1291,8 +1217,7 @@ void LocationServer::on_nn_query_req(NodeId src, const wm::NNQueryReq& m) {
 std::uint64_t LocationServer::launch_nn_ring(PendingNN op) {
   ++stats_.nn_rings;
   const std::uint64_t ring_key = next_req_id();
-  const geo::Polygon probe_poly =
-      geo::Polygon::circumscribed_circle(op.p, op.radius, opts_.nn_probe_sides);
+  const geo::Polygon probe_poly = nn_probe_polygon(op.p, op.radius);
   op.target = probe_poly.area();
   op.covered = 0.0;
   op.deadline = now() + opts_.pending_timeout;
@@ -1323,8 +1248,7 @@ std::uint64_t LocationServer::launch_nn_ring(PendingNN op) {
 }
 
 void LocationServer::route_nn_probe(const wm::NNProbeFwd& probe, NodeId from) {
-  const geo::Polygon probe_poly =
-      geo::Polygon::circumscribed_circle(probe.p, probe.radius, opts_.nn_probe_sides);
+  const geo::Polygon probe_poly = nn_probe_polygon(probe.p, probe.radius);
   for (const ChildRecord& child : cfg_.children) {
     if (child.id == from) continue;
     if (!probe_poly.intersects(child.sa)) continue;
@@ -1357,8 +1281,7 @@ void LocationServer::route_nn_probe(const wm::NNProbeFwd& probe, NodeId from) {
 void LocationServer::answer_nn_probe_locally(const wm::NNProbeFwd& probe,
                                              double extra_covered) {
   assert(sightings_);
-  const geo::Polygon probe_poly =
-      geo::Polygon::circumscribed_circle(probe.p, probe.radius, opts_.nn_probe_sides);
+  const geo::Polygon probe_poly = nn_probe_polygon(probe.p, probe.radius);
   wm::NNProbeSubRes& sub = nn_sub_scratch_;
   sub.req_id = probe.req_id;
   sub.candidates.clear();
@@ -1373,8 +1296,7 @@ void LocationServer::answer_nn_probe_locally(const wm::NNProbeFwd& probe,
 }
 
 void LocationServer::on_nn_probe_fwd(NodeId src, const wm::NNProbeFwd& m) {
-  const geo::Polygon probe_poly =
-      geo::Polygon::circumscribed_circle(m.p, m.radius, opts_.nn_probe_sides);
+  const geo::Polygon probe_poly = nn_probe_polygon(m.p, m.radius);
   double credit = 0.0;
   if (cfg_.is_root()) {
     credit = probe_poly.area() - geo::intersection_area(probe_poly, cfg_.sa);
@@ -1399,13 +1321,13 @@ void LocationServer::check_nn_ring(std::uint64_t ring_key) {
   if (op.covered < op.target - coverage_epsilon(op.target)) return;  // ring open
 
   if (op.candidates.empty()) {
-    if (op.radius >= opts_.nn_max_radius) {
+    if (op.radius >= kNNMaxRadius) {
       finish_nn(ring_key);
       return;
     }
     PendingNN next = std::move(op);
     pending_nn_.erase(it);
-    next.radius = std::min(next.radius * 2.0, opts_.nn_max_radius);
+    next.radius = std::min(next.radius * 2.0, kNNMaxRadius);
     launch_nn_ring(std::move(next));
     return;
   }
@@ -1423,7 +1345,7 @@ void LocationServer::check_nn_ring(std::uint64_t ring_key) {
   }
   PendingNN next = std::move(op);
   pending_nn_.erase(it);
-  next.radius = std::min(needed * 1.001, opts_.nn_max_radius);
+  next.radius = std::min(needed * 1.001, kNNMaxRadius);
   next.final_ring = true;
   launch_nn_ring(std::move(next));
 }
@@ -1544,7 +1466,7 @@ void LocationServer::send_refresh_batches(
     }
     batch.oids.append(oid);
     ++stats_.refresh_requests;
-    if (batch.oids.count >= opts_.refresh_batch_max) flush(current);
+    if (batch.oids.count >= kRefreshBatchMax) flush(current);
   }
   flush(current);
 }
@@ -1863,13 +1785,8 @@ void LocationServer::tick_body(TimePoint t) {
     }
     next_heartbeat_ = t + opts_.heartbeat_interval;
   }
-  // Deadline flush for coalesced forwarding-path maintenance.
-  if (opts_.coalesce_paths && !path_batch_.ops.empty() &&
-      t >= path_batch_oldest_ + opts_.path_batch_delay) {
-    flush_path_batch();
-  }
   // Bound the persistent log (and with it, recovery time).
-  visitor_db_.maybe_compact(opts_.visitor_compact_threshold);
+  visitor_db_.maybe_compact(kVisitorCompactThreshold);
   // Forget deliberate departures once their nack-suppression window passed.
   for (auto it = recent_departures_.begin(); it != recent_departures_.end();) {
     it = it->second <= t ? recent_departures_.erase(it) : std::next(it);

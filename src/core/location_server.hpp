@@ -56,12 +56,11 @@
 // The shard-routing invariant is:
 //
 //   * every OBJECT-KEYED message (register, update, handover and its
-//     response, per-object queries, changeAcc, deregister) is handled by the
-//     shard that owns hash(ObjectId) % N, which keeps the object's visitor
-//     record and sighting slice; a handover therefore stays INTRA-LEAF only
-//     in the sense that the object's owning shard never changes while its
-//     agent leaf does not change -- the hash is node-independent, so the new
-//     agent's owning shard is recomputed from the same ObjectId;
+//     response, per-object queries, changeAcc, deregister) is handled by
+//     shard ShardedLocationServer::shard_of(ObjectId, N), which keeps the
+//     object's visitor record and sighting slice. The function is
+//     node-independent, so a handover recomputes the new agent's owning
+//     shard from the same ObjectId;
 //   * every AREA-KEYED message (range query, NN probe, event subscribe /
 //     install / delta) is handled by shard 0, the coordinator shard, whose
 //     query paths read a SightingsView spanning all slices -- so the leaf
@@ -70,8 +69,7 @@
 //     counter), so concurrent shards never emit colliding ids upstream.
 //
 // With N = 1 all three rules degenerate to the unsharded server and the
-// message trace is bit-identical. Shard-local caches (§6.5) are NOT merged:
-// with caches enabled, message counts may differ from an unsharded run.
+// message trace is bit-identical.
 //
 // Zero-materialization query merge (read-path invariants; wire/messages.hpp
 // has the framing side):
@@ -137,41 +135,17 @@ class LocationServer {
     bool enable_position_cache = false;
     /// Worst aged accuracy a position-cache hit may report.
     double position_cache_max_acc = 200.0;
-    /// Attach (leaf, service-area) piggybacks to responses for peers' caches.
-    bool piggyback_origin = true;
-    /// Sides of the polygon circumscribing NN probe circles.
-    int nn_probe_sides = 32;
-    /// Give up expanding NN rings beyond this radius (empty database guard).
-    double nn_max_radius = 1e7;
-    /// Compact the persistent visitorDB log once it exceeds this many
-    /// mutation records (bounds recovery time; §5).
-    std::uint64_t visitor_compact_threshold = 1 << 18;
     /// Failure detection: probe interval for wire::Heartbeat sent to every
     /// child from tick(). 0 disables the detector entirely (default; keeps
     /// no-fault traces bit-identical to heartbeat-free builds).
     Duration heartbeat_interval = 0;
     /// Consecutive unanswered probes before a child is marked suspect.
     int heartbeat_miss_threshold = 3;
-    /// Max ObjectIds packed into one BatchedRefreshReq datagram (recovery
-    /// sweeps are chunked per client node; keeps sweeps MTU-friendly).
-    std::size_t refresh_batch_max = 256;
     /// Answer updates for unknown objects with AgentChanged{kNoNode} so a
     /// client that outlived a total leaf-state loss (in-memory visitorDB)
     /// can re-register instead of retrying blindly. Off by default: in
     /// normal operation an unknown update is a transient handover race.
     bool nack_unknown_updates = false;
-    /// Coalesce server-to-server CreatePath/RemovePath bursts bound for the
-    /// parent into wire::BatchedPathUpdate datagrams (flushed at
-    /// path_batch_max entries or by the tick() deadline sweep; entry order
-    /// is preserved, so create/remove sequences replay in order). Off by
-    /// default: unbatched traces stay bit-identical.
-    bool coalesce_paths = false;
-    /// Flush a pending path batch at this many entries.
-    std::size_t path_batch_max = 64;
-    /// Deadline flush: the oldest buffered path entry waits at most this
-    /// long (enforced by tick(); bounds the forwarding-path staleness that
-    /// coalescing can add).
-    Duration path_batch_delay = milliseconds(2);
   };
 
   struct Stats {
@@ -201,13 +175,9 @@ class LocationServer {
     std::uint64_t suspect_short_circuits = 0;  // queries answered for suspects
     std::uint64_t recovery_hellos = 0;       // RecoveryHello received (parent)
     std::uint64_t refresh_batches_sent = 0;  // BatchedRefreshReq datagrams
-    std::uint64_t path_batches_sent = 0;     // BatchedPathUpdate datagrams
     std::uint64_t sub_res_pinned = 0;    // sub-results merged without a copy
     std::uint64_t sub_res_copied = 0;    // sub-results merged via copy fallback
     std::uint64_t merge_dedup_dropped = 0;  // duplicate results dropped on emit
-    std::uint64_t bucket_migrations = 0;    // BucketMigrate datagrams applied
-    std::uint64_t objects_migrated_in = 0;  // visitors installed by migration
-    std::uint64_t objects_migrated_out = 0;  // visitors extracted for migration
     std::uint64_t tee_datagrams_sent = 0;   // ReplicaTee datagrams to standby
     std::uint64_t tee_entries_applied = 0;  // tee entries mirrored (replica)
     std::uint64_t standby_promotions = 0;   // StandbyPromote handled (replica)
@@ -331,18 +301,6 @@ class LocationServer {
   /// change (fan-in from sibling shards; no-op outside sharded setups).
   void apply_sighting_event(ObjectId oid, bool present, geo::Point pos);
 
-  /// Donor side of intra-leaf bucket migration (skew rebalancing): appends
-  /// one wire::BucketMigrate entry per leaf visitor matched by `pred` --
-  /// carrying the ORIGINAL soft-state expiry -- then drops the local
-  /// records WITHOUT firing presence events or pruning forwarding paths
-  /// (the object never leaves this leaf NodeId; only the owning shard
-  /// slice changes). Visitors with a handover in flight are skipped: their
-  /// state is about to leave the leaf through the handover protocol.
-  /// Returns the number of visitors extracted. Extraction order is sorted
-  /// by ObjectId so migration datagrams are bit-reproducible across runs.
-  std::size_t extract_for_migration(const std::function<bool(ObjectId)>& pred,
-                                    wire::BucketMigrate& out);
-
   /// Lock-free count of installed leaf predicates; sibling shards use it to
   /// skip the event fan-in entirely on the (hot) update path.
   std::size_t leaf_event_count() const {
@@ -389,7 +347,6 @@ class LocationServer {
   void on_register_req(NodeId src, const wire::RegisterReq& m);
   void on_create_path(NodeId src, const wire::CreatePath& m);
   void on_remove_path(NodeId src, const wire::RemovePath& m);
-  void on_batched_path_update(NodeId src, const wire::BatchedPathUpdate& m);
   void on_update_req(NodeId src, const wire::UpdateReq& m);
   void on_batched_update_req(NodeId src, const wire::BatchedUpdateReq& m);
   void on_handover_req(NodeId src, wire::HandoverReq m);
@@ -411,7 +368,6 @@ class LocationServer {
   void on_heartbeat_ack(NodeId src, const wire::HeartbeatAck& m);
   void on_recovery_hello(NodeId src, const wire::RecoveryHello& m);
   void on_batched_refresh_req(NodeId src, const wire::BatchedRefreshReq& m);
-  void on_bucket_migrate(NodeId src, const wire::BucketMigrate& m);
   void on_replica_tee(NodeId src, const wire::ReplicaTee& m);
   void on_standby_promote(NodeId src, const wire::StandbyPromote& m);
   void on_standby_demote(NodeId src, const wire::StandbyDemote& m);
@@ -493,11 +449,8 @@ class LocationServer {
   void emit_range_result(NodeId client, std::uint64_t client_req_id,
                          bool complete, PendingRange& pending);
 
-  /// CreatePath/RemovePath toward the parent, coalesced into a
-  /// BatchedPathUpdate when Options::coalesce_paths is on (entry order
-  /// preserved; flushed at path_batch_max or by tick()).
+  /// CreatePath/RemovePath toward the parent (one per object, Alg 6-1/6-3).
   void send_path(bool create, ObjectId oid);
-  void flush_path_batch();
 
   /// tick() minus the send-burst bracket (tick corks, runs this, flushes).
   void tick_body(TimePoint t);
@@ -632,10 +585,6 @@ class LocationServer {
   // target for the sub-result view path (polygon capacity reused).
   util::OidSet merge_seen_scratch_;
   std::optional<wire::OriginArea> origin_scratch_;
-  // Server-to-server path coalescing (Options::coalesce_paths): the batch
-  // under construction toward the parent and its oldest-entry enqueue time.
-  wire::BatchedPathUpdate path_batch_;
-  TimePoint path_batch_oldest_ = 0;
 
   // -- pending distributed operations --
   struct PendingHandover {

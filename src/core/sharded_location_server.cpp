@@ -11,12 +11,13 @@ namespace {
 constexpr int kDrainBatch = 64;
 constexpr int kIdleSpinRounds = 64;
 constexpr auto kSleepSlice = std::chrono::microseconds(200);
+// Per-shard inbox capacity (threaded mode); overflow drops datagrams after
+// kPushRetries (UDP semantics -- senders own retries).
+constexpr std::size_t kInboxCapacity = 4096;
 // Producer backoff before dropping on a persistently full inbox.
 constexpr int kPushRetries = 1024;
-}  // namespace
 
-namespace {
-// splitmix64 finalizer: spreads sequential object ids uniformly.
+// splitmix64 finalizer: spreads sequential and strided object ids uniformly.
 std::uint64_t mix_key(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -31,12 +32,6 @@ std::uint32_t ShardedLocationServer::shard_of(ObjectId oid,
   return static_cast<std::uint32_t>(mix_key(oid.value) % shard_count);
 }
 
-std::uint32_t ShardedLocationServer::bucket_of(ObjectId oid) const {
-  const std::uint64_t key =
-      opts_.balance.mix_keys ? mix_key(oid.value) : oid.value;
-  return static_cast<std::uint32_t>(key % kRebalanceBuckets);
-}
-
 ShardedLocationServer::ShardedLocationServer(NodeId self, ConfigRecord cfg,
                                              net::Transport& net, Clock& clock,
                                              Options opts,
@@ -47,15 +42,8 @@ ShardedLocationServer::ShardedLocationServer(NodeId self, ConfigRecord cfg,
   if (opts_.shards == 0) opts_.shards = 1;
   const std::uint32_t n = opts_.shards;
 
-  // Default bucket table: bucket % shards. For shard counts dividing the
-  // bucket count this routes identically to shard_of(), so the bucket layer
-  // is invisible until the rebalancer moves a bucket.
-  for (std::uint32_t b = 0; b < kRebalanceBuckets; ++b) {
-    bucket_to_shard_[b].store(b % n, std::memory_order_relaxed);
-  }
-
   for (std::uint32_t i = 0; i < n; ++i) {
-    auto sh = std::make_unique<Shard>(opts_.inbox_capacity);
+    auto sh = std::make_unique<Shard>(kInboxCapacity);
     sh->index = i;
     sh->pool = std::make_shared<net::BufferPool>();
     // In-flight PooledBuffers outlive this object (SimNetwork queues them);
@@ -161,7 +149,7 @@ std::uint32_t ShardedLocationServer::route(const std::uint8_t* data,
   // Area-keyed and malformed datagrams run on the coordinator shard (the
   // latter so exactly one shard counts the decode error).
   if (!key) return 0;
-  return shard_for(*key);
+  return shard_of(*key, shard_count());
 }
 
 void ShardedLocationServer::handle(const net::Datagram& dg) {
@@ -232,6 +220,7 @@ template <typename M>
 bool ShardedLocationServer::split_by_owner(const std::uint8_t* data, std::size_t len) {
   const auto items = wire::list_items<M>(data, len);
   if (!items) return false;
+  const std::uint32_t n = shard_count();
   // Pass 1: a list whose entries all belong to one shard (or an empty list)
   // forwards unchanged -- no copy, no re-framing.
   {
@@ -239,7 +228,7 @@ bool ShardedLocationServer::split_by_owner(const std::uint8_t* data, std::size_t
     std::optional<std::uint32_t> first;
     bool mixed = false;
     while (const auto item = peek.next()) {
-      const std::uint32_t owner = shard_for(owner_key(item->value));
+      const std::uint32_t owner = shard_of(owner_key(item->value), n);
       if (!first) {
         first = owner;
       } else if (owner != *first) {
@@ -257,13 +246,12 @@ bool ShardedLocationServer::split_by_owner(const std::uint8_t* data, std::size_t
   // sub-list is re-enveloped under the ORIGINAL header bytes, so the source
   // node -- and with it the reply destination or the tee's primary -- is
   // preserved.
-  const std::uint32_t n = static_cast<std::uint32_t>(shards_.size());
   split_packed_.resize(n);
   split_counts_.assign(n, 0);
   for (auto& buf : split_packed_) buf.clear();
   auto view = *items;
   while (const auto item = view.next()) {
-    const std::uint32_t owner = shard_for(owner_key(item->value));
+    const std::uint32_t owner = shard_of(owner_key(item->value), n);
     split_packed_[owner].insert(split_packed_[owner].end(), item->data,
                                 item->data + item->len);
     ++split_counts_[owner];
@@ -334,39 +322,6 @@ void ShardedLocationServer::shard_loop(Shard& sh) {
       std::this_thread::yield();
       continue;
     }
-    // Adaptive busy-poll (Options::busy_poll_us): spin on the inbox for a
-    // bounded window before paying the sleep/wake path. The periodic
-    // channel flush reaps transmit completions along the way -- over an
-    // io_uring backend that is a CQ sweep with no syscall -- so a loaded
-    // shard can run drain -> handle -> flush cycles entirely in user space.
-    if (opts_.busy_poll_us > 0) {
-      const auto deadline = std::chrono::steady_clock::now() +
-                            std::chrono::microseconds(opts_.busy_poll_us);
-      bool caught = false;
-      std::uint32_t spin = 0;
-      while (std::chrono::steady_clock::now() < deadline) {
-        sh.busy_spins.fetch_add(1, std::memory_order_relaxed);
-        if (stop_.load(std::memory_order_acquire)) break;
-        if (!sh.inbox.empty()) {
-          caught = true;
-          break;
-        }
-        if (tx != nullptr && (++spin & 31u) == 0) tx->flush();
-#if defined(__x86_64__) || defined(__i386__)
-        __builtin_ia32_pause();
-#else
-        std::this_thread::yield();
-#endif
-      }
-      if (caught) {
-        // A sleep (and the producer's notify_one) just got skipped.
-        sh.wakeups_avoided.fetch_add(1, std::memory_order_relaxed);
-        idle_rounds = 0;
-        continue;
-      }
-      if (stop_.load(std::memory_order_acquire)) continue;  // drain + exit
-    }
-    sh.busy_sleeps.fetch_add(1, std::memory_order_relaxed);
     std::unique_lock<std::mutex> lock(sh.wake_mu);
     sh.sleeping.store(true, std::memory_order_release);
     sh.wake_cv.wait_for(lock, kSleepSlice, [&] {
@@ -398,7 +353,6 @@ void ShardedLocationServer::tick(TimePoint now) {
     store::MaybeGuard guard(reactor_lock(*sh));
     sh->server->tick(now);
   }
-  if (opts_.balance.rebalance && shards_.size() > 1) rebalance();
 }
 
 void ShardedLocationServer::request_refresh_all() {
@@ -450,98 +404,6 @@ std::vector<ShardedLocationServer::ShardLoad> ShardedLocationServer::shard_loads
     loads.push_back(load);
   }
   return loads;
-}
-
-void ShardedLocationServer::encode_load_stats(wire::Buffer& out) {
-  wire::ShardLoadStats msg;
-  msg.seq = ++load_seq_;
-  for (const ShardLoad& load : shard_loads()) {
-    msg.entries.append({load.shard, load.sightings, load.visitors, load.msgs_handled,
-                        load.inbox_depth});
-  }
-  wire::encode_envelope_into(out, self_, msg);
-}
-
-void ShardedLocationServer::rebalance() {
-  const std::uint32_t n = static_cast<std::uint32_t>(shards_.size());
-  for (std::uint32_t moves = 0; moves < opts_.balance.max_buckets_per_sweep;
-       ++moves) {
-    // Decision inputs: slice occupancy only. Queue depth is too noisy to act
-    // on (threaded inboxes drain in bursts) -- it is exported, not acted on.
-    const std::vector<ShardLoad> loads = shard_loads();
-    std::uint32_t donor = 0;
-    std::uint32_t recipient = 0;
-    std::size_t total = 0;
-    for (const ShardLoad& load : loads) {
-      total += load.sightings;
-      if (load.sightings > loads[donor].sightings) donor = load.shard;
-      if (load.sightings < loads[recipient].sightings) recipient = load.shard;
-    }
-    const std::size_t max_occ = loads[donor].sightings;
-    // Hysteresis: stop when inside the trigger band, or when the absolute
-    // gap is too small to matter.
-    if (max_occ < loads[recipient].sightings + opts_.balance.min_imbalance) {
-      return;
-    }
-    if (static_cast<double>(max_occ) * n <=
-        opts_.balance.trigger_ratio * static_cast<double>(total)) {
-      return;
-    }
-    // Fattest donor-owned bucket (ties: lowest bucket id, keeping the sweep
-    // deterministic). Recomputed each move: after a move the donor/recipient
-    // pair usually changes, so a one-shot plan would chase a stale argmax.
-    std::array<std::size_t, kRebalanceBuckets> bucket_occ{};
-    shards_[donor]->server->sightings()->for_each(
-        [&](ObjectId oid, const store::SightingDb::Record&) {
-          ++bucket_occ[bucket_of(oid)];
-        });
-    std::uint32_t best = kRebalanceBuckets;
-    std::size_t best_occ = 0;
-    for (std::uint32_t b = 0; b < kRebalanceBuckets; ++b) {
-      if (bucket_to_shard_[b].load(std::memory_order_relaxed) != donor) continue;
-      if (bucket_occ[b] > best_occ) {
-        best = b;
-        best_occ = bucket_occ[b];
-      }
-    }
-    if (best == kRebalanceBuckets || best_occ == 0) return;  // nothing movable
-    move_bucket(best, donor, recipient);
-  }
-}
-
-void ShardedLocationServer::move_bucket(std::uint32_t b, std::uint32_t donor,
-                                        std::uint32_t recipient) {
-  Shard& from = *shards_[donor];
-  Shard& to = *shards_[recipient];
-  // Both reactors pause for the move (ordered by index -- the only place two
-  // reactor locks nest). Inline mode needs no locks: tick() runs in the one
-  // delivery context.
-  std::unique_lock<std::mutex> first_lock;
-  std::unique_lock<std::mutex> second_lock;
-  if (opts_.threaded) {
-    Shard& first = donor < recipient ? from : to;
-    Shard& second = donor < recipient ? to : from;
-    first_lock = std::unique_lock<std::mutex>(first.reactor_mu);
-    second_lock = std::unique_lock<std::mutex>(second.reactor_mu);
-  }
-  migrate_scratch_.entries.clear();
-  migrate_scratch_.bucket = b;
-  from.server->extract_for_migration(
-      [&](ObjectId oid) { return bucket_of(oid) == b; }, migrate_scratch_);
-  // Flip the table BEFORE installing: datagrams routed from here on land in
-  // the recipient's inbox and are processed after the install below (its
-  // reactor lock is held). Stale datagrams already queued on the donor
-  // degrade to unknown-object drops/nacks -- UDP semantics.
-  bucket_to_shard_[b].store(recipient, std::memory_order_release);
-  if (!migrate_scratch_.entries.empty()) {
-    // Through the real codec on purpose: migration exercises the same
-    // validated framing whether the shards share an address space or not.
-    wire::encode_envelope_into(migrate_datagram_, self_, migrate_scratch_);
-    to.server->handle(migrate_datagram_.data(), migrate_datagram_.size());
-    objects_migrated_.fetch_add(migrate_scratch_.entries.count,
-                                std::memory_order_relaxed);
-  }
-  buckets_migrated_.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace locs::core

@@ -6,10 +6,13 @@
 // across N LocationServer instances behind the same NodeId and service area:
 //
 //   * routing -- every incoming datagram is peeked (wire::peek_object_key)
-//     without a full decode; object-keyed messages go to the shard owning
-//     hash(ObjectId) % N, area-keyed messages (range / NN / events) go to
+//     without a full decode; object-keyed messages go to shard
+//     shard_of(ObjectId, N), area-keyed messages (range / NN / events) go to
 //     shard 0, the coordinator shard (see the routing invariant in
-//     core/location_server.hpp);
+//     core/location_server.hpp). shard_of is a pure function, so there is
+//     no routing state to keep consistent and no soft state ever moves
+//     between shards: its splitmix64 key mix already spreads the strided id
+//     blocks that would alias under a raw modulo;
 //   * state -- each shard owns a partition of the visitor records, a
 //     SightingDb slice with its OWN spatial index, and a PRIVATE send
 //     BufferPool (net/buffer_pool.hpp) so concurrent shards never contend on
@@ -45,7 +48,6 @@
 // shard refreshes only the visitors of its own slice.
 #pragma once
 
-#include <array>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
@@ -60,35 +62,6 @@ namespace locs::core {
 
 class ShardedLocationServer {
  public:
-  /// ObjectId routing granularity: ids map to this many coarse buckets, and
-  /// buckets map to shards through a runtime table (initially bucket %
-  /// shards). Whenever the shard count divides the bucket count -- every
-  /// power of two up to 256 -- the default table routes IDENTICALLY to
-  /// hash(ObjectId) % shards, so enabling the bucket layer changes nothing
-  /// until the rebalancer actually moves a bucket.
-  static constexpr std::uint32_t kRebalanceBuckets = 256;
-
-  /// Skew-aware routing + incremental bucket re-assignment between shards.
-  struct Balance {
-    /// Run object ids through the splitmix64 finalizer before bucketing.
-    /// Disable to reproduce raw `oid % N` routing (skew control runs and
-    /// the distribution pin test) -- sequential/strided id allocations then
-    /// alias onto few shards.
-    bool mix_keys = true;
-    /// Re-assign buckets between shards when occupancy skews. Driven from
-    /// tick(): each sweep moves whole buckets -- soft state migrates through
-    /// wire::BucketMigrate datagrams applied under both shard locks.
-    bool rebalance = false;
-    /// Rebalance only while max shard occupancy exceeds trigger_ratio x
-    /// mean occupancy ...
-    double trigger_ratio = 1.25;
-    /// ... and the donor holds at least this many more sightings than the
-    /// recipient (hysteresis: near-empty leaves never shuffle).
-    std::size_t min_imbalance = 64;
-    /// Upper bound on bucket moves per tick sweep (bounds tick latency).
-    std::uint32_t max_buckets_per_sweep = 8;
-  };
-
   struct Options {
     /// Number of shard reactors (1 behaves exactly like a LocationServer).
     std::uint32_t shards = 1;
@@ -96,21 +69,8 @@ class ShardedLocationServer {
     /// Leave false over SimNetwork (inline execution keeps delivery
     /// deterministic); set true over UdpNetwork.
     bool threaded = false;
-    /// Per-shard inbox capacity (threaded mode); overflow drops datagrams
-    /// after a brief retry (UDP semantics -- senders own retries).
-    std::size_t inbox_capacity = 4096;
-    /// Adaptive busy-poll window (threaded mode; 0 = off). An idle reactor
-    /// that has exhausted its yield rounds spins on the SPSC inbox for up
-    /// to this many microseconds -- flushing its transmit channel along the
-    /// way, which over an io_uring backend reaps the CQ without a syscall
-    /// -- before falling back to the sleep/wake path. Work arriving inside
-    /// the window skips a full sleep+wakeup round trip (and the producer's
-    /// notify syscall); see busy_poll_stats().
-    std::uint32_t busy_poll_us = 0;
     /// Options forwarded to every shard's LocationServer.
     LocationServer::Options server;
-    /// Skew-aware routing / rebalancing knobs (see Balance).
-    Balance balance;
   };
 
   /// Per-shard persistent visitorDB factory (default: in-memory).
@@ -173,24 +133,13 @@ class ShardedLocationServer {
   /// the shard owning each ObjectId; StandbyPromote/Demote broadcast to all).
   void set_standby_role(NodeId primary);
 
-  /// The shard owning an object id under the DEFAULT bucket table; the same
-  /// for every node, so a handover re-routes the object to the owning shard
-  /// of the new agent. Live routing goes through shard_for(), which also
-  /// honors rebalanced buckets.
+  /// The shard owning an object id: splitmix64(oid) % shard_count. The same
+  /// for every node and for the object's whole lifetime, so a handover
+  /// re-routes the object to the owning shard of the new agent.
   static std::uint32_t shard_of(ObjectId oid, std::uint32_t shard_count);
 
-  /// The coarse bucket an object id routes through (honors balance.mix_keys).
-  std::uint32_t bucket_of(ObjectId oid) const;
-
-  /// The shard currently owning an object id (bucket table lookup).
-  std::uint32_t shard_for(ObjectId oid) const {
-    return bucket_to_shard_[bucket_of(oid)].load(std::memory_order_relaxed);
-  }
-
-  /// Point-in-time per-shard load snapshot (queue depth + occupancy): the
-  /// rebalancer's decision inputs, also exported over the wire via
-  /// encode_load_stats. Serialized against the shard reactors in threaded
-  /// mode.
+  /// Point-in-time per-shard load snapshot (queue depth + occupancy).
+  /// Serialized against the shard reactors in threaded mode.
   struct ShardLoad {
     std::uint32_t shard = 0;
     std::size_t sightings = 0;     // slice SightingDb records
@@ -199,18 +148,6 @@ class ShardedLocationServer {
     std::size_t inbox_depth = 0;   // SPSC inbox backlog (threaded mode)
   };
   std::vector<ShardLoad> shard_loads() const;
-
-  /// Encodes the current shard loads as one wire::ShardLoadStats envelope
-  /// from this leaf's NodeId (monitoring export; sequence-stamped).
-  void encode_load_stats(wire::Buffer& out);
-
-  /// Buckets re-assigned / visitors migrated by the rebalancer so far.
-  std::uint64_t buckets_migrated() const {
-    return buckets_migrated_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t objects_migrated() const {
-    return objects_migrated_.load(std::memory_order_relaxed);
-  }
 
   NodeId id() const { return self_; }
   std::uint32_t shard_count() const {
@@ -238,29 +175,9 @@ class ShardedLocationServer {
     return inbox_dropped_.load(std::memory_order_relaxed);
   }
 
-  /// Idle-path counters, summed across shard reactors (threaded mode;
-  /// all-zero inline). `sleeps` counts entries into the sleep/wake path and
-  /// ticks with busy-poll off too, so the same counter shows the before /
-  /// after of enabling Options::busy_poll_us.
-  struct BusyPollStats {
-    std::uint64_t spins = 0;    // busy-poll window iterations
-    std::uint64_t sleeps = 0;   // falls into the wake_cv sleep path
-    std::uint64_t wakeups_avoided = 0;  // work caught inside a spin window
-  };
-  BusyPollStats busy_poll_stats() const {
-    BusyPollStats total;
-    for (const auto& sh : shards_) {
-      total.spins += sh->busy_spins.load(std::memory_order_relaxed);
-      total.sleeps += sh->busy_sleeps.load(std::memory_order_relaxed);
-      total.wakeups_avoided +=
-          sh->wakeups_avoided.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-
  private:
   struct Shard {
-    explicit Shard(std::size_t inbox_capacity) : inbox(inbox_capacity) {}
+    explicit Shard(std::size_t capacity) : inbox(capacity) {}
 
     std::uint32_t index = 0;
     std::shared_ptr<net::BufferPool> pool;  // private send pool (adopted by
@@ -281,10 +198,6 @@ class ShardedLocationServer {
     std::mutex wake_mu;
     std::condition_variable wake_cv;
     std::atomic<bool> sleeping{false};
-    // Idle-path counters (busy_poll_stats()); relaxed -- monitoring only.
-    std::atomic<std::uint64_t> busy_spins{0};
-    std::atomic<std::uint64_t> busy_sleeps{0};
-    std::atomic<std::uint64_t> wakeups_avoided{0};
   };
 
   struct SightingDelta {
@@ -314,14 +227,6 @@ class ShardedLocationServer {
   void wake(Shard& sh);
   /// Applies queued sibling-shard sighting deltas on the coordinator shard.
   bool drain_sighting_deltas();
-  /// One tick-driven rebalance sweep: repeatedly moves the fattest bucket
-  /// from the most- to the least-loaded shard until occupancy is inside the
-  /// trigger band or max_buckets_per_sweep is spent.
-  void rebalance();
-  /// Moves bucket `b` from shard `donor` to `recipient`: extracts the soft
-  /// state under BOTH reactor locks (ordered by index), flips the bucket
-  /// table, and applies the BucketMigrate on the recipient directly.
-  void move_bucket(std::uint32_t b, std::uint32_t donor, std::uint32_t recipient);
 
   NodeId self_;
   net::Transport& net_;
@@ -348,22 +253,6 @@ class ShardedLocationServer {
   std::vector<wire::Buffer> split_packed_;
   std::vector<std::uint64_t> split_counts_;
   wire::Buffer split_datagram_;
-
-  // Bucket -> shard routing table. route() reads it from the node's receive
-  // context while the tick thread's rebalancer flips entries, hence atomics;
-  // a datagram routed over a just-flipped entry lands in the new owner's
-  // inbox AFTER the migration applied (the mover holds the recipient's
-  // reactor lock), and a stale in-flight datagram degrades to an
-  // unknown-object drop/nack -- UDP semantics, like any lost update.
-  std::array<std::atomic<std::uint32_t>, kRebalanceBuckets> bucket_to_shard_;
-
-  // Rebalancer scratch + counters (tick-thread only; counters are read by
-  // stats/monitoring threads).
-  wire::BucketMigrate migrate_scratch_;
-  wire::Buffer migrate_datagram_;
-  std::uint64_t load_seq_ = 0;  // ShardLoadStats sequence stamp
-  std::atomic<std::uint64_t> buckets_migrated_{0};
-  std::atomic<std::uint64_t> objects_migrated_{0};
 
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> inbox_dropped_{0};

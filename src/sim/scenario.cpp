@@ -227,7 +227,6 @@ DriveResult drive_scenario(const ScenarioParams& sp, const DriveOptions& opts) {
   core::Deployment::Config cfg;
   cfg.leaf_shards = opts.leaf_shards;
   cfg.force_leaf_sharding = opts.force_leaf_sharding;
-  cfg.leaf_balance = opts.balance;
   core::Deployment deployment(
       net, net.clock(),
       core::HierarchyBuilder::grid(sp.area, opts.grid_fanout_x,
@@ -303,19 +302,13 @@ DriveResult drive_scenario(const ScenarioParams& sp, const DriveOptions& opts) {
     });
     coalescer.flush_all();
     net.run_until_idle();
-    deployment.tick_all(net.now());  // expiry sweeps + shard rebalancer
+    deployment.tick_all(net.now());  // expiry sweeps
     net.run_until_idle();
   }
   res.rounds_wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - rounds_start)
           .count();
   res.round_messages = net.messages_sent() - msgs_before_rounds;
-  // Let an enabled rebalancer converge on the final distribution (each tick
-  // moves at most Balance::max_buckets_per_sweep buckets per leaf).
-  for (int k = 0; k < 4; ++k) {
-    deployment.tick_all(net.now());
-    net.run_until_idle();
-  }
 
   // Final occupancy (leaf-major shard slices).
   for (const NodeId leaf : leaves) {
@@ -326,8 +319,6 @@ DriveResult drive_scenario(const ScenarioParams& sp, const DriveOptions& opts) {
         total += load.sightings;
       }
       res.leaf_occupancy.push_back(total);
-      res.buckets_migrated += sh->buckets_migrated();
-      res.objects_migrated += sh->objects_migrated();
     } else {
       const store::SightingDb* db = deployment.server(leaf).sightings();
       const std::size_t size = db != nullptr ? db->size() : 0;
@@ -341,7 +332,7 @@ DriveResult drive_scenario(const ScenarioParams& sp, const DriveOptions& opts) {
   // interleaving): pos queries over a deterministic population sample plus
   // one whole-leaf range query per leaf, results sorted by oid. Two runs
   // with equal answer_crc hold the same soft state, whatever their shard
-  // layout or migration history (the balanced-vs-control equivalence gate).
+  // layout (the sharded-vs-unsharded equivalence gate).
   std::uint32_t acrc = 0;
   const auto fold_u64 = [&](std::uint64_t v) { acrc = crc32(&v, sizeof v, acrc); };
   const auto fold_f64 = [&](double v) { acrc = crc32(&v, sizeof v, acrc); };

@@ -11,8 +11,8 @@
 //  * kFlashCrowd   -- a stadium event: a crowd fraction converges on ONE
 //                     point inside one leaf, AND crowd members carry strided
 //                     ObjectIds -- the worst case for modulo shard routing
-//                     (every crowd id lands on one shard unless the shard
-//                     key is mixed; see ShardedLocationServer::Balance).
+//                     (a raw modulo would put every crowd id on one shard;
+//                     ShardedLocationServer::shard_of mixes the key first).
 //  * kConvoys      -- vehicle fleets crossing the grid in formation: whole
 //                     convoys hit leaf boundaries together, producing
 //                     correlated handover storms.
@@ -33,7 +33,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/sharded_location_server.hpp"
 #include "geo/point.hpp"
 #include "geo/rect.hpp"
 #include "sim/mobility.hpp"
@@ -65,7 +64,7 @@ struct ScenarioParams {
   // -- kFlashCrowd --
   double crowd_fraction = 0.6;    // fraction of objects in the crowd
   /// Crowd ObjectIds are `1 + j * stride`: with stride % shards == 0 a raw
-  /// modulo shard key puts the WHOLE crowd on one shard (satellite pin:
+  /// modulo shard key would put the WHOLE crowd on one shard (pinned by
   /// tests/test_macro_scenarios.cpp ShardKeyMixing*).
   std::uint64_t crowd_id_stride = 64;
   geo::Point stadium{750.0, 750.0};  // inside one leaf of the default grid
@@ -127,16 +126,14 @@ class Scenario {
 // --- Deterministic macro driver ---------------------------------------------
 
 /// Topology / deployment knobs for one drive_scenario run. Defaults build a
-/// 4x4 leaf grid over the scenario area with unsharded leaves; the
-/// macro-balancing experiments turn on leaf_shards + balance.rebalance and
-/// compare against a control run with rebalancing off.
+/// 4x4 leaf grid over the scenario area with unsharded leaves; the sharded
+/// experiments turn on leaf_shards and compare against unsharded runs.
 struct DriveOptions {
   int grid_fanout_x = 4;
   int grid_fanout_y = 4;
   int grid_levels = 1;
   std::uint32_t leaf_shards = 1;
   bool force_leaf_sharding = false;
-  core::ShardedLocationServer::Balance balance;
   std::uint64_t net_seed = 42;  // SimNetwork latency stream
   /// Position-query probes folded into answer_crc after the run (plus one
   /// whole-leaf range query per leaf).
@@ -149,8 +146,8 @@ struct DriveResult {
   std::uint32_t trace_crc = 0;
   /// CRC over canonicalized query answers (pos probes in probe order, range
   /// results sorted by oid): equal CRCs mean the deployments are
-  /// answer-equivalent even when their traces differ (sharded vs unsharded,
-  /// balanced vs control).
+  /// answer-equivalent even when their traces differ (sharded vs
+  /// unsharded).
   std::uint32_t answer_crc = 0;
   std::uint64_t messages = 0;
   std::uint64_t bytes = 0;
@@ -159,8 +156,6 @@ struct DriveResult {
   std::vector<std::uint64_t> per_leaf_updates;  // update datagrams per leaf
   std::vector<std::size_t> leaf_occupancy;      // final sightings per leaf
   std::vector<std::size_t> shard_occupancy;     // flattened leaf-major slices
-  std::uint64_t buckets_migrated = 0;
-  std::uint64_t objects_migrated = 0;
   double virtual_ms = 0.0;
   double wall_seconds = 0.0;        // whole run (setup + rounds + probes)
   double rounds_wall_seconds = 0.0; // update rounds only (throughput basis)

@@ -218,7 +218,7 @@ class PointQuadtree final : public SpatialIndex {
     std::vector<Entry> entries;
     entries.reserve(alive_);
     collect(root_.get(), entries);
-    // Shuffle before reinsertion: point quadtree balance depends on
+    // Shuffle before reinsertion: point quadtree depth depends on
     // insertion order; a deterministic shuffle restores expected O(log n).
     Rng rng(0x9d7f3c2b1ULL + entries.size());
     std::shuffle(entries.begin(), entries.end(), rng);

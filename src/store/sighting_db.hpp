@@ -147,15 +147,6 @@ class SightingDb {
   std::size_t size() const { return records_.size(); }
   void clear();
 
-  /// Invokes `fn(oid, record)` for every stored visitor, under the slice
-  /// lock. `fn` must not call back into a mutator (they self-lock); callers
-  /// that mutate collect the ids first (bucket-migration extraction does).
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    MaybeGuard g(slice_mu_);
-    for (const auto& [oid, rec] : records_) fn(oid, rec);
-  }
-
   const spatial::SpatialIndex& index() const { return *index_; }
 
   /// Sharding hook (core/sharded_location_server): when this db is one slice

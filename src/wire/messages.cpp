@@ -52,14 +52,17 @@ constexpr std::array<bool, 256> kObjectKeyed = [] {
   return keyed;
 }();
 
-/// The variant alternatives are listed in MsgType order.
+/// The variant alternatives are listed in strictly ascending MsgType order
+/// (retired numbers leave gaps).
 template <std::size_t... I>
 constexpr bool variant_in_msg_type_order(std::index_sequence<I...>) {
-  return ((std::variant_alternative_t<I, Message>::kType == static_cast<MsgType>(I + 1)) &&
+  return ((std::variant_alternative_t<I, Message>::kType <
+           std::variant_alternative_t<I + 1, Message>::kType) &&
           ...);
 }
-static_assert(variant_in_msg_type_order(std::make_index_sequence<std::variant_size_v<Message>>{}),
-              "LOCS_WIRE_FOR_EACH_MESSAGE must list the messages in MsgType order");
+static_assert(
+    variant_in_msg_type_order(std::make_index_sequence<std::variant_size_v<Message> - 1>{}),
+    "LOCS_WIRE_FOR_EACH_MESSAGE must list the messages in ascending MsgType order");
 
 template <typename M>
 void encode_envelope_impl(Buffer& out, NodeId src, const M& m) {

@@ -15,7 +15,7 @@
 // entry (which generates the Message variant, the per-type encode overloads,
 // the decode dispatch and msg_type_name). Adding a message: append a MsgType
 // value, declare the struct with kType and its field list, append it to
-// LOCS_WIRE_FOR_EACH_MESSAGE.
+// LOCS_WIRE_FOR_EACH_MESSAGE. A retired type's number stays reserved.
 //
 // Server-to-server messages carry an optional origin (leaf id + service
 // area): the §6.5 piggyback that feeds the (leaf server -> service area)
@@ -120,10 +120,9 @@ enum class MsgType : std::uint8_t {
   kHeartbeatAck,
   kRecoveryHello,
   kBatchedRefreshReq,
-  kBatchedPathUpdate,
-  kShardLoadStats,
-  kBucketMigrate,
-  kReplicaTee,
+  // 38-40 are retired (path batches, shard load stats, bucket migration):
+  // reserved, never reused, and rejected by the decoder as unknown.
+  kReplicaTee = 41,
   kStandbyPromote,
   kStandbyDemote,
 };
@@ -435,8 +434,8 @@ LOCS_WIRE_FIELDS(RefreshReq, m.oid)
 //    travels parent -> restarted leaf (oids with forwarding paths into that
 //    leaf) and leaf -> registering instance (oids whose sightings need a
 //    refresh), replacing one RefreshReq datagram per object with one sweep
-//    datagram per client node (chunked; see
-//    LocationServer::Options::refresh_batch_max).
+//    datagram per client node (chunked at 256 ObjectIds per datagram; see
+//    LocationServer::send_refresh_batches).
 
 /// Parent -> child liveness probe (miss-threshold failure detection).
 struct Heartbeat {
@@ -467,67 +466,6 @@ struct BatchedRefreshReq {
   PackedList<ObjectId> oids;
 };
 LOCS_WIRE_FIELDS(BatchedRefreshReq, m.oids)
-
-/// Coalesced server-to-server forwarding-path maintenance: a burst of
-/// CreatePath/RemovePath messages bound for the same parent travels as ONE
-/// datagram; the entries keep their relative order, so create/remove
-/// sequences for one object replay in order. Sent only when
-/// LocationServer::Options::coalesce_paths is on -- default traces carry
-/// the unbatched messages bit for bit.
-struct BatchedPathUpdate {
-  static constexpr MsgType kType = MsgType::kBatchedPathUpdate;
-  struct Entry {
-    bool create = false;  // CreatePath (true) or RemovePath (false)
-    ObjectId oid;
-  };
-  PackedList<Entry> ops;
-};
-LOCS_WIRE_FIELDS(BatchedPathUpdate::Entry, m.create, m.oid)
-LOCS_WIRE_FIELDS(BatchedPathUpdate, m.ops)
-
-// --- Sharded-leaf skew balancing (core/sharded_location_server) --------------
-//
-// BucketMigrate never leaves its leaf NodeId: the donor shard reactor
-// encodes it and a recipient shard reactor of the SAME sharded leaf consumes
-// it (envelope src == the leaf itself; other sources are ignored), so soft
-// state moves between slices with wire-validated framing but no network hop.
-
-/// Per-shard load snapshot of a sharded leaf (queue depth + occupancy),
-/// published for monitors and rebalancer decision logs.
-struct ShardLoadStats {
-  static constexpr MsgType kType = MsgType::kShardLoadStats;
-  struct Entry {
-    std::uint32_t shard = 0;
-    std::uint64_t sightings = 0;     // slice occupancy (SightingDb records)
-    std::uint64_t visitors = 0;      // slice visitorDB records
-    std::uint64_t msgs_handled = 0;  // reactor lifetime message count
-    std::uint64_t inbox_depth = 0;   // SPSC inbox backlog (threaded mode)
-  };
-  std::uint64_t seq = 0;  // snapshot sequence number
-  PackedList<Entry> entries;
-};
-LOCS_WIRE_FIELDS(ShardLoadStats::Entry, m.shard, m.sightings, m.visitors, m.msgs_handled,
-                 m.inbox_depth)
-LOCS_WIRE_FIELDS(ShardLoadStats, m.seq, m.entries)
-
-/// One ObjectId bucket's soft state moving between two shard reactors of the
-/// same leaf (incremental skew rebalancing). Entries carry everything a leaf
-/// slice stores per visitor -- the sighting, the offered accuracy, the
-/// ABSOLUTE expiry (migration must not extend the soft-state TTL) and the
-/// registration info.
-struct BucketMigrate {
-  static constexpr MsgType kType = MsgType::kBucketMigrate;
-  struct Entry {
-    core::Sighting s;
-    double offered_acc = 0.0;
-    TimePoint expiry = 0;
-    core::RegInfo reg;
-  };
-  std::uint32_t bucket = 0;  // ObjectId bucket being re-assigned
-  PackedList<Entry> entries;
-};
-LOCS_WIRE_FIELDS(BucketMigrate::Entry, m.s, m.offered_acc, m.expiry, m.reg)
-LOCS_WIRE_FIELDS(BucketMigrate, m.bucket, m.entries)
 
 // --- Leaf hot-standby replication (answer-complete failover) -----------------
 //
@@ -653,8 +591,8 @@ LOCS_WIRE_FIELDS(EventUnsubscribe, m.sub_id)
 
 // --- Envelope ----------------------------------------------------------------
 
-/// Every protocol message type, in MsgType order. Generates the Message
-/// variant, the per-type encode overloads, the decode dispatch and
+/// Every protocol message type, in ascending MsgType order. Generates the
+/// Message variant, the per-type encode overloads, the decode dispatch and
 /// msg_type_name.
 #define LOCS_WIRE_FOR_EACH_MESSAGE(X)                                          \
   X(RegisterReq)                                                               \
@@ -694,9 +632,6 @@ LOCS_WIRE_FIELDS(EventUnsubscribe, m.sub_id)
   X(HeartbeatAck)                                                              \
   X(RecoveryHello)                                                             \
   X(BatchedRefreshReq)                                                         \
-  X(BatchedPathUpdate)                                                         \
-  X(ShardLoadStats)                                                            \
-  X(BucketMigrate)                                                             \
   X(ReplicaTee)                                                                \
   X(StandbyPromote)                                                            \
   X(StandbyDemote)

@@ -7,11 +7,14 @@
 //    a flip happens to decode, the result re-encodes without crashing,
 //  * the routing peeks (wire::peek_object_key, wire::list_items) agree with
 //    the full decode,
-//  * the encoder's bytes match a golden table for every type,
+//  * the encoder's bytes match a golden table for every type, and retired
+//    type numbers are rejected,
 //  * hardened varints: boundary values round-trip, overlong and overflowing
 //    encodings sticky-fail.
 #include <gtest/gtest.h>
 
+#include "core/sharded_location_server.hpp"
+#include "net/sim_network.hpp"
 #include "util/crc32.hpp"
 #include "util/rng.hpp"
 #include "wire/messages.hpp"
@@ -103,39 +106,6 @@ BatchedRefreshReq rand_refresh_batch(Rng& rng) {
   const std::size_t n = rng.next_below(8);  // including empty sweeps
   for (std::size_t i = 0; i < n; ++i) b.oids.append(rand_oid(rng));
   return b;
-}
-
-BatchedPathUpdate rand_path_batch(Rng& rng) {
-  BatchedPathUpdate b;
-  const std::size_t n = rng.next_below(8);  // including empty batches
-  for (std::size_t i = 0; i < n; ++i) {
-    // Draws stay in this order: WireBytesMatchGolden pins their bytes.
-    const ObjectId oid = rand_oid(rng);
-    b.ops.append({rng.next_below(2) == 0, oid});
-  }
-  return b;
-}
-
-ShardLoadStats rand_load_stats(Rng& rng) {
-  ShardLoadStats m;
-  m.seq = rng.next_u64();
-  const std::size_t n = rng.next_below(6);  // including empty snapshots
-  for (std::size_t i = 0; i < n; ++i) {
-    m.entries.append({static_cast<std::uint32_t>(rng.next_below(64)), rng.next_u64() >> 8,
-                      rng.next_u64() >> 8, rng.next_u64() >> 8, rng.next_below(100000)});
-  }
-  return m;
-}
-
-BucketMigrate rand_bucket_migrate(Rng& rng) {
-  BucketMigrate m;
-  m.bucket = static_cast<std::uint32_t>(rng.next_below(256));
-  const std::size_t n = rng.next_below(5);  // including empty migrations
-  for (std::size_t i = 0; i < n; ++i) {
-    m.entries.append({rand_sighting(rng), rng.uniform(0, 500),
-                      static_cast<TimePoint>(rng.next_u64() >> 20), rand_reg_info(rng)});
-  }
-  return m;
 }
 
 ReplicaTee rand_replica_tee(Rng& rng) {
@@ -263,9 +233,6 @@ constexpr Generator kGenerators[] = {
     [](Rng& rng) -> Message { return HeartbeatAck{rng.next_u64()}; },
     [](Rng& rng) -> Message { return RecoveryHello{rng.next_u64()}; },
     [](Rng& rng) -> Message { return rand_refresh_batch(rng); },
-    [](Rng& rng) -> Message { return rand_path_batch(rng); },
-    [](Rng& rng) -> Message { return rand_load_stats(rng); },
-    [](Rng& rng) -> Message { return rand_bucket_migrate(rng); },
     [](Rng& rng) -> Message { return rand_replica_tee(rng); },
     [](Rng& rng) -> Message { return StandbyPromote{rand_node(rng), rng.next_u64()}; },
     [](Rng& rng) -> Message { return StandbyDemote{rand_node(rng), rng.next_u64()}; },
@@ -280,6 +247,7 @@ std::vector<Message> random_messages(Rng& rng) {
 }
 
 constexpr std::size_t kVariantCount = std::variant_size_v<Message>;
+constexpr auto kLastType = static_cast<std::size_t>(MsgType::kStandbyDemote);
 
 // --- round-trip stability ----------------------------------------------------
 
@@ -356,9 +324,6 @@ TEST(CodecProperty, WireBytesMatchGolden) {
       {MsgType::kHeartbeatAck, 249, 0x2b56b990u},
       {MsgType::kRecoveryHello, 248, 0x6f964d52u},
       {MsgType::kBatchedRefreshReq, 287, 0xf337f7a8u},
-      {MsgType::kBatchedPathUpdate, 423, 0x6dabcfb8u},
-      {MsgType::kShardLoadStats, 1536, 0x87e747afu},
-      {MsgType::kBucketMigrate, 2854, 0x737a6f92u},
       {MsgType::kReplicaTee, 2023, 0xc6991f9bu},
       {MsgType::kStandbyPromote, 327, 0x74c93db5u},
       {MsgType::kStandbyDemote, 327, 0xbe73a43eu},
@@ -482,7 +447,7 @@ TEST(CodecProperty, RandomGarbageNeverCrashesTheDecoder) {
       // Valid type and version bytes: reach the per-type decoders.
       junk[0] = kWireVersion;
       if (junk.size() > 1) {
-        junk[1] = static_cast<std::uint8_t>(1 + rng.next_below(kVariantCount + 2));
+        junk[1] = static_cast<std::uint8_t>(1 + rng.next_below(kLastType + 2));
         junk[0] = version_of(static_cast<MsgType>(junk[1]));
       }
     }
@@ -689,70 +654,6 @@ TEST(CodecProperty, RefreshBatchBitFlipsNeverCrashCursorOrView) {
     const std::size_t n = 1 + rng.next_below(8);
     for (std::size_t i = 0; i < n; ++i) batch.oids.append(rand_oid(rng));
     flip_one_bit_and_iterate(rng, batch);
-  }
-}
-
-// --- shard load stats + bucket migration (skew-rebalancing framing) ----------
-
-TEST(CodecProperty, ShardLoadStatsCursorRoundTripsEveryEntry) {
-  Rng rng(96);
-  for (int iter = 0; iter < 64; ++iter) {
-    std::vector<ShardLoadStats::Entry> in(rng.next_below(8));
-    ShardLoadStats stats;
-    stats.seq = rng.next_u64();
-    for (auto& e : in) {
-      e = {static_cast<std::uint32_t>(rng.next_below(64)), rng.next_u64() >> 8,
-           rng.next_u64() >> 8, rng.next_u64() >> 8, rng.next_below(100000)};
-      stats.entries.append(e);
-    }
-    expect_list_round_trip(stats, in);
-  }
-}
-
-TEST(CodecProperty, BucketMigrateCursorRoundTripsEveryEntry) {
-  Rng rng(97);
-  for (int iter = 0; iter < 64; ++iter) {
-    std::vector<BucketMigrate::Entry> in(rng.next_below(6));
-    BucketMigrate mig;
-    mig.bucket = static_cast<std::uint32_t>(rng.next_below(256));
-    for (auto& e : in) {
-      e = {rand_sighting(rng), rng.uniform(0, 500),
-           static_cast<TimePoint>(rng.next_u64() >> 20), rand_reg_info(rng)};
-      mig.entries.append(e);
-    }
-    expect_list_round_trip(mig, in);
-  }
-}
-
-TEST(CodecProperty, TruncatedMigrateStickyFailsAndStopsIteration) {
-  Rng rng(98);
-  BucketMigrate mig;
-  mig.bucket = 17;
-  for (int i = 0; i < 4; ++i) {
-    mig.entries.append({rand_sighting(rng), rng.uniform(0, 500),
-                        static_cast<TimePoint>(rng.next_u64() >> 20), rand_reg_info(rng)});
-  }
-  // Cutting the datagram breaks the packed_len prefix: envelope sticky-fails.
-  expect_cuts_fail(mig, 1, 40);
-  // A migration whose OWNED packed region is damaged mid-entry stops lazy
-  // iteration at the damage instead of overrunning.
-  BucketMigrate damaged = mig;
-  damaged.entries.packed.resize(damaged.entries.packed.size() - 5);
-  EXPECT_EQ(count_items(damaged.entries.items()), 3u);
-}
-
-TEST(CodecProperty, MigrateAndLoadStatsBitFlipsNeverCrashTheCursors) {
-  Rng rng(100);
-  for (int iter = 0; iter < 200; ++iter) {
-    if (iter % 2 == 0) {
-      BucketMigrate mig = rand_bucket_migrate(rng);
-      mig.entries.append({rand_sighting(rng), 1.0, 2, rand_reg_info(rng)});
-      flip_one_bit_and_iterate(rng, mig);
-    } else {
-      ShardLoadStats stats = rand_load_stats(rng);
-      stats.entries.append({1, 2, 3, 4, 5});
-      flip_one_bit_and_iterate(rng, stats);
-    }
   }
 }
 
@@ -973,6 +874,59 @@ TEST(CodecProperty, EveryTypeAcceptsOnlyItsOwnVersionByte) {
     EXPECT_FALSE(decode_envelope(wire).ok()) << msg_type_name(message_type(m));
     EXPECT_FALSE(peek_object_key(wire.data(), wire.size()).has_value());
     EXPECT_FALSE(SubResView(wire.data(), wire.size()).valid());
+  }
+}
+
+TEST(CodecProperty, RetiredTypeNumbersAreRejected) {
+  // 38-40 were BatchedPathUpdate, ShardLoadStats and BucketMigrate; the
+  // payload [1][0][0] decoded as each of them. Now the type byte alone
+  // rejects the datagram, and a sharded leaf drops it without side effects.
+  net::SimNetwork net;
+  core::ConfigRecord cfg;
+  cfg.sa = geo::Polygon::from_rect(geo::Rect{{0, 0}, {100, 100}});
+  core::ShardedLocationServer::Options opts;
+  opts.shards = 4;
+  core::ShardedLocationServer leaf(NodeId{1}, cfg, net, net.clock(), opts);
+  for (std::uint64_t i = 1; i <= 8; ++i) {
+    RegisterReq req;
+    req.s = {ObjectId{i}, 0, {10.0 * static_cast<double>(i), 10.0}, 1.0};
+    req.acc_range = {10.0, 100.0};
+    req.reg_inst = NodeId{900};
+    const Buffer wire = encode_envelope(NodeId{900}, req);
+    leaf.handle(wire.data(), wire.size());
+  }
+  const auto loads_before = leaf.shard_loads();
+  const std::uint64_t sent_before = net.messages_sent();
+
+  for (const std::uint8_t type : {38, 39, 40}) {
+    SCOPED_TRACE(static_cast<int>(type));
+    Buffer wire;
+    {
+      Writer w(wire);
+      w.u8(kWireVersion);
+      w.u8(type);
+      w.u32_fixed(900);
+      w.u64(1);
+      w.u64(0);
+      w.u64(0);
+    }
+    const auto decoded = decode_envelope(wire);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().message(), "unknown message type");
+    EXPECT_FALSE(peek_object_key(wire.data(), wire.size()).has_value());
+    const std::uint64_t errors = leaf.shard(0).stats().decode_errors;
+    leaf.handle(wire.data(), wire.size());
+    EXPECT_EQ(leaf.shard(0).stats().decode_errors, errors + 1);
+  }
+
+  EXPECT_EQ(leaf.stats().decode_errors, 3u);
+  EXPECT_EQ(net.messages_sent(), sent_before);
+  const auto loads_after = leaf.shard_loads();
+  ASSERT_EQ(loads_after.size(), loads_before.size());
+  for (std::size_t s = 0; s < loads_after.size(); ++s) {
+    EXPECT_EQ(loads_after[s].sightings, loads_before[s].sightings);
+    EXPECT_EQ(loads_after[s].visitors, loads_before[s].visitors);
+    EXPECT_EQ(loads_after[s].msgs_handled, loads_before[s].msgs_handled);
   }
 }
 

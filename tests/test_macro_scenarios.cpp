@@ -1,18 +1,17 @@
-// City-scale macro-scenario suite (sim/scenario.hpp) + skew-aware shard
-// balancing (ShardedLocationServer::Balance):
+// City-scale macro-scenario suite (sim/scenario.hpp) + shard routing under
+// skew (ShardedLocationServer::shard_of):
 //
 //  * every scenario kind replays bit-identically (same seed => same trace
-//    CRC, the ISSUE's determinism bar; population via LOCS_MACRO_OBJECTS,
-//    default 100k -- the suite carries the `macro`/`slow` ctest labels),
-//  * sharded leaves answer exactly like unsharded ones at N in {1, 4}, with
-//    the bucket rebalancer on or off (answer-CRC equivalence),
+//    CRC; population via LOCS_MACRO_OBJECTS, default 100k -- the suite
+//    carries the `macro`/`slow` ctest labels),
+//  * sharded leaves answer exactly like unsharded ones at N in {1, 4}
+//    (answer-CRC equivalence),
 //  * the sharded flash crowd at bench_macro's parameters keeps its pinned
 //    trace CRC, answer CRC and message / byte counts,
-//  * the balancer never loses or duplicates a visitor: after a skewed run
-//    every object lives in EXACTLY one shard slice, at its last position,
-//  * the shard-key fix is pinned: raw modulo routing aliases a strided-id
-//    crowd onto ONE shard (the old behavior, kept under mix_keys = false
-//    for control runs), the splitmix64-mixed key spreads it evenly.
+//  * after a skewed run every visitor lives in EXACTLY its owning shard
+//    slice, at its last position,
+//  * the shard key is pinned: the splitmix64 mix spreads a strided-id crowd
+//    that a raw modulo would alias onto ONE shard.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -94,10 +93,10 @@ TEST(MacroScenarios, ShardedFlashCrowdFingerprintIsPinned) {
   EXPECT_EQ(r.bytes, 32696661u);
 }
 
-// Sharding is an implementation detail of a leaf: for N in {1, 4}, with and
-// without the rebalancer, the flash-crowd run must produce the same query
-// answers as plain LocationServer leaves (the trace differs -- batches are
-// split per shard -- but the soft state and the answers must not).
+// Sharding is an implementation detail of a leaf: for N in {1, 4} the
+// flash-crowd run must produce the same query answers as plain
+// LocationServer leaves (the trace differs -- batches are split per shard --
+// but the soft state and the answers must not).
 TEST(MacroScenarios, ShardedAnswersMatchUnshardedAtN1AndN4) {
   const sim::ScenarioParams p =
       macro_params(sim::ScenarioKind::kFlashCrowd, 4000, 3);
@@ -118,31 +117,18 @@ TEST(MacroScenarios, ShardedAnswersMatchUnshardedAtN1AndN4) {
   n4.leaf_shards = 4;
   const sim::DriveResult four = sim::drive_scenario(p, n4);
   EXPECT_EQ(four.answer_crc, base.answer_crc);
-
-  sim::DriveOptions balanced = n4;
-  balanced.balance.mix_keys = false;  // alias the crowd onto one shard...
-  balanced.balance.rebalance = true;  // ...and make the sweep repair it
-  balanced.balance.min_imbalance = 16;
-  const sim::DriveResult rebal = sim::drive_scenario(p, balanced);
-  EXPECT_EQ(rebal.answer_crc, base.answer_crc);
-  EXPECT_GT(rebal.buckets_migrated, 0u);
-  EXPECT_GT(rebal.objects_migrated, 0u);
 }
 
-// Drives a skewed population directly (strided ids, one hot leaf) and then
-// audits every shard slice: a migrated visitor must exist in EXACTLY one
-// slice, at its last reported position -- the balancer moves soft state, it
-// never forks or drops it.
-TEST(MacroScenarios, BalancerNeverLosesOrDuplicatesAVisitor) {
+// Drives a skewed population directly (strided ids, one hot leaf, batched
+// updates split per shard) and then audits every shard slice: each visitor
+// exists in EXACTLY its owning slice, at its last reported position.
+TEST(MacroScenarios, ShardedLeafKeepsEachVisitorInItsOwningSliceOnly) {
   constexpr double kArea = 2000.0;
   constexpr std::size_t kObjects = 2000;
   constexpr std::uint64_t kStride = 64;
 
   core::Deployment::Config cfg;
   cfg.leaf_shards = 4;
-  cfg.leaf_balance.mix_keys = false;
-  cfg.leaf_balance.rebalance = true;
-  cfg.leaf_balance.min_imbalance = 16;
   SimWorld w(core::HierarchyBuilder::grid(geo::Rect{{0, 0}, {kArea, kArea}}, 2, 2, 1),
              cfg);
   const NodeId gateway{901};
@@ -154,7 +140,7 @@ TEST(MacroScenarios, BalancerNeverLosesOrDuplicatesAVisitor) {
   std::vector<ObjectId> oids;
   for (std::size_t j = 0; j < kObjects; ++j) {
     const ObjectId oid{1 + j * kStride};
-    // Everything in the lower-left leaf: one hot leaf, one hot shard.
+    // Everything in the lower-left leaf: one hot leaf.
     const geo::Point p{rng.uniform(1.0, kArea / 2 - 1),
                        rng.uniform(1.0, kArea / 2 - 1)};
     wire::RegisterReq req;
@@ -179,18 +165,10 @@ TEST(MacroScenarios, BalancerNeverLosesOrDuplicatesAVisitor) {
     }
     coalescer.flush_all();
     w.run();
-    w.tick();  // rebalance sweep
-    w.run();
-  }
-  for (int k = 0; k < 8; ++k) {  // let the sweep converge
-    w.tick();
-    w.run();
   }
 
   ShardedLocationServer* sharded = w.deployment->sharded(hot_leaf);
   ASSERT_NE(sharded, nullptr);
-  EXPECT_GT(sharded->buckets_migrated(), 0u);
-  EXPECT_GT(sharded->objects_migrated(), 0u);
 
   std::size_t total = 0;
   for (std::uint32_t s = 0; s < sharded->shard_count(); ++s) {
@@ -198,67 +176,33 @@ TEST(MacroScenarios, BalancerNeverLosesOrDuplicatesAVisitor) {
   }
   EXPECT_EQ(total, kObjects);
   for (const ObjectId oid : oids) {
-    int copies = 0;
-    const store::SightingDb::Record* found = nullptr;
+    const std::uint32_t owner = ShardedLocationServer::shard_of(oid, sharded->shard_count());
     for (std::uint32_t s = 0; s < sharded->shard_count(); ++s) {
       const store::SightingDb::Record* rec = sharded->shard(s).sightings()->find(oid);
-      if (rec != nullptr) {
-        ++copies;
-        found = rec;
+      if (s != owner) {
+        EXPECT_EQ(rec, nullptr) << "oid " << oid.value << " in shard " << s;
+        continue;
       }
+      ASSERT_NE(rec, nullptr) << "oid " << oid.value;
+      EXPECT_EQ(rec->sighting.pos, last[oid]) << "oid " << oid.value;
     }
-    ASSERT_EQ(copies, 1) << "oid " << oid.value;
-    EXPECT_EQ(found->sighting.pos, last[oid]) << "oid " << oid.value;
-  }
-  // Post-sweep routing agrees with where the objects actually live.
-  for (const ObjectId oid : oids) {
-    const std::uint32_t s = sharded->shard_for(oid);
-    EXPECT_NE(sharded->shard(s).sightings()->find(oid), nullptr);
   }
 }
 
-// Pin the shard-key distributions: raw modulo (mix_keys = false, the
-// pre-fix key) sends EVERY strided id to one shard; the splitmix64
-// finalizer spreads them -- and with rebalancing off its bucket table must
-// route exactly like the static mixed hash (the existing sharded-trace
-// fingerprints depend on this).
+// Pin the shard-key distribution: crowd ids 1 + 64j all satisfy
+// id % 4 == 1, so a raw modulo would put the whole strided set on one shard;
+// shard_of's splitmix64 mix spreads it.
 TEST(MacroScenarios, ShardKeyMixingFixesStridedAliasing) {
-  constexpr double kArea = 1000.0;
   constexpr std::uint32_t kShards = 4;
   constexpr std::size_t kIds = 512;
   constexpr std::uint64_t kStride = 64;
 
-  const auto make_world = [&](bool mix) {
-    core::Deployment::Config cfg;
-    cfg.leaf_shards = kShards;
-    cfg.leaf_balance.mix_keys = mix;
-    return std::make_unique<SimWorld>(
-        core::HierarchyBuilder::grid(geo::Rect{{0, 0}, {kArea, kArea}}, 2, 2, 1),
-        cfg);
-  };
-
-  const auto raw = make_world(false);
-  const auto mixed = make_world(true);
-  const NodeId leaf = raw->deployment->leaf_ids().front();
-  ShardedLocationServer* raw_sh = raw->deployment->sharded(leaf);
-  ShardedLocationServer* mix_sh = mixed->deployment->sharded(leaf);
-  ASSERT_NE(raw_sh, nullptr);
-  ASSERT_NE(mix_sh, nullptr);
-
-  std::vector<std::size_t> raw_counts(kShards, 0), mix_counts(kShards, 0);
+  std::vector<std::size_t> counts(kShards, 0);
   for (std::size_t j = 0; j < kIds; ++j) {
-    const ObjectId oid{1 + j * kStride};
-    ++raw_counts[raw_sh->shard_for(oid)];
-    ++mix_counts[mix_sh->shard_for(oid)];
-    // Default table == static mixed hash (bucket indirection is invisible
-    // until a rebalance actually moves something).
-    EXPECT_EQ(mix_sh->shard_for(oid),
-              ShardedLocationServer::shard_of(oid, kShards));
+    ++counts[ShardedLocationServer::shard_of(ObjectId{1 + j * kStride}, kShards)];
   }
-  // Old behavior, kept as the control knob: total aliasing onto one shard.
-  EXPECT_EQ(*std::max_element(raw_counts.begin(), raw_counts.end()), kIds);
-  // Fixed key: no shard holds more than ~35% of a worst-case strided set.
-  for (const std::size_t c : mix_counts) {
+  // No shard holds more than ~35% of a worst-case strided set.
+  for (const std::size_t c : counts) {
     EXPECT_LT(c, static_cast<std::size_t>(0.35 * kIds));
     EXPECT_GT(c, 0u);
   }

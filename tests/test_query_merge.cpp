@@ -1,7 +1,6 @@
 // Zero-materialization query merge: end-to-end equivalence, dedup-on-emit,
 // rejection of the retired version-1 framing, partial answers on timeout,
-// the range answer's transmit channel, and the coalesced CreatePath/
-// RemovePath machinery riding on the same packed-list framing.
+// and the range answer's transmit channel.
 //
 // The merge path under test (core/location_server): version-2 sub-results
 // are consumed through wire::SubResView straight off the receive buffer,
@@ -309,96 +308,6 @@ TEST(QueryMerge, RangeAnswerLeavesThroughTheTransmitChannel) {
   ASSERT_EQ(res->results.to_vector().size(), 1u);
   EXPECT_EQ(res->results.to_vector()[0].oid, ObjectId{3});
   EXPECT_EQ(leaf.stats().msgs_sent, 2u);
-}
-
-// --- coalesced forwarding-path maintenance -----------------------------------
-
-struct PathTraffic {
-  std::uint64_t create_or_remove = 0;  // unbatched CreatePath/RemovePath
-  std::uint64_t path_batches = 0;      // BatchedPathUpdate datagrams
-};
-
-/// Runs a registration burst + deregistration sweep and returns the final
-/// per-object position answers plus the observed path traffic.
-std::pair<std::vector<std::string>, PathTraffic> run_path_workload(bool coalesce) {
-  core::LocationServer::Options opts;
-  opts.coalesce_paths = coalesce;
-  SimWorld w(core::HierarchyBuilder::table2(geo::Rect{{0, 0}, {kArea, kArea}}),
-             opts);
-  auto counts = std::make_shared<PathTraffic>();
-  w.net.set_tracer([counts](TimePoint, NodeId, NodeId, const wm::Buffer& b) {
-    if (b.size() < 2) return;
-    const auto t = static_cast<wm::MsgType>(b[1]);
-    if (t == wm::MsgType::kCreatePath || t == wm::MsgType::kRemovePath) {
-      ++counts->create_or_remove;
-    } else if (t == wm::MsgType::kBatchedPathUpdate) {
-      ++counts->path_batches;
-    }
-  });
-
-  // Registration BURST: all requests enter the network before any delivery,
-  // so the leaves' path coalescers see back-to-back CreatePaths.
-  constexpr std::uint64_t kObjects = 120;
-  Rng rng(99);
-  std::vector<geo::Point> pos(kObjects + 1);
-  for (std::uint64_t i = 1; i <= kObjects; ++i) {
-    pos[i] = {rng.uniform(10, kArea - 10), rng.uniform(10, kArea - 10)};
-    wm::RegisterReq req;
-    req.s = {ObjectId{i}, 0, pos[i], 1.0};
-    req.acc_range = {10.0, 100.0};
-    req.reg_inst = NodeId{901};
-    req.req_id = i;
-    w.net.send(NodeId{901}, w.deployment->entry_leaf_for(pos[i]),
-               wm::encode_envelope(NodeId{901}, req));
-  }
-  w.run();
-  // Deadline-flush any partial path batches and deliver them.
-  for (int i = 0; i < 3; ++i) {
-    w.net.clock().advance(core::LocationServer::Options{}.path_batch_delay + 1);
-    w.tick();
-    w.run();
-  }
-
-  // Deregister a third of the objects as a burst (RemovePath pruning), then
-  // flush again.
-  for (std::uint64_t i = 1; i <= kObjects; i += 3) {
-    w.net.send(NodeId{901}, w.deployment->entry_leaf_for(pos[i]),
-               wm::encode_envelope(NodeId{901}, wm::DeregisterReq{ObjectId{i}}));
-  }
-  w.run();
-  for (int i = 0; i < 3; ++i) {
-    w.net.clock().advance(core::LocationServer::Options{}.path_batch_delay + 1);
-    w.tick();
-    w.run();
-  }
-
-  // Final observable state: position answers for every object, issued from a
-  // REMOTE leaf so they traverse the forwarding paths built above.
-  auto qc = w.make_query_client(w.deployment->leaf_ids()[3]);
-  std::vector<std::string> answers;
-  for (std::uint64_t i = 1; i <= kObjects; ++i) {
-    const auto res = w.pos_query(*qc, ObjectId{i});
-    char buf[96];
-    std::snprintf(buf, sizeof buf, "%llu:%d(%.6f,%.6f)",
-                  static_cast<unsigned long long>(i), res.found ? 1 : 0,
-                  res.found ? res.ld.pos.x : 0.0, res.found ? res.ld.pos.y : 0.0);
-    answers.emplace_back(buf);
-  }
-  return {answers, *counts};
-}
-
-TEST(QueryMerge, CoalescedPathMaintenanceMatchesUnbatchedWithFewerDatagrams) {
-  const auto [plain_answers, plain_traffic] = run_path_workload(false);
-  const auto [coalesced_answers, coalesced_traffic] = run_path_workload(true);
-
-  // Identical externally observable state...
-  EXPECT_EQ(plain_answers, coalesced_answers);
-
-  // ...with the per-object path messages collapsed into batches.
-  EXPECT_EQ(coalesced_traffic.create_or_remove, 0u);
-  EXPECT_GT(plain_traffic.create_or_remove, 0u);
-  EXPECT_GT(coalesced_traffic.path_batches, 0u);
-  EXPECT_LT(coalesced_traffic.path_batches, plain_traffic.create_or_remove / 4);
 }
 
 }  // namespace

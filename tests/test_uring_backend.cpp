@@ -1,9 +1,9 @@
 // io_uring transmit backend coverage: sendmmsg/uring/SQPOLL parity (same
 // bytes on the wire, checksummed), fragment integrity across linked SQEs,
 // real EAGAIN backpressure through CQEs, graceful fallback when the kernel
-// probe fails, and busy-poll shard-reactor equivalence under the sharded
-// UDP suites. Every uring-dependent test skips (visibly) on kernels
-// without io_uring, so the suite stays green on locked-down runners.
+// probe fails, and threaded shard reactors reaching the same protocol
+// outcome over both backends. Every uring-dependent test skips (visibly) on
+// kernels without io_uring, so the suite stays green on locked-down runners.
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -253,7 +253,7 @@ TEST(UringBackend, GracefulFallbackWhenProbeFails) {
 }  // namespace
 }  // namespace locs::net
 
-// -- busy-poll shard reactors over real UDP ------------------------------
+// -- threaded shard reactors over real UDP -------------------------------
 
 namespace locs::test {
 namespace {
@@ -266,13 +266,11 @@ struct WorkloadOutcome {
   bool tracked = false;
   std::uint64_t inbox_dropped = 0;
   std::uint64_t tx_dropped = 0;
-  core::ShardedLocationServer::BusyPollStats bp;
 };
 
 /// One tracked object registered at a threaded 2-shard leaf, fed a burst of
-/// position updates; returns the protocol outcome + idle-path counters.
-WorkloadOutcome run_sharded_workload(std::uint32_t busy_poll_us,
-                                     bool use_uring) {
+/// position updates; returns the protocol outcome.
+WorkloadOutcome run_sharded_workload(bool use_uring) {
   net::UdpNetwork net(net::UdpNetwork::pick_free_base_port(5100),
                       {.use_io_uring = use_uring});
   SystemClock clock;
@@ -282,7 +280,6 @@ WorkloadOutcome run_sharded_workload(std::uint32_t busy_poll_us,
   cfg.lock_handlers = true;
   cfg.leaf_shards = 2;
   cfg.shard_threads = true;
-  cfg.shard_busy_poll_us = busy_poll_us;
   WorkloadOutcome out;
   {
     core::Deployment dep(net, clock, spec, cfg);
@@ -305,51 +302,35 @@ WorkloadOutcome run_sharded_workload(std::uint32_t busy_poll_us,
                                    : geo::Point{100, 100});
       if (!ok([&] { return !obj.update_pending(); })) return out;
     }
-    // Let the reactors go idle so the busy-poll window (then the sleep
-    // path) actually runs before we read the counters.
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
     store::SightingDb::Record rec;
     out.tracked = dep.find_sighting(leaf, ObjectId{7}, rec);
     if (out.tracked) out.final_pos = rec.sighting.pos;
     const core::ShardedLocationServer* sharded = dep.sharded(leaf);
-    if (sharded != nullptr) {
-      out.inbox_dropped = sharded->inbox_dropped();
-      out.bp = sharded->busy_poll_stats();
-    }
+    if (sharded != nullptr) out.inbox_dropped = sharded->inbox_dropped();
     out.tx_dropped = net.tx_stats(leaf).dropped;
   }
   net.stop();
   return out;
 }
 
-// Busy-poll reactors must be a pure latency knob: identical protocol
-// outcomes with the window off, on, and on-over-uring -- only the idle-path
-// counters may differ (spins engage, sleeps still bounded).
-TEST(BusyPollShards, ReactorEquivalenceUnderShardedWorkload) {
-  const WorkloadOutcome off = run_sharded_workload(0, false);
-  ASSERT_TRUE(off.tracked);
-  EXPECT_EQ(off.final_pos, (geo::Point{140, 140}));
-  EXPECT_EQ(off.inbox_dropped, 0u);
-  EXPECT_EQ(off.tx_dropped, 0u);
-  EXPECT_EQ(off.bp.spins, 0u);  // window off: no busy-poll iterations
-  EXPECT_GT(off.bp.sleeps, 0u);
-
-  const WorkloadOutcome on = run_sharded_workload(200, false);
-  ASSERT_TRUE(on.tracked);
-  EXPECT_EQ(on.final_pos, off.final_pos);
-  EXPECT_EQ(on.inbox_dropped, 0u);
-  EXPECT_EQ(on.tx_dropped, 0u);
-  EXPECT_GT(on.bp.spins, 0u);  // window engaged
+// Threaded shard reactors flush their per-shard transmit channels through
+// whichever backend the transport runs: the protocol outcome over io_uring
+// equals the one over sendmmsg.
+TEST(UringShards, ThreadedShardReactorsMatchSendmmsgOutcome) {
+  const WorkloadOutcome base = run_sharded_workload(false);
+  ASSERT_TRUE(base.tracked);
+  EXPECT_EQ(base.final_pos, (geo::Point{140, 140}));
+  EXPECT_EQ(base.inbox_dropped, 0u);
+  EXPECT_EQ(base.tx_dropped, 0u);
 
   if (!net::UringBackend::kernel_supported()) {
-    GTEST_SKIP() << "io_uring unsupported; busy-poll over sendmmsg verified";
+    GTEST_SKIP() << "io_uring unsupported; shard reactors verified over sendmmsg";
   }
-  const WorkloadOutcome uring = run_sharded_workload(200, true);
+  const WorkloadOutcome uring = run_sharded_workload(true);
   ASSERT_TRUE(uring.tracked);
-  EXPECT_EQ(uring.final_pos, off.final_pos);
+  EXPECT_EQ(uring.final_pos, base.final_pos);
   EXPECT_EQ(uring.inbox_dropped, 0u);
   EXPECT_EQ(uring.tx_dropped, 0u);
-  EXPECT_GT(uring.bp.spins, 0u);
 }
 
 }  // namespace
