@@ -10,10 +10,12 @@ Checks, in order:
                resolves to an existing file or directory (anchors are
                stripped; http(s)/mailto links are skipped).
   msgtypes  -- docs/WIRE_PROTOCOL.md names every MsgType enumerator
-               declared in src/wire/messages.hpp (completeness), and
-               every `kSomething` identifier the doc mentions exists
-               somewhere in src/wire/*.hpp (no stale names after a
-               rename).
+               declared in src/wire/messages.hpp (completeness), every
+               `kSomething` identifier the doc mentions exists somewhere
+               in src/wire/*.hpp (no stale names after a rename), and
+               every table row of the form | N | `kName` | carries the
+               enumerator's value N (explicit `= N` values and implicit
+               increments both count).
 
 Exit status: 0 when every check passes, 1 otherwise; one line per
 failure on stdout. Wired through ctest as test_check_docs and run by
@@ -31,6 +33,8 @@ LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 # Lowercase-k constants as written in code and docs: kRegisterReq, kType...
 KCONST_RE = re.compile(r"\bk[A-Z][A-Za-z0-9]*\b")
 ENUM_RE = re.compile(r"enum\s+class\s+MsgType[^{]*\{(.*?)\};", re.DOTALL)
+# A numbered message-type table row: | 12 | `kPosQueryFwd` | ...
+ROW_RE = re.compile(r"^\|\s*(\d+)\s*\|\s*`(k[A-Za-z0-9]+)`\s*\|", re.MULTILINE)
 
 
 def iter_doc_files(root):
@@ -61,18 +65,26 @@ def check_links(root):
 
 
 def msg_type_enumerators(messages_hpp):
-    """The MsgType enumerator names declared in src/wire/messages.hpp."""
+    """The MsgType enumerators declared in src/wire/messages.hpp, as a
+    name -> value map: `= N` sets the value, every other enumerator is
+    its predecessor plus one (the first defaults to 0)."""
     text = messages_hpp.read_text(encoding="utf-8")
     m = ENUM_RE.search(text)
     if m is None:
         return None
     body = re.sub(r"//[^\n]*", "", m.group(1))  # strip comments
-    names = set()
+    values = {}
+    value = 0
     for entry in body.split(","):
-        entry = entry.split("=")[0].strip()
-        if entry:
-            names.add(entry)
-    return names
+        name, _, init = entry.partition("=")
+        name = name.strip()
+        if not name:
+            continue
+        if init.strip():
+            value = int(init.strip(), 0)
+        values[name] = value
+        value += 1
+    return values
 
 
 def check_msg_types(root):
@@ -95,15 +107,25 @@ def check_msg_types(root):
     for header in sorted((root / "src" / "wire").glob("*.hpp")):
         known.update(KCONST_RE.findall(header.read_text(encoding="utf-8")))
 
-    doc_names = set(KCONST_RE.findall(protocol_md.read_text(encoding="utf-8")))
+    doc_text = protocol_md.read_text(encoding="utf-8")
+    doc_names = set(KCONST_RE.findall(doc_text))
 
-    for missing in sorted(enums - doc_names):
+    for missing in sorted(enums.keys() - doc_names):
         failures.append(
             f"docs/WIRE_PROTOCOL.md: MsgType::{missing} is not documented")
     for stale in sorted(doc_names - known):
         failures.append(
             f"docs/WIRE_PROTOCOL.md: names {stale}, which no longer exists "
             "in src/wire/*.hpp")
+    for number, name in ROW_RE.findall(doc_text):
+        if name not in enums:
+            failures.append(
+                f"docs/WIRE_PROTOCOL.md: row {number} names {name}, "
+                "which is not a MsgType enumerator")
+        elif enums[name] != int(number):
+            failures.append(
+                f"docs/WIRE_PROTOCOL.md: row {number} names {name}, "
+                f"whose value is {enums[name]}")
     return failures
 
 
@@ -122,7 +144,8 @@ def main():
     if failures:
         print(f"check_docs: {len(failures)} failure(s)")
         return 1
-    print("check_docs: all links resolve, all message types documented")
+    print("check_docs: all links resolve, all message types documented "
+          "with their values")
     return 0
 
 
