@@ -8,19 +8,15 @@
 //    (answer-CRC equivalence),
 //  * the sharded flash crowd at bench_macro's parameters keeps its pinned
 //    trace CRC, answer CRC and message / byte counts,
-//  * after a skewed run every visitor lives in EXACTLY its owning shard
-//    slice, at its last position,
 //  * the shard key is pinned: the splitmix64 mix spreads a strided-id crowd
 //    that a raw modulo would alias onto ONE shard.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <unordered_map>
 #include <vector>
 
-#include "core/update_coalescer.hpp"
+#include "core/sharded_location_server.hpp"
 #include "sim/scenario.hpp"
-#include "test_support.hpp"
 
 namespace locs::test {
 namespace {
@@ -117,76 +113,6 @@ TEST(MacroScenarios, ShardedAnswersMatchUnshardedAtN1AndN4) {
   n4.leaf_shards = 4;
   const sim::DriveResult four = sim::drive_scenario(p, n4);
   EXPECT_EQ(four.answer_crc, base.answer_crc);
-}
-
-// Drives a skewed population directly (strided ids, one hot leaf, batched
-// updates split per shard) and then audits every shard slice: each visitor
-// exists in EXACTLY its owning slice, at its last reported position.
-TEST(MacroScenarios, ShardedLeafKeepsEachVisitorInItsOwningSliceOnly) {
-  constexpr double kArea = 2000.0;
-  constexpr std::size_t kObjects = 2000;
-  constexpr std::uint64_t kStride = 64;
-
-  core::Deployment::Config cfg;
-  cfg.leaf_shards = 4;
-  SimWorld w(core::HierarchyBuilder::grid(geo::Rect{{0, 0}, {kArea, kArea}}, 2, 2, 1),
-             cfg);
-  const NodeId gateway{901};
-
-  std::unordered_map<ObjectId, geo::Point> last;
-  core::UpdateCoalescer coalescer(gateway, w.net, w.net.clock(), {});
-
-  Rng rng(5);
-  std::vector<ObjectId> oids;
-  for (std::size_t j = 0; j < kObjects; ++j) {
-    const ObjectId oid{1 + j * kStride};
-    // Everything in the lower-left leaf: one hot leaf.
-    const geo::Point p{rng.uniform(1.0, kArea / 2 - 1),
-                       rng.uniform(1.0, kArea / 2 - 1)};
-    wire::RegisterReq req;
-    req.s = core::Sighting{oid, 0, p, 5.0};
-    req.acc_range = {10.0, 100.0};
-    req.reg_inst = gateway;
-    req.req_id = oid.value;
-    const NodeId leaf = w.deployment->entry_leaf_for(p);
-    w.net.send(gateway, leaf, wire::encode_envelope(gateway, req));
-    last[oid] = p;
-    oids.push_back(oid);
-  }
-  w.run();
-
-  const NodeId hot_leaf = w.deployment->entry_leaf_for({1.0, 1.0});
-  for (int round = 0; round < 4; ++round) {
-    for (const ObjectId oid : oids) {
-      const geo::Point p{rng.uniform(1.0, kArea / 2 - 1),
-                         rng.uniform(1.0, kArea / 2 - 1)};
-      coalescer.enqueue(hot_leaf, core::Sighting{oid, 0, p, 5.0});
-      last[oid] = p;
-    }
-    coalescer.flush_all();
-    w.run();
-  }
-
-  ShardedLocationServer* sharded = w.deployment->sharded(hot_leaf);
-  ASSERT_NE(sharded, nullptr);
-
-  std::size_t total = 0;
-  for (std::uint32_t s = 0; s < sharded->shard_count(); ++s) {
-    total += sharded->shard(s).sightings()->size();
-  }
-  EXPECT_EQ(total, kObjects);
-  for (const ObjectId oid : oids) {
-    const std::uint32_t owner = ShardedLocationServer::shard_of(oid, sharded->shard_count());
-    for (std::uint32_t s = 0; s < sharded->shard_count(); ++s) {
-      const store::SightingDb::Record* rec = sharded->shard(s).sightings()->find(oid);
-      if (s != owner) {
-        EXPECT_EQ(rec, nullptr) << "oid " << oid.value << " in shard " << s;
-        continue;
-      }
-      ASSERT_NE(rec, nullptr) << "oid " << oid.value;
-      EXPECT_EQ(rec->sighting.pos, last[oid]) << "oid " << oid.value;
-    }
-  }
 }
 
 // Pin the shard-key distribution: crowd ids 1 + 64j all satisfy
