@@ -32,7 +32,7 @@ Check kinds:
                allocations per message on the zero-alloc hot path).
   equals    -- fail if value != expected (booleans / exact counts).
 
-Conditional checks (bands that only make sense on some hosts / configs):
+Conditional checks (bands that only make sense on some hosts):
   "min_cores": N  -- SKIP the check (visible notice, not a pass) when the
                      bench host had fewer than N cores. The host's core
                      count is read from the bench doc itself ("nproc", then
@@ -40,10 +40,6 @@ Conditional checks (bands that only make sense on some hosts / configs):
                      falls back to os.cpu_count() for older outputs. Lets a
                      baseline gate e.g. a >= 1.2x sharding speedup that a
                      1-core container can never reach.
-  "requires": "field" (or a list of fields) -- SKIP unless every named
-                     field is truthy in the bench doc. Used for optional
-                     backends: the io_uring rows only gate runs where the
-                     bench actually engaged the backend ("uring_ran").
 
 Skipped checks are listed in the stdout report and the markdown summary, so
 a band that silently never runs is visible, not lost.
@@ -83,19 +79,12 @@ def host_cores(doc):
 
 def skip_reason(check, doc):
     """Returns a human-readable reason to SKIP this check, or None to run
-    it. See the module docstring: "min_cores" gates multi-core-only bands,
-    "requires" gates optional backends on doc fields being truthy."""
+    it. See the module docstring: "min_cores" gates multi-core-only bands."""
     min_cores = check.get("min_cores")
     if min_cores is not None:
         cores = host_cores(doc)
         if cores < min_cores:
             return f"needs >= {min_cores} cores, bench host had {cores}"
-    requires = check.get("requires", [])
-    if isinstance(requires, str):
-        requires = [requires]
-    for field in requires:
-        if not lookup(doc, field):
-            return f"requires bench field {field!r} truthy"
     return None
 
 
@@ -137,18 +126,12 @@ def main():
     parser.add_argument("--summary-file", default=os.environ.get(
         "GITHUB_STEP_SUMMARY", ""),
         help="markdown summary sink (defaults to $GITHUB_STEP_SUMMARY)")
-    parser.add_argument("--only", default="",
-                        help="gate only baseline specs whose filename "
-                             "contains this substring (e.g. 'send_path' in "
-                             "the backend-specific CI jobs)")
     args = parser.parse_args()
 
     specs = sorted(
-        f for f in os.listdir(args.baseline_dir)
-        if f.endswith(".json") and args.only in f)
+        f for f in os.listdir(args.baseline_dir) if f.endswith(".json"))
     if not specs:
-        print(f"error: no baseline specs in {args.baseline_dir}"
-              + (f" matching --only {args.only!r}" if args.only else ""))
+        print(f"error: no baseline specs in {args.baseline_dir}")
         return 1
 
     rows = []

@@ -7,8 +7,10 @@ Usage:
 Checks, in order:
 
   links     -- every relative markdown link in README.md and docs/*.md
-               resolves to an existing file or directory (anchors are
-               stripped; http(s)/mailto links are skipped).
+               resolves to an existing file or directory, and a #fragment
+               names a heading of the target markdown file (the link's own
+               file when the path is empty), using GitHub's heading slugs;
+               http(s)/mailto links are skipped.
   msgtypes  -- docs/WIRE_PROTOCOL.md names every MsgType enumerator
                declared in src/wire/messages.hpp (completeness), every
                `kSomething` identifier the doc mentions exists somewhere
@@ -30,6 +32,9 @@ import sys
 
 # [text](target) -- excluding images; target may carry a #fragment.
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
+# An ATX heading line; fenced code blocks are removed before matching.
+HEADING_RE = re.compile(r"^#{1,6}[ \t]+(.*?)[ \t]*#*[ \t]*$", re.MULTILINE)
+FENCE_RE = re.compile(r"^```.*?^```[^\n]*$", re.MULTILINE | re.DOTALL)
 # Lowercase-k constants as written in code and docs: kRegisterReq, kType...
 KCONST_RE = re.compile(r"\bk[A-Z][A-Za-z0-9]*\b")
 ENUM_RE = re.compile(r"enum\s+class\s+MsgType[^{]*\{(.*?)\};", re.DOTALL)
@@ -44,6 +49,28 @@ def iter_doc_files(root):
         yield from sorted(docs.glob("*.md"))
 
 
+def github_slug(heading):
+    """The anchor GitHub gives a heading: inline links reduced to their
+    text, lowercased, punctuation stripped, spaces turned into hyphens."""
+    text = re.sub(r"\[([^\]]*)\]\([^)]*\)", r"\1", heading)
+    text = re.sub(r"[^\w\- ]", "", text.strip().lower())
+    return text.replace(" ", "-")
+
+
+def heading_anchors(md_file):
+    """Every heading anchor of a markdown file; a repeated slug gets
+    GitHub's -1, -2, ... suffix."""
+    text = FENCE_RE.sub("", md_file.read_text(encoding="utf-8"))
+    anchors = set()
+    seen = {}
+    for heading in HEADING_RE.findall(text):
+        slug = github_slug(heading)
+        n = seen.get(slug, 0)
+        seen[slug] = n + 1
+        anchors.add(slug if n == 0 else f"{slug}-{n}")
+    return anchors
+
+
 def check_links(root):
     failures = []
     for doc in iter_doc_files(root):
@@ -52,15 +79,17 @@ def check_links(root):
             continue
         text = doc.read_text(encoding="utf-8")
         for target in LINK_RE.findall(text):
-            if target.startswith(("http://", "https://", "mailto:", "#")):
+            if target.startswith(("http://", "https://", "mailto:")):
                 continue
-            path = target.split("#", 1)[0]
-            if not path:
-                continue
-            resolved = (doc.parent / path).resolve()
+            path, _, fragment = target.partition("#")
+            resolved = (doc.parent / path).resolve() if path else doc
             if not resolved.exists():
                 failures.append(
                     f"{doc.relative_to(root)}: broken link -> {target}")
+            elif (fragment and resolved.suffix == ".md"
+                  and fragment not in heading_anchors(resolved)):
+                failures.append(
+                    f"{doc.relative_to(root)}: broken anchor -> {target}")
     return failures
 
 
@@ -144,8 +173,8 @@ def main():
     if failures:
         print(f"check_docs: {len(failures)} failure(s)")
         return 1
-    print("check_docs: all links resolve, all message types documented "
-          "with their values")
+    print("check_docs: all links and anchors resolve, all message types "
+          "documented with their values")
     return 0
 
 

@@ -5,8 +5,7 @@ Covers run_check() band boundaries for every check kind (min_ratio
 tolerance bars, min collapse floors, max ceilings, equals invariants),
 missing-metric and unknown-kind failure paths, dotted-path lookup()
 nesting, and the conditional-check skip logic (min_cores core gates with
-nproc/host_cores resolution, `requires` backend gates). Run directly or
-via ctest (test_check_bench).
+nproc/host_cores resolution). Run directly or via ctest (test_check_bench).
 """
 
 import importlib.util
@@ -134,36 +133,6 @@ class SkipReasonTest(unittest.TestCase):
         spec = {"metric": "speedup", "kind": "min", "floor": 1.2,
                 "min_cores": 4}
         self.assertIsNone(check_bench.skip_reason(spec, {"host_cores": 4}))
-
-    def test_requires_single_field(self):
-        spec = {"metric": "m", "kind": "max", "ceiling": 0.01,
-                "requires": "uring_ran"}
-        self.assertIsNotNone(
-            check_bench.skip_reason(spec, {"uring_ran": False}))
-        self.assertIsNone(check_bench.skip_reason(spec, {"uring_ran": True}))
-
-    def test_requires_missing_field_skips(self):
-        spec = {"metric": "m", "kind": "max", "ceiling": 0.01,
-                "requires": "uring_ran"}
-        reason = check_bench.skip_reason(spec, {})
-        self.assertIsNotNone(reason)
-        self.assertIn("uring_ran", reason)
-
-    def test_requires_list_needs_every_field(self):
-        spec = {"metric": "m", "kind": "max", "ceiling": 0.01,
-                "requires": ["uring_ran", "sqpoll_supported"]}
-        doc = {"uring_ran": True, "sqpoll_supported": False}
-        self.assertIsNotNone(check_bench.skip_reason(spec, doc))
-        doc["sqpoll_supported"] = True
-        self.assertIsNone(check_bench.skip_reason(spec, doc))
-
-    def test_min_cores_and_requires_compose(self):
-        spec = {"metric": "m", "kind": "min", "floor": 1, "min_cores": 2,
-                "requires": "flag"}
-        doc = {"nproc": 4, "flag": True}
-        self.assertIsNone(check_bench.skip_reason(spec, doc))
-        self.assertIsNotNone(
-            check_bench.skip_reason(spec, {"nproc": 1, "flag": True}))
 
 
 class FailurePathTest(unittest.TestCase):

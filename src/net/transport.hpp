@@ -27,11 +27,8 @@
 //    sender to the wire. Reactor drive loops (LocationServer::tick, bench
 //    drivers) call it so a deferred datagram never outlives the burst that
 //    produced it; it is always safe to call and a no-op when nothing queues.
-//    "To the wire" is backend-relative: UdpNetwork's opt-in io_uring mode
-//    (Options::use_io_uring; net/uring_backend.hpp) turns flush into an SQE
-//    submission whose completion is reaped asynchronously -- callers keep
-//    the exact same cork/uncork/flush discipline, and teardown paths
-//    (detach, stop) drain outstanding completions before returning.
+//    UdpNetwork's flush is synchronous: when it returns, every queued
+//    datagram is on the wire or a counted drop.
 //  * open_sender(from) returns a dedicated per-sender transmit channel
 //    (Sender) when the transport supports one -- UdpNetwork hands out an
 //    SO_REUSEPORT socket + private ring per call, which is what lets N shard

@@ -21,9 +21,9 @@
 //
 // Backpressure: flushes use MSG_DONTWAIT. A partial sendmmsg resumes at the
 // unsent tail; EAGAIN/ENOBUFS waits for POLLOUT under a bounded retry budget
-// (counted in Stats::eagain_retries) and only then counts drops -- the old
-// path's silent send_errors_ swallow is gone. Hard per-datagram errors skip
-// exactly one slot so a poison datagram cannot wedge the ring.
+// (counted in Stats::eagain_retries) and only then counts drops
+// (Stats::dropped). Hard per-datagram errors skip exactly one slot so a
+// poison datagram cannot wedge the ring.
 //
 // Ownership: enqueue() parks the PooledBuffer in the ring; the wire::Buffer
 // heap storage is stable across the handle move, so slot iovecs stay valid
@@ -34,14 +34,6 @@
 // Threading: every operation serializes on an internal mutex. That lock is
 // PER-RING (per sender), uncontended on the hot path -- unlike the global
 // transport mutex it replaces, which every send of every node used to take.
-//
-// io_uring delegation (opt-in; see net/uring_backend.hpp): with set_uring()
-// the ring keeps ALL of the above -- slots, cork windows, byte budgets,
-// fragment framing -- but flush_locked() hands the queued slots to a
-// UringBackend as SENDMSG SQEs instead of calling sendmmsg, and buffers
-// park in the backend's refcounted slab (released per fragment CQE) rather
-// than in owned_. A flush with nothing queued still reaps the backend, so
-// the owner's idle/poll-timeout safety net drains SQ backlogs too.
 #pragma once
 
 #include <netinet/in.h>
@@ -57,7 +49,6 @@
 #include <vector>
 
 #include "net/buffer_pool.hpp"
-#include "net/uring_backend.hpp"
 
 namespace locs::net {
 
@@ -102,26 +93,18 @@ class TxRing {
 
   struct Stats {
     std::uint64_t datagrams_sent = 0;
-    // Send syscalls: sendmmsg calls that sent >= 1, or -- in uring mode --
-    // io_uring_enter calls (submits AND waits; ~0 under SQPOLL). Either
-    // way, batches_flushed / datagrams_sent is the syscalls-per-datagram
-    // ratio the send-path bench gates on.
+    // Send syscalls: sendmmsg calls that sent >= 1. batches_flushed /
+    // datagrams_sent is the syscalls-per-datagram ratio the send-path bench
+    // gates on.
     std::uint64_t batches_flushed = 0;
     std::uint64_t eagain_retries = 0;   // POLLOUT waits on EAGAIN/ENOBUFS
     std::uint64_t dropped = 0;          // backpressure budget / hard errors
-    // io_uring backend only (all zero on the sendmmsg path):
-    std::uint64_t uring_sqes = 0;       // SQEs submitted (incl. resubmits)
-    std::uint64_t uring_cqes = 0;       // completions reaped
-    std::uint64_t sqpoll_wakeups = 0;   // enters made only to wake SQPOLL
 
     void add(const Stats& o) {
       datagrams_sent += o.datagrams_sent;
       batches_flushed += o.batches_flushed;
       eagain_retries += o.eagain_retries;
       dropped += o.dropped;
-      uring_sqes += o.uring_sqes;
-      uring_cqes += o.uring_cqes;
-      sqpoll_wakeups += o.sqpoll_wakeups;
     }
   };
 
@@ -134,40 +117,10 @@ class TxRing {
   TxRing(const TxRing&) = delete;
   TxRing& operator=(const TxRing&) = delete;
 
-  /// Switches the flush path to an io_uring backend (nullptr reverts to
-  /// sendmmsg). Must be called before traffic: the two modes park buffers
-  /// differently, so flipping mid-stream would strand parked refs.
-  void set_uring(UringBackend* uring) {
-    std::lock_guard<std::mutex> lock(mu_);
-    uring_ = uring;
-    if (uring_ != nullptr) {
-      uring_->set_retry_budget(retry_polls_, retry_poll_timeout_ms_);
-    }
-  }
-
-  /// True when flushes go through the io_uring backend.
-  bool uring_active() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return uring_ != nullptr;
-  }
-
-  /// Datagrams submitted to the uring backend and not yet completed
-  /// (always 0 on the sendmmsg path, whose flushes are synchronous).
-  std::size_t uring_in_flight() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return uring_ != nullptr ? uring_->in_flight() : 0;
-  }
-
   /// Teardown hook: set_fd(-1) makes every later enqueue/flush a counted
-  /// drop instead of a write to a possibly recycled descriptor. In uring
-  /// mode the poison first drains in-flight datagrams, so the caller may
-  /// close the socket immediately after.
+  /// drop instead of a write to a possibly recycled descriptor.
   void set_fd(int fd) {
     std::lock_guard<std::mutex> lock(mu_);
-    if (uring_ != nullptr && fd < 0 && fd_ >= 0) {
-      flush_locked();
-      uring_->drain();
-    }
     fd_ = fd;
   }
 
@@ -177,9 +130,6 @@ class TxRing {
     std::lock_guard<std::mutex> lock(mu_);
     retry_polls_ = polls;
     retry_poll_timeout_ms_ = poll_timeout_ms;
-    if (uring_ != nullptr) {
-      uring_->set_retry_budget(polls, poll_timeout_ms);
-    }
   }
 
   /// Cork/uncork nest (receive-batch handling + a concurrent tick may
@@ -196,20 +146,11 @@ class TxRing {
   }
 
   /// Unconditional flush, cork depth notwithstanding -- the explicit
-  /// Transport::flush(NodeId) / tick-deadline path.
+  /// Transport::flush(NodeId) / tick-deadline path. Sends are synchronous,
+  /// so on return every queued datagram is on the wire or a counted drop.
   void flush() {
     std::lock_guard<std::mutex> lock(mu_);
     flush_locked();
-  }
-
-  /// Flush AND wait until nothing is in flight (bounded). On the sendmmsg
-  /// path this is flush() -- sends are synchronous; in uring mode it also
-  /// drains outstanding CQEs so "on the wire or counted drop" holds before
-  /// detach/teardown returns.
-  void drain() {
-    std::lock_guard<std::mutex> lock(mu_);
-    flush_locked();
-    if (uring_ != nullptr) uring_->drain();
   }
 
   /// Fragments `bytes` into ring slots addressed to `dst`. Flushes inline
@@ -224,25 +165,7 @@ class TxRing {
 
   Stats stats() const {
     std::lock_guard<std::mutex> lock(mu_);
-    Stats s = stats_;
-    if (uring_ != nullptr) {
-      // Fold the backend's slice in: enqueue-side drops live in stats_,
-      // everything past flush_locked() is counted by the backend.
-      const UringTxStats& u = uring_->stats();
-      s.datagrams_sent += u.datagrams_sent;
-      s.batches_flushed += u.enter_syscalls;
-      s.eagain_retries += u.eagain_retries;
-      s.dropped += u.dropped;
-      s.uring_sqes += u.sqes_submitted;
-      s.uring_cqes += u.cqes_reaped;
-      s.sqpoll_wakeups += u.sqpoll_wakeups;
-    }
-    return s;
-  }
-
-  bool empty() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return count_ == 0;
+    return stats_;
   }
 
  private:
@@ -253,10 +176,6 @@ class TxRing {
     iovec iov[2];
     std::size_t iov_count = 1;
     std::size_t bytes = 0;
-    // uring mode only: parked-buffer handle backing iov[1], and whether the
-    // next slot is the next fragment of the same message (IOSQE_IO_LINK).
-    std::uint32_t park = 0;
-    bool link = false;
   };
 
   void enqueue_impl(const sockaddr_in* dst, PooledBuffer bytes) {
@@ -267,22 +186,12 @@ class TxRing {
     }
     // Park the buffer first: its heap storage is stable across the handle
     // move, so the slot iovecs built below stay valid until the flush that
-    // transmits them. In uring mode the park lives in the backend's
-    // refcounted slab (one ref per fragment, released per CQE) because the
-    // buffer must survive until completion, not merely until submit.
+    // transmits them.
     const std::size_t total = bytes.size();
     const std::size_t frag_count =
         total == 0 ? 1 : (total + kMaxFragPayload - 1) / kMaxFragPayload;
-    const std::uint8_t* payload = nullptr;
-    std::uint32_t park = 0;
-    if (uring_ != nullptr) {
-      park = uring_->park(std::move(bytes),
-                          static_cast<std::uint32_t>(frag_count));
-      payload = uring_->parked_data(park);
-    } else {
-      owned_.push_back(std::move(bytes));
-      payload = owned_.back().data();
-    }
+    owned_.push_back(std::move(bytes));
+    const std::uint8_t* payload = owned_.back().data();
     const std::uint32_t msg_id =
         msg_ids_.fetch_add(1, std::memory_order_relaxed);
     // Fragments of one message enqueue contiguously; when they outgrow the
@@ -309,8 +218,6 @@ class TxRing {
       slot.has_dst = dst != nullptr;
       if (dst != nullptr) slot.dst = *dst;
       slot.bytes = kFragHeader + len;
-      slot.park = park;
-      slot.link = i + 1 < frag_count;
       bytes_pending_ += slot.bytes;
     }
     mid_message_ = false;
@@ -321,10 +228,6 @@ class TxRing {
   }
 
   void flush_locked() {
-    if (uring_ != nullptr) {
-      flush_uring();
-      return;
-    }
     if (count_ == 0) return;
     if (fd_ < 0) {
       stats_.dropped += count_;
@@ -375,49 +278,6 @@ class TxRing {
     reset_pending();
   }
 
-  // uring-mode flush: hand the queued slots to the backend as SENDMSG SQEs.
-  // Cork windows, batch sizing and framing already happened in enqueue; the
-  // backend owns everything from submission to buffer recycling.
-  void flush_uring() {
-    if (count_ == 0) {
-      // Idle safety net (UdpNetwork's 50ms poll timeout, tick deadlines):
-      // nothing newly queued, but the SQ backlog still needs submitting and
-      // finished CQEs still need reaping.
-      if (fd_ >= 0) uring_->reap();
-      return;
-    }
-    if (fd_ < 0) {
-      // Poisoned descriptor: counted drops, and the parked refs the queued
-      // fragments held must come back so their buffers recycle.
-      stats_.dropped += count_;
-      for (std::size_t i = 0; i < count_; ++i) {
-        uring_->release_ref(slots_[i].park);
-      }
-      count_ = 0;
-      bytes_pending_ = 0;
-      return;
-    }
-    UringBackend::SendDesc descs[kSendBatch];
-    for (std::size_t i = 0; i < count_; ++i) {
-      const Slot& slot = slots_[i];
-      descs[i].header = slot.header;
-      descs[i].header_len = kFragHeader;
-      descs[i].dst = slot.has_dst ? &slot.dst : nullptr;
-      descs[i].payload = slot.iov_count == 2
-                             ? static_cast<const std::uint8_t*>(slot.iov[1].iov_base)
-                             : nullptr;
-      descs[i].payload_len = slot.iov_count == 2 ? slot.iov[1].iov_len : 0;
-      descs[i].park = slot.park;
-      descs[i].link_next = slot.link;
-    }
-    // A link chain cannot span flush batches (each submit is its own
-    // submission window), so never leave the last desc dangling a link.
-    descs[count_ - 1].link_next = false;
-    uring_->submit(descs, count_);
-    count_ = 0;
-    bytes_pending_ = 0;
-  }
-
   void reset_pending() {
     count_ = 0;
     bytes_pending_ = 0;
@@ -429,7 +289,6 @@ class TxRing {
   mutable std::mutex mu_;
   int fd_;
   std::atomic<std::uint32_t>& msg_ids_;
-  UringBackend* uring_ = nullptr;  // not owned; nullptr = sendmmsg path
   Slot slots_[kSendBatch];
   std::size_t count_ = 0;
   std::size_t bytes_pending_ = 0;

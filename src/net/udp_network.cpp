@@ -90,41 +90,46 @@ struct UdpNetwork::Node {
   // thread-local cache entries and late stats reads stay valid; stop()
   // poisons the ring's fd instead.
   std::unique_ptr<TxRing> ring;
-  // io_uring flush backend for the ring (Options::use_io_uring + a capable
-  // kernel; nullptr keeps sendmmsg). Survives stop() alongside the ring so
-  // folded stats stay readable; the set_fd(-1) poison drains it first.
-  std::unique_ptr<UringBackend> uring;
   bool steering_ok = false;  // REUSEPORT group steering installed
   // Guards handler invocation vs detach(): a reactor clearing its handler
   // before destruction must not race an in-flight callback.
   std::mutex handler_mu;
   DatagramHandler handler;
   std::thread thread;
-  // Reassembly buffers keyed by (sender msg_id); single-threaded per node.
+  // Reassembly state keyed by (sender msg_id); single-threaded per node.
+  // The first fragment of a msg_id fixes its count (frags.size()), and
+  // `arrived` marks the indices already stashed, so a fragment that names
+  // another count or repeats an index is dropped instead of completing the
+  // message early.
   struct Partial {
     std::vector<wire::Buffer> frags;
+    std::vector<bool> arrived;
     std::size_t received = 0;
   };
   std::map<std::uint64_t, Partial> partials;
-  // Buffer reuse: retired fragment arrays (inner buffers keep capacity) and
-  // the reassembled-message scratch, so steady multi-fragment traffic stops
+  // Buffer reuse: retired partials (fragment buffers keep capacity) and the
+  // reassembled-message scratch, so steady multi-fragment traffic stops
   // allocating once the buffers reach their working sizes. The scratch is a
   // pooled slot so a handler can pin a reassembled message zero-copy
   // (Datagram::take steals it; the loop re-provisions on demand).
-  std::vector<std::vector<wire::Buffer>> frag_pool;
+  std::vector<Partial> partial_pool;
   PooledBuffer reassembly;
 
-  std::vector<wire::Buffer> take_frags(std::size_t count) {
-    if (frag_pool.empty()) return std::vector<wire::Buffer>(count);
-    std::vector<wire::Buffer> frags = std::move(frag_pool.back());
-    frag_pool.pop_back();
-    for (wire::Buffer& b : frags) b.clear();
-    frags.resize(count);
-    return frags;
+  Partial take_partial(std::size_t count) {
+    Partial p;
+    if (!partial_pool.empty()) {
+      p = std::move(partial_pool.back());
+      partial_pool.pop_back();
+    }
+    for (wire::Buffer& b : p.frags) b.clear();
+    p.frags.resize(count);
+    p.arrived.assign(count, false);
+    p.received = 0;
+    return p;
   }
 
-  void recycle_frags(std::vector<wire::Buffer>&& frags) {
-    if (frag_pool.size() < 8) frag_pool.push_back(std::move(frags));
+  void recycle_partial(Partial&& p) {
+    if (partial_pool.size() < 8) partial_pool.push_back(std::move(p));
   }
 };
 
@@ -135,12 +140,7 @@ struct UdpNetwork::Node {
 class UdpNetwork::TxChannel : public Sender {
  public:
   TxChannel(UdpNetwork& net, int fd)
-      : base_port_(net.base_port_), fd_(fd), ring_(fd, net.next_msg_id_) {
-    if (net.opts_.use_io_uring) {
-      uring_ = UringBackend::create(fd, net.opts_.sqpoll);
-      if (uring_ != nullptr) ring_.set_uring(uring_.get());
-    }
-  }
+      : base_port_(net.base_port_), fd_(fd), ring_(fd, net.next_msg_id_) {}
   ~TxChannel() override { shutdown(); }
 
   void send(NodeId to, PooledBuffer bytes) override {
@@ -152,13 +152,8 @@ class UdpNetwork::TxChannel : public Sender {
   void uncork() override { ring_.uncork(); }
 
   TxRing::Stats ring_stats() const { return ring_.stats(); }
-  bool uring_active() const { return ring_.uring_active(); }
 
-  /// Flush-and-wait teardown sibling of Sender::flush (detach path).
-  void drain() { ring_.drain(); }
-
-  /// Flushes, poisons the ring (which drains any uring in-flights) and
-  /// closes the socket (idempotent).
+  /// Flushes, poisons the ring and closes the socket (idempotent).
   void shutdown() {
     ring_.flush();
     ring_.set_fd(-1);
@@ -171,18 +166,11 @@ class UdpNetwork::TxChannel : public Sender {
  private:
   std::uint16_t base_port_;
   int fd_;
-  // Declared before ring_ (destroyed after it): the ring's teardown paths
-  // reference the backend until its last drain.
-  std::unique_ptr<UringBackend> uring_;
   TxRing ring_;
 };
 
 UdpNetwork::UdpNetwork(std::uint16_t base_port)
-    : UdpNetwork(base_port, Options{}) {}
-
-UdpNetwork::UdpNetwork(std::uint16_t base_port, Options opts)
     : base_port_(base_port),
-      opts_(opts),
       instance_id_(g_instance_ids.fetch_add(1, std::memory_order_relaxed)) {}
 
 std::uint16_t UdpNetwork::pick_free_base_port(std::uint16_t span) {
@@ -264,12 +252,6 @@ void UdpNetwork::attach(NodeId node, DatagramHandler handler) {
   }
   assert(n->fd >= 0 && "UDP bind failed (port collision?)");
   n->ring = std::make_unique<TxRing>(n->fd, next_msg_id_);
-  if (opts_.use_io_uring) {
-    // Runtime feature detection: a failed probe (old kernel, sysctl'd off,
-    // LOCS_NO_IO_URING) returns nullptr and the ring keeps sendmmsg.
-    n->uring = UringBackend::create(n->fd, opts_.sqpoll);
-    if (n->uring != nullptr) n->ring->set_uring(n->uring.get());
-  }
   Node* raw = n.get();
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -298,10 +280,9 @@ void UdpNetwork::detach(NodeId node) {
   }
   // Deterministic send-side teardown: whatever the detached reactor left
   // queued (corked replies, shard-channel batches) is on the wire -- or a
-  // counted drop -- before detach returns. drain() (= flush on the
-  // sendmmsg path) additionally waits out uring in-flight completions.
-  raw->ring->drain();
-  for (const auto& ch : chans) ch->drain();
+  // counted drop -- before detach returns.
+  raw->ring->flush();
+  for (const auto& ch : chans) ch->flush();
 }
 
 UdpNetwork::Node* UdpNetwork::node_for_send(NodeId from) {
@@ -381,12 +362,6 @@ std::shared_ptr<Sender> UdpNetwork::open_sender(NodeId from) {
   return ch;
 }
 
-bool UdpNetwork::uring_active(NodeId node) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = nodes_.find(node);
-  return it != nodes_.end() && it->second->ring->uring_active();
-}
-
 UdpNetwork::TxStats UdpNetwork::tx_stats(NodeId node) const {
   TxStats total;
   std::lock_guard<std::mutex> lock(mu_);
@@ -396,26 +371,6 @@ UdpNetwork::TxStats UdpNetwork::tx_stats(NodeId node) const {
     if (id == node) total.add(ch->ring_stats());
   }
   return total;
-}
-
-std::uint64_t UdpNetwork::datagrams_sent() const {
-  std::uint64_t n = 0;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [id, node] : nodes_) {
-    n += node->ring->stats().datagrams_sent;
-  }
-  for (const auto& [id, ch] : channels_) n += ch->ring_stats().datagrams_sent;
-  if (fallback_ring_ != nullptr) n += fallback_ring_->stats().datagrams_sent;
-  return n;
-}
-
-std::uint64_t UdpNetwork::send_errors() const {
-  std::uint64_t n = 0;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [id, node] : nodes_) n += node->ring->stats().dropped;
-  for (const auto& [id, ch] : channels_) n += ch->ring_stats().dropped;
-  if (fallback_ring_ != nullptr) n += fallback_ring_->stats().dropped;
-  return n;
 }
 
 void UdpNetwork::handle_datagram(Node& node, PooledBuffer& slot,
@@ -437,36 +392,38 @@ void UdpNetwork::handle_datagram(Node& node, PooledBuffer& slot,
     if (node.handler) node.handler(dg);
     return;
   }
-  // Multi-fragment message: stash and deliver once complete. Fragment
-  // arrays and the reassembled-message buffer are recycled (capacity
-  // intact) instead of freshly allocated per message.
-  auto& partial = node.partials[msg_id];
-  if (partial.frags.empty()) partial.frags = node.take_frags(count);
-  if (index < count && index < partial.frags.size() &&
-      partial.frags[index].empty()) {
-    partial.frags[index].assign(payload, payload + payload_len);
-    if (++partial.received == count) {
-      // Reassemble into the pooled scratch slot so the handler can pin the
-      // whole message zero-copy, exactly like a single-fragment datagram.
-      if (!node.reassembly.armed()) {
-        node.reassembly = PooledBuffer(&rx_pool_, rx_pool_.acquire());
-      }
-      wire::Buffer& whole = *node.reassembly;
-      whole.clear();
-      for (const auto& frag : partial.frags) {
-        whole.insert(whole.end(), frag.begin(), frag.end());
-      }
-      node.recycle_frags(std::move(partial.frags));
-      node.partials.erase(msg_id);
-      const Datagram dg(whole.data(), whole.size(), &node.reassembly);
-      std::lock_guard<std::mutex> lock(node.handler_mu);
-      if (node.handler) node.handler(dg);
+  // Multi-fragment message: stash and deliver once complete. Partials and
+  // the reassembled-message buffer are recycled (capacity intact) instead
+  // of freshly allocated per message.
+  if (index >= count) return;
+  const auto [it, fresh] = node.partials.try_emplace(msg_id);
+  Node::Partial& partial = it->second;
+  if (fresh) partial = node.take_partial(count);
+  if (count != partial.frags.size() || partial.arrived[index]) return;
+  partial.arrived[index] = true;
+  partial.frags[index].assign(payload, payload + payload_len);
+  if (++partial.received == count) {
+    // Reassemble into the pooled scratch slot so the handler can pin the
+    // whole message zero-copy, exactly like a single-fragment datagram.
+    if (!node.reassembly.armed()) {
+      node.reassembly = PooledBuffer(&rx_pool_, rx_pool_.acquire());
     }
+    wire::Buffer& whole = *node.reassembly;
+    whole.clear();
+    for (const auto& frag : partial.frags) {
+      whole.insert(whole.end(), frag.begin(), frag.end());
+    }
+    node.recycle_partial(std::move(partial));
+    node.partials.erase(it);
+    const Datagram dg(whole.data(), whole.size(), &node.reassembly);
+    std::lock_guard<std::mutex> lock(node.handler_mu);
+    if (node.handler) node.handler(dg);
+    return;
   }
   // Bound reassembly memory: drop oldest partials beyond a small cap
-  // (recycling their fragment arrays too).
+  // (recycling them too).
   while (node.partials.size() > 64) {
-    node.recycle_frags(std::move(node.partials.begin()->second.frags));
+    node.recycle_partial(std::move(node.partials.begin()->second));
     node.partials.erase(node.partials.begin());
   }
 }
@@ -490,10 +447,7 @@ void UdpNetwork::receive_loop(Node& node) {
     const int ready = ::poll(&pfd, 1, /*timeout_ms=*/50);
     if (ready <= 0) {
       // Tick-deadline safety net: push out anything an overlapping cork
-      // window left queued on this node's ring. In uring mode a flush with
-      // nothing queued STILL submits the SQ backlog and reaps stale CQEs,
-      // so a corked-but-idle node never strands submitted-but-unflushed
-      // datagrams (or their parked buffers).
+      // window left queued on this node's ring.
       node.ring->flush();
       continue;
     }

@@ -37,9 +37,6 @@
 // Backpressure (EAGAIN/ENOBUFS) waits for POLLOUT under a bounded budget and
 // is surfaced -- never silently swallowed -- via tx_stats(node):
 // {datagrams_sent, batches_flushed, eagain_retries, dropped}.
-// With Options::use_io_uring the same rings flush through an io_uring
-// SENDMSG backend instead of sendmmsg (zero send syscalls under the SQPOLL
-// tier); see net/uring_backend.hpp and the Options comments below.
 //
 // SO_REUSEPORT per-sender channels (open_sender): each call hands out a
 // Sender backed by its own socket + private ring. When the node is already
@@ -74,24 +71,8 @@ namespace locs::net {
 
 class UdpNetwork : public Transport {
  public:
-  struct Options {
-    /// Route every attached node's (and open_sender channel's) transmit
-    /// ring through an io_uring SENDMSG backend (net/uring_backend.hpp).
-    /// Feature-detected at attach time: kernels without io_uring -- or a
-    /// set LOCS_NO_IO_URING environment variable -- silently keep the PR 6
-    /// sendmmsg path, bit-for-bit. The never-attached-sender fallback ring
-    /// (a cold path behind the transport mutex) always stays on sendmmsg.
-    bool use_io_uring = false;
-    /// Second tier on top of use_io_uring: ask for IORING_SETUP_SQPOLL
-    /// submission polling, so a saturated sender's flushes make zero send
-    /// syscalls (the kernel's poll thread consumes the SQ). Degrades to a
-    /// plain ring when the kernel refuses SQPOLL.
-    bool sqpoll = false;
-  };
-
   /// Nodes bind to 127.0.0.1:(base_port + node.value).
   explicit UdpNetwork(std::uint16_t base_port);
-  UdpNetwork(std::uint16_t base_port, Options opts);
   ~UdpNetwork() override;
 
   UdpNetwork(const UdpNetwork&) = delete;
@@ -138,16 +119,9 @@ class UdpNetwork : public Transport {
   static std::uint16_t pick_free_base_port(std::uint16_t span);
 
   /// Per-node transmit stats: the node's own ring plus every channel opened
-  /// for it via open_sender. Unknown nodes read all-zero. In uring mode the
-  /// totals fold in the backend's completion counters (uring_sqes,
-  /// uring_cqes, sqpoll_wakeups; batches_flushed counts io_uring_enter
-  /// calls), so sent/flushed/eagain/dropped stay comparable across backends.
+  /// for it via open_sender. Unknown nodes read all-zero.
   using TxStats = TxRing::Stats;
   TxStats tx_stats(NodeId node) const;
-
-  /// True when `node`'s transmit ring runs the io_uring backend (false for
-  /// unknown nodes, on unsupported kernels, and with Options defaults).
-  bool uring_active(NodeId node) const;
 
   /// Times a send had to take the transport mutex to locate its socket (the
   /// slow path: first send from a thread, or a never-attached sender).
@@ -156,10 +130,6 @@ class UdpNetwork : public Transport {
   std::uint64_t tx_lookup_locks() const {
     return tx_lookup_locks_.load(std::memory_order_relaxed);
   }
-
-  /// Aggregate transmit counters across all rings (legacy accessors).
-  std::uint64_t datagrams_sent() const;
-  std::uint64_t send_errors() const;
 
   /// Receive-side pool feeding the recvmmsg slot buffers and reassembly
   /// scratch (shared by all receive threads; see the header contract).
@@ -182,7 +152,6 @@ class UdpNetwork : public Transport {
   void handle_datagram(Node& node, PooledBuffer& slot, std::size_t len);
 
   std::uint16_t base_port_;
-  Options opts_;
   const std::uint64_t instance_id_;  // guards the TLS cache across reuse
   BufferPool rx_pool_;  // receive-side buffers (recvmmsg slots + reassembly)
   mutable std::mutex mu_;  // guards nodes_/channels_ (setup/teardown + the

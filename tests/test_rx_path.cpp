@@ -4,10 +4,16 @@
 //  * the recvmmsg receive loop delivers bursts intact, re-provisions stolen
 //    slots, and a pinned buffer stays valid across later batches (ASan in
 //    the CI sanitize matrix verifies the lifetime claims for real);
-//  * reassembled multi-fragment messages honor the same pin protocol;
+//  * reassembled multi-fragment messages honor the same pin protocol, and a
+//    fragment that disagrees with its message's first fragment (another
+//    count, a repeated index) is dropped rather than completing it;
 //  * an entry server's range merge over real UDP -- sub-results pinned
 //    across multiple recvmmsg batches -- produces correct answers.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -206,6 +212,59 @@ TEST(RxPath, ReassembledFragmentsArePinnableZeroCopy) {
       ASSERT_EQ(t.data[j], static_cast<std::uint8_t>((j + m) * 31));
     }
   }
+}
+
+TEST(RxPath, InconsistentFragmentsNeverDeliver) {
+  const std::uint16_t base = net::UdpNetwork::pick_free_base_port(4);
+  net::UdpNetwork net(base);
+  UdpEcho echo;
+  net.attach(NodeId{1}, [&](const std::uint8_t* d, std::size_t l) {
+    std::lock_guard<std::mutex> lock(echo.mu);
+    echo.received.emplace_back(d, d + l);
+    echo.count.fetch_add(1);
+  });
+  net.attach(NodeId{2}, [](const std::uint8_t*, std::size_t) {});
+
+  // Raw fragments from a plain socket, each disagreeing with the first
+  // fragment of its msg_id: a different count, then a repeated index.
+  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in dst{};
+  dst.sin_family = AF_INET;
+  dst.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  dst.sin_port = htons(static_cast<std::uint16_t>(base + 1));
+  const auto send_frag = [&](std::uint32_t msg_id, std::uint16_t index,
+                             std::uint16_t count, const char* body) {
+    wire::Buffer frame(net::kFragHeader);
+    net::frag::put_u16(frame.data(), net::kFragMagic);
+    net::frag::put_u32(frame.data() + 2, msg_id);
+    net::frag::put_u16(frame.data() + 6, index);
+    net::frag::put_u16(frame.data() + 8, count);
+    frame.insert(frame.end(), body, body + std::strlen(body));
+    ASSERT_EQ(::sendto(fd, frame.data(), frame.size(), 0,
+                       reinterpret_cast<const sockaddr*>(&dst), sizeof dst),
+              static_cast<ssize_t>(frame.size()));
+  };
+  send_frag(77, 0, 3, "AAAA");
+  send_frag(77, 1, 2, "BBBB");
+  send_frag(78, 0, 2, "");
+  send_frag(78, 0, 2, "");
+  ::close(fd);
+
+  // A well-formed 3-fragment message sent afterwards still arrives intact.
+  constexpr std::size_t kBig = 2 * net::kMaxFragPayload + 100;
+  wire::Buffer big(kBig);
+  for (std::size_t j = 0; j < kBig; ++j) {
+    big[j] = static_cast<std::uint8_t>(j * 13);
+  }
+  net.send(NodeId{2}, NodeId{1}, big);
+  for (int spin = 0; spin < 400 && echo.count.load() < 1; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  std::lock_guard<std::mutex> lock(echo.mu);
+  ASSERT_EQ(echo.received.size(), 1u);
+  EXPECT_EQ(echo.received[0], big);
 }
 
 // --- end-to-end: pinned merge over real UDP ----------------------------------

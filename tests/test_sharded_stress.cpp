@@ -285,11 +285,13 @@ TEST(ShardedStress, ConcurrentUpdatesQueriesAndHandovers) {
     }
   }
 
-  // Every sharded leaf processed traffic without drowning its inboxes.
+  // Every sharded leaf processed traffic without drowning its inboxes, and
+  // its shard reactors' transmit channels never dropped a datagram.
   std::uint64_t dropped = 0;
   for (const NodeId leaf : leaves) {
     ASSERT_NE(deployment.sharded(leaf), nullptr);
     dropped += deployment.sharded(leaf)->inbox_dropped();
+    EXPECT_EQ(net.tx_stats(leaf).dropped, 0u) << "leaf " << leaf.value;
   }
   EXPECT_EQ(dropped, 0u) << "shard inboxes overflowed under closed-loop load";
 }
