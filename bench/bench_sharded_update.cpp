@@ -2,11 +2,12 @@
 // for core/sharded_location_server.hpp.
 //
 // Scenario: the Table-2 topology, but with EVERY object registered on ONE
-// leaf (the hotspot case sharding exists for -- a single unsharded reactor
-// caps that leaf at one core no matter how many clients push updates).
-// Closed-loop updater threads hammer the hot leaf; we measure acknowledged
-// updates per second with the leaf unsharded (1 reactor) and sharded across
-// 4 reactor threads, and report the speedup.
+// leaf (the hotspot case). Closed-loop updater threads hammer the hot leaf;
+// we measure acknowledged updates per second with the leaf unsharded (1
+// LocationServer) and sharded 4 ways, and report the ratio. Both run on the
+// node's one UDP receive thread (shards execute inline), so the ratio is
+// the cost of shard routing, not a parallel speedup; the gate only floors
+// it against a collapse.
 //
 // Plain executable (no Google Benchmark dependency); writes
 // BENCH_sharded.json next to the binary, mirroring bench_hotpath_codec.
@@ -76,16 +77,13 @@ class UpdateClient {
 struct RunResult {
   double ops_per_sec = 0.0;
   std::uint64_t timeouts = 0;
-  std::uint64_t inbox_dropped = 0;
 };
 
 RunResult run_hot_leaf(std::uint32_t shards) {
   net::UdpNetwork net(net::UdpNetwork::pick_free_base_port(/*span=*/300));
   SystemClock clock;
   core::Deployment::Config cfg;
-  cfg.lock_handlers = true;
   cfg.leaf_shards = shards;
-  cfg.shard_threads = shards > 1;
   core::Deployment deployment(
       net, clock,
       core::HierarchyBuilder::table2(geo::Rect{{0, 0}, {kAreaSize, kAreaSize}}),
@@ -182,9 +180,6 @@ RunResult run_hot_leaf(std::uint32_t shards) {
   RunResult res;
   res.ops_per_sec = static_cast<double>(acked.load()) / elapsed;
   res.timeouts = timeouts.load();
-  if (core::ShardedLocationServer* sharded = deployment.sharded(hot_leaf)) {
-    res.inbox_dropped = sharded->inbox_dropped();
-  }
   return res;
 }
 
@@ -197,16 +192,14 @@ int main() {
               kObjects, kUpdaterThreads, cores);
 
   const RunResult unsharded = run_hot_leaf(1);
-  std::printf("  unsharded (1 reactor):   %10.0f acked updates/s (%llu timeouts)\n",
+  std::printf("  unsharded (1 server):    %10.0f acked updates/s (%llu timeouts)\n",
               unsharded.ops_per_sec,
               static_cast<unsigned long long>(unsharded.timeouts));
 
   const RunResult sharded = run_hot_leaf(4);
-  std::printf("  sharded   (4 reactors):  %10.0f acked updates/s (%llu timeouts, "
-              "%llu inbox drops)\n",
+  std::printf("  sharded   (4 shards):    %10.0f acked updates/s (%llu timeouts)\n",
               sharded.ops_per_sec,
-              static_cast<unsigned long long>(sharded.timeouts),
-              static_cast<unsigned long long>(sharded.inbox_dropped));
+              static_cast<unsigned long long>(sharded.timeouts));
 
   const double speedup = unsharded.ops_per_sec > 0
                              ? sharded.ops_per_sec / unsharded.ops_per_sec
@@ -226,14 +219,12 @@ int main() {
                "  \"sharded4_updates_per_sec\": %.1f,\n"
                "  \"speedup\": %.3f,\n"
                "  \"unsharded_timeouts\": %llu,\n"
-               "  \"sharded4_timeouts\": %llu,\n"
-               "  \"sharded4_inbox_dropped\": %llu\n"
+               "  \"sharded4_timeouts\": %llu\n"
                "}\n",
                kObjects, kUpdaterThreads, cores, unsharded.ops_per_sec,
                sharded.ops_per_sec, speedup,
                static_cast<unsigned long long>(unsharded.timeouts),
-               static_cast<unsigned long long>(sharded.timeouts),
-               static_cast<unsigned long long>(sharded.inbox_dropped));
+               static_cast<unsigned long long>(sharded.timeouts));
   std::fclose(f);
   return 0;
 }

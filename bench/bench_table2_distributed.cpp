@@ -24,7 +24,6 @@
 #include <benchmark/benchmark.h>
 
 #include <condition_variable>
-#include <cstdlib>
 #include <mutex>
 
 #include "core/client.hpp"
@@ -109,22 +108,9 @@ struct World {
   std::vector<std::unique_ptr<core::UpdateCoalescer>> coalescers;
 
   World() {
-    core::Deployment::Config cfg;
-    cfg.lock_handlers = true;
-    // LOCS_LEAF_SHARDS=N runs every leaf as N threaded shard reactors
-    // (core/sharded_location_server.hpp); see bench_sharded_update for the
-    // dedicated hot-leaf scaling bench.
-    if (const char* shards_env = std::getenv("LOCS_LEAF_SHARDS")) {
-      const long shards = std::strtol(shards_env, nullptr, 10);
-      if (shards > 1) {
-        cfg.leaf_shards = static_cast<std::uint32_t>(shards);
-        cfg.shard_threads = true;
-      }
-    }
     deployment = std::make_unique<core::Deployment>(
         net, clock,
-        core::HierarchyBuilder::table2(geo::Rect{{0, 0}, {kAreaSize, kAreaSize}}),
-        cfg);
+        core::HierarchyBuilder::table2(geo::Rect{{0, 0}, {kAreaSize, kAreaSize}}));
     leaves = deployment->leaf_ids();
     std::sort(leaves.begin(), leaves.end());
     by_leaf.resize(leaves.size());

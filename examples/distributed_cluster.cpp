@@ -18,7 +18,6 @@ int main() {
   SystemClock clock;
 
   core::Deployment::Config cfg;
-  cfg.lock_handlers = true;  // handlers are invoked from socket threads
   cfg.server.enable_leaf_area_cache = true;
   cfg.server.enable_agent_cache = true;
   core::Deployment deployment(net, clock, core::HierarchyBuilder::table2(area), cfg);

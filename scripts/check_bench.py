@@ -32,19 +32,8 @@ Check kinds:
                allocations per message on the zero-alloc hot path).
   equals    -- fail if value != expected (booleans / exact counts).
 
-Conditional checks (bands that only make sense on some hosts):
-  "min_cores": N  -- SKIP the check (visible notice, not a pass) when the
-                     bench host had fewer than N cores. The host's core
-                     count is read from the bench doc itself ("nproc", then
-                     "host_cores" -- every bench records it at run time) and
-                     falls back to os.cpu_count() for older outputs. Lets a
-                     baseline gate e.g. a >= 1.2x sharding speedup that a
-                     1-core container can never reach.
-
-Skipped checks are listed in the stdout report and the markdown summary, so
-a band that silently never runs is visible, not lost.
-
-Exit status: 0 when every non-skipped check passes, 1 otherwise. A delta
+Every check runs on every host. Exit status: 0 when every check passes,
+1 otherwise. A delta
 summary is always printed to stdout (the CI job log) and, when
 --summary-file is given, appended there as a markdown table
 ($GITHUB_STEP_SUMMARY).
@@ -64,28 +53,6 @@ def lookup(doc, dotted_path):
             return None
         node = node[part]
     return node
-
-
-def host_cores(doc):
-    """Core count of the machine that RAN the bench, from the bench doc
-    ("nproc" preferred, "host_cores" the established field), falling back to
-    this machine's count for outputs that predate core recording."""
-    for field in ("nproc", "host_cores"):
-        value = lookup(doc, field)
-        if isinstance(value, int) and value > 0:
-            return value
-    return os.cpu_count() or 1
-
-
-def skip_reason(check, doc):
-    """Returns a human-readable reason to SKIP this check, or None to run
-    it. See the module docstring: "min_cores" gates multi-core-only bands."""
-    min_cores = check.get("min_cores")
-    if min_cores is not None:
-        cores = host_cores(doc)
-        if cores < min_cores:
-            return f"needs >= {min_cores} cores, bench host had {cores}"
-    return None
 
 
 def run_check(check, doc):
@@ -136,7 +103,6 @@ def main():
 
     rows = []
     failures = 0
-    skips = 0
     for spec_name in specs:
         with open(os.path.join(args.baseline_dir, spec_name)) as f:
             spec = json.load(f)
@@ -150,13 +116,6 @@ def main():
         with open(bench_path) as f:
             doc = json.load(f)
         for check in spec["checks"]:
-            reason = skip_reason(check, doc)
-            if reason is not None:
-                print(f"SKIP {spec['bench_file']}: {check['metric']}: {reason}")
-                rows.append((spec["bench_file"], check["metric"], reason,
-                             "SKIP"))
-                skips += 1
-                continue
             passed, detail, _ = run_check(check, doc)
             status = "ok" if passed else "FAIL"
             print(f"{status:4} {spec['bench_file']}: {check['metric']}: {detail}")
@@ -164,9 +123,7 @@ def main():
             if not passed:
                 failures += 1
 
-    print(f"\nbench gate: {len(rows) - failures - skips}/{len(rows)} checks "
-          f"passed"
-          + (f", {skips} skipped" if skips else "")
+    print(f"\nbench gate: {len(rows) - failures}/{len(rows)} checks passed"
           + (f", {failures} FAILED" if failures else ""))
 
     if args.summary_file:
@@ -175,7 +132,7 @@ def main():
             f.write("| bench | metric | delta | status |\n")
             f.write("|---|---|---|---|\n")
             for bench, metric, detail, status in rows:
-                icon = {"ok": "✅", "SKIP": "⏭️"}.get(status, "❌")
+                icon = "✅" if status == "ok" else "❌"
                 f.write(f"| {bench} | {metric} | {detail} | {icon} |\n")
             f.write("\n")
 

@@ -3,9 +3,8 @@
 
 Covers run_check() band boundaries for every check kind (min_ratio
 tolerance bars, min collapse floors, max ceilings, equals invariants),
-missing-metric and unknown-kind failure paths, dotted-path lookup()
-nesting, and the conditional-check skip logic (min_cores core gates with
-nproc/host_cores resolution). Run directly or via ctest (test_check_bench).
+missing-metric and unknown-kind failure paths, and dotted-path lookup()
+nesting. Run directly or via ctest (test_check_bench).
 """
 
 import importlib.util
@@ -98,41 +97,6 @@ class EqualsTest(unittest.TestCase):
     def test_exact_counts(self):
         self.assertTrue(self.check(48, 48))
         self.assertFalse(self.check(47, 48))
-
-
-class HostCoresTest(unittest.TestCase):
-    def test_nproc_preferred_over_host_cores(self):
-        self.assertEqual(
-            check_bench.host_cores({"nproc": 8, "host_cores": 4}), 8)
-
-    def test_host_cores_fallback(self):
-        self.assertEqual(check_bench.host_cores({"host_cores": 4}), 4)
-
-    def test_machine_fallback_when_doc_silent(self):
-        self.assertEqual(check_bench.host_cores({}), os.cpu_count() or 1)
-
-    def test_bogus_values_ignored(self):
-        self.assertEqual(
-            check_bench.host_cores({"nproc": 0, "host_cores": 2}), 2)
-
-
-class SkipReasonTest(unittest.TestCase):
-    def test_unconditional_check_runs(self):
-        spec = {"metric": "m", "kind": "min", "floor": 1}
-        self.assertIsNone(check_bench.skip_reason(spec, {"m": 5}))
-
-    def test_min_cores_skips_small_hosts(self):
-        spec = {"metric": "speedup", "kind": "min", "floor": 1.2,
-                "min_cores": 4}
-        reason = check_bench.skip_reason(spec, {"host_cores": 1})
-        self.assertIsNotNone(reason)
-        self.assertIn("4 cores", reason)
-        self.assertIn("had 1", reason)
-
-    def test_min_cores_runs_on_big_hosts(self):
-        spec = {"metric": "speedup", "kind": "min", "floor": 1.2,
-                "min_cores": 4}
-        self.assertIsNone(check_bench.skip_reason(spec, {"host_cores": 4}))
 
 
 class FailurePathTest(unittest.TestCase):

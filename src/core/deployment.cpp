@@ -8,10 +8,10 @@ Deployment::Deployment(net::Transport& net, Clock& clock, HierarchySpec spec)
 Deployment::Deployment(net::Transport& net, Clock& clock, HierarchySpec spec,
                        Config cfg)
     : net_(net), spec_(std::move(spec)), clock_(clock), cfg_(std::move(cfg)) {
+  // Entries are built in place: the transport handler keeps a pointer to its
+  // entry, and unordered_map never relocates an element.
   for (const HierarchySpec::Node& node : spec_.nodes) {
-    Entry entry;
-    make_entry(node, entry);
-    servers_.emplace(node.id, std::move(entry));
+    make_entry(node, servers_[node.id]);
   }
   // Hot standbys are EXTRA servers outside the spec: each replica reuses its
   // primary's ConfigRecord (same service area and parent, so a promoted
@@ -23,9 +23,7 @@ Deployment::Deployment(net::Transport& net, Clock& clock, HierarchySpec spec,
     if (servers_.count(standby) > 0) continue;  // id collision: skip
     HierarchySpec::Node replica = *node;
     replica.id = standby;
-    Entry entry;
-    make_entry(replica, entry);
-    servers_.emplace(standby, std::move(entry));
+    make_entry(replica, servers_[standby]);
     wire_standby(primary, standby);
   }
 }
@@ -34,25 +32,31 @@ void Deployment::wire_standby(NodeId primary, NodeId standby) {
   const auto pit = servers_.find(primary);
   const auto sit = servers_.find(standby);
   if (pit == servers_.end() || sit == servers_.end()) return;
-  if (sit->second.up()) {
-    if (sit->second.sharded != nullptr) {
-      sit->second.sharded->set_standby_role(primary);
-    } else {
-      sit->second.server->set_standby_role(primary);
+  {
+    Entry& entry = sit->second;
+    std::lock_guard<std::mutex> lock(entry.mu);
+    if (entry.sharded != nullptr) {
+      entry.sharded->set_standby_role(primary);
+    } else if (entry.server != nullptr) {
+      entry.server->set_standby_role(primary);
     }
   }
-  if (pit->second.up()) {
-    if (pit->second.sharded != nullptr) {
-      pit->second.sharded->set_standby(standby);
-    } else {
-      pit->second.server->set_standby(standby);
+  {
+    Entry& entry = pit->second;
+    std::lock_guard<std::mutex> lock(entry.mu);
+    if (entry.sharded != nullptr) {
+      entry.sharded->set_standby(standby);
+    } else if (entry.server != nullptr) {
+      entry.server->set_standby(standby);
     }
   }
   const HierarchySpec::Node* node = spec_.find(primary);
   if (node == nullptr || !node->cfg.parent.valid()) return;
   const auto parent_it = servers_.find(node->cfg.parent);
-  if (parent_it == servers_.end() || parent_it->second.server == nullptr) return;
-  parent_it->second.server->set_child_standby(primary, standby);
+  if (parent_it == servers_.end()) return;
+  Entry& parent = parent_it->second;
+  std::lock_guard<std::mutex> lock(parent.mu);
+  if (parent.server != nullptr) parent.server->set_child_standby(primary, standby);
 }
 
 void Deployment::make_entry(const HierarchySpec::Node& node, Entry& entry) {
@@ -61,64 +65,28 @@ void Deployment::make_entry(const HierarchySpec::Node& node, Entry& entry) {
 
   const std::uint32_t shards =
       node.cfg.is_leaf() ? std::max(cfg_.leaf_shards, node.leaf_shards) : 1;
-  // A node-keyed visitor_db_factory cannot split a persistent visitorDB
-  // across shards (each shard persists only its own objects); without a
-  // shard-aware factory such a leaf stays a single reactor -- correctness
-  // (recovery, §5) beats scaling. See Config::sharded_visitor_db_factory.
-  const bool can_shard = !cfg_.visitor_db_factory || cfg_.sharded_visitor_db_factory;
-  if (can_shard &&
-      (shards > 1 || (cfg_.force_leaf_sharding && node.cfg.is_leaf()))) {
-    ShardedLocationServer::Options sopts;
-    sopts.shards = shards;
-    sopts.threaded = cfg_.shard_threads;
-    sopts.server = opts;
-    ShardedLocationServer::ShardVisitorDbFactory vdb_factory;
-    if (cfg_.sharded_visitor_db_factory) {
-      vdb_factory = [factory = cfg_.sharded_visitor_db_factory,
-                     id = node.id](std::uint32_t shard) {
-        return factory(id, shard);
-      };
+  {
+    std::lock_guard<std::mutex> lock(entry.mu);
+    if (shards > 1 || (cfg_.force_leaf_sharding && node.cfg.is_leaf())) {
+      entry.sharded = std::make_unique<ShardedLocationServer>(
+          node.id, node.cfg, net_, clock_,
+          ShardedLocationServer::Options{shards, opts}, cfg_.visitor_db_factory,
+          cfg_.index_factory);
+    } else {
+      store::VisitorDb vdb;
+      if (cfg_.visitor_db_factory) vdb = cfg_.visitor_db_factory(node.id, 0);
+      entry.server = std::make_unique<LocationServer>(
+          node.id, node.cfg, net_, clock_, opts, std::move(vdb), cfg_.index_factory);
     }
-    entry.sharded = std::make_unique<ShardedLocationServer>(
-        node.id, node.cfg, net_, clock_, sopts, std::move(vdb_factory),
-        cfg_.index_factory);
-    ShardedLocationServer* server = entry.sharded.get();
-    // Threaded shards serialize internally; inline shards piggyback on the
-    // same handler lock unsharded servers use over UdpNetwork.
-    if (cfg_.lock_handlers && !cfg_.shard_threads && entry.mu == nullptr) {
-      entry.mu = std::make_unique<std::mutex>();
-    }
-    std::mutex* mu = cfg_.shard_threads ? nullptr : entry.mu.get();
-    net_.attach(node.id, net::DatagramHandler([server, mu](const net::Datagram& dg) {
-      if (mu != nullptr) {
-        std::lock_guard<std::mutex> lock(*mu);
-        server->handle(dg);
-      } else {
-        server->handle(dg);
-      }
-    }));
-    // After attach, so each shard channel can join the node's SO_REUSEPORT
-    // group (no-op for inline shards and channel-less transports).
-    server->open_tx_senders();
-  } else {
-    store::VisitorDb vdb;
-    if (cfg_.visitor_db_factory) vdb = cfg_.visitor_db_factory(node.id);
-    entry.server = std::make_unique<LocationServer>(
-        node.id, node.cfg, net_, clock_, opts, std::move(vdb), cfg_.index_factory);
-    if (cfg_.lock_handlers && entry.mu == nullptr) {
-      entry.mu = std::make_unique<std::mutex>();
-    }
-    LocationServer* server = entry.server.get();
-    std::mutex* mu = entry.mu.get();
-    net_.attach(node.id, net::DatagramHandler([server, mu](const net::Datagram& dg) {
-      if (mu != nullptr) {
-        std::lock_guard<std::mutex> lock(*mu);
-        server->handle(dg);
-      } else {
-        server->handle(dg);
-      }
-    }));
   }
+  net_.attach(node.id, net::DatagramHandler([&entry](const net::Datagram& dg) {
+    std::lock_guard<std::mutex> lock(entry.mu);
+    if (entry.sharded != nullptr) {
+      entry.sharded->handle(dg);
+    } else {
+      entry.server->handle(dg);
+    }
+  }));
 }
 
 Deployment::~Deployment() {
@@ -129,19 +97,13 @@ void Deployment::crash(NodeId id) {
   Entry& entry = servers_.at(id);
   if (!entry.up()) return;
   // Teardown protocol: detach first so the transport never delivers into a
-  // dying reactor (UdpNetwork blocks on an in-flight callback), then drop
+  // dying server (UdpNetwork blocks on an in-flight callback), then drop
   // all volatile state. The persistent visitorDB log -- if any -- stays on
   // disk for the restart to replay.
   net_.detach(id);
-  if (entry.mu != nullptr) {
-    // Over UDP a driver thread may sit inside find_sighting; serialize.
-    std::lock_guard<std::mutex> lock(*entry.mu);
-    entry.server.reset();
-    entry.sharded.reset();
-  } else {
-    entry.server.reset();
-    entry.sharded.reset();
-  }
+  std::lock_guard<std::mutex> lock(entry.mu);
+  entry.server.reset();
+  entry.sharded.reset();
 }
 
 void Deployment::restart(NodeId id, bool announce) {
@@ -150,7 +112,7 @@ void Deployment::restart(NodeId id, bool announce) {
   const HierarchySpec::Node* node = spec_.find(id);
   if (node == nullptr) return;
   make_entry(*node, entry);
-  // Rebuilt reactors lost their replication wiring; re-apply every pair the
+  // Rebuilt servers lost their replication wiring; re-apply every pair the
   // restarted node participates in (as primary, as the parent of one, or --
   // for completeness -- as a standby brought back by hand).
   for (const auto& [primary, standby] : cfg_.leaf_standby) {
@@ -161,6 +123,7 @@ void Deployment::restart(NodeId id, bool announce) {
     }
   }
   if (!announce || !node->cfg.is_leaf()) return;
+  std::lock_guard<std::mutex> lock(entry.mu);
   if (entry.sharded != nullptr) {
     entry.sharded->announce_recovery();
   } else {
@@ -175,11 +138,8 @@ bool Deployment::is_down(NodeId id) const {
 bool Deployment::find_sighting(NodeId id, ObjectId oid,
                                store::SightingDb::Record& out) const {
   const Entry& entry = servers_.at(id);
+  std::lock_guard<std::mutex> lock(entry.mu);
   if (entry.sharded != nullptr) return entry.sharded->find_sighting(oid, out);
-  // Unsharded over UDP: the receive thread mutates the db under entry.mu,
-  // so this cross-thread read must serialize against it too.
-  std::unique_lock<std::mutex> lock;
-  if (entry.mu != nullptr) lock = std::unique_lock<std::mutex>(*entry.mu);
   if (entry.server == nullptr) return false;  // crashed
   const store::SightingDb* db = entry.server->sightings();
   if (db == nullptr) return false;
@@ -191,21 +151,11 @@ bool Deployment::find_sighting(NodeId id, ObjectId oid,
 
 void Deployment::tick_all(TimePoint now) {
   for (auto& [id, entry] : servers_) {
+    std::lock_guard<std::mutex> lock(entry.mu);
     if (entry.sharded != nullptr) {
-      if (entry.mu != nullptr) {
-        std::lock_guard<std::mutex> lock(*entry.mu);
-        entry.sharded->tick(now);
-      } else {
-        entry.sharded->tick(now);  // threaded shards lock internally
-      }
-      continue;
-    }
-    if (entry.server == nullptr) continue;  // crashed node: nothing to sweep
-    if (entry.mu != nullptr) {
-      std::lock_guard<std::mutex> lock(*entry.mu);
-      entry.server->tick(now);
-    } else {
-      entry.server->tick(now);
+      entry.sharded->tick(now);
+    } else if (entry.server != nullptr) {
+      entry.server->tick(now);  // a crashed node has nothing to sweep
     }
   }
 }
@@ -213,6 +163,7 @@ void Deployment::tick_all(TimePoint now) {
 LocationServer::Stats Deployment::total_stats() const {
   LocationServer::Stats total;
   for (const auto& [id, entry] : servers_) {
+    std::lock_guard<std::mutex> lock(entry.mu);
     if (entry.sharded != nullptr) {
       total.add(entry.sharded->stats());
     } else if (entry.server != nullptr) {

@@ -1,13 +1,16 @@
 // Deployment: instantiates one LocationServer per hierarchy node over a
 // Transport and wires the handlers. Works with SimNetwork (deterministic)
-// and UdpNetwork (real sockets; enable handler locking so the receive
-// thread and the bench driver can touch a server safely).
+// and UdpNetwork (real sockets). Each node has one mutex, taken around every
+// handle(), tick(), find_sighting(), crash() and total_stats(), so a UDP
+// receive thread and a driver thread can touch the same server safely; it is
+// uncontended over SimNetwork.
 //
-// Leaves can be sharded across N internal reactors (set Config::leaf_shards
-// or stamp per-node hints with HierarchyBuilder::with_leaf_shards); such
-// leaves are ShardedLocationServers behind the same NodeId -- the hierarchy
-// protocol above them is unchanged. Set Config::shard_threads over
-// UdpNetwork so each shard runs its own reactor thread.
+// Leaves can be sharded across N internal LocationServers (set
+// Config::leaf_shards or stamp per-node hints with
+// HierarchyBuilder::with_leaf_shards); such leaves are
+// ShardedLocationServers behind the same NodeId -- the hierarchy protocol
+// above them is unchanged -- and run every shard on the thread that delivers
+// the datagram.
 #pragma once
 
 #include <functional>
@@ -33,24 +36,15 @@ class Deployment {
                                           LocationServer::Options)>
         options_fn;
     spatial::IndexFactory index_factory;  // default: point quadtree
-    /// Per-server persistent visitorDB factory (recovery tests / durable
-    /// deployments); default: in-memory. A node-keyed factory cannot be
-    /// split across shard reactors, so a leaf with BOTH this set and a
-    /// shard count > 1 stays a single reactor unless
-    /// sharded_visitor_db_factory is also provided.
-    std::function<store::VisitorDb(NodeId)> visitor_db_factory;
-    /// Shard-aware variant for sharded leaves: one (node, shard) visitorDB
-    /// per shard reactor (each shard persists only its own objects).
-    std::function<store::VisitorDb(NodeId, std::uint32_t)> sharded_visitor_db_factory;
-    /// Serialize handle()/tick() per server (required over UdpNetwork).
-    bool lock_handlers = false;
-    /// Shard every leaf's object space across this many internal reactors
+    /// Persistent visitorDB factory (recovery tests / durable deployments),
+    /// called once per (node, shard): a sharded leaf persists each shard's
+    /// objects separately, an unsharded node asks for shard 0. Default:
+    /// in-memory.
+    ShardedLocationServer::VisitorDbFactory visitor_db_factory;
+    /// Shard every leaf's object space across this many internal servers
     /// (core/sharded_location_server.hpp). A per-node HierarchySpec hint
     /// overrides this when larger than 1. 1 = plain LocationServer leaves.
     std::uint32_t leaf_shards = 1;
-    /// Run one reactor thread per shard (UdpNetwork). Leave false over
-    /// SimNetwork: inline shard execution keeps delivery deterministic.
-    bool shard_threads = false;
     /// Build ShardedLocationServer leaves even at shards == 1. Used by the
     /// determinism tests: the single-shard wrapper must be pass-through
     /// (trace bit-identical to plain LocationServer leaves).
@@ -91,15 +85,15 @@ class Deployment {
   /// True while `id` is crashed (between crash() and restart()).
   bool is_down(NodeId id) const;
 
-  /// The single reactor of an UNSHARDED node (shard 0 of a sharded leaf, so
-  /// existing single-reactor call sites keep working; prefer sharded() /
+  /// The single server of an UNSHARDED node (shard 0 of a sharded leaf, so
+  /// existing single-server call sites keep working; prefer sharded() /
   /// find_sighting() to inspect sharded leaves). Must not be called for a
   /// crashed node (see is_down()).
   LocationServer& server(NodeId id) {
     const Entry& entry = servers_.at(id);
     return entry.sharded != nullptr ? entry.sharded->shard(0) : *entry.server;
   }
-  /// The sharded reactor group of a leaf, or nullptr if the node runs a
+  /// The sharded server group of a leaf, or nullptr if the node runs a
   /// plain LocationServer.
   ShardedLocationServer* sharded(NodeId id) {
     return servers_.at(id).sharded.get();
@@ -122,13 +116,13 @@ class Deployment {
 
  private:
   struct Entry {
+    mutable std::mutex mu;  // guards both servers (see the header comment)
     std::unique_ptr<LocationServer> server;          // unsharded nodes
     std::unique_ptr<ShardedLocationServer> sharded;  // sharded leaves
-    std::unique_ptr<std::mutex> mu;  // only when lock_handlers
     bool up() const { return server != nullptr || sharded != nullptr; }
   };
 
-  /// Builds (or rebuilds, on restart) the reactor(s) of one node and
+  /// Builds (or rebuilds, on restart) the server(s) of one node and
   /// attaches them to the transport.
   void make_entry(const HierarchySpec::Node& node, Entry& entry);
 

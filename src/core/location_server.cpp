@@ -52,12 +52,11 @@ LocationServer::LocationServer(NodeId self, ConfigRecord cfg, net::Transport& ne
       net_(net),
       clock_(clock),
       opts_(opts),
-      visitor_db_(std::move(visitor_db)),
-      send_pool_(&net.pool()) {
+      visitor_db_(std::move(visitor_db)) {
   if (cfg_.is_leaf()) {
     if (!index_factory) index_factory = [] { return spatial::make_point_quadtree(); };
     sightings_.emplace(std::move(index_factory));
-    own_view_.add_slice(&*sightings_, /*mu=*/nullptr);
+    own_view_.add_slice(&*sightings_);
   }
   if (cfg_.is_leaf()) origin_cache_ = wm::OriginArea{self_, cfg_.sa};
 }
@@ -101,11 +100,9 @@ void LocationServer::Stats::add(const Stats& other) {
 }
 
 void LocationServer::configure_shard(std::uint32_t shard_index,
-                                     net::BufferPool* send_pool,
                                      const store::SightingsView* query_view,
                                      SightingEventHook hook) {
   shard_index_ = shard_index;
-  if (send_pool != nullptr) send_pool_ = send_pool;
   shard_view_ = query_view;
   sighting_event_hook_ = std::move(hook);
   // Stripe req-ids by shard so sibling shards of one NodeId never hand the
@@ -114,14 +111,13 @@ void LocationServer::configure_shard(std::uint32_t shard_index,
 }
 
 void LocationServer::share_caches(LeafAreaCache* leaf, ObjectAgentCache* agent,
-                                  PositionCache* position, std::mutex* mu) {
+                                  PositionCache* position) {
   // All-or-nothing: a partial cache set would split hit state between
-  // private and shared instances (and a dangling mutex would guard neither).
+  // private and shared instances.
   if (leaf == nullptr || agent == nullptr || position == nullptr) return;
   leaf_cache_ = leaf;
   agent_cache_ = agent;
   position_cache_ = position;
-  cache_mu_ = mu;
 }
 
 // --------------------------------------------------------------------------
@@ -232,7 +228,6 @@ std::uint64_t LocationServer::next_req_id() {
 void LocationServer::learn_origin(const std::optional<wm::OriginArea>& origin) {
   if (!origin || !opts_.enable_leaf_area_cache) return;
   if (origin->leaf == self_) return;
-  store::MaybeGuard guard(cache_mu_);
   leaf_cache_->learn(origin->leaf, origin->area);
 }
 
@@ -424,10 +419,7 @@ void LocationServer::initiate_handover(NodeId object_node, const Sighting& s) {
   // §6.5 shortcut: if the leaf-area cache knows the leaf responsible for the
   // new position, hand over directly and repair the path explicitly.
   if (opts_.enable_leaf_area_cache) {
-    const NodeId target = [&] {
-      store::MaybeGuard guard(cache_mu_);
-      return leaf_cache_->leaf_containing(s.pos);
-    }();
+    const NodeId target = leaf_cache_->leaf_containing(s.pos);
     if (target.valid() && target != self_) {
       req.direct = true;
       pending.direct_prune = true;
@@ -758,11 +750,8 @@ void LocationServer::disengage_standby(NodeId child) {
 void LocationServer::on_pos_query_req(NodeId src, const wm::PosQueryReq& m) {
   // §6.5 cache 3: a still-valid cached descriptor answers immediately.
   if (opts_.enable_position_cache) {
-    const auto cached = [&] {
-      store::MaybeGuard guard(cache_mu_);
-      return position_cache_->find(m.oid, now(), opts_.default_max_speed,
-                                   opts_.position_cache_max_acc);
-    }();
+    const auto cached = position_cache_->find(
+        m.oid, now(), opts_.default_max_speed, opts_.position_cache_max_acc);
     if (cached) {
       ++stats_.pos_query_cache_hits;
       send_msg(src, wm::PosQueryRes{m.oid, true, *cached, kNoNode, m.req_id,
@@ -794,10 +783,7 @@ void LocationServer::on_pos_query_req(NodeId src, const wm::PosQueryReq& m) {
 
   // §6.5 cache 2: ask the cached agent directly; fall back on timeout.
   if (opts_.enable_agent_cache) {
-    const auto agent = [&] {
-      store::MaybeGuard guard(cache_mu_);
-      return agent_cache_->find(m.oid, now());
-    }();
+    const auto agent = agent_cache_->find(m.oid, now());
     if (agent && *agent != self_) {
       ++stats_.agent_cache_hits;
       pending.via_agent_cache = true;
@@ -895,13 +881,11 @@ void LocationServer::on_pos_query_res(NodeId src, const wm::PosQueryRes& m) {
   pending_pos_.erase(it);
   learn_origin(m.origin);
   if (m.found) {
-    store::MaybeGuard guard(cache_mu_);
     if (opts_.enable_agent_cache && m.agent.valid()) {
       agent_cache_->learn(m.oid, m.agent, now());
     }
     if (opts_.enable_position_cache) position_cache_->learn(m.oid, m.ld, now());
   } else if (pending.via_agent_cache) {
-    store::MaybeGuard guard(cache_mu_);
     agent_cache_->invalidate(m.oid);
   }
   send_msg(pending.client, wm::PosQueryRes{m.oid, m.found, m.ld, m.agent,
@@ -939,7 +923,7 @@ void LocationServer::on_range_query_req(NodeId src, const wm::RangeQueryReq& m) 
   // results never exist as a vector either.
   if (cfg_.is_leaf() && sightings_ && enlarged.intersects(cfg_.sa)) {
     SubSegment local;
-    local.buf = net::PooledBuffer(send_pool_, send_pool_->acquire());
+    local.buf = net_.make_buffer();
     {
       wm::Writer w(*local.buf);
       query_view().objects_in_area_emit(
@@ -964,10 +948,7 @@ void LocationServer::on_range_query_req(NodeId src, const wm::RangeQueryReq& m) 
   if (needs_more && opts_.enable_leaf_area_cache) {
     // §6.5 cache 1: if cached leaf areas cover the whole remainder, contact
     // those leaves directly instead of traversing the hierarchy.
-    const LeafAreaCache::Coverage cov = [&] {
-      store::MaybeGuard guard(cache_mu_);
-      return leaf_cache_->coverage_of(enlarged);
-    }();
+    const LeafAreaCache::Coverage cov = leaf_cache_->coverage_of(enlarged);
     if (pending.covered + cov.covered_size >=
         pending.target - coverage_epsilon(pending.target)) {
       ++stats_.range_direct;
@@ -1087,14 +1068,14 @@ void LocationServer::handle_sub_res_view(wm::SubResView& view,
     it->second.covered += view.covered_size();
     if (view.count() > 0) {
       // Pin the receive buffer for the duration of the merge: zero-copy on
-      // both transports' native delivery paths; non-pinnable paths (SPSC
-      // inbox rings, raw injection) degrade to one pooled copy.
+      // both transports' native delivery paths; a borrow-only datagram (raw
+      // injection) degrades to one pooled copy.
       if (dg.zero_copy()) {
         ++stats_.sub_res_pinned;
       } else {
         ++stats_.sub_res_copied;
       }
-      net::Datagram::Taken taken = dg.take(*send_pool_);
+      net::Datagram::Taken taken = dg.take(net_.pool());
       SubSegment seg;
       seg.data = taken.data + (view.packed_data() - dg.data());
       seg.len = view.packed_size();
@@ -1159,7 +1140,7 @@ void LocationServer::emit_range_result(NodeId client, std::uint64_t client_req_i
   }
   // Pass 2: emit. Byte-identical to encode_envelope_into of the equivalent
   // owned RangeQueryRes (pinned by test_query_merge).
-  net::PooledBuffer out(send_pool_, send_pool_->acquire());
+  net::PooledBuffer out = net_.make_buffer();
   {
     wm::Writer w(*out);
     w.reserve(64 + kept_bytes);
@@ -1609,7 +1590,6 @@ void LocationServer::on_event_install(NodeId src, const wm::EventInstall& m) {
 
 void LocationServer::install_event(const wm::EventInstall& inst) {
   LeafPred& pred = leaf_preds_[inst.sub_id];
-  leaf_pred_count_.store(leaf_preds_.size(), std::memory_order_relaxed);
   pred.inst = inst;
   pred.members.clear();
   // Seed with objects already tracked here (all shards of a sharded leaf).
@@ -1728,7 +1708,6 @@ void LocationServer::coordinator_handle_delta(NodeId reporting_leaf,
 
 void LocationServer::on_event_unsubscribe(NodeId src, const wm::EventUnsubscribe& m) {
   leaf_preds_.erase(m.sub_id);
-  leaf_pred_count_.store(leaf_preds_.size(), std::memory_order_relaxed);
   const bool was_coordinator = coord_preds_.erase(m.sub_id) > 0;
   // Broadcast downwards so every leaf drops its local tracker; forward
   // upwards if we were not the coordinator (the coordinator is an ancestor).
@@ -1749,19 +1728,10 @@ void LocationServer::tick(TimePoint t) {
   // let the transport coalesce them into sendmmsg batches. SimNetwork
   // ignores the bracket (inline delivery, traces unchanged); the explicit
   // flush at the end guarantees nothing a tick produced outlives the tick.
-  if (tx_sender_ != nullptr) {
-    tx_sender_->cork();
-  } else {
-    net_.cork(self_);
-  }
+  net_.cork(self_);
   tick_body(t);
-  if (tx_sender_ != nullptr) {
-    tx_sender_->uncork();
-    tx_sender_->flush();
-  } else {
-    net_.uncork(self_);
-    net_.flush(self_);
-  }
+  net_.uncork(self_);
+  net_.flush(self_);
 }
 
 void LocationServer::tick_body(TimePoint t) {
@@ -1816,10 +1786,7 @@ void LocationServer::tick_body(TimePoint t) {
     PendingPos pending = it->second;
     if (pending.via_agent_cache) {
       // Stale agent cache: invalidate and retry through the hierarchy.
-      {
-        store::MaybeGuard guard(cache_mu_);
-        agent_cache_->invalidate(pending.oid);
-      }
+      agent_cache_->invalidate(pending.oid);
       pending.via_agent_cache = false;
       pending.deadline = t + opts_.pending_timeout;
       const NodeId next = cfg_.is_root() ? kNoNode : cfg_.parent;

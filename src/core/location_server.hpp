@@ -66,7 +66,7 @@
 //     query paths read a SightingsView spanning all slices -- so the leaf
 //     emits exactly one sub-result per probe, as an unsharded leaf would;
 //   * req-ids are striped per shard (shard index in bits 32..39 of the
-//     counter), so concurrent shards never emit colliding ids upstream.
+//     counter), so sibling shards never emit colliding ids upstream.
 //
 // With N = 1 all three rules degenerate to the unsharded server and the
 // message trace is bit-identical.
@@ -93,10 +93,8 @@
 //    socket.
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -269,48 +267,30 @@ class LocationServer {
   NodeId standby_for(NodeId child) const;
 
   /// Wires this server as one shard of a ShardedLocationServer (see the
-  /// header comment for the routing invariant). `send_pool` replaces the
-  /// transport's shared pool for outgoing messages; `query_view` (shard 0
-  /// only) replaces the own-slice view on the area-query paths; `hook`
-  /// (shards > 0) redirects sighting presence changes to the coordinator
-  /// shard's event machinery instead of the (empty) local one. Also stripes
-  /// the req-id counter by shard index. Call before any traffic.
-  void configure_shard(std::uint32_t shard_index, net::BufferPool* send_pool,
+  /// header comment for the routing invariant). `query_view` (shard 0 only)
+  /// replaces the own-slice view on the area-query paths; `hook` (shards >
+  /// 0) redirects sighting presence changes to the coordinator shard's event
+  /// machinery instead of the (empty) local one. Also stripes the req-id
+  /// counter by shard index. Call before any traffic.
+  void configure_shard(std::uint32_t shard_index,
                        const store::SightingsView* query_view,
                        SightingEventHook hook);
 
-  /// Shares the §6.5 caches across the shard reactors of one leaf: every
-  /// shard consults the SAME cache set (owned by the ShardedLocationServer),
-  /// so cache hit patterns -- and the message counts they produce -- match
-  /// an unsharded leaf. `mu` serializes cross-thread access in threaded
-  /// mode; inline SimNetwork execution passes null (one datagram at a time).
-  /// Call before any traffic. All three cache pointers must be non-null
-  /// (all-or-nothing -- a partial set is ignored); `mu` may be null.
+  /// Shares the §6.5 caches across the shards of one leaf: every shard
+  /// consults the SAME cache set (owned by the ShardedLocationServer), so
+  /// cache hit patterns -- and the message counts they produce -- match an
+  /// unsharded leaf. Call before any traffic. All three pointers must be
+  /// non-null (all-or-nothing -- a partial set is ignored).
   void share_caches(LeafAreaCache* leaf, ObjectAgentCache* agent,
-                    PositionCache* position, std::mutex* mu);
-
-  /// Routes every outgoing message through a dedicated transmit channel
-  /// (net::Sender) instead of Transport::send -- the per-shard SO_REUSEPORT
-  /// socket + ring wiring (ShardedLocationServer::open_tx_senders), which
-  /// takes the shared transport completely off this reactor's send path.
-  /// The caller owns the channel and must keep it alive for the server's
-  /// lifetime; null restores the default path. Call before any traffic.
-  void set_tx_sender(net::Sender* sender) { tx_sender_ = sender; }
+                    PositionCache* position);
 
   /// Runs the leaf event predicates for an externally observed sighting
   /// change (fan-in from sibling shards; no-op outside sharded setups).
   void apply_sighting_event(ObjectId oid, bool present, geo::Point pos);
 
-  /// Lock-free count of installed leaf predicates; sibling shards use it to
-  /// skip the event fan-in entirely on the (hot) update path.
-  std::size_t leaf_event_count() const {
-    return leaf_pred_count_.load(std::memory_order_relaxed);
-  }
-
-  /// Mutable slice access for shard wiring (SightingDb::set_slice_lock).
-  store::SightingDb* sightings_mutable() {
-    return sightings_ ? &*sightings_ : nullptr;
-  }
+  /// Count of installed leaf predicates; sibling shards use it to skip the
+  /// event fan-in entirely on the (hot) update path.
+  std::size_t leaf_event_count() const { return leaf_preds_.size(); }
 
   NodeId id() const { return self_; }
   const ConfigRecord& config() const { return cfg_; }
@@ -380,21 +360,13 @@ class LocationServer {
   template <typename M>
   void send_msg(NodeId to, const M& msg) {
     if (!to.valid()) return;
-    // send_pool_ is the transport's shared pool by default, a private
-    // per-shard pool under sharding (no cross-shard send contention).
-    net::PooledBuffer buf(send_pool_, send_pool_->acquire());
+    net::PooledBuffer buf = net_.make_buffer();
     wire::encode_envelope_into(*buf, self_, msg);
     send_buffer(to, std::move(buf));
   }
-  /// The one exit of every outgoing envelope: the dedicated transmit channel
-  /// when set_tx_sender installed one (the shared transport is then never
-  /// touched), else the transport.
+  /// The one exit of every outgoing envelope.
   void send_buffer(NodeId to, net::PooledBuffer buf) {
     ++stats_.msgs_sent;
-    if (tx_sender_ != nullptr) {
-      tx_sender_->send(to, std::move(buf));
-      return;
-    }
     net_.send(self_, to, std::move(buf));
   }
   std::uint64_t next_req_id();
@@ -510,23 +482,19 @@ class LocationServer {
   std::optional<store::SightingDb> sightings_;  // leaf servers only
 
   // -- shard wiring (configure_shard; defaults are the unsharded server) --
-  net::BufferPool* send_pool_;               // defaults to the transport pool
-  net::Sender* tx_sender_ = nullptr;         // per-shard transmit channel
   store::SightingsView own_view_;            // single-slice view over sightings_
   const store::SightingsView* shard_view_ = nullptr;  // coordinator: all slices
   SightingEventHook sighting_event_hook_;    // shards > 0: fan-in to shard 0
   std::uint32_t shard_index_ = 0;
-  std::atomic<std::size_t> leaf_pred_count_{0};
 
   // §6.5 caches: owned by default; a sharded leaf repoints every shard at
-  // ONE shared set via share_caches() (cache_mu_ guards cross-thread use).
+  // ONE shared set via share_caches().
   LeafAreaCache own_leaf_cache_;
   ObjectAgentCache own_agent_cache_;
   PositionCache own_position_cache_;
   LeafAreaCache* leaf_cache_ = &own_leaf_cache_;
   ObjectAgentCache* agent_cache_ = &own_agent_cache_;
   PositionCache* position_cache_ = &own_position_cache_;
-  std::mutex* cache_mu_ = nullptr;
 
   std::uint64_t req_counter_ = 0;
   std::optional<wire::OriginArea> origin_cache_;

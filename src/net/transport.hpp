@@ -15,9 +15,9 @@
 // delivered (SimNetwork) or written to the socket (UdpNetwork). Steady-state
 // send therefore allocates nothing.
 //
-// Send-side batching contract (cork / uncork / flush / open_sender):
-// transports MAY defer sends to amortize syscalls (UdpNetwork queues them on
-// per-sender transmit rings and writes sendmmsg batches; see net/tx_ring.hpp).
+// Send-side batching contract (cork / uncork / flush): transports MAY defer
+// sends to amortize syscalls (UdpNetwork queues them on per-node transmit
+// rings and writes sendmmsg batches; see net/tx_ring.hpp).
 // The knobs all default to no-ops so SimNetwork keeps delivering inline --
 // every existing simulated trace stays bit-identical:
 //  * cork(from)/uncork(from) bracket a burst (a receive-batch's handler
@@ -29,11 +29,6 @@
 //    produced it; it is always safe to call and a no-op when nothing queues.
 //    UdpNetwork's flush is synchronous: when it returns, every queued
 //    datagram is on the wire or a counted drop.
-//  * open_sender(from) returns a dedicated per-sender transmit channel
-//    (Sender) when the transport supports one -- UdpNetwork hands out an
-//    SO_REUSEPORT socket + private ring per call, which is what lets N shard
-//    reactors behind one NodeId transmit with zero shared state -- or
-//    nullptr (SimNetwork), in which case callers fall back to plain send().
 //
 // Receive-side borrow/lifetime contract: handler callbacks receive a
 // Datagram -- a borrowed view into a transport-owned receive buffer that is
@@ -45,10 +40,10 @@
 // datagram in a poolable buffer (SimNetwork events, UdpNetwork recvmmsg
 // slots and reassembled messages) this is a zero-copy ownership transfer
 // and every pointer into the datagram stays valid for the lifetime of the
-// returned PooledBuffer; otherwise (SPSC inbox rings, raw injections) the
-// bytes are copied into a fresh pooled buffer -- degrade to copy, never
-// dangle. Both transports honor the same contract, so inline SimNetwork
-// traces stay bit-identical to UDP behavior.
+// returned PooledBuffer; otherwise (raw injections, a sharded leaf's
+// re-framed sub-lists) the bytes are copied into a fresh pooled buffer --
+// degrade to copy, never dangle. Both transports honor the same contract, so
+// inline SimNetwork traces stay bit-identical to UDP behavior.
 #pragma once
 
 #include <cstdint>
@@ -118,22 +113,6 @@ using MessageHandler = std::function<void(const std::uint8_t* data, std::size_t 
 /// merge paths can pin the receive buffer (see header comment).
 using DatagramHandler = std::function<void(const Datagram& dg)>;
 
-/// A dedicated per-sender transmit channel (see Transport::open_sender).
-/// send() consumes pooled envelopes exactly like Transport::send but
-/// transmits them over the channel's private path (UdpNetwork: an
-/// SO_REUSEPORT socket + TxRing owned by this channel alone), so concurrent
-/// shard reactors never share send-side state. cork()/uncork() bracket a
-/// burst; flush() pushes everything queued. Channels are NOT thread-safe
-/// against each other's owner -- one reactor per channel.
-class Sender {
- public:
-  virtual ~Sender() = default;
-  virtual void send(NodeId to, PooledBuffer bytes) = 0;
-  virtual void flush() = 0;
-  virtual void cork() {}
-  virtual void uncork() {}
-};
-
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -175,20 +154,13 @@ class Transport {
   /// (cork depth notwithstanding). Safe to call anytime; no-op when nothing
   /// is queued or the transport never defers.
   virtual void flush(NodeId /*from*/) {}
-  /// Opens a dedicated transmit channel for `from`, or nullptr when the
-  /// transport has no per-sender path (SimNetwork). Call after attach(from)
-  /// so UdpNetwork can join the node's SO_REUSEPORT group; the transport
-  /// keeps the channel's stats (and its socket) alive until teardown.
-  virtual std::shared_ptr<Sender> open_sender(NodeId /*from*/) {
-    return nullptr;
-  }
 
   /// Acquires an empty recycled buffer to encode an outgoing message into.
   PooledBuffer make_buffer() { return PooledBuffer(&pool_, pool_.acquire()); }
 
   BufferPool& pool() { return pool_; }
 
-  /// Pins an external pool (e.g. a shard's private send pool) to the
+  /// Pins an external pool (e.g. an UpdateCoalescer's send pool) to the
   /// transport's lifetime. In-flight PooledBuffers carry a raw pointer to
   /// their pool; the transport outlives every queued datagram (SimNetwork
   /// events, UDP sends), so adopting the pool here lets the reactor that
@@ -206,9 +178,8 @@ class Transport {
 /// The canonical hot-path send used by every reactor: encodes `msg` into a
 /// buffer recycled from `pool` (zero allocations in steady state) and sends
 /// it. Concrete message types hit the per-type encode_envelope_into
-/// overloads, skipping Message variant construction. Shard reactors pass
-/// their private pool (no cross-shard contention on the free list); the
-/// transport returns the buffer to that same pool after delivery.
+/// overloads, skipping Message variant construction. The transport returns
+/// the buffer to `pool` after delivery.
 template <typename M>
 void send_message(Transport& net, BufferPool& pool, NodeId from, NodeId to,
                   const M& msg) {

@@ -10,7 +10,7 @@
 // Flush policy (same shape as core/update_coalescer.hpp):
 //  * batch-full      -- kSendBatch slots queued,
 //  * byte budget     -- kMaxBatchBytes pending,
-//  * explicit flush()-- Transport::flush(NodeId) / Sender::flush(),
+//  * explicit flush()-- Transport::flush(NodeId),
 //  * uncork          -- the last uncork() of a cork window flushes,
 //  * tick deadline   -- the owner's idle/poll-timeout path calls flush()
 //                       (UdpNetwork's receive loop, LocationServer::tick).
@@ -99,13 +99,6 @@ class TxRing {
     std::uint64_t batches_flushed = 0;
     std::uint64_t eagain_retries = 0;   // POLLOUT waits on EAGAIN/ENOBUFS
     std::uint64_t dropped = 0;          // backpressure budget / hard errors
-
-    void add(const Stats& o) {
-      datagrams_sent += o.datagrams_sent;
-      batches_flushed += o.batches_flushed;
-      eagain_retries += o.eagain_retries;
-      dropped += o.dropped;
-    }
   };
 
   /// The ring writes to `fd` but does not own it; `msg_ids` is the

@@ -1,14 +1,15 @@
 #include "net/udp_network.hpp"
 
 #include <arpa/inet.h>
-#include <linux/filter.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cassert>
+#include <cerrno>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 namespace locs::net {
@@ -23,47 +24,22 @@ sockaddr_in addr_for(std::uint16_t port) {
   return addr;
 }
 
-int make_socket(std::uint16_t bind_port, bool reuseport = false) {
+int make_socket(std::uint16_t bind_port) {
   const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
   if (fd < 0) return -1;
   const int buf_size = 4 * 1024 * 1024;
   ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &buf_size, sizeof buf_size);
   ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &buf_size, sizeof buf_size);
-  if (reuseport) {
-    const int one = 1;
-    if (::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof one) != 0) {
-      ::close(fd);
-      return -1;
-    }
-  }
   if (bind_port != 0) {
     sockaddr_in addr = addr_for(bind_port);
     if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+      const int err = errno;
       ::close(fd);
+      errno = err;
       return -1;
     }
   }
   return fd;
-}
-
-// Installs the classic-BPF steering program that pins EVERY inbound packet
-// of a SO_REUSEPORT group to member index 0 -- the primary receive socket
-// bound first -- so transmit channels joining the group later never siphon
-// receive traffic (the kernel would otherwise hash by 4-tuple). Returns
-// false when the kernel lacks the option; callers then refuse same-port
-// channel binds.
-bool steer_group_to_primary(int fd) {
-#ifdef SO_ATTACH_REUSEPORT_CBPF
-  sock_filter code[] = {{BPF_RET | BPF_K, 0, 0, 0}};
-  sock_fprog prog{};
-  prog.len = 1;
-  prog.filter = code;
-  return ::setsockopt(fd, SOL_SOCKET, SO_ATTACH_REUSEPORT_CBPF, &prog,
-                      sizeof prog) == 0;
-#else
-  (void)fd;
-  return false;
-#endif
 }
 
 // Thread-local send cache: one (transport instance, sender) -> Node mapping
@@ -90,7 +66,6 @@ struct UdpNetwork::Node {
   // thread-local cache entries and late stats reads stay valid; stop()
   // poisons the ring's fd instead.
   std::unique_ptr<TxRing> ring;
-  bool steering_ok = false;  // REUSEPORT group steering installed
   // Guards handler invocation vs detach(): a reactor clearing its handler
   // before destruction must not race an in-flight callback.
   std::mutex handler_mu;
@@ -133,42 +108,6 @@ struct UdpNetwork::Node {
   }
 };
 
-// A per-sender transmit channel: its own socket (SO_REUSEPORT group member
-// when possible, ephemeral otherwise) + private ring. Owned jointly by the
-// opener (shard reactor) and the transport's channel registry, so stats and
-// the socket outlive the reactor.
-class UdpNetwork::TxChannel : public Sender {
- public:
-  TxChannel(UdpNetwork& net, int fd)
-      : base_port_(net.base_port_), fd_(fd), ring_(fd, net.next_msg_id_) {}
-  ~TxChannel() override { shutdown(); }
-
-  void send(NodeId to, PooledBuffer bytes) override {
-    ring_.enqueue(addr_for(static_cast<std::uint16_t>(base_port_ + to.value)),
-                  std::move(bytes));
-  }
-  void flush() override { ring_.flush(); }
-  void cork() override { ring_.cork(); }
-  void uncork() override { ring_.uncork(); }
-
-  TxRing::Stats ring_stats() const { return ring_.stats(); }
-
-  /// Flushes, poisons the ring and closes the socket (idempotent).
-  void shutdown() {
-    ring_.flush();
-    ring_.set_fd(-1);
-    if (fd_ >= 0) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-  }
-
- private:
-  std::uint16_t base_port_;
-  int fd_;
-  TxRing ring_;
-};
-
 UdpNetwork::UdpNetwork(std::uint16_t base_port)
     : base_port_(base_port),
       instance_id_(g_instance_ids.fetch_add(1, std::memory_order_relaxed)) {}
@@ -189,8 +128,6 @@ std::uint16_t UdpNetwork::pick_free_base_port(std::uint16_t span) {
     return z ^ (z >> 31);
   };
   const auto bindable = [](std::uint16_t port) {
-    // Probe WITHOUT SO_REUSEPORT: a port held by a live REUSEPORT group
-    // still reports as taken.
     const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
     if (fd < 0) return false;
     sockaddr_in addr = addr_for(port);
@@ -215,7 +152,6 @@ UdpNetwork::~UdpNetwork() {
   stop();
   std::lock_guard<std::mutex> lock(mu_);
   nodes_.clear();
-  channels_.clear();
   fallback_ring_.reset();
 }
 
@@ -239,18 +175,15 @@ void UdpNetwork::attach(NodeId node, DatagramHandler handler) {
   auto n = std::make_unique<Node>();
   n->id = node;
   n->handler = std::move(handler);
-  // The primary socket opens the node's SO_REUSEPORT group and installs the
-  // steering program, so open_sender() channels can later join the same port
-  // transmit-only. Kernels without SO_REUSEPORT fall back to a plain bind
-  // (channels then use ephemeral ports).
   const auto port = static_cast<std::uint16_t>(base_port_ + node.value);
-  n->fd = make_socket(port, /*reuseport=*/true);
-  if (n->fd >= 0) {
-    n->steering_ok = steer_group_to_primary(n->fd);
-  } else {
-    n->fd = make_socket(port);
+  n->fd = make_socket(port);
+  if (n->fd < 0) {
+    // The port is exclusive (header comment), so a collision is a setup
+    // error: stop here instead of running a node that never receives.
+    std::fprintf(stderr, "UdpNetwork: cannot bind 127.0.0.1:%u for node %u: %s\n",
+                 static_cast<unsigned>(port), node.value, std::strerror(errno));
+    std::abort();
   }
-  assert(n->fd >= 0 && "UDP bind failed (port collision?)");
   n->ring = std::make_unique<TxRing>(n->fd, next_msg_id_);
   Node* raw = n.get();
   {
@@ -262,15 +195,11 @@ void UdpNetwork::attach(NodeId node, DatagramHandler handler) {
 
 void UdpNetwork::detach(NodeId node) {
   Node* raw = nullptr;
-  std::vector<std::shared_ptr<TxChannel>> chans;
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = nodes_.find(node);
     if (it == nodes_.end()) return;
     raw = it->second.get();
-    for (auto& [id, ch] : channels_) {
-      if (id == node) chans.push_back(ch);
-    }
   }
   {
     // Taken without mu_ held: the handler itself may send (which can lock
@@ -279,10 +208,9 @@ void UdpNetwork::detach(NodeId node) {
     raw->handler = nullptr;
   }
   // Deterministic send-side teardown: whatever the detached reactor left
-  // queued (corked replies, shard-channel batches) is on the wire -- or a
-  // counted drop -- before detach returns.
+  // queued (corked replies) is on the wire -- or a counted drop -- before
+  // detach returns.
   raw->ring->flush();
-  for (const auto& ch : chans) ch->flush();
 }
 
 UdpNetwork::Node* UdpNetwork::node_for_send(NodeId from) {
@@ -327,50 +255,12 @@ void UdpNetwork::uncork(NodeId from) {
 
 void UdpNetwork::flush(NodeId from) {
   if (Node* node = node_for_send(from)) node->ring->flush();
-  std::vector<std::shared_ptr<TxChannel>> chans;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [id, ch] : channels_) {
-      if (id == from) chans.push_back(ch);
-    }
-  }
-  for (const auto& ch : chans) ch->flush();
-}
-
-std::shared_ptr<Sender> UdpNetwork::open_sender(NodeId from) {
-  bool group_member = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = nodes_.find(from);
-    group_member = it != nodes_.end() && it->second->fd >= 0 &&
-                   it->second->steering_ok;
-  }
-  // Join the node's REUSEPORT group only when the primary socket exists AND
-  // carries the steering program -- otherwise a same-port bind could siphon
-  // inbound packets. Never-attached senders get an ephemeral-port socket:
-  // same semantics, different source port.
-  int fd = -1;
-  if (group_member) {
-    fd = make_socket(static_cast<std::uint16_t>(base_port_ + from.value),
-                     /*reuseport=*/true);
-  }
-  if (fd < 0) fd = make_socket(0);
-  if (fd < 0) return nullptr;
-  auto ch = std::make_shared<TxChannel>(*this, fd);
-  std::lock_guard<std::mutex> lock(mu_);
-  channels_.emplace_back(from, ch);
-  return ch;
 }
 
 UdpNetwork::TxStats UdpNetwork::tx_stats(NodeId node) const {
-  TxStats total;
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = nodes_.find(node);
-  if (it != nodes_.end()) total.add(it->second->ring->stats());
-  for (const auto& [id, ch] : channels_) {
-    if (id == node) total.add(ch->ring_stats());
-  }
-  return total;
+  return it != nodes_.end() ? it->second->ring->stats() : TxStats{};
 }
 
 void UdpNetwork::handle_datagram(Node& node, PooledBuffer& slot,
@@ -483,15 +373,14 @@ void UdpNetwork::stop() {
   // Sends have quiesced (reactors stop before their transport): drain what
   // is left, then poison the ring fds so a stale thread-local cache entry
   // turns a late send into a counted drop instead of a write to a recycled
-  // descriptor. Node/channel objects survive until destruction, keeping
-  // tx_stats() readable after stop().
+  // descriptor. Node objects survive until destruction, keeping tx_stats()
+  // readable after stop().
   for (auto& [id, node] : nodes_) {
     node->ring->flush();
     node->ring->set_fd(-1);
     if (node->fd >= 0) ::close(node->fd);
     node->fd = -1;
   }
-  for (auto& [id, ch] : channels_) ch->shutdown();
   if (fallback_ring_ != nullptr) {
     fallback_ring_->flush();
     fallback_ring_->set_fd(-1);

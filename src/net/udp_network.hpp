@@ -6,7 +6,10 @@
 // own socket (port = base_port + node id) and receive thread, so a node's
 // handler is always invoked from a single thread -- the same single-threaded
 // reactor discipline the simulator provides, with real parallelism between
-// nodes (the paper ran one server per machine).
+// nodes (the paper ran one server per machine). A sharded leaf runs all its
+// shards on that one thread. The node's port is exclusive: its socket sets
+// no port-sharing option, so no other socket -- in this process or another
+// -- can bind the port while the node is attached.
 //
 // Receive path (recvmmsg + receive-side BufferPool): each receive thread
 // drains its socket in batches of up to kRecvBatch datagrams per syscall
@@ -38,19 +41,6 @@
 // is surfaced -- never silently swallowed -- via tx_stats(node):
 // {datagrams_sent, batches_flushed, eagain_retries, dropped}.
 //
-// SO_REUSEPORT per-sender channels (open_sender): each call hands out a
-// Sender backed by its own socket + private ring. When the node is already
-// attached the channel's socket joins the node's SO_REUSEPORT group bound to
-// the SAME port, and a classic-BPF steering program
-// (SO_ATTACH_REUSEPORT_CBPF, installed on the primary socket) pins ALL
-// inbound packets to group index 0 -- the receive socket -- so channel
-// sockets are transmit-only by construction. N shard reactors behind one
-// NodeId thus send concurrently with zero shared state (no lock, no ring
-// contention, distinct fds). If the node is not attached (bare clients) or
-// steering is unavailable, the channel degrades to an ephemeral-port socket
-// -- same semantics, different source port. The transport keeps every opened
-// channel (and its stats) alive until teardown.
-//
 // Datagrams larger than the safe UDP payload are fragmented and reassembled
 // with a small header (large range-query results can exceed 64 KiB).
 #pragma once
@@ -78,10 +68,10 @@ class UdpNetwork : public Transport {
   UdpNetwork(const UdpNetwork&) = delete;
   UdpNetwork& operator=(const UdpNetwork&) = delete;
 
-  /// Binds the node's socket and starts its receive thread. Re-attaching a
-  /// previously detached node swaps the handler in on the surviving socket
-  /// (the crash-restart harness hook: a restarted reactor resumes delivery
-  /// without rebinding the port).
+  /// Binds the node's socket and starts its receive thread; aborts with a
+  /// message if the port is taken. Re-attaching a previously detached node
+  /// swaps the handler in on the surviving socket (the crash-restart harness
+  /// hook: a restarted reactor resumes delivery without rebinding the port).
   using Transport::attach;
   void attach(NodeId node, DatagramHandler handler) override;
   /// Clears the node's handler; blocks until an in-flight callback on the
@@ -101,9 +91,6 @@ class UdpNetwork : public Transport {
   void uncork(NodeId from) override;
   void flush(NodeId from) override;
 
-  /// Opens a per-sender SO_REUSEPORT transmit channel (header comment).
-  std::shared_ptr<Sender> open_sender(NodeId from) override;
-
   /// Joins all receive threads, flushes every transmit ring and closes
   /// sockets. Called by the destructor. Stats remain readable afterwards.
   void stop();
@@ -113,13 +100,10 @@ class UdpNetwork : public Transport {
   /// parallel test runners pick disjoint ranges) and probe-binds a few
   /// representative ports before settling. Collisions remain possible --
   /// another process can grab a port between probe and bind -- but ctest -j
-  /// runs no longer contend for one hardcoded pair. (The probe binds WITHOUT
-  /// SO_REUSEPORT, so it still reports ports held by a live REUSEPORT group
-  /// as taken.)
+  /// runs no longer contend for one hardcoded pair.
   static std::uint16_t pick_free_base_port(std::uint16_t span);
 
-  /// Per-node transmit stats: the node's own ring plus every channel opened
-  /// for it via open_sender. Unknown nodes read all-zero.
+  /// Per-node transmit stats (the node's ring). Unknown nodes read all-zero.
   using TxStats = TxRing::Stats;
   TxStats tx_stats(NodeId node) const;
 
@@ -140,7 +124,6 @@ class UdpNetwork : public Transport {
 
  private:
   struct Node;
-  class TxChannel;
 
   /// Locates the sender's Node through the thread-local send cache; falls
   /// back to one locked map lookup (counted in tx_lookup_locks_) and
@@ -154,10 +137,9 @@ class UdpNetwork : public Transport {
   std::uint16_t base_port_;
   const std::uint64_t instance_id_;  // guards the TLS cache across reuse
   BufferPool rx_pool_;  // receive-side buffers (recvmmsg slots + reassembly)
-  mutable std::mutex mu_;  // guards nodes_/channels_ (setup/teardown + the
-                           // cold send-lookup path)
+  mutable std::mutex mu_;  // guards nodes_ (setup/teardown + the cold
+                           // send-lookup path)
   std::unordered_map<NodeId, std::unique_ptr<Node>> nodes_;
-  std::vector<std::pair<NodeId, std::shared_ptr<TxChannel>>> channels_;
   int fallback_send_fd_ = -1;
   std::unique_ptr<TxRing> fallback_ring_;  // never-attached senders
   std::atomic<bool> stopping_{false};

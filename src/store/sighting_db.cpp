@@ -10,7 +10,6 @@ SightingDb::SightingDb(spatial::IndexFactory index_factory)
 
 void SightingDb::insert(const core::Sighting& s, double offered_acc,
                         TimePoint expiry) {
-  MaybeGuard guard(slice_mu_);
   assert(records_.find(s.oid) == records_.end());
   Record rec;
   rec.sighting = s;
@@ -24,7 +23,6 @@ void SightingDb::insert(const core::Sighting& s, double offered_acc,
 }
 
 bool SightingDb::update(const core::Sighting& s, TimePoint expiry) {
-  MaybeGuard guard(slice_mu_);
   const auto it = records_.find(s.oid);
   if (it == records_.end()) return false;
   it->second.sighting = s;
@@ -38,7 +36,6 @@ bool SightingDb::update(const core::Sighting& s, TimePoint expiry) {
 
 void SightingDb::apply_batch(const std::vector<BulkUpdate>& items,
                              TimePoint expiry) {
-  MaybeGuard guard(slice_mu_);
   for (const BulkUpdate& item : items) {
     const auto [it, inserted] = records_.try_emplace(item.s.oid);
     Record& rec = it->second;
@@ -57,7 +54,6 @@ void SightingDb::apply_batch(const std::vector<BulkUpdate>& items,
 }
 
 bool SightingDb::remove(ObjectId oid) {
-  MaybeGuard guard(slice_mu_);
   const auto it = records_.find(oid);
   if (it == records_.end()) return false;
   index_->remove(oid);
@@ -72,13 +68,11 @@ const SightingDb::Record* SightingDb::find(ObjectId oid) const {
 }
 
 void SightingDb::set_offered_acc(ObjectId oid, double offered_acc) {
-  MaybeGuard guard(slice_mu_);
   const auto it = records_.find(oid);
   if (it != records_.end()) it->second.offered_acc = offered_acc;
 }
 
 std::vector<ObjectId> SightingDb::expire_until(TimePoint now) {
-  MaybeGuard guard(slice_mu_);
   std::vector<ObjectId> expired;
   while (!expiry_heap_.empty() && expiry_heap_.front().expiry <= now) {
     const HeapEntry entry = expiry_heap_.front();
@@ -129,7 +123,6 @@ std::vector<core::ObjectResult> SightingDb::k_nearest(geo::Point p, std::size_t 
 }
 
 void SightingDb::clear() {
-  MaybeGuard guard(slice_mu_);
   records_.clear();
   expiry_heap_.clear();
   index_ = index_factory_();

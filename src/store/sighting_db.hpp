@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cassert>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -25,24 +24,6 @@
 #include "util/ids.hpp"
 
 namespace locs::store {
-
-/// Scoped lock over an OPTIONAL mutex: no-op when null. Shared by the
-/// SightingDb slice mutators and the SightingsView cross-slice readers --
-/// unsharded single-threaded servers pass null and pay one branch.
-class MaybeGuard {
- public:
-  explicit MaybeGuard(std::mutex* mu) : mu_(mu) {
-    if (mu_ != nullptr) mu_->lock();
-  }
-  ~MaybeGuard() {
-    if (mu_ != nullptr) mu_->unlock();
-  }
-  MaybeGuard(const MaybeGuard&) = delete;
-  MaybeGuard& operator=(const MaybeGuard&) = delete;
-
- private:
-  std::mutex* mu_;
-};
 
 class SightingDb {
  public:
@@ -70,10 +51,10 @@ class SightingDb {
     double offered_acc = 0.0;
   };
 
-  /// Upserts a whole batch of sightings under ONE slice-lock acquisition and
-  /// one pass over records + spatial index -- the per-datagram lock and
-  /// dispatch overhead is paid once per batch instead of once per sighting.
-  /// Semantically identical to insert()/update()+set_offered_acc() per item.
+  /// Upserts a whole batch of sightings in one pass over records + spatial
+  /// index -- the per-datagram dispatch overhead is paid once per batch
+  /// instead of once per sighting. Semantically identical to
+  /// insert()/update()+set_offered_acc() per item.
   void apply_batch(const std::vector<BulkUpdate>& items, TimePoint expiry);
 
   bool remove(ObjectId oid);
@@ -149,14 +130,6 @@ class SightingDb {
 
   const spatial::SpatialIndex& index() const { return *index_; }
 
-  /// Sharding hook (core/sharded_location_server): when this db is one slice
-  /// of a sharded leaf, mutations from the owning shard reactor must be
-  /// serialized against cross-shard query merges (store/sighting_view). The
-  /// mutators lock `mu` internally; SightingsView locks the same mutex around
-  /// its reads. Unsharded servers leave this null (zero-cost branch).
-  void set_slice_lock(std::mutex* mu) { slice_mu_ = mu; }
-  std::mutex* slice_lock() const { return slice_mu_; }
-
   /// Smallest positive req_overlap (values <= 0 clamp to this; see
   /// objects_in_area).
   static constexpr double kMinOverlap = 1e-12;
@@ -178,7 +151,6 @@ class SightingDb {
   std::unordered_map<ObjectId, Record> records_;
   std::vector<HeapEntry> expiry_heap_;  // min-heap via std::push_heap
   std::uint64_t next_generation_ = 1;
-  std::mutex* slice_mu_ = nullptr;  // see set_slice_lock
 };
 
 }  // namespace locs::store

@@ -6,17 +6,13 @@ namespace locs::store {
 
 std::size_t SightingsView::size() const {
   std::size_t total = 0;
-  for (const Slice& s : slices_) {
-    MaybeGuard guard(s.mu);
-    total += s.db->size();
-  }
+  for (const SightingDb* db : slices_) total += db->size();
   return total;
 }
 
 bool SightingsView::lookup(ObjectId oid, SightingDb::Record& out) const {
-  for (const Slice& s : slices_) {
-    MaybeGuard guard(s.mu);
-    const SightingDb::Record* rec = s.db->find(oid);
+  for (const SightingDb* db : slices_) {
+    const SightingDb::Record* rec = db->find(oid);
     if (rec != nullptr) {
       out = *rec;
       return true;
@@ -43,19 +39,11 @@ std::vector<core::ObjectResult> SightingsView::k_nearest(geo::Point p,
                                                          double req_acc) const {
   // Single slice: forward directly, preserving the slice's exact result
   // order (unsharded servers must stay trace-identical).
-  if (slices_.size() == 1) {
-    MaybeGuard guard(slices_[0].mu);
-    return slices_[0].db->k_nearest(p, k, req_acc);
-  }
+  if (slices_.size() == 1) return slices_[0]->k_nearest(p, k, req_acc);
   std::vector<core::ObjectResult> merged;
-  for (const Slice& s : slices_) {
-    std::vector<core::ObjectResult> part;
-    {
-      MaybeGuard guard(s.mu);
-      part = s.db->k_nearest(p, k, req_acc);
-    }
+  for (const SightingDb* db : slices_) {
     spatial::merge_k_nearest(
-        merged, std::move(part), p, k,
+        merged, db->k_nearest(p, k, req_acc), p, k,
         [](const core::ObjectResult& r) { return r.ld.pos; },
         [](const core::ObjectResult& r) { return r.oid; });
   }

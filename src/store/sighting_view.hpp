@@ -9,17 +9,13 @@
 // against it and merge per-slice sub-results, so the single RangeQuerySubRes
 // / NNProbeSubRes a leaf emits is identical to the unsharded server's.
 //
-// Concurrency contract: at most ONE thread reads through a view at a time
-// (the coordinator shard's reactor). Reads on a slice are serialized against
-// that slice's OWNING shard's mutations via the slice lock registered with
-// SightingDb::set_slice_lock -- the view locks each slice only while
-// querying it, never two slices at once, so slice locks stay leaf-level and
-// cannot deadlock. An unsharded server uses a single-slice view with no
-// lock; that path forwards straight to the slice, preserving result order
-// (and with it the seed-42 trace) bit for bit.
+// The view takes no lock: every shard of a leaf runs on the thread that
+// delivers the leaf's datagrams, so reads never overlap a slice mutation.
+// An unsharded server uses a single-slice view; that path forwards straight
+// to the slice, preserving result order (and with it the seed-42 trace) bit
+// for bit.
 #pragma once
 
-#include <mutex>
 #include <vector>
 
 #include "store/sighting_db.hpp"
@@ -30,11 +26,8 @@ class SightingsView {
  public:
   SightingsView() = default;
 
-  /// Registers a slice. `mu` (may be null) serializes reads against the
-  /// owning shard's mutations; pass the mutex given to set_slice_lock.
-  void add_slice(const SightingDb* slice, std::mutex* mu) {
-    slices_.push_back({slice, mu});
-  }
+  /// Registers a slice.
+  void add_slice(const SightingDb* slice) { slices_.push_back(slice); }
 
   void clear() { slices_.clear(); }
   std::size_t slice_count() const { return slices_.size(); }
@@ -42,10 +35,8 @@ class SightingsView {
   /// Total records across slices.
   std::size_t size() const;
 
-  /// Copies the record for `oid` out of whichever slice owns it (under that
-  /// slice's lock). Returns false if the object is unknown. A copy -- not a
-  /// pointer -- because the record lives in another shard's slice and may be
-  /// mutated the moment the slice lock is released.
+  /// Copies the record for `oid` out of whichever slice owns it. Returns
+  /// false if the object is unknown.
   bool lookup(ObjectId oid, SightingDb::Record& out) const;
 
   /// SightingDb::objects_in_area over the union of slices.
@@ -54,14 +45,13 @@ class SightingsView {
 
   /// Sink-based union: results stream straight from each slice into `sink`
   /// (same order as the vector variant), so a leaf's query answer packs into
-  /// the outgoing wire buffer without an intermediate vector. The sink runs
-  /// UNDER the slice lock -- it must not call back into the store.
+  /// the outgoing wire buffer without an intermediate vector. The sink must
+  /// not call back into the store.
   template <typename Sink>
   void objects_in_area_emit(const geo::Polygon& area, double req_acc,
                             double req_overlap, Sink&& sink) const {
-    for (const Slice& s : slices_) {
-      MaybeGuard guard(s.mu);
-      s.db->objects_in_area_emit(area, req_acc, req_overlap, sink);
+    for (const SightingDb* db : slices_) {
+      db->objects_in_area_emit(area, req_acc, req_overlap, sink);
     }
   }
 
@@ -73,9 +63,8 @@ class SightingsView {
   template <typename Sink>
   void objects_in_circle_emit(const geo::Circle& circle, double req_acc,
                               Sink&& sink) const {
-    for (const Slice& s : slices_) {
-      MaybeGuard guard(s.mu);
-      s.db->objects_in_circle_emit(circle, req_acc, sink);
+    for (const SightingDb* db : slices_) {
+      db->objects_in_circle_emit(circle, req_acc, sink);
     }
   }
 
@@ -85,12 +74,7 @@ class SightingsView {
                                             double req_acc) const;
 
  private:
-  struct Slice {
-    const SightingDb* db;
-    std::mutex* mu;  // null for single-threaded (unsharded / inline) views
-  };
-
-  std::vector<Slice> slices_;
+  std::vector<const SightingDb*> slices_;
 };
 
 }  // namespace locs::store

@@ -49,16 +49,7 @@ struct LogDir {
   }
   ~LogDir() { fs::remove_all(dir); }
 
-  std::function<store::VisitorDb(NodeId)> factory() {
-    return [this](NodeId id) {
-      auto db = store::VisitorDb::open(
-          (dir / ("visitor_" + std::to_string(id.value) + ".log")).string());
-      EXPECT_TRUE(db.ok());
-      return std::move(db).value();
-    };
-  }
-
-  std::function<store::VisitorDb(NodeId, std::uint32_t)> sharded_factory() {
+  std::function<store::VisitorDb(NodeId, std::uint32_t)> factory() {
     return [this](NodeId id, std::uint32_t shard) {
       auto db = store::VisitorDb::open(
           (dir / ("visitor_" + std::to_string(id.value) + "_" +
@@ -270,7 +261,7 @@ TEST(FaultTolerance, ShardedLeafSplitsRecoverySweepPerShard) {
   core::Deployment::Config cfg;
   cfg.server = fault_opts();
   cfg.leaf_shards = 2;
-  cfg.sharded_visitor_db_factory = logs.sharded_factory();
+  cfg.visitor_db_factory = logs.factory();
   SimWorld w(core::HierarchyBuilder::table2(geo::Rect{{0, 0}, {kArea, kArea}}),
              cfg);
 
@@ -622,7 +613,7 @@ TEST(FaultTolerance, ReplicatedShardedLeafPromotesPerShard) {
   core::Deployment::Config cfg;
   cfg.server = fault_opts();
   cfg.leaf_shards = 2;
-  cfg.sharded_visitor_db_factory = logs.sharded_factory();
+  cfg.visitor_db_factory = logs.factory();
   cfg.leaf_standby = {{kCrashLeaf, kStandby}};
   SimWorld w(core::HierarchyBuilder::table2(geo::Rect{{0, 0}, {kArea, kArea}}),
              cfg);

@@ -1,7 +1,11 @@
 // Transport substrates: deterministic simulation and real UDP loopback.
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <thread>
 
@@ -183,6 +187,33 @@ TEST(UdpNetwork, ManySmallMessagesAllArrive) {
   const UdpNetwork::TxStats tx = net.tx_stats(NodeId{2});
   EXPECT_EQ(tx.datagrams_sent, static_cast<std::uint64_t>(kMessages));
   EXPECT_EQ(tx.dropped, 0u);
+}
+
+TEST(UdpNetwork, AttachedPortIsExclusive) {
+  // A node's port belongs to its socket alone. A second socket -- from this
+  // process or another of the same user, with or without SO_REUSEPORT --
+  // must fail to bind it rather than silently join the node's traffic.
+  const std::uint16_t base = UdpNetwork::pick_free_base_port(10);
+  UdpNetwork net(base);
+  net.attach(NodeId{3}, [](const std::uint8_t*, std::size_t) {});
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(base + 3));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  for (const bool reuseport : {false, true}) {
+    const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+    ASSERT_GE(fd, 0);
+    if (reuseport) {
+      const int one = 1;
+      ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof one), 0);
+    }
+    const int rc =
+        ::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr);
+    const int err = errno;
+    ::close(fd);
+    EXPECT_EQ(rc, -1) << "reuseport=" << reuseport;
+    EXPECT_EQ(err, EADDRINUSE) << "reuseport=" << reuseport;
+  }
 }
 
 }  // namespace

@@ -260,30 +260,23 @@ TEST(QueryMerge, TimeoutEmitsPartialAnswerAndReleasesPins) {
   EXPECT_EQ(sorted_ids(h.answer->objects), (std::vector<ObjectId>{ObjectId{5}}));
 }
 
-// --- transmit channel ---------------------------------------------------------
+// --- direct emit -------------------------------------------------------------
 
-/// Records every envelope handed to a shard's transmit channel.
-struct RecordingSender : net::Sender {
-  std::vector<std::pair<NodeId, wm::Buffer>> sent;
-  void send(NodeId to, net::PooledBuffer bytes) override {
-    sent.emplace_back(to, *bytes);
-  }
-  void flush() override {}
-};
-
-TEST(QueryMerge, RangeAnswerLeavesThroughTheTransmitChannel) {
+TEST(QueryMerge, DirectRangeAnswerCountsAsSent) {
   // A leaf entry emits its merged RangeQueryRes directly into a pooled
-  // envelope (emit_range_result). With a transmit channel installed, that
-  // answer must take the channel like every other send, never the shared
-  // transport.
+  // envelope (emit_range_result), bypassing send_msg. It must still leave
+  // through the transport and count in stats().msgs_sent like every other
+  // send.
   net::SimNetwork net;
   core::ConfigRecord cfg;
   cfg.sa = geo::Polygon::from_rect(geo::Rect{{0, 0}, {1000, 1000}});
   cfg.parent = kNoNode;  // a lone leaf: the query never leaves it
   core::LocationServer leaf(NodeId{1}, cfg, net, net.clock(), {});
-  RecordingSender tx;
-  leaf.set_tx_sender(&tx);
+  std::vector<wm::Buffer> to_client;
   const NodeId client{900};
+  net.attach(client, [&](const std::uint8_t* data, std::size_t len) {
+    to_client.emplace_back(data, data + len);
+  });
 
   const wm::Buffer reg = wm::encode_envelope(
       client, wm::RegisterReq{{ObjectId{3}, 0, {150, 150}, 1.0}, "", {10.0, 100.0},
@@ -295,11 +288,11 @@ TEST(QueryMerge, RangeAnswerLeavesThroughTheTransmitChannel) {
   req.req_id = 5;
   const wm::Buffer query = wm::encode_envelope(client, req);
   leaf.handle(query.data(), query.size());
+  net.run_until_idle();
 
-  EXPECT_EQ(net.messages_sent(), 0u);
-  ASSERT_EQ(tx.sent.size(), 2u);  // RegisterRes, RangeQueryRes
-  EXPECT_EQ(tx.sent[1].first, client);
-  const auto decoded = wm::decode_envelope(tx.sent[1].second);
+  ASSERT_EQ(to_client.size(), 2u);  // RegisterRes, RangeQueryRes
+  EXPECT_EQ(net.messages_sent(), 2u);
+  const auto decoded = wm::decode_envelope(to_client[1]);
   ASSERT_TRUE(decoded.ok());
   const auto* res = std::get_if<wm::RangeQueryRes>(&decoded.value().msg);
   ASSERT_NE(res, nullptr);

@@ -278,9 +278,7 @@ TEST(RxPath, UdpRangeMergePinsSubResultsAcrossBatches) {
   const std::uint16_t base = net::UdpNetwork::pick_free_base_port(5400);
   net::UdpNetwork net(base);
   SystemClock clock;
-  core::Deployment::Config cfg;
-  cfg.lock_handlers = true;
-  core::Deployment dep(net, clock, spec, cfg);
+  core::Deployment dep(net, clock, spec);
 
   std::vector<std::unique_ptr<core::TrackedObject>> objs;
   std::vector<ObjectResult> all;

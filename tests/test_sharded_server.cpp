@@ -11,7 +11,6 @@
 #include <string>
 
 #include "core/sharded_location_server.hpp"
-#include "net/spsc_inbox.hpp"
 #include "test_support.hpp"
 #include "util/crc32.hpp"
 
@@ -266,28 +265,6 @@ TEST(ShardedServer, HandoverKeepsOwningShardAcrossLeaves) {
     EXPECT_EQ(w.deployment->sharded(first)->shard(s).sightings()->find(ObjectId{42}),
               nullptr);
   }
-}
-
-TEST(SpscInbox, FifoAndCapacity) {
-  net::SpscInbox inbox(/*capacity=*/4);
-  EXPECT_EQ(inbox.capacity(), 4u);
-  const auto push_u32 = [&](std::uint32_t v) {
-    return inbox.try_push(reinterpret_cast<const std::uint8_t*>(&v), sizeof v);
-  };
-  for (std::uint32_t i = 0; i < 4; ++i) EXPECT_TRUE(push_u32(i));
-  EXPECT_FALSE(push_u32(99));  // full
-  std::vector<std::uint32_t> seen;
-  while (inbox.try_pop([&](const std::uint8_t* d, std::size_t l) {
-    ASSERT_EQ(l, sizeof(std::uint32_t));
-    std::uint32_t v;
-    std::memcpy(&v, d, sizeof v);
-    seen.push_back(v);
-  })) {
-  }
-  EXPECT_EQ(seen, (std::vector<std::uint32_t>{0, 1, 2, 3}));
-  EXPECT_TRUE(inbox.empty());
-  EXPECT_TRUE(push_u32(7));  // slots recycle after drain
-  EXPECT_EQ(inbox.size(), 1u);
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 // Multi-threaded soak of the sharded leaf server over REAL UDP loopback:
-// a table-2 deployment whose leaves run 4 shard reactors each (threaded
-// mode, SPSC inboxes), hammered by concurrent updater threads (including
+// a table-2 deployment whose leaves run 4 shards each (inline on the node's
+// receive thread), hammered by concurrent updater threads (including
 // cross-leaf moves, i.e. handovers) and query threads, with a bounded
 // runtime. Verifies liveness (operations keep completing), final
 // consistency (every object's last acknowledged position is queryable), and
-// -- under TSan in CI -- the absence of data races across shard reactors,
-// slice locks and the cross-shard query merge.
+// -- under TSan in CI -- that the Deployment's per-node lock serializes the
+// receive threads, the driver's ticks and the cross-shard query merge.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -165,9 +165,7 @@ TEST(ShardedStress, ConcurrentUpdatesQueriesAndHandovers) {
   net::UdpNetwork net(net::UdpNetwork::pick_free_base_port(/*span=*/300));
   SystemClock clock;
   core::Deployment::Config cfg;
-  cfg.lock_handlers = true;  // root stays a plain single reactor
-  cfg.leaf_shards = 4;
-  cfg.shard_threads = true;
+  cfg.leaf_shards = 4;  // the root stays a plain LocationServer
   core::Deployment deployment(
       net, clock, core::HierarchyBuilder::table2(geo::Rect{{0, 0}, {kArea, kArea}}),
       cfg);
@@ -250,8 +248,8 @@ TEST(ShardedStress, ConcurrentUpdatesQueriesAndHandovers) {
     });
   }
 
-  // Main thread: periodic maintenance sweeps racing the reactors (tick is
-  // serialized per shard internally).
+  // Main thread: periodic maintenance sweeps racing the receive threads
+  // (tick_all takes each node's lock).
   const auto deadline = std::chrono::steady_clock::now() + kSoakDuration;
   while (std::chrono::steady_clock::now() < deadline) {
     deployment.tick_all(clock.now());
@@ -285,15 +283,11 @@ TEST(ShardedStress, ConcurrentUpdatesQueriesAndHandovers) {
     }
   }
 
-  // Every sharded leaf processed traffic without drowning its inboxes, and
-  // its shard reactors' transmit channels never dropped a datagram.
-  std::uint64_t dropped = 0;
+  // Every leaf is sharded, and its transmit ring never dropped a datagram.
   for (const NodeId leaf : leaves) {
     ASSERT_NE(deployment.sharded(leaf), nullptr);
-    dropped += deployment.sharded(leaf)->inbox_dropped();
     EXPECT_EQ(net.tx_stats(leaf).dropped, 0u) << "leaf " << leaf.value;
   }
-  EXPECT_EQ(dropped, 0u) << "shard inboxes overflowed under closed-loop load";
 }
 
 /// Crash/restart soak over real UDP: a sharded leaf is killed and restarted
@@ -310,9 +304,7 @@ TEST(ShardedStress, CrashRestartUnderConcurrentLoad) {
   net::UdpNetwork net(net::UdpNetwork::pick_free_base_port(/*span=*/300));
   SystemClock clock;
   core::Deployment::Config cfg;
-  cfg.lock_handlers = true;
   cfg.leaf_shards = 2;
-  cfg.shard_threads = true;
   // In-memory visitorDBs: the crash is a TOTAL state loss, recovered through
   // nacked updates + client re-registration.
   cfg.server.nack_unknown_updates = true;
@@ -456,17 +448,15 @@ TEST(ShardedStress, CrashRestartUnderConcurrentLoad) {
 }
 
 /// Regression: cross-thread find_sighting probes must serialize against the
-/// reactor on BOTH deployment flavors -- a threaded single-shard wrapper
-/// (slice lock must engage even at N = 1) and a plain locked unsharded
-/// server. TSan is the real assertion here.
+/// receive thread on BOTH deployment flavors -- a 4-shard leaf (the probe
+/// reads across slices) and a plain unsharded server. The node lock covers
+/// both; TSan is the real assertion here.
 TEST(ShardedStress, FindSightingRacesReactorSafely) {
-  for (const bool force_sharding : {true, false}) {
+  for (const bool sharded : {true, false}) {
     net::UdpNetwork net(net::UdpNetwork::pick_free_base_port(/*span=*/300));
     SystemClock clock;
     core::Deployment::Config cfg;
-    cfg.lock_handlers = true;
-    cfg.force_leaf_sharding = force_sharding;
-    cfg.shard_threads = force_sharding;  // threaded single shard
+    cfg.leaf_shards = sharded ? 4 : 1;
     core::Deployment deployment(
         net, clock,
         core::HierarchyBuilder::table2(geo::Rect{{0, 0}, {kArea, kArea}}), cfg);
@@ -475,7 +465,7 @@ TEST(ShardedStress, FindSightingRacesReactorSafely) {
     const geo::Point start{200, 200};
     const NodeId leaf = deployment.entry_leaf_for(start);
     ASSERT_TRUE(updater.register_blocking(ObjectId{1}, start, leaf));
-    EXPECT_EQ(deployment.sharded(leaf) != nullptr, force_sharding);
+    EXPECT_EQ(deployment.sharded(leaf) != nullptr, sharded);
 
     std::atomic<bool> stop{false};
     std::thread prober([&] {

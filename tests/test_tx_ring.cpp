@@ -1,8 +1,7 @@
 // Transmit-path coverage: TxRing batching/backpressure, the thread-local
-// send cache (no transport mutex on the hot path), SO_REUSEPORT transmit
-// channels, and deterministic send-side teardown.
+// send cache (no transport mutex on the hot path), and deterministic
+// send-side teardown.
 #include <gtest/gtest.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -210,62 +209,6 @@ TEST(TxRing, EagainBackpressureIsCountedNotSwallowed) {
   EXPECT_EQ(drained, s.datagrams_sent);
   ::close(sv[0]);
   ::close(sv[1]);
-}
-
-TEST(TxRing, ReuseportChannelIsTransmitOnly) {
-  const std::uint16_t base = UdpNetwork::pick_free_base_port(10);
-  UdpNetwork net(base);
-  std::atomic<int> to_r{0};
-  std::atomic<int> to_s{0};
-  net.attach(NodeId{1}, [&](const std::uint8_t*, std::size_t) {
-    to_r.fetch_add(1);
-  });
-  net.attach(NodeId{2}, [&](const std::uint8_t*, std::size_t) {
-    to_s.fetch_add(1);
-  });
-  // Channel for the attached node 2: joins its SO_REUSEPORT group when the
-  // kernel supports steering, else degrades to an ephemeral-port socket.
-  std::shared_ptr<Sender> ch = net.open_sender(NodeId{2});
-  ASSERT_NE(ch, nullptr);
-  for (int i = 0; i < 10; ++i) {
-    PooledBuffer buf = net.make_buffer();
-    buf->assign({static_cast<std::uint8_t>(i)});
-    ch->send(NodeId{1}, std::move(buf));
-  }
-  ch->flush();
-  ASSERT_TRUE(wait_until([&] { return to_r.load() >= 10; }));
-  EXPECT_EQ(to_r.load(), 10);
-  // Channel traffic shows up in the per-node tx stats (node 2 itself sent
-  // nothing through its primary ring).
-  EXPECT_EQ(net.tx_stats(NodeId{2}).datagrams_sent, 10u);
-
-  // Group steering must pin ALL inbound traffic to the primary receive
-  // socket. Blast node 2's port from raw sockets on 8 distinct ephemeral
-  // source ports: distinct 4-tuples, so an UNSTEERED two-member REUSEPORT
-  // group would hash roughly half of them onto the unread channel socket.
-  sockaddr_in dst{};
-  dst.sin_family = AF_INET;
-  dst.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  dst.sin_port = htons(static_cast<std::uint16_t>(base + 2));
-  std::uint32_t msg_id = 0x5a0000;
-  for (int src = 0; src < 8; ++src) {
-    const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-    ASSERT_GE(fd, 0);
-    std::uint8_t frame[kFragHeader + 1];
-    frag::put_u16(frame, kFragMagic);
-    frag::put_u16(frame + 6, 0);  // fragment index
-    frag::put_u16(frame + 8, 1);  // fragment count
-    frame[kFragHeader] = static_cast<std::uint8_t>(src);
-    for (int k = 0; k < 5; ++k) {
-      frag::put_u32(frame + 2, msg_id++);
-      ASSERT_EQ(::sendto(fd, frame, sizeof frame, 0,
-                         reinterpret_cast<const sockaddr*>(&dst), sizeof dst),
-                static_cast<ssize_t>(sizeof frame));
-    }
-    ::close(fd);
-  }
-  ASSERT_TRUE(wait_until([&] { return to_s.load() >= 40; }, 4000));
-  EXPECT_EQ(to_s.load(), 40);
 }
 
 }  // namespace

@@ -24,9 +24,7 @@ class UdpDeploymentTest : public ::testing::Test {
   UdpDeploymentTest()
       : net_(net::UdpNetwork::pick_free_base_port(/*span=*/5100)),
         spec_(core::HierarchyBuilder::table2(geo::Rect{{0, 0}, {1500, 1500}})) {
-    core::Deployment::Config cfg;
-    cfg.lock_handlers = true;  // handlers run on socket threads
-    deployment_ = std::make_unique<core::Deployment>(net_, clock_, spec_, cfg);
+    deployment_ = std::make_unique<core::Deployment>(net_, clock_, spec_);
   }
 
   /// Spin-waits (real time) until `pred` is true or ~2 s elapse.
