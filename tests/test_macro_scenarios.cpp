@@ -89,6 +89,22 @@ TEST(MacroScenarios, ShardedFlashCrowdFingerprintIsPinned) {
   EXPECT_EQ(r.bytes, 32696661u);
 }
 
+// Pins the flash crowd at bench_macro's parameters on plain leaves -- 4x4
+// leaves, seed 11, 30k objects, 6 rounds -- so a change to the leaf's
+// message flow shows up as a changed trace, not only as changed answers.
+TEST(MacroScenarios, FlashCrowdFingerprintIsPinned) {
+  sim::ScenarioParams p;
+  p.kind = sim::ScenarioKind::kFlashCrowd;
+  p.seed = 11;
+  p.objects = 30000;
+  p.rounds = 6;
+  const sim::DriveResult r = sim::drive_scenario(p, sim::DriveOptions{});
+  EXPECT_EQ(r.trace_crc, 0x585b0238u) << std::hex << r.trace_crc;
+  EXPECT_EQ(r.answer_crc, 0xd4757147u) << std::hex << r.answer_crc;
+  EXPECT_EQ(r.messages, 350898u);
+  EXPECT_EQ(r.bytes, 32487491u);
+}
+
 // Sharding is an implementation detail of a leaf: for N in {1, 4} the
 // flash-crowd run must produce the same query answers as plain
 // LocationServer leaves (the trace differs -- batches are split per shard --
