@@ -16,7 +16,7 @@
 // datagram ratio.
 //
 // Plain executable (no Google Benchmark dependency); writes
-// BENCH_batched.json next to the binary, mirroring bench_sharded_update.
+// BENCH_batched.json next to the binary, mirroring bench_hot_leaf_update.
 #include <chrono>
 #include <cstdio>
 #include <memory>

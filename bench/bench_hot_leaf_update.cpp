@@ -1,16 +1,14 @@
-// Sharded-leaf update throughput over real UDP loopback -- the scaling bench
-// for core/sharded_location_server.hpp.
+// Hot-leaf update throughput over real UDP loopback.
 //
 // Scenario: the Table-2 topology, but with EVERY object registered on ONE
-// leaf (the hotspot case). Closed-loop updater threads hammer the hot leaf;
-// we measure acknowledged updates per second with the leaf unsharded (1
-// LocationServer) and sharded 4 ways, and report the ratio. Both run on the
-// node's one UDP receive thread (shards execute inline), so the ratio is
-// the cost of shard routing, not a parallel speedup; the gate only floors
-// it against a collapse.
+// leaf (the hotspot case). Closed-loop updater threads hammer the hot leaf's
+// LocationServer, which runs on the node's one UDP receive thread; we
+// measure acknowledged updates per second. Throughput depends on the host,
+// so the gate only floors it against a collapse.
 //
 // Plain executable (no Google Benchmark dependency); writes
-// BENCH_sharded.json next to the binary, mirroring bench_hotpath_codec.
+// BENCH_hot_leaf.json next to the binary, mirroring bench_hotpath_codec.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -79,15 +77,12 @@ struct RunResult {
   std::uint64_t timeouts = 0;
 };
 
-RunResult run_hot_leaf(std::uint32_t shards) {
+RunResult run_hot_leaf() {
   net::UdpNetwork net(net::UdpNetwork::pick_free_base_port(/*span=*/300));
   SystemClock clock;
-  core::Deployment::Config cfg;
-  cfg.leaf_shards = shards;
   core::Deployment deployment(
       net, clock,
-      core::HierarchyBuilder::table2(geo::Rect{{0, 0}, {kAreaSize, kAreaSize}}),
-      cfg);
+      core::HierarchyBuilder::table2(geo::Rect{{0, 0}, {kAreaSize, kAreaSize}}));
   std::vector<NodeId> leaves = deployment.leaf_ids();
   std::sort(leaves.begin(), leaves.end());
   const NodeId hot_leaf = leaves[0];
@@ -187,44 +182,28 @@ RunResult run_hot_leaf(std::uint32_t shards) {
 
 int main() {
   const unsigned cores = std::thread::hardware_concurrency();
-  std::printf("bench_sharded_update: hot-leaf update throughput, %zu objects, "
+  std::printf("bench_hot_leaf_update: hot-leaf update throughput, %zu objects, "
               "%d closed-loop threads, %u cores\n",
               kObjects, kUpdaterThreads, cores);
 
-  const RunResult unsharded = run_hot_leaf(1);
-  std::printf("  unsharded (1 server):    %10.0f acked updates/s (%llu timeouts)\n",
-              unsharded.ops_per_sec,
-              static_cast<unsigned long long>(unsharded.timeouts));
+  const RunResult run = run_hot_leaf();
+  std::printf("  %10.0f acked updates/s (%llu timeouts)\n", run.ops_per_sec,
+              static_cast<unsigned long long>(run.timeouts));
 
-  const RunResult sharded = run_hot_leaf(4);
-  std::printf("  sharded   (4 shards):    %10.0f acked updates/s (%llu timeouts)\n",
-              sharded.ops_per_sec,
-              static_cast<unsigned long long>(sharded.timeouts));
-
-  const double speedup = unsharded.ops_per_sec > 0
-                             ? sharded.ops_per_sec / unsharded.ops_per_sec
-                             : 0.0;
-  std::printf("  speedup: %.2fx\n", speedup);
-
-  FILE* f = std::fopen("BENCH_sharded.json", "w");
+  FILE* f = std::fopen("BENCH_hot_leaf.json", "w");
   if (f == nullptr) return 1;
   std::fprintf(f,
                "{\n"
-               "  \"bench\": \"sharded_hot_leaf_update_throughput\",\n"
+               "  \"bench\": \"hot_leaf_update_throughput\",\n"
                "  \"transport\": \"udp_loopback\",\n"
                "  \"objects\": %zu,\n"
                "  \"updater_threads\": %d,\n"
                "  \"host_cores\": %u,\n"
-               "  \"unsharded_updates_per_sec\": %.1f,\n"
-               "  \"sharded4_updates_per_sec\": %.1f,\n"
-               "  \"speedup\": %.3f,\n"
-               "  \"unsharded_timeouts\": %llu,\n"
-               "  \"sharded4_timeouts\": %llu\n"
+               "  \"updates_per_sec\": %.1f,\n"
+               "  \"timeouts\": %llu\n"
                "}\n",
-               kObjects, kUpdaterThreads, cores, unsharded.ops_per_sec,
-               sharded.ops_per_sec, speedup,
-               static_cast<unsigned long long>(unsharded.timeouts),
-               static_cast<unsigned long long>(sharded.timeouts));
+               kObjects, kUpdaterThreads, cores, run.ops_per_sec,
+               static_cast<unsigned long long>(run.timeouts));
   std::fclose(f);
   return 0;
 }

@@ -69,11 +69,9 @@ RunMetrics run_once(const std::string& tag) {
 
   net::SimNetwork net;
   core::Deployment::Config cfg;
-  cfg.visitor_db_factory = [&](NodeId id, std::uint32_t shard) {
+  cfg.visitor_db_factory = [&](NodeId id) {
     auto db = store::VisitorDb::open(
-        (dir / ("visitor_" + std::to_string(id.value) + "_" +
-                std::to_string(shard) + ".log"))
-            .string());
+        (dir / ("visitor_" + std::to_string(id.value) + ".log")).string());
     return db.ok() ? std::move(db).value() : store::VisitorDb{};
   };
   core::Deployment deployment(
@@ -243,11 +241,9 @@ ReplicatedMetrics run_replicated(const std::string& tag, bool fault) {
   core::Deployment::Config cfg;
   cfg.server.heartbeat_interval = seconds(1);
   cfg.server.heartbeat_miss_threshold = 3;
-  cfg.visitor_db_factory = [&](NodeId id, std::uint32_t shard) {
+  cfg.visitor_db_factory = [&](NodeId id) {
     auto db = store::VisitorDb::open(
-        (dir / ("visitor_" + std::to_string(id.value) + "_" +
-                std::to_string(shard) + ".log"))
-            .string());
+        (dir / ("visitor_" + std::to_string(id.value) + ".log")).string());
     return db.ok() ? std::move(db).value() : store::VisitorDb{};
   };
   cfg.leaf_standby = {{kCrashLeaf, kStandby}};

@@ -6,8 +6,8 @@
 // groups them into batches of TxRing::kSendBatch. Both runs must deliver
 // byte-identical answers (order-independent payload checksum); the gated
 // metric is the per-datagram syscall reduction, >= 8x at batch factor 16.
-// Hot-leaf update throughput over the per-shard transmit channels is
-// bench_sharded_update's job.
+// Hot-leaf update throughput end to end over UDP is bench_hot_leaf_update's
+// job.
 //
 // Plain executable (no Google Benchmark dependency); writes
 // BENCH_send_path.json next to the binary, gated by

@@ -35,20 +35,12 @@ void Deployment::wire_standby(NodeId primary, NodeId standby) {
   {
     Entry& entry = sit->second;
     std::lock_guard<std::mutex> lock(entry.mu);
-    if (entry.sharded != nullptr) {
-      entry.sharded->set_standby_role(primary);
-    } else if (entry.server != nullptr) {
-      entry.server->set_standby_role(primary);
-    }
+    if (entry.server != nullptr) entry.server->set_standby_role(primary);
   }
   {
     Entry& entry = pit->second;
     std::lock_guard<std::mutex> lock(entry.mu);
-    if (entry.sharded != nullptr) {
-      entry.sharded->set_standby(standby);
-    } else if (entry.server != nullptr) {
-      entry.server->set_standby(standby);
-    }
+    if (entry.server != nullptr) entry.server->set_standby(standby);
   }
   const HierarchySpec::Node* node = spec_.find(primary);
   if (node == nullptr || !node->cfg.parent.valid()) return;
@@ -63,29 +55,16 @@ void Deployment::make_entry(const HierarchySpec::Node& node, Entry& entry) {
   LocationServer::Options opts = cfg_.server;
   if (cfg_.options_fn) opts = cfg_.options_fn(node.id, node.cfg, opts);
 
-  const std::uint32_t shards =
-      node.cfg.is_leaf() ? std::max(cfg_.leaf_shards, node.leaf_shards) : 1;
+  store::VisitorDb vdb;
+  if (cfg_.visitor_db_factory) vdb = cfg_.visitor_db_factory(node.id);
   {
     std::lock_guard<std::mutex> lock(entry.mu);
-    if (shards > 1 || (cfg_.force_leaf_sharding && node.cfg.is_leaf())) {
-      entry.sharded = std::make_unique<ShardedLocationServer>(
-          node.id, node.cfg, net_, clock_,
-          ShardedLocationServer::Options{shards, opts}, cfg_.visitor_db_factory,
-          cfg_.index_factory);
-    } else {
-      store::VisitorDb vdb;
-      if (cfg_.visitor_db_factory) vdb = cfg_.visitor_db_factory(node.id, 0);
-      entry.server = std::make_unique<LocationServer>(
-          node.id, node.cfg, net_, clock_, opts, std::move(vdb), cfg_.index_factory);
-    }
+    entry.server = std::make_unique<LocationServer>(
+        node.id, node.cfg, net_, clock_, opts, std::move(vdb), cfg_.index_factory);
   }
   net_.attach(node.id, net::DatagramHandler([&entry](const net::Datagram& dg) {
     std::lock_guard<std::mutex> lock(entry.mu);
-    if (entry.sharded != nullptr) {
-      entry.sharded->handle(dg);
-    } else {
-      entry.server->handle(dg);
-    }
+    entry.server->handle(dg);
   }));
 }
 
@@ -103,7 +82,6 @@ void Deployment::crash(NodeId id) {
   net_.detach(id);
   std::lock_guard<std::mutex> lock(entry.mu);
   entry.server.reset();
-  entry.sharded.reset();
 }
 
 void Deployment::restart(NodeId id, bool announce) {
@@ -124,11 +102,7 @@ void Deployment::restart(NodeId id, bool announce) {
   }
   if (!announce || !node->cfg.is_leaf()) return;
   std::lock_guard<std::mutex> lock(entry.mu);
-  if (entry.sharded != nullptr) {
-    entry.sharded->announce_recovery();
-  } else {
-    entry.server->announce_recovery();
-  }
+  entry.server->announce_recovery();
 }
 
 bool Deployment::is_down(NodeId id) const {
@@ -139,7 +113,6 @@ bool Deployment::find_sighting(NodeId id, ObjectId oid,
                                store::SightingDb::Record& out) const {
   const Entry& entry = servers_.at(id);
   std::lock_guard<std::mutex> lock(entry.mu);
-  if (entry.sharded != nullptr) return entry.sharded->find_sighting(oid, out);
   if (entry.server == nullptr) return false;  // crashed
   const store::SightingDb* db = entry.server->sightings();
   if (db == nullptr) return false;
@@ -152,11 +125,7 @@ bool Deployment::find_sighting(NodeId id, ObjectId oid,
 void Deployment::tick_all(TimePoint now) {
   for (auto& [id, entry] : servers_) {
     std::lock_guard<std::mutex> lock(entry.mu);
-    if (entry.sharded != nullptr) {
-      entry.sharded->tick(now);
-    } else if (entry.server != nullptr) {
-      entry.server->tick(now);  // a crashed node has nothing to sweep
-    }
+    if (entry.server != nullptr) entry.server->tick(now);  // crashed: nothing to sweep
   }
 }
 
@@ -164,11 +133,7 @@ LocationServer::Stats Deployment::total_stats() const {
   LocationServer::Stats total;
   for (const auto& [id, entry] : servers_) {
     std::lock_guard<std::mutex> lock(entry.mu);
-    if (entry.sharded != nullptr) {
-      total.add(entry.sharded->stats());
-    } else if (entry.server != nullptr) {
-      total.add(entry.server->stats());
-    }
+    if (entry.server != nullptr) total.add(entry.server->stats());
   }
   return total;
 }

@@ -1,16 +1,11 @@
 // Deployment: instantiates one LocationServer per hierarchy node over a
 // Transport and wires the handlers. Works with SimNetwork (deterministic)
-// and UdpNetwork (real sockets). Each node has one mutex, taken around every
-// handle(), tick(), find_sighting(), crash() and total_stats(), so a UDP
-// receive thread and a driver thread can touch the same server safely; it is
-// uncontended over SimNetwork.
-//
-// Leaves can be sharded across N internal LocationServers (set
-// Config::leaf_shards or stamp per-node hints with
-// HierarchyBuilder::with_leaf_shards); such leaves are
-// ShardedLocationServers behind the same NodeId -- the hierarchy protocol
-// above them is unchanged -- and run every shard on the thread that delivers
-// the datagram.
+// and UdpNetwork (real sockets). Every node, leaf or not, is exactly one
+// LocationServer behind its NodeId; a hot spot is absorbed by giving it its
+// own leaf service area (§6), not by splitting a leaf. Each node has one
+// mutex, taken around every handle(), tick(), find_sighting(), crash() and
+// total_stats(), so a UDP receive thread and a driver thread can touch the
+// same server safely; it is uncontended over SimNetwork.
 #pragma once
 
 #include <functional>
@@ -20,7 +15,6 @@
 
 #include "core/location_server.hpp"
 #include "core/service_area.hpp"
-#include "core/sharded_location_server.hpp"
 #include "net/transport.hpp"
 
 namespace locs::core {
@@ -37,18 +31,9 @@ class Deployment {
         options_fn;
     spatial::IndexFactory index_factory;  // default: point quadtree
     /// Persistent visitorDB factory (recovery tests / durable deployments),
-    /// called once per (node, shard): a sharded leaf persists each shard's
-    /// objects separately, an unsharded node asks for shard 0. Default:
-    /// in-memory.
-    ShardedLocationServer::VisitorDbFactory visitor_db_factory;
-    /// Shard every leaf's object space across this many internal servers
-    /// (core/sharded_location_server.hpp). A per-node HierarchySpec hint
-    /// overrides this when larger than 1. 1 = plain LocationServer leaves.
-    std::uint32_t leaf_shards = 1;
-    /// Build ShardedLocationServer leaves even at shards == 1. Used by the
-    /// determinism tests: the single-shard wrapper must be pass-through
-    /// (trace bit-identical to plain LocationServer leaves).
-    bool force_leaf_sharding = false;
+    /// called once per node build (construction and every restart).
+    /// Default: in-memory.
+    std::function<store::VisitorDb(NodeId)> visitor_db_factory;
     /// Hot-standby replication: primary leaf NodeId -> standby NodeId. For
     /// each entry the deployment builds an EXTRA replica server (same
     /// service area and parent as the primary; not part of the
@@ -69,13 +54,13 @@ class Deployment {
   // -- fault injection (crash-restart as a first-class scenario) --
 
   /// Crashes one node: detaches it from the transport and destroys its
-  /// reactor(s). All volatile state (SightingDb, pending operations,
+  /// server. All volatile state (SightingDb, pending operations,
   /// caches) is LOST; a persistent visitorDB (visitor_db_factory) survives
   /// on disk, exactly like the paper's §5 crash model. In-flight datagrams
   /// addressed to the node are dropped at delivery. No-op if already down.
   void crash(NodeId id);
 
-  /// Restarts a crashed node: rebuilds the reactor(s) from the same config
+  /// Restarts a crashed node: rebuilds the server from the same config
   /// (replaying the persistent visitorDB, if any) and re-attaches it. With
   /// `announce` a restarted leaf runs the recovery protocol -- RecoveryHello
   /// to the parent, whose BatchedRefreshReq sweep drives the batched
@@ -85,21 +70,11 @@ class Deployment {
   /// True while `id` is crashed (between crash() and restart()).
   bool is_down(NodeId id) const;
 
-  /// The single server of an UNSHARDED node (shard 0 of a sharded leaf, so
-  /// existing single-server call sites keep working; prefer sharded() /
-  /// find_sighting() to inspect sharded leaves). Must not be called for a
-  /// crashed node (see is_down()).
-  LocationServer& server(NodeId id) {
-    const Entry& entry = servers_.at(id);
-    return entry.sharded != nullptr ? entry.sharded->shard(0) : *entry.server;
-  }
-  /// The sharded server group of a leaf, or nullptr if the node runs a
-  /// plain LocationServer.
-  ShardedLocationServer* sharded(NodeId id) {
-    return servers_.at(id).sharded.get();
-  }
-  /// Copies the sighting record for `oid` at leaf `id`, looking through
-  /// every shard slice. Returns false if unknown there.
+  /// The server of a node. Must not be called for a crashed node (see
+  /// is_down()).
+  LocationServer& server(NodeId id) { return *servers_.at(id).server; }
+  /// Copies the sighting record for `oid` at leaf `id` under the node's
+  /// lock. Returns false if unknown there (or the node is down).
   bool find_sighting(NodeId id, ObjectId oid, store::SightingDb::Record& out) const;
 
   const HierarchySpec& spec() const { return spec_; }
@@ -116,14 +91,13 @@ class Deployment {
 
  private:
   struct Entry {
-    mutable std::mutex mu;  // guards both servers (see the header comment)
-    std::unique_ptr<LocationServer> server;          // unsharded nodes
-    std::unique_ptr<ShardedLocationServer> sharded;  // sharded leaves
-    bool up() const { return server != nullptr || sharded != nullptr; }
+    mutable std::mutex mu;  // guards `server` (see the header comment)
+    std::unique_ptr<LocationServer> server;  // null while crashed
+    bool up() const { return server != nullptr; }
   };
 
-  /// Builds (or rebuilds, on restart) the server(s) of one node and
-  /// attaches them to the transport.
+  /// Builds (or rebuilds, on restart) the server of one node and attaches it
+  /// to the transport.
   void make_entry(const HierarchySpec::Node& node, Entry& entry);
 
   /// (Re-)applies the hot-standby wiring of one leaf_standby pair: the

@@ -88,13 +88,4 @@ HierarchySpec HierarchyBuilder::table2(const geo::Rect& root_area) {
   return grid(root_area, 2, 2, 1);
 }
 
-HierarchySpec HierarchyBuilder::with_leaf_shards(HierarchySpec spec,
-                                                 std::uint32_t shards) {
-  assert(shards >= 1);
-  for (HierarchySpec::Node& node : spec.nodes) {
-    if (node.cfg.is_leaf()) node.leaf_shards = shards;
-  }
-  return spec;
-}
-
 }  // namespace locs::core

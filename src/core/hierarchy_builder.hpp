@@ -29,12 +29,6 @@ class HierarchyBuilder {
   /// leaf children (ids 2..5), each responsible for a quarter of the
   /// root area (the paper used 1.5 km x 1.5 km).
   static HierarchySpec table2(const geo::Rect& root_area);
-
-  /// Stamps every leaf of `spec` with a shard-count hint: the deployment
-  /// then runs those leaves as ShardedLocationServers with `shards` reactors
-  /// each (core/sharded_location_server.hpp). Non-leaf nodes are untouched
-  /// -- only leaves absorb the update/query hot path worth sharding.
-  static HierarchySpec with_leaf_shards(HierarchySpec spec, std::uint32_t shards);
 };
 
 }  // namespace locs::core

@@ -9,8 +9,8 @@ constexpr std::uint32_t kFirstClientNode = 1u << 20;
 
 LocalLocationService::LocalLocationService(Config cfg)
     : cfg_(cfg), net_(cfg.network), next_node_id_(kFirstClientNode) {
-  // Field assignment, not positional aggregate init: Deployment::Config
-  // grows fields (sharding, factories) and positions would silently shift.
+  // Field assignment, not positional aggregate init: a field added to
+  // Deployment::Config must not silently shift the others.
   Deployment::Config dep_cfg;
   dep_cfg.server = cfg_.server;
   deployment_ = std::make_unique<Deployment>(

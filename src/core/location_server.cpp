@@ -56,7 +56,6 @@ LocationServer::LocationServer(NodeId self, ConfigRecord cfg, net::Transport& ne
   if (cfg_.is_leaf()) {
     if (!index_factory) index_factory = [] { return spatial::make_point_quadtree(); };
     sightings_.emplace(std::move(index_factory));
-    own_view_.add_slice(&*sightings_);
   }
   if (cfg_.is_leaf()) origin_cache_ = wm::OriginArea{self_, cfg_.sa};
 }
@@ -97,27 +96,6 @@ void LocationServer::Stats::add(const Stats& other) {
   standby_demotions += other.standby_demotions;
   standbys_engaged += other.standbys_engaged;
   standby_routed_queries += other.standby_routed_queries;
-}
-
-void LocationServer::configure_shard(std::uint32_t shard_index,
-                                     const store::SightingsView* query_view,
-                                     SightingEventHook hook) {
-  shard_index_ = shard_index;
-  shard_view_ = query_view;
-  sighting_event_hook_ = std::move(hook);
-  // Stripe req-ids by shard so sibling shards of one NodeId never hand the
-  // same id to an upstream server (shard 0 keeps the unsharded sequence).
-  req_counter_ = static_cast<std::uint64_t>(shard_index) << 32;
-}
-
-void LocationServer::share_caches(LeafAreaCache* leaf, ObjectAgentCache* agent,
-                                  PositionCache* position) {
-  // All-or-nothing: a partial cache set would split hit state between
-  // private and shared instances.
-  if (leaf == nullptr || agent == nullptr || position == nullptr) return;
-  leaf_cache_ = leaf;
-  agent_cache_ = agent;
-  position_cache_ = position;
 }
 
 // --------------------------------------------------------------------------
@@ -228,7 +206,7 @@ std::uint64_t LocationServer::next_req_id() {
 void LocationServer::learn_origin(const std::optional<wm::OriginArea>& origin) {
   if (!origin || !opts_.enable_leaf_area_cache) return;
   if (origin->leaf == self_) return;
-  leaf_cache_->learn(origin->leaf, origin->area);
+  leaf_cache_.learn(origin->leaf, origin->area);
 }
 
 double LocationServer::negotiate_offered_acc(const AccuracyRange& range) const {
@@ -419,7 +397,7 @@ void LocationServer::initiate_handover(NodeId object_node, const Sighting& s) {
   // §6.5 shortcut: if the leaf-area cache knows the leaf responsible for the
   // new position, hand over directly and repair the path explicitly.
   if (opts_.enable_leaf_area_cache) {
-    const NodeId target = leaf_cache_->leaf_containing(s.pos);
+    const NodeId target = leaf_cache_.leaf_containing(s.pos);
     if (target.valid() && target != self_) {
       req.direct = true;
       pending.direct_prune = true;
@@ -750,7 +728,7 @@ void LocationServer::disengage_standby(NodeId child) {
 void LocationServer::on_pos_query_req(NodeId src, const wm::PosQueryReq& m) {
   // §6.5 cache 3: a still-valid cached descriptor answers immediately.
   if (opts_.enable_position_cache) {
-    const auto cached = position_cache_->find(
+    const auto cached = position_cache_.find(
         m.oid, now(), opts_.default_max_speed, opts_.position_cache_max_acc);
     if (cached) {
       ++stats_.pos_query_cache_hits;
@@ -783,7 +761,7 @@ void LocationServer::on_pos_query_req(NodeId src, const wm::PosQueryReq& m) {
 
   // §6.5 cache 2: ask the cached agent directly; fall back on timeout.
   if (opts_.enable_agent_cache) {
-    const auto agent = agent_cache_->find(m.oid, now());
+    const auto agent = agent_cache_.find(m.oid, now());
     if (agent && *agent != self_) {
       ++stats_.agent_cache_hits;
       pending.via_agent_cache = true;
@@ -882,11 +860,11 @@ void LocationServer::on_pos_query_res(NodeId src, const wm::PosQueryRes& m) {
   learn_origin(m.origin);
   if (m.found) {
     if (opts_.enable_agent_cache && m.agent.valid()) {
-      agent_cache_->learn(m.oid, m.agent, now());
+      agent_cache_.learn(m.oid, m.agent, now());
     }
-    if (opts_.enable_position_cache) position_cache_->learn(m.oid, m.ld, now());
+    if (opts_.enable_position_cache) position_cache_.learn(m.oid, m.ld, now());
   } else if (pending.via_agent_cache) {
-    agent_cache_->invalidate(m.oid);
+    agent_cache_.invalidate(m.oid);
   }
   send_msg(pending.client, wm::PosQueryRes{m.oid, m.found, m.ld, m.agent,
                                            pending.client_req_id, std::nullopt});
@@ -926,7 +904,7 @@ void LocationServer::on_range_query_req(NodeId src, const wm::RangeQueryReq& m) 
     local.buf = net_.make_buffer();
     {
       wm::Writer w(*local.buf);
-      query_view().objects_in_area_emit(
+      sightings_->objects_in_area_emit(
           m.area, m.req_acc, m.req_overlap, [&](const ObjectResult& r) {
             wm::put(w, r);
             ++local.count;
@@ -948,7 +926,7 @@ void LocationServer::on_range_query_req(NodeId src, const wm::RangeQueryReq& m) 
   if (needs_more && opts_.enable_leaf_area_cache) {
     // §6.5 cache 1: if cached leaf areas cover the whole remainder, contact
     // those leaves directly instead of traversing the hierarchy.
-    const LeafAreaCache::Coverage cov = leaf_cache_->coverage_of(enlarged);
+    const LeafAreaCache::Coverage cov = leaf_cache_.coverage_of(enlarged);
     if (pending.covered + cov.covered_size >=
         pending.target - coverage_epsilon(pending.target)) {
       ++stats_.range_direct;
@@ -1026,7 +1004,7 @@ void LocationServer::answer_range_locally(const geo::Polygon& area,
   sub.results.clear();
   // Results stream straight from the spatial index into the packed wire
   // framing; no result vector exists between store and socket.
-  query_view().objects_in_area_emit(
+  sightings_->objects_in_area_emit(
       area, req_acc, req_overlap,
       [&](const ObjectResult& r) { sub.results.append(r); });
   sub.covered_size = geo::intersection_area(enlarged, cfg_.sa) + extra_covered;
@@ -1186,7 +1164,7 @@ void LocationServer::on_nn_query_req(NodeId src, const wm::NNQueryReq& m) {
   const geo::Rect& own = cfg_.sa.bounding_box();
   double radius = std::max(own.width(), own.height());
   if (cfg_.is_leaf() && sightings_) {
-    const auto local = query_view().k_nearest(m.p, 1, m.req_acc);
+    const auto local = sightings_->k_nearest(m.p, 1, m.req_acc);
     if (!local.empty()) {
       radius = std::max(geo::distance(local[0].ld.pos, m.p) * 1.001, 1.0);
     }
@@ -1206,7 +1184,7 @@ std::uint64_t LocationServer::launch_nn_ring(PendingNN op) {
   // Local contribution: streamed from the store straight into the ring's
   // candidate map (no intermediate vector).
   if (cfg_.is_leaf() && sightings_ && probe_poly.intersects(cfg_.sa)) {
-    query_view().objects_in_circle_emit(
+    sightings_->objects_in_circle_emit(
         {op.p, op.radius}, op.req_acc,
         [&](const ObjectResult& r) { op.candidates[r.oid] = r.ld; });
     op.covered += geo::intersection_area(probe_poly, cfg_.sa);
@@ -1268,7 +1246,7 @@ void LocationServer::answer_nn_probe_locally(const wm::NNProbeFwd& probe,
   sub.candidates.clear();
   // Candidates stream straight from the spatial index into the packed wire
   // framing; no candidate vector exists between store and socket.
-  query_view().objects_in_circle_emit(
+  sightings_->objects_in_circle_emit(
       {probe.p, probe.radius}, probe.req_acc,
       [&](const ObjectResult& r) { sub.candidates.append(r); });
   sub.covered_size = geo::intersection_area(probe_poly, cfg_.sa) + extra_covered;
@@ -1592,12 +1570,12 @@ void LocationServer::install_event(const wm::EventInstall& inst) {
   LeafPred& pred = leaf_preds_[inst.sub_id];
   pred.inst = inst;
   pred.members.clear();
-  // Seed with objects already tracked here (all shards of a sharded leaf).
+  // Seed with objects already tracked here.
   if (!sightings_) return;
   std::vector<std::pair<ObjectId, geo::Point>> present;
   if (inst.kind == wm::PredicateKind::kAreaCount) {
     std::vector<ObjectResult> inside;
-    query_view().objects_in_area(inst.area, 1e18, 1e-9, inside);
+    sightings_->objects_in_area(inst.area, 1e18, 1e-9, inside);
     for (const ObjectResult& r : inside) {
       if (!inst.area.contains(r.ld.pos)) continue;  // membership by center
       pred.members.insert(r.oid);
@@ -1605,8 +1583,8 @@ void LocationServer::install_event(const wm::EventInstall& inst) {
     }
   } else {
     for (const ObjectId oid : {inst.obj_a, inst.obj_b}) {
-      store::SightingDb::Record rec;
-      if (query_view().lookup(oid, rec)) present.emplace_back(oid, rec.sighting.pos);
+      const store::SightingDb::Record* rec = sightings_->find(oid);
+      if (rec != nullptr) present.emplace_back(oid, rec->sighting.pos);
     }
   }
   for (const auto& [oid, pos] : present) {
@@ -1620,17 +1598,6 @@ void LocationServer::install_event(const wm::EventInstall& inst) {
 }
 
 void LocationServer::events_on_sighting(ObjectId oid, bool present, geo::Point pos) {
-  // Sharded fan-in: secondary shards keep no leaf predicates (event messages
-  // route to the coordinator shard), so presence changes are forwarded there
-  // instead of walking the empty local table.
-  if (sighting_event_hook_) {
-    sighting_event_hook_(oid, present, pos);
-    return;
-  }
-  apply_sighting_event(oid, present, pos);
-}
-
-void LocationServer::apply_sighting_event(ObjectId oid, bool present, geo::Point pos) {
   for (auto& [sub_id, pred] : leaf_preds_) {
     const wm::EventInstall& inst = pred.inst;
     if (inst.kind == wm::PredicateKind::kAreaCount) {
@@ -1786,7 +1753,7 @@ void LocationServer::tick_body(TimePoint t) {
     PendingPos pending = it->second;
     if (pending.via_agent_cache) {
       // Stale agent cache: invalidate and retry through the hierarchy.
-      agent_cache_->invalidate(pending.oid);
+      agent_cache_.invalidate(pending.oid);
       pending.via_agent_cache = false;
       pending.deadline = t + opts_.pending_timeout;
       const NodeId next = cfg_.is_root() ? kNoNode : cfg_.parent;

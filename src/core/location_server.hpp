@@ -4,7 +4,9 @@
 // one datagram and may emit datagrams through the Transport. The paper's
 // blocking "receive ..." steps (Alg 6-2/6-3/6-5) become pending-operation
 // tables swept by tick(). The same code runs over the deterministic
-// SimNetwork and over real UDP.
+// SimNetwork and over real UDP. Every hierarchy node, leaf or not, is one
+// LocationServer behind its NodeId (core/deployment.hpp); the hierarchy
+// scales by adding leaf service areas (§6), not by splitting a leaf.
 //
 // Implemented behaviour:
 //  * Algorithm 6-1  registration (incl. createPath) with accuracy
@@ -51,26 +53,6 @@
 //    with TrackedObject::Options::reregister_on_agent_loss re-register,
 //    rebuilding VisitorDb, forwarding path and sighting from scratch.
 //
-// Sharding (core/sharded_location_server.hpp): a heavily loaded leaf can run
-// as N LocationServer instances -- one per shard -- behind a single NodeId.
-// The shard-routing invariant is:
-//
-//   * every OBJECT-KEYED message (register, update, handover and its
-//     response, per-object queries, changeAcc, deregister) is handled by
-//     shard ShardedLocationServer::shard_of(ObjectId, N), which keeps the
-//     object's visitor record and sighting slice. The function is
-//     node-independent, so a handover recomputes the new agent's owning
-//     shard from the same ObjectId;
-//   * every AREA-KEYED message (range query, NN probe, event subscribe /
-//     install / delta) is handled by shard 0, the coordinator shard, whose
-//     query paths read a SightingsView spanning all slices -- so the leaf
-//     emits exactly one sub-result per probe, as an unsharded leaf would;
-//   * req-ids are striped per shard (shard index in bits 32..39 of the
-//     counter), so sibling shards never emit colliding ids upstream.
-//
-// With N = 1 all three rules degenerate to the unsharded server and the
-// message trace is bit-identical.
-//
 // Zero-materialization query merge (read-path invariants; wire/messages.hpp
 // has the framing side):
 //  * sub-results never decode into owned lists. Every RangeQuerySubRes/
@@ -88,12 +70,10 @@
 //    concatenation whenever leaf areas tile, which they do by
 //    construction), and the pins are released as the segments drop.
 //  * leaf-local answers stream from the store into the packed wire buffer
-//    through the SightingDb/SightingsView *_emit sinks -- no intermediate
-//    result vector exists anywhere between the spatial index and the
-//    socket.
+//    through the SightingDb *_emit sinks -- no intermediate result vector
+//    exists anywhere between the spatial index and the socket.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -107,7 +87,6 @@
 #include "net/transport.hpp"
 #include "spatial/spatial_index.hpp"
 #include "store/sighting_db.hpp"
-#include "store/sighting_view.hpp"
 #include "store/visitor_db.hpp"
 #include "util/clock.hpp"
 #include "util/oid_set.hpp"
@@ -183,12 +162,9 @@ class LocationServer {
     std::uint64_t standbys_engaged = 0;     // suspicions routed to a standby
     std::uint64_t standby_routed_queries = 0;  // queries re-routed to standbys
 
-    /// Accumulates `other` into this record (deployment / shard aggregation).
+    /// Accumulates `other` into this record (deployment-wide aggregation).
     void add(const Stats& other);
   };
-
-  /// Fan-in hook for sighting presence changes; see configure_shard.
-  using SightingEventHook = std::function<void(ObjectId, bool present, geo::Point)>;
 
   /// Result of one client-visible operation, delivered to the node that
   /// issued the request (see client.hpp for the client side).
@@ -266,32 +242,6 @@ class LocationServer {
   /// the child has no standby or the standby is not engaged).
   NodeId standby_for(NodeId child) const;
 
-  /// Wires this server as one shard of a ShardedLocationServer (see the
-  /// header comment for the routing invariant). `query_view` (shard 0 only)
-  /// replaces the own-slice view on the area-query paths; `hook` (shards >
-  /// 0) redirects sighting presence changes to the coordinator shard's event
-  /// machinery instead of the (empty) local one. Also stripes the req-id
-  /// counter by shard index. Call before any traffic.
-  void configure_shard(std::uint32_t shard_index,
-                       const store::SightingsView* query_view,
-                       SightingEventHook hook);
-
-  /// Shares the §6.5 caches across the shards of one leaf: every shard
-  /// consults the SAME cache set (owned by the ShardedLocationServer), so
-  /// cache hit patterns -- and the message counts they produce -- match an
-  /// unsharded leaf. Call before any traffic. All three pointers must be
-  /// non-null (all-or-nothing -- a partial set is ignored).
-  void share_caches(LeafAreaCache* leaf, ObjectAgentCache* agent,
-                    PositionCache* position);
-
-  /// Runs the leaf event predicates for an externally observed sighting
-  /// change (fan-in from sibling shards; no-op outside sharded setups).
-  void apply_sighting_event(ObjectId oid, bool present, geo::Point pos);
-
-  /// Count of installed leaf predicates; sibling shards use it to skip the
-  /// event fan-in entirely on the (hot) update path.
-  std::size_t leaf_event_count() const { return leaf_preds_.size(); }
-
   NodeId id() const { return self_; }
   const ConfigRecord& config() const { return cfg_; }
   const Stats& stats() const { return stats_; }
@@ -300,8 +250,8 @@ class LocationServer {
     return sightings_ ? &*sightings_ : nullptr;
   }
   const Options& options() const { return opts_; }
-  const LeafAreaCache& leaf_area_cache() const { return *leaf_cache_; }
-  const ObjectAgentCache& agent_cache() const { return *agent_cache_; }
+  const LeafAreaCache& leaf_area_cache() const { return leaf_cache_; }
+  const ObjectAgentCache& agent_cache() const { return agent_cache_; }
 
  private:
   // -- pending distributed operations (the paper's blocking "receive ..."
@@ -465,12 +415,6 @@ class LocationServer {
   void route_event_install(const wire::EventInstall& inst, NodeId from);
   void coordinator_handle_delta(NodeId reporting_leaf, const wire::EventDelta& m);
 
-  /// The sightings view the area-query paths read: the merged cross-shard
-  /// view on a coordinator shard, the own-slice view everywhere else.
-  const store::SightingsView& query_view() const {
-    return shard_view_ != nullptr ? *shard_view_ : own_view_;
-  }
-
   NodeId self_;
   ConfigRecord cfg_;
   net::Transport& net_;
@@ -481,20 +425,10 @@ class LocationServer {
   store::VisitorDb visitor_db_;
   std::optional<store::SightingDb> sightings_;  // leaf servers only
 
-  // -- shard wiring (configure_shard; defaults are the unsharded server) --
-  store::SightingsView own_view_;            // single-slice view over sightings_
-  const store::SightingsView* shard_view_ = nullptr;  // coordinator: all slices
-  SightingEventHook sighting_event_hook_;    // shards > 0: fan-in to shard 0
-  std::uint32_t shard_index_ = 0;
-
-  // §6.5 caches: owned by default; a sharded leaf repoints every shard at
-  // ONE shared set via share_caches().
-  LeafAreaCache own_leaf_cache_;
-  ObjectAgentCache own_agent_cache_;
-  PositionCache own_position_cache_;
-  LeafAreaCache* leaf_cache_ = &own_leaf_cache_;
-  ObjectAgentCache* agent_cache_ = &own_agent_cache_;
-  PositionCache* position_cache_ = &own_position_cache_;
+  // §6.5 caches.
+  LeafAreaCache leaf_cache_;
+  ObjectAgentCache agent_cache_;
+  PositionCache position_cache_;
 
   std::uint64_t req_counter_ = 0;
   std::optional<wire::OriginArea> origin_cache_;

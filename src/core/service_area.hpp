@@ -47,10 +47,6 @@ struct HierarchySpec {
   struct Node {
     NodeId id;
     ConfigRecord cfg;
-    /// Deployment hint: shard this leaf's object space across N reactors
-    /// (core/sharded_location_server.hpp). 1 = plain single reactor; ignored
-    /// for non-leaf nodes. HierarchyBuilder::with_leaf_shards stamps it.
-    std::uint32_t leaf_shards = 1;
   };
   std::vector<Node> nodes;
   NodeId root;

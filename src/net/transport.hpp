@@ -40,8 +40,8 @@
 // datagram in a poolable buffer (SimNetwork events, UdpNetwork recvmmsg
 // slots and reassembled messages) this is a zero-copy ownership transfer
 // and every pointer into the datagram stays valid for the lifetime of the
-// returned PooledBuffer; otherwise (raw injections, a sharded leaf's
-// re-framed sub-lists) the bytes are copied into a fresh pooled buffer --
+// returned PooledBuffer; otherwise (raw injections through the borrow-only
+// handle overload) the bytes are copied into a fresh pooled buffer --
 // degrade to copy, never dangle. Both transports honor the same contract, so
 // inline SimNetwork traces stay bit-identical to UDP behavior.
 #pragma once

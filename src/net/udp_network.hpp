@@ -6,10 +6,10 @@
 // own socket (port = base_port + node id) and receive thread, so a node's
 // handler is always invoked from a single thread -- the same single-threaded
 // reactor discipline the simulator provides, with real parallelism between
-// nodes (the paper ran one server per machine). A sharded leaf runs all its
-// shards on that one thread. The node's port is exclusive: its socket sets
-// no port-sharing option, so no other socket -- in this process or another
-// -- can bind the port while the node is attached.
+// nodes (the paper ran one server per machine). The node's port is
+// exclusive: its socket sets no port-sharing option, so no other socket --
+// in this process or another -- can bind the port while the node is
+// attached.
 //
 // Receive path (recvmmsg + receive-side BufferPool): each receive thread
 // drains its socket in batches of up to kRecvBatch datagrams per syscall

@@ -8,7 +8,7 @@
 //    ticks and fault events interleave at exact virtual times, so the whole
 //    faulted execution is bit-identical run to run;
 //  * take_due() -- the wall-clock harness hook: a UDP driver polls for due
-//    events and applies them itself (see tests/test_sharded_stress.cpp).
+//    events and applies them itself (see tests/test_udp_stress.cpp).
 //
 // The plan does not know HOW to crash a node -- the hooks do (typically
 // core::Deployment::crash / restart, which destroy and rebuild the reactor;

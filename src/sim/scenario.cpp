@@ -123,10 +123,9 @@ Scenario::~Scenario() = default;
 
 ObjectId Scenario::oid(std::size_t i) const {
   if (p_.kind == ScenarioKind::kFlashCrowd) {
-    const std::uint64_t stride = std::max<std::uint64_t>(1, p_.crowd_id_stride);
-    if (i < crowd_size_) return ObjectId{1 + i * stride};
+    if (i < crowd_size_) return ObjectId{1 + i * kCrowdIdStride};
     // Non-crowd ids start past the largest crowd id, densely packed.
-    return ObjectId{1 + crowd_size_ * stride + (i - crowd_size_)};
+    return ObjectId{1 + crowd_size_ * kCrowdIdStride + (i - crowd_size_)};
   }
   return ObjectId{1 + i};
 }
@@ -224,14 +223,10 @@ DriveResult drive_scenario(const ScenarioParams& sp, const DriveOptions& opts) {
   nopts.seed = opts.net_seed;
   net::SimNetwork net(nopts);
 
-  core::Deployment::Config cfg;
-  cfg.leaf_shards = opts.leaf_shards;
-  cfg.force_leaf_sharding = opts.force_leaf_sharding;
   core::Deployment deployment(
       net, net.clock(),
       core::HierarchyBuilder::grid(sp.area, opts.grid_fanout_x,
-                                   opts.grid_fanout_y, opts.grid_levels),
-      cfg);
+                                   opts.grid_fanout_y, opts.grid_levels));
 
   DriveResult res;
   std::vector<NodeId> leaves = deployment.leaf_ids();
@@ -310,29 +305,12 @@ DriveResult drive_scenario(const ScenarioParams& sp, const DriveOptions& opts) {
           .count();
   res.round_messages = net.messages_sent() - msgs_before_rounds;
 
-  // Final occupancy (leaf-major shard slices).
-  for (const NodeId leaf : leaves) {
-    if (core::ShardedLocationServer* sh = deployment.sharded(leaf)) {
-      std::size_t total = 0;
-      for (const auto& load : sh->shard_loads()) {
-        res.shard_occupancy.push_back(load.sightings);
-        total += load.sightings;
-      }
-      res.leaf_occupancy.push_back(total);
-    } else {
-      const store::SightingDb* db = deployment.server(leaf).sightings();
-      const std::size_t size = db != nullptr ? db->size() : 0;
-      res.leaf_occupancy.push_back(size);
-      res.shard_occupancy.push_back(size);
-    }
-  }
-
   // Answer probes, folded into answer_crc in PROBE order (one outstanding
   // query at a time, so the fold order never depends on delivery
   // interleaving): pos queries over a deterministic population sample plus
   // one whole-leaf range query per leaf, results sorted by oid. Two runs
-  // with equal answer_crc hold the same soft state, whatever their shard
-  // layout (the sharded-vs-unsharded equivalence gate).
+  // with equal answer_crc hold the same soft state, even when their traces
+  // differ.
   std::uint32_t acrc = 0;
   const auto fold_u64 = [&](std::uint64_t v) { acrc = crc32(&v, sizeof v, acrc); };
   const auto fold_f64 = [&](double v) { acrc = crc32(&v, sizeof v, acrc); };

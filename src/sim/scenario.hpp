@@ -9,10 +9,10 @@
 //                     leaves holding the work zones see a correlated inbound
 //                     wave (spatial skew building up over rounds).
 //  * kFlashCrowd   -- a stadium event: a crowd fraction converges on ONE
-//                     point inside one leaf, AND crowd members carry strided
-//                     ObjectIds -- the worst case for modulo shard routing
-//                     (a raw modulo would put every crowd id on one shard;
-//                     ShardedLocationServer::shard_of mixes the key first).
+//                     point inside one leaf, so that leaf absorbs a hot spot
+//                     of updates plus the handover storm of the arrival.
+//                     Crowd members carry ObjectIds strided by
+//                     kCrowdIdStride.
 //  * kConvoys      -- vehicle fleets crossing the grid in formation: whole
 //                     convoys hit leaf boundaries together, producing
 //                     correlated handover storms.
@@ -45,6 +45,10 @@ namespace locs::sim {
 
 enum class ScenarioKind { kUniform, kCommuterRush, kFlashCrowd, kConvoys, kDayNight };
 
+/// Flash-crowd member j carries ObjectId `1 + j * kCrowdIdStride`; the
+/// non-crowd ids follow densely. Fixed, so every scenario trace is stable.
+inline constexpr std::uint64_t kCrowdIdStride = 64;
+
 const char* scenario_name(ScenarioKind kind);
 
 struct ScenarioParams {
@@ -63,10 +67,6 @@ struct ScenarioParams {
   double zone_sigma = 180.0;      // Gaussian cluster radius, metres
   // -- kFlashCrowd --
   double crowd_fraction = 0.6;    // fraction of objects in the crowd
-  /// Crowd ObjectIds are `1 + j * stride`: with stride % shards == 0 a raw
-  /// modulo shard key would put the WHOLE crowd on one shard (pinned by
-  /// tests/test_macro_scenarios.cpp ShardKeyMixing*).
-  std::uint64_t crowd_id_stride = 64;
   geo::Point stadium{750.0, 750.0};  // inside one leaf of the default grid
   int crowd_ramp_rounds = 4;         // rounds until the crowd has arrived
   // -- kConvoys --
@@ -125,15 +125,12 @@ class Scenario {
 
 // --- Deterministic macro driver ---------------------------------------------
 
-/// Topology / deployment knobs for one drive_scenario run. Defaults build a
-/// 4x4 leaf grid over the scenario area with unsharded leaves; the sharded
-/// experiments turn on leaf_shards and compare against unsharded runs.
+/// Topology knobs for one drive_scenario run. Defaults build a 4x4 leaf
+/// grid over the scenario area.
 struct DriveOptions {
   int grid_fanout_x = 4;
   int grid_fanout_y = 4;
   int grid_levels = 1;
-  std::uint32_t leaf_shards = 1;
-  bool force_leaf_sharding = false;
   std::uint64_t net_seed = 42;  // SimNetwork latency stream
   /// Position-query probes folded into answer_crc after the run (plus one
   /// whole-leaf range query per leaf).
@@ -146,16 +143,13 @@ struct DriveResult {
   std::uint32_t trace_crc = 0;
   /// CRC over canonicalized query answers (pos probes in probe order, range
   /// results sorted by oid): equal CRCs mean the deployments are
-  /// answer-equivalent even when their traces differ (sharded vs
-  /// unsharded).
+  /// answer-equivalent even when their traces differ.
   std::uint32_t answer_crc = 0;
   std::uint64_t messages = 0;
   std::uint64_t bytes = 0;
   std::uint64_t round_messages = 0;  // delivered during the update rounds
   std::uint64_t sightings_emitted = 0;
   std::vector<std::uint64_t> per_leaf_updates;  // update datagrams per leaf
-  std::vector<std::size_t> leaf_occupancy;      // final sightings per leaf
-  std::vector<std::size_t> shard_occupancy;     // flattened leaf-major slices
   double virtual_ms = 0.0;
   double wall_seconds = 0.0;        // whole run (setup + rounds + probes)
   double rounds_wall_seconds = 0.0; // update rounds only (throughput basis)

@@ -11,24 +11,25 @@
 //       ascending object order, from the Scenario's single seeded Rng.
 //       Never draw conditionally on anything except (params, round, i):
 //       same params must mean the same draw schedule, or replay breaks.
-//     * oid(i) defines the wire identity. Keep ids dense (1 + i) unless the
-//       scenario is ABOUT id skew -- the flash crowd hands out strided ids
-//       precisely to alias a raw modulo shard key.
+//     * oid(i) defines the wire identity. Keep ids dense (1 + i); the flash
+//       crowd's strided ids (kCrowdIdStride) are fixed so its pinned trace
+//       stays stable.
 //     * step_round(round, emit) calls emit(i, pos) once per update,
 //       ascending i. Motion may be closed-form (commuters, convoys: cheap,
 //       1M-object friendly) or per-object MobilityModels (wanderers).
 //       Correlation is the point: move GROUPS together (a zone flow, a
 //       convoy, a converging crowd), because correlated load is what the
-//       hierarchy, the coalescer and the shard balancer must absorb.
+//       hierarchy and the coalescer must absorb.
 //       Bursty arrival (day/night) draws per-active-object burst lengths
 //       from the BurstModel below.
 //  2. Deterministic driver -- drive_scenario() registers the population
 //     through one gateway UpdateCoalescer, replays the rounds over
 //     SimNetwork, and folds two CRCs: trace_crc (bit-identical replay) and
-//     answer_crc (query-answer equivalence across shard layouts). New
+//     answer_crc (query-answer equivalence across traces that differ). New
 //     scenarios get both for free; never add wall-clock-dependent logic to
 //     the driven path.
-//  3. Gates -- tests/test_macro_scenarios.cpp pins replay + equivalence;
+//  3. Gates -- tests/test_macro_scenarios.cpp pins replay and the flash
+//     crowd's fingerprint;
 //     bench/bench_macro.cpp emits BENCH_macro.json, gated by
 //     bench/baselines/macro.json via scripts/check_bench.py.
 #pragma once

@@ -1,9 +1,9 @@
 // Field-list codec: the one statement of every wire layout.
 //
 // Each wire struct declares its fields once, in wire order, with
-// LOCS_WIRE_FIELDS. Encoding, decoding into a reused scratch value, the
-// encode size hint and the object-key routing peek are all derived from that
-// list by the generic put/get/extra_size below. Leaf field types each have
+// LOCS_WIRE_FIELDS. Encoding, decoding into a reused scratch value and the
+// encode size hint are all derived from that list by the generic
+// put/get/extra_size below. Leaf field types each have
 // exactly one put/get overload; a field of any other type hits the deleted
 // catch-all and fails to compile, so no value is ever encoded through an
 // implicit conversion.
@@ -89,11 +89,6 @@ LOCS_WIRE_FIELDS(core::ObjectResult, m.oid, m.ld)
 template <typename T>
 concept FieldList = requires(const T& v) { fields(v); };
 
-/// The type of T's field number I.
-template <FieldList T, std::size_t I>
-using FieldType =
-    std::remove_cvref_t<std::tuple_element_t<I, decltype(fields(std::declval<const T&>()))>>;
-
 template <FieldList T>
 void put(Writer& w, const T& v) {
   std::apply([&w](const auto&... f) { (put(w, f), ...); }, fields(v));
@@ -144,7 +139,7 @@ inline void get(Reader& r, PackedRegion& p) {
 
 /// Iterates the raw bytes of a packed region, yielding each decoded entry
 /// PLUS the raw byte range of its encoding, so a consumer can re-frame
-/// entries by memcpy (shard splitting, merge loops) instead of re-encoding.
+/// entries by memcpy (the merge loops) instead of re-encoding.
 /// Stops at the end of the region or at the first malformed entry. Items
 /// point into the caller's buffer.
 template <typename E>
@@ -181,8 +176,6 @@ class ItemView {
 /// stop at the first malformed entry.
 template <typename E>
 struct PackedList {
-  using Entry = E;
-
   std::uint64_t count = 0;  // entries in `packed` (advisory)
   Buffer packed;            // concatenated entry encodings
 

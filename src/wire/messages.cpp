@@ -1,6 +1,5 @@
 #include "wire/messages.hpp"
 
-#include <array>
 
 namespace locs::wire {
 
@@ -34,23 +33,6 @@ namespace {
 // Reserve allowance covering every fixed-size field of a message; variable
 // fields add their extra_size() on top.
 constexpr std::size_t kEnvelopeBase = 64;
-
-/// Object-keyed: the payload leads with an ObjectId, or with a Sighting
-/// whose first field is the ObjectId. Sharded leaves route these by that id.
-template <typename M>
-constexpr bool object_keyed() {
-  using First = FieldType<M, 0>;
-  return std::is_same_v<First, ObjectId> || std::is_same_v<First, Sighting>;
-}
-
-/// Indexed by the MsgType byte.
-constexpr std::array<bool, 256> kObjectKeyed = [] {
-  std::array<bool, 256> keyed{};
-#define LOCS_WIRE_KEYED(T) keyed[static_cast<std::size_t>(T::kType)] = object_keyed<T>();
-  LOCS_WIRE_FOR_EACH_MESSAGE(LOCS_WIRE_KEYED)
-#undef LOCS_WIRE_KEYED
-  return keyed;
-}();
 
 /// The variant alternatives are listed in strictly ascending MsgType order
 /// (retired numbers leave gaps).
@@ -153,20 +135,6 @@ Result<Envelope> decode_envelope(const std::uint8_t* data, std::size_t len) {
   Status status = decode_envelope_into(env, data, len);
   if (!status.is_ok()) return status;
   return env;
-}
-
-std::optional<ObjectId> peek_object_key(const std::uint8_t* data, std::size_t len) {
-  // Envelope layout: [version u8][type u8][src u32_fixed][payload].
-  constexpr std::size_t kPayloadOffset = 6;
-  if (len <= kPayloadOffset || !kObjectKeyed[data[1]] ||
-      data[0] != version_of(static_cast<MsgType>(data[1]))) {
-    return std::nullopt;  // area-keyed / coordinator-bound / unknown
-  }
-  Reader r(data + kPayloadOffset, len - kPayloadOffset);
-  ObjectId oid;
-  get(r, oid);
-  if (!r.ok()) return std::nullopt;
-  return oid;
 }
 
 SubResView::SubResView(const std::uint8_t* data, std::size_t len) {

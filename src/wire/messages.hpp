@@ -10,8 +10,8 @@
 //  * the event mechanism sketched in §1/§8 (subscribe/delta/notify).
 //
 // Each message is declared once: a struct, its field list
-// (LOCS_WIRE_FIELDS, in wire order; wire/fields.hpp derives encode, decode,
-// size hint and routing peek from it) and one LOCS_WIRE_FOR_EACH_MESSAGE
+// (LOCS_WIRE_FIELDS, in wire order; wire/fields.hpp derives encode, decode
+// and size hint from it) and one LOCS_WIRE_FOR_EACH_MESSAGE
 // entry (which generates the Message variant, the per-type encode overloads,
 // the decode dispatch and msg_type_name). Adding a message: append a MsgType
 // value, declare the struct with kType and its field list, append it to
@@ -32,9 +32,7 @@
 //    stop at the first malformed entry. A truncated DATAGRAM still
 //    sticky-fails the envelope decode via the packed_len prefix.
 //  * decode is lazy -- handlers walk the packed region one entry at a time;
-//    no intermediate vector of entries is ever materialized. A sharded leaf
-//    splits a list per owning shard by the raw byte range of each entry
-//    (list_items), without a full envelope decode.
+//    no intermediate vector of entries is ever materialized.
 //  * a single-sighting batch is intentionally DISTINCT from a plain
 //    UpdateReq (different MsgType byte); flush policy lives in the SENDER
 //    (core/update_coalescer.hpp), so the wire format carries no timing state.
@@ -680,35 +678,6 @@ Status decode_envelope_into(Envelope& env, const std::uint8_t* data,
 Result<Envelope> decode_envelope(const std::uint8_t* data, std::size_t len);
 inline Result<Envelope> decode_envelope(const Buffer& buf) {
   return decode_envelope(buf.data(), buf.size());
-}
-
-/// Cheap routing peek for sharded dispatch (core/sharded_location_server):
-/// for object-keyed messages -- those whose first field is an ObjectId or a
-/// Sighting (updates, handover, per-object queries and their responses) --
-/// returns that id WITHOUT a full envelope decode. Returns nullopt for
-/// area-keyed / coordinator messages (range, NN, events) and for malformed
-/// datagrams (the full decode then reports the error).
-std::optional<ObjectId> peek_object_key(const std::uint8_t* data, std::size_t len);
-
-/// Routing peek over an ENCODED datagram of M, a message whose only field is
-/// a packed list (BatchedUpdateReq, BatchedRefreshReq, ReplicaTee): an
-/// ItemView over the packed region, without a full envelope decode. A sharded
-/// leaf splits one datagram into per-shard sub-lists by memcpy of the item
-/// ranges. nullopt when the datagram is not a well-formed envelope of M.
-template <typename M>
-std::optional<ItemView<typename FieldType<M, 0>::Entry>> list_items(
-    const std::uint8_t* data, std::size_t len) {
-  static_assert(std::tuple_size_v<decltype(fields(std::declval<const M&>()))> == 1,
-                "list_items needs a message whose only field is a packed list");
-  Reader r(data, len);
-  if (r.u8() != version_of(M::kType) || r.u8() != static_cast<std::uint8_t>(M::kType)) {
-    return std::nullopt;
-  }
-  (void)r.u32_fixed();  // src
-  PackedRegion region;
-  get(r, region);
-  if (!r.ok()) return std::nullopt;
-  return ItemView<typename FieldType<M, 0>::Entry>(region.bytes.data(), region.bytes.size());
 }
 
 /// Read-path view over an ENCODED version-2 RangeQuerySubRes or

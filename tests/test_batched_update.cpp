@@ -1,14 +1,10 @@
 // Batched update coalescing: end-to-end equivalence and edge cases.
 //
 //  * batched-vs-unbatched ANSWER equivalence over the deterministic
-//    SimNetwork (the way test_sharded_server pins shard equivalence): the
-//    same seeded workload -- bursty updates, cross-leaf jumps (handover in
+//    SimNetwork: the same seeded workload -- bursty updates, cross-leaf jumps (handover in
 //    the middle of a batch), all three query types -- must yield identical
 //    answers with strictly fewer network datagrams,
 //  * coalescer flush policies: size, byte budget, deadline, forced,
-//  * sharded leaves: a batch straddling shard boundaries splits per owning
-//    shard (and a single-shard batch forwards unchanged), equivalent to the
-//    unsharded application,
 //  * wire edge cases: empty batch, single-sighting batch (explicitly
 //    distinct from a plain UpdateReq on the wire, same effect).
 #include <gtest/gtest.h>
@@ -17,14 +13,12 @@
 #include <string>
 
 #include "core/local_service.hpp"
-#include "core/sharded_location_server.hpp"
 #include "core/update_coalescer.hpp"
 #include "test_support.hpp"
 
 namespace locs::test {
 namespace {
 
-using core::ShardedLocationServer;
 using core::UpdateCoalescer;
 
 // --------------------------------------------------------------------------
@@ -239,7 +233,7 @@ TEST(UpdateCoalescer, ForcedFlushAndAgentChangeFanIn) {
 }
 
 // --------------------------------------------------------------------------
-// sharded leaves: per-shard batch splitting
+// wire edge cases against a live server
 
 /// Sends one raw BatchedUpdateReq from `src` to `leaf` and runs the network.
 void send_batch(SimWorld& w, NodeId src, NodeId leaf,
@@ -247,108 +241,6 @@ void send_batch(SimWorld& w, NodeId src, NodeId leaf,
   w.net.send(src, leaf, wire::encode_envelope(src, wire::Message{batch}));
   w.run();
 }
-
-TEST(ShardedBatchSplit, BatchStraddlingShardBoundariesAppliesEverywhere) {
-  constexpr std::uint32_t kShards = 4;
-  core::Deployment::Config cfg;
-  cfg.leaf_shards = kShards;
-  SimWorld w(core::HierarchyBuilder::table2(geo::Rect{{0, 0}, {1000, 1000}}), cfg);
-
-  std::vector<std::unique_ptr<TrackedObject>> objs;
-  for (std::uint64_t i = 1; i <= 32; ++i) {
-    objs.push_back(w.register_object(ObjectId{i}, {10.0 + i, 10.0 + i}));
-  }
-  const NodeId leaf = objs[0]->agent();
-  ShardedLocationServer* sharded = w.deployment->sharded(leaf);
-  ASSERT_NE(sharded, nullptr);
-
-  // One batch touching every shard.
-  wire::BatchedUpdateReq batch;
-  std::vector<bool> shard_hit(kShards, false);
-  for (std::uint64_t i = 1; i <= 32; ++i) {
-    batch.sightings.append({ObjectId{i}, 1, {50.0 + i, 60.0 + i}, 5.0});
-    shard_hit[ShardedLocationServer::shard_of(ObjectId{i}, kShards)] = true;
-  }
-  for (std::uint32_t s = 0; s < kShards; ++s) {
-    ASSERT_TRUE(shard_hit[s]) << "test ids do not straddle every shard";
-  }
-
-  send_batch(w, w.client_node(), leaf, batch);
-
-  // Every sighting landed, in its owning shard's slice.
-  const core::LocationServer::Stats stats = sharded->stats();
-  EXPECT_EQ(stats.updates_applied, 32u);
-  EXPECT_EQ(stats.update_batches, kShards);  // one sub-batch per shard
-  for (std::uint64_t i = 1; i <= 32; ++i) {
-    const std::uint32_t owner = ShardedLocationServer::shard_of(ObjectId{i}, kShards);
-    const store::SightingDb::Record* rec =
-        sharded->shard(owner).sightings()->find(ObjectId{i});
-    ASSERT_NE(rec, nullptr) << "object " << i;
-    EXPECT_EQ(rec->sighting.pos, (geo::Point{50.0 + i, 60.0 + i}));
-  }
-}
-
-TEST(ShardedBatchSplit, SingleShardBatchForwardsUnchanged) {
-  constexpr std::uint32_t kShards = 4;
-  core::Deployment::Config cfg;
-  cfg.leaf_shards = kShards;
-  SimWorld w(core::HierarchyBuilder::table2(geo::Rect{{0, 0}, {1000, 1000}}), cfg);
-
-  // Pick object ids that all hash to one shard.
-  std::vector<ObjectId> same_shard;
-  const std::uint32_t target = ShardedLocationServer::shard_of(ObjectId{1}, kShards);
-  for (std::uint64_t i = 1; same_shard.size() < 6; ++i) {
-    if (ShardedLocationServer::shard_of(ObjectId{i}, kShards) == target) {
-      same_shard.push_back(ObjectId{i});
-    }
-  }
-  std::vector<std::unique_ptr<TrackedObject>> objs;
-  for (const ObjectId oid : same_shard) {
-    objs.push_back(w.register_object(oid, {20.0 + static_cast<double>(oid.value), 20}));
-  }
-  const NodeId leaf = objs[0]->agent();
-
-  wire::BatchedUpdateReq batch;
-  for (const ObjectId oid : same_shard) {
-    batch.sightings.append({oid, 1, {40.0 + static_cast<double>(oid.value), 44}, 5.0});
-  }
-  send_batch(w, w.client_node(), leaf, batch);
-
-  ShardedLocationServer* sharded = w.deployment->sharded(leaf);
-  ASSERT_NE(sharded, nullptr);
-  // Exactly one batch datagram reached exactly the owning shard.
-  EXPECT_EQ(sharded->stats().update_batches, 1u);
-  EXPECT_EQ(sharded->shard(target).stats().update_batches, 1u);
-  EXPECT_EQ(sharded->stats().updates_applied, same_shard.size());
-}
-
-TEST(ShardedBatchSplit, ShardedMatchesUnshardedApplication) {
-  for (const std::uint32_t shards : {1u, 4u}) {
-    core::Deployment::Config cfg;
-    cfg.leaf_shards = shards;
-    SimWorld w(core::HierarchyBuilder::table2(geo::Rect{{0, 0}, {1000, 1000}}), cfg);
-    std::vector<std::unique_ptr<TrackedObject>> objs;
-    for (std::uint64_t i = 1; i <= 24; ++i) {
-      objs.push_back(w.register_object(ObjectId{i}, {30.0 + i, 40.0}));
-    }
-    const NodeId leaf = objs[0]->agent();
-    wire::BatchedUpdateReq batch;
-    for (std::uint64_t i = 1; i <= 24; ++i) {
-      batch.sightings.append({ObjectId{i}, 2, {90.0 + i, 77.0}, 5.0});
-    }
-    send_batch(w, w.client_node(), leaf, batch);
-    // Identical application and identical positions regardless of sharding.
-    for (std::uint64_t i = 1; i <= 24; ++i) {
-      store::SightingDb::Record rec;
-      ASSERT_TRUE(w.deployment->find_sighting(leaf, ObjectId{i}, rec))
-          << "shards=" << shards << " object " << i;
-      EXPECT_EQ(rec.sighting.pos, (geo::Point{90.0 + i, 77.0}));
-    }
-  }
-}
-
-// --------------------------------------------------------------------------
-// wire edge cases against a live server
 
 TEST(BatchedUpdateEdge, EmptyBatchIsHandledSilently) {
   SimWorld w(core::HierarchyBuilder::table2(geo::Rect{{0, 0}, {1000, 1000}}));

@@ -5,15 +5,15 @@
 //    byte always breaks the final required field,
 //  * bit-flipped and purely random datagrams never crash the decoder; when
 //    a flip happens to decode, the result re-encodes without crashing,
-//  * the routing peeks (wire::peek_object_key, wire::list_items) agree with
-//    the full decode,
+//  * packed lists yield each entry plus its raw byte range (ItemView), and
+//    damaged lists stop iterating at the damage,
 //  * the encoder's bytes match a golden table for every type, and retired
 //    type numbers are rejected,
 //  * hardened varints: boundary values round-trip, overlong and overflowing
 //    encodings sticky-fail.
 #include <gtest/gtest.h>
 
-#include "core/sharded_location_server.hpp"
+#include "core/location_server.hpp"
 #include "net/sim_network.hpp"
 #include "util/crc32.hpp"
 #include "util/rng.hpp"
@@ -348,43 +348,6 @@ TEST(CodecProperty, WireBytesMatchGolden) {
   }
 }
 
-TEST(CodecProperty, PeekObjectKeyAgreesWithFullDecode) {
-  Rng rng(515);
-  for (int iter = 0; iter < 64; ++iter) {
-    for (const Message& m : random_messages(rng)) {
-      const Buffer wire = encode_envelope(NodeId{9}, m);
-      const std::optional<ObjectId> peeked = peek_object_key(wire.data(), wire.size());
-      // Recover the expected key from the decoded message, if it is one of
-      // the object-keyed types.
-      std::optional<ObjectId> expected;
-      std::visit(
-          [&](const auto& msg) {
-            using T = std::decay_t<decltype(msg)>;
-            if constexpr (std::is_same_v<T, RegisterReq> ||
-                          std::is_same_v<T, UpdateReq> ||
-                          std::is_same_v<T, HandoverReq>) {
-              expected = msg.s.oid;
-            } else if constexpr (std::is_same_v<T, CreatePath> ||
-                                 std::is_same_v<T, RemovePath> ||
-                                 std::is_same_v<T, UpdateAck> ||
-                                 std::is_same_v<T, HandoverRes> ||
-                                 std::is_same_v<T, AgentChanged> ||
-                                 std::is_same_v<T, PosQueryReq> ||
-                                 std::is_same_v<T, PosQueryFwd> ||
-                                 std::is_same_v<T, PosQueryRes> ||
-                                 std::is_same_v<T, ChangeAccReq> ||
-                                 std::is_same_v<T, NotifyAvailAcc> ||
-                                 std::is_same_v<T, DeregisterReq> ||
-                                 std::is_same_v<T, RefreshReq>) {
-              expected = msg.oid;
-            }
-          },
-          m);
-      EXPECT_EQ(peeked, expected) << msg_type_name(message_type(m));
-    }
-  }
-}
-
 // --- truncation --------------------------------------------------------------
 
 TEST(CodecProperty, TruncatingTheLastByteStickyFailsEveryType) {
@@ -452,7 +415,6 @@ TEST(CodecProperty, RandomGarbageNeverCrashesTheDecoder) {
       }
     }
     (void)decode_envelope_into(scratch, junk.data(), junk.size());
-    (void)peek_object_key(junk.data(), junk.size());
   }
 }
 
@@ -495,18 +457,19 @@ void expect_list_round_trip(const M& msg, const std::vector<E>& in) {
   EXPECT_EQ(i, in.size());
 }
 
-/// The list_items routing view of an encoded single-list message agrees with
-/// the owned list entry by entry, and the raw item ranges re-concatenate to
-/// exactly the packed region (shard splitting re-frames by memcpy of them).
+/// The ItemView of a decoded list message agrees with the sender's owned
+/// list entry by entry, and the raw item ranges re-concatenate to exactly the
+/// packed region (the merge loops re-frame by memcpy of them).
 template <typename M>
 void expect_view_matches_list(const M& msg) {
   const Buffer wire = encode_envelope(NodeId{6}, msg);
-  auto view = list_items<M>(wire.data(), wire.size());
-  ASSERT_TRUE(view.has_value());
+  const auto decoded = decode_envelope(wire);
+  ASSERT_TRUE(decoded.ok());
+  auto view = list_of(std::get<M>(decoded.value().msg)).items();
   auto owned = list_of(msg).items();
   Buffer reassembled;
   std::size_t items = 0;
-  while (const auto item = view->next()) {
+  while (const auto item = view.next()) {
     const auto expected = owned.next();
     ASSERT_TRUE(expected.has_value());
     EXPECT_TRUE(same(item->value, expected->value));
@@ -525,17 +488,14 @@ std::size_t count_items(ItemView<E> view) {
   return n;
 }
 
-/// Flips one random bit of the encoded `msg`: whatever it hits, the routing
-/// view (single-list messages) and the lazy iteration of a list that still
-/// decodes stay in bounds, and the decoded message re-encodes cleanly.
+/// Flips one random bit of the encoded `msg`: whatever it hits, the lazy
+/// iteration of a list that still decodes stays in bounds, and the decoded
+/// message re-encodes cleanly.
 template <typename M>
 void flip_one_bit_and_iterate(Rng& rng, const M& msg) {
   Buffer wire = encode_envelope(NodeId{8}, msg);
   const std::size_t byte = rng.next_below(wire.size());
   wire[byte] ^= static_cast<std::uint8_t>(1u << rng.next_below(8));
-  if constexpr (std::tuple_size_v<decltype(fields(msg))> == 1) {
-    if (const auto view = list_items<M>(wire.data(), wire.size())) count_items(*view);
-  }
   const auto decoded = decode_envelope(wire);
   if (!decoded.ok()) return;
   if (const auto* m = std::get_if<M>(&decoded.value().msg)) {
@@ -570,10 +530,6 @@ TEST(CodecProperty, BatchCursorRoundTripsEverySighting) {
 TEST(CodecProperty, BatchViewAgreesWithCursorAndReencodesItems) {
   Rng rng(89);
   for (int iter = 0; iter < 64; ++iter) expect_view_matches_list(rand_batch(rng));
-  // Non-batch datagrams are rejected.
-  const Buffer other = encode_envelope(NodeId{6}, UpdateReq{{}});
-  EXPECT_FALSE(list_items<BatchedUpdateReq>(other.data(), other.size()));
-  EXPECT_FALSE(list_items<BatchedUpdateReq>(nullptr, 0));
 }
 
 TEST(CodecProperty, TruncatedBatchTailStopsIterationWithoutCrashing) {
@@ -588,11 +544,6 @@ TEST(CodecProperty, TruncatedBatchTailStopsIterationWithoutCrashing) {
   BatchedUpdateReq damaged = batch;
   damaged.sightings.packed.resize(damaged.sightings.packed.size() - 7);
   EXPECT_EQ(count_items(damaged.sightings.items()), 3u);
-  // Same for the routing view over a re-encoded damaged batch.
-  const Buffer damaged_wire = encode_envelope(NodeId{3}, damaged);
-  const auto view = list_items<BatchedUpdateReq>(damaged_wire.data(), damaged_wire.size());
-  ASSERT_TRUE(view.has_value());
-  EXPECT_EQ(count_items(*view), 3u);
 }
 
 TEST(CodecProperty, BatchBitFlipsNeverCrashCursorOrView) {
@@ -620,15 +571,9 @@ TEST(CodecProperty, RefreshBatchCursorRoundTripsEveryOid) {
   }
 }
 
-TEST(CodecProperty, RefreshViewAgreesWithCursorAndRejectsOtherTypes) {
+TEST(CodecProperty, RefreshViewAgreesWithCursorAndReencodesItems) {
   Rng rng(93);
   for (int iter = 0; iter < 64; ++iter) expect_view_matches_list(rand_refresh_batch(rng));
-  // Non-refresh datagrams are rejected (incl. the other batch type).
-  const Buffer update = encode_envelope(NodeId{6}, UpdateReq{{}});
-  EXPECT_FALSE(list_items<BatchedRefreshReq>(update.data(), update.size()));
-  const Buffer batch_upd = encode_envelope(NodeId{6}, BatchedUpdateReq{});
-  EXPECT_FALSE(list_items<BatchedRefreshReq>(batch_upd.data(), batch_upd.size()));
-  EXPECT_FALSE(list_items<BatchedRefreshReq>(nullptr, 0));
 }
 
 TEST(CodecProperty, TruncatedRefreshBatchStickyFailsAndStopsIteration) {
@@ -677,12 +622,6 @@ TEST(CodecProperty, ReplicaTeeCursorRoundTripsEveryEntry) {
 TEST(CodecProperty, ReplicaTeeViewAgreesWithCursorAndReencodesItems) {
   Rng rng(102);
   for (int iter = 0; iter < 64; ++iter) expect_view_matches_list(rand_replica_tee(rng));
-  // Non-tee datagrams are rejected (incl. the look-alike batch framings).
-  const Buffer update = encode_envelope(NodeId{6}, UpdateReq{{}});
-  EXPECT_FALSE(list_items<ReplicaTee>(update.data(), update.size()));
-  const Buffer batch = encode_envelope(NodeId{6}, BatchedUpdateReq{});
-  EXPECT_FALSE(list_items<ReplicaTee>(batch.data(), batch.size()));
-  EXPECT_FALSE(list_items<ReplicaTee>(nullptr, 0));
 }
 
 TEST(CodecProperty, TruncatedReplicaTeeStickyFailsAndStopsIteration) {
@@ -699,14 +638,10 @@ TEST(CodecProperty, TruncatedReplicaTeeStickyFailsAndStopsIteration) {
   ReplicaTee damaged = tee;
   damaged.entries.packed.resize(damaged.entries.packed.size() - 5);
   EXPECT_EQ(count_items(damaged.entries.items()), 3u);
-  // An out-of-range op byte stops both the owned iteration and the view.
+  // An out-of-range op byte stops the owned iteration.
   ReplicaTee bad_op = tee;
   bad_op.entries.packed[0] = 0x7F;
   EXPECT_EQ(count_items(bad_op.entries.items()), 0u);
-  const Buffer bad_wire = encode_envelope(NodeId{3}, bad_op);
-  const auto bad_view = list_items<ReplicaTee>(bad_wire.data(), bad_wire.size());
-  ASSERT_TRUE(bad_view.has_value());
-  EXPECT_EQ(count_items(*bad_view), 0u);
 }
 
 TEST(CodecProperty, ReplicaTeeBitFlipsNeverCrashCursorOrView) {
@@ -864,29 +799,26 @@ TEST(CodecProperty, SubResViewAgreesWithOwnedDecode) {
 TEST(CodecProperty, EveryTypeAcceptsOnlyItsOwnVersionByte) {
   // The packed result types are version 2, everything else version 1; a
   // datagram stamped with the other version byte -- e.g. a version-1
-  // (legacy vector) sub-result -- is rejected by the decode, the routing
-  // peek and the sub-result view alike.
+  // (legacy vector) sub-result -- is rejected by the decode and the
+  // sub-result view alike.
   Rng rng(777);
   for (const Message& m : random_messages(rng)) {
     Buffer wire = encode_envelope(NodeId{7}, m);
     ASSERT_EQ(wire[0], version_of(message_type(m)));
     wire[0] = wire[0] == kWireVersion ? kWireVersionPacked : kWireVersion;
     EXPECT_FALSE(decode_envelope(wire).ok()) << msg_type_name(message_type(m));
-    EXPECT_FALSE(peek_object_key(wire.data(), wire.size()).has_value());
     EXPECT_FALSE(SubResView(wire.data(), wire.size()).valid());
   }
 }
 
 TEST(CodecProperty, RetiredTypeNumbersAreRejected) {
-  // 38-40 were BatchedPathUpdate, ShardLoadStats and BucketMigrate; the
-  // payload [1][0][0] decoded as each of them. Now the type byte alone
-  // rejects the datagram, and a sharded leaf drops it without side effects.
+  // 38-40 were retired message types (see wire/messages.hpp); the payload
+  // [1][0][0] decoded as each of them. Now the type byte alone rejects the
+  // datagram, and a leaf drops it without side effects.
   net::SimNetwork net;
   core::ConfigRecord cfg;
   cfg.sa = geo::Polygon::from_rect(geo::Rect{{0, 0}, {100, 100}});
-  core::ShardedLocationServer::Options opts;
-  opts.shards = 4;
-  core::ShardedLocationServer leaf(NodeId{1}, cfg, net, net.clock(), opts);
+  core::LocationServer leaf(NodeId{1}, cfg, net, net.clock());
   for (std::uint64_t i = 1; i <= 8; ++i) {
     RegisterReq req;
     req.s = {ObjectId{i}, 0, {10.0 * static_cast<double>(i), 10.0}, 1.0};
@@ -895,7 +827,9 @@ TEST(CodecProperty, RetiredTypeNumbersAreRejected) {
     const Buffer wire = encode_envelope(NodeId{900}, req);
     leaf.handle(wire.data(), wire.size());
   }
-  const auto loads_before = leaf.shard_loads();
+  const std::size_t sightings_before = leaf.sightings()->size();
+  const std::size_t visitors_before = leaf.visitors().size();
+  const std::uint64_t handled_before = leaf.stats().msgs_handled;
   const std::uint64_t sent_before = net.messages_sent();
 
   for (const std::uint8_t type : {38, 39, 40}) {
@@ -913,21 +847,16 @@ TEST(CodecProperty, RetiredTypeNumbersAreRejected) {
     const auto decoded = decode_envelope(wire);
     ASSERT_FALSE(decoded.ok());
     EXPECT_EQ(decoded.status().message(), "unknown message type");
-    EXPECT_FALSE(peek_object_key(wire.data(), wire.size()).has_value());
-    const std::uint64_t errors = leaf.shard(0).stats().decode_errors;
+    const std::uint64_t errors = leaf.stats().decode_errors;
     leaf.handle(wire.data(), wire.size());
-    EXPECT_EQ(leaf.shard(0).stats().decode_errors, errors + 1);
+    EXPECT_EQ(leaf.stats().decode_errors, errors + 1);
   }
 
   EXPECT_EQ(leaf.stats().decode_errors, 3u);
   EXPECT_EQ(net.messages_sent(), sent_before);
-  const auto loads_after = leaf.shard_loads();
-  ASSERT_EQ(loads_after.size(), loads_before.size());
-  for (std::size_t s = 0; s < loads_after.size(); ++s) {
-    EXPECT_EQ(loads_after[s].sightings, loads_before[s].sightings);
-    EXPECT_EQ(loads_after[s].visitors, loads_before[s].visitors);
-    EXPECT_EQ(loads_after[s].msgs_handled, loads_before[s].msgs_handled);
-  }
+  EXPECT_EQ(leaf.sightings()->size(), sightings_before);
+  EXPECT_EQ(leaf.visitors().size(), visitors_before);
+  EXPECT_EQ(leaf.stats().msgs_handled, handled_before);
 }
 
 TEST(CodecProperty, OversizedPolygonVertexCountIsRejected) {

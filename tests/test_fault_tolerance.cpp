@@ -49,12 +49,10 @@ struct LogDir {
   }
   ~LogDir() { fs::remove_all(dir); }
 
-  std::function<store::VisitorDb(NodeId, std::uint32_t)> factory() {
-    return [this](NodeId id, std::uint32_t shard) {
+  std::function<store::VisitorDb(NodeId)> factory() {
+    return [this](NodeId id) {
       auto db = store::VisitorDb::open(
-          (dir / ("visitor_" + std::to_string(id.value) + "_" +
-                  std::to_string(shard) + ".log"))
-              .string());
+          (dir / ("visitor_" + std::to_string(id.value) + ".log")).string());
       EXPECT_TRUE(db.ok());
       return std::move(db).value();
     };
@@ -254,49 +252,6 @@ TEST(FaultTolerance, FaultedScenarioIsBitIdenticalRunToRun) {
   EXPECT_EQ(a.messages, b.messages);
   EXPECT_EQ(a.during_fault, b.during_fault);
   EXPECT_EQ(a.final_answers, b.final_answers);
-}
-
-TEST(FaultTolerance, ShardedLeafSplitsRecoverySweepPerShard) {
-  LogDir logs("sharded");
-  core::Deployment::Config cfg;
-  cfg.server = fault_opts();
-  cfg.leaf_shards = 2;
-  cfg.visitor_db_factory = logs.factory();
-  SimWorld w(core::HierarchyBuilder::table2(geo::Rect{{0, 0}, {kArea, kArea}}),
-             cfg);
-
-  Rng rng(0xFA02);
-  std::vector<std::unique_ptr<TrackedObject>> objs;
-  std::vector<geo::Point> pos(17);
-  for (std::uint64_t i = 1; i <= 16; ++i) {
-    // All on the crash leaf's quadrant, so the sweep straddles both shards.
-    pos[i] = {rng.uniform(10, kArea / 2 - 10), rng.uniform(10, kArea / 2 - 10)};
-    objs.push_back(w.register_object(ObjectId{i}, pos[i]));
-    ASSERT_TRUE(objs.back()->tracked());
-    ASSERT_EQ(objs.back()->agent(), kCrashLeaf);
-  }
-
-  w.deployment->crash(kCrashLeaf);
-  w.net.set_node_down(kCrashLeaf, true);
-  w.run();
-  w.net.set_node_down(kCrashLeaf, false);
-  w.deployment->restart(kCrashLeaf, /*announce=*/true);
-  w.run();
-
-  // The recovery sweep refreshed every object back into its owning slice.
-  core::ShardedLocationServer* sharded = w.deployment->sharded(kCrashLeaf);
-  ASSERT_NE(sharded, nullptr);
-  for (std::uint64_t i = 1; i <= 16; ++i) {
-    EXPECT_GE(objs[i - 1]->refreshes_answered(), 1u) << "object " << i;
-    const std::uint32_t owner = core::ShardedLocationServer::shard_of(ObjectId{i}, 2);
-    EXPECT_NE(sharded->shard(owner).sightings()->find(ObjectId{i}), nullptr)
-        << "object " << i << " missing from its owning slice after recovery";
-  }
-  auto qc = w.make_query_client(NodeId{4});
-  for (std::uint64_t i = 1; i <= 16; ++i) {
-    const auto res = w.pos_query(*qc, ObjectId{i});
-    EXPECT_TRUE(res.found) << "object " << i;
-  }
 }
 
 TEST(FaultTolerance, TotalStateLossRecoversViaNackAndReregistration) {
@@ -606,79 +561,6 @@ TEST(FaultTolerance, ReplicatedReconciliationNeitherLosesNorDuplicatesVisitors) 
   EXPECT_EQ(std::adjacent_find(obs.final_range_ids.begin(),
                                obs.final_range_ids.end()),
             obs.final_range_ids.end());
-}
-
-TEST(FaultTolerance, ReplicatedShardedLeafPromotesPerShard) {
-  LogDir logs("rep_sharded");
-  core::Deployment::Config cfg;
-  cfg.server = fault_opts();
-  cfg.leaf_shards = 2;
-  cfg.visitor_db_factory = logs.factory();
-  cfg.leaf_standby = {{kCrashLeaf, kStandby}};
-  SimWorld w(core::HierarchyBuilder::table2(geo::Rect{{0, 0}, {kArea, kArea}}),
-             cfg);
-
-  Rng rng(0xFA03);
-  std::vector<std::unique_ptr<TrackedObject>> objs;
-  std::vector<geo::Point> pos(17);
-  for (std::uint64_t i = 1; i <= 16; ++i) {
-    // All on the crash leaf's quadrant, so both shard slices are exercised.
-    pos[i] = {rng.uniform(10, kArea / 2 - 10), rng.uniform(10, kArea / 2 - 10)};
-    objs.push_back(w.register_object(ObjectId{i}, pos[i]));
-    ASSERT_TRUE(objs.back()->tracked());
-    ASSERT_EQ(objs.back()->agent(), kCrashLeaf);
-  }
-
-  w.deployment->crash(kCrashLeaf);
-  w.net.set_node_down(kCrashLeaf, true);
-  w.advance(seconds(5), 10);  // detector window + promotion fan-out
-
-  // The standby mirrors the primary's shard layout: the promote broadcast
-  // reached every shard reactor, and each slice mirrors its own objects.
-  core::ShardedLocationServer* standby = w.deployment->sharded(kStandby);
-  ASSERT_NE(standby, nullptr);
-  for (std::uint32_t s = 0; s < 2; ++s) {
-    EXPECT_TRUE(standby->shard(s).standby_active()) << "shard " << s;
-    EXPECT_EQ(standby->shard(s).stats().standby_promotions, 1u) << "shard " << s;
-  }
-  for (std::uint64_t i = 1; i <= 16; ++i) {
-    EXPECT_EQ(objs[i - 1]->agent(), kStandby) << "object " << i;
-    const std::uint32_t owner = core::ShardedLocationServer::shard_of(ObjectId{i}, 2);
-    EXPECT_NE(standby->shard(owner).sightings()->find(ObjectId{i}), nullptr)
-        << "object " << i << " missing from its owning standby slice";
-  }
-
-  // Blackout feeds land in the owning slice; queries answer from it.
-  for (std::uint64_t i = 1; i <= 16; ++i) {
-    pos[i] = {std::clamp(pos[i].x + 40.0, 10.0, kArea / 2 - 10),
-              std::clamp(pos[i].y + 40.0, 10.0, kArea / 2 - 10)};
-    objs[i - 1]->feed_position(pos[i]);
-  }
-  w.run();
-  auto qc = w.make_query_client(NodeId{4});
-  for (std::uint64_t i = 1; i <= 16; ++i) {
-    const auto res = w.pos_query(*qc, ObjectId{i});
-    EXPECT_TRUE(res.found) << "object " << i;
-    if (res.found) {
-      EXPECT_EQ(res.ld.pos, pos[i]) << "object " << i;
-    }
-  }
-
-  // Primary returns: every shard demotes, clients re-point, nothing lost.
-  w.net.set_node_down(kCrashLeaf, false);
-  w.deployment->restart(kCrashLeaf, /*announce=*/true);
-  w.advance(seconds(5), 10);
-  for (std::uint32_t s = 0; s < 2; ++s) {
-    EXPECT_FALSE(standby->shard(s).standby_active()) << "shard " << s;
-  }
-  for (std::uint64_t i = 1; i <= 16; ++i) {
-    EXPECT_EQ(objs[i - 1]->agent(), kCrashLeaf) << "object " << i;
-    const auto res = w.pos_query(*qc, ObjectId{i});
-    EXPECT_TRUE(res.found) << "object " << i;
-    if (res.found) {
-      EXPECT_EQ(res.ld.pos, pos[i]) << "object " << i;
-    }
-  }
 }
 
 TEST(FaultTolerance, HeartbeatAcksKeepHealthyChildrenUnsuspected) {

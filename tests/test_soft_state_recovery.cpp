@@ -66,12 +66,10 @@ class RecoveryTest : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
-  std::function<store::VisitorDb(NodeId, std::uint32_t)> vdb_factory() {
-    return [this](NodeId id, std::uint32_t shard) {
+  std::function<store::VisitorDb(NodeId)> vdb_factory() {
+    return [this](NodeId id) {
       auto db = store::VisitorDb::open(
-          (dir_ / ("visitor_" + std::to_string(id.value) + "_" +
-                   std::to_string(shard) + ".log"))
-              .string());
+          (dir_ / ("visitor_" + std::to_string(id.value) + ".log")).string());
       EXPECT_TRUE(db.ok());
       return std::move(db).value();
     };

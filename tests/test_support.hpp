@@ -40,7 +40,7 @@ struct SimWorld {
                                                     std::move(spec), cfg);
   }
 
-  /// Full deployment-config variant (sharded leaves, cache toggles, ...).
+  /// Full deployment-config variant (cache toggles, standbys, ...).
   SimWorld(core::HierarchySpec spec, core::Deployment::Config cfg,
            net::SimNetwork::Options net_opts = {})
       : net(net_opts) {

@@ -1,11 +1,10 @@
-// Multi-threaded soak of the sharded leaf server over REAL UDP loopback:
-// a table-2 deployment whose leaves run 4 shards each (inline on the node's
-// receive thread), hammered by concurrent updater threads (including
-// cross-leaf moves, i.e. handovers) and query threads, with a bounded
-// runtime. Verifies liveness (operations keep completing), final
-// consistency (every object's last acknowledged position is queryable), and
-// -- under TSan in CI -- that the Deployment's per-node lock serializes the
-// receive threads, the driver's ticks and the cross-shard query merge.
+// Multi-threaded soak of a deployment over REAL UDP loopback: a table-2
+// deployment hammered by concurrent updater threads (including cross-leaf
+// moves, i.e. handovers) and query threads, with a bounded runtime. Verifies
+// liveness (operations keep completing), final consistency (every object's
+// last acknowledged position is queryable), and -- under TSan in CI -- that
+// the Deployment's per-node lock serializes the receive threads, the
+// driver's ticks and cross-thread find_sighting probes.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -157,18 +156,15 @@ class SyncUpdater {
   std::unordered_set<ObjectId> nacked_;
 };
 
-TEST(ShardedStress, ConcurrentUpdatesQueriesAndHandovers) {
+TEST(UdpStress, ConcurrentUpdatesQueriesAndHandovers) {
   constexpr int kUpdaterThreads = 4;
   constexpr int kQueryThreads = 2;
   constexpr std::uint64_t kObjectsPerThread = 16;
 
   net::UdpNetwork net(net::UdpNetwork::pick_free_base_port(/*span=*/300));
   SystemClock clock;
-  core::Deployment::Config cfg;
-  cfg.leaf_shards = 4;  // the root stays a plain LocationServer
   core::Deployment deployment(
-      net, clock, core::HierarchyBuilder::table2(geo::Rect{{0, 0}, {kArea, kArea}}),
-      cfg);
+      net, clock, core::HierarchyBuilder::table2(geo::Rect{{0, 0}, {kArea, kArea}}));
   const std::vector<NodeId> leaves = [&] {
     auto l = deployment.leaf_ids();
     std::sort(l.begin(), l.end());
@@ -206,8 +202,8 @@ TEST(ShardedStress, ConcurrentUpdatesQueriesAndHandovers) {
       while (!stop.load(std::memory_order_acquire)) {
         const ObjectId oid{static_cast<std::uint64_t>(t) * kObjectsPerThread +
                            rng.next_below(kObjectsPerThread) + 1};
-        // 1-in-4 updates jump to a uniformly random position -- frequently a
-        // different quadrant, forcing a handover between sharded leaves.
+        // Updates jump to a uniformly random position -- frequently a
+        // different quadrant, forcing a handover between leaves.
         const geo::Point p{rng.uniform(10, kArea - 10), rng.uniform(10, kArea - 10)};
         if (up.update_blocking(oid, p)) {
           updates_ok.fetch_add(1, std::memory_order_relaxed);
@@ -283,20 +279,19 @@ TEST(ShardedStress, ConcurrentUpdatesQueriesAndHandovers) {
     }
   }
 
-  // Every leaf is sharded, and its transmit ring never dropped a datagram.
+  // No leaf's transmit ring ever dropped a datagram.
   for (const NodeId leaf : leaves) {
-    ASSERT_NE(deployment.sharded(leaf), nullptr);
     EXPECT_EQ(net.tx_stats(leaf).dropped, 0u) << "leaf " << leaf.value;
   }
 }
 
-/// Crash/restart soak over real UDP: a sharded leaf is killed and restarted
+/// Crash/restart soak over real UDP: a leaf is killed and restarted
 /// WHILE updater and query threads hammer the deployment. Drives the
 /// sim::FaultPlan wall-clock hook (take_due), Deployment::crash/restart over
 /// a live UdpNetwork (handler swap on the surviving socket), and the
 /// nack-driven client re-registration path; under ASan/TSan in CI this is
 /// the teardown-vs-traffic race check for the whole fault subsystem.
-TEST(ShardedStress, CrashRestartUnderConcurrentLoad) {
+TEST(UdpStress, CrashRestartUnderConcurrentLoad) {
   constexpr int kUpdaterThreads = 3;
   constexpr std::uint64_t kObjectsPerThread = 12;
   constexpr auto kSoak = std::chrono::milliseconds(1500);
@@ -304,7 +299,6 @@ TEST(ShardedStress, CrashRestartUnderConcurrentLoad) {
   net::UdpNetwork net(net::UdpNetwork::pick_free_base_port(/*span=*/300));
   SystemClock clock;
   core::Deployment::Config cfg;
-  cfg.leaf_shards = 2;
   // In-memory visitorDBs: the crash is a TOTAL state loss, recovered through
   // nacked updates + client re-registration.
   cfg.server.nack_unknown_updates = true;
@@ -448,46 +442,39 @@ TEST(ShardedStress, CrashRestartUnderConcurrentLoad) {
 }
 
 /// Regression: cross-thread find_sighting probes must serialize against the
-/// receive thread on BOTH deployment flavors -- a 4-shard leaf (the probe
-/// reads across slices) and a plain unsharded server. The node lock covers
-/// both; TSan is the real assertion here.
-TEST(ShardedStress, FindSightingRacesReactorSafely) {
-  for (const bool sharded : {true, false}) {
-    net::UdpNetwork net(net::UdpNetwork::pick_free_base_port(/*span=*/300));
-    SystemClock clock;
-    core::Deployment::Config cfg;
-    cfg.leaf_shards = sharded ? 4 : 1;
-    core::Deployment deployment(
-        net, clock,
-        core::HierarchyBuilder::table2(geo::Rect{{0, 0}, {kArea, kArea}}), cfg);
+/// receive thread. The node lock covers them; TSan is the real assertion
+/// here.
+TEST(UdpStress, FindSightingRacesReactorSafely) {
+  net::UdpNetwork net(net::UdpNetwork::pick_free_base_port(/*span=*/300));
+  SystemClock clock;
+  core::Deployment deployment(
+      net, clock, core::HierarchyBuilder::table2(geo::Rect{{0, 0}, {kArea, kArea}}));
 
-    SyncUpdater updater(NodeId{120}, net);
-    const geo::Point start{200, 200};
-    const NodeId leaf = deployment.entry_leaf_for(start);
-    ASSERT_TRUE(updater.register_blocking(ObjectId{1}, start, leaf));
-    EXPECT_EQ(deployment.sharded(leaf) != nullptr, sharded);
+  SyncUpdater updater(NodeId{120}, net);
+  const geo::Point start{200, 200};
+  const NodeId leaf = deployment.entry_leaf_for(start);
+  ASSERT_TRUE(updater.register_blocking(ObjectId{1}, start, leaf));
 
-    std::atomic<bool> stop{false};
-    std::thread prober([&] {
-      store::SightingDb::Record rec;
-      while (!stop.load(std::memory_order_acquire)) {
-        (void)deployment.find_sighting(leaf, ObjectId{1}, rec);
-      }
-    });
-    Rng rng(11);
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(300);
-    while (std::chrono::steady_clock::now() < deadline) {
-      ASSERT_TRUE(updater.update_blocking(
-          ObjectId{1}, {rng.uniform(10, kArea / 2 - 10), rng.uniform(10, kArea / 2 - 10)}));
-    }
-    stop.store(true, std::memory_order_release);
-    prober.join();
-
+  std::atomic<bool> stop{false};
+  std::thread prober([&] {
     store::SightingDb::Record rec;
-    ASSERT_TRUE(deployment.find_sighting(leaf, ObjectId{1}, rec));
-    EXPECT_EQ(rec.sighting.pos, updater.acked_position(ObjectId{1}));
+    while (!stop.load(std::memory_order_acquire)) {
+      (void)deployment.find_sighting(leaf, ObjectId{1}, rec);
+    }
+  });
+  Rng rng(11);
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(300);
+  while (std::chrono::steady_clock::now() < deadline) {
+    ASSERT_TRUE(updater.update_blocking(
+        ObjectId{1}, {rng.uniform(10, kArea / 2 - 10), rng.uniform(10, kArea / 2 - 10)}));
   }
+  stop.store(true, std::memory_order_release);
+  prober.join();
+
+  store::SightingDb::Record rec;
+  ASSERT_TRUE(deployment.find_sighting(leaf, ObjectId{1}, rec));
+  EXPECT_EQ(rec.sighting.pos, updater.acked_position(ObjectId{1}));
 }
 
 }  // namespace
