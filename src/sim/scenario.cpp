@@ -14,6 +14,14 @@
 
 namespace locs::sim {
 
+namespace {
+
+/// Flash-crowd member j carries ObjectId 1 + j * kCrowdIdStride. Fixed, so
+/// the flash crowd's pinned trace stays stable.
+constexpr std::uint64_t kCrowdIdStride = 64;
+
+}  // namespace
+
 const char* scenario_name(ScenarioKind kind) {
   switch (kind) {
     case ScenarioKind::kUniform: return "uniform";

@@ -11,8 +11,8 @@
 //  * kFlashCrowd   -- a stadium event: a crowd fraction converges on ONE
 //                     point inside one leaf, so that leaf absorbs a hot spot
 //                     of updates plus the handover storm of the arrival.
-//                     Crowd members carry ObjectIds strided by
-//                     kCrowdIdStride.
+//                     Crowd member j carries ObjectId 1 + 64j; the
+//                     non-crowd ids follow densely.
 //  * kConvoys      -- vehicle fleets crossing the grid in formation: whole
 //                     convoys hit leaf boundaries together, producing
 //                     correlated handover storms.
@@ -44,10 +44,6 @@
 namespace locs::sim {
 
 enum class ScenarioKind { kUniform, kCommuterRush, kFlashCrowd, kConvoys, kDayNight };
-
-/// Flash-crowd member j carries ObjectId `1 + j * kCrowdIdStride`; the
-/// non-crowd ids follow densely. Fixed, so every scenario trace is stable.
-inline constexpr std::uint64_t kCrowdIdStride = 64;
 
 const char* scenario_name(ScenarioKind kind);
 

@@ -12,8 +12,8 @@
 //       Never draw conditionally on anything except (params, round, i):
 //       same params must mean the same draw schedule, or replay breaks.
 //     * oid(i) defines the wire identity. Keep ids dense (1 + i); the flash
-//       crowd's strided ids (kCrowdIdStride) are fixed so its pinned trace
-//       stays stable.
+//       crowd's strided ids (1 + 64j) are fixed so its pinned trace stays
+//       stable.
 //     * step_round(round, emit) calls emit(i, pos) once per update,
 //       ascending i. Motion may be closed-form (commuters, convoys: cheap,
 //       1M-object friendly) or per-object MobilityModels (wanderers).
