@@ -4,6 +4,9 @@
 // updates, handovers, position, range and NN queries. Every delivered
 // datagram is fingerprinted as (at, from, to, payload): one crc32 call over
 // uint64_t[3]{at, from, to}, then one over the payload, chained from seed 0.
+// A second fingerprint folds in only the payloads addressed to the driver:
+// the answers a client sees, which hold still when only the internal
+// protocol traffic changes.
 //
 // Any change to the bytes on the wire, to routing or to timing moves these
 // numbers. Change the expected values only for an intended protocol change,
@@ -46,6 +49,11 @@ class GoldenRun {
       ++fp_.msgs;
       fp_.bytes += b.size();
       if (b.size() > 1 && b[1] < per_type_.size()) ++per_type_[b[1]];
+      if (to == kDriver) {
+        answers_.crc = crc32(b.data(), b.size(), answers_.crc);
+        ++answers_.msgs;
+        answers_.bytes += b.size();
+      }
     });
   }
 
@@ -117,6 +125,7 @@ class GoldenRun {
   }
 
   const Fingerprint& fingerprint() const { return fp_; }
+  const Fingerprint& answers() const { return answers_; }
   std::uint64_t seen(wire::MsgType t) const {
     return per_type_[static_cast<std::size_t>(t)];
   }
@@ -127,6 +136,7 @@ class GoldenRun {
   net::SimNetwork net_;
   core::Deployment dep_;
   Fingerprint fp_;
+  Fingerprint answers_;  // payloads addressed to kDriver only
   std::array<std::uint64_t, 64> per_type_{};
   std::vector<geo::Point> pos_;
 };
@@ -144,6 +154,13 @@ TEST(GoldenTrace, Table2RegistrationThenOperationMix) {
   EXPECT_EQ(all.msgs, 32282u);
   EXPECT_EQ(all.bytes, 6358405u);
   EXPECT_EQ(all.crc, 0x8f913364u) << std::hex << all.crc;
+
+  // Client-visible answers: every RegisterRes, UpdateAck, AgentChanged and
+  // query result the driver received, in delivery order.
+  const Fingerprint answers = run.answers();
+  EXPECT_EQ(answers.msgs, 10500u);
+  EXPECT_EQ(answers.bytes, 959112u);
+  EXPECT_EQ(answers.crc, 0xc8b40edeu) << std::hex << answers.crc;
 
   // The mix reaches every protocol path it is meant to pin.
   using wire::MsgType;
