@@ -101,28 +101,61 @@ TEST(NNQuery, TwoReqAccGuarantee) {
 class NNOracle : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(NNOracle, MatchesBruteForce) {
+  // The whole answer -- found, nearest and the ordered nearObjSet -- must
+  // equal the brute-force one from every entry leaf, with ties planted at
+  // duplicate positions, on the shared leaf edges and across leaf corners.
   SimWorld world(core::HierarchyBuilder::grid(kArea, 3, 3, 1));
   Rng rng(GetParam() * 7907);
   std::vector<ObjectResult> truth;
   std::vector<std::unique_ptr<TrackedObject>> objs;
-  for (std::uint64_t i = 1; i <= 100; ++i) {
-    const geo::Point p{rng.uniform(0, 1000), rng.uniform(0, 1000)};
-    const double desired = rng.uniform(5.0, 50.0);
-    objs.push_back(world.register_object(ObjectId{i}, p, 1.0, {desired, 100.0}));
-    truth.push_back({ObjectId{i}, {p, objs.back()->offered_acc()}});
+  const auto add = [&](geo::Point p, double desired) {
+    const ObjectId oid{truth.size() + 1};
+    objs.push_back(world.register_object(oid, p, 1.0, {desired, 100.0}));
+    truth.push_back({oid, {p, objs.back()->offered_acc()}});
+  };
+  for (int i = 0; i < 100; ++i) {
+    add({rng.uniform(0, 1000), rng.uniform(0, 1000)}, rng.uniform(5.0, 50.0));
   }
+  for (int i = 0; i < 10; ++i) {
+    add(truth[rng.next_below(100)].ld.pos, rng.uniform(5.0, 50.0));
+  }
+  const double edge = kArea.width() / 3;  // the grid's first column/row boundary
+  for (int i = 0; i < 10; ++i) {
+    add({edge, rng.uniform(0, 1000)}, rng.uniform(5.0, 50.0));
+    add({rng.uniform(0, 1000), 2 * edge}, rng.uniform(5.0, 50.0));
+  }
+  // Four objects equidistant from each of two points near a leaf corner,
+  // one in each of the four leaves that meet there.
+  const geo::Point corners[] = {{335, 335}, {665, 665}};
+  for (const geo::Point c : corners) {
+    for (const double dx : {-5.0, 5.0}) {
+      for (const double dy : {-5.0, 5.0}) add({c.x + dx, c.y + dy}, 10.0);
+    }
+  }
+
+  std::vector<std::unique_ptr<QueryClient>> clients;
+  for (const NodeId leaf : world.deployment->leaf_ids()) {
+    clients.push_back(world.make_query_client(leaf));
+  }
+  std::vector<geo::Point> probes = {corners[0], corners[1], {edge, 500}};
   for (int q = 0; q < 10; ++q) {
-    const geo::Point p{rng.uniform(-100, 1100), rng.uniform(-100, 1100)};
+    probes.push_back({rng.uniform(-100, 1100), rng.uniform(-100, 1100)});
+  }
+  for (const geo::Point p : probes) {
     const double req_acc = rng.uniform(10.0, 60.0);
-    const NodeId entry =
-        world.deployment->leaf_ids()[rng.next_below(world.deployment->leaf_ids().size())];
-    auto qc = world.make_query_client(entry);
-    const auto res = world.nn_query(*qc, p, req_acc, 0.0);
-    const auto expected = oracle_nearest(truth, p, req_acc);
-    ASSERT_EQ(res.found, expected.has_value());
-    if (expected) {
-      EXPECT_EQ(res.nearest.oid, expected->oid)
-          << "probe (" << p.x << "," << p.y << ") reqAcc " << req_acc;
+    for (const double near_qual : {0.0, req_acc, 2.0 * req_acc, 400.0}) {
+      const auto expected = oracle_nn(truth, p, req_acc, near_qual);
+      for (const auto& qc : clients) {
+        const auto res = world.nn_query(*qc, p, req_acc, near_qual);
+        const std::string where = "probe (" + std::to_string(p.x) + "," +
+                                  std::to_string(p.y) + ") reqAcc " +
+                                  std::to_string(req_acc) + " nearQual " +
+                                  std::to_string(near_qual) + " entry " +
+                                  std::to_string(qc->entry().value);
+        ASSERT_EQ(res.found, expected.found) << where;
+        EXPECT_EQ(res.nearest, expected.nearest) << where;
+        EXPECT_EQ(res.near_set, expected.near_set) << where;
+      }
     }
   }
 }

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "core/client.hpp"
@@ -138,6 +140,32 @@ inline std::optional<ObjectResult> oracle_nearest(const std::vector<ObjectResult
   return best;
 }
 
+/// Brute-force oracle for the whole NN answer (§3.2): the nearest qualifying
+/// object and nearObjSet, the other qualifying objects within d* + nearQual,
+/// in the server's (distance, id) order. The 1e-9 is the server's own
+/// rounding allowance on the nearObjSet bound.
+inline QueryClient::NNResult oracle_nn(const std::vector<ObjectResult>& all,
+                                       geo::Point p, double req_acc,
+                                       double near_qual) {
+  QueryClient::NNResult out;
+  const auto nearest = oracle_nearest(all, p, req_acc);
+  if (!nearest) return out;
+  out.found = true;
+  out.nearest = *nearest;
+  const double bound = geo::distance(nearest->ld.pos, p) + near_qual + 1e-9;
+  for (const ObjectResult& o : all) {
+    if (o.ld.acc > req_acc || o.oid == nearest->oid) continue;
+    if (geo::distance(o.ld.pos, p) <= bound) out.near_set.push_back(o);
+  }
+  std::sort(out.near_set.begin(), out.near_set.end(),
+            [&](const ObjectResult& a, const ObjectResult& b) {
+              const double da = geo::distance(a.ld.pos, p);
+              const double db = geo::distance(b.ld.pos, p);
+              return da != db ? da < db : a.oid < b.oid;
+            });
+  return out;
+}
+
 inline std::vector<ObjectId> sorted_ids(const std::vector<ObjectResult>& v) {
   std::vector<ObjectId> ids;
   ids.reserve(v.size());
@@ -147,3 +175,12 @@ inline std::vector<ObjectId> sorted_ids(const std::vector<ObjectResult>& v) {
 }
 
 }  // namespace locs::test
+
+namespace locs::core {
+
+/// gtest printer (found by ADL): "oid@(x, y)~acc".
+inline void PrintTo(const ObjectResult& r, std::ostream* os) {
+  *os << r.oid.value << "@(" << r.ld.pos.x << ", " << r.ld.pos.y << ")~" << r.ld.acc;
+}
+
+}  // namespace locs::core
