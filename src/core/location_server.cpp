@@ -1173,6 +1173,24 @@ void LocationServer::on_nn_query_req(NodeId src, const wm::NNQueryReq& m) {
   launch_nn_ring(std::move(op));
 }
 
+template <typename Sink>
+void LocationServer::emit_nn_candidates(const wm::NNProbeFwd& probe,
+                                        Sink&& sink) const {
+  // Only the objects the answer can use. With b the distance to this leaf's
+  // own nearest qualifying object, the answer's d* is the smallest b of any
+  // leaf, so d* <= b and no answer object here lies beyond b + near_qual.
+  // The ring reads only d* and emptiness, so its decisions stay the same.
+  const auto nearest = sightings_->k_nearest(probe.p, 1, probe.req_acc);
+  if (nearest.empty()) return;
+  // The slack keeps the cut at least as inclusive as finish_nn's nearObjSet
+  // bound, d* + near_qual + 1e-9, after rounding. When b lies outside the
+  // disk the radius wins, and the disk holds no qualifying object.
+  const double b = geo::distance(nearest[0].ld.pos, probe.p);
+  const double keep = (b + std::max(probe.near_qual, 0.0)) * (1 + 1e-9) + 1e-9;
+  sightings_->objects_in_circle_emit({probe.p, std::min(probe.radius, keep)},
+                                     probe.req_acc, std::forward<Sink>(sink));
+}
+
 std::uint64_t LocationServer::launch_nn_ring(PendingNN op) {
   ++stats_.nn_rings;
   const std::uint64_t ring_key = next_req_id();
@@ -1181,24 +1199,24 @@ std::uint64_t LocationServer::launch_nn_ring(PendingNN op) {
   op.covered = 0.0;
   op.deadline = now() + opts_.pending_timeout;
 
-  // Local contribution: streamed from the store straight into the ring's
-  // candidate map (no intermediate vector).
-  if (cfg_.is_leaf() && sightings_ && probe_poly.intersects(cfg_.sa)) {
-    sightings_->objects_in_circle_emit(
-        {op.p, op.radius}, op.req_acc,
-        [&](const ObjectResult& r) { op.candidates[r.oid] = r.ld; });
-    op.covered += geo::intersection_area(probe_poly, cfg_.sa);
-  }
-  if (cfg_.is_root()) {
-    op.covered += probe_poly.area() - geo::intersection_area(probe_poly, cfg_.sa);
-  }
-
   wm::NNProbeFwd probe;
   probe.p = op.p;
   probe.radius = op.radius;
   probe.req_acc = op.req_acc;
   probe.coordinator = self_;
   probe.req_id = ring_key;
+  probe.near_qual = op.near_qual;
+
+  // Local contribution: streamed from the store straight into the ring's
+  // candidate map (no intermediate vector).
+  if (cfg_.is_leaf() && sightings_ && probe_poly.intersects(cfg_.sa)) {
+    emit_nn_candidates(probe,
+                       [&](const ObjectResult& r) { op.candidates[r.oid] = r.ld; });
+    op.covered += geo::intersection_area(probe_poly, cfg_.sa);
+  }
+  if (cfg_.is_root()) {
+    op.covered += probe_poly.area() - geo::intersection_area(probe_poly, cfg_.sa);
+  }
 
   pending_nn_.emplace(ring_key, std::move(op));
   route_nn_probe(probe, kNoNode);
@@ -1246,9 +1264,7 @@ void LocationServer::answer_nn_probe_locally(const wm::NNProbeFwd& probe,
   sub.candidates.clear();
   // Candidates stream straight from the spatial index into the packed wire
   // framing; no candidate vector exists between store and socket.
-  sightings_->objects_in_circle_emit(
-      {probe.p, probe.radius}, probe.req_acc,
-      [&](const ObjectResult& r) { sub.candidates.append(r); });
+  emit_nn_candidates(probe, [&](const ObjectResult& r) { sub.candidates.append(r); });
   sub.covered_size = geo::intersection_area(probe_poly, cfg_.sa) + extra_covered;
   sub.origin = origin_piggyback();
   send_msg(probe.coordinator, sub);
@@ -1290,9 +1306,11 @@ void LocationServer::check_nn_ring(std::uint64_t ring_key) {
     launch_nn_ring(std::move(next));
     return;
   }
-  // d*: distance to the best candidate. The completed ring guarantees every
-  // object (meeting reqAcc) within op.radius is known, so d* is the global
-  // minimum. One more ring of radius d* + nearQual completes nearObjSet.
+  // d*: distance to the best candidate. The completed ring guarantees that
+  // every leaf whose nearest qualifying object lies within op.radius sent
+  // it, so d* is the global minimum. One more ring of radius d* + nearQual
+  // completes nearObjSet: each leaf also sends its objects within nearQual
+  // of its own nearest, which covers d* + nearQual.
   double best = std::numeric_limits<double>::max();
   op.candidates.for_each([&](ObjectId, const LocationDescriptor& ld) {
     best = std::min(best, geo::distance(ld.pos, op.p));

@@ -17,7 +17,8 @@
 //  * Algorithm 6-4  position queries (entry-server collection),
 //  * Algorithm 6-5  range queries with Enlarge(area, reqAcc) routing and
 //    covered-area completion accounting,
-//  * nearest-neighbor queries (§3.2 semantics) via an expanding-ring search,
+//  * nearest-neighbor queries (§3.2 semantics) via an expanding-ring search
+//    whose probe replies carry only the answer's candidates,
 //  * the three §6.5 caches (leaf-area / object-agent / position descriptor),
 //  * soft-state expiry and removePath pruning (§5),
 //  * crash recovery: persistent visitorDB replay + refreshReq (§5),
@@ -350,6 +351,11 @@ class LocationServer {
   /// Routes an NN probe (mirrors range routing over the probe polygon).
   void route_nn_probe(const wire::NNProbeFwd& probe, NodeId from);
   void answer_nn_probe_locally(const wire::NNProbeFwd& probe, double extra_covered);
+  /// This leaf's share of an NN probe: if its nearest qualifying object lies
+  /// in the probe disk, at distance b, every qualifying object within
+  /// min(radius, b + near_qual) of p; otherwise nothing.
+  template <typename Sink>
+  void emit_nn_candidates(const wire::NNProbeFwd& probe, Sink&& sink) const;
   /// Starts (or restarts with a larger radius) the expanding-ring probe for
   /// a pending NN operation; returns the new ring key.
   std::uint64_t launch_nn_ring(PendingNN op);

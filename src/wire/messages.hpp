@@ -343,8 +343,11 @@ struct NNQueryReq {
 };
 LOCS_WIRE_FIELDS(NNQueryReq, m.p, m.req_acc, m.near_qual, m.req_id)
 
-/// Internal expanding-ring probe: "report objects with ld.acc <= req_acc and
-/// position within `radius` of p in your subtree".
+/// Internal expanding-ring probe: "in your subtree, find your nearest object
+/// with ld.acc <= req_acc, at distance b from p; if b <= `radius`, report
+/// every such object within min(radius, b + near_qual) of p". `near_qual`
+/// is the last field, so a decoder that predates it reads the probe and
+/// reports the whole disk, which is still correct.
 struct NNProbeFwd {
   static constexpr MsgType kType = MsgType::kNNProbeFwd;
   geo::Point p;
@@ -352,8 +355,10 @@ struct NNProbeFwd {
   double req_acc = 0.0;
   NodeId coordinator;
   std::uint64_t req_id = 0;
+  double near_qual = 0.0;
 };
-LOCS_WIRE_FIELDS(NNProbeFwd, m.p, m.radius, m.req_acc, m.coordinator, m.req_id)
+LOCS_WIRE_FIELDS(NNProbeFwd, m.p, m.radius, m.req_acc, m.coordinator, m.req_id,
+                 m.near_qual)
 
 struct NNProbeSubRes {
   static constexpr MsgType kType = MsgType::kNNProbeSubRes;

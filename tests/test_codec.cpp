@@ -283,8 +283,10 @@ TEST(Messages, RangeQueryRoundTrip) {
 TEST(Messages, NNRoundTrip) {
   const NNQueryReq req = round_trip(NNQueryReq{{3, 4}, 10.0, 20.0, 5});
   EXPECT_DOUBLE_EQ(req.near_qual, 20.0);
-  const NNProbeFwd probe = round_trip(NNProbeFwd{{3, 4}, 100.0, 10.0, NodeId{2}, 6});
+  const NNProbeFwd probe =
+      round_trip(NNProbeFwd{{3, 4}, 100.0, 10.0, NodeId{2}, 6, 20.0});
   EXPECT_DOUBLE_EQ(probe.radius, 100.0);
+  EXPECT_DOUBLE_EQ(probe.near_qual, 20.0);
   NNQueryRes res;
   res.req_id = 5;
   res.found = true;

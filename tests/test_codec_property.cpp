@@ -178,7 +178,7 @@ constexpr Generator kGenerators[] = {
     },
     [](Rng& rng) -> Message {
       return NNProbeFwd{rand_point(rng), rng.uniform(0, 5000), rng.uniform(0, 100),
-                        rand_node(rng), rng.next_u64()};
+                        rand_node(rng), rng.next_u64(), rng.uniform(0, 100)};
     },
     [](Rng& rng) -> Message {
       return NNProbeSubRes{rng.next_u64(), rng.uniform(0, 1e6), rand_results(rng),
@@ -305,7 +305,7 @@ TEST(CodecProperty, WireBytesMatchGolden) {
       {MsgType::kRangeQuerySubRes, 1686, 0xbdd48beau},
       {MsgType::kRangeQueryRes, 1549, 0x6a04c9c5u},
       {MsgType::kNNQueryReq, 759, 0x80b5737eu},
-      {MsgType::kNNProbeFwd, 836, 0x70526dd6u},
+      {MsgType::kNNProbeFwd, 965, 0xcfc6adb1u},
       {MsgType::kNNProbeSubRes, 2350, 0x9c19502bu},
       {MsgType::kNNQueryRes, 1910, 0x367c3703u},
       {MsgType::kChangeAccReq, 575, 0xcc07b8b8u},

@@ -152,8 +152,8 @@ TEST(GoldenTrace, Table2RegistrationThenOperationMix) {
   run.run_mix(500);
   const Fingerprint all = run.fingerprint();
   EXPECT_EQ(all.msgs, 32282u);
-  EXPECT_EQ(all.bytes, 6358405u);
-  EXPECT_EQ(all.crc, 0x8f913364u) << std::hex << all.crc;
+  EXPECT_EQ(all.bytes, 2316980u);
+  EXPECT_EQ(all.crc, 0xb4e603e5u) << std::hex << all.crc;
 
   // Client-visible answers: every RegisterRes, UpdateAck, AgentChanged and
   // query result the driver received, in delivery order.

@@ -3,7 +3,10 @@
 // implementation.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "test_support.hpp"
+#include "wire/messages.hpp"
 
 namespace locs::test {
 namespace {
@@ -95,6 +98,71 @@ TEST(NNQuery, TwoReqAccGuarantee) {
                             << " missing (d* = " << d_star << ")";
       }
     }
+  }
+}
+
+TEST(NNQuery, ProbeRepliesCarryOnlyAnswerCandidates) {
+  // The entry leaf's own nearest object seeds the first ring, so a query
+  // point in the diagonal leaf gets a disk hundreds of metres wide. Each
+  // leaf must still send only its objects within near_qual of its own
+  // nearest qualifying one, and the answer must not change.
+  SimWorld world(core::HierarchyBuilder::grid(kArea, 2, 2, 1));
+  Rng rng(2024);
+  std::vector<ObjectResult> truth;
+  std::vector<NodeId> agent;  // indexed like truth
+  std::vector<std::unique_ptr<TrackedObject>> objs;
+  for (std::uint64_t i = 1; i <= 300; ++i) {
+    const geo::Point p{rng.uniform(0, 1000), rng.uniform(0, 1000)};
+    objs.push_back(world.register_object(ObjectId{i}, p, 1.0,
+                                         {rng.uniform(5.0, 80.0), 100.0}));
+    truth.push_back({ObjectId{i}, {p, objs.back()->offered_acc()}});
+    agent.push_back(objs.back()->agent());
+  }
+  const NodeId entry = world.deployment->entry_leaf_for({250, 250});
+  const geo::Point p{720, 660};
+  ASSERT_NE(world.deployment->entry_leaf_for(p), entry);
+  const double req_acc = 50.0;
+
+  struct Reply {
+    NodeId leaf;
+    std::vector<ObjectResult> items;
+  };
+  std::vector<Reply> replies;
+  world.net.set_tracer([&](TimePoint, NodeId from, NodeId, const wire::Buffer& b) {
+    const wire::SubResView view(b.data(), b.size());
+    if (!view.valid() || view.type() != wire::MsgType::kNNProbeSubRes) return;
+    Reply r{from, {}};
+    auto items = view.items();
+    while (const auto item = items.next()) r.items.push_back(item->value);
+    replies.push_back(std::move(r));
+  });
+
+  auto qc = world.make_query_client(entry);
+  for (const double near_qual : {0.0, 50.0}) {
+    replies.clear();
+    const auto res = world.nn_query(*qc, p, req_acc, near_qual);
+    const auto expected = oracle_nn(truth, p, req_acc, near_qual);
+    ASSERT_TRUE(res.found);
+    EXPECT_EQ(res.nearest, expected.nearest);
+    EXPECT_EQ(res.near_set, expected.near_set);
+
+    std::size_t carried = 0;
+    for (const Reply& r : replies) {
+      // b: the replying leaf's own nearest qualifying object.
+      double b = std::numeric_limits<double>::infinity();
+      for (std::size_t i = 0; i < truth.size(); ++i) {
+        if (agent[i] != r.leaf || truth[i].ld.acc > req_acc) continue;
+        b = std::min(b, geo::distance(truth[i].ld.pos, p));
+      }
+      const double bound = (b + near_qual) * (1 + 1e-9) + 1e-9;
+      for (const ObjectResult& o : r.items) {
+        EXPECT_LE(geo::distance(o.ld.pos, p), bound)
+            << "leaf " << r.leaf.value << " sent object " << o.oid.value
+            << " at nearQual " << near_qual;
+      }
+      carried += r.items.size();
+    }
+    EXPECT_GT(carried, 0u) << "no probe reply carried a candidate";
   }
 }
 
