@@ -1309,8 +1309,8 @@ void LocationServer::check_nn_ring(std::uint64_t ring_key) {
   // d*: distance to the best candidate. The completed ring guarantees that
   // every leaf whose nearest qualifying object lies within op.radius sent
   // it, so d* is the global minimum. One more ring of radius d* + nearQual
-  // completes nearObjSet: each leaf also sends its objects within nearQual
-  // of its own nearest, which covers d* + nearQual.
+  // completes nearObjSet: each leaf also sends its objects up to nearQual
+  // farther from p than its own nearest, which covers d* + nearQual.
   double best = std::numeric_limits<double>::max();
   op.candidates.for_each([&](ObjectId, const LocationDescriptor& ld) {
     best = std::min(best, geo::distance(ld.pos, op.p));

@@ -214,15 +214,13 @@ TEST_P(NNOracle, MatchesBruteForce) {
     for (const double near_qual : {0.0, req_acc, 2.0 * req_acc, 400.0}) {
       const auto expected = oracle_nn(truth, p, req_acc, near_qual);
       for (const auto& qc : clients) {
+        SCOPED_TRACE(::testing::Message()
+                     << "probe (" << p.x << "," << p.y << ") reqAcc " << req_acc
+                     << " nearQual " << near_qual << " entry " << qc->entry().value);
         const auto res = world.nn_query(*qc, p, req_acc, near_qual);
-        const std::string where = "probe (" + std::to_string(p.x) + "," +
-                                  std::to_string(p.y) + ") reqAcc " +
-                                  std::to_string(req_acc) + " nearQual " +
-                                  std::to_string(near_qual) + " entry " +
-                                  std::to_string(qc->entry().value);
-        ASSERT_EQ(res.found, expected.found) << where;
-        EXPECT_EQ(res.nearest, expected.nearest) << where;
-        EXPECT_EQ(res.near_set, expected.near_set) << where;
+        ASSERT_EQ(res.found, expected.found);
+        EXPECT_EQ(res.nearest, expected.nearest);
+        EXPECT_EQ(res.near_set, expected.near_set);
       }
     }
   }
