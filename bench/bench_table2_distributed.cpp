@@ -37,12 +37,13 @@ namespace {
 
 using namespace locs;
 
-constexpr std::uint16_t kBasePort = 27000;
 constexpr std::size_t kObjects = 10000;
 constexpr double kAreaSize = 1500.0;
 constexpr Duration kOpTimeout = seconds(5);
 constexpr int kLoadThreads = 12;
 constexpr int kBatchFactor = 8;  // sightings per BatchedUpdateReq row
+// Node and client ids span [1, 180 + kLoadThreads]; id n binds base + n.
+constexpr std::uint16_t kIdSpan = 180 + kLoadThreads;
 
 /// Synchronous update client: impersonates tracked objects (the envelope
 /// source receives the UpdateAck).
@@ -83,7 +84,7 @@ class UpdateClient {
 };
 
 struct World {
-  net::UdpNetwork net{kBasePort};
+  net::UdpNetwork net{net::UdpNetwork::pick_free_base_port(kIdSpan)};
   SystemClock clock;
   std::unique_ptr<core::Deployment> deployment;
   // Objects grouped by their agent leaf (index 0..3 in leaf id order).
@@ -116,13 +117,7 @@ struct World {
     by_leaf.resize(leaves.size());
 
     // Register 10,000 objects at random positions through one registrar.
-    core::QueryClient registrar(NodeId{90}, net, clock);
     Rng rng(7);
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t registered = 0;
-    net::MessageHandler orig;  // registrar handles queries; we need reg res:
-    // Use a dedicated registrar node instead.
     struct Registrar {
       std::mutex mu;
       std::condition_variable cv;
@@ -164,10 +159,6 @@ struct World {
     // The handler captures reg_state by reference; straggler RegisterRes
     // beyond the 99% wait must not touch it after this frame returns.
     net.detach(NodeId{91});
-    (void)registered;
-    (void)cv;
-    (void)mu;
-    (void)orig;
 
     for (int t = 0; t <= kLoadThreads; ++t) {
       updaters.push_back(std::make_unique<UpdateClient>(

@@ -14,14 +14,16 @@ using namespace locs;
 int main() {
   // 1.5 km x 1.5 km service area split into quarters (Fig 8).
   const geo::Rect area{{0, 0}, {1500, 1500}};
-  net::UdpNetwork net(/*base_port=*/26000);
+  // Node and client ids span [1, 6001]; id n binds base + n.
+  const std::uint16_t base = net::UdpNetwork::pick_free_base_port(6001);
+  net::UdpNetwork net(base);
   SystemClock clock;
 
   core::Deployment::Config cfg;
   cfg.server.enable_leaf_area_cache = true;
   cfg.server.enable_agent_cache = true;
   core::Deployment deployment(net, clock, core::HierarchyBuilder::table2(area), cfg);
-  std::printf("5 location servers listening on UDP ports 26001..26005\n");
+  std::printf("5 location servers listening on UDP ports %u..%u\n", base + 1u, base + 5u);
 
   // A tracked object enters at the south-west leaf.
   core::TrackedObject car(NodeId{6000}, ObjectId{1}, net, clock);

@@ -5,6 +5,7 @@
 #include "baseline/two_tier.hpp"
 #include "core/client.hpp"
 #include "net/sim_network.hpp"
+#include "sim/mobility.hpp"
 #include "test_support.hpp"
 
 namespace locs::baseline {
@@ -155,10 +156,117 @@ TEST(TwoTier, HierarchyBeatsTwoTierOnLocalizedRangeQueries) {
   const std::uint64_t f_msgs = flat.net.messages_sent() - f_before;
 
   // Both entries are the object's own region server -> both answer locally
-  // with 2 messages. The interesting cost difference is exercised in the
-  // ablation bench; here we just pin the local-query equivalence.
+  // with 2 messages. Architectures.SameLanSameWorkload compares the rest.
   EXPECT_EQ(h_msgs, 2u);
   EXPECT_EQ(f_msgs, 2u);
+}
+
+// Ablation A4: the paper's hierarchy (4x4 leaves under one root), one
+// central server and the two-tier registry (4x4 regions) run the same
+// workload on the same LAN.
+TEST(Architectures, SameLanSameWorkload) {
+  const geo::Rect city{{0, 0}, {4000, 4000}};
+  constexpr std::uint64_t kQueries = 32;
+  constexpr int kHandovers = 16;
+  struct Arch {
+    const char* name;
+    bool two_tier;
+    int levels;                   // of the hierarchy: 0 is the central server
+    std::uint64_t query_msgs;     // over kQueries remote position queries
+    std::uint64_t range_msgs;     // over kQueries local range queries
+    std::uint64_t handover_msgs;  // per handover
+    double concentration = 0.0;   // the busiest server's share of all the
+                                  // datagrams the servers handled
+  };
+  // The two-tier registry detours via a hashed home, which at times is the
+  // entry or the serving region itself: 4.9 messages per query on average.
+  Arch archs[] = {{"hierarchy", false, 1, 5 * kQueries, 88, 6},
+                  {"central server", false, 0, 2 * kQueries, 2 * kQueries, 2},
+                  {"two-tier", true, 0, 157, 80, 5}};
+  for (Arch& arch : archs) {
+    net::SimNetwork net(test::lan());
+    std::unique_ptr<core::Deployment> hierarchy;
+    std::unique_ptr<TwoTierDeployment> two_tier;
+    std::vector<NodeId> servers;
+    if (arch.two_tier) {
+      two_tier = std::make_unique<TwoTierDeployment>(net, net.clock(),
+                                                     RegionMap::grid(city, 4, 4));
+      for (const RegionMap::Region& r : two_tier->map().regions) servers.push_back(r.id);
+    } else {
+      hierarchy = std::make_unique<core::Deployment>(
+          net, net.clock(), core::HierarchyBuilder::grid(city, 4, 4, arch.levels));
+      for (const auto& node : hierarchy->spec().nodes) servers.push_back(node.id);
+    }
+    const auto entry_for = [&](geo::Point p) {
+      return two_tier ? two_tier->entry_for(p) : hierarchy->entry_leaf_for(p);
+    };
+    Rng rng(41);
+    const std::vector<geo::Point> at = sim::uniform_placement(city, 1000, rng);
+    test::register_at(net, at, entry_for);
+
+    // Remote position queries, entered at the opposite corner of the target.
+    core::QueryClient qc(NodeId{200}, net, net.clock());
+    const std::uint64_t msgs = net.messages_sent();
+    for (std::uint64_t q = 0; q < kQueries; ++q) {
+      const std::size_t i = rng.next_below(at.size());
+      qc.set_entry(entry_for({4000 - at[i].x, 4000 - at[i].y}));
+      const std::uint64_t id = qc.send_pos_query(ObjectId{i + 1});
+      net.run_until_idle();
+      const auto res = qc.take_pos(id);
+      EXPECT_TRUE(res && res->found) << arch.name;
+    }
+    EXPECT_EQ(net.messages_sent() - msgs, arch.query_msgs) << arch.name;
+
+    // Local 100 m range queries: the central server sends the fewest
+    // messages; the distributed designs win only in their spread.
+    const std::uint64_t range_msgs = net.messages_sent();
+    for (std::uint64_t q = 0; q < kQueries; ++q) {
+      const geo::Point c{rng.uniform(200, 3800), rng.uniform(200, 3800)};
+      qc.set_entry(entry_for(c));
+      const std::uint64_t id = qc.send_range_query(
+          geo::Polygon::from_rect(geo::Rect::from_center(c, 50, 50)), 25.0, 0.5);
+      net.run_until_idle();
+      EXPECT_TRUE(qc.take_range(id).has_value()) << arch.name;
+    }
+    EXPECT_EQ(net.messages_sent() - range_msgs, arch.range_msgs) << arch.name;
+
+    // An object far from its hashed home: one update inside its region,
+    // cheap everywhere, then shuttling across a region boundary.
+    TrackedObject obj(NodeId{300}, ObjectId{77777}, net, net.clock());
+    obj.start_register(entry_for({900, 500}), {900, 500}, 5.0, {10.0, 100.0});
+    net.run_until_idle();
+    const auto move_to = [&](geo::Point to) {
+      return test::timed_op(
+                 net, [&] { obj.feed_position(to); }, [&] { return !obj.update_pending(); })
+          .msgs;
+    };
+    EXPECT_EQ(move_to({850, 500}), 2u) << arch.name;
+    const std::uint64_t homes = two_tier ? two_tier->total_stats().home_updates : 0;
+    for (int h = 0; h < kHandovers; ++h) {
+      const geo::Point to = h % 2 == 0 ? geo::Point{1100, 500} : geo::Point{900, 500};
+      EXPECT_EQ(move_to(to), arch.handover_msgs) << arch.name << ", handover " << h;
+      EXPECT_EQ(obj.agent(), entry_for(to)) << arch.name;
+    }
+    if (two_tier) {
+      // The two-tier registry rewrites the home pointer on every region change.
+      EXPECT_EQ(two_tier->total_stats().home_updates, homes + kHandovers);
+    }
+
+    std::uint64_t busiest = 0;
+    std::uint64_t total = 0;
+    for (const NodeId s : servers) {
+      const std::uint64_t handled = two_tier ? two_tier->server(s).stats().msgs_handled
+                                             : hierarchy->server(s).stats().msgs_handled;
+      busiest = std::max(busiest, handled);
+      total += handled;
+    }
+    arch.concentration = static_cast<double>(busiest) / static_cast<double>(total);
+  }
+  // The central server handles every datagram; both distributed designs
+  // spread them.
+  EXPECT_EQ(archs[1].concentration, 1.0);
+  EXPECT_LT(archs[0].concentration, 1.0);
+  EXPECT_LT(archs[2].concentration, 1.0);
 }
 
 }  // namespace

@@ -56,14 +56,17 @@ TEST(Caching, AgentCacheShortensSecondQuery) {
   ASSERT_EQ(obj->agent(), NodeId{6});
   auto qc = world.make_query_client(NodeId{4});
 
+  std::uint64_t msgs_before = world.net.messages_sent();
   const auto res1 = world.pos_query(*qc, ObjectId{1});
   ASSERT_TRUE(res1.found);
-  const std::uint64_t msgs_before = world.net.messages_sent();
+  const std::uint64_t first_query_msgs = world.net.messages_sent() - msgs_before;
+  msgs_before = world.net.messages_sent();
   const auto res2 = world.pos_query(*qc, ObjectId{1});
   ASSERT_TRUE(res2.found);
   const std::uint64_t second_query_msgs = world.net.messages_sent() - msgs_before;
   // Direct: client->entry, entry->agent, agent->entry, entry->client = 4
   // (vs 7 via the hierarchy: 4-2-1-3-6 + 6->4 + 4->client).
+  EXPECT_EQ(first_query_msgs, 7u);
   EXPECT_EQ(second_query_msgs, 4u);
   EXPECT_EQ(world.deployment->server(NodeId{4}).stats().agent_cache_hits, 1u);
 }
@@ -89,22 +92,38 @@ TEST(Caching, StaleAgentCacheFallsBackAndRecovers) {
   (void)stale;
 }
 
-TEST(Caching, DirectHandoverViaLeafAreaCache) {
-  SimWorld world(core::HierarchyBuilder::fig6(kArea), cached_opts());
-  auto obj = world.register_object(ObjectId{1}, {100, 100}, 1.0, {10.0, 50.0});
-  ASSERT_EQ(obj->agent(), NodeId{4});
+/// Object 1 registered at (100, 100), and a range query around `to` sent
+/// from its leaf, whose sub-result piggybacks the area of the leaf covering
+/// `to` (seeding the leaf-area cache when it is on).
+struct HandoverWorld {
+  SimWorld world;
+  std::unique_ptr<TrackedObject> obj;
 
-  // Seed s4's leaf-area cache with s5's area via a range query whose
-  // sub-result piggybacks s5's service area.
-  auto qc = world.make_query_client(NodeId{4});
-  world.range_query(
-      *qc, geo::Polygon::from_rect(geo::Rect{{100, 600, }, {200, 700}}), 25.0, 0.5);
+  HandoverWorld(core::HierarchySpec spec, geo::Point to,
+                const core::LocationServer::Options& opts)
+      : world(std::move(spec), opts, lan()),
+        obj(world.register_object(ObjectId{1}, {100, 100}, 1.0, {10.0, 50.0})) {
+    world.range_query(*world.make_query_client(obj->agent()),
+                      geo::Polygon::from_rect(geo::Rect::from_center(to, 50, 50)), 25.0, 0.5);
+  }
+
+  /// Moves the object to `to`; timed until the update is acknowledged.
+  OpCost hand_over(geo::Point to) {
+    return timed_op(
+        world.net, [&] { obj->feed_position(to); },
+        [&] { return !obj->update_pending(); });
+  }
+};
+
+TEST(Caching, DirectHandoverViaLeafAreaCache) {
+  HandoverWorld cached(core::HierarchyBuilder::fig6(kArea), {150, 650}, cached_opts());
+  SimWorld& world = cached.world;
+  ASSERT_EQ(cached.obj->agent(), NodeId{4});
   ASSERT_GT(world.deployment->server(NodeId{4}).leaf_area_cache().size(), 0u);
 
   // Handover into s5's area now goes directly (stats: handovers_direct).
-  obj->feed_position({150, 650});
-  world.run();
-  EXPECT_EQ(obj->agent(), NodeId{5});
+  const OpCost direct = cached.hand_over({150, 650});
+  EXPECT_EQ(cached.obj->agent(), NodeId{5});
   EXPECT_EQ(world.deployment->server(NodeId{4}).stats().handovers_direct, 1u);
   // The forwarding path must still be repaired (createPath + removePath).
   const auto* root_rec = world.deployment->server(NodeId{1}).visitors().find(ObjectId{1});
@@ -114,9 +133,29 @@ TEST(Caching, DirectHandoverViaLeafAreaCache) {
   ASSERT_NE(s2_rec, nullptr);
   EXPECT_EQ(s2_rec->forward_ref, NodeId{5});
   // Queries still find the object.
-  const auto res = world.pos_query(*qc, ObjectId{1});
+  const auto res = world.pos_query(*world.make_query_client(NodeId{4}), ObjectId{1});
   ASSERT_TRUE(res.found);
   EXPECT_EQ(res.ld.pos, (geo::Point{150, 650}));
+
+  // With the caches off the same handover goes through s2 and is
+  // acknowledged later. It sends one message fewer: the direct handover's
+  // createPath climbs past s2 to the root.
+  HandoverWorld uncached(core::HierarchyBuilder::fig6(kArea), {150, 650}, {});
+  const OpCost via_parent = uncached.hand_over({150, 650});
+  EXPECT_EQ(uncached.obj->agent(), NodeId{5});
+  EXPECT_EQ(uncached.world.deployment->server(NodeId{4}).stats().handovers_direct, 0u);
+  EXPECT_EQ(direct.msgs, via_parent.msgs + 1);
+  EXPECT_LT(direct.us, via_parent.us);
+
+  // Where both leaves hang off the root (Table 2's topology) the two send
+  // the same number of messages.
+  const OpCost flat_direct =
+      HandoverWorld(core::HierarchyBuilder::table2(kArea), {600, 100}, cached_opts())
+          .hand_over({600, 100});
+  const OpCost flat_via_root =
+      HandoverWorld(core::HierarchyBuilder::table2(kArea), {600, 100}, {}).hand_over({600, 100});
+  EXPECT_EQ(flat_direct.msgs, flat_via_root.msgs);
+  EXPECT_LT(flat_direct.us, flat_via_root.us);
 }
 
 TEST(Caching, DirectRangeQueryWhenCacheCoversArea) {
@@ -127,15 +166,19 @@ TEST(Caching, DirectRangeQueryWhenCacheCoversArea) {
   const geo::Polygon area =
       geo::Polygon::from_rect(geo::Rect{{650, 250}, {750, 750}});
   // First query goes through the hierarchy and learns s6/s7 areas.
+  std::uint64_t msgs_before = world.net.messages_sent();
   const auto res1 = world.range_query(*qc, area, 25.0, 0.5);
   EXPECT_EQ(res1.objects.size(), 2u);
+  const std::uint64_t first_query_msgs = world.net.messages_sent() - msgs_before;
   // Second identical query can go direct if the cached areas cover it.
   const std::uint64_t direct_before =
       world.deployment->server(NodeId{4}).stats().range_direct;
+  msgs_before = world.net.messages_sent();
   const auto res2 = world.range_query(*qc, area, 25.0, 0.5);
   EXPECT_EQ(sorted_ids(res2.objects), sorted_ids(res1.objects));
   EXPECT_EQ(world.deployment->server(NodeId{4}).stats().range_direct,
             direct_before + 1);
+  EXPECT_LT(world.net.messages_sent() - msgs_before, first_query_msgs);
 }
 
 TEST(Caching, PositionCacheServesRepeatQueriesWithAgedAccuracy) {

@@ -26,6 +26,50 @@ using core::QueryClient;
 using core::Sighting;
 using core::TrackedObject;
 
+/// The LAN model of the paper's evaluation (100 Mbit Ethernet, §7): 250 us
+/// per hop plus 80 us/KiB, without jitter, so virtual times are exact.
+inline net::SimNetwork::Options lan() {
+  net::SimNetwork::Options opts;
+  opts.jitter_frac = 0.0;
+  return opts;
+}
+
+/// Registers objects 1..n at `positions` in one burst from a registrar node
+/// that drops the replies, so no client per object is needed; `entry_for`
+/// maps a position to the server that takes its registration.
+template <typename EntryFor>
+void register_at(net::SimNetwork& net, const std::vector<geo::Point>& positions,
+                 EntryFor entry_for) {
+  constexpr NodeId kRegistrar{99};
+  net.attach(kRegistrar, [](const std::uint8_t*, std::size_t) {});
+  for (std::size_t i = 0; i < positions.size(); ++i) {
+    net::send_message(net, kRegistrar, entry_for(positions[i]),
+                      wire::RegisterReq{Sighting{ObjectId{i + 1}, 0, positions[i], 5.0},
+                                        "", {10.0, 100.0}, kRegistrar, i + 1});
+  }
+  net.run_until_idle();
+}
+
+struct OpCost {
+  Duration us = 0;
+  std::uint64_t msgs = 0;
+};
+
+/// Issues one operation and steps the network until `done`. The latency
+/// ends there; the message count also takes the stragglers that drain
+/// afterwards (path repair and the like).
+template <typename Issue, typename Done>
+OpCost timed_op(net::SimNetwork& net, Issue issue, Done done) {
+  const std::uint64_t msgs = net.messages_sent();
+  const TimePoint start = net.now();
+  issue();
+  while (!done() && net.step()) {
+  }
+  const Duration us = net.now() - start;
+  net.run_until_idle();
+  return {us, net.messages_sent() - msgs};
+}
+
 /// A complete simulated world: network + hierarchy + client id allocation.
 struct SimWorld {
   net::SimNetwork net;
