@@ -8,6 +8,7 @@
 #include <map>
 
 #include "spatial/spatial_index.hpp"
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 
 namespace locs::spatial {
@@ -205,6 +206,68 @@ TEST(PointQuadtree, TombstoneRebuildKeepsAnswers) {
   std::vector<Entry> got;
   index->query_rect(geo::Rect{{0, 0}, {100, 100}}, got);
   EXPECT_EQ(got.size(), truth.size());
+}
+
+TEST(PointQuadtree, ShapeIsPinnedAcrossRebuilds) {
+  // The tree's shape fixes the order of every answer, and the leaf's
+  // answers are pinned downstream (golden traces, flash-crowd fingerprint).
+  // A seeded churn of 60k operations over 1,500 ids crosses 29 tombstone
+  // rebuilds and folds each answer, in returned order, into one CRC: a
+  // change to the insert walk, the in-place move rule or the rebuild's
+  // reinsertion order moves it.
+  constexpr std::uint64_t kIds = 1500;
+  auto index = make_point_quadtree();
+  Rng rng(2121);
+  std::vector<geo::Point> pos(kIds);
+  for (geo::Point& p : pos) p = {rng.uniform(0, 1000), rng.uniform(0, 1000)};
+  std::vector<char> live(kIds, 0);
+  std::size_t alive = 0;
+  std::uint32_t crc = 0;
+  const auto fold = [&crc](const std::vector<Entry>& entries) {
+    for (const Entry& e : entries) {
+      crc = crc32(&e.id.value, sizeof e.id.value, crc);
+      crc = crc32(&e.pos.x, sizeof e.pos.x, crc);
+      crc = crc32(&e.pos.y, sizeof e.pos.y, crc);
+    }
+  };
+  for (int step = 0; step < 60000; ++step) {
+    const std::uint64_t id = rng.next_below(kIds);
+    const double roll = rng.next_double();
+    if (!live[id]) {
+      // Fresh and previously removed ids; a fifth land on another id's
+      // (possibly occupied) position.
+      if (roll < 0.2) pos[id] = pos[rng.next_below(kIds)];
+      else pos[id] = {rng.uniform(0, 1000), rng.uniform(0, 1000)};
+      index->insert(ObjectId{id}, pos[id]);
+      live[id] = 1;
+      ++alive;
+    } else if (roll < 0.35) {
+      ASSERT_TRUE(index->remove(ObjectId{id}));
+      live[id] = 0;
+      --alive;
+    } else if (roll < 0.55) {
+      // Small moves: most end at the object's own childless node and move
+      // in place.
+      pos[id] = {pos[id].x + rng.uniform(-0.5, 0.5), pos[id].y + rng.uniform(-0.5, 0.5)};
+      index->update(ObjectId{id}, pos[id]);
+    } else if (roll < 0.85) {
+      // Far moves tombstone the old node.
+      pos[id] = {rng.uniform(0, 1000), rng.uniform(0, 1000)};
+      index->update(ObjectId{id}, pos[id]);
+    } else if (roll < 0.93) {
+      std::vector<Entry> got;
+      index->query_rect(geo::Rect::from_center(pos[rng.next_below(kIds)],
+                                               rng.uniform(5, 80), rng.uniform(5, 80)),
+                        got);
+      fold(got);
+    } else {
+      fold(index->k_nearest({rng.uniform(-50, 1050), rng.uniform(-50, 1050)},
+                            1 + rng.next_below(16)));
+    }
+    ASSERT_EQ(index->size(), alive) << "step " << step;
+  }
+  EXPECT_EQ(index->size(), 1089u);
+  EXPECT_EQ(crc, 0x74ed003au) << std::hex << crc;
 }
 
 TEST(RTree, DeepDeleteCondenses) {
