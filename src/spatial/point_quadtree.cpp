@@ -5,10 +5,15 @@
 // Deletion in point quadtrees is notoriously awkward (Samet §2.3.1); like
 // many production systems we use tombstones plus amortized rebuilding, which
 // keeps removal O(1) and preserves query complexity.
+//
+// Nodes live in one arena addressed by 32-bit slots. The hot half of a node
+// (point and child slots, 32 bytes) is what every walk reads; the object id
+// and live flag sit in a parallel vector, read only when a node matches. A
+// rebuild re-links the surviving slots in place: no node or by_id_ entry is
+// freed or reallocated, and tombstoned slots go to a free list.
 #include <algorithm>
 #include <cassert>
-#include <limits>
-#include <memory>
+#include <cstdint>
 #include <queue>
 #include <unordered_map>
 #include <vector>
@@ -24,15 +29,16 @@ class PointQuadtree final : public SpatialIndex {
  public:
   void insert(ObjectId id, geo::Point pos) override {
     assert(by_id_.find(id) == by_id_.end());
-    Node* node = insert_node(id, pos);
-    by_id_.emplace(id, node);
+    const std::uint32_t s = new_slot(id, pos);
+    link(s);
+    by_id_.emplace(id, s);
     ++alive_;
   }
 
   bool remove(ObjectId id) override {
     auto it = by_id_.find(id);
     if (it == by_id_.end()) return false;
-    it->second->alive = false;
+    tags_[it->second].alive = false;
     by_id_.erase(it);
     --alive_;
     ++dead_;
@@ -44,8 +50,8 @@ class PointQuadtree final : public SpatialIndex {
   /// One root walk finds where `pos` would insert; if that terminates at the
   /// object's own (childless) node, the point moves in place -- every
   /// ancestor's quadrant relation still holds. Otherwise the old node is
-  /// tombstoned and a recycled node attaches at the walk's end, reusing the
-  /// existing by_id_ slot. Steady-state updates allocate nothing: the node
+  /// tombstoned and a recycled slot attaches at the walk's end, reusing the
+  /// existing by_id_ entry. Steady-state updates allocate nothing: the slot
   /// free list is restocked wholesale by the amortized rebuilds.
   void update(ObjectId id, geo::Point pos) override {
     const auto it = by_id_.find(id);
@@ -53,20 +59,21 @@ class PointQuadtree final : public SpatialIndex {
       insert(id, pos);
       return;
     }
-    Node* node = it->second;
-    Node* cur = root_.get();
+    const std::uint32_t own = it->second;
+    std::uint32_t cur = root_;
     for (;;) {
-      const int q = quadrant_of(cur->pos, pos);
-      Node* next = cur->child[q].get();
-      if (next == nullptr) {
-        if (cur == node && is_leaf(node)) {
-          node->pos = pos;
+      const int q = quadrant_of(nodes_[cur].pos, pos);
+      const std::uint32_t next = nodes_[cur].child[q];
+      if (next == kNone) {
+        if (cur == own && is_leaf(nodes_[own])) {
+          nodes_[own].pos = pos;
           return;
         }
-        node->alive = false;
+        tags_[own].alive = false;
         ++dead_;
-        cur->child[q] = make_node(id, pos);
-        it->second = cur->child[q].get();
+        const std::uint32_t s = new_slot(id, pos);
+        nodes_[cur].child[q] = s;
+        it->second = s;
         maybe_rebuild();
         return;
       }
@@ -75,7 +82,7 @@ class PointQuadtree final : public SpatialIndex {
   }
 
   void query_rect(const geo::Rect& rect, std::vector<Entry>& out) const override {
-    query_rect_rec(root_.get(), rect, out);
+    query_rect_rec(root_, rect, out);
   }
 
   std::vector<Entry> k_nearest(geo::Point p, std::size_t k) const override {
@@ -83,7 +90,7 @@ class PointQuadtree final : public SpatialIndex {
     struct Item {
       double dist2;
       bool is_point;  // true: a candidate data point; false: a subtree
-      const Node* node;
+      std::uint32_t slot;
       geo::Rect region;
     };
     const auto cmp = [](const Item& a, const Item& b) { return a.dist2 > b.dist2; };
@@ -91,24 +98,24 @@ class PointQuadtree final : public SpatialIndex {
 
     constexpr double inf = 1e300;
     const geo::Rect whole{{-inf, -inf}, {inf, inf}};
-    if (root_) heap.push({0.0, false, root_.get(), whole});
+    if (root_ != kNone) heap.push({0.0, false, root_, whole});
 
     std::vector<Entry> result;
     while (!heap.empty() && result.size() < k) {
       const Item item = heap.top();
       heap.pop();
+      const Node& n = nodes_[item.slot];
       if (item.is_point) {
-        result.push_back({item.node->id, item.node->pos});
+        result.push_back({tags_[item.slot].id, n.pos});
         continue;
       }
-      const Node* n = item.node;
-      if (n->alive) {
-        heap.push({geo::distance2(p, n->pos), true, n, item.region});
+      if (tags_[item.slot].alive) {
+        heap.push({geo::distance2(p, n.pos), true, item.slot, item.region});
       }
       for (int q = 0; q < 4; ++q) {
-        if (!n->child[q]) continue;
-        const geo::Rect sub = quadrant_region(item.region, n->pos, q);
-        heap.push({sub.distance2_to(p), false, n->child[q].get(), sub});
+        if (n.child[q] == kNone) continue;
+        const geo::Rect sub = quadrant_region(item.region, n.pos, q);
+        heap.push({sub.distance2_to(p), false, n.child[q], sub});
       }
     }
     return result;
@@ -117,9 +124,11 @@ class PointQuadtree final : public SpatialIndex {
   std::size_t size() const override { return alive_; }
 
   void clear() override {
-    root_.reset();
-    by_id_.clear();
+    nodes_.clear();
+    tags_.clear();
     free_.clear();
+    by_id_.clear();
+    root_ = kNone;
     alive_ = 0;
     dead_ = 0;
   }
@@ -127,11 +136,17 @@ class PointQuadtree final : public SpatialIndex {
   const char* name() const override { return "point_quadtree"; }
 
  private:
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+
   struct Node {
-    ObjectId id;
     geo::Point pos;
-    bool alive = true;
-    std::unique_ptr<Node> child[4];
+    std::uint32_t child[4];
+  };
+  static_assert(sizeof(Node) == 32, "the walked half of a node fills half a cache line");
+
+  struct Tag {
+    ObjectId id;
+    bool alive;
   };
 
   // Quadrants: 0 = SW, 1 = SE, 2 = NW, 3 = NE relative to the node's point.
@@ -156,93 +171,87 @@ class PointQuadtree final : public SpatialIndex {
     return r;
   }
 
-  static bool is_leaf(const Node* n) {
-    return !n->child[0] && !n->child[1] && !n->child[2] && !n->child[3];
+  static bool is_leaf(const Node& n) {
+    return n.child[0] == kNone && n.child[1] == kNone && n.child[2] == kNone &&
+           n.child[3] == kNone;
   }
 
-  std::unique_ptr<Node> make_node(ObjectId id, geo::Point pos) {
-    std::unique_ptr<Node> node;
-    if (!free_.empty()) {
-      node = std::move(free_.back());
-      free_.pop_back();
-      node->alive = true;
-      for (auto& c : node->child) c.reset();
-    } else {
-      node = std::make_unique<Node>();
+  /// A childless node for (id, pos), recycled from the free list if possible.
+  std::uint32_t new_slot(ObjectId id, geo::Point pos) {
+    const Node node{pos, {kNone, kNone, kNone, kNone}};
+    if (free_.empty()) {
+      nodes_.push_back(node);
+      tags_.push_back({id, true});
+      return static_cast<std::uint32_t>(nodes_.size() - 1);
     }
-    node->id = id;
-    node->pos = pos;
-    return node;
+    const std::uint32_t s = free_.back();
+    free_.pop_back();
+    nodes_[s] = node;
+    tags_[s] = {id, true};
+    return s;
   }
 
-  /// Moves an entire subtree into the free list (children first).
-  void harvest(std::unique_ptr<Node> n) {
-    if (!n) return;
-    for (auto& c : n->child) harvest(std::move(c));
-    free_.push_back(std::move(n));
-  }
-
-  Node* insert_node(ObjectId id, geo::Point pos) {
-    if (!root_) {
-      root_ = make_node(id, pos);
-      return root_.get();
+  /// Attaches childless slot `s` where a root walk for its point ends.
+  void link(std::uint32_t s) {
+    const geo::Point pos = nodes_[s].pos;
+    std::uint32_t* at = &root_;
+    while (*at != kNone) {
+      Node& cur = nodes_[*at];
+      at = &cur.child[quadrant_of(cur.pos, pos)];
     }
-    Node* cur = root_.get();
-    for (;;) {
-      const int q = quadrant_of(cur->pos, pos);
-      if (!cur->child[q]) {
-        cur->child[q] = make_node(id, pos);
-        return cur->child[q].get();
-      }
-      cur = cur->child[q].get();
-    }
+    *at = s;
   }
 
-  void query_rect_rec(const Node* n, const geo::Rect& rect,
+  void query_rect_rec(std::uint32_t s, const geo::Rect& rect,
                       std::vector<Entry>& out) const {
-    if (!n) return;
-    if (n->alive && rect.contains(n->pos)) out.push_back({n->id, n->pos});
+    if (s == kNone) return;
+    const Node& n = nodes_[s];
+    if (rect.contains(n.pos) && tags_[s].alive) out.push_back({tags_[s].id, n.pos});
     // Prune quadrants that cannot intersect the query rectangle.
-    const bool west = rect.min.x < n->pos.x;
-    const bool east = rect.max.x >= n->pos.x;
-    const bool south = rect.min.y < n->pos.y;
-    const bool north = rect.max.y >= n->pos.y;
-    if (west && south) query_rect_rec(n->child[0].get(), rect, out);
-    if (east && south) query_rect_rec(n->child[1].get(), rect, out);
-    if (west && north) query_rect_rec(n->child[2].get(), rect, out);
-    if (east && north) query_rect_rec(n->child[3].get(), rect, out);
+    const bool west = rect.min.x < n.pos.x;
+    const bool east = rect.max.x >= n.pos.x;
+    const bool south = rect.min.y < n.pos.y;
+    const bool north = rect.max.y >= n.pos.y;
+    if (west && south) query_rect_rec(n.child[0], rect, out);
+    if (east && south) query_rect_rec(n.child[1], rect, out);
+    if (west && north) query_rect_rec(n.child[2], rect, out);
+    if (east && north) query_rect_rec(n.child[3], rect, out);
   }
 
   void maybe_rebuild() {
     if (dead_ < 64 || dead_ < alive_) return;
-    std::vector<Entry> entries;
-    entries.reserve(alive_);
-    collect(root_.get(), entries);
+    // Live slots in preorder (children 0..3); tombstones go to the free list.
+    std::vector<std::uint32_t> live;
+    live.reserve(alive_);
+    std::vector<std::uint32_t> stack{root_};
+    while (!stack.empty()) {
+      const std::uint32_t s = stack.back();
+      stack.pop_back();
+      (tags_[s].alive ? live : free_).push_back(s);
+      for (int q = 3; q >= 0; --q) {
+        if (nodes_[s].child[q] != kNone) stack.push_back(nodes_[s].child[q]);
+      }
+    }
+    assert(live.size() == alive_);
     // Shuffle before reinsertion: point quadtree depth depends on
     // insertion order; a deterministic shuffle restores expected O(log n).
-    Rng rng(0x9d7f3c2b1ULL + entries.size());
-    std::shuffle(entries.begin(), entries.end(), rng);
-    // Recycle every node (live and tombstoned): the free list this leaves
-    // behind feeds make_node until the next rebuild, making steady-state
-    // updates allocation-free.
-    harvest(std::move(root_));
-    by_id_.clear();
-    dead_ = 0;
-    alive_ = 0;
-    for (const Entry& e : entries) {
-      insert(e.id, e.pos);
+    Rng rng(0x9d7f3c2b1ULL + live.size());
+    std::shuffle(live.begin(), live.end(), rng);
+    // Re-link in shuffled order. A slot's children are cut just before it
+    // is linked, so every walk sees only slots already re-linked.
+    root_ = kNone;
+    for (const std::uint32_t s : live) {
+      std::fill(std::begin(nodes_[s].child), std::end(nodes_[s].child), kNone);
+      link(s);
     }
+    dead_ = 0;
   }
 
-  void collect(const Node* n, std::vector<Entry>& out) const {
-    if (!n) return;
-    if (n->alive) out.push_back({n->id, n->pos});
-    for (const auto& c : n->child) collect(c.get(), out);
-  }
-
-  std::unique_ptr<Node> root_;
-  std::vector<std::unique_ptr<Node>> free_;
-  std::unordered_map<ObjectId, Node*> by_id_;
+  std::vector<Node> nodes_;
+  std::vector<Tag> tags_;  // parallel to nodes_
+  std::vector<std::uint32_t> free_;
+  std::unordered_map<ObjectId, std::uint32_t> by_id_;
+  std::uint32_t root_ = kNone;
   std::size_t alive_ = 0;
   std::size_t dead_ = 0;
 };
