@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <queue>
 #include <unordered_map>
 #include <vector>
 
@@ -87,35 +86,34 @@ class PointQuadtree final : public SpatialIndex {
 
   std::vector<Entry> k_nearest(geo::Point p, std::size_t k) const override {
     // Best-first search over (node, enclosing-region) pairs.
-    struct Item {
-      double dist2;
-      bool is_point;  // true: a candidate data point; false: a subtree
-      std::uint32_t slot;
-      geo::Rect region;
+    const auto farther = [](const Item& a, const Item& b) { return a.dist2 > b.dist2; };
+    const auto push = [&](const Item& item) {
+      heap_.push_back(item);
+      std::push_heap(heap_.begin(), heap_.end(), farther);
     };
-    const auto cmp = [](const Item& a, const Item& b) { return a.dist2 > b.dist2; };
-    std::priority_queue<Item, std::vector<Item>, decltype(cmp)> heap(cmp);
+    heap_.clear();
 
     constexpr double inf = 1e300;
     const geo::Rect whole{{-inf, -inf}, {inf, inf}};
-    if (root_ != kNone) heap.push({0.0, false, root_, whole});
+    if (root_ != kNone) push({0.0, false, root_, whole});
 
     std::vector<Entry> result;
-    while (!heap.empty() && result.size() < k) {
-      const Item item = heap.top();
-      heap.pop();
+    while (!heap_.empty() && result.size() < k) {
+      std::pop_heap(heap_.begin(), heap_.end(), farther);
+      const Item item = heap_.back();
+      heap_.pop_back();
       const Node& n = nodes_[item.slot];
       if (item.is_point) {
         result.push_back({tags_[item.slot].id, n.pos});
         continue;
       }
       if (tags_[item.slot].alive) {
-        heap.push({geo::distance2(p, n.pos), true, item.slot, item.region});
+        push({geo::distance2(p, n.pos), true, item.slot, item.region});
       }
       for (int q = 0; q < 4; ++q) {
         if (n.child[q] == kNone) continue;
         const geo::Rect sub = quadrant_region(item.region, n.pos, q);
-        heap.push({sub.distance2_to(p), false, n.child[q], sub});
+        push({sub.distance2_to(p), false, n.child[q], sub});
       }
     }
     return result;
@@ -147,6 +145,13 @@ class PointQuadtree final : public SpatialIndex {
   struct Tag {
     ObjectId id;
     bool alive;
+  };
+
+  struct Item {
+    double dist2;
+    bool is_point;  // true: a candidate data point; false: a subtree
+    std::uint32_t slot;
+    geo::Rect region;
   };
 
   // Quadrants: 0 = SW, 1 = SE, 2 = NW, 3 = NE relative to the node's point.
@@ -254,6 +259,9 @@ class PointQuadtree final : public SpatialIndex {
   std::uint32_t root_ = kNone;
   std::size_t alive_ = 0;
   std::size_t dead_ = 0;
+  // Best-first heap for k_nearest, reused across calls (the owning server is
+  // a single-threaded reactor, so const queries never run concurrently).
+  mutable std::vector<Item> heap_;
 };
 
 }  // namespace
