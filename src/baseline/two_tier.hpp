@@ -13,7 +13,8 @@
 //  * range queries have no hierarchy to aggregate through -- the entry
 //    contacts every overlapping region directly (it knows the flat map).
 //
-// Used by ablation bench A4. Reuses the same wire messages, stores and
+// Compared with the hierarchy by Architectures.SameLanSameWorkload in
+// test_baseline (ablation A4). Reuses the same wire messages, stores and
 // transports as the hierarchical system so message counts are comparable.
 #pragma once
 
