@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <map>
+#include <tuple>
+#include <utility>
 
 #include "spatial/spatial_index.hpp"
 #include "util/crc32.hpp"
@@ -186,26 +188,95 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
+using Keyed = std::vector<std::tuple<std::uint64_t, double, double>>;
+
+Keyed keyed(const std::vector<Entry>& entries) {
+  Keyed out;
+  for (const Entry& e : entries) out.emplace_back(e.id.value, e.pos.x, e.pos.y);
+  return out;
+}
+
+/// Range answers (as sets) and k-nearest answers (in order), ids and
+/// positions both, against the oracle over [0, 100]^2.
+void expect_answers_match(const SpatialIndex& index,
+                          const std::map<std::uint64_t, geo::Point>& truth, Rng& rng,
+                          const char* phase) {
+  ASSERT_EQ(index.size(), truth.size()) << phase;
+  for (int q = 0; q < 12; ++q) {
+    const geo::Rect rect =
+        q == 0 ? geo::Rect{{-1, -1}, {101, 101}}
+               : geo::Rect::from_center({rng.uniform(0, 100), rng.uniform(0, 100)},
+                                        rng.uniform(2, 30), rng.uniform(2, 30));
+    std::vector<Entry> got;
+    index.query_rect(rect, got);
+    Keyed sorted = keyed(got);
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(sorted, keyed(brute_rect(truth, rect))) << phase << ", rect " << q;
+  }
+  for (int q = 0; q < 8; ++q) {
+    const geo::Point p{rng.uniform(0, 100), rng.uniform(0, 100)};
+    const std::size_t k = 1 + rng.next_below(12);
+    std::vector<std::pair<double, std::uint64_t>> by_dist;
+    for (const auto& [id, pos] : truth) by_dist.emplace_back(geo::distance2(p, pos), id);
+    std::sort(by_dist.begin(), by_dist.end());
+    std::vector<Entry> want;
+    for (std::size_t i = 0; i < std::min(k, by_dist.size()); ++i) {
+      want.push_back({ObjectId{by_dist[i].second}, truth.at(by_dist[i].second)});
+    }
+    EXPECT_EQ(keyed(index.k_nearest(p, k)), keyed(want)) << phase << ", k " << k;
+  }
+}
+
 TEST(PointQuadtree, TombstoneRebuildKeepsAnswers) {
-  // Heavy churn triggers the amortized rebuild; answers must stay exact.
+  // Heavy churn triggers the amortized rebuilds: removes drive the first
+  // ones, far moves (which tombstone) the next. Every answer keeps its ids
+  // and positions, and clear() after a rebuild leaves an index that
+  // rebuilds and recycles slots again.
   auto index = make_point_quadtree();
   Rng rng(5150);
   std::map<std::uint64_t, geo::Point> truth;
-  for (std::uint64_t i = 0; i < 2000; ++i) {
+  const auto insert = [&](std::uint64_t id) {
     const geo::Point p{rng.uniform(0, 100), rng.uniform(0, 100)};
-    truth[i] = p;
-    index->insert(ObjectId{i}, p);
-  }
-  // Remove 90%.
-  std::uint64_t removed = 0;
-  for (std::uint64_t i = 0; i < 2000 && removed < 1800; ++i, ++removed) {
-    index->remove(ObjectId{i});
+    truth[id] = p;
+    index->insert(ObjectId{id}, p);
+  };
+  for (std::uint64_t i = 0; i < 2000; ++i) insert(i);
+  // Remove 90%: rebuilds after 1000, 1500 and 1750 removals.
+  for (std::uint64_t i = 0; i < 1800; ++i) {
+    ASSERT_TRUE(index->remove(ObjectId{i}));
     truth.erase(i);
   }
-  EXPECT_EQ(index->size(), truth.size());
-  std::vector<Entry> got;
-  index->query_rect(geo::Rect{{0, 0}, {100, 100}}, got);
-  EXPECT_EQ(got.size(), truth.size());
+  expect_answers_match(*index, truth, rng, "after removes");
+
+  // Far moves: one rebuild per 200-300 of them (19 in all). Removed ids
+  // come back in between, onto recycled slots.
+  for (int step = 0; step < 5000; ++step) {
+    const std::uint64_t back = rng.next_below(1800);
+    if (step % 50 == 0 && truth.count(back) == 0) {
+      insert(back);
+      continue;
+    }
+    auto it = truth.begin();
+    std::advance(it, static_cast<long>(rng.next_below(truth.size())));
+    it->second = {rng.uniform(0, 100), rng.uniform(0, 100)};
+    index->update(ObjectId{it->first}, it->second);
+  }
+  expect_answers_match(*index, truth, rng, "after far moves");
+
+  // After clear() the index holds more entries than it ever did before,
+  // so no slot from before the clear can still be handed out. A rebuild
+  // after 1250 removals restocks the free list; the inserts after it take
+  // those slots.
+  index->clear();
+  truth.clear();
+  expect_answers_match(*index, truth, rng, "after clear");
+  for (std::uint64_t i = 10000; i < 12500; ++i) insert(i);
+  for (std::uint64_t i = 10000; i < 11300; ++i) {
+    ASSERT_TRUE(index->remove(ObjectId{i}));
+    truth.erase(i);
+  }
+  for (std::uint64_t i = 20000; i < 20500; ++i) insert(i);
+  expect_answers_match(*index, truth, rng, "reused after clear");
 }
 
 TEST(PointQuadtree, ShapeIsPinnedAcrossRebuilds) {
