@@ -7,10 +7,10 @@
 // keeps removal O(1) and preserves query complexity.
 //
 // Nodes live in one arena addressed by 32-bit slots. The hot half of a node
-// (point and child slots, 32 bytes) is what every walk reads; the object id
-// and live flag sit in a parallel vector, read only when a node matches. A
-// rebuild re-links the surviving slots in place: no node or by_id_ entry is
-// freed or reallocated, and tombstoned slots go to a free list.
+// (point and child slots, 32 bytes) is all that insert, move and range walks
+// read; the object id and live flag sit in a parallel vector. A rebuild
+// re-links the surviving slots in place: no node or by_id_ entry is freed or
+// reallocated, and tombstoned slots go to a free list.
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
