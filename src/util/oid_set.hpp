@@ -1,4 +1,4 @@
-// Open-addressing ObjectId set with reusable capacity.
+// Open-addressing ObjectId set and map with reusable capacity.
 //
 // The query merge's dedup-on-emit needs a membership test per merged result,
 // twice per merge (size pass + copy pass). A node-based std::unordered_set
@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "util/ids.hpp"
@@ -92,30 +93,92 @@ class OidSet {
 };
 
 /// Companion flat map (ObjectId -> V) with the same reuse contract: clear()
-/// keeps the slot array, operator[] allocates only on growth. The NN merge
-/// uses this for its candidate state -- a node-based std::unordered_map
-/// pays one heap node per candidate streamed off a probe sub-result.
+/// keeps the slot array, insertion allocates only on growth, and a lookup is
+/// one probe run instead of a node-based map's chain of dependent loads and
+/// heap node per entry. Its users:
+///  * the NN merge's candidate state (one entry per candidate streamed off a
+///    probe sub-result);
+///  * store::VisitorDb's two record tables (one entry per visitor);
+///  * the point quadtree's id -> slot map.
+/// Linear probing over a power-of-two slot array, grown at 70% load; erase
+/// shifts the rest of the probe run back instead of leaving a tombstone, so
+/// lookups never walk over deleted slots and runs do not lengthen under churn.
+///
+/// A pointer returned by find/try_emplace stays valid only until the next
+/// insertion or erase on the same map (either may move entries).
 /// Iteration (for_each) runs in slot order; callers needing a canonical
 /// order must impose a total order themselves (the NN paths do: winner and
 /// nearObjSet are selected by (distance, id)).
 template <typename V>
 class OidMap {
  public:
-  V& operator[](ObjectId id) {
+  V* find(ObjectId id) {
+    return const_cast<V*>(std::as_const(*this).find(id));
+  }
+
+  const V* find(ObjectId id) const {
+    if (id.value == kEmptySlot) return has_sentinel_ ? &sentinel_value_ : nullptr;
+    if (size_ == 0) return nullptr;
+    std::size_t i = slot_of(id.value);
+    while (slots_[i].key != kEmptySlot) {
+      if (slots_[i].key == id.value) return &slots_[i].value;
+      i = (i + 1) & (slots_.size() - 1);
+    }
+    return nullptr;
+  }
+
+  /// Returns the entry for `id` and whether it was added; a new entry is
+  /// value-initialised.
+  std::pair<V*, bool> try_emplace(ObjectId id) {
     if (id.value == kEmptySlot) {
+      const bool added = !has_sentinel_;
+      if (added) sentinel_value_ = V{};
       has_sentinel_ = true;
-      return sentinel_value_;
+      return {&sentinel_value_, added};
     }
     if ((size_ + 1) * 10 > slots_.size() * 7) grow();
     std::size_t i = slot_of(id.value);
     while (slots_[i].key != kEmptySlot) {
-      if (slots_[i].key == id.value) return slots_[i].value;
+      if (slots_[i].key == id.value) return {&slots_[i].value, false};
       i = (i + 1) & (slots_.size() - 1);
     }
     slots_[i].key = id.value;
     slots_[i].value = V{};
     ++size_;
-    return slots_[i].value;
+    return {&slots_[i].value, true};
+  }
+
+  V& operator[](ObjectId id) { return *try_emplace(id).first; }
+
+  /// Removes `id`; returns true if it was present. Backward-shift deletion:
+  /// walking the rest of the probe run, each entry whose home slot is not
+  /// cyclically after the hole moves into it, and its old slot becomes the
+  /// hole. The run's last hole is emptied.
+  bool erase(ObjectId id) {
+    if (id.value == kEmptySlot) {
+      const bool had = has_sentinel_;
+      has_sentinel_ = false;
+      return had;
+    }
+    if (size_ == 0) return false;
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t hole = slot_of(id.value);
+    while (slots_[hole].key != id.value) {
+      if (slots_[hole].key == kEmptySlot) return false;
+      hole = (hole + 1) & mask;
+    }
+    for (std::size_t j = (hole + 1) & mask; slots_[j].key != kEmptySlot;
+         j = (j + 1) & mask) {
+      // Cyclic distances to j: home no closer than the hole, so a probe
+      // from home still reaches the hole.
+      if (((j - slot_of(slots_[j].key)) & mask) >= ((j - hole) & mask)) {
+        slots_[hole] = std::move(slots_[j]);
+        hole = j;
+      }
+    }
+    slots_[hole].key = kEmptySlot;
+    --size_;
+    return true;
   }
 
   void clear() {

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "util/clock.hpp"
 #include "util/crc32.hpp"
 #include "util/ids.hpp"
+#include "util/oid_set.hpp"
 #include "util/result.hpp"
 #include "util/rng.hpp"
 
@@ -151,6 +156,128 @@ TEST(Clock, DurationConversions) {
   EXPECT_EQ(milliseconds(3), 3'000);
   EXPECT_DOUBLE_EQ(to_seconds(seconds(5)), 5.0);
   EXPECT_DOUBLE_EQ(to_millis(milliseconds(7)), 7.0);
+}
+
+TEST(OidSet, InsertContainsAndReuseAfterClear) {
+  util::OidSet set;
+  EXPECT_FALSE(set.contains(ObjectId{0}));
+  for (std::uint64_t i = 0; i < 1000; ++i) EXPECT_TRUE(set.insert(ObjectId{i * 7}));
+  EXPECT_FALSE(set.insert(ObjectId{0}));  // key 0 lives out of band
+  EXPECT_FALSE(set.insert(ObjectId{7}));
+  EXPECT_EQ(set.size(), 1000u);
+  for (std::uint64_t i = 0; i < 7000; ++i) {
+    EXPECT_EQ(set.contains(ObjectId{i}), i % 7 == 0) << i;
+  }
+  const std::size_t capacity = set.capacity();
+  set.clear();
+  EXPECT_EQ(set.size(), 0u);
+  EXPECT_EQ(set.capacity(), capacity);  // clear() keeps the slot array
+  EXPECT_FALSE(set.contains(ObjectId{0}));
+  EXPECT_FALSE(set.contains(ObjectId{7}));
+  EXPECT_TRUE(set.insert(ObjectId{0}));
+  EXPECT_TRUE(set.insert(ObjectId{14}));
+  EXPECT_TRUE(set.contains(ObjectId{0}));
+  EXPECT_FALSE(set.contains(ObjectId{21}));
+  EXPECT_EQ(set.size(), 2u);
+  EXPECT_EQ(set.capacity(), capacity);
+}
+
+// The slot function of util::OidMap (oid_set.hpp): the home slot of key `v`
+// in a table of `capacity` slots.
+std::size_t home_slot(std::uint64_t v, std::size_t capacity) {
+  std::uint64_t x = v + 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  x ^= x >> 31;
+  return static_cast<std::size_t>(x) & (capacity - 1);
+}
+
+// OidMap against std::unordered_map under a seeded mix of try_emplace, find,
+// erase and clear, in two key ranges. Both include key 0, which lives out of
+// band.
+//  * 60 keys, at most 44 live, so the table keeps its first 64 slots (it
+//    grows at the 45th) at up to 69% load. Half the keys have their home in
+//    the last four slots, so probe runs are long and wrap past the end of the
+//    slot array, where the backward-shift erase must move entries across the
+//    wrap. The test checks that runs did wrap.
+//  * 5,000 keys, unbounded: growth.
+TEST(OidMap, MatchesUnorderedMapUnderChurn) {
+  std::vector<std::uint64_t> dense;
+  for (std::uint64_t k = 0; k < 30; ++k) dense.push_back(k);
+  for (std::uint64_t k = 1000; dense.size() < 60; ++k) {
+    if (home_slot(k, 64) >= 60) dense.push_back(k);
+  }
+  const std::set<std::uint64_t> homed_at_end(dense.begin() + 30, dense.end());
+  std::vector<std::uint64_t> wide;
+  for (std::uint64_t k = 0; k < 5'000; ++k) wide.push_back(k);
+
+  struct Range {
+    const std::vector<std::uint64_t>* keys;
+    std::size_t max_live;
+    bool wraps;  // 64 slots throughout, with runs that wrap
+  };
+  for (const Range range : {Range{&dense, 44, true}, Range{&wide, 5'000, false}}) {
+    const std::vector<std::uint64_t>& keys = *range.keys;
+    SCOPED_TRACE(std::to_string(keys.size()) + " keys");
+    Rng rng(0x0d1d + keys.size());
+    util::OidMap<std::uint64_t> map;
+    std::unordered_map<std::uint64_t, std::uint64_t> oracle;
+    int wrapped_checks = 0;
+    const auto check_all = [&] {
+      ASSERT_EQ(map.size(), oracle.size());
+      EXPECT_EQ(map.empty(), oracle.empty());
+      std::set<std::uint64_t> seen;
+      bool wrapped = false;
+      map.for_each([&](ObjectId id, const std::uint64_t& value) {
+        // Slots 60..63 hold at most the last four entries visited; a key
+        // homed there but visited earlier sits past the wrap.
+        if (range.wraps && homed_at_end.count(id.value) > 0 &&
+            seen.size() + 4 < oracle.size()) {
+          wrapped = true;
+        }
+        EXPECT_TRUE(seen.insert(id.value).second) << "key " << id.value << " twice";
+        const auto it = oracle.find(id.value);
+        ASSERT_NE(it, oracle.end()) << "key " << id.value;
+        EXPECT_EQ(value, it->second) << "key " << id.value;
+      });
+      EXPECT_EQ(seen.size(), oracle.size());
+      wrapped_checks += wrapped ? 1 : 0;
+    };
+    for (int op = 0; op < 100'000; ++op) {
+      const ObjectId id{keys[rng.next_below(keys.size())]};
+      const double roll = rng.next_double();
+      const bool may_add = oracle.size() < range.max_live || oracle.count(id.value) > 0;
+      if (roll < 0.45 && may_add) {
+        const auto [value, added] = map.try_emplace(id);
+        const auto [it, oracle_added] = oracle.try_emplace(id.value, 0);
+        ASSERT_EQ(added, oracle_added) << "op " << op << " key " << id.value;
+        ASSERT_EQ(*value, it->second) << "op " << op;  // new entries read 0
+        *value = it->second = rng.next_u64();
+      } else if (roll < 0.7) {
+        const std::uint64_t* value =
+            op % 2 == 0 ? map.find(id) : std::as_const(map).find(id);
+        const auto it = oracle.find(id.value);
+        ASSERT_EQ(value != nullptr, it != oracle.end()) << "op " << op << " key " << id.value;
+        if (value != nullptr) {
+          ASSERT_EQ(*value, it->second) << "op " << op;
+        }
+      } else if (roll < 0.9999) {
+        ASSERT_EQ(map.erase(id), oracle.erase(id.value) == 1)
+            << "op " << op << " key " << id.value;
+      } else {
+        map.clear();
+        oracle.clear();
+      }
+      if (op % 1000 == 999) {
+        check_all();
+        if (HasFatalFailure()) return;
+      }
+    }
+    check_all();
+    if (range.wraps) {
+      EXPECT_GT(wrapped_checks, 50);
+    }
+  }
 }
 
 }  // namespace
