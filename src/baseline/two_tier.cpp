@@ -107,12 +107,7 @@ void TwoTierServer::on_register_req(NodeId src, const wire::RegisterReq& m) {
   }
   const double offered = std::max(opts_.min_supported_acc, m.acc_range.desired);
   reg_info_[m.s.oid] = RegInfo{m.reg_inst, m.acc_range};
-  if (sightings_.find(m.s.oid) != nullptr) {
-    sightings_.update(m.s, clock_.now() + opts_.sighting_ttl);
-    sightings_.set_offered_acc(m.s.oid, offered);
-  } else {
-    sightings_.insert(m.s, offered, clock_.now() + opts_.sighting_ttl);
-  }
+  sightings_.upsert(m.s, offered, clock_.now() + opts_.sighting_ttl);
   // Install the home pointer (the HLR write).
   const NodeId home = map_.home_for(m.s.oid);
   if (home == self_) {
@@ -169,12 +164,7 @@ void TwoTierServer::on_handover_req(NodeId src, const wire::HandoverReq& m) {
   const double offered = std::max(opts_.min_supported_acc,
                                   m.reg_info.acc_range.desired);
   reg_info_[m.s.oid] = m.reg_info;
-  if (sightings_.find(m.s.oid) != nullptr) {
-    sightings_.update(m.s, clock_.now() + opts_.sighting_ttl);
-    sightings_.set_offered_acc(m.s.oid, offered);
-  } else {
-    sightings_.insert(m.s, offered, clock_.now() + opts_.sighting_ttl);
-  }
+  sightings_.upsert(m.s, offered, clock_.now() + opts_.sighting_ttl);
   // HLR write on every region change.
   const NodeId home = map_.home_for(m.s.oid);
   if (home == self_) {

@@ -217,12 +217,7 @@ double LocationServer::negotiate_offered_acc(const AccuracyRange& range) const {
 
 void LocationServer::put_sighting(const Sighting& s, double offered_acc) {
   assert(sightings_);
-  if (sightings_->find(s.oid) != nullptr) {
-    sightings_->update(s, sighting_expiry());
-    sightings_->set_offered_acc(s.oid, offered_acc);
-  } else {
-    sightings_->insert(s, offered_acc, sighting_expiry());
-  }
+  sightings_->upsert(s, offered_acc, sighting_expiry());
   events_on_sighting(s.oid, true, s.pos);
 }
 
@@ -629,12 +624,7 @@ void LocationServer::on_replica_tee(NodeId src, const wm::ReplicaTee& m) {
         // Insert-or-update exactly like put_sighting / apply_batch on the
         // primary -- NOT remove+reinsert -- so the index mutation sequence
         // matches the primary's and packed query emission is byte-identical.
-        if (sightings_->find(e.s.oid) != nullptr) {
-          sightings_->update(e.s, e.expiry);
-          sightings_->set_offered_acc(e.s.oid, e.offered_acc);
-        } else {
-          sightings_->insert(e.s, e.offered_acc, e.expiry);
-        }
+        sightings_->upsert(e.s, e.offered_acc, e.expiry);
         break;
     }
   }

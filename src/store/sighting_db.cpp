@@ -11,15 +11,7 @@ SightingDb::SightingDb(spatial::IndexFactory index_factory)
 void SightingDb::insert(const core::Sighting& s, double offered_acc,
                         TimePoint expiry) {
   assert(records_.find(s.oid) == records_.end());
-  Record rec;
-  rec.sighting = s;
-  rec.offered_acc = offered_acc;
-  rec.expiry = expiry;
-  rec.generation = next_generation_++;
-  records_.emplace(s.oid, rec);
-  index_->insert(s.oid, s.pos);
-  expiry_heap_.push_back({expiry, s.oid, rec.generation});
-  std::push_heap(expiry_heap_.begin(), expiry_heap_.end(), std::greater<>{});
+  upsert(s, offered_acc, expiry);
 }
 
 bool SightingDb::update(const core::Sighting& s, TimePoint expiry) {
@@ -34,23 +26,26 @@ bool SightingDb::update(const core::Sighting& s, TimePoint expiry) {
   return true;
 }
 
+void SightingDb::upsert(const core::Sighting& s, double offered_acc,
+                        TimePoint expiry) {
+  const auto [it, inserted] = records_.try_emplace(s.oid);
+  Record& rec = it->second;
+  rec.sighting = s;
+  rec.offered_acc = offered_acc;
+  rec.expiry = expiry;
+  rec.generation = next_generation_++;
+  if (inserted) {
+    index_->insert(s.oid, s.pos);
+  } else {
+    index_->update(s.oid, s.pos);
+  }
+  expiry_heap_.push_back({expiry, s.oid, rec.generation});
+  std::push_heap(expiry_heap_.begin(), expiry_heap_.end(), std::greater<>{});
+}
+
 void SightingDb::apply_batch(const std::vector<BulkUpdate>& items,
                              TimePoint expiry) {
-  for (const BulkUpdate& item : items) {
-    const auto [it, inserted] = records_.try_emplace(item.s.oid);
-    Record& rec = it->second;
-    rec.sighting = item.s;
-    rec.offered_acc = item.offered_acc;
-    rec.expiry = expiry;
-    rec.generation = next_generation_++;
-    if (inserted) {
-      index_->insert(item.s.oid, item.s.pos);
-    } else {
-      index_->update(item.s.oid, item.s.pos);
-    }
-    expiry_heap_.push_back({expiry, item.s.oid, rec.generation});
-    std::push_heap(expiry_heap_.begin(), expiry_heap_.end(), std::greater<>{});
-  }
+  for (const BulkUpdate& item : items) upsert(item.s, item.offered_acc, expiry);
 }
 
 bool SightingDb::remove(ObjectId oid) {

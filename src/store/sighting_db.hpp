@@ -45,6 +45,11 @@ class SightingDb {
   /// accordingly whenever the visitor contacts the location server").
   bool update(const core::Sighting& s, TimePoint expiry);
 
+  /// Insert-or-update with one lookup: insert() for a new object, otherwise
+  /// update() followed by set_offered_acc(). The spatial index sees the same
+  /// insert or update either way.
+  void upsert(const core::Sighting& s, double offered_acc, TimePoint expiry);
+
   /// One upsert item of apply_batch (wire::BatchedUpdateReq application).
   struct BulkUpdate {
     core::Sighting s;
@@ -53,8 +58,7 @@ class SightingDb {
 
   /// Upserts a whole batch of sightings in one pass over records + spatial
   /// index -- the per-datagram dispatch overhead is paid once per batch
-  /// instead of once per sighting. Semantically identical to
-  /// insert()/update()+set_offered_acc() per item.
+  /// instead of once per sighting. Identical to upsert() per item.
   void apply_batch(const std::vector<BulkUpdate>& items, TimePoint expiry);
 
   bool remove(ObjectId oid);
