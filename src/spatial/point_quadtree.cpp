@@ -10,14 +10,15 @@
 // (point and child slots, 32 bytes) is all that insert, move and range walks
 // read; the object id and live flag sit in a parallel vector. A rebuild
 // re-links the surviving slots in place: no node or by_id_ entry is freed or
-// reallocated, and tombstoned slots go to a free list.
+// reallocated, and tombstoned slots go to a free list. by_id_, the id -> slot
+// map, is a flat util::OidMap, so finding a node is one probe run.
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "spatial/spatial_index.hpp"
+#include "util/oid_set.hpp"
 #include "util/rng.hpp"
 
 namespace locs::spatial {
@@ -27,18 +28,18 @@ namespace {
 class PointQuadtree final : public SpatialIndex {
  public:
   void insert(ObjectId id, geo::Point pos) override {
-    assert(by_id_.find(id) == by_id_.end());
+    assert(by_id_.find(id) == nullptr);
     const std::uint32_t s = new_slot(id, pos);
     link(s);
-    by_id_.emplace(id, s);
+    by_id_[id] = s;
     ++alive_;
   }
 
   bool remove(ObjectId id) override {
-    auto it = by_id_.find(id);
-    if (it == by_id_.end()) return false;
-    tags_[it->second].alive = false;
-    by_id_.erase(it);
+    const std::uint32_t* s = by_id_.find(id);
+    if (s == nullptr) return false;
+    tags_[*s].alive = false;
+    by_id_.erase(id);
     --alive_;
     ++dead_;
     maybe_rebuild();
@@ -53,12 +54,12 @@ class PointQuadtree final : public SpatialIndex {
   /// existing by_id_ entry. Steady-state updates allocate nothing: the slot
   /// free list is restocked wholesale by the amortized rebuilds.
   void update(ObjectId id, geo::Point pos) override {
-    const auto it = by_id_.find(id);
-    if (it == by_id_.end()) {
+    std::uint32_t* const own_slot = by_id_.find(id);
+    if (own_slot == nullptr) {
       insert(id, pos);
       return;
     }
-    const std::uint32_t own = it->second;
+    const std::uint32_t own = *own_slot;
     std::uint32_t cur = root_;
     for (;;) {
       const int q = quadrant_of(nodes_[cur].pos, pos);
@@ -72,7 +73,7 @@ class PointQuadtree final : public SpatialIndex {
         ++dead_;
         const std::uint32_t s = new_slot(id, pos);
         nodes_[cur].child[q] = s;
-        it->second = s;
+        *own_slot = s;
         maybe_rebuild();
         return;
       }
@@ -255,7 +256,7 @@ class PointQuadtree final : public SpatialIndex {
   std::vector<Node> nodes_;
   std::vector<Tag> tags_;  // parallel to nodes_
   std::vector<std::uint32_t> free_;
-  std::unordered_map<ObjectId, std::uint32_t> by_id_;
+  util::OidMap<std::uint32_t> by_id_;
   std::uint32_t root_ = kNone;
   std::size_t alive_ = 0;
   std::size_t dead_ = 0;
