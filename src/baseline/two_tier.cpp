@@ -202,8 +202,8 @@ void TwoTierServer::on_pos_query_req(NodeId src, const wire::PosQueryReq& m) {
   pending_pos_[internal] = {src, m.req_id};
   const NodeId home = map_.home_for(m.oid);
   if (home == self_) {
-    const store::VisitorRecord* ptr = home_pointers_.find(m.oid);
-    if (ptr == nullptr || !ptr->forward_ref.valid()) {
+    const std::optional<store::VisitorRecord> ptr = home_pointers_.find(m.oid);
+    if (!ptr || !ptr->forward_ref.valid()) {
       pending_pos_.erase(internal);
       send_msg(src, wm::PosQueryRes{m.oid, false, {}, kNoNode, m.req_id, std::nullopt});
       return;
@@ -224,8 +224,8 @@ void TwoTierServer::on_pos_query_fwd(NodeId src, const wire::PosQueryFwd& m) {
     return;
   }
   // Acting as home: follow the pointer.
-  const store::VisitorRecord* ptr = home_pointers_.find(m.oid);
-  if (ptr != nullptr && ptr->forward_ref.valid() && ptr->forward_ref != self_) {
+  const std::optional<store::VisitorRecord> ptr = home_pointers_.find(m.oid);
+  if (ptr && ptr->forward_ref.valid() && ptr->forward_ref != self_) {
     send_msg(ptr->forward_ref, m);
     return;
   }

@@ -285,12 +285,12 @@ void LocationServer::on_create_path(NodeId src, const wm::CreatePath& m) {
 }
 
 void LocationServer::on_remove_path(NodeId src, const wm::RemovePath& m) {
-  const store::VisitorRecord* rec = visitor_db_.find(m.oid);
+  const std::optional<store::VisitorRecord> rec = visitor_db_.find(m.oid);
   // Conditional prune: only remove if our pointer still leads toward the
   // sender. If a concurrent createPath already repointed this record to a
   // fresh branch, we are a common ancestor of old and new agent and the
   // prune must stop here.
-  if (rec == nullptr || rec->leaf.has_value() || rec->forward_ref != src) return;
+  if (!rec || rec->leaf.has_value() || rec->forward_ref != src) return;
   visitor_db_.remove(m.oid);
   send_path(false, m.oid);
 }
@@ -305,8 +305,8 @@ void LocationServer::on_update_req(NodeId src, const wm::UpdateReq& m) {
     flush_bounce();
     return;
   }
-  const store::VisitorRecord* rec = visitor_db_.find(m.s.oid);
-  if (rec == nullptr || !rec->leaf) {
+  const std::optional<store::VisitorRecord> rec = visitor_db_.find(m.s.oid);
+  if (!rec || !rec->leaf) {
     ++stats_.updates_unknown;  // stale agent; the object relearns via timeout
     if (should_nack_unknown(m.s.oid)) {
       // Total state loss (crash without persistent visitorDB): tell the
@@ -345,8 +345,8 @@ void LocationServer::on_batched_update_req(NodeId src, const wm::BatchedUpdateRe
   auto sightings = m.sightings.items();
   while (const auto item = sightings.next()) {
     const Sighting& s = item->value;
-    const store::VisitorRecord* rec = visitor_db_.find(s.oid);
-    if (rec == nullptr || !rec->leaf) {
+    const std::optional<store::VisitorRecord> rec = visitor_db_.find(s.oid);
+    if (!rec || !rec->leaf) {
       ++stats_.updates_unknown;  // stale agent; the object relearns via timeout
       if (should_nack_unknown(s.oid)) {
         send_msg(src, wm::AgentChanged{s.oid, kNoNode, 0.0});
@@ -374,8 +374,8 @@ void LocationServer::on_batched_update_req(NodeId src, const wm::BatchedUpdateRe
 
 void LocationServer::initiate_handover(NodeId object_node, const Sighting& s) {
   if (handover_in_flight_.count(s.oid) > 0) return;  // one at a time
-  const store::VisitorRecord* rec = visitor_db_.find(s.oid);
-  assert(rec != nullptr && rec->leaf);
+  const std::optional<store::VisitorRecord> rec = visitor_db_.find(s.oid);
+  assert(rec && rec->leaf);
   wm::HandoverReq req;
   req.s = s;
   req.reg_info = rec->leaf->reg_info;
@@ -592,8 +592,8 @@ void LocationServer::on_replica_tee(NodeId src, const wm::ReplicaTee& m) {
     while (const auto item = entries.next()) {
       const wire::ReplicaTee::Entry& e = item->value;
       if (e.op != wire::ReplicaTee::Op::kUpsert) continue;
-      const store::VisitorRecord* rec = visitor_db_.find(e.s.oid);
-      if (rec == nullptr || !rec->leaf) continue;
+      const std::optional<store::VisitorRecord> rec = visitor_db_.find(e.s.oid);
+      if (!rec || !rec->leaf) continue;
       ++stats_.tee_entries_applied;
       put_sighting(e.s, rec->leaf->offered_acc);
       tee_upsert(e.s, rec->leaf->offered_acc, rec->leaf->reg_info);
@@ -668,8 +668,9 @@ void LocationServer::on_standby_demote(NodeId src, const wm::StandbyDemote& m) {
 }
 
 void LocationServer::standby_fan_agent_changed(NodeId agent) {
-  // Deterministic fan-out: the visitorDB map iterates in hash order, so sort
-  // (reg_inst, oid) before emitting -- reruns produce identical traces.
+  // Deterministic fan-out: the visitorDB tables iterate in slot order, so
+  // sort (reg_inst, oid) before emitting -- the trace does not depend on the
+  // tables' layout.
   refresh_targets_scratch_.clear();
   visitor_db_.for_each([&](const store::VisitorRecord& rec) {
     if (rec.leaf) {
@@ -678,8 +679,8 @@ void LocationServer::standby_fan_agent_changed(NodeId agent) {
   });
   std::sort(refresh_targets_scratch_.begin(), refresh_targets_scratch_.end());
   for (const auto& [client, oid] : refresh_targets_scratch_) {
-    const store::VisitorRecord* rec = visitor_db_.find(oid);
-    if (rec == nullptr || !rec->leaf) continue;
+    const std::optional<store::VisitorRecord> rec = visitor_db_.find(oid);
+    if (!rec || !rec->leaf) continue;
     send_msg(client, wm::AgentChanged{oid, agent, rec->leaf->offered_acc});
   }
 }
@@ -728,8 +729,8 @@ void LocationServer::on_pos_query_req(NodeId src, const wm::PosQueryReq& m) {
     }
   }
   // Local answer (Alg 6-4 lines 1-4).
-  const store::VisitorRecord* rec = visitor_db_.find(m.oid);
-  if (rec != nullptr && rec->leaf && sightings_) {
+  const std::optional<store::VisitorRecord> rec = visitor_db_.find(m.oid);
+  if (rec && rec->leaf && sightings_) {
     const store::SightingDb::Record* srec = sightings_->find(m.oid);
     if (srec != nullptr) {
       ++stats_.pos_queries_served;
@@ -761,7 +762,7 @@ void LocationServer::on_pos_query_req(NodeId src, const wm::PosQueryReq& m) {
     }
   }
   NodeId next = kNoNode;
-  if (rec != nullptr && !rec->leaf) {
+  if (rec && !rec->leaf) {
     next = rec->forward_ref;  // non-leaf entry with a pointer: go down
   } else if (!cfg_.is_root()) {
     next = cfg_.parent;  // Alg 6-4 line 6: forward query upwards
@@ -790,9 +791,9 @@ void LocationServer::on_pos_query_req(NodeId src, const wm::PosQueryReq& m) {
 
 void LocationServer::on_pos_query_fwd(NodeId src, const wm::PosQueryFwd& m) {
   (void)src;
-  const store::VisitorRecord* rec = visitor_db_.find(m.oid);
+  const std::optional<store::VisitorRecord> rec = visitor_db_.find(m.oid);
   if (cfg_.is_leaf()) {
-    if (rec != nullptr && rec->leaf && sightings_) {
+    if (rec && rec->leaf && sightings_) {
       const store::SightingDb::Record* srec = sightings_->find(m.oid);
       if (srec != nullptr) {
         const LocationDescriptor ld{srec->sighting.pos, rec->leaf->offered_acc};
@@ -813,7 +814,7 @@ void LocationServer::on_pos_query_fwd(NodeId src, const wm::PosQueryFwd& m) {
              wm::PosQueryRes{m.oid, false, {}, kNoNode, m.req_id, origin_piggyback()});
     return;
   }
-  if (rec != nullptr && !rec->leaf && rec->forward_ref.valid()) {
+  if (rec && !rec->leaf && rec->forward_ref.valid()) {
     if (child_suspect(rec->forward_ref)) {
       const NodeId standby = standby_for(rec->forward_ref);
       if (standby.valid()) {
@@ -863,9 +864,9 @@ void LocationServer::on_pos_query_res(NodeId src, const wm::PosQueryRes& m) {
 void LocationServer::flush_awaiting_refresh(ObjectId oid) {
   const auto it = awaiting_refresh_.find(oid);
   if (it == awaiting_refresh_.end()) return;
-  const store::VisitorRecord* rec = visitor_db_.find(oid);
+  const std::optional<store::VisitorRecord> rec = visitor_db_.find(oid);
   const store::SightingDb::Record* srec = sightings_ ? sightings_->find(oid) : nullptr;
-  if (rec == nullptr || !rec->leaf || srec == nullptr) return;
+  if (!rec || !rec->leaf || srec == nullptr) return;
   const LocationDescriptor ld{srec->sighting.pos, rec->leaf->offered_acc};
   for (const WaitingQuery& wq : it->second) {
     send_msg(wq.entry,
@@ -1370,8 +1371,8 @@ void LocationServer::finish_nn(std::uint64_t ring_key) {
 // accuracy management / lifecycle
 
 void LocationServer::on_change_acc_req(NodeId src, const wm::ChangeAccReq& m) {
-  const store::VisitorRecord* rec = visitor_db_.find(m.oid);
-  if (!cfg_.is_leaf() || rec == nullptr || !rec->leaf) {
+  const std::optional<store::VisitorRecord> rec = visitor_db_.find(m.oid);
+  if (!cfg_.is_leaf() || !rec || !rec->leaf) {
     send_msg(src, wm::ChangeAccRes{m.req_id, false, 0.0});
     return;
   }
@@ -1395,8 +1396,8 @@ void LocationServer::on_change_acc_req(NodeId src, const wm::ChangeAccReq& m) {
 void LocationServer::on_deregister_req(NodeId src, const wm::DeregisterReq& m) {
   (void)src;
   if (!cfg_.is_leaf()) return;
-  const store::VisitorRecord* rec = visitor_db_.find(m.oid);
-  if (rec == nullptr || !rec->leaf) return;
+  const std::optional<store::VisitorRecord> rec = visitor_db_.find(m.oid);
+  if (!rec || !rec->leaf) return;
   drop_leaf_visitor(m.oid, /*prune_path=*/true);
 }
 
@@ -1414,8 +1415,8 @@ void LocationServer::request_refresh_all() {
 void LocationServer::send_refresh_batches(
     std::vector<std::pair<NodeId, ObjectId>>& targets) {
   if (targets.empty()) return;
-  // Sorting makes the sweep deterministic (the visitorDB map iterates in
-  // hash order) and groups targets per client node.
+  // Sorting makes the sweep independent of the visitorDB tables' slot order
+  // and groups targets per client node.
   std::sort(targets.begin(), targets.end());
   wm::BatchedRefreshReq& batch = refresh_batch_scratch_;
   batch.oids.clear();
@@ -1519,8 +1520,8 @@ void LocationServer::on_batched_refresh_req(NodeId src,
   auto oids = m.oids.items();
   while (const auto item = oids.next()) {
     const ObjectId oid = item->value;
-    const store::VisitorRecord* rec = visitor_db_.find(oid);
-    if (rec == nullptr || !rec->leaf) continue;
+    const std::optional<store::VisitorRecord> rec = visitor_db_.find(oid);
+    if (!rec || !rec->leaf) continue;
     if (sightings_ && sightings_->find(oid) != nullptr) continue;  // fresh
     refresh_targets_scratch_.emplace_back(rec->leaf->reg_info.reg_inst, oid);
   }

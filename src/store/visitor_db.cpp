@@ -28,11 +28,13 @@ wire::Buffer make_remove_record(ObjectId oid) {
 Result<VisitorDb> VisitorDb::open(const std::string& path, bool fsync_each) {
   auto log = PersistentLog::open(path, fsync_each);
   if (!log.ok()) return log.status();
+  // Replay through the public mutators before the log is attached, so the
+  // replayed records are applied exactly as live ones but not re-appended.
   VisitorDb db;
-  db.log_ = std::move(log).value();
-  const Status replayed = db.log_->replay(
+  const Status replayed = log.value().replay(
       [&db](const std::uint8_t* data, std::size_t len) { db.apply_record(data, len); });
   if (!replayed.is_ok()) return replayed;
+  db.log_ = std::move(log).value();
   return db;
 }
 
@@ -43,65 +45,51 @@ void VisitorDb::apply_record(const std::uint8_t* data, std::size_t len) {
   switch (op) {
     case LogOp::kSetForward: {
       const NodeId child{r.u32()};
-      if (!r.ok()) return;
-      auto& rec = records_[oid];
-      rec.oid = oid;
-      rec.forward_ref = child;
-      rec.leaf.reset();
+      if (r.ok()) set_forward(oid, child);
       break;
     }
     case LogOp::kInsertLeaf: {
-      LeafVisitorInfo info;
-      info.offered_acc = r.f64();
-      info.reg_info.reg_inst = NodeId{r.u32()};
-      info.reg_info.acc_range.desired = r.f64();
-      info.reg_info.acc_range.minimum = r.f64();
-      if (!r.ok()) return;
-      auto& rec = records_[oid];
-      rec.oid = oid;
-      rec.forward_ref = kNoNode;
-      rec.leaf = info;
+      const double acc = r.f64();
+      core::RegInfo reg;
+      reg.reg_inst = NodeId{r.u32()};
+      reg.acc_range.desired = r.f64();
+      reg.acc_range.minimum = r.f64();
+      if (r.ok()) insert_leaf(oid, acc, reg);
       break;
     }
     case LogOp::kSetAcc: {
       const double acc = r.f64();
-      if (!r.ok()) return;
-      const auto it = records_.find(oid);
-      if (it != records_.end() && it->second.leaf) it->second.leaf->offered_acc = acc;
+      if (r.ok()) set_offered_acc(oid, acc);
       break;
     }
     case LogOp::kRemove:
-      records_.erase(oid);
+      erase(oid);
       break;
   }
 }
 
 void VisitorDb::set_forward(ObjectId oid, NodeId child) {
-  auto& rec = records_[oid];
-  rec.oid = oid;
-  rec.forward_ref = child;
-  rec.leaf.reset();
+  leaf_.erase(oid);
+  forward_[oid] = child;
   log_set_forward(oid, child);
 }
 
 void VisitorDb::insert_leaf(ObjectId oid, double offered_acc,
                             const core::RegInfo& reg_info) {
-  auto& rec = records_[oid];
-  rec.oid = oid;
-  rec.forward_ref = kNoNode;
-  rec.leaf = LeafVisitorInfo{offered_acc, reg_info};
+  forward_.erase(oid);
+  leaf_[oid] = LeafVisitorInfo{offered_acc, reg_info};
   log_insert_leaf(oid, offered_acc, reg_info);
 }
 
 void VisitorDb::set_offered_acc(ObjectId oid, double offered_acc) {
-  const auto it = records_.find(oid);
-  if (it == records_.end() || !it->second.leaf) return;
-  it->second.leaf->offered_acc = offered_acc;
+  LeafVisitorInfo* info = leaf_.find(oid);
+  if (info == nullptr) return;
+  info->offered_acc = offered_acc;
   log_set_acc(oid, offered_acc);
 }
 
 bool VisitorDb::remove(ObjectId oid) {
-  if (records_.erase(oid) == 0) return false;
+  if (!erase(oid)) return false;
   log_remove(oid);
   return true;
 }
@@ -110,7 +98,7 @@ std::size_t VisitorDb::remove_batch(std::span<const ObjectId> oids) {
   std::size_t removed = 0;
   std::vector<wire::Buffer> log_records;
   for (const ObjectId oid : oids) {
-    if (records_.erase(oid) == 0) continue;
+    if (!erase(oid)) continue;
     ++removed;
     if (log_) log_records.push_back(make_remove_record(oid));
   }
@@ -118,33 +106,38 @@ std::size_t VisitorDb::remove_batch(std::span<const ObjectId> oids) {
   return removed;
 }
 
-const VisitorRecord* VisitorDb::find(ObjectId oid) const {
-  const auto it = records_.find(oid);
-  return it == records_.end() ? nullptr : &it->second;
+std::optional<VisitorRecord> VisitorDb::find(ObjectId oid) const {
+  if (const LeafVisitorInfo* info = leaf_.find(oid)) {
+    return VisitorRecord{oid, kNoNode, *info};
+  }
+  if (const NodeId* child = forward_.find(oid)) {
+    return VisitorRecord{oid, *child, std::nullopt};
+  }
+  return std::nullopt;
 }
 
 Status VisitorDb::compact() {
   if (!log_) return Status::ok();
   std::vector<wire::Buffer> records;
-  records.reserve(records_.size());
-  for (const auto& [oid, rec] : records_) {
+  records.reserve(size());
+  for_each([&records](const VisitorRecord& rec) {
     wire::Buffer buf;
     wire::Writer w(buf);
     if (rec.leaf) {
       w.u8(static_cast<std::uint8_t>(LogOp::kInsertLeaf));
-      w.u64(oid.value);
+      w.u64(rec.oid.value);
       w.f64(rec.leaf->offered_acc);
       w.u32(rec.leaf->reg_info.reg_inst.value);
       w.f64(rec.leaf->reg_info.acc_range.desired);
       w.f64(rec.leaf->reg_info.acc_range.minimum);
     } else {
       w.u8(static_cast<std::uint8_t>(LogOp::kSetForward));
-      w.u64(oid.value);
+      w.u64(rec.oid.value);
       w.u32(rec.forward_ref.value);
     }
     w.flush();
     records.push_back(std::move(buf));
-  }
+  });
   return log_->rewrite(records);
 }
 

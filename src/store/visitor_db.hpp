@@ -9,15 +9,21 @@
 // Kept on persistent storage (here: a CRC-framed write-ahead log), "updated
 // only when an object is registered, deregisters or a handover occurs", so
 // forwarding paths survive crashes while the volatile sightingDB does not.
+//
+// In memory the records live in two flat tables, one per kind: leaf records
+// (40-byte slots) and forwarding references (16-byte slots). A record sits
+// in exactly one of them, and a server fills only the table of its role, so
+// a lookup costs one probe run and the forward-only records of the upper
+// levels take 16 bytes a slot instead of a whole VisitorRecord.
 #pragma once
 
 #include <optional>
 #include <span>
-#include <unordered_map>
 
 #include "core/types.hpp"
 #include "store/persistent_log.hpp"
 #include "util/ids.hpp"
+#include "util/oid_set.hpp"
 
 namespace locs::store {
 
@@ -60,9 +66,10 @@ class VisitorDb {
   /// PersistentLog::append_batch. Returns the number of records removed.
   std::size_t remove_batch(std::span<const ObjectId> oids);
 
-  const VisitorRecord* find(ObjectId oid) const;
-  bool contains(ObjectId oid) const { return records_.count(oid) > 0; }
-  std::size_t size() const { return records_.size(); }
+  /// A copy of the record, or nullopt: the tables move entries on every
+  /// insert and erase, so no caller may hold a pointer into them.
+  std::optional<VisitorRecord> find(ObjectId oid) const;
+  std::size_t size() const { return leaf_.size() + forward_.size(); }
 
   /// Rewrites the log to exactly the current records (bounded recovery time).
   Status compact();
@@ -77,10 +84,16 @@ class VisitorDb {
   /// Mutations appended to the persistent log since open (0 if in-memory).
   std::uint64_t log_appended() const { return log_ ? log_->appended() : 0; }
 
-  /// Iteration (recovery: ask visitors for refresh; tests).
+  /// Iteration (recovery: ask visitors for refresh; tests): leaf records,
+  /// then forwarding references, each in slot order. Callers that emit
+  /// messages from it sort first.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (const auto& [oid, rec] : records_) fn(rec);
+    leaf_.for_each([&](ObjectId oid, const LeafVisitorInfo& info) {
+      fn(VisitorRecord{oid, kNoNode, info});
+    });
+    forward_.for_each(
+        [&](ObjectId oid, NodeId child) { fn(VisitorRecord{oid, child, std::nullopt}); });
   }
 
  private:
@@ -89,8 +102,10 @@ class VisitorDb {
   void log_set_acc(ObjectId oid, double acc);
   void log_remove(ObjectId oid);
   void apply_record(const std::uint8_t* data, std::size_t len);
+  bool erase(ObjectId oid) { return leaf_.erase(oid) || forward_.erase(oid); }
 
-  std::unordered_map<ObjectId, VisitorRecord> records_;
+  util::OidMap<LeafVisitorInfo> leaf_;
+  util::OidMap<NodeId> forward_;
   std::optional<PersistentLog> log_;
 };
 

@@ -126,11 +126,11 @@ TEST(Caching, DirectHandoverViaLeafAreaCache) {
   EXPECT_EQ(cached.obj->agent(), NodeId{5});
   EXPECT_EQ(world.deployment->server(NodeId{4}).stats().handovers_direct, 1u);
   // The forwarding path must still be repaired (createPath + removePath).
-  const auto* root_rec = world.deployment->server(NodeId{1}).visitors().find(ObjectId{1});
-  ASSERT_NE(root_rec, nullptr);
+  const auto root_rec = world.deployment->server(NodeId{1}).visitors().find(ObjectId{1});
+  ASSERT_NE(root_rec, std::nullopt);
   EXPECT_EQ(root_rec->forward_ref, NodeId{2});
-  const auto* s2_rec = world.deployment->server(NodeId{2}).visitors().find(ObjectId{1});
-  ASSERT_NE(s2_rec, nullptr);
+  const auto s2_rec = world.deployment->server(NodeId{2}).visitors().find(ObjectId{1});
+  ASSERT_NE(s2_rec, std::nullopt);
   EXPECT_EQ(s2_rec->forward_ref, NodeId{5});
   // Queries still find the object.
   const auto res = world.pos_query(*world.make_query_client(NodeId{4}), ObjectId{1});

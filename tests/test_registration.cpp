@@ -20,13 +20,13 @@ TEST(Registration, SucceedsAndCreatesForwardingPath) {
 
   // Forwarding path: root(1) -> 2 -> 4; agent leaf stores the leaf record.
   const auto& root_rec = world.deployment->server(NodeId{1}).visitors();
-  ASSERT_NE(root_rec.find(ObjectId{1}), nullptr);
+  ASSERT_NE(root_rec.find(ObjectId{1}), std::nullopt);
   EXPECT_EQ(root_rec.find(ObjectId{1})->forward_ref, NodeId{2});
   const auto& s2_rec = world.deployment->server(NodeId{2}).visitors();
-  ASSERT_NE(s2_rec.find(ObjectId{1}), nullptr);
+  ASSERT_NE(s2_rec.find(ObjectId{1}), std::nullopt);
   EXPECT_EQ(s2_rec.find(ObjectId{1})->forward_ref, NodeId{4});
   const auto& s4_rec = world.deployment->server(NodeId{4}).visitors();
-  ASSERT_NE(s4_rec.find(ObjectId{1}), nullptr);
+  ASSERT_NE(s4_rec.find(ObjectId{1}), std::nullopt);
   EXPECT_TRUE(s4_rec.find(ObjectId{1})->leaf.has_value());
   // Sighting stored only at the leaf.
   EXPECT_NE(world.deployment->server(NodeId{4}).sightings()->find(ObjectId{1}),
@@ -34,7 +34,7 @@ TEST(Registration, SucceedsAndCreatesForwardingPath) {
   EXPECT_EQ(world.deployment->server(NodeId{1}).sightings(), nullptr);
   // Uninvolved subtree knows nothing.
   EXPECT_EQ(world.deployment->server(NodeId{3}).visitors().find(ObjectId{1}),
-            nullptr);
+            std::nullopt);
 }
 
 TEST(Registration, RoutedViaWrongEntryServer) {
@@ -63,7 +63,7 @@ TEST(Registration, FailsWhenAccuracyUnreachable) {
   // No residue anywhere in the hierarchy.
   for (std::uint32_t id = 1; id <= 7; ++id) {
     EXPECT_EQ(world.deployment->server(NodeId{id}).visitors().find(ObjectId{3}),
-              nullptr);
+              std::nullopt);
   }
 }
 
@@ -135,7 +135,7 @@ TEST(Registration, DeregisterRemovesWholePath) {
   world.run();
   for (std::uint32_t id = 1; id <= 7; ++id) {
     EXPECT_EQ(world.deployment->server(NodeId{id}).visitors().find(ObjectId{9}),
-              nullptr)
+              std::nullopt)
         << "server " << id;
   }
   EXPECT_EQ(world.deployment->server(NodeId{4}).sightings()->find(ObjectId{9}),

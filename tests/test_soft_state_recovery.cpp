@@ -24,7 +24,7 @@ TEST(SoftState, ExpiryRemovesWholePath) {
   world.advance(seconds(30));
   for (std::uint32_t id = 1; id <= 7; ++id) {
     EXPECT_EQ(world.deployment->server(NodeId{id}).visitors().find(ObjectId{1}),
-              nullptr)
+              std::nullopt)
         << "server " << id;
   }
   EXPECT_GE(world.deployment->server(NodeId{4}).stats().sightings_expired, 1u);
@@ -41,8 +41,8 @@ TEST(SoftState, ActiveObjectSurvivesWhileSilentOneExpires) {
     active->feed_position({100.0 + 20.0 * (i + 1), 100});
     world.run();
   }
-  EXPECT_NE(world.deployment->server(NodeId{4}).visitors().find(ObjectId{1}), nullptr);
-  EXPECT_EQ(world.deployment->server(NodeId{4}).visitors().find(ObjectId{2}), nullptr);
+  EXPECT_NE(world.deployment->server(NodeId{4}).visitors().find(ObjectId{1}), std::nullopt);
+  EXPECT_EQ(world.deployment->server(NodeId{4}).visitors().find(ObjectId{2}), std::nullopt);
 }
 
 TEST(SoftState, ExpiredObjectQueriesNotFound) {
@@ -99,19 +99,19 @@ TEST_F(RecoveryTest, ForwardingPathsSurviveRestart) {
   core::Deployment recovered(net2, net2.clock(),
                              core::HierarchyBuilder::fig6(kArea), cfg);
   // Forwarding path root->3->6 survived; sightings are gone.
-  const auto* root_rec = recovered.server(NodeId{1}).visitors().find(ObjectId{1});
-  ASSERT_NE(root_rec, nullptr);
+  const auto root_rec = recovered.server(NodeId{1}).visitors().find(ObjectId{1});
+  ASSERT_NE(root_rec, std::nullopt);
   EXPECT_EQ(root_rec->forward_ref, NodeId{3});
-  const auto* s3_rec = recovered.server(NodeId{3}).visitors().find(ObjectId{1});
-  ASSERT_NE(s3_rec, nullptr);
+  const auto s3_rec = recovered.server(NodeId{3}).visitors().find(ObjectId{1});
+  ASSERT_NE(s3_rec, std::nullopt);
   EXPECT_EQ(s3_rec->forward_ref, NodeId{6});
-  const auto* s6_rec = recovered.server(NodeId{6}).visitors().find(ObjectId{1});
-  ASSERT_NE(s6_rec, nullptr);
+  const auto s6_rec = recovered.server(NodeId{6}).visitors().find(ObjectId{1});
+  ASSERT_NE(s6_rec, std::nullopt);
   EXPECT_TRUE(s6_rec->leaf.has_value());
   EXPECT_EQ(recovered.server(NodeId{6}).sightings()->find(ObjectId{1}), nullptr);
   // Stale branch from before the handover is NOT present at s2/s4.
-  EXPECT_EQ(recovered.server(NodeId{2}).visitors().find(ObjectId{1}), nullptr);
-  EXPECT_EQ(recovered.server(NodeId{4}).visitors().find(ObjectId{1}), nullptr);
+  EXPECT_EQ(recovered.server(NodeId{2}).visitors().find(ObjectId{1}), std::nullopt);
+  EXPECT_EQ(recovered.server(NodeId{4}).visitors().find(ObjectId{1}), std::nullopt);
 }
 
 TEST_F(RecoveryTest, QueryAfterRestartTriggersRefresh) {

@@ -224,7 +224,7 @@ TEST(SightingDb, ClearResets) {
 TEST(VisitorDb, InMemoryBasics) {
   VisitorDb db;
   db.set_forward(ObjectId{1}, NodeId{5});
-  ASSERT_NE(db.find(ObjectId{1}), nullptr);
+  ASSERT_NE(db.find(ObjectId{1}), std::nullopt);
   EXPECT_EQ(db.find(ObjectId{1})->forward_ref, NodeId{5});
   EXPECT_FALSE(db.find(ObjectId{1})->leaf.has_value());
 
@@ -254,13 +254,13 @@ TEST_F(VisitorDbTest, PersistsAcrossReopen) {
   auto db = VisitorDb::open(path("vdb"));
   ASSERT_TRUE(db.ok());
   EXPECT_EQ(db.value().size(), 2u);
-  ASSERT_NE(db.value().find(ObjectId{1}), nullptr);
+  ASSERT_NE(db.value().find(ObjectId{1}), std::nullopt);
   EXPECT_EQ(db.value().find(ObjectId{1})->forward_ref, NodeId{5});
-  ASSERT_NE(db.value().find(ObjectId{2}), nullptr);
+  ASSERT_NE(db.value().find(ObjectId{2}), std::nullopt);
   ASSERT_TRUE(db.value().find(ObjectId{2})->leaf.has_value());
   EXPECT_EQ(db.value().find(ObjectId{2})->leaf->offered_acc, 30.0);
   EXPECT_EQ(db.value().find(ObjectId{2})->leaf->reg_info.reg_inst, NodeId{9});
-  EXPECT_EQ(db.value().find(ObjectId{3}), nullptr);
+  EXPECT_EQ(db.value().find(ObjectId{3}), std::nullopt);
 }
 
 TEST_F(PersistentLogTest, AppendBatchMatchesIndividualAppends) {
@@ -307,10 +307,10 @@ TEST_F(VisitorDbTest, RemoveBatchPersistsAndSkipsUnknown) {
   auto db = VisitorDb::open(path("vdb"));
   ASSERT_TRUE(db.ok());
   EXPECT_EQ(db.value().size(), 5u);
-  EXPECT_EQ(db.value().find(ObjectId{2}), nullptr);
-  EXPECT_EQ(db.value().find(ObjectId{4}), nullptr);
-  EXPECT_EQ(db.value().find(ObjectId{6}), nullptr);
-  ASSERT_NE(db.value().find(ObjectId{5}), nullptr);
+  EXPECT_EQ(db.value().find(ObjectId{2}), std::nullopt);
+  EXPECT_EQ(db.value().find(ObjectId{4}), std::nullopt);
+  EXPECT_EQ(db.value().find(ObjectId{6}), std::nullopt);
+  ASSERT_NE(db.value().find(ObjectId{5}), std::nullopt);
 }
 
 TEST_F(VisitorDbTest, CompactionPreservesState) {

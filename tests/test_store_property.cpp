@@ -6,6 +6,9 @@
 
 #include <filesystem>
 #include <map>
+#include <optional>
+#include <set>
+#include <vector>
 
 #include "store/sighting_db.hpp"
 #include "store/visitor_db.hpp"
@@ -123,18 +126,34 @@ TEST_P(VisitorDbPersistence, RandomMutationsSurviveReopenAndCompaction) {
   std::map<std::uint64_t, OracleRec> oracle;
   Rng rng(GetParam() * 7 + 1);
 
+  const auto matches = [&](const VisitorRecord& got, const OracleRec& rec) {
+    EXPECT_EQ(got.leaf.has_value(), rec.leaf) << "oid " << got.oid.value;
+    if (rec.leaf && got.leaf) {
+      EXPECT_DOUBLE_EQ(got.leaf->offered_acc, rec.acc) << "oid " << got.oid.value;
+      EXPECT_EQ(got.leaf->reg_info.reg_inst, NodeId{9}) << "oid " << got.oid.value;
+      EXPECT_EQ(got.forward_ref, kNoNode) << "oid " << got.oid.value;
+    } else if (!rec.leaf) {
+      EXPECT_EQ(got.forward_ref.value, rec.fwd) << "oid " << got.oid.value;
+    }
+  };
   const auto verify = [&](const VisitorDb& db) {
     ASSERT_EQ(db.size(), oracle.size());
     for (const auto& [oid, rec] : oracle) {
-      const VisitorRecord* got = db.find(ObjectId{oid});
-      ASSERT_NE(got, nullptr) << "oid " << oid;
-      EXPECT_EQ(got->leaf.has_value(), rec.leaf);
-      if (rec.leaf) {
-        EXPECT_DOUBLE_EQ(got->leaf->offered_acc, rec.acc);
-      } else {
-        EXPECT_EQ(got->forward_ref.value, rec.fwd);
-      }
+      const std::optional<VisitorRecord> got = db.find(ObjectId{oid});
+      ASSERT_NE(got, std::nullopt) << "oid " << oid;
+      EXPECT_EQ(got->oid, ObjectId{oid});
+      matches(*got, rec);
     }
+    // for_each visits every record exactly once, leaf and forward alike.
+    std::set<std::uint64_t> visited;
+    db.for_each([&](const VisitorRecord& got) {
+      EXPECT_TRUE(visited.insert(got.oid.value).second)
+          << "oid " << got.oid.value << " visited twice";
+      const auto it = oracle.find(got.oid.value);
+      ASSERT_NE(it, oracle.end()) << "oid " << got.oid.value;
+      matches(got, it->second);
+    });
+    EXPECT_EQ(visited.size(), oracle.size());
   };
 
   for (int round = 0; round < 4; ++round) {
@@ -158,9 +177,16 @@ TEST_P(VisitorDbPersistence, RandomMutationsSurviveReopenAndCompaction) {
         db.set_offered_acc(ObjectId{oid}, acc);
         const auto it = oracle.find(oid);
         if (it != oracle.end() && it->second.leaf) it->second.acc = acc;
-      } else {
+      } else if (roll < 0.95) {
         db.remove(ObjectId{oid});
         oracle.erase(oid);
+      } else {
+        // A small batch, absent ids and repeats included.
+        std::vector<ObjectId> batch{ObjectId{oid}};
+        for (int extra = 0; extra < 3; ++extra) batch.push_back(ObjectId{rng.next_below(200)});
+        std::size_t expected = 0;
+        for (const ObjectId id : batch) expected += oracle.erase(id.value);
+        EXPECT_EQ(db.remove_batch(batch), expected);
       }
     }
     if (round % 2 == 1) {

@@ -53,7 +53,7 @@ TEST_P(SystemChurnProperty, InvariantsHoldUnderChurn) {
     for (std::uint64_t i = 0; i < kObjects; ++i) {
       if (!objs[i]->tracked()) continue;  // may have walked out at the border
       ++tracked;
-      ASSERT_NE(root.visitors().find(ObjectId{i + 1}), nullptr)
+      ASSERT_NE(root.visitors().find(ObjectId{i + 1}), std::nullopt)
           << "burst " << burst << " object " << i + 1;
     }
     ASSERT_GT(tracked, kObjects / 2);  // waypoint model stays inside: all, usually

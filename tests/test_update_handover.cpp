@@ -25,16 +25,16 @@ void check_forwarding_invariant(SimWorld& world, ObjectId oid, NodeId agent) {
     chain.push_back(node->cfg.parent);
   }
   for (const auto& node : spec.nodes) {
-    const auto* rec = node.cfg.is_leaf() || true
-                          ? world.deployment->server(node.id).visitors().find(oid)
-                          : nullptr;
+    const auto rec = node.cfg.is_leaf() || true
+                         ? world.deployment->server(node.id).visitors().find(oid)
+                         : std::nullopt;
     const auto on_chain = std::find(chain.begin(), chain.end(), node.id);
     if (on_chain == chain.end()) {
-      EXPECT_EQ(rec, nullptr) << "server " << node.id.value
-                              << " should not know " << oid.value;
+      EXPECT_EQ(rec, std::nullopt) << "server " << node.id.value
+                                   << " should not know " << oid.value;
       continue;
     }
-    ASSERT_NE(rec, nullptr) << "server " << node.id.value << " lost the path";
+    ASSERT_NE(rec, std::nullopt) << "server " << node.id.value << " lost the path";
     if (node.id == agent) {
       EXPECT_TRUE(rec->leaf.has_value());
     } else {
@@ -91,7 +91,7 @@ TEST(Handover, CrossesRootBetweenSubtrees) {
   check_forwarding_invariant(world, ObjectId{2}, NodeId{7});
   // s2 must have dropped its record (upward-path removal, Alg 6-3 line 19).
   EXPECT_EQ(world.deployment->server(NodeId{2}).visitors().find(ObjectId{2}),
-            nullptr);
+            std::nullopt);
 }
 
 TEST(Handover, Fig6MessageTrace) {
@@ -149,7 +149,7 @@ TEST(Handover, LeavingRootAreaDeregisters) {
   EXPECT_EQ(obj->state(), TrackedObject::State::kDeregistered);
   for (const auto& node : world.deployment->spec().nodes) {
     EXPECT_EQ(world.deployment->server(node.id).visitors().find(ObjectId{5}),
-              nullptr)
+              std::nullopt)
         << "server " << node.id.value;
   }
 }
