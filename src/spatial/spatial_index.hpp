@@ -35,6 +35,9 @@ class SpatialIndex {
   virtual bool remove(ObjectId id) = 0;
 
   /// Moves an existing entry (position update). Default: remove + insert.
+  /// Callers send only moves: store::SightingDb, the service's only caller,
+  /// skips the call when a sighting repeats the stored position, so
+  /// implementations need no same-position shortcut.
   virtual void update(ObjectId id, geo::Point pos) {
     remove(id);
     insert(id, pos);

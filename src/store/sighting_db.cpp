@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 namespace locs::store {
 
@@ -17,28 +18,30 @@ void SightingDb::insert(const core::Sighting& s, double offered_acc,
 bool SightingDb::update(const core::Sighting& s, TimePoint expiry) {
   const auto it = records_.find(s.oid);
   if (it == records_.end()) return false;
-  it->second.sighting = s;
-  it->second.expiry = expiry;
-  it->second.generation = next_generation_++;
-  index_->update(s.oid, s.pos);
-  expiry_heap_.push_back({expiry, s.oid, it->second.generation});
-  std::push_heap(expiry_heap_.begin(), expiry_heap_.end(), std::greater<>{});
+  write(it->second, /*inserted=*/false, s, expiry);
   return true;
 }
 
 void SightingDb::upsert(const core::Sighting& s, double offered_acc,
                         TimePoint expiry) {
   const auto [it, inserted] = records_.try_emplace(s.oid);
-  Record& rec = it->second;
-  rec.sighting = s;
-  rec.offered_acc = offered_acc;
-  rec.expiry = expiry;
-  rec.generation = next_generation_++;
+  it->second.offered_acc = offered_acc;
+  write(it->second, inserted, s, expiry);
+}
+
+void SightingDb::write(Record& rec, bool inserted, const core::Sighting& s,
+                       TimePoint expiry) {
   if (inserted) {
     index_->insert(s.oid, s.pos);
-  } else {
+  } else if (std::memcmp(&rec.sighting.pos, &s.pos, sizeof s.pos) != 0) {
+    // Compared bit for bit, not with ==, so the index always holds the
+    // record's exact position (k_nearest answers with the index's copy, and
+    // -0.0 == 0.0).
     index_->update(s.oid, s.pos);
   }
+  rec.sighting = s;
+  rec.expiry = expiry;
+  rec.generation = next_generation_++;
   expiry_heap_.push_back({expiry, s.oid, rec.generation});
   std::push_heap(expiry_heap_.begin(), expiry_heap_.end(), std::greater<>{});
 }

@@ -42,12 +42,14 @@ class SightingDb {
 
   /// Updates the stored sighting (position update); returns false if the
   /// object is unknown. Extends the expiration date (§5: "extended
-  /// accordingly whenever the visitor contacts the location server").
+  /// accordingly whenever the visitor contacts the location server"). Only
+  /// a new position reaches the spatial index: a sighting at the stored
+  /// position refreshes the record and its expiry but makes no index call.
   bool update(const core::Sighting& s, TimePoint expiry);
 
   /// Insert-or-update with one lookup: insert() for a new object, otherwise
   /// update() followed by set_offered_acc(). The spatial index sees the same
-  /// insert or update either way.
+  /// insert, move or nothing either way.
   void upsert(const core::Sighting& s, double offered_acc, TimePoint expiry);
 
   /// One upsert item of apply_batch (wire::BatchedUpdateReq application).
@@ -145,6 +147,11 @@ class SightingDb {
     std::uint64_t generation;
     bool operator>(const HeapEntry& other) const { return expiry > other.expiry; }
   };
+
+  /// Writes `s` and `expiry` into `rec` and queues the expiry. The index
+  /// gets an insert for a new record and an update only when the position
+  /// changed -- the one place the stationary rule lives.
+  void write(Record& rec, bool inserted, const core::Sighting& s, TimePoint expiry);
 
   spatial::IndexFactory index_factory_;
   std::unique_ptr<spatial::SpatialIndex> index_;

@@ -209,6 +209,107 @@ TEST(SightingDb, KNearestRespectsAccuracyFilter) {
   EXPECT_EQ(nn[0].oid, ObjectId{2});
 }
 
+// Forwards to a point quadtree and counts inserts and updates.
+struct IndexCalls {
+  int inserts = 0;
+  int updates = 0;
+};
+
+class CountingIndex : public spatial::SpatialIndex {
+ public:
+  explicit CountingIndex(IndexCalls& calls) : calls_(calls) {}
+  void insert(ObjectId id, geo::Point pos) override {
+    ++calls_.inserts;
+    inner_->insert(id, pos);
+  }
+  bool remove(ObjectId id) override { return inner_->remove(id); }
+  void update(ObjectId id, geo::Point pos) override {
+    ++calls_.updates;
+    inner_->update(id, pos);
+  }
+  void query_rect(const geo::Rect& rect,
+                  std::vector<spatial::Entry>& out) const override {
+    inner_->query_rect(rect, out);
+  }
+  void query_circle(const geo::Circle& circle,
+                    std::vector<spatial::Entry>& out) const override {
+    inner_->query_circle(circle, out);
+  }
+  std::vector<spatial::Entry> k_nearest(geo::Point p, std::size_t k) const override {
+    return inner_->k_nearest(p, k);
+  }
+  std::size_t size() const override { return inner_->size(); }
+  void clear() override { inner_->clear(); }
+  const char* name() const override { return "counting"; }
+
+ private:
+  IndexCalls& calls_;
+  std::unique_ptr<spatial::SpatialIndex> inner_ = spatial::make_point_quadtree();
+};
+
+TEST(SightingDb, StationarySightingSkipsTheIndex) {
+  IndexCalls calls;
+  SightingDb db([&calls] { return std::make_unique<CountingIndex>(calls); });
+  // Object 1 is the quadtree's root, so its node has children; object 40,
+  // inserted last, sits on a childless node.
+  Rng rng(5);
+  for (std::uint64_t i = 1; i <= 40; ++i) {
+    db.insert(sighting(i, rng.uniform(0, 1000), rng.uniform(0, 1000)), 10.0, 1000);
+  }
+  ASSERT_EQ(calls.inserts, 40);
+  const geo::Polygon area = geo::Polygon::from_rect(geo::Rect{{0, 0}, {1000, 1000}});
+  const auto ids_and_positions = [&] {
+    std::vector<core::ObjectResult> out;
+    db.objects_in_area(area, 50.0, 0.5, out);
+    std::vector<std::pair<std::uint64_t, geo::Point>> got;
+    for (const core::ObjectResult& r : out) got.emplace_back(r.oid.value, r.ld.pos);
+    return got;
+  };
+  const auto before = ids_and_positions();
+  ASSERT_EQ(before.size(), 40u);
+
+  for (const std::uint64_t oid : {std::uint64_t{1}, std::uint64_t{40}}) {
+    const geo::Point stored = db.find(ObjectId{oid})->sighting.pos;
+    const core::Sighting upserted{ObjectId{oid}, 2000, stored, 3.0};
+    db.upsert(upserted, 25.0, 5000);
+    const core::Sighting updated{ObjectId{oid}, 3000, stored, 4.0};
+    EXPECT_TRUE(db.update(updated, 9000));
+    EXPECT_EQ(calls.updates, 0) << "oid " << oid;
+
+    // The record, its accuracy and its expiry are refreshed all the same.
+    const SightingDb::Record* rec = db.find(ObjectId{oid});
+    ASSERT_NE(rec, nullptr);
+    EXPECT_EQ(rec->sighting, updated);
+    EXPECT_EQ(rec->offered_acc, 25.0);
+    EXPECT_EQ(rec->expiry, 9000);
+  }
+  EXPECT_EQ(ids_and_positions(), before);
+
+  // Between the old and the new expiry nothing expires; at the new one the
+  // two refreshed objects do.
+  auto expired = db.expire_until(1000);
+  EXPECT_EQ(expired.size(), 38u);
+  EXPECT_TRUE(db.expire_until(8999).empty());
+  expired = db.expire_until(9000);
+  std::sort(expired.begin(), expired.end());
+  EXPECT_EQ(expired, (std::vector<ObjectId>{ObjectId{1}, ObjectId{40}}));
+  EXPECT_EQ(db.size(), 0u);
+
+  // A moved sighting is one index update.
+  db.insert(sighting(7, 100, 100), 10.0, 20000);
+  EXPECT_TRUE(db.update(sighting(7, 100, 101), 21000));
+  EXPECT_EQ(calls.updates, 1);
+  db.upsert(sighting(7, 100, 101), 12.0, 22000);
+  EXPECT_EQ(calls.updates, 1);
+  db.upsert(sighting(7, 101, 101), 12.0, 23000);
+  EXPECT_EQ(calls.updates, 2);
+  std::vector<core::ObjectResult> out;
+  db.objects_in_area(geo::Polygon::from_rect(geo::Rect{{90, 90}, {110, 110}}), 50.0,
+                     0.5, out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].ld.pos, (geo::Point{101, 101}));
+}
+
 TEST(SightingDb, ClearResets) {
   SightingDb db = make_db();
   db.insert(sighting(1, 0, 0), 10, 1000);

@@ -1,7 +1,8 @@
 // Randomized property suites for the storage layer: SightingDb against a
-// plain-map oracle under mixed insert/update/remove/expiry churn, and
-// VisitorDb persistence equivalence across random mutation sequences and
-// reopen/compaction cycles.
+// plain-map oracle under mixed insert/update/remove/expiry churn (a third
+// of the updates at the stored position), and VisitorDb persistence
+// equivalence across random mutation sequences and reopen/compaction
+// cycles.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -37,13 +38,20 @@ TEST_P(SightingDbChurn, MatchesOracleUnderMixedOps) {
     now += static_cast<Duration>(rng.next_below(1000));
     if (roll < 0.40) {
       const std::uint64_t oid = rng.next_below(500);
-      const geo::Point p{rng.uniform(0, 1000), rng.uniform(0, 1000)};
+      geo::Point p{rng.uniform(0, 1000), rng.uniform(0, 1000)};
       const double acc = rng.uniform(1, 100);
       const TimePoint expiry = now + static_cast<Duration>(rng.next_below(100000));
-      if (oracle.count(oid)) {
-        db.update({ObjectId{oid}, now, p, 1.0}, expiry);
-        db.set_offered_acc(ObjectId{oid}, acc);
-        oracle[oid] = {p, acc, expiry};
+      if (const auto known = oracle.find(oid); known != oracle.end()) {
+        // A third of the updates re-send the stored position: the record,
+        // accuracy and expiry are refreshed without an index call.
+        if (rng.next_below(3) == 0) p = known->second.pos;
+        if (rng.next_below(2) == 0) {
+          db.upsert({ObjectId{oid}, now, p, 1.0}, acc, expiry);
+        } else {
+          db.update({ObjectId{oid}, now, p, 1.0}, expiry);
+          db.set_offered_acc(ObjectId{oid}, acc);
+        }
+        known->second = {p, acc, expiry};
       } else {
         db.insert({ObjectId{oid}, now, p, 1.0}, acc, expiry);
         oracle[oid] = {p, acc, expiry};
@@ -75,6 +83,7 @@ TEST_P(SightingDbChurn, MatchesOracleUnderMixedOps) {
       if (rec != nullptr) {
         EXPECT_EQ(rec->sighting.pos, it->second.pos);
         EXPECT_EQ(rec->offered_acc, it->second.acc);
+        EXPECT_EQ(rec->expiry, it->second.expiry);
       }
     } else {
       // Area query vs oracle.
