@@ -6,8 +6,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <compare>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -56,6 +58,11 @@ struct SendCache {
 thread_local SendCache t_send_cache;
 std::atomic<std::uint64_t> g_instance_ids{1};
 
+// A datagram's source address and port, packed into one reassembly key.
+std::uint64_t sender_key(const sockaddr_in& from) {
+  return (std::uint64_t{ntohl(from.sin_addr.s_addr)} << 16) | ntohs(from.sin_port);
+}
+
 }  // namespace
 
 struct UdpNetwork::Node {
@@ -71,17 +78,26 @@ struct UdpNetwork::Node {
   std::mutex handler_mu;
   DatagramHandler handler;
   std::thread thread;
-  // Reassembly state keyed by (sender msg_id); single-threaded per node.
-  // The first fragment of a msg_id fixes its count (frags.size()), and
-  // `arrived` marks the indices already stashed, so a fragment that names
-  // another count or repeats an index is dropped instead of completing the
-  // message early.
+  // Reassembly state keyed by (sender address and port, msg_id): every
+  // UdpNetwork counts msg_ids from 1, so two peer processes reuse ids.
+  // Single-threaded per node. The first fragment of a message fixes its
+  // count (frags.size()), and `arrived` marks the indices already stashed,
+  // so a fragment that names another count or repeats an index is dropped
+  // instead of completing the message early. `opened` orders partials by
+  // creation, so the cap drops the oldest.
+  struct PartialKey {
+    std::uint64_t sender;
+    std::uint32_t msg_id;
+    auto operator<=>(const PartialKey&) const = default;
+  };
   struct Partial {
     std::vector<wire::Buffer> frags;
     std::vector<bool> arrived;
     std::size_t received = 0;
+    std::uint64_t opened = 0;
   };
-  std::map<std::uint64_t, Partial> partials;
+  std::map<PartialKey, Partial> partials;
+  std::uint64_t partials_opened = 0;
   // Buffer reuse: retired partials (fragment buffers keep capacity) and the
   // reassembled-message scratch, so steady multi-fragment traffic stops
   // allocating once the buffers reach their working sizes. The scratch is a
@@ -100,6 +116,7 @@ struct UdpNetwork::Node {
     p.frags.resize(count);
     p.arrived.assign(count, false);
     p.received = 0;
+    p.opened = ++partials_opened;
     return p;
   }
 
@@ -263,8 +280,8 @@ UdpNetwork::TxStats UdpNetwork::tx_stats(NodeId node) const {
   return it != nodes_.end() ? it->second->ring->stats() : TxStats{};
 }
 
-void UdpNetwork::handle_datagram(Node& node, PooledBuffer& slot,
-                                 std::size_t len) {
+void UdpNetwork::handle_datagram(Node& node, std::uint64_t sender,
+                                 PooledBuffer& slot, std::size_t len) {
   const std::uint8_t* buf = slot->data();
   if (len < kFragHeader) return;
   if (frag::get_u16(buf) != kFragMagic) return;
@@ -286,7 +303,7 @@ void UdpNetwork::handle_datagram(Node& node, PooledBuffer& slot,
   // the reassembled-message buffer are recycled (capacity intact) instead
   // of freshly allocated per message.
   if (index >= count) return;
-  const auto [it, fresh] = node.partials.try_emplace(msg_id);
+  const auto [it, fresh] = node.partials.try_emplace({sender, msg_id});
   Node::Partial& partial = it->second;
   if (fresh) partial = node.take_partial(count);
   if (count != partial.frags.size() || partial.arrived[index]) return;
@@ -310,11 +327,14 @@ void UdpNetwork::handle_datagram(Node& node, PooledBuffer& slot,
     if (node.handler) node.handler(dg);
     return;
   }
-  // Bound reassembly memory: drop oldest partials beyond a small cap
+  // Bound reassembly memory: drop the oldest partials beyond a small cap
   // (recycling them too).
-  while (node.partials.size() > 64) {
-    node.recycle_partial(std::move(node.partials.begin()->second));
-    node.partials.erase(node.partials.begin());
+  while (node.partials.size() > kMaxPartials) {
+    const auto oldest = std::min_element(
+        node.partials.begin(), node.partials.end(),
+        [](const auto& a, const auto& b) { return a.second.opened < b.second.opened; });
+    node.recycle_partial(std::move(oldest->second));
+    node.partials.erase(oldest);
   }
 }
 
@@ -332,6 +352,7 @@ void UdpNetwork::receive_loop(Node& node) {
   for (PooledBuffer& slot : slots) provision(slot);
   mmsghdr msgs[kRecvBatch];
   iovec iovs[kRecvBatch];
+  sockaddr_in senders[kRecvBatch];
   while (!stopping_.load(std::memory_order_acquire)) {
     pollfd pfd{node.fd, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, /*timeout_ms=*/50);
@@ -347,6 +368,8 @@ void UdpNetwork::receive_loop(Node& node) {
       std::memset(&msgs[i], 0, sizeof msgs[i]);
       msgs[i].msg_hdr.msg_iov = &iovs[i];
       msgs[i].msg_hdr.msg_iovlen = 1;
+      msgs[i].msg_hdr.msg_name = &senders[i];
+      msgs[i].msg_hdr.msg_namelen = sizeof senders[i];
     }
     // Batched receive: one syscall drains up to kRecvBatch queued datagrams
     // (under load the syscall cost amortizes across the whole batch).
@@ -357,7 +380,7 @@ void UdpNetwork::receive_loop(Node& node) {
     // transmit dual of the recvmmsg amortization above.
     node.ring->cork();
     for (int i = 0; i < n; ++i) {
-      handle_datagram(node, slots[i], msgs[i].msg_len);
+      handle_datagram(node, sender_key(senders[i]), slots[i], msgs[i].msg_len);
     }
     node.ring->uncork();
   }

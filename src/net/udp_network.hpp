@@ -42,7 +42,10 @@
 // {datagrams_sent, batches_flushed, eagain_retries, dropped}.
 //
 // Datagrams larger than the safe UDP payload are fragmented and reassembled
-// with a small header (large range-query results can exceed 64 KiB).
+// with a small header (large range-query results can exceed 64 KiB). The
+// receiver keys reassembly by the sender's address and port plus the
+// header's msg_id, so peers in other processes, whose msg_ids also start at
+// 1, never mix fragments.
 #pragma once
 
 #include <atomic>
@@ -122,6 +125,10 @@ class UdpNetwork : public Transport {
   /// Datagrams per recvmmsg syscall (and pooled slots per receive thread).
   static constexpr std::size_t kRecvBatch = 16;
 
+  /// Incomplete multi-fragment messages a node keeps; beyond this it drops
+  /// the one whose first fragment arrived earliest.
+  static constexpr std::size_t kMaxPartials = 64;
+
  private:
   struct Node;
 
@@ -130,9 +137,11 @@ class UdpNetwork : public Transport {
   /// re-primes the cache. Returns nullptr for never-attached senders.
   Node* node_for_send(NodeId from);
   void receive_loop(Node& node);
-  /// Parses one received datagram (frag header, reassembly) and invokes the
-  /// node's handler with `slot` as the Datagram backing.
-  void handle_datagram(Node& node, PooledBuffer& slot, std::size_t len);
+  /// Parses one received datagram (frag header, reassembly keyed by the
+  /// `sender` address and port plus msg_id) and invokes the node's handler
+  /// with `slot` as the Datagram backing.
+  void handle_datagram(Node& node, std::uint64_t sender, PooledBuffer& slot,
+                       std::size_t len);
 
   std::uint16_t base_port_;
   const std::uint64_t instance_id_;  // guards the TLS cache across reuse

@@ -7,6 +7,8 @@
 //  * reassembled multi-fragment messages honor the same pin protocol, and a
 //    fragment that disagrees with its message's first fragment (another
 //    count, a repeated index) is dropped rather than completing it;
+//  * reassembly keys fragments by sender as well as msg_id, and its cap on
+//    incomplete messages drops the oldest;
 //  * an entry server's range merge over real UDP -- sub-results pinned
 //    across multiple recvmmsg batches -- produces correct answers.
 #include <arpa/inet.h>
@@ -15,6 +17,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -214,42 +217,74 @@ TEST(RxPath, ReassembledFragmentsArePinnableZeroCopy) {
   }
 }
 
-TEST(RxPath, InconsistentFragmentsNeverDeliver) {
-  const std::uint16_t base = net::UdpNetwork::pick_free_base_port(4);
-  net::UdpNetwork net(base);
-  UdpEcho echo;
-  net.attach(NodeId{1}, [&](const std::uint8_t* d, std::size_t l) {
-    std::lock_guard<std::mutex> lock(echo.mu);
-    echo.received.emplace_back(d, d + l);
-    echo.count.fetch_add(1);
-  });
-  net.attach(NodeId{2}, [](const std::uint8_t*, std::size_t) {});
+// A plain socket (its own ephemeral port) that sends hand-built fragment
+// frames to node 1 -- a peer in another process, as the receiver sees it.
+class RawFragSender {
+ public:
+  explicit RawFragSender(std::uint16_t base) {
+    dst_.sin_family = AF_INET;
+    dst_.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    dst_.sin_port = htons(static_cast<std::uint16_t>(base + 1));
+  }
+  ~RawFragSender() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  RawFragSender(const RawFragSender&) = delete;
+  RawFragSender& operator=(const RawFragSender&) = delete;
 
-  // Raw fragments from a plain socket, each disagreeing with the first
-  // fragment of its msg_id: a different count, then a repeated index.
-  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in dst{};
-  dst.sin_family = AF_INET;
-  dst.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  dst.sin_port = htons(static_cast<std::uint16_t>(base + 1));
-  const auto send_frag = [&](std::uint32_t msg_id, std::uint16_t index,
-                             std::uint16_t count, const char* body) {
+  void send(std::uint32_t msg_id, std::uint16_t index, std::uint16_t count,
+            const char* body) {
+    ASSERT_GE(fd_, 0);
     wire::Buffer frame(net::kFragHeader);
     net::frag::put_u16(frame.data(), net::kFragMagic);
     net::frag::put_u32(frame.data() + 2, msg_id);
     net::frag::put_u16(frame.data() + 6, index);
     net::frag::put_u16(frame.data() + 8, count);
     frame.insert(frame.end(), body, body + std::strlen(body));
-    ASSERT_EQ(::sendto(fd, frame.data(), frame.size(), 0,
-                       reinterpret_cast<const sockaddr*>(&dst), sizeof dst),
+    ASSERT_EQ(::sendto(fd_, frame.data(), frame.size(), 0,
+                       reinterpret_cast<const sockaddr*>(&dst_), sizeof dst_),
               static_cast<ssize_t>(frame.size()));
-  };
-  send_frag(77, 0, 3, "AAAA");
-  send_frag(77, 1, 2, "BBBB");
-  send_frag(78, 0, 2, "");
-  send_frag(78, 0, 2, "");
-  ::close(fd);
+  }
+
+ private:
+  int fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
+  sockaddr_in dst_{};
+};
+
+// Attaches node 1 with a handler that copies every delivered message.
+void attach_collector(net::UdpNetwork& net, UdpEcho& echo) {
+  net.attach(NodeId{1}, [&echo](const std::uint8_t* d, std::size_t l) {
+    std::lock_guard<std::mutex> lock(echo.mu);
+    echo.received.emplace_back(d, d + l);
+    echo.count.fetch_add(1);
+  });
+}
+
+// Waits until `n` messages arrived, then a little longer so that a message
+// that should not arrive has had the time to.
+void settle(const UdpEcho& echo, std::size_t n) {
+  for (int spin = 0; spin < 400 && echo.count.load() < n; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+}
+
+TEST(RxPath, InconsistentFragmentsNeverDeliver) {
+  const std::uint16_t base = net::UdpNetwork::pick_free_base_port(4);
+  net::UdpNetwork net(base);
+  UdpEcho echo;
+  attach_collector(net, echo);
+  net.attach(NodeId{2}, [](const std::uint8_t*, std::size_t) {});
+
+  // Raw fragments from a plain socket, each disagreeing with the first
+  // fragment of its msg_id: a different count, then a repeated index.
+  {
+    RawFragSender peer(base);
+    peer.send(77, 0, 3, "AAAA");
+    peer.send(77, 1, 2, "BBBB");
+    peer.send(78, 0, 2, "");
+    peer.send(78, 0, 2, "");
+  }
 
   // A well-formed 3-fragment message sent afterwards still arrives intact.
   constexpr std::size_t kBig = 2 * net::kMaxFragPayload + 100;
@@ -258,13 +293,52 @@ TEST(RxPath, InconsistentFragmentsNeverDeliver) {
     big[j] = static_cast<std::uint8_t>(j * 13);
   }
   net.send(NodeId{2}, NodeId{1}, big);
-  for (int spin = 0; spin < 400 && echo.count.load() < 1; ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  settle(echo, 1);
   std::lock_guard<std::mutex> lock(echo.mu);
   ASSERT_EQ(echo.received.size(), 1u);
   EXPECT_EQ(echo.received[0], big);
+}
+
+TEST(RxPath, SameMsgIdFromTwoSendersStaysApart) {
+  const std::uint16_t base = net::UdpNetwork::pick_free_base_port(4);
+  net::UdpNetwork net(base);
+  UdpEcho echo;
+  attach_collector(net, echo);
+
+  // Every UdpNetwork numbers its messages from 1, so two peer processes
+  // send the same msg_id; here their fragments interleave on the wire.
+  RawFragSender a(base);
+  RawFragSender b(base);
+  a.send(1, 0, 2, "AAAA");
+  b.send(1, 1, 2, "bbbb");
+  a.send(1, 1, 2, "aaaa");
+  b.send(1, 0, 2, "BBBB");
+  settle(echo, 2);
+  std::lock_guard<std::mutex> lock(echo.mu);
+  std::vector<wire::Buffer> got = echo.received;
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, (std::vector<wire::Buffer>{bytes_of("AAAAaaaa"), bytes_of("BBBBbbbb")}));
+}
+
+TEST(RxPath, ReassemblyCapDropsTheOldestPartial) {
+  const std::uint16_t base = net::UdpNetwork::pick_free_base_port(4);
+  net::UdpNetwork net(base);
+  UdpEcho echo;
+  attach_collector(net, echo);
+
+  // Message 900 opens first, then messages 1..cap: one partial too many.
+  // The oldest (900) goes, although 1 has the smallest msg_id.
+  RawFragSender peer(base);
+  peer.send(900, 0, 2, "old-");
+  for (std::uint32_t id = 1; id <= net::UdpNetwork::kMaxPartials; ++id) {
+    peer.send(id, 0, 2, "new-");
+  }
+  peer.send(1, 1, 2, "one");
+  peer.send(900, 1, 2, "900");
+  settle(echo, 1);
+  std::lock_guard<std::mutex> lock(echo.mu);
+  ASSERT_EQ(echo.received.size(), 1u);
+  EXPECT_EQ(echo.received[0], bytes_of("new-one"));
 }
 
 // --- end-to-end: pinned merge over real UDP ----------------------------------
