@@ -11,22 +11,22 @@ SightingDb::SightingDb(spatial::IndexFactory index_factory)
 
 void SightingDb::insert(const core::Sighting& s, double offered_acc,
                         TimePoint expiry) {
-  assert(records_.find(s.oid) == records_.end());
+  assert(records_.find(s.oid) == nullptr);
   upsert(s, offered_acc, expiry);
 }
 
 bool SightingDb::update(const core::Sighting& s, TimePoint expiry) {
-  const auto it = records_.find(s.oid);
-  if (it == records_.end()) return false;
-  write(it->second, /*inserted=*/false, s, expiry);
+  Record* rec = records_.find(s.oid);
+  if (rec == nullptr) return false;
+  write(*rec, /*inserted=*/false, s, expiry);
   return true;
 }
 
 void SightingDb::upsert(const core::Sighting& s, double offered_acc,
                         TimePoint expiry) {
-  const auto [it, inserted] = records_.try_emplace(s.oid);
-  it->second.offered_acc = offered_acc;
-  write(it->second, inserted, s, expiry);
+  const auto [rec, inserted] = records_.try_emplace(s.oid);
+  rec->offered_acc = offered_acc;
+  write(*rec, inserted, s, expiry);
 }
 
 void SightingDb::write(Record& rec, bool inserted, const core::Sighting& s,
@@ -41,8 +41,12 @@ void SightingDb::write(Record& rec, bool inserted, const core::Sighting& s,
   }
   rec.sighting = s;
   rec.expiry = expiry;
-  rec.generation = next_generation_++;
-  expiry_heap_.push_back({expiry, s.oid, rec.generation});
+  if (inserted || expiry < rec.queued) queue(s.oid, rec, expiry);
+}
+
+void SightingDb::queue(ObjectId oid, Record& rec, TimePoint expiry) {
+  rec.queued = expiry;
+  expiry_heap_.push_back({expiry, oid});
   std::push_heap(expiry_heap_.begin(), expiry_heap_.end(), std::greater<>{});
 }
 
@@ -52,22 +56,18 @@ void SightingDb::apply_batch(const std::vector<BulkUpdate>& items,
 }
 
 bool SightingDb::remove(ObjectId oid) {
-  const auto it = records_.find(oid);
-  if (it == records_.end()) return false;
+  if (!records_.erase(oid)) return false;
   index_->remove(oid);
-  records_.erase(it);
-  // Heap entries for this object become stale and are skipped lazily.
+  // The record's queued entry becomes stale and is dropped when it pops.
   return true;
 }
 
 const SightingDb::Record* SightingDb::find(ObjectId oid) const {
-  const auto it = records_.find(oid);
-  return it == records_.end() ? nullptr : &it->second;
+  return records_.find(oid);
 }
 
 void SightingDb::set_offered_acc(ObjectId oid, double offered_acc) {
-  const auto it = records_.find(oid);
-  if (it != records_.end()) it->second.offered_acc = offered_acc;
+  if (Record* rec = records_.find(oid)) rec->offered_acc = offered_acc;
 }
 
 std::vector<ObjectId> SightingDb::expire_until(TimePoint now) {
@@ -76,12 +76,18 @@ std::vector<ObjectId> SightingDb::expire_until(TimePoint now) {
     const HeapEntry entry = expiry_heap_.front();
     std::pop_heap(expiry_heap_.begin(), expiry_heap_.end(), std::greater<>{});
     expiry_heap_.pop_back();
-    const auto it = records_.find(entry.oid);
-    if (it == records_.end() || it->second.generation != entry.generation) {
-      continue;  // stale heap entry (updated or removed since)
+    Record* rec = records_.find(entry.oid);
+    if (rec == nullptr || rec->queued != entry.expiry) {
+      continue;  // stale: removed, or queued again since
     }
+    if (rec->expiry > now) {
+      // Refreshed since it was queued: wait for the latest expiry. It lies
+      // after `now`, so this loop does not pop the entry again.
+      queue(entry.oid, *rec, rec->expiry);
+      continue;
+    }
+    records_.erase(entry.oid);
     index_->remove(entry.oid);
-    records_.erase(it);
     expired.push_back(entry.oid);
   }
   return expired;
@@ -109,10 +115,10 @@ std::vector<core::ObjectResult> SightingDb::k_nearest(geo::Point p, std::size_t 
     const auto entries = index_->k_nearest(p, fetch);
     result.clear();
     for (const spatial::Entry& e : entries) {
-      const auto it = records_.find(e.id);
-      assert(it != records_.end());
-      if (it->second.offered_acc > req_acc) continue;
-      result.push_back({e.id, {e.pos, it->second.offered_acc}});
+      const Record* rec = records_.find(e.id);
+      assert(rec != nullptr);
+      if (rec->offered_acc > req_acc) continue;
+      result.push_back({e.id, {e.pos, rec->offered_acc}});
       if (result.size() == k) return result;
     }
     if (entries.size() < fetch) return result;  // exhausted the database

@@ -4,7 +4,8 @@
 //  * the sightingDB proper (one sighting record per visitor, with a
 //    soft-state expiration date),
 //  * the hash index over object identifiers ("to quickly find the object
-//    belonging to a position query"),
+//    belonging to a position query") -- the records live in it, one
+//    util::OidMap slot each,
 //  * a pluggable spatial index over positions ("to find the candidates for
 //    a range or nearest neighbor query").
 //
@@ -13,7 +14,6 @@
 #pragma once
 
 #include <cassert>
-#include <unordered_map>
 #include <vector>
 
 #include "core/types.hpp"
@@ -22,6 +22,7 @@
 #include "spatial/spatial_index.hpp"
 #include "util/clock.hpp"
 #include "util/ids.hpp"
+#include "util/oid_set.hpp"
 
 namespace locs::store {
 
@@ -32,7 +33,7 @@ class SightingDb {
     double offered_acc = 0.0;  // mirrored from the visitor record for fast
                                // query-time accuracy filtering
     TimePoint expiry = 0;
-    std::uint64_t generation = 0;  // internal: validates lazy heap entries
+    TimePoint queued = 0;  // internal: the expiry of the record's heap entry
   };
 
   explicit SightingDb(spatial::IndexFactory index_factory);
@@ -65,12 +66,27 @@ class SightingDb {
 
   bool remove(ObjectId oid);
 
+  /// The record of `oid`, or nullptr. The records live in a flat table that
+  /// moves entries when it grows or closes a gap, so the pointer stays valid
+  /// only until the next insert, remove, expire_until or clear (a refresh of
+  /// an existing record through update, upsert or set_offered_acc moves
+  /// nothing). Read what you need before mutating the database.
   const Record* find(ObjectId oid) const;
 
   void set_offered_acc(ObjectId oid, double offered_acc);
 
-  /// Pops every object whose sighting record has expired (soft state, §5).
+  /// Pops every object whose sighting record has expired (soft state, §5):
+  /// a record expires at the first call with `now` at or after its latest
+  /// expiry, and only once.
   std::vector<ObjectId> expire_until(TimePoint now);
+
+  /// Number of queued expiries (entries of the expiry heap, stale ones
+  /// included). A record has one queued entry: a refresh to a later expiry
+  /// queues nothing (expire_until re-queues the entry when it pops), only a
+  /// new record or a refresh to an earlier expiry does. A removed record's
+  /// entry, or one a refresh to an earlier expiry superseded, stays queued
+  /// until it pops.
+  std::size_t queued_expiries() const { return expiry_heap_.size(); }
 
   /// Algorithm 6-5, line 4 -- spatialIndex.objectsInArea(area, reqAcc,
   /// reqOverlap): all objects with Overlap(area, o) >= req_overlap and
@@ -95,9 +111,9 @@ class SightingDb {
     candidates_scratch_.clear();
     index_->query_rect(search, candidates_scratch_);
     for (const spatial::Entry& cand : candidates_scratch_) {
-      const auto it = records_.find(cand.id);
-      assert(it != records_.end());
-      const Record& rec = it->second;
+      const Record* found = records_.find(cand.id);
+      assert(found != nullptr);
+      const Record& rec = *found;
       if (rec.offered_acc > req_acc) continue;  // insufficient accuracy (§3.2)
       const double ov =
           geo::overlap_degree(area, {rec.sighting.pos, rec.offered_acc});
@@ -119,9 +135,9 @@ class SightingDb {
     candidates_scratch_.clear();
     index_->query_circle(circle, candidates_scratch_);
     for (const spatial::Entry& cand : candidates_scratch_) {
-      const auto it = records_.find(cand.id);
-      assert(it != records_.end());
-      const Record& rec = it->second;
+      const Record* found = records_.find(cand.id);
+      assert(found != nullptr);
+      const Record& rec = *found;
       if (rec.offered_acc > req_acc) continue;
       sink(core::ObjectResult{cand.id, {rec.sighting.pos, rec.offered_acc}});
     }
@@ -141,17 +157,23 @@ class SightingDb {
   static constexpr double kMinOverlap = 1e-12;
 
  private:
+  /// A queued expiry. It is live while its record exists and was queued at
+  /// this expiry (`Record::queued`); otherwise it is stale and dropped when
+  /// it pops.
   struct HeapEntry {
     TimePoint expiry;
     ObjectId oid;
-    std::uint64_t generation;
     bool operator>(const HeapEntry& other) const { return expiry > other.expiry; }
   };
 
-  /// Writes `s` and `expiry` into `rec` and queues the expiry. The index
-  /// gets an insert for a new record and an update only when the position
-  /// changed -- the one place the stationary rule lives.
+  /// Writes `s` and `expiry` into `rec`. The index gets an insert for a new
+  /// record and an update only when the position changed -- the one place
+  /// the stationary rule lives. A new record, or an expiry earlier than the
+  /// queued one, queues an entry; a later expiry waits for the queued entry
+  /// to pop.
   void write(Record& rec, bool inserted, const core::Sighting& s, TimePoint expiry);
+
+  void queue(ObjectId oid, Record& rec, TimePoint expiry);
 
   spatial::IndexFactory index_factory_;
   std::unique_ptr<spatial::SpatialIndex> index_;
@@ -159,9 +181,8 @@ class SightingDb {
   // owning server is a single-threaded reactor, so const queries never run
   // concurrently).
   mutable std::vector<spatial::Entry> candidates_scratch_;
-  std::unordered_map<ObjectId, Record> records_;
+  util::OidMap<Record> records_;
   std::vector<HeapEntry> expiry_heap_;  // min-heap via std::push_heap
-  std::uint64_t next_generation_ = 1;
 };
 
 }  // namespace locs::store

@@ -99,6 +99,7 @@ class OidSet {
 ///  * the NN merge's candidate state (one entry per candidate streamed off a
 ///    probe sub-result);
 ///  * store::VisitorDb's two record tables (one entry per visitor);
+///  * store::SightingDb's sighting records (one entry per visitor of a leaf);
 ///  * the point quadtree's id -> slot map.
 /// Linear probing over a power-of-two slot array, grown at 70% load; erase
 /// shifts the rest of the probe run back instead of leaving a tombstone, so

@@ -167,6 +167,79 @@ TEST(SightingDb, RemovedObjectNeverExpires) {
   EXPECT_TRUE(db.expire_until(10000).empty());
 }
 
+TEST(SightingDb, RefreshesQueueNoExpiries) {
+  // One queued expiry per record: K records refreshed N times each, with no
+  // expire_until in between, leave K entries, not one per refresh.
+  SightingDb db = make_db();
+  constexpr std::uint64_t kRecords = 50;
+  constexpr TimePoint kRefreshes = 20;
+  for (std::uint64_t i = 1; i <= kRecords; ++i) {
+    db.insert(sighting(i, 0, static_cast<double>(i)), 10.0, 1000);
+  }
+  for (TimePoint n = 1; n <= kRefreshes; ++n) {
+    for (std::uint64_t i = 1; i <= kRecords; ++i) {
+      // Moves through update, stationary repeats through upsert.
+      if (n % 2 == 1) {
+        EXPECT_TRUE(db.update(sighting(i, static_cast<double>(n), static_cast<double>(i)),
+                              1000 + 100 * n));
+      } else {
+        db.upsert(sighting(i, static_cast<double>(n - 1), static_cast<double>(i)), 10.0,
+                  1000 + 100 * n);
+      }
+    }
+  }
+  EXPECT_EQ(db.queued_expiries(), kRecords);
+
+  // The entries pop at the first expiry and go back in at the latest one.
+  const TimePoint latest = 1000 + 100 * kRefreshes;
+  EXPECT_TRUE(db.expire_until(latest - 1).empty());
+  EXPECT_EQ(db.queued_expiries(), kRecords);
+  EXPECT_EQ(db.expire_until(latest).size(), kRecords);
+  EXPECT_EQ(db.queued_expiries(), 0u);
+  EXPECT_EQ(db.size(), 0u);
+}
+
+TEST(SightingDb, RefreshToAnEarlierExpiryExpiresEarlier) {
+  SightingDb db = make_db();
+  db.insert(sighting(1, 0, 0), 10, 5000);
+  db.insert(sighting(2, 1, 1), 10, 5000);
+  db.update(sighting(1, 0, 0), 2000);
+  EXPECT_TRUE(db.expire_until(1999).empty());
+  EXPECT_EQ(db.expire_until(2000), (std::vector<ObjectId>{ObjectId{1}}));
+  // Object 1's entry at 5000 was superseded and is dropped when it pops.
+  EXPECT_EQ(db.expire_until(5000), (std::vector<ObjectId>{ObjectId{2}}));
+  EXPECT_EQ(db.queued_expiries(), 0u);
+
+  // Earlier, then later again: the earlier entry pops and goes back in at
+  // the latest expiry; the superseded one is dropped without re-queueing.
+  db.insert(sighting(3, 2, 2), 10, 9000);
+  db.update(sighting(3, 2, 2), 7000);
+  db.update(sighting(3, 2, 2), 12000);
+  EXPECT_EQ(db.queued_expiries(), 2u);
+  EXPECT_TRUE(db.expire_until(9000).empty());
+  EXPECT_EQ(db.queued_expiries(), 1u);
+  EXPECT_TRUE(db.expire_until(11999).empty());
+  EXPECT_EQ(db.expire_until(12000), (std::vector<ObjectId>{ObjectId{3}}));
+  EXPECT_EQ(db.queued_expiries(), 0u);
+}
+
+TEST(SightingDb, ReinsertedObjectExpiresOnceAtItsOwnTime) {
+  SightingDb db = make_db();
+  db.insert(sighting(1, 0, 0), 10, 1000);
+  EXPECT_TRUE(db.remove(ObjectId{1}));
+  db.insert(sighting(1, 5, 5), 10, 3000);
+  // The removed incarnation's entry stays queued until it pops, then is
+  // dropped rather than queued again for the new one.
+  EXPECT_EQ(db.queued_expiries(), 2u);
+  EXPECT_TRUE(db.expire_until(1000).empty());
+  EXPECT_EQ(db.queued_expiries(), 1u);
+  EXPECT_NE(db.find(ObjectId{1}), nullptr);
+  EXPECT_TRUE(db.expire_until(2999).empty());
+  EXPECT_EQ(db.expire_until(3000), (std::vector<ObjectId>{ObjectId{1}}));
+  EXPECT_TRUE(db.expire_until(100000).empty());
+  EXPECT_EQ(db.queued_expiries(), 0u);
+}
+
 TEST(SightingDb, ObjectsInAreaAppliesAccuracyAndOverlap) {
   SightingDb db = make_db();
   // Fig 3 scenario: query area [0,100]^2.
