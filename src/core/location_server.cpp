@@ -609,7 +609,7 @@ void LocationServer::on_replica_tee(NodeId src, const wm::ReplicaTee& m) {
     ++stats_.tee_entries_applied;
     switch (e.op) {
       case wire::ReplicaTee::Op::kRemove:
-        if (sightings_->find(e.s.oid) != nullptr) sightings_->remove(e.s.oid);
+        sightings_->remove(e.s.oid);
         visitor_db_.remove(e.s.oid);
         break;
       case wire::ReplicaTee::Op::kSetAcc:
@@ -661,8 +661,8 @@ void LocationServer::on_standby_demote(NodeId src, const wm::StandbyDemote& m) {
   visitor_db_.for_each([&](const store::VisitorRecord& rec) {
     if (rec.leaf) drop.push_back(rec.oid);
   });
-  for (const ObjectId oid : drop) {
-    if (sightings_ && sightings_->find(oid) != nullptr) sightings_->remove(oid);
+  if (sightings_) {
+    for (const ObjectId oid : drop) sightings_->remove(oid);
   }
   visitor_db_.remove_batch(drop);
 }
