@@ -42,6 +42,18 @@ bool segments_intersect(Point a, Point b, Point c, Point d) {
   return false;
 }
 
+// Four vertices whose edges alternate between horizontal and vertical: the
+// ring is the boundary of its bounding box (a segment or a point if the box
+// is degenerate). Horizontal or vertical edges alone are not enough:
+// (0,0) (1,0) (1,1) (1,0) doubles back and encloses nothing.
+bool is_axis_aligned_rect(const std::vector<Point>& v) {
+  if (v.size() != 4) return false;
+  return (v[0].y == v[1].y && v[1].x == v[2].x && v[2].y == v[3].y &&
+          v[3].x == v[0].x) ||
+         (v[0].x == v[1].x && v[1].y == v[2].y && v[2].x == v[3].x &&
+          v[3].y == v[0].y);
+}
+
 }  // namespace
 
 double signed_area(const std::vector<Point>& ring) {
@@ -60,6 +72,7 @@ Polygon::Polygon(std::vector<Point> vertices) : vertices_(std::move(vertices)) {
     std::reverse(vertices_.begin(), vertices_.end());
   }
   for (const Point& p : vertices_) bbox_.extend(p);
+  rect_ = is_axis_aligned_rect(vertices_);
 }
 
 Polygon Polygon::from_rect(const Rect& r) {
@@ -90,6 +103,7 @@ double Polygon::area() const {
 
 bool Polygon::contains(Point p) const {
   if (empty() || !bbox_.contains(p)) return false;
+  if (rect_) return true;
   // Boundary counts as inside.
   const std::size_t n = vertices_.size();
   for (std::size_t i = 0; i < n; ++i) {

@@ -32,6 +32,7 @@ class Polygon {
   /// recycle the vector's capacity: take, refill, reconstruct.
   std::vector<Point> take_vertices() {
     bbox_ = Rect::empty();
+    rect_ = false;
     return std::move(vertices_);
   }
   bool empty() const { return vertices_.size() < 3; }
@@ -44,7 +45,9 @@ class Polygon {
 
   /// Point-in-polygon by the crossing-number rule; boundary points count as
   /// inside (needed so that sibling service areas tile their parent without
-  /// gaps).
+  /// gaps). An axis-aligned rectangle (every service area the hierarchy
+  /// builder makes) is its own bounding box, so for one the closed box test
+  /// is the whole answer, the same answer the general path gives.
   bool contains(Point p) const;
 
   bool is_convex() const;
@@ -59,6 +62,7 @@ class Polygon {
  private:
   std::vector<Point> vertices_;
   Rect bbox_ = Rect::empty();
+  bool rect_ = false;  // an axis-aligned rectangle: contains() is bbox_'s test
 };
 
 /// Signed area of the polygon ring (positive if CCW).

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "geo/point.hpp"
 #include "geo/polygon.hpp"
 #include "geo/projection.hpp"
@@ -85,6 +88,62 @@ TEST(Polygon, NonConvexContains) {
   EXPECT_FALSE(l.contains({3, 3}));  // the notch
   EXPECT_FALSE(l.is_convex());
   EXPECT_DOUBLE_EQ(l.area(), 12.0);
+}
+
+TEST(Polygon, RectangleContainsMatchesTheGeneralPath) {
+  // An axis-aligned rectangle answers contains() with its closed bounding
+  // box. The same region with a fifth, collinear vertex takes the general
+  // path (edge distances, then a ray cast); both must give every answer
+  // alike, boundary and near-boundary points included.
+  Rng rng(29);
+  const auto mid = [](Point a, Point b) { return Point{(a.x + b.x) / 2, (a.y + b.y) / 2}; };
+  for (int iter = 0; iter < 300; ++iter) {
+    const Point lo{rng.uniform(-1000, 1000), rng.uniform(-1000, 1000)};
+    const double w = iter == 0 ? 0.0 : rng.uniform(1e-3, 500);
+    const double h = rng.uniform(1e-3, 500);
+    std::vector<Point> ring = Polygon::from_rect(Rect{lo, {lo.x + w, lo.y + h}}).vertices();
+    if (iter % 2 == 1) std::reverse(ring.begin(), ring.end());  // clockwise
+    std::vector<Point> five = ring;
+    five.insert(five.begin() + 1, mid(ring[0], ring[1]));
+    const Polygon rect(ring);
+    const Polygon general(std::move(five));
+    ASSERT_EQ(rect.bounding_box().min, general.bounding_box().min);
+    ASSERT_EQ(rect.bounding_box().max, general.bounding_box().max);
+
+    std::vector<Point> probes;
+    const Rect box = rect.bounding_box();
+    for (int i = 0; i < 50; ++i) {
+      probes.push_back({rng.uniform(box.min.x - 0.1 * w - 1, box.max.x + 0.1 * w + 1),
+                        rng.uniform(box.min.y - 0.1 * h - 1, box.max.y + 0.1 * h + 1)});
+    }
+    const std::vector<Point>& v = rect.vertices();
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      const Point a = v[i];
+      const Point b = v[(i + 1) % v.size()];
+      probes.push_back(a);
+      probes.push_back(mid(a, b));
+      // 1e-12 to either side of the edge, at a random point along it.
+      const double t = rng.next_double();
+      const Point on{a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t};
+      const bool vertical = a.x == b.x;
+      for (const double d : {-1e-12, 1e-12}) {
+        probes.push_back(vertical ? Point{on.x + d, on.y} : Point{on.x, on.y + d});
+      }
+    }
+    for (const Point p : probes) {
+      EXPECT_EQ(rect.contains(p), general.contains(p))
+          << "iter " << iter << " at (" << p.x << ", " << p.y << ")";
+    }
+    EXPECT_TRUE(rect.contains(box.min));
+    EXPECT_TRUE(rect.contains(box.max));
+  }
+
+  // Horizontal and vertical edges alone do not make a rectangle: this ring
+  // doubles back on itself and encloses nothing.
+  const Polygon folded({{0, 0}, {1, 0}, {1, 1}, {1, 0}});
+  EXPECT_FALSE(folded.contains({0.5, 0.5}));
+  EXPECT_TRUE(folded.contains({1, 0.5}));
+  EXPECT_TRUE(folded.contains({0.5, 0}));
 }
 
 TEST(Polygon, ConvexityCheck) {
