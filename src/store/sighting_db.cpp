@@ -78,7 +78,7 @@ std::vector<ObjectId> SightingDb::expire_until(TimePoint now) {
     expiry_heap_.pop_back();
     Record* rec = records_.find(entry.oid);
     if (rec == nullptr || rec->queued != entry.expiry) {
-      continue;  // stale: removed, or queued again since
+      continue;  // stale: removed (perhaps re-inserted), or queued again since
     }
     if (rec->expiry > now) {
       // Refreshed since it was queued: wait for the latest expiry. It lies

@@ -173,6 +173,8 @@ class SightingDb {
   /// to pop.
   void write(Record& rec, bool inserted, const core::Sighting& s, TimePoint expiry);
 
+  /// Pushes a heap entry for `oid` at `expiry` and records it in
+  /// `rec.queued`, which makes the record's entries at other expiries stale.
   void queue(ObjectId oid, Record& rec, TimePoint expiry);
 
   spatial::IndexFactory index_factory_;
