@@ -101,35 +101,32 @@ Status PersistentLog::append_batch(std::span<const wire::Buffer> records) {
 Status PersistentLog::replay(
     const std::function<void(const std::uint8_t*, std::size_t)>& fn) const {
   if (fd_ < 0) return Status(StatusCode::kFailedPrecondition, "log not open");
-  const int fd = ::open(path_.c_str(), O_RDONLY);
-  if (fd < 0) return io_error("open for replay");
+  // Reads through the append descriptor at explicit offsets, so an open log
+  // always replays: a read error ends it like a torn tail.
   std::vector<std::uint8_t> header(kFrameHeader);
   std::vector<std::uint8_t> payload;
-  Status status = Status::ok();
+  off_t off = 0;
+  const auto read_at = [&](std::uint8_t* out, std::size_t len) {
+    std::size_t got = 0;
+    while (got < len) {
+      const ssize_t m = ::pread(fd_, out + got, len - got, off);
+      if (m <= 0) return false;
+      got += static_cast<std::size_t>(m);
+      off += m;
+    }
+    return true;
+  };
   for (;;) {
-    const ssize_t n = ::read(fd, header.data(), kFrameHeader);
-    if (n == 0) break;  // clean end
-    if (n != static_cast<ssize_t>(kFrameHeader)) break;  // torn tail
+    if (!read_at(header.data(), kFrameHeader)) break;  // clean end or torn tail
     const std::uint32_t len = get_u32(header.data());
     const std::uint32_t expected_crc = get_u32(header.data() + 4);
     if (len > 64 * 1024 * 1024) break;  // corrupt length
     payload.resize(len);
-    std::size_t got = 0;
-    bool torn = false;
-    while (got < len) {
-      const ssize_t m = ::read(fd, payload.data() + got, len - got);
-      if (m <= 0) {
-        torn = true;
-        break;
-      }
-      got += static_cast<std::size_t>(m);
-    }
-    if (torn) break;
+    if (!read_at(payload.data(), len)) break;  // torn tail
     if (crc32(payload.data(), payload.size()) != expected_crc) break;
     fn(payload.data(), payload.size());
   }
-  ::close(fd);
-  return status;
+  return Status::ok();
 }
 
 Status PersistentLog::rewrite(const std::vector<wire::Buffer>& records) {

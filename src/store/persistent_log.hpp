@@ -38,7 +38,8 @@ class PersistentLog {
   Status append_batch(std::span<const wire::Buffer> records);
 
   /// Invokes `fn` for every intact record in write order. Stops silently at
-  /// a torn/corrupt tail; returns an error only on I/O failure.
+  /// a torn/corrupt tail or a read error; returns an error only when the log
+  /// is not open.
   Status replay(const std::function<void(const std::uint8_t*, std::size_t)>& fn) const;
 
   /// Atomically replaces the log contents with `records` (compaction):

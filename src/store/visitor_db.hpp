@@ -21,7 +21,7 @@
 #include <span>
 
 #include "core/types.hpp"
-#include "store/persistent_log.hpp"
+#include "store/visitor_log.hpp"
 #include "util/ids.hpp"
 #include "util/oid_set.hpp"
 
@@ -77,12 +77,12 @@ class VisitorDb {
   /// Compacts when the log has grown past `appended_threshold` mutation
   /// records (called opportunistically from the server's tick()).
   Status maybe_compact(std::uint64_t appended_threshold) {
-    if (!log_ || log_->appended() < appended_threshold) return Status::ok();
+    if (log_.appended() < appended_threshold) return Status::ok();
     return compact();
   }
 
   /// Mutations appended to the persistent log since open (0 if in-memory).
-  std::uint64_t log_appended() const { return log_ ? log_->appended() : 0; }
+  std::uint64_t log_appended() const { return log_.appended(); }
 
   /// Iteration (recovery: ask visitors for refresh; tests): leaf records,
   /// then forwarding references, each in slot order. Callers that emit
@@ -97,16 +97,11 @@ class VisitorDb {
   }
 
  private:
-  void log_set_forward(ObjectId oid, NodeId child);
-  void log_insert_leaf(ObjectId oid, double acc, const core::RegInfo& reg);
-  void log_set_acc(ObjectId oid, double acc);
-  void log_remove(ObjectId oid);
-  void apply_record(const std::uint8_t* data, std::size_t len);
   bool erase(ObjectId oid) { return leaf_.erase(oid) || forward_.erase(oid); }
 
   util::OidMap<LeafVisitorInfo> leaf_;
   util::OidMap<NodeId> forward_;
-  std::optional<PersistentLog> log_;
+  VisitorLog log_;
 };
 
 }  // namespace locs::store

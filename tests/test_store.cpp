@@ -9,6 +9,7 @@
 #include "store/persistent_log.hpp"
 #include "store/sighting_db.hpp"
 #include "store/visitor_db.hpp"
+#include "store/visitor_log.hpp"
 #include "util/rng.hpp"
 
 namespace locs::store {
@@ -33,6 +34,7 @@ class TempDir : public ::testing::Test {
 
 using PersistentLogTest = TempDir;
 using VisitorDbTest = TempDir;
+using VisitorLogGolden = TempDir;
 
 TEST_F(PersistentLogTest, AppendAndReplay) {
   auto log = PersistentLog::open(path("wal"));
@@ -391,6 +393,68 @@ TEST(SightingDb, ClearResets) {
   EXPECT_EQ(db.find(ObjectId{1}), nullptr);
   db.insert(sighting(1, 0, 0), 10, 1000);  // usable after clear
   EXPECT_EQ(db.size(), 1u);
+}
+
+// --------------------------------------------------------------------------
+// The visitor log's bytes. A restarted server replays logs that earlier
+// builds wrote, so each record kind's layout is pinned byte for byte, and a
+// committed log must keep replaying to the same records.
+
+const core::RegInfo kGoldenReg{NodeId{1048581}, {10.0, 100.0}};
+constexpr ObjectId kGoldenLeaf{0x1122334455};
+constexpr ObjectId kGoldenFwd{300};
+
+TEST_F(VisitorLogGolden, RecordBytesArePinned) {
+  EXPECT_EQ(VisitorLog::set_forward(kGoldenFwd, NodeId{5}),
+            (wire::Buffer{0x01, 0xac, 0x02, 0x05}));
+  EXPECT_EQ(VisitorLog::insert_leaf(kGoldenLeaf, 25.0, kGoldenReg),
+            (wire::Buffer{0x02, 0xd5, 0x88, 0xcd, 0x91, 0x92, 0x02,  // op, oid
+                          0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x39, 0x40,  // 25.0
+                          0x85, 0x80, 0x40,                                // reg_inst
+                          0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x24, 0x40,  // 10.0
+                          0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x59, 0x40}));  // 100.0
+  EXPECT_EQ(VisitorLog::set_acc(kGoldenLeaf, 30.0),
+            (wire::Buffer{0x03, 0xd5, 0x88, 0xcd, 0x91, 0x92, 0x02,
+                          0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x3e, 0x40}));
+  EXPECT_EQ(VisitorLog::remove(kGoldenFwd), (wire::Buffer{0x04, 0xac, 0x02}));
+}
+
+TEST_F(VisitorLogGolden, CommittedLogReplays) {
+  // Frames of [len u32][crc32 u32][record]: insert_leaf, set_forward, a
+  // record with the unknown op 9, set_acc, remove, set_forward, then a torn
+  // frame (a header and 5 of its 34 bytes).
+  const std::vector<std::uint8_t> bytes = {
+      0x22, 0x00, 0x00, 0x00, 0x27, 0x5e, 0x1f, 0x9d, 0x02, 0xd5, 0x88, 0xcd,
+      0x91, 0x92, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x39, 0x40, 0x85,
+      0x80, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x24, 0x40, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x59, 0x40, 0x04, 0x00, 0x00, 0x00, 0x70, 0x8a,
+      0xc6, 0x0b, 0x01, 0xac, 0x02, 0x05, 0x03, 0x00, 0x00, 0x00, 0x54, 0x70,
+      0x2c, 0x1c, 0x09, 0xac, 0x02, 0x0f, 0x00, 0x00, 0x00, 0x23, 0x08, 0x3f,
+      0x16, 0x03, 0xd5, 0x88, 0xcd, 0x91, 0x92, 0x02, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x3e, 0x40, 0x03, 0x00, 0x00, 0x00, 0x07, 0xe3, 0xf4, 0x14,
+      0x04, 0xac, 0x02, 0x04, 0x00, 0x00, 0x00, 0x70, 0x8a, 0xc6, 0x0b, 0x01,
+      0xac, 0x02, 0x05, 0x22, 0x00, 0x00, 0x00, 0x27, 0x5e, 0x1f, 0x9d, 0x02,
+      0xd5, 0x88, 0xcd, 0x91,
+  };
+  {
+    std::ofstream out(path("golden"), std::ios::binary);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  auto log = VisitorLog::open(path("golden"));
+  ASSERT_TRUE(log.ok());
+  std::vector<VisitorLog::Record> got;
+  log.value().replay([&](const VisitorLog::Record& rec) { got.push_back(rec); });
+
+  using Op = VisitorLog::Op;
+  const std::vector<VisitorLog::Record> want = {
+      {Op::kInsertLeaf, kGoldenLeaf, kNoNode, 25.0, kGoldenReg},
+      {Op::kSetForward, kGoldenFwd, NodeId{5}, 0.0, {}},
+      {Op::kSetAcc, kGoldenLeaf, kNoNode, 30.0, {}},
+      {Op::kRemove, kGoldenFwd, kNoNode, 0.0, {}},
+      {Op::kSetForward, kGoldenFwd, NodeId{5}, 0.0, {}},
+  };
+  EXPECT_EQ(got, want);
 }
 
 // --------------------------------------------------------------------------
