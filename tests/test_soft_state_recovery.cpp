@@ -153,47 +153,44 @@ TEST_F(RecoveryTest, QueryAfterRestartTriggersRefresh) {
 }
 
 TEST_F(RecoveryTest, RefreshReqRestoresSightingForWaitingQuery) {
-  // Drive the refresh path explicitly on a single recovered leaf.
+  // A leaf crashes and restarts over its persistent log WITHOUT announcing
+  // itself, so no recovery sweep runs: its visitor records are back, its
+  // sightings are not, and a position query has to wait for a refresh.
   core::Deployment::Config cfg;
   cfg.visitor_db_factory = vdb_factory();
-  const NodeId obj_node{(1 << 20) + 5};
-  {
-    net::SimNetwork net1;
-    core::Deployment deployment(net1, net1.clock(),
-                                core::HierarchyBuilder::fig6(kArea), cfg);
-    core::TrackedObject obj(obj_node, ObjectId{9}, net1, net1.clock());
-    obj.start_register(NodeId{4}, {100, 100}, 1.0, {10.0, 50.0});
-    net1.run_until_idle();
-    ASSERT_TRUE(obj.tracked());
-  }
-  net::SimNetwork net2;
-  core::Deployment recovered(net2, net2.clock(),
-                             core::HierarchyBuilder::fig6(kArea), cfg);
-  // The tracked object program restarts too, and -- as §5 assumes -- keeps
-  // sending periodic updates. Simulate its live client side: tracked state
-  // with the old agent. We reconstruct it by handling an AgentChanged-style
-  // state manually: register a fresh TrackedObject and force its state by a
-  // real register (the agent already has the visitor record, which is
-  // overwritten in place).
-  core::TrackedObject obj(obj_node, ObjectId{9}, net2, net2.clock());
-  obj.start_register(NodeId{4}, {100, 100}, 1.0, {10.0, 50.0});
-  net2.run_until_idle();
-  ASSERT_TRUE(obj.tracked());
-  // Drop the sighting again to force the refresh path (restart emulation
-  // without restarting: clear via expiry).
-  // -- register wrote a sighting; erase it through a fresh deployment is
-  // overkill, so directly exercise request_refresh_all instead:
-  recovered.server(NodeId{4}).request_refresh_all();
-  net2.run_until_idle();
-  // The object answered any refresh requests without crashing; and queries
-  // still work end to end.
-  core::QueryClient qc(NodeId{(1 << 20) + 6}, net2, net2.clock());
-  qc.set_entry(NodeId{6});
-  const std::uint64_t id = qc.send_pos_query(ObjectId{9});
-  net2.run_until_idle();
-  const auto res = qc.take_pos(id);
-  ASSERT_TRUE(res.has_value());
-  EXPECT_TRUE(res->found);
+  cfg.server.sighting_ttl = seconds(10);
+  SimWorld world(core::HierarchyBuilder::fig6(kArea), cfg);
+  auto obj = world.register_object(ObjectId{9}, {100, 100}, 1.0, {10.0, 50.0});
+  ASSERT_TRUE(obj->tracked());
+  ASSERT_EQ(obj->agent(), NodeId{4});
+  // Within the offered accuracy of the registered position: the object
+  // remembers it but sends no update, so only a refresh can deliver it.
+  const geo::Point last_fed{104, 103};
+  ASSERT_FALSE(obj->feed_position(last_fed));
+
+  world.deployment->crash(NodeId{4});
+  world.deployment->restart(NodeId{4}, /*announce=*/false);
+  const core::LocationServer& leaf = world.deployment->server(NodeId{4});
+
+  // In that window a range query over the object leaves it out, ...
+  auto qc = world.make_query_client(NodeId{7});
+  const auto range = world.range_query(
+      *qc, geo::Polygon::from_rect(geo::Rect{{50, 50}, {150, 150}}), 50.0, 0.1);
+  EXPECT_TRUE(range.complete);
+  EXPECT_TRUE(range.objects.empty());
+  // ... and ticks well past the TTL expire nothing: a record without a
+  // sighting has nothing to expire.
+  world.advance(seconds(30));
+  EXPECT_EQ(leaf.stats().sightings_expired, 0u);
+  EXPECT_EQ(obj->refreshes_answered(), 0u);
+
+  // The position query sends exactly one RefreshReq and is answered, once
+  // the refresh arrives, with the object's last fed position.
+  const auto res = world.pos_query(*qc, ObjectId{9});
+  EXPECT_TRUE(res.found);
+  EXPECT_EQ(res.ld.pos, last_fed);
+  EXPECT_EQ(leaf.stats().refresh_requests, 1u);
+  EXPECT_EQ(obj->refreshes_answered(), 1u);
 }
 
 }  // namespace
