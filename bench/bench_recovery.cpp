@@ -13,7 +13,7 @@
 //   leaf  --RecoveryHello-->  root
 //   root  --BatchedRefreshReq (packed oids)-->  leaf    [parent sweep]
 //   leaf  --BatchedRefreshReq (packed oids)-->  gateway [client sweep]
-//   gateway --BatchedUpdateReq-->  leaf  (apply_batch)  [refresh updates]
+//   gateway --BatchedUpdateReq-->  leaf  (leaf table)  [refresh updates]
 //
 // The headline metric is refresh_datagram_ratio: visitors needing a refresh
 // divided by the client-sweep datagrams actually sent -- the per-object
@@ -70,9 +70,9 @@ RunMetrics run_once(const std::string& tag) {
   net::SimNetwork net;
   core::Deployment::Config cfg;
   cfg.visitor_db_factory = [&](NodeId id) {
-    auto db = store::VisitorDb::open(
+    auto log = store::VisitorLog::open(
         (dir / ("visitor_" + std::to_string(id.value) + ".log")).string());
-    return db.ok() ? std::move(db).value() : store::VisitorDb{};
+    return log.ok() ? std::move(log).value() : store::VisitorLog{};
   };
   core::Deployment deployment(
       net, net.clock(),
@@ -242,9 +242,9 @@ ReplicatedMetrics run_replicated(const std::string& tag, bool fault) {
   cfg.server.heartbeat_interval = seconds(1);
   cfg.server.heartbeat_miss_threshold = 3;
   cfg.visitor_db_factory = [&](NodeId id) {
-    auto db = store::VisitorDb::open(
+    auto log = store::VisitorLog::open(
         (dir / ("visitor_" + std::to_string(id.value) + ".log")).string());
-    return db.ok() ? std::move(db).value() : store::VisitorDb{};
+    return log.ok() ? std::move(log).value() : store::VisitorLog{};
   };
   cfg.leaf_standby = {{kCrashLeaf, kStandby}};
   core::Deployment deployment(

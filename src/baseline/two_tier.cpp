@@ -106,8 +106,8 @@ void TwoTierServer::on_register_req(NodeId src, const wire::RegisterReq& m) {
     return;
   }
   const double offered = std::max(opts_.min_supported_acc, m.acc_range.desired);
-  reg_info_[m.s.oid] = RegInfo{m.reg_inst, m.acc_range};
-  sightings_.upsert(m.s, offered, clock_.now() + opts_.sighting_ttl);
+  sightings_.upsert(m.s, offered, clock_.now() + opts_.sighting_ttl,
+                    RegInfo{m.reg_inst, m.acc_range});
   // Install the home pointer (the HLR write).
   const NodeId home = map_.home_for(m.s.oid);
   if (home == self_) {
@@ -125,13 +125,12 @@ void TwoTierServer::on_create_path(NodeId src, const wire::CreatePath& m) {
 }
 
 void TwoTierServer::on_update_req(NodeId src, const wire::UpdateReq& m) {
-  const store::SightingDb::Record* rec = sightings_.find(m.s.oid);
+  store::SightingDb::Record* rec = sightings_.find(m.s.oid);
   if (rec == nullptr) return;  // not serving this object
   if (my_area().contains(m.s.pos)) {
-    const double offered = rec->offered_acc;
-    sightings_.update(m.s, clock_.now() + opts_.sighting_ttl);
+    sightings_.update(*rec, m.s, clock_.now() + opts_.sighting_ttl);
     ++stats_.updates_applied;
-    send_msg(src, wm::UpdateAck{m.s.oid, offered});
+    send_msg(src, wm::UpdateAck{m.s.oid, rec->offered_acc});
     return;
   }
   // Region change: hand over directly to the new serving region (the flat
@@ -139,7 +138,7 @@ void TwoTierServer::on_update_req(NodeId src, const wire::UpdateReq& m) {
   const NodeId target = map_.region_for(m.s.pos);
   if (!target.valid()) {
     // Left the service area entirely.
-    sightings_.remove(m.s.oid);
+    sightings_.remove(*rec);
     const NodeId home = map_.home_for(m.s.oid);
     if (home == self_) {
       home_pointers_.remove(m.s.oid);
@@ -152,8 +151,7 @@ void TwoTierServer::on_update_req(NodeId src, const wire::UpdateReq& m) {
   ++stats_.handovers;
   wm::HandoverReq req;
   req.s = m.s;
-  const auto reg_it = reg_info_.find(m.s.oid);
-  req.reg_info = reg_it != reg_info_.end() ? reg_it->second : RegInfo{};
+  req.reg_info = rec->reg_info;
   req.prev_offered_acc = rec->offered_acc;
   req.req_id = next_req_id();
   pending_handover_[req.req_id] = {src, m.s.oid};
@@ -163,8 +161,7 @@ void TwoTierServer::on_update_req(NodeId src, const wire::UpdateReq& m) {
 void TwoTierServer::on_handover_req(NodeId src, const wire::HandoverReq& m) {
   const double offered = std::max(opts_.min_supported_acc,
                                   m.reg_info.acc_range.desired);
-  reg_info_[m.s.oid] = m.reg_info;
-  sightings_.upsert(m.s, offered, clock_.now() + opts_.sighting_ttl);
+  sightings_.upsert(m.s, offered, clock_.now() + opts_.sighting_ttl, m.reg_info);
   // HLR write on every region change.
   const NodeId home = map_.home_for(m.s.oid);
   if (home == self_) {
@@ -183,7 +180,6 @@ void TwoTierServer::on_handover_res(NodeId src, const wire::HandoverRes& m) {
   const PendingHandover pending = it->second;
   pending_handover_.erase(it);
   sightings_.remove(pending.oid);
-  reg_info_.erase(pending.oid);
   send_msg(pending.object_node,
            wm::AgentChanged{pending.oid, m.new_agent, m.offered_acc});
 }
@@ -202,13 +198,13 @@ void TwoTierServer::on_pos_query_req(NodeId src, const wire::PosQueryReq& m) {
   pending_pos_[internal] = {src, m.req_id};
   const NodeId home = map_.home_for(m.oid);
   if (home == self_) {
-    const std::optional<store::VisitorRecord> ptr = home_pointers_.find(m.oid);
-    if (!ptr || !ptr->forward_ref.valid()) {
+    const std::optional<NodeId> serving = home_pointers_.find(m.oid);
+    if (!serving || !serving->valid()) {
       pending_pos_.erase(internal);
       send_msg(src, wm::PosQueryRes{m.oid, false, {}, kNoNode, m.req_id, std::nullopt});
       return;
     }
-    send_msg(ptr->forward_ref, wm::PosQueryFwd{m.oid, self_, internal});
+    send_msg(*serving, wm::PosQueryFwd{m.oid, self_, internal});
     return;
   }
   send_msg(home, wm::PosQueryFwd{m.oid, self_, internal});
@@ -224,9 +220,9 @@ void TwoTierServer::on_pos_query_fwd(NodeId src, const wire::PosQueryFwd& m) {
     return;
   }
   // Acting as home: follow the pointer.
-  const std::optional<store::VisitorRecord> ptr = home_pointers_.find(m.oid);
-  if (ptr && ptr->forward_ref.valid() && ptr->forward_ref != self_) {
-    send_msg(ptr->forward_ref, m);
+  const std::optional<NodeId> serving = home_pointers_.find(m.oid);
+  if (serving && serving->valid() && *serving != self_) {
+    send_msg(*serving, m);
     return;
   }
   send_msg(m.entry, wm::PosQueryRes{m.oid, false, {}, kNoNode, m.req_id, std::nullopt});
@@ -315,7 +311,6 @@ void TwoTierServer::try_complete_range(std::uint64_t key) {
 void TwoTierServer::on_deregister_req(NodeId src, const wire::DeregisterReq& m) {
   (void)src;
   if (sightings_.remove(m.oid)) {
-    reg_info_.erase(m.oid);
     const NodeId home = map_.home_for(m.oid);
     if (home == self_) {
       home_pointers_.remove(m.oid);
@@ -329,7 +324,6 @@ void TwoTierServer::on_deregister_req(NodeId src, const wire::DeregisterReq& m) 
 
 void TwoTierServer::tick(TimePoint now) {
   for (const ObjectId oid : sightings_.expire_until(now)) {
-    reg_info_.erase(oid);
     const NodeId home = map_.home_for(oid);
     if (home == self_) {
       home_pointers_.remove(oid);

@@ -118,7 +118,6 @@ class TwoTierServer {
 
   store::SightingDb sightings_;       // serving-role state
   store::VisitorDb home_pointers_;    // home-role state: oid -> serving region
-  std::unordered_map<ObjectId, RegInfo> reg_info_;
   std::uint64_t req_counter_ = 0;
 
   struct PendingPos {

@@ -55,12 +55,12 @@ void Deployment::make_entry(const HierarchySpec::Node& node, Entry& entry) {
   LocationServer::Options opts = cfg_.server;
   if (cfg_.options_fn) opts = cfg_.options_fn(node.id, node.cfg, opts);
 
-  store::VisitorDb vdb;
-  if (cfg_.visitor_db_factory) vdb = cfg_.visitor_db_factory(node.id);
+  store::VisitorLog log;
+  if (cfg_.visitor_db_factory) log = cfg_.visitor_db_factory(node.id);
   {
     std::lock_guard<std::mutex> lock(entry.mu);
     entry.server = std::make_unique<LocationServer>(
-        node.id, node.cfg, net_, clock_, opts, std::move(vdb), cfg_.index_factory);
+        node.id, node.cfg, net_, clock_, opts, std::move(log), cfg_.index_factory);
   }
   net_.attach(node.id, net::DatagramHandler([&entry](const net::Datagram& dg) {
     std::lock_guard<std::mutex> lock(entry.mu);
@@ -117,7 +117,7 @@ bool Deployment::find_sighting(NodeId id, ObjectId oid,
   const store::SightingDb* db = entry.server->sightings();
   if (db == nullptr) return false;
   const store::SightingDb::Record* rec = db->find(oid);
-  if (rec == nullptr) return false;
+  if (rec == nullptr || !rec->has_sighting) return false;
   out = *rec;
   return true;
 }

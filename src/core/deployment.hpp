@@ -30,10 +30,10 @@ class Deployment {
                                           LocationServer::Options)>
         options_fn;
     spatial::IndexFactory index_factory;  // default: point quadtree
-    /// Persistent visitorDB factory (recovery tests / durable deployments),
-    /// called once per node build (construction and every restart).
-    /// Default: in-memory.
-    std::function<store::VisitorDb(NodeId)> visitor_db_factory;
+    /// Persistent visitorDB factory (recovery tests / durable deployments):
+    /// the visitor log a node replays and appends to, opened once per node
+    /// build (construction and every restart). Default: in-memory.
+    std::function<store::VisitorLog(NodeId)> visitor_db_factory;
     /// Hot-standby replication: primary leaf NodeId -> standby NodeId. For
     /// each entry the deployment builds an EXTRA replica server (same
     /// service area and parent as the primary; not part of the
@@ -73,8 +73,8 @@ class Deployment {
   /// The server of a node. Must not be called for a crashed node (see
   /// is_down()).
   LocationServer& server(NodeId id) { return *servers_.at(id).server; }
-  /// Copies the sighting record for `oid` at leaf `id` under the node's
-  /// lock. Returns false if unknown there (or the node is down).
+  /// Copies the leaf record for `oid` at leaf `id` under the node's lock.
+  /// Returns false if it has no sighting there (or the node is down).
   bool find_sighting(NodeId id, ObjectId oid, store::SightingDb::Record& out) const;
 
   const HierarchySpec& spec() const { return spec_; }

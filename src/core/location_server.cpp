@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <tuple>
 
 namespace locs::core {
 
@@ -45,19 +46,16 @@ LocationServer::LocationServer(NodeId self, ConfigRecord cfg, net::Transport& ne
 
 LocationServer::LocationServer(NodeId self, ConfigRecord cfg, net::Transport& net,
                                Clock& clock, Options opts,
-                               store::VisitorDb visitor_db,
+                               store::VisitorLog visitor_log,
                                spatial::IndexFactory index_factory)
-    : self_(self),
-      cfg_(std::move(cfg)),
-      net_(net),
-      clock_(clock),
-      opts_(opts),
-      visitor_db_(std::move(visitor_db)) {
+    : self_(self), cfg_(std::move(cfg)), net_(net), clock_(clock), opts_(opts) {
   if (cfg_.is_leaf()) {
     if (!index_factory) index_factory = [] { return spatial::make_point_quadtree(); };
-    sightings_.emplace(std::move(index_factory));
+    sightings_.emplace(std::move(index_factory), std::move(visitor_log));
+    origin_cache_ = wm::OriginArea{self_, cfg_.sa};
+  } else {
+    visitor_db_.emplace(std::move(visitor_log));
   }
-  if (cfg_.is_leaf()) origin_cache_ = wm::OriginArea{self_, cfg_.sa};
 }
 
 void LocationServer::Stats::add(const Stats& other) {
@@ -215,10 +213,12 @@ double LocationServer::negotiate_offered_acc(const AccuracyRange& range) const {
   return std::max(opts_.min_supported_acc, range.desired);
 }
 
-void LocationServer::put_sighting(const Sighting& s, double offered_acc) {
-  assert(sightings_);
-  sightings_->upsert(s, offered_acc, sighting_expiry());
+void LocationServer::put_sighting(store::SightingDb::Record& rec, const Sighting& s) {
+  sightings_->update(rec, s, sighting_expiry());
   events_on_sighting(s.oid, true, s.pos);
+  // The ORIGINAL absolute expiry: the replica must not extend the soft-state
+  // TTL (§5) beyond what the primary granted.
+  tee({wm::ReplicaTee::Op::kUpsert, s, rec.offered_acc, rec.expiry, rec.reg_info});
 }
 
 // --------------------------------------------------------------------------
@@ -241,10 +241,9 @@ void LocationServer::on_register_req(NodeId src, const wm::RegisterReq& m) {
         // forwarding path, then answer the registering instance.
         const double offered = negotiate_offered_acc(m.acc_range);
         send_path(true, m.s.oid);
-        visitor_db_.insert_leaf(m.s.oid, offered,
-                                RegInfo{m.reg_inst, m.acc_range});
-        put_sighting(m.s, offered);
-        tee_upsert(m.s, offered, RegInfo{m.reg_inst, m.acc_range});
+        put_sighting(sightings_->set_visitor(m.s.oid, offered,
+                                             RegInfo{m.reg_inst, m.acc_range}),
+                     m.s);
         ++stats_.registrations;
         send_msg(m.reg_inst, wm::RegisterRes{self_, offered, m.req_id});
       } else {
@@ -279,19 +278,21 @@ void LocationServer::send_path(bool create, ObjectId oid) {
   }
 }
 
+// A leaf keeps no forwarding references: a path message delivered to one
+// leaves its records as they are.
 void LocationServer::on_create_path(NodeId src, const wm::CreatePath& m) {
-  visitor_db_.set_forward(m.oid, src);
+  if (!visitor_db_) return;
+  visitor_db_->set_forward(m.oid, src);
   send_path(true, m.oid);
 }
 
 void LocationServer::on_remove_path(NodeId src, const wm::RemovePath& m) {
-  const std::optional<store::VisitorRecord> rec = visitor_db_.find(m.oid);
   // Conditional prune: only remove if our pointer still leads toward the
   // sender. If a concurrent createPath already repointed this record to a
   // fresh branch, we are a common ancestor of old and new agent and the
   // prune must stop here.
-  if (!rec || rec->leaf.has_value() || rec->forward_ref != src) return;
-  visitor_db_.remove(m.oid);
+  if (!visitor_db_ || visitor_db_->find(m.oid) != src) return;
+  visitor_db_->remove(m.oid);
   send_path(false, m.oid);
 }
 
@@ -305,25 +306,10 @@ void LocationServer::on_update_req(NodeId src, const wm::UpdateReq& m) {
     flush_bounce();
     return;
   }
-  const std::optional<store::VisitorRecord> rec = visitor_db_.find(m.s.oid);
-  if (!rec || !rec->leaf) {
-    ++stats_.updates_unknown;  // stale agent; the object relearns via timeout
-    if (should_nack_unknown(m.s.oid)) {
-      // Total state loss (crash without persistent visitorDB): tell the
-      // client it has no agent so it can re-register (see header note).
-      send_msg(src, wm::AgentChanged{m.s.oid, kNoNode, 0.0});
-    }
-    return;
+  if (const store::SightingDb::Record* rec = apply_update(src, m.s)) {
+    send_msg(src, wm::UpdateAck{m.s.oid, rec->offered_acc});
+    flush_awaiting_refresh(*rec);
   }
-  if (!cfg_.covers(m.s.pos)) {
-    initiate_handover(src, m.s);
-    return;
-  }
-  put_sighting(m.s, rec->leaf->offered_acc);
-  tee_upsert(m.s, rec->leaf->offered_acc, rec->leaf->reg_info);
-  ++stats_.updates_applied;
-  send_msg(src, wm::UpdateAck{m.s.oid, rec->leaf->offered_acc});
-  flush_awaiting_refresh(m.s.oid);
 }
 
 void LocationServer::on_batched_update_req(NodeId src, const wm::BatchedUpdateReq& m) {
@@ -336,50 +322,49 @@ void LocationServer::on_batched_update_req(NodeId src, const wm::BatchedUpdateRe
   }
   ++stats_.update_batches;
   // Single lazy pass over the packed sightings (wire framing note): each one
-  // runs the exact per-sighting checks of on_update_req; accepted sightings
-  // are staged and applied with ONE SightingDb lock/index pass, and their
-  // acks travel back as one packed BatchedUpdateAck to the coalescing sender.
-  batch_apply_scratch_.clear();
+  // takes the per-sighting path of on_update_req, and the acks travel back
+  // as one packed BatchedUpdateAck to the coalescing sender.
   wm::BatchedUpdateAck& ack = batch_ack_scratch_;
   ack.acks.clear();
   auto sightings = m.sightings.items();
   while (const auto item = sightings.next()) {
-    const Sighting& s = item->value;
-    const std::optional<store::VisitorRecord> rec = visitor_db_.find(s.oid);
-    if (!rec || !rec->leaf) {
-      ++stats_.updates_unknown;  // stale agent; the object relearns via timeout
-      if (should_nack_unknown(s.oid)) {
-        send_msg(src, wm::AgentChanged{s.oid, kNoNode, 0.0});
-      }
-      continue;
-    }
-    if (!cfg_.covers(s.pos)) {
-      initiate_handover(src, s);
-      continue;
-    }
-    batch_apply_scratch_.push_back({s, rec->leaf->offered_acc});
-    tee_upsert(s, rec->leaf->offered_acc, rec->leaf->reg_info);
-    ack.acks.append({s.oid, rec->leaf->offered_acc});
-    ++stats_.updates_applied;
-  }
-  if (!batch_apply_scratch_.empty()) {
-    sightings_->apply_batch(batch_apply_scratch_, sighting_expiry());
-    for (const store::SightingDb::BulkUpdate& item : batch_apply_scratch_) {
-      events_on_sighting(item.s.oid, true, item.s.pos);
-      if (!awaiting_refresh_.empty()) flush_awaiting_refresh(item.s.oid);
+    if (const store::SightingDb::Record* rec = apply_update(src, item->value)) {
+      ack.acks.append({rec->sighting.oid, rec->offered_acc});
+      flush_awaiting_refresh(*rec);
     }
   }
   if (!ack.acks.empty()) send_msg(src, ack);
 }
 
-void LocationServer::initiate_handover(NodeId object_node, const Sighting& s) {
-  if (handover_in_flight_.count(s.oid) > 0) return;  // one at a time
-  const std::optional<store::VisitorRecord> rec = visitor_db_.find(s.oid);
-  assert(rec && rec->leaf);
+const store::SightingDb::Record* LocationServer::apply_update(NodeId src,
+                                                              const Sighting& s) {
+  store::SightingDb::Record* rec = sightings_->find(s.oid);
+  if (rec == nullptr) {
+    ++stats_.updates_unknown;  // stale agent; the object relearns via timeout
+    if (should_nack_unknown(s.oid)) {
+      // Total state loss (crash without persistent visitorDB): tell the
+      // client it has no agent so it can re-register (see header note).
+      send_msg(src, wm::AgentChanged{s.oid, kNoNode, 0.0});
+    }
+    return nullptr;
+  }
+  if (!cfg_.covers(s.pos)) {
+    initiate_handover(src, *rec, s);  // may erase the record (root leaf)
+    return nullptr;
+  }
+  put_sighting(*rec, s);
+  ++stats_.updates_applied;
+  return rec;
+}
+
+void LocationServer::initiate_handover(NodeId object_node,
+                                       store::SightingDb::Record& rec,
+                                       const Sighting& s) {
+  if (rec.in_handover) return;  // one at a time
   wm::HandoverReq req;
   req.s = s;
-  req.reg_info = rec->leaf->reg_info;
-  req.prev_offered_acc = rec->leaf->offered_acc;
+  req.reg_info = rec.reg_info;
+  req.prev_offered_acc = rec.offered_acc;
   req.req_id = next_req_id();
   req.origin = origin_piggyback();
 
@@ -398,7 +383,7 @@ void LocationServer::initiate_handover(NodeId object_node, const Sighting& s) {
       pending.direct_prune = true;
       ++stats_.handovers_direct;
       ++stats_.handovers_initiated;
-      handover_in_flight_.insert(s.oid);
+      rec.in_handover = true;
       pending_handover_.emplace(req.req_id, pending);
       send_msg(target, req);
       return;
@@ -406,21 +391,19 @@ void LocationServer::initiate_handover(NodeId object_node, const Sighting& s) {
   }
   if (cfg_.is_root()) {
     // Single-server hierarchy: leaving our area means leaving the LS.
-    drop_leaf_visitor(s.oid, /*prune_path=*/false);
+    drop_leaf_visitor(s.oid, &rec, /*prune_path=*/false);
     send_msg(object_node, wm::AgentChanged{s.oid, kNoNode, 0.0});
     return;
   }
   ++stats_.handovers_initiated;
-  handover_in_flight_.insert(s.oid);
+  rec.in_handover = true;
   pending_handover_.emplace(req.req_id, pending);
   send_msg(cfg_.parent, req);
 }
 
 void LocationServer::accept_handover(NodeId src, const wm::HandoverReq& m) {
   const double offered = negotiate_offered_acc(m.reg_info.acc_range);
-  visitor_db_.insert_leaf(m.s.oid, offered, m.reg_info);
-  put_sighting(m.s, offered);
-  tee_upsert(m.s, offered, m.reg_info);
+  put_sighting(sightings_->set_visitor(m.s.oid, offered, m.reg_info), m.s);
   ++stats_.handovers_accepted;
   // Direct handover bypassed the hierarchy: build the new path ourselves.
   if (m.direct) send_path(true, m.s.oid);
@@ -458,7 +441,7 @@ void LocationServer::on_handover_req(NodeId src, wm::HandoverReq m) {
   }
   if (cfg_.is_root()) {
     // The object left the root service area: automatic deregistration (§4).
-    visitor_db_.remove(m.s.oid);
+    if (visitor_db_) visitor_db_->remove(m.s.oid);
     send_msg(src, wm::HandoverRes{m.s.oid, kNoNode, 0.0, m.req_id, std::nullopt});
     return;
   }
@@ -480,80 +463,48 @@ void LocationServer::on_handover_res(NodeId src, const wm::HandoverRes& m) {
   learn_origin(m.origin);
 
   if (pending.reply_to_object) {
-    // We are the old agent (Alg 6-2 lines 3-6).
-    handover_in_flight_.erase(pending.oid);
+    // We are the old agent (Alg 6-2 lines 3-6); the in-flight flag goes
+    // with the record.
     send_msg(pending.reply_to,
              wm::AgentChanged{pending.oid, m.new_agent, m.offered_acc});
     if (m.new_agent.valid() && pending.direct_prune) {
       send_path(false, pending.oid);
     }
-    drop_leaf_visitor(pending.oid, /*prune_path=*/false);
+    drop_leaf_visitor(pending.oid, sightings_->find(pending.oid),
+                      /*prune_path=*/false);
     return;
   }
   // Intermediate server: repair or remove the forwarding pointer
-  // (Alg 6-3 lines 11-14 / 18-20) and pass the response along.
-  if (!m.new_agent.valid() || pending.remove_on_res) {
-    visitor_db_.remove(pending.oid);
-  } else {
-    visitor_db_.set_forward(pending.oid, pending.child);
+  // (Alg 6-3 lines 11-14 / 18-20) and pass the response along. A leaf that
+  // passed a misdirected handover upward keeps no pointer to repair.
+  if (visitor_db_) {
+    if (!m.new_agent.valid() || pending.remove_on_res) {
+      visitor_db_->remove(pending.oid);
+    } else {
+      visitor_db_->set_forward(pending.oid, pending.child);
+    }
   }
   send_msg(pending.reply_to, m);
 }
 
-void LocationServer::drop_leaf_visitor(ObjectId oid, bool prune_path) {
+void LocationServer::drop_leaf_visitor(ObjectId oid, store::SightingDb::Record* rec,
+                                       bool prune_path) {
   // The object was dropped DELIBERATELY (handover away, deregistration,
   // expiry), so an update racing that drop is not state loss: remember the
   // departure briefly and let the nack path ignore such stragglers.
   if (opts_.nack_unknown_updates) {
     recent_departures_[oid] = now() + opts_.pending_timeout;
   }
-  if (sightings_) {
-    const store::SightingDb::Record* rec = sightings_->find(oid);
-    if (rec != nullptr) {
-      events_on_sighting(oid, false, rec->sighting.pos);
-      sightings_->remove(oid);
-    }
+  if (rec != nullptr) {
+    if (rec->has_sighting) events_on_sighting(oid, false, rec->sighting.pos);
+    sightings_->remove(*rec);
   }
-  visitor_db_.remove(oid);
-  tee_remove(oid);
+  tee({wm::ReplicaTee::Op::kRemove, Sighting{oid}});
   if (prune_path) send_path(false, oid);
 }
 
 // --------------------------------------------------------------------------
 // leaf hot-standby replication (answer-complete failover)
-
-void LocationServer::tee_upsert(const Sighting& s, double offered_acc,
-                                const RegInfo& reg) {
-  if (!standby_.valid()) return;
-  wire::ReplicaTee::Entry e;
-  e.op = wire::ReplicaTee::Op::kUpsert;
-  e.s = s;
-  e.offered_acc = offered_acc;
-  // The ORIGINAL absolute expiry: the replica must not extend the soft-state
-  // TTL (§5) beyond what the primary granted.
-  e.expiry = sighting_expiry();
-  e.reg = reg;
-  tee_scratch_.entries.append(e);
-}
-
-void LocationServer::tee_set_acc(ObjectId oid, double offered_acc,
-                                 const RegInfo& reg) {
-  if (!standby_.valid()) return;
-  wire::ReplicaTee::Entry e;
-  e.op = wire::ReplicaTee::Op::kSetAcc;
-  e.s.oid = oid;
-  e.offered_acc = offered_acc;
-  e.reg = reg;
-  tee_scratch_.entries.append(e);
-}
-
-void LocationServer::tee_remove(ObjectId oid) {
-  if (!standby_.valid()) return;
-  wire::ReplicaTee::Entry e;
-  e.op = wire::ReplicaTee::Op::kRemove;
-  e.s.oid = oid;
-  tee_scratch_.entries.append(e);
-}
 
 void LocationServer::flush_tee() {
   if (!standby_.valid() || tee_scratch_.entries.empty()) return;
@@ -568,10 +519,8 @@ void LocationServer::bounce_sighting(const Sighting& s) {
   // before the AgentChanged that re-points it). Dropping the update would
   // lose the freshest sighting until the next feed; applying it here would
   // shadow the recovered primary. Bounce it over the tee channel instead.
-  wire::ReplicaTee::Entry e{};
-  e.op = wire::ReplicaTee::Op::kUpsert;
-  e.s = s;
-  tee_scratch_.entries.append(e);  // unused in the replica role outside bounces
+  // tee_scratch_ is unused in the replica role outside bounces.
+  tee_scratch_.entries.append({wire::ReplicaTee::Op::kUpsert, s});
 }
 
 void LocationServer::flush_bounce() {
@@ -592,12 +541,11 @@ void LocationServer::on_replica_tee(NodeId src, const wm::ReplicaTee& m) {
     while (const auto item = entries.next()) {
       const wire::ReplicaTee::Entry& e = item->value;
       if (e.op != wire::ReplicaTee::Op::kUpsert) continue;
-      const std::optional<store::VisitorRecord> rec = visitor_db_.find(e.s.oid);
-      if (!rec || !rec->leaf) continue;
+      store::SightingDb::Record* rec = sightings_->find(e.s.oid);
+      if (rec == nullptr) continue;
       ++stats_.tee_entries_applied;
-      put_sighting(e.s, rec->leaf->offered_acc);
-      tee_upsert(e.s, rec->leaf->offered_acc, rec->leaf->reg_info);
-      flush_awaiting_refresh(e.s.oid);
+      put_sighting(*rec, e.s);
+      flush_awaiting_refresh(*rec);
     }
     return;  // the end-of-handle() flush_tee sends the re-tee batch
   }
@@ -610,21 +558,18 @@ void LocationServer::on_replica_tee(NodeId src, const wm::ReplicaTee& m) {
     switch (e.op) {
       case wire::ReplicaTee::Op::kRemove:
         sightings_->remove(e.s.oid);
-        visitor_db_.remove(e.s.oid);
         break;
       case wire::ReplicaTee::Op::kSetAcc:
-        // Mirror of on_change_acc_req's store effect: record + offered acc
-        // change WITHOUT any spatial-index operation (the primary performs
+        // Mirror of on_change_acc_req's store effect: the visitor part
+        // changes WITHOUT any spatial-index operation (the primary performs
         // none, and byte-equal answers require identical index op sequences).
-        visitor_db_.insert_leaf(e.s.oid, e.offered_acc, e.reg);
-        sightings_->set_offered_acc(e.s.oid, e.offered_acc);
+        sightings_->set_visitor(e.s.oid, e.offered_acc, e.reg);
         break;
       case wire::ReplicaTee::Op::kUpsert:
-        visitor_db_.insert_leaf(e.s.oid, e.offered_acc, e.reg);
-        // Insert-or-update exactly like put_sighting / apply_batch on the
-        // primary -- NOT remove+reinsert -- so the index mutation sequence
-        // matches the primary's and packed query emission is byte-identical.
-        sightings_->upsert(e.s, e.offered_acc, e.expiry);
+        // Insert-or-update exactly like put_sighting on the primary -- NOT
+        // remove+reinsert -- so the index mutation sequence matches the
+        // primary's and packed query emission is byte-identical.
+        sightings_->upsert(e.s, e.offered_acc, e.expiry, e.reg);
         break;
     }
   }
@@ -658,30 +603,22 @@ void LocationServer::on_standby_demote(NodeId src, const wm::StandbyDemote& m) {
   // BatchedRefreshReq sweep, and a stale mirror here would shadow it.
   standby_fan_agent_changed(standby_primary_);
   std::vector<ObjectId> drop;
-  visitor_db_.for_each([&](const store::VisitorRecord& rec) {
-    if (rec.leaf) drop.push_back(rec.oid);
-  });
-  if (sightings_) {
-    for (const ObjectId oid : drop) sightings_->remove(oid);
-  }
-  visitor_db_.remove_batch(drop);
+  sightings_->for_each(
+      [&](ObjectId oid, const store::SightingDb::Record&) { drop.push_back(oid); });
+  for (const ObjectId oid : drop) sightings_->remove(oid);
 }
 
 void LocationServer::standby_fan_agent_changed(NodeId agent) {
-  // Deterministic fan-out: the visitorDB tables iterate in slot order, so
-  // sort (reg_inst, oid) before emitting -- the trace does not depend on the
-  // tables' layout.
-  refresh_targets_scratch_.clear();
-  visitor_db_.for_each([&](const store::VisitorRecord& rec) {
-    if (rec.leaf) {
-      refresh_targets_scratch_.emplace_back(rec.leaf->reg_info.reg_inst, rec.oid);
-    }
+  // Deterministic fan-out: the leaf table iterates in slot order, so sort by
+  // (reg_inst, oid) before emitting -- the trace does not depend on the
+  // table's layout.
+  std::vector<std::tuple<NodeId, ObjectId, double>> targets;
+  sightings_->for_each([&](ObjectId oid, const store::SightingDb::Record& rec) {
+    targets.emplace_back(rec.reg_info.reg_inst, oid, rec.offered_acc);
   });
-  std::sort(refresh_targets_scratch_.begin(), refresh_targets_scratch_.end());
-  for (const auto& [client, oid] : refresh_targets_scratch_) {
-    const std::optional<store::VisitorRecord> rec = visitor_db_.find(oid);
-    if (!rec || !rec->leaf) continue;
-    send_msg(client, wm::AgentChanged{oid, agent, rec->leaf->offered_acc});
+  std::sort(targets.begin(), targets.end());
+  for (const auto& [client, oid, offered_acc] : targets) {
+    send_msg(client, wm::AgentChanged{oid, agent, offered_acc});
   }
 }
 
@@ -729,21 +666,9 @@ void LocationServer::on_pos_query_req(NodeId src, const wm::PosQueryReq& m) {
     }
   }
   // Local answer (Alg 6-4 lines 1-4).
-  const std::optional<store::VisitorRecord> rec = visitor_db_.find(m.oid);
-  if (rec && rec->leaf && sightings_) {
-    const store::SightingDb::Record* srec = sightings_->find(m.oid);
-    if (srec != nullptr) {
-      ++stats_.pos_queries_served;
-      const LocationDescriptor ld{srec->sighting.pos, rec->leaf->offered_acc};
-      send_msg(src, wm::PosQueryRes{m.oid, true, ld, self_, m.req_id, std::nullopt});
-      return;
-    }
-    // Visitor known persistently but sighting lost (recovery, §5): ask the
-    // object for a refresh and answer when it arrives.
-    ++stats_.refresh_requests;
-    send_msg(rec->leaf->reg_info.reg_inst, wm::RefreshReq{m.oid});
-    awaiting_refresh_[m.oid].push_back(
-        {src, m.req_id, now() + opts_.pending_timeout});
+  if (const store::SightingDb::Record* rec =
+          answer_pos_locally(m.oid, src, m.req_id, std::nullopt)) {
+    if (rec->has_sighting) ++stats_.pos_queries_served;
     return;
   }
 
@@ -761,12 +686,10 @@ void LocationServer::on_pos_query_req(NodeId src, const wm::PosQueryReq& m) {
       return;
     }
   }
-  NodeId next = kNoNode;
-  if (rec && !rec->leaf) {
-    next = rec->forward_ref;  // non-leaf entry with a pointer: go down
-  } else if (!cfg_.is_root()) {
-    next = cfg_.parent;  // Alg 6-4 line 6: forward query upwards
-  }
+  // Down a forwarding pointer if this non-leaf server has one, otherwise
+  // upwards (Alg 6-4 line 6).
+  NodeId next = cfg_.is_root() ? kNoNode : cfg_.parent;
+  if (visitor_db_) next = visitor_db_->find(m.oid).value_or(next);
   if (next.valid() && child_suspect(next)) {
     const NodeId standby = standby_for(next);
     if (standby.valid()) {
@@ -791,22 +714,8 @@ void LocationServer::on_pos_query_req(NodeId src, const wm::PosQueryReq& m) {
 
 void LocationServer::on_pos_query_fwd(NodeId src, const wm::PosQueryFwd& m) {
   (void)src;
-  const std::optional<store::VisitorRecord> rec = visitor_db_.find(m.oid);
   if (cfg_.is_leaf()) {
-    if (rec && rec->leaf && sightings_) {
-      const store::SightingDb::Record* srec = sightings_->find(m.oid);
-      if (srec != nullptr) {
-        const LocationDescriptor ld{srec->sighting.pos, rec->leaf->offered_acc};
-        send_msg(m.entry, wm::PosQueryRes{m.oid, true, ld, self_, m.req_id,
-                                          origin_piggyback()});
-        return;
-      }
-      ++stats_.refresh_requests;
-      send_msg(rec->leaf->reg_info.reg_inst, wm::RefreshReq{m.oid});
-      awaiting_refresh_[m.oid].push_back(
-          {m.entry, m.req_id, now() + opts_.pending_timeout});
-      return;
-    }
+    if (answer_pos_locally(m.oid, m.entry, m.req_id, origin_piggyback())) return;
     // Unknown at a leaf that was *sent* the query: a stale pointer or a
     // concurrent handover. Answer negatively rather than risk a routing
     // loop; the client may retry.
@@ -814,9 +723,10 @@ void LocationServer::on_pos_query_fwd(NodeId src, const wm::PosQueryFwd& m) {
              wm::PosQueryRes{m.oid, false, {}, kNoNode, m.req_id, origin_piggyback()});
     return;
   }
-  if (rec && !rec->leaf && rec->forward_ref.valid()) {
-    if (child_suspect(rec->forward_ref)) {
-      const NodeId standby = standby_for(rec->forward_ref);
+  const std::optional<NodeId> child = visitor_db_->find(m.oid);
+  if (child && child->valid()) {
+    if (child_suspect(*child)) {
+      const NodeId standby = standby_for(*child);
       if (standby.valid()) {
         // Promoted hot standby: the mirrored leaf state answers in place of
         // the crashed child -- the query stays answer-complete.
@@ -831,7 +741,7 @@ void LocationServer::on_pos_query_fwd(NodeId src, const wm::PosQueryFwd& m) {
                wm::PosQueryRes{m.oid, false, {}, kNoNode, m.req_id, std::nullopt});
       return;
     }
-    send_msg(rec->forward_ref, m);  // down the forwarding path
+    send_msg(*child, m);  // down the forwarding path
     return;
   }
   if (!cfg_.is_root()) {
@@ -861,13 +771,30 @@ void LocationServer::on_pos_query_res(NodeId src, const wm::PosQueryRes& m) {
                                            pending.client_req_id, std::nullopt});
 }
 
-void LocationServer::flush_awaiting_refresh(ObjectId oid) {
+const store::SightingDb::Record* LocationServer::answer_pos_locally(
+    ObjectId oid, NodeId to, std::uint64_t req_id,
+    const std::optional<wm::OriginArea>& origin) {
+  const store::SightingDb::Record* rec = sightings_ ? sightings_->find(oid) : nullptr;
+  if (rec == nullptr) return nullptr;
+  if (rec->has_sighting) {
+    const LocationDescriptor ld{rec->sighting.pos, rec->offered_acc};
+    send_msg(to, wm::PosQueryRes{oid, true, ld, self_, req_id, origin});
+    return rec;
+  }
+  // Visitor known persistently but sighting lost (recovery, §5): ask the
+  // object for a refresh and answer when it arrives.
+  ++stats_.refresh_requests;
+  send_msg(rec->reg_info.reg_inst, wm::RefreshReq{oid});
+  awaiting_refresh_[oid].push_back({to, req_id, now() + opts_.pending_timeout});
+  return rec;
+}
+
+void LocationServer::flush_awaiting_refresh(const store::SightingDb::Record& rec) {
+  if (awaiting_refresh_.empty()) return;
+  const ObjectId oid = rec.sighting.oid;
   const auto it = awaiting_refresh_.find(oid);
   if (it == awaiting_refresh_.end()) return;
-  const std::optional<store::VisitorRecord> rec = visitor_db_.find(oid);
-  const store::SightingDb::Record* srec = sightings_ ? sightings_->find(oid) : nullptr;
-  if (!rec || !rec->leaf || srec == nullptr) return;
-  const LocationDescriptor ld{srec->sighting.pos, rec->leaf->offered_acc};
+  const LocationDescriptor ld{rec.sighting.pos, rec.offered_acc};
   for (const WaitingQuery& wq : it->second) {
     send_msg(wq.entry,
              wm::PosQueryRes{oid, true, ld, self_, wq.req_id, origin_piggyback()});
@@ -1371,22 +1298,22 @@ void LocationServer::finish_nn(std::uint64_t ring_key) {
 // accuracy management / lifecycle
 
 void LocationServer::on_change_acc_req(NodeId src, const wm::ChangeAccReq& m) {
-  const std::optional<store::VisitorRecord> rec = visitor_db_.find(m.oid);
-  if (!cfg_.is_leaf() || !rec || !rec->leaf) {
+  store::SightingDb::Record* rec = sightings_ ? sightings_->find(m.oid) : nullptr;
+  if (rec == nullptr) {
     send_msg(src, wm::ChangeAccRes{m.req_id, false, 0.0});
     return;
   }
   const double acc = opts_.min_supported_acc;
   if (acc > m.acc_range.minimum) {
-    send_msg(src, wm::ChangeAccRes{m.req_id, false, rec->leaf->offered_acc});
+    send_msg(src, wm::ChangeAccRes{m.req_id, false, rec->offered_acc});
     return;
   }
   const double offered = negotiate_offered_acc(m.acc_range);
-  const double old_offered = rec->leaf->offered_acc;
-  const NodeId reg_inst = rec->leaf->reg_info.reg_inst;
-  visitor_db_.insert_leaf(m.oid, offered, RegInfo{reg_inst, m.acc_range});
-  if (sightings_) sightings_->set_offered_acc(m.oid, offered);
-  tee_set_acc(m.oid, offered, RegInfo{reg_inst, m.acc_range});
+  const double old_offered = rec->offered_acc;
+  const NodeId reg_inst = rec->reg_info.reg_inst;
+  sightings_->set_visitor(*rec, offered, RegInfo{reg_inst, m.acc_range});
+  tee({wm::ReplicaTee::Op::kSetAcc, Sighting{m.oid}, offered, 0,
+       RegInfo{reg_inst, m.acc_range}});
   send_msg(src, wm::ChangeAccRes{m.req_id, true, offered});
   if (offered != old_offered && reg_inst != src) {
     send_msg(reg_inst, wm::NotifyAvailAcc{m.oid, offered});
@@ -1396,18 +1323,16 @@ void LocationServer::on_change_acc_req(NodeId src, const wm::ChangeAccReq& m) {
 void LocationServer::on_deregister_req(NodeId src, const wm::DeregisterReq& m) {
   (void)src;
   if (!cfg_.is_leaf()) return;
-  const std::optional<store::VisitorRecord> rec = visitor_db_.find(m.oid);
-  if (!rec || !rec->leaf) return;
-  drop_leaf_visitor(m.oid, /*prune_path=*/true);
+  store::SightingDb::Record* rec = sightings_->find(m.oid);
+  if (rec == nullptr) return;
+  drop_leaf_visitor(m.oid, rec, /*prune_path=*/true);
 }
 
 void LocationServer::request_refresh_all() {
   if (!cfg_.is_leaf()) return;
   refresh_targets_scratch_.clear();
-  visitor_db_.for_each([&](const store::VisitorRecord& rec) {
-    if (rec.leaf && (sightings_ == std::nullopt || !sightings_->find(rec.oid))) {
-      refresh_targets_scratch_.emplace_back(rec.leaf->reg_info.reg_inst, rec.oid);
-    }
+  sightings_->for_each([&](ObjectId oid, const store::SightingDb::Record& rec) {
+    if (!rec.has_sighting) refresh_targets_scratch_.emplace_back(rec.reg_info.reg_inst, oid);
   });
   send_refresh_batches(refresh_targets_scratch_);
 }
@@ -1415,8 +1340,8 @@ void LocationServer::request_refresh_all() {
 void LocationServer::send_refresh_batches(
     std::vector<std::pair<NodeId, ObjectId>>& targets) {
   if (targets.empty()) return;
-  // Sorting makes the sweep independent of the visitorDB tables' slot order
-  // and groups targets per client node.
+  // Sorting makes the sweep independent of the tables' slot order and
+  // groups targets per client node.
   std::sort(targets.begin(), targets.end());
   wm::BatchedRefreshReq& batch = refresh_batch_scratch_;
   batch.oids.clear();
@@ -1499,11 +1424,10 @@ void LocationServer::on_recovery_hello(NodeId src, const wm::RecoveryHello& m) {
   // Answer with every object we still forward to the restarted child; the
   // leaf intersects the list with its persisted records and sweeps refreshes
   // out to the registering instances.
+  if (!visitor_db_) return;
   refresh_targets_scratch_.clear();
-  visitor_db_.for_each([&](const store::VisitorRecord& rec) {
-    if (!rec.leaf && rec.forward_ref == src) {
-      refresh_targets_scratch_.emplace_back(src, rec.oid);
-    }
+  visitor_db_->for_each([&](ObjectId oid, NodeId child) {
+    if (child == src) refresh_targets_scratch_.emplace_back(src, oid);
   });
   send_refresh_batches(refresh_targets_scratch_);
 }
@@ -1520,10 +1444,9 @@ void LocationServer::on_batched_refresh_req(NodeId src,
   auto oids = m.oids.items();
   while (const auto item = oids.next()) {
     const ObjectId oid = item->value;
-    const std::optional<store::VisitorRecord> rec = visitor_db_.find(oid);
-    if (!rec || !rec->leaf) continue;
-    if (sightings_ && sightings_->find(oid) != nullptr) continue;  // fresh
-    refresh_targets_scratch_.emplace_back(rec->leaf->reg_info.reg_inst, oid);
+    const store::SightingDb::Record* rec = sightings_->find(oid);
+    if (rec == nullptr || rec->has_sighting) continue;  // lost, or fresh
+    refresh_targets_scratch_.emplace_back(rec->reg_info.reg_inst, oid);
   }
   send_refresh_batches(refresh_targets_scratch_);
 }
@@ -1593,7 +1516,7 @@ void LocationServer::install_event(const wm::EventInstall& inst) {
   } else {
     for (const ObjectId oid : {inst.obj_a, inst.obj_b}) {
       const store::SightingDb::Record* rec = sightings_->find(oid);
-      if (rec != nullptr) present.emplace_back(oid, rec->sighting.pos);
+      if (rec != nullptr && rec->has_sighting) present.emplace_back(oid, rec->sighting.pos);
     }
   }
   for (const auto& [oid, pos] : present) {
@@ -1732,26 +1655,24 @@ void LocationServer::tick_body(TimePoint t) {
     next_heartbeat_ = t + opts_.heartbeat_interval;
   }
   // Bound the persistent log (and with it, recovery time).
-  visitor_db_.maybe_compact(kVisitorCompactThreshold);
+  if (visitor_db_) visitor_db_->compact(kVisitorCompactThreshold);
+  if (sightings_) sightings_->compact(kVisitorCompactThreshold);
   // Forget deliberate departures once their nack-suppression window passed.
   for (auto it = recent_departures_.begin(); it != recent_departures_.end();) {
     it = it->second <= t ? recent_departures_.erase(it) : std::next(it);
   }
-  // Soft-state expiry (§5): deregister objects whose sightings lapsed. The
-  // visitor records are dropped in one bulk pass (remove_batch groups the
-  // persistent-log appends); the per-object messages keep their order.
-  // A PASSIVE replica never expires on its own clock: the primary owns the
-  // TTL decision and tees the removal, so the mirror stays byte-identical
+  // Soft-state expiry (§5): deregister objects whose sightings lapsed
+  // (expire_until persists the removals in one frame write). A PASSIVE
+  // replica never expires on its own clock: the primary owns the TTL
+  // decision and tees the removal, so the mirror stays byte-identical
   // instead of racing the primary's sweep.
   if (sightings_ && !standby_passive()) {
-    const std::vector<ObjectId> expired = sightings_->expire_until(t);
-    for (const ObjectId oid : expired) {
+    for (const ObjectId oid : sightings_->expire_until(t)) {
       ++stats_.sightings_expired;
       events_on_sighting(oid, false, {});
       send_path(false, oid);
-      tee_remove(oid);
+      tee({wm::ReplicaTee::Op::kRemove, Sighting{oid}});
     }
-    visitor_db_.remove_batch(expired);
   }
   // Pending-operation timeouts.
   for (auto it = pending_pos_.begin(); it != pending_pos_.end();) {
@@ -1802,7 +1723,12 @@ void LocationServer::tick_body(TimePoint t) {
       continue;
     }
     ++stats_.pending_timeouts;
-    if (it->second.reply_to_object) handover_in_flight_.erase(it->second.oid);
+    if (it->second.reply_to_object) {
+      // The old agent may hand the object over again.
+      if (store::SightingDb::Record* rec = sightings_->find(it->second.oid)) {
+        rec->in_handover = false;
+      }
+    }
     it = pending_handover_.erase(it);
   }
   for (auto it = awaiting_refresh_.begin(); it != awaiting_refresh_.end();) {

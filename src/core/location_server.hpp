@@ -47,12 +47,13 @@
 //    list with its (persisted) leaf records and sweeps BatchedRefreshReq
 //    datagrams to the registering instances -- one datagram per client chunk
 //    instead of one RefreshReq per object. The resulting client updates
-//    rebuild the volatile SightingDb (batch path: SightingDb::apply_batch).
-//    Objects whose leaf records were ALSO lost (in-memory visitorDB) cannot
-//    be reached this way; with Options::nack_unknown_updates their next
-//    update is answered with AgentChanged{kNoNode} and clients configured
-//    with TrackedObject::Options::reregister_on_agent_loss re-register,
-//    rebuilding VisitorDb, forwarding path and sighting from scratch.
+//    write the lost sightings back into the leaf records the restarted leaf
+//    replayed from its visitor log. Objects whose leaf records were ALSO
+//    lost (in-memory visitorDB) cannot be reached this way; with
+//    Options::nack_unknown_updates their next update is answered with
+//    AgentChanged{kNoNode} and clients configured with
+//    TrackedObject::Options::reregister_on_agent_loss re-register,
+//    rebuilding leaf record, forwarding path and sighting from scratch.
 //
 // Zero-materialization query merge (read-path invariants; wire/messages.hpp
 // has the framing side):
@@ -169,8 +170,10 @@ class LocationServer {
 
   /// Result of one client-visible operation, delivered to the node that
   /// issued the request (see client.hpp for the client side).
+  /// `visitor_log` is the node's persistent visitorDB: a leaf replays its
+  /// leaf table's visitor part from it, any other server its references.
   LocationServer(NodeId self, ConfigRecord cfg, net::Transport& net, Clock& clock,
-                 Options opts, store::VisitorDb visitor_db = {},
+                 Options opts, store::VisitorLog visitor_log = {},
                  spatial::IndexFactory index_factory = nullptr);
 
   /// Default options.
@@ -246,7 +249,12 @@ class LocationServer {
   NodeId id() const { return self_; }
   const ConfigRecord& config() const { return cfg_; }
   const Stats& stats() const { return stats_; }
-  const store::VisitorDb& visitors() const { return visitor_db_; }
+  /// Forwarding references: null on a leaf, as sightings() is null on any
+  /// other server.
+  const store::VisitorDb* visitors() const {
+    return visitor_db_ ? &*visitor_db_ : nullptr;
+  }
+  /// The leaf table: one record per visitor of this leaf.
   const store::SightingDb* sightings() const {
     return sightings_ ? &*sightings_ : nullptr;
   }
@@ -333,10 +341,18 @@ class LocationServer {
 
   /// Becomes the new agent for a handed-over object (Alg 6-3 lines 2-7).
   void accept_handover(NodeId src, const wire::HandoverReq& m);
+  /// The per-sighting path of UpdateReq and BatchedUpdateReq (Alg 6-2): one
+  /// lookup, then a write through the record found, a handover or an
+  /// unknown. Returns the record written, or nullptr.
+  const store::SightingDb::Record* apply_update(NodeId src, const Sighting& s);
   /// Initiates a handover for a locally tracked object that left our area.
-  void initiate_handover(NodeId object_node, const Sighting& s);
-  /// Removes a leaf visitor entirely (dereg/expiry): records + path prune.
-  void drop_leaf_visitor(ObjectId oid, bool prune_path);
+  void initiate_handover(NodeId object_node, store::SightingDb::Record& rec,
+                         const Sighting& s);
+  /// Removes a leaf visitor (handover away, deregistration): its record
+  /// `rec` (null when already gone), mirror entry and, with `prune_path`,
+  /// its path.
+  void drop_leaf_visitor(ObjectId oid, store::SightingDb::Record* rec,
+                         bool prune_path);
 
   /// Routes a range query one hop further (Alg 6-5 range query fwd). `from`
   /// is the node the query arrived from (kNoNode at the entry server).
@@ -362,10 +378,19 @@ class LocationServer {
   void check_nn_ring(std::uint64_t ring_key);
   void finish_nn(std::uint64_t ring_key);
 
-  /// Inserts or refreshes a leaf sighting record (+ event maintenance).
-  void put_sighting(const Sighting& s, double offered_acc);
+  /// Writes an accepted sighting through its leaf record, then the event
+  /// predicates and the standby's tee.
+  void put_sighting(store::SightingDb::Record& rec, const Sighting& s);
   void try_complete_range(std::uint64_t key);
-  void flush_awaiting_refresh(ObjectId oid);
+  /// A leaf's answer to a position query for `oid` (Alg 6-4 lines 1-4), sent
+  /// to `to` -- or, for a record still without its sighting (§5), a
+  /// RefreshReq to the object and a waiting query. Returns the record, or
+  /// nullptr when the object has none here.
+  const store::SightingDb::Record* answer_pos_locally(
+      ObjectId oid, NodeId to, std::uint64_t req_id,
+      const std::optional<wire::OriginArea>& origin);
+  /// Answers the position queries waiting for `rec`'s refresh (§5).
+  void flush_awaiting_refresh(const store::SightingDb::Record& rec);
 
   /// Zero-materialization sub-result intake (see the header invariants):
   /// consumes a valid SubResView straight off the receive buffer, pinning
@@ -394,9 +419,9 @@ class LocationServer {
   // -- hot-standby replication helpers (no-ops without a standby wired) --
   /// Stages one tee entry; flush_tee (end of handle()/tick_body) sends the
   /// whole batch as ONE ReplicaTee datagram.
-  void tee_upsert(const Sighting& s, double offered_acc, const RegInfo& reg);
-  void tee_set_acc(ObjectId oid, double offered_acc, const RegInfo& reg);
-  void tee_remove(ObjectId oid);
+  void tee(const wire::ReplicaTee::Entry& e) {
+    if (standby_.valid()) tee_scratch_.entries.append(e);
+  }
   void flush_tee();
   /// True in the replica role while NOT promoted: the primary owns the
   /// visitor state, this server only mirrors it.
@@ -428,7 +453,7 @@ class LocationServer {
   Options opts_;
   Stats stats_;
 
-  store::VisitorDb visitor_db_;
+  std::optional<store::VisitorDb> visitor_db_;  // non-leaf servers only
   std::optional<store::SightingDb> sightings_;  // leaf servers only
 
   // §6.5 caches.
@@ -482,9 +507,7 @@ class LocationServer {
   wire::NNProbeSubRes nn_sub_scratch_;
   wire::NNQueryRes nn_res_scratch_;
   std::vector<ObjectResult> nn_local_scratch_;
-  // Batched-update scratch: accepted sightings staged for the single-lock
-  // SightingDb::apply_batch, and the packed ack under construction.
-  std::vector<store::SightingDb::BulkUpdate> batch_apply_scratch_;
+  // The packed BatchedUpdateAck under construction.
   wire::BatchedUpdateAck batch_ack_scratch_;
   // Retired NN candidate maps (slot arrays intact) for the next ring.
   std::vector<util::OidMap<LocationDescriptor>> nn_map_pool_;
@@ -505,7 +528,6 @@ class LocationServer {
     TimePoint deadline = 0;
   };
   std::unordered_map<std::uint64_t, PendingHandover> pending_handover_;
-  std::unordered_set<ObjectId> handover_in_flight_;
 
   struct PendingPos {
     NodeId client;

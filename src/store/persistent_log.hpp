@@ -50,7 +50,6 @@ class PersistentLog {
   /// replayed records) -- the compaction trigger.
   std::uint64_t appended() const { return appended_; }
 
-  const std::string& path() const { return path_; }
   bool is_open() const { return fd_ >= 0; }
 
  private:

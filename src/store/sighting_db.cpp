@@ -6,8 +6,36 @@
 
 namespace locs::store {
 
-SightingDb::SightingDb(spatial::IndexFactory index_factory)
-    : index_factory_(std::move(index_factory)), index_(index_factory_()) {}
+SightingDb::SightingDb(spatial::IndexFactory index_factory, VisitorLog log)
+    : index_(index_factory()) {
+  // Only the visitor part persists, so every replayed record starts without
+  // a sighting. A leaf keeps no forwarding references: kSetForward records
+  // are not its own.
+  log.replay([this](const VisitorLog::Record& r) {
+    switch (r.op) {
+      case VisitorLog::Op::kInsertLeaf:
+        set_visitor(r.oid, r.offered_acc, r.reg_info);
+        break;
+      case VisitorLog::Op::kSetAcc:
+        if (Record* rec = records_.find(r.oid)) rec->offered_acc = r.offered_acc;
+        break;
+      case VisitorLog::Op::kRemove:
+        records_.erase(r.oid);
+        break;
+      case VisitorLog::Op::kSetForward:
+        break;
+    }
+  });
+  log_ = std::move(log);  // attached after the replay, so nothing re-appends
+}
+
+SightingDb::Record& SightingDb::upsert(const core::Sighting& s, double offered_acc,
+                                       TimePoint expiry,
+                                       const core::RegInfo& reg_info) {
+  Record& rec = set_visitor(s.oid, offered_acc, reg_info);
+  update(rec, s, expiry);
+  return rec;
+}
 
 void SightingDb::insert(const core::Sighting& s, double offered_acc,
                         TimePoint expiry) {
@@ -15,23 +43,25 @@ void SightingDb::insert(const core::Sighting& s, double offered_acc,
   upsert(s, offered_acc, expiry);
 }
 
-bool SightingDb::update(const core::Sighting& s, TimePoint expiry) {
-  Record* rec = records_.find(s.oid);
-  if (rec == nullptr) return false;
-  write(*rec, /*inserted=*/false, s, expiry);
-  return true;
+SightingDb::Record& SightingDb::set_visitor(ObjectId oid, double offered_acc,
+                                            const core::RegInfo& reg_info) {
+  const auto [rec, inserted] = records_.try_emplace(oid);
+  if (inserted) rec->sighting.oid = oid;
+  set_visitor(*rec, offered_acc, reg_info);
+  return *rec;
 }
 
-void SightingDb::upsert(const core::Sighting& s, double offered_acc,
-                        TimePoint expiry) {
-  const auto [rec, inserted] = records_.try_emplace(s.oid);
-  rec->offered_acc = offered_acc;
-  write(*rec, inserted, s, expiry);
+void SightingDb::set_visitor(Record& rec, double offered_acc,
+                             const core::RegInfo& reg_info) {
+  rec.offered_acc = offered_acc;
+  rec.reg_info = reg_info;
+  if (log_.persistent()) {
+    log_.append(VisitorLog::insert_leaf(rec.sighting.oid, offered_acc, reg_info));
+  }
 }
 
-void SightingDb::write(Record& rec, bool inserted, const core::Sighting& s,
-                       TimePoint expiry) {
-  if (inserted) {
+void SightingDb::update(Record& rec, const core::Sighting& s, TimePoint expiry) {
+  if (!rec.has_sighting) {
     index_->insert(s.oid, s.pos);
   } else if (std::memcmp(&rec.sighting.pos, &s.pos, sizeof s.pos) != 0) {
     // Compared bit for bit, not with ==, so the index always holds the
@@ -41,7 +71,17 @@ void SightingDb::write(Record& rec, bool inserted, const core::Sighting& s,
   }
   rec.sighting = s;
   rec.expiry = expiry;
-  if (inserted || expiry < rec.queued) queue(s.oid, rec, expiry);
+  // A first sighting, or an expiry earlier than the queued one, queues an
+  // entry; a later expiry waits for the queued entry to pop.
+  if (!rec.has_sighting || expiry < rec.queued) queue(s.oid, rec, expiry);
+  rec.has_sighting = true;
+}
+
+bool SightingDb::update(const core::Sighting& s, TimePoint expiry) {
+  Record* rec = records_.find(s.oid);
+  if (rec == nullptr) return false;
+  update(*rec, s, expiry);
+  return true;
 }
 
 void SightingDb::queue(ObjectId oid, Record& rec, TimePoint expiry) {
@@ -50,24 +90,19 @@ void SightingDb::queue(ObjectId oid, Record& rec, TimePoint expiry) {
   std::push_heap(expiry_heap_.begin(), expiry_heap_.end(), std::greater<>{});
 }
 
-void SightingDb::apply_batch(const std::vector<BulkUpdate>& items,
-                             TimePoint expiry) {
-  for (const BulkUpdate& item : items) upsert(item.s, item.offered_acc, expiry);
-}
-
 bool SightingDb::remove(ObjectId oid) {
-  if (!records_.erase(oid)) return false;
-  index_->remove(oid);
-  // The record's queued entry becomes stale and is dropped when it pops.
+  Record* rec = records_.find(oid);
+  if (rec == nullptr) return false;
+  remove(*rec);
   return true;
 }
 
-const SightingDb::Record* SightingDb::find(ObjectId oid) const {
-  return records_.find(oid);
-}
-
-void SightingDb::set_offered_acc(ObjectId oid, double offered_acc) {
-  if (Record* rec = records_.find(oid)) rec->offered_acc = offered_acc;
+void SightingDb::remove(Record& rec) {
+  const ObjectId oid = rec.sighting.oid;
+  if (rec.has_sighting) index_->remove(oid);
+  // The record's queued entry becomes stale and is dropped when it pops.
+  records_.erase(&rec);
+  if (log_.persistent()) log_.append(VisitorLog::remove(oid));
 }
 
 std::vector<ObjectId> SightingDb::expire_until(TimePoint now) {
@@ -77,7 +112,7 @@ std::vector<ObjectId> SightingDb::expire_until(TimePoint now) {
     std::pop_heap(expiry_heap_.begin(), expiry_heap_.end(), std::greater<>{});
     expiry_heap_.pop_back();
     Record* rec = records_.find(entry.oid);
-    if (rec == nullptr || rec->queued != entry.expiry) {
+    if (rec == nullptr || !rec->has_sighting || rec->queued != entry.expiry) {
       continue;  // stale: removed (perhaps re-inserted), or queued again since
     }
     if (rec->expiry > now) {
@@ -86,10 +121,11 @@ std::vector<ObjectId> SightingDb::expire_until(TimePoint now) {
       queue(entry.oid, *rec, rec->expiry);
       continue;
     }
-    records_.erase(entry.oid);
+    records_.erase(rec);
     index_->remove(entry.oid);
     expired.push_back(entry.oid);
   }
+  log_.append_remove(expired);
   return expired;
 }
 
@@ -98,12 +134,6 @@ void SightingDb::objects_in_area(const geo::Polygon& area, double req_acc,
                                  std::vector<core::ObjectResult>& out) const {
   objects_in_area_emit(area, req_acc, req_overlap,
                        [&](const core::ObjectResult& r) { out.push_back(r); });
-}
-
-void SightingDb::objects_in_circle(const geo::Circle& circle, double req_acc,
-                                   std::vector<core::ObjectResult>& out) const {
-  objects_in_circle_emit(circle, req_acc,
-                         [&](const core::ObjectResult& r) { out.push_back(r); });
 }
 
 std::vector<core::ObjectResult> SightingDb::k_nearest(geo::Point p, std::size_t k,
@@ -126,10 +156,12 @@ std::vector<core::ObjectResult> SightingDb::k_nearest(geo::Point p, std::size_t 
   }
 }
 
-void SightingDb::clear() {
-  records_.clear();
-  expiry_heap_.clear();
-  index_ = index_factory_();
+Status SightingDb::compact(std::uint64_t appended_threshold) {
+  return log_.compact(appended_threshold, [this](std::vector<wire::Buffer>& out) {
+    records_.for_each([&out](ObjectId oid, const Record& rec) {
+      out.push_back(VisitorLog::insert_leaf(oid, rec.offered_acc, rec.reg_info));
+    });
+  });
 }
 
 }  // namespace locs::store

@@ -1,16 +1,19 @@
-// Main-memory sighting database of a leaf location server (§5, Fig 7).
+// The leaf table of a leaf location server (§5, Fig 7): one record per
+// visitor, holding both halves the paper keeps apart.
+//  * The visitor part (offered accuracy, registration information) belongs
+//    to the paper's persistent visitorDB. Every mutation of it is appended
+//    to the node's visitor log (store::VisitorLog), and a restarted leaf
+//    replays only this part.
+//  * The sighting part (the sighting and its soft-state expiration date)
+//    belongs to the paper's sightingDB, which lives in main memory only and
+//    is rebuilt from incoming position updates after a restart.
+// The table is also the paper's "hash index over object identifiers" (one
+// util::OidMap slot per record), and a pluggable spatial index over
+// positions finds "the candidates for a range or nearest neighbor query".
 //
-// Combines the paper's three in-memory components:
-//  * the sightingDB proper (one sighting record per visitor, with a
-//    soft-state expiration date),
-//  * the hash index over object identifiers ("to quickly find the object
-//    belonging to a position query") -- the records live in it, one
-//    util::OidMap slot each,
-//  * a pluggable spatial index over positions ("to find the candidates for
-//    a range or nearest neighbor query").
-//
-// Deliberately volatile: the paper stores sightings in main memory only and
-// rebuilds them from incoming position updates after a restart.
+// A record replayed from the log has no sighting until the object's next
+// update. Until then it is in neither the spatial index nor the expiry heap,
+// so queries skip it and it never expires.
 #pragma once
 
 #include <cassert>
@@ -20,6 +23,7 @@
 #include "geo/circle.hpp"
 #include "geo/polygon.hpp"
 #include "spatial/spatial_index.hpp"
+#include "store/visitor_log.hpp"
 #include "util/clock.hpp"
 #include "util/ids.hpp"
 #include "util/oid_set.hpp"
@@ -29,55 +33,66 @@ namespace locs::store {
 class SightingDb {
  public:
   struct Record {
+    // Visitor part (persistent).
+    double offered_acc = 0.0;
+    core::RegInfo reg_info;
+    // Sighting part (volatile). `sighting.oid` is the record's id even
+    // before the first sighting arrives.
     core::Sighting sighting;
-    double offered_acc = 0.0;  // mirrored from the visitor record for fast
-                               // query-time accuracy filtering
     TimePoint expiry = 0;
     TimePoint queued = 0;  // internal: the expiry of the record's heap entry
+    bool has_sighting = false;
+    // The owner's flag, not read here: a handover of this object is in
+    // flight.
+    bool in_handover = false;
   };
 
-  explicit SightingDb(spatial::IndexFactory index_factory);
+  /// Replays the visitor part of every record in `log` (in memory when
+  /// default), then appends the visitor part of every mutation to it.
+  explicit SightingDb(spatial::IndexFactory index_factory, VisitorLog log = {});
 
-  /// Inserts a sighting for a new visitor. Precondition: not present.
+  /// Registration or handover-in: creates or overwrites the record of `s.oid`
+  /// with this visitor part (persisted) and writes the sighting as update()
+  /// does.
+  Record& upsert(const core::Sighting& s, double offered_acc, TimePoint expiry,
+                 const core::RegInfo& reg_info = {});
+
+  /// upsert() for an object that has no record. Precondition: not present.
   void insert(const core::Sighting& s, double offered_acc, TimePoint expiry);
 
-  /// Updates the stored sighting (position update); returns false if the
-  /// object is unknown. Extends the expiration date (§5: "extended
-  /// accordingly whenever the visitor contacts the location server"). Only
-  /// a new position reaches the spatial index: a sighting at the stored
-  /// position refreshes the record and its expiry but makes no index call.
+  /// Creates or overwrites the visitor part alone (persisted); a new record
+  /// has no sighting.
+  Record& set_visitor(ObjectId oid, double offered_acc, const core::RegInfo& reg_info);
+  /// Overwrites the visitor part of a record that find() returned.
+  void set_visitor(Record& rec, double offered_acc, const core::RegInfo& reg_info);
+
+  /// Writes a position update through a record that find() returned and
+  /// extends its expiration date (§5: "extended accordingly whenever the
+  /// visitor contacts the location server"). The spatial index sees an
+  /// insert for the record's first sighting, an update for a new position,
+  /// and nothing for a sighting at the stored position -- the one place that
+  /// rule lives.
+  void update(Record& rec, const core::Sighting& s, TimePoint expiry);
+  /// update() after a lookup; false if the object has no record.
   bool update(const core::Sighting& s, TimePoint expiry);
 
-  /// Insert-or-update with one lookup: insert() for a new object, otherwise
-  /// update() followed by set_offered_acc(). The spatial index sees the same
-  /// insert, move or nothing either way.
-  void upsert(const core::Sighting& s, double offered_acc, TimePoint expiry);
-
-  /// One upsert item of apply_batch (wire::BatchedUpdateReq application).
-  struct BulkUpdate {
-    core::Sighting s;
-    double offered_acc = 0.0;
-  };
-
-  /// Upserts a whole batch of sightings in one pass over records + spatial
-  /// index -- the per-datagram dispatch overhead is paid once per batch
-  /// instead of once per sighting. Identical to upsert() per item.
-  void apply_batch(const std::vector<BulkUpdate>& items, TimePoint expiry);
-
+  /// Removes a record and persists the removal.
   bool remove(ObjectId oid);
+  void remove(Record& rec);
 
   /// The record of `oid`, or nullptr. The records live in a flat table that
   /// moves entries when it grows or closes a gap, so the pointer stays valid
-  /// only until the next insert, remove, expire_until or clear (a refresh of
-  /// an existing record through update, upsert or set_offered_acc moves
-  /// nothing). Read what you need before mutating the database.
-  const Record* find(ObjectId oid) const;
+  /// only until the next call that may create or remove a record (upsert,
+  /// insert, set_visitor by id, remove, expire_until); update and
+  /// set_visitor through a record move nothing. Callers may write
+  /// `in_handover`; every other field changes only through the methods
+  /// above.
+  Record* find(ObjectId oid) { return records_.find(oid); }
+  const Record* find(ObjectId oid) const { return records_.find(oid); }
 
-  void set_offered_acc(ObjectId oid, double offered_acc);
-
-  /// Pops every object whose sighting record has expired (soft state, §5):
-  /// a record expires at the first call with `now` at or after its latest
-  /// expiry, and only once.
+  /// Removes every record whose sighting has expired (soft state, §5) and
+  /// persists the removals in one frame write: a record expires at the
+  /// first call with `now` at or after its latest expiry, and only once.
   std::vector<ObjectId> expire_until(TimePoint now);
 
   /// Number of queued expiries (entries of the expiry heap, stale ones
@@ -123,12 +138,9 @@ class SightingDb {
     }
   }
 
-  /// Candidates for nearest-neighbor probes: objects with acc <= req_acc
-  /// whose stored position lies within the circle.
-  void objects_in_circle(const geo::Circle& circle, double req_acc,
-                         std::vector<core::ObjectResult>& out) const;
-
-  /// Sink-based variant of objects_in_circle (same order, no vector).
+  /// Candidates for nearest-neighbor probes: invokes `sink(result)` per
+  /// object with acc <= req_acc whose stored position lies within the
+  /// circle.
   template <typename Sink>
   void objects_in_circle_emit(const geo::Circle& circle, double req_acc,
                               Sink&& sink) const {
@@ -147,8 +159,22 @@ class SightingDb {
   std::vector<core::ObjectResult> k_nearest(geo::Point p, std::size_t k,
                                             double req_acc) const;
 
+  /// Records, with or without a sighting.
   std::size_t size() const { return records_.size(); }
-  void clear();
+
+  /// Invokes fn(ObjectId, const Record&) per record, in slot order. Callers
+  /// that emit messages from it sort first.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    records_.for_each(fn);
+  }
+
+  /// Rewrites the visitor log to one kInsertLeaf record per record once it
+  /// has grown past `appended_threshold` records (the server's tick calls
+  /// this).
+  Status compact(std::uint64_t appended_threshold = 0);
+  /// Records appended to the visitor log since open or the last compaction.
+  std::uint64_t log_appended() const { return log_.appended(); }
 
   const spatial::SpatialIndex& index() const { return *index_; }
 
@@ -166,18 +192,10 @@ class SightingDb {
     bool operator>(const HeapEntry& other) const { return expiry > other.expiry; }
   };
 
-  /// Writes `s` and `expiry` into `rec`. The index gets an insert for a new
-  /// record and an update only when the position changed -- the one place
-  /// the stationary rule lives. A new record, or an expiry earlier than the
-  /// queued one, queues an entry; a later expiry waits for the queued entry
-  /// to pop.
-  void write(Record& rec, bool inserted, const core::Sighting& s, TimePoint expiry);
-
   /// Pushes a heap entry for `oid` at `expiry` and records it in
   /// `rec.queued`, which makes the record's entries at other expiries stale.
   void queue(ObjectId oid, Record& rec, TimePoint expiry);
 
-  spatial::IndexFactory index_factory_;
   std::unique_ptr<spatial::SpatialIndex> index_;
   // Candidate scratch for the area/circle queries, reused across calls (the
   // owning server is a single-threaded reactor, so const queries never run
@@ -185,6 +203,7 @@ class SightingDb {
   mutable std::vector<spatial::Entry> candidates_scratch_;
   util::OidMap<Record> records_;
   std::vector<HeapEntry> expiry_heap_;  // min-heap via std::push_heap
+  VisitorLog log_;
 };
 
 }  // namespace locs::store

@@ -2,90 +2,40 @@
 
 namespace locs::store {
 
-Result<VisitorDb> VisitorDb::open(const std::string& path, bool fsync_each) {
-  auto log = VisitorLog::open(path, fsync_each);
-  if (!log.ok()) return log.status();
-  // Replay through the public mutators before the log is attached, so the
-  // replayed records are applied exactly as live ones but not re-appended.
-  VisitorDb db;
-  log.value().replay([&db](const VisitorLog::Record& rec) {
-    switch (rec.op) {
-      case VisitorLog::Op::kSetForward:
-        db.set_forward(rec.oid, rec.child);
-        break;
-      case VisitorLog::Op::kInsertLeaf:
-        db.insert_leaf(rec.oid, rec.offered_acc, rec.reg_info);
-        break;
-      case VisitorLog::Op::kSetAcc:
-        db.set_offered_acc(rec.oid, rec.offered_acc);
-        break;
-      case VisitorLog::Op::kRemove:
-        db.erase(rec.oid);
-        break;
+VisitorDb::VisitorDb(VisitorLog log) {
+  // A leaf's records (kInsertLeaf, kSetAcc) are not a non-leaf server's.
+  log.replay([this](const VisitorLog::Record& r) {
+    if (r.op == VisitorLog::Op::kSetForward) {
+      forward_[r.oid] = r.child;
+    } else if (r.op == VisitorLog::Op::kRemove) {
+      forward_.erase(r.oid);
     }
   });
-  db.log_ = std::move(log).value();
-  return db;
+  log_ = std::move(log);  // attached after the replay, so nothing re-appends
 }
 
 void VisitorDb::set_forward(ObjectId oid, NodeId child) {
-  leaf_.erase(oid);
   forward_[oid] = child;
   if (log_.persistent()) log_.append(VisitorLog::set_forward(oid, child));
 }
 
-void VisitorDb::insert_leaf(ObjectId oid, double offered_acc,
-                            const core::RegInfo& reg_info) {
-  forward_.erase(oid);
-  leaf_[oid] = LeafVisitorInfo{offered_acc, reg_info};
-  if (log_.persistent()) {
-    log_.append(VisitorLog::insert_leaf(oid, offered_acc, reg_info));
-  }
-}
-
-void VisitorDb::set_offered_acc(ObjectId oid, double offered_acc) {
-  LeafVisitorInfo* info = leaf_.find(oid);
-  if (info == nullptr) return;
-  info->offered_acc = offered_acc;
-  if (log_.persistent()) log_.append(VisitorLog::set_acc(oid, offered_acc));
-}
-
 bool VisitorDb::remove(ObjectId oid) {
-  if (!erase(oid)) return false;
+  if (!forward_.erase(oid)) return false;
   if (log_.persistent()) log_.append(VisitorLog::remove(oid));
   return true;
 }
 
-std::size_t VisitorDb::remove_batch(std::span<const ObjectId> oids) {
-  std::vector<ObjectId> removed;
-  for (const ObjectId oid : oids) {
-    if (erase(oid)) removed.push_back(oid);
-  }
-  log_.append_remove(removed);
-  return removed.size();
+std::optional<NodeId> VisitorDb::find(ObjectId oid) const {
+  const NodeId* child = forward_.find(oid);
+  return child != nullptr ? std::optional<NodeId>(*child) : std::nullopt;
 }
 
-std::optional<VisitorRecord> VisitorDb::find(ObjectId oid) const {
-  if (const LeafVisitorInfo* info = leaf_.find(oid)) {
-    return VisitorRecord{oid, kNoNode, *info};
-  }
-  if (const NodeId* child = forward_.find(oid)) {
-    return VisitorRecord{oid, *child, std::nullopt};
-  }
-  return std::nullopt;
-}
-
-Status VisitorDb::compact() {
-  if (!log_.persistent()) return Status::ok();
-  std::vector<wire::Buffer> records;
-  records.reserve(size());
-  for_each([&records](const VisitorRecord& rec) {
-    records.push_back(
-        rec.leaf ? VisitorLog::insert_leaf(rec.oid, rec.leaf->offered_acc,
-                                           rec.leaf->reg_info)
-                 : VisitorLog::set_forward(rec.oid, rec.forward_ref));
+Status VisitorDb::compact(std::uint64_t appended_threshold) {
+  return log_.compact(appended_threshold, [this](std::vector<wire::Buffer>& out) {
+    forward_.for_each([&out](ObjectId oid, NodeId child) {
+      out.push_back(VisitorLog::set_forward(oid, child));
+    });
   });
-  return log_.rewrite(records);
 }
 
 }  // namespace locs::store

@@ -6,50 +6,34 @@ namespace locs::store {
 
 namespace {
 
-/// Writes a record's head: [op u8][oid].
-void head(wire::Writer& w, VisitorLog::Op op, ObjectId oid) {
+/// [op u8][oid][fields...], each field through its wire codec.
+template <typename... Fields>
+wire::Buffer record(VisitorLog::Op op, ObjectId oid, const Fields&... fields) {
+  wire::Buffer buf;
+  wire::Writer w(buf);
   w.u8(static_cast<std::uint8_t>(op));
   wire::put(w, oid);
+  (wire::put(w, fields), ...);
+  w.flush();
+  return buf;
 }
 
 }  // namespace
 
 wire::Buffer VisitorLog::set_forward(ObjectId oid, NodeId child) {
-  wire::Buffer buf;
-  wire::Writer w(buf);
-  head(w, Op::kSetForward, oid);
-  wire::put(w, child);
-  w.flush();
-  return buf;
+  return record(Op::kSetForward, oid, child);
 }
 
 wire::Buffer VisitorLog::insert_leaf(ObjectId oid, double offered_acc,
                                      const core::RegInfo& reg_info) {
-  wire::Buffer buf;
-  wire::Writer w(buf);
-  head(w, Op::kInsertLeaf, oid);
-  wire::put(w, offered_acc);
-  wire::put(w, reg_info);
-  w.flush();
-  return buf;
+  return record(Op::kInsertLeaf, oid, offered_acc, reg_info);
 }
 
 wire::Buffer VisitorLog::set_acc(ObjectId oid, double offered_acc) {
-  wire::Buffer buf;
-  wire::Writer w(buf);
-  head(w, Op::kSetAcc, oid);
-  wire::put(w, offered_acc);
-  w.flush();
-  return buf;
+  return record(Op::kSetAcc, oid, offered_acc);
 }
 
-wire::Buffer VisitorLog::remove(ObjectId oid) {
-  wire::Buffer buf;
-  wire::Writer w(buf);
-  head(w, Op::kRemove, oid);
-  w.flush();
-  return buf;
-}
+wire::Buffer VisitorLog::remove(ObjectId oid) { return record(Op::kRemove, oid); }
 
 Result<VisitorLog> VisitorLog::open(const std::string& path, bool fsync_each) {
   auto log = PersistentLog::open(path, fsync_each);
@@ -88,20 +72,12 @@ void VisitorLog::replay(const std::function<void(const Record&)>& fn) const {
   });
 }
 
-void VisitorLog::append(const wire::Buffer& record) {
-  if (log_) log_->append(record);
-}
-
 void VisitorLog::append_remove(std::span<const ObjectId> oids) {
   if (!log_ || oids.empty()) return;
   std::vector<wire::Buffer> records;
   records.reserve(oids.size());
   for (const ObjectId oid : oids) records.push_back(remove(oid));
   log_->append_batch(records);
-}
-
-Status VisitorLog::rewrite(const std::vector<wire::Buffer>& records) {
-  return log_ ? log_->rewrite(records) : Status::ok();
 }
 
 }  // namespace locs::store

@@ -30,12 +30,7 @@ namespace locs::store {
 
 class VisitorLog {
  public:
-  enum class Op : std::uint8_t {
-    kSetForward = 1,
-    kInsertLeaf = 2,
-    kSetAcc = 3,
-    kRemove = 4,
-  };
+  enum class Op : std::uint8_t { kSetForward = 1, kInsertLeaf = 2, kSetAcc = 3, kRemove = 4 };
 
   /// One replayed record; a field its op does not carry stays zero.
   struct Record {
@@ -67,7 +62,9 @@ class VisitorLog {
   void replay(const std::function<void(const Record&)>& fn) const;
 
   /// Appends one record made by a builder above.
-  void append(const wire::Buffer& record);
+  void append(const wire::Buffer& record) {
+    if (log_) log_->append(record);
+  }
   /// Appends the kRemove records of `oids` as one frame write (and one fsync
   /// under fsync_each).
   void append_remove(std::span<const ObjectId> oids);
@@ -75,8 +72,16 @@ class VisitorLog {
   /// Whether appends reach a file; callers skip building records otherwise.
   bool persistent() const { return log_.has_value(); }
 
-  /// Replaces the log with exactly `records` (compaction).
-  Status rewrite(const std::vector<wire::Buffer>& records);
+  /// Compaction: once `threshold` records were appended since the last
+  /// rewrite, replaces the log with exactly the records `collect` pushes
+  /// onto its vector argument.
+  template <typename Collect>
+  Status compact(std::uint64_t threshold, Collect&& collect) {
+    if (!log_ || log_->appended() < threshold) return Status::ok();
+    std::vector<wire::Buffer> records;
+    collect(records);
+    return log_->rewrite(records);
+  }
 
   /// Records appended since open or the last rewrite (0 in memory).
   std::uint64_t appended() const { return log_ ? log_->appended() : 0; }

@@ -98,8 +98,9 @@ class OidSet {
 /// heap node per entry. Its users:
 ///  * the NN merge's candidate state (one entry per candidate streamed off a
 ///    probe sub-result);
-///  * store::VisitorDb's two record tables (one entry per visitor);
-///  * store::SightingDb's sighting records (one entry per visitor of a leaf);
+///  * store::VisitorDb's forwarding references (one entry per object on a
+///    non-leaf server);
+///  * store::SightingDb's leaf table (one record per visitor of a leaf);
 ///  * the point quadtree's id -> slot map.
 /// Linear probing over a power-of-two slot array, grown at 70% load; erase
 /// shifts the rest of the probe run back instead of leaving a tombstone, so
@@ -168,18 +169,21 @@ class OidMap {
       if (slots_[hole].key == kEmptySlot) return false;
       hole = (hole + 1) & mask;
     }
-    for (std::size_t j = (hole + 1) & mask; slots_[j].key != kEmptySlot;
-         j = (j + 1) & mask) {
-      // Cyclic distances to j: home no closer than the hole, so a probe
-      // from home still reaches the hole.
-      if (((j - slot_of(slots_[j].key)) & mask) >= ((j - hole) & mask)) {
-        slots_[hole] = std::move(slots_[j]);
-        hole = j;
-      }
-    }
-    slots_[hole].key = kEmptySlot;
-    --size_;
+    erase_at(hole);
     return true;
+  }
+
+  /// Removes the entry `value` points to: a still-valid pointer from
+  /// find/try_emplace, so the caller's lookup is not repeated.
+  void erase(const V* value) {
+    if (value == &sentinel_value_) {
+      has_sentinel_ = false;
+      return;
+    }
+    // Every value sits at the same offset of its slot.
+    const auto offset = reinterpret_cast<const char*>(value) -
+                        reinterpret_cast<const char*>(&slots_.front().value);
+    erase_at(static_cast<std::size_t>(offset) / sizeof(Slot));
   }
 
   void clear() {
@@ -214,6 +218,22 @@ class OidMap {
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
     x ^= x >> 31;
     return static_cast<std::size_t>(x) & (slots_.size() - 1);
+  }
+
+  /// Empties slot `hole` and shifts the rest of its probe run back.
+  void erase_at(std::size_t hole) {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t j = (hole + 1) & mask; slots_[j].key != kEmptySlot;
+         j = (j + 1) & mask) {
+      // Cyclic distances to j: home no closer than the hole, so a probe
+      // from home still reaches the hole.
+      if (((j - slot_of(slots_[j].key)) & mask) >= ((j - hole) & mask)) {
+        slots_[hole] = std::move(slots_[j]);
+        hole = j;
+      }
+    }
+    slots_[hole].key = kEmptySlot;
+    --size_;
   }
 
   void grow() {

@@ -49,12 +49,12 @@ struct LogDir {
   }
   ~LogDir() { fs::remove_all(dir); }
 
-  std::function<store::VisitorDb(NodeId)> factory() {
+  std::function<store::VisitorLog(NodeId)> factory() {
     return [this](NodeId id) {
-      auto db = store::VisitorDb::open(
+      auto log = store::VisitorLog::open(
           (dir / ("visitor_" + std::to_string(id.value) + ".log")).string());
-      EXPECT_TRUE(db.ok());
-      return std::move(db).value();
+      EXPECT_TRUE(log.ok());
+      return std::move(log).value();
     };
   }
 };

@@ -11,19 +11,7 @@ namespace {
 const geo::Rect kArea{{0, 0}, {1000, 1000}};
 
 std::vector<ObjectResult> all_objects(SimWorld& world) {
-  std::vector<ObjectResult> all;
-  for (const NodeId leaf : world.deployment->leaf_ids()) {
-    const auto* db = world.deployment->server(leaf).sightings();
-    const auto& visitors = world.deployment->server(leaf).visitors();
-    visitors.for_each([&](const store::VisitorRecord& rec) {
-      if (!rec.leaf) return;
-      const auto* srec = db->find(rec.oid);
-      if (srec != nullptr) {
-        all.push_back({rec.oid, {srec->sighting.pos, rec.leaf->offered_acc}});
-      }
-    });
-  }
-  return all;
+  return leaf_visitors(*world.deployment);
 }
 
 TEST(RangeQuery, SingleLeafLocal) {

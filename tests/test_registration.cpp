@@ -18,22 +18,23 @@ TEST(Registration, SucceedsAndCreatesForwardingPath) {
   // offeredAcc = max(server acc, desAcc) = max(5, 10) = 10.
   EXPECT_DOUBLE_EQ(obj->offered_acc(), 10.0);
 
-  // Forwarding path: root(1) -> 2 -> 4; agent leaf stores the leaf record.
-  const auto& root_rec = world.deployment->server(NodeId{1}).visitors();
-  ASSERT_NE(root_rec.find(ObjectId{1}), std::nullopt);
-  EXPECT_EQ(root_rec.find(ObjectId{1})->forward_ref, NodeId{2});
-  const auto& s2_rec = world.deployment->server(NodeId{2}).visitors();
-  ASSERT_NE(s2_rec.find(ObjectId{1}), std::nullopt);
-  EXPECT_EQ(s2_rec.find(ObjectId{1})->forward_ref, NodeId{4});
-  const auto& s4_rec = world.deployment->server(NodeId{4}).visitors();
-  ASSERT_NE(s4_rec.find(ObjectId{1}), std::nullopt);
-  EXPECT_TRUE(s4_rec.find(ObjectId{1})->leaf.has_value());
-  // Sighting stored only at the leaf.
-  EXPECT_NE(world.deployment->server(NodeId{4}).sightings()->find(ObjectId{1}),
-            nullptr);
+  // Forwarding path: root(1) -> 2 -> 4; the agent leaf holds the one leaf
+  // record, visitor part and sighting.
+  EXPECT_EQ(world.deployment->server(NodeId{1}).visitors()->find(ObjectId{1}),
+            NodeId{2});
+  EXPECT_EQ(world.deployment->server(NodeId{2}).visitors()->find(ObjectId{1}),
+            NodeId{4});
+  const core::LocationServer& s4 = world.deployment->server(NodeId{4});
+  EXPECT_EQ(s4.visitors(), nullptr);
+  const store::SightingDb::Record* rec = s4.sightings()->find(ObjectId{1});
+  ASSERT_NE(rec, nullptr);
+  EXPECT_TRUE(rec->has_sighting);
+  EXPECT_DOUBLE_EQ(rec->offered_acc, 10.0);
+  EXPECT_EQ(rec->reg_info.reg_inst, obj->node());
+  EXPECT_EQ(rec->reg_info.acc_range, (AccuracyRange{10.0, 50.0}));
   EXPECT_EQ(world.deployment->server(NodeId{1}).sightings(), nullptr);
   // Uninvolved subtree knows nothing.
-  EXPECT_EQ(world.deployment->server(NodeId{3}).visitors().find(ObjectId{1}),
+  EXPECT_EQ(world.deployment->server(NodeId{3}).visitors()->find(ObjectId{1}),
             std::nullopt);
 }
 
@@ -62,8 +63,7 @@ TEST(Registration, FailsWhenAccuracyUnreachable) {
   EXPECT_DOUBLE_EQ(obj->register_failed_acc(), 20.0);
   // No residue anywhere in the hierarchy.
   for (std::uint32_t id = 1; id <= 7; ++id) {
-    EXPECT_EQ(world.deployment->server(NodeId{id}).visitors().find(ObjectId{3}),
-              std::nullopt);
+    EXPECT_FALSE(has_visitor(world.deployment->server(NodeId{id}), ObjectId{3}));
   }
 }
 
@@ -98,6 +98,7 @@ TEST(Registration, ChangeAccuracyNegotiatesAgain) {
       world.deployment->server(NodeId{4}).sightings()->find(ObjectId{6});
   ASSERT_NE(rec, nullptr);
   EXPECT_DOUBLE_EQ(rec->offered_acc, 20.0);
+  EXPECT_EQ(rec->reg_info.acc_range, (AccuracyRange{20.0, 80.0}));
 }
 
 TEST(Registration, ChangeAccuracyRejectedKeepsOldOffer) {
@@ -127,6 +128,36 @@ TEST(Registration, ReregistrationOverwrites) {
   EXPECT_EQ(world.deployment->server(NodeId{4}).sightings()->size(), 1u);
 }
 
+TEST(Registration, StrayPathMessagesLeaveTheLeafRecordIntact) {
+  // A leaf keeps no forwarding references, so a CreatePath or RemovePath
+  // delivered to one must neither turn the object's leaf record into a
+  // pointer nor drop it: the object's updates stay known and acknowledged.
+  SimWorld world(core::HierarchyBuilder::fig6(kArea));
+  auto obj = world.register_object(ObjectId{1}, {100, 100}, 1.0, {10.0, 50.0});
+  ASSERT_TRUE(obj->tracked());
+  const core::LocationServer& leaf = world.deployment->server(NodeId{4});
+  const NodeId stray = world.client_node();
+  geo::Point pos{100, 100};
+  for (const bool create : {true, false}) {
+    SCOPED_TRACE(create ? "CreatePath" : "RemovePath");
+    if (create) {
+      net::send_message(world.net, stray, NodeId{4}, wire::CreatePath{ObjectId{1}});
+    } else {
+      net::send_message(world.net, stray, NodeId{4}, wire::RemovePath{ObjectId{1}});
+    }
+    world.run();
+    pos.x += 50;  // beyond the offered accuracy: the object sends an update
+    ASSERT_TRUE(obj->feed_position(pos));
+    world.run();
+    EXPECT_FALSE(obj->update_pending());
+    EXPECT_EQ(leaf.stats().updates_unknown, 0u);
+    const store::SightingDb::Record* rec = leaf.sightings()->find(ObjectId{1});
+    ASSERT_NE(rec, nullptr);
+    EXPECT_EQ(rec->sighting.pos, pos);
+    EXPECT_EQ(rec->reg_info.reg_inst, obj->node());
+  }
+}
+
 TEST(Registration, DeregisterRemovesWholePath) {
   SimWorld world(core::HierarchyBuilder::fig6(kArea));
   auto obj = world.register_object(ObjectId{9}, {100, 100});
@@ -134,12 +165,9 @@ TEST(Registration, DeregisterRemovesWholePath) {
   obj->deregister();
   world.run();
   for (std::uint32_t id = 1; id <= 7; ++id) {
-    EXPECT_EQ(world.deployment->server(NodeId{id}).visitors().find(ObjectId{9}),
-              std::nullopt)
+    EXPECT_FALSE(has_visitor(world.deployment->server(NodeId{id}), ObjectId{9}))
         << "server " << id;
   }
-  EXPECT_EQ(world.deployment->server(NodeId{4}).sightings()->find(ObjectId{9}),
-            nullptr);
 }
 
 TEST(Registration, ManyObjectsAllTracked) {
@@ -152,7 +180,7 @@ TEST(Registration, ManyObjectsAllTracked) {
     ASSERT_TRUE(objs.back()->tracked()) << i;
   }
   // Root knows all of them.
-  EXPECT_EQ(world.deployment->server(world.deployment->root()).visitors().size(),
+  EXPECT_EQ(world.deployment->server(world.deployment->root()).visitors()->size(),
             200u);
   // Every object's agent covers its position.
   for (const auto& obj : objs) {

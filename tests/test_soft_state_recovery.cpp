@@ -23,8 +23,7 @@ TEST(SoftState, ExpiryRemovesWholePath) {
   // records disappear from the entire hierarchy.
   world.advance(seconds(30));
   for (std::uint32_t id = 1; id <= 7; ++id) {
-    EXPECT_EQ(world.deployment->server(NodeId{id}).visitors().find(ObjectId{1}),
-              std::nullopt)
+    EXPECT_FALSE(has_visitor(world.deployment->server(NodeId{id}), ObjectId{1}))
         << "server " << id;
   }
   EXPECT_GE(world.deployment->server(NodeId{4}).stats().sightings_expired, 1u);
@@ -41,8 +40,8 @@ TEST(SoftState, ActiveObjectSurvivesWhileSilentOneExpires) {
     active->feed_position({100.0 + 20.0 * (i + 1), 100});
     world.run();
   }
-  EXPECT_NE(world.deployment->server(NodeId{4}).visitors().find(ObjectId{1}), std::nullopt);
-  EXPECT_EQ(world.deployment->server(NodeId{4}).visitors().find(ObjectId{2}), std::nullopt);
+  EXPECT_TRUE(has_visitor(world.deployment->server(NodeId{4}), ObjectId{1}));
+  EXPECT_FALSE(has_visitor(world.deployment->server(NodeId{4}), ObjectId{2}));
 }
 
 TEST(SoftState, ExpiredObjectQueriesNotFound) {
@@ -66,12 +65,12 @@ class RecoveryTest : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
-  std::function<store::VisitorDb(NodeId)> vdb_factory() {
+  std::function<store::VisitorLog(NodeId)> vdb_factory() {
     return [this](NodeId id) {
-      auto db = store::VisitorDb::open(
+      auto log = store::VisitorLog::open(
           (dir_ / ("visitor_" + std::to_string(id.value) + ".log")).string());
-      EXPECT_TRUE(db.ok());
-      return std::move(db).value();
+      EXPECT_TRUE(log.ok());
+      return std::move(log).value();
     };
   }
 
@@ -98,20 +97,20 @@ TEST_F(RecoveryTest, ForwardingPathsSurviveRestart) {
   net::SimNetwork net2;
   core::Deployment recovered(net2, net2.clock(),
                              core::HierarchyBuilder::fig6(kArea), cfg);
-  // Forwarding path root->3->6 survived; sightings are gone.
-  const auto root_rec = recovered.server(NodeId{1}).visitors().find(ObjectId{1});
-  ASSERT_NE(root_rec, std::nullopt);
-  EXPECT_EQ(root_rec->forward_ref, NodeId{3});
-  const auto s3_rec = recovered.server(NodeId{3}).visitors().find(ObjectId{1});
-  ASSERT_NE(s3_rec, std::nullopt);
-  EXPECT_EQ(s3_rec->forward_ref, NodeId{6});
-  const auto s6_rec = recovered.server(NodeId{6}).visitors().find(ObjectId{1});
-  ASSERT_NE(s6_rec, std::nullopt);
-  EXPECT_TRUE(s6_rec->leaf.has_value());
-  EXPECT_EQ(recovered.server(NodeId{6}).sightings()->find(ObjectId{1}), nullptr);
+  // Forwarding path root->3->6 survived, and so did the leaf record's
+  // visitor part; its sighting is gone.
+  EXPECT_EQ(recovered.server(NodeId{1}).visitors()->find(ObjectId{1}), NodeId{3});
+  EXPECT_EQ(recovered.server(NodeId{3}).visitors()->find(ObjectId{1}), NodeId{6});
+  const store::SightingDb::Record* s6_rec =
+      recovered.server(NodeId{6}).sightings()->find(ObjectId{1});
+  ASSERT_NE(s6_rec, nullptr);
+  EXPECT_FALSE(s6_rec->has_sighting);
+  EXPECT_DOUBLE_EQ(s6_rec->offered_acc, 10.0);
+  EXPECT_EQ(s6_rec->reg_info.reg_inst, NodeId{1 << 20});
+  EXPECT_EQ(s6_rec->reg_info.acc_range, (AccuracyRange{10.0, 50.0}));
   // Stale branch from before the handover is NOT present at s2/s4.
-  EXPECT_EQ(recovered.server(NodeId{2}).visitors().find(ObjectId{1}), std::nullopt);
-  EXPECT_EQ(recovered.server(NodeId{4}).visitors().find(ObjectId{1}), std::nullopt);
+  EXPECT_FALSE(has_visitor(recovered.server(NodeId{2}), ObjectId{1}));
+  EXPECT_FALSE(has_visitor(recovered.server(NodeId{4}), ObjectId{1}));
 }
 
 TEST_F(RecoveryTest, QueryAfterRestartTriggersRefresh) {

@@ -385,14 +385,37 @@ TEST(SightingDb, StationarySightingSkipsTheIndex) {
   EXPECT_EQ(out[0].ld.pos, (geo::Point{101, 101}));
 }
 
-TEST(SightingDb, ClearResets) {
+TEST(SightingDb, VisitorWithoutSightingIsInNeitherIndexNorHeap) {
   SightingDb db = make_db();
-  db.insert(sighting(1, 0, 0), 10, 1000);
-  db.clear();
-  EXPECT_EQ(db.size(), 0u);
-  EXPECT_EQ(db.find(ObjectId{1}), nullptr);
-  db.insert(sighting(1, 0, 0), 10, 1000);  // usable after clear
+  const core::RegInfo reg{NodeId{9}, {10.0, 100.0}};
+  SightingDb::Record& rec = db.set_visitor(ObjectId{1}, 20.0, reg);
+  EXPECT_FALSE(rec.has_sighting);
+  EXPECT_EQ(rec.sighting.oid, ObjectId{1});
   EXPECT_EQ(db.size(), 1u);
+  EXPECT_EQ(db.index().size(), 0u);
+  EXPECT_EQ(db.queued_expiries(), 0u);
+  // Queries skip it and expiry never reaches it.
+  std::vector<core::ObjectResult> out;
+  db.objects_in_area(geo::Polygon::from_rect(geo::Rect{{-1e6, -1e6}, {1e6, 1e6}}),
+                     1e9, 1e-9, out);
+  EXPECT_TRUE(out.empty());
+  EXPECT_TRUE(db.k_nearest({0, 0}, 1, 1e9).empty());
+  EXPECT_TRUE(db.expire_until(1'000'000'000).empty());
+  ASSERT_NE(db.find(ObjectId{1}), nullptr);
+
+  // The first sighting enters the index and queues one expiry; the visitor
+  // part is kept.
+  db.update(*db.find(ObjectId{1}), sighting(1, 5, 5), 2'000'000'000);
+  const SightingDb::Record* got = db.find(ObjectId{1});
+  ASSERT_NE(got, nullptr);
+  EXPECT_TRUE(got->has_sighting);
+  EXPECT_EQ(got->reg_info, reg);
+  EXPECT_DOUBLE_EQ(got->offered_acc, 20.0);
+  EXPECT_EQ(db.index().size(), 1u);
+  EXPECT_EQ(db.queued_expiries(), 1u);
+  EXPECT_EQ(db.expire_until(2'000'000'000), (std::vector<ObjectId>{ObjectId{1}}));
+  EXPECT_EQ(db.size(), 0u);
+  EXPECT_EQ(db.index().size(), 0u);
 }
 
 // --------------------------------------------------------------------------
@@ -462,43 +485,84 @@ TEST_F(VisitorLogGolden, CommittedLogReplays) {
 TEST(VisitorDb, InMemoryBasics) {
   VisitorDb db;
   db.set_forward(ObjectId{1}, NodeId{5});
-  ASSERT_NE(db.find(ObjectId{1}), std::nullopt);
-  EXPECT_EQ(db.find(ObjectId{1})->forward_ref, NodeId{5});
-  EXPECT_FALSE(db.find(ObjectId{1})->leaf.has_value());
-
-  db.insert_leaf(ObjectId{2}, 25.0, {NodeId{9}, {10, 100}});
-  ASSERT_TRUE(db.find(ObjectId{2})->leaf.has_value());
-  EXPECT_EQ(db.find(ObjectId{2})->leaf->offered_acc, 25.0);
-
-  // A leaf record can become a forwarding record (never both).
-  db.set_forward(ObjectId{2}, NodeId{7});
-  EXPECT_FALSE(db.find(ObjectId{2})->leaf.has_value());
-
+  EXPECT_EQ(db.find(ObjectId{1}), NodeId{5});
+  db.set_forward(ObjectId{1}, NodeId{7});  // path repair repoints
+  EXPECT_EQ(db.find(ObjectId{1}), NodeId{7});
+  db.set_forward(ObjectId{2}, NodeId{5});
   EXPECT_TRUE(db.remove(ObjectId{1}));
   EXPECT_FALSE(db.remove(ObjectId{1}));
+  EXPECT_EQ(db.find(ObjectId{1}), std::nullopt);
   EXPECT_EQ(db.size(), 1u);
+}
+
+VisitorLog open_log(const std::string& path, bool fsync_each = false) {
+  auto log = VisitorLog::open(path, fsync_each);
+  EXPECT_TRUE(log.ok());
+  return std::move(log).value();
 }
 
 TEST_F(VisitorDbTest, PersistsAcrossReopen) {
   {
-    auto db = VisitorDb::open(path("vdb"));
-    ASSERT_TRUE(db.ok());
-    db.value().set_forward(ObjectId{1}, NodeId{5});
-    db.value().insert_leaf(ObjectId{2}, 25.0, {NodeId{9}, {10.0, 100.0}});
-    db.value().set_offered_acc(ObjectId{2}, 30.0);
-    db.value().set_forward(ObjectId{3}, NodeId{6});
-    db.value().remove(ObjectId{3});
+    VisitorDb db(open_log(path("vdb")));
+    db.set_forward(ObjectId{1}, NodeId{5});
+    db.set_forward(ObjectId{3}, NodeId{6});
+    db.remove(ObjectId{3});
+    db.set_forward(ObjectId{1}, NodeId{4});
+    EXPECT_EQ(db.log_appended(), 4u);
   }
-  auto db = VisitorDb::open(path("vdb"));
-  ASSERT_TRUE(db.ok());
-  EXPECT_EQ(db.value().size(), 2u);
-  ASSERT_NE(db.value().find(ObjectId{1}), std::nullopt);
-  EXPECT_EQ(db.value().find(ObjectId{1})->forward_ref, NodeId{5});
-  ASSERT_NE(db.value().find(ObjectId{2}), std::nullopt);
-  ASSERT_TRUE(db.value().find(ObjectId{2})->leaf.has_value());
-  EXPECT_EQ(db.value().find(ObjectId{2})->leaf->offered_acc, 30.0);
-  EXPECT_EQ(db.value().find(ObjectId{2})->leaf->reg_info.reg_inst, NodeId{9});
-  EXPECT_EQ(db.value().find(ObjectId{3}), std::nullopt);
+  VisitorDb db(open_log(path("vdb")));
+  EXPECT_EQ(db.size(), 1u);
+  EXPECT_EQ(db.find(ObjectId{1}), NodeId{4});
+  EXPECT_EQ(db.find(ObjectId{3}), std::nullopt);
+  EXPECT_EQ(db.log_appended(), 0u);  // replay appends nothing
+}
+
+TEST_F(VisitorDbTest, LeafTablePersistsTheVisitorPart) {
+  const core::RegInfo reg{NodeId{9}, {10.0, 100.0}};
+  {
+    SightingDb db([] { return spatial::make_point_quadtree(); },
+                  open_log(path("leaf")));
+    db.upsert(sighting(1, 10, 10), 25.0, 5000, reg);
+    db.upsert(sighting(2, 20, 20), 25.0, 5000, reg);
+    db.set_visitor(*db.find(ObjectId{2}), 30.0, {NodeId{8}, {30.0, 60.0}});
+    db.update(sighting(2, 21, 21), 6000);  // sightings are not persisted
+    db.upsert(sighting(3, 30, 30), 25.0, 5000, reg);
+    EXPECT_TRUE(db.remove(ObjectId{3}));
+    EXPECT_EQ(db.log_appended(), 5u);
+  }
+  SightingDb db([] { return spatial::make_point_quadtree(); }, open_log(path("leaf")));
+  EXPECT_EQ(db.size(), 2u);
+  EXPECT_EQ(db.index().size(), 0u);
+  EXPECT_EQ(db.queued_expiries(), 0u);
+  const SightingDb::Record* one = db.find(ObjectId{1});
+  ASSERT_NE(one, nullptr);
+  EXPECT_FALSE(one->has_sighting);
+  EXPECT_DOUBLE_EQ(one->offered_acc, 25.0);
+  EXPECT_EQ(one->reg_info, reg);
+  const SightingDb::Record* two = db.find(ObjectId{2});
+  ASSERT_NE(two, nullptr);
+  EXPECT_DOUBLE_EQ(two->offered_acc, 30.0);
+  EXPECT_EQ(two->reg_info, (core::RegInfo{NodeId{8}, {30.0, 60.0}}));
+  EXPECT_EQ(db.find(ObjectId{3}), nullptr);
+}
+
+TEST_F(VisitorDbTest, EachTableReplaysOnlyItsOwnRecords) {
+  // A leaf keeps no forwarding references and a non-leaf server no leaf
+  // records, so each replays only its own kinds from a log holding both.
+  {
+    auto log = open_log(path("mixed"));
+    log.append(VisitorLog::insert_leaf(ObjectId{1}, 25.0, {NodeId{9}, {10.0, 100.0}}));
+    log.append(VisitorLog::set_forward(ObjectId{1}, NodeId{5}));
+    log.append(VisitorLog::set_forward(ObjectId{2}, NodeId{6}));
+  }
+  const VisitorDb fwd(open_log(path("mixed")));
+  EXPECT_EQ(fwd.size(), 2u);
+  EXPECT_EQ(fwd.find(ObjectId{1}), NodeId{5});
+  const SightingDb leaf([] { return spatial::make_point_quadtree(); },
+                        open_log(path("mixed")));
+  EXPECT_EQ(leaf.size(), 1u);
+  ASSERT_NE(leaf.find(ObjectId{1}), nullptr);
+  EXPECT_DOUBLE_EQ(leaf.find(ObjectId{1})->offered_acc, 25.0);
 }
 
 TEST_F(PersistentLogTest, AppendBatchMatchesIndividualAppends) {
@@ -528,45 +592,63 @@ TEST_F(PersistentLogTest, AppendBatchMatchesIndividualAppends) {
   EXPECT_EQ(bytes_a, bytes_b);
 }
 
-TEST_F(VisitorDbTest, RemoveBatchPersistsAndSkipsUnknown) {
+TEST_F(VisitorDbTest, ExpiryPersistsItsRemovalsInOneBatch) {
   {
-    auto db = VisitorDb::open(path("vdb"), /*fsync_each=*/true);
-    ASSERT_TRUE(db.ok());
+    SightingDb db([] { return spatial::make_point_quadtree(); },
+                  open_log(path("leaf"), /*fsync_each=*/true));
     for (std::uint64_t i = 1; i <= 8; ++i) {
-      db.value().insert_leaf(ObjectId{i}, 25.0, {NodeId{9}, {10.0, 100.0}});
+      db.upsert(sighting(i, static_cast<double>(i), 0), 25.0,
+                i % 2 == 0 ? 1000 : 9000, {NodeId{9}, {10.0, 100.0}});
     }
-    const std::vector<ObjectId> to_remove = {ObjectId{2}, ObjectId{4},
-                                             ObjectId{99}, ObjectId{6}};
-    EXPECT_EQ(db.value().remove_batch(to_remove), 3u);  // 99 was never there
-    EXPECT_EQ(db.value().size(), 5u);
-    // One batched append of 3 remove records on top of the 8 inserts.
-    EXPECT_EQ(db.value().log_appended(), 11u);
+    EXPECT_EQ(db.expire_until(5000).size(), 4u);
+    EXPECT_EQ(db.size(), 4u);
+    // One batched append of 4 remove records on top of the 8 inserts.
+    EXPECT_EQ(db.log_appended(), 12u);
   }
-  auto db = VisitorDb::open(path("vdb"));
-  ASSERT_TRUE(db.ok());
-  EXPECT_EQ(db.value().size(), 5u);
-  EXPECT_EQ(db.value().find(ObjectId{2}), std::nullopt);
-  EXPECT_EQ(db.value().find(ObjectId{4}), std::nullopt);
-  EXPECT_EQ(db.value().find(ObjectId{6}), std::nullopt);
-  ASSERT_NE(db.value().find(ObjectId{5}), std::nullopt);
+  SightingDb db([] { return spatial::make_point_quadtree(); }, open_log(path("leaf")));
+  EXPECT_EQ(db.size(), 4u);
+  for (std::uint64_t i = 1; i <= 8; ++i) {
+    EXPECT_EQ(db.find(ObjectId{i}) != nullptr, i % 2 == 1) << i;
+  }
 }
 
 TEST_F(VisitorDbTest, CompactionPreservesState) {
   {
-    auto db = VisitorDb::open(path("vdb"));
-    ASSERT_TRUE(db.ok());
+    VisitorDb db(open_log(path("vdb")));
     for (std::uint64_t i = 0; i < 100; ++i) {
-      db.value().set_forward(ObjectId{i}, NodeId{static_cast<std::uint32_t>(i % 7 + 1)});
+      db.set_forward(ObjectId{i}, NodeId{static_cast<std::uint32_t>(i % 7 + 1)});
     }
-    for (std::uint64_t i = 0; i < 90; ++i) db.value().remove(ObjectId{i});
-    ASSERT_TRUE(db.value().compact().is_ok());
+    for (std::uint64_t i = 0; i < 90; ++i) db.remove(ObjectId{i});
+    ASSERT_TRUE(db.compact().is_ok());
   }
   const auto size_after = fs::file_size(path("vdb"));
   EXPECT_LT(size_after, 1000u);  // 10 small records, not 190 log entries
-  auto db = VisitorDb::open(path("vdb"));
-  ASSERT_TRUE(db.ok());
-  EXPECT_EQ(db.value().size(), 10u);
-  EXPECT_EQ(db.value().find(ObjectId{95})->forward_ref, NodeId{95 % 7 + 1});
+  VisitorDb db(open_log(path("vdb")));
+  EXPECT_EQ(db.size(), 10u);
+  EXPECT_EQ(db.find(ObjectId{95}), NodeId{95 % 7 + 1});
+}
+
+TEST_F(VisitorDbTest, LeafCompactionKeepsOneRecordPerVisitor) {
+  const core::RegInfo reg{NodeId{9}, {10.0, 100.0}};
+  {
+    SightingDb db([] { return spatial::make_point_quadtree(); },
+                  open_log(path("leaf")));
+    for (std::uint64_t i = 1; i <= 100; ++i) {
+      db.upsert(sighting(i, static_cast<double>(i), 0), 25.0, 5000, reg);
+    }
+    for (std::uint64_t i = 1; i <= 90; ++i) db.remove(ObjectId{i});
+    db.set_visitor(*db.find(ObjectId{95}), 40.0, reg);
+    EXPECT_EQ(db.log_appended(), 191u);
+    ASSERT_TRUE(db.compact(500).is_ok());  // below the threshold
+    EXPECT_EQ(db.log_appended(), 191u);
+    ASSERT_TRUE(db.compact(100).is_ok());
+    EXPECT_EQ(db.log_appended(), 0u);
+  }
+  SightingDb db([] { return spatial::make_point_quadtree(); }, open_log(path("leaf")));
+  EXPECT_EQ(db.size(), 10u);
+  ASSERT_NE(db.find(ObjectId{95}), nullptr);
+  EXPECT_DOUBLE_EQ(db.find(ObjectId{95})->offered_acc, 40.0);
+  EXPECT_EQ(db.find(ObjectId{95})->reg_info, reg);
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 // Randomized property suites for the storage layer: SightingDb against a
 // plain-map oracle under mixed insert/update/remove/expiry churn (a third
-// of the updates at the stored position), and VisitorDb persistence
-// equivalence across random mutation sequences and reopen/compaction
-// cycles.
+// of the updates at the stored position, some records without a sighting),
+// and persistence equivalence of both tables -- the leaf table's visitor
+// part and the forwarding references -- across random mutation sequences
+// and reopen/compaction cycles.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <map>
 #include <optional>
@@ -13,6 +15,7 @@
 
 #include "store/sighting_db.hpp"
 #include "store/visitor_db.hpp"
+#include "store/visitor_log.hpp"
 #include "util/rng.hpp"
 
 namespace locs::store {
@@ -25,6 +28,7 @@ class SightingDbChurn : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(SightingDbChurn, MatchesOracleUnderMixedOps) {
   SightingDb db([] { return spatial::make_point_quadtree(); });
   struct OracleRec {
+    bool has_sighting;
     geo::Point pos;
     double acc;
     TimePoint expiry;
@@ -44,17 +48,25 @@ TEST_P(SightingDbChurn, MatchesOracleUnderMixedOps) {
       if (const auto known = oracle.find(oid); known != oracle.end()) {
         // A third of the updates re-send the stored position: the record,
         // accuracy and expiry are refreshed without an index call.
-        if (rng.next_below(3) == 0) p = known->second.pos;
+        if (known->second.has_sighting && rng.next_below(3) == 0) {
+          p = known->second.pos;
+        }
         if (rng.next_below(2) == 0) {
           db.upsert({ObjectId{oid}, now, p, 1.0}, acc, expiry);
         } else {
-          db.update({ObjectId{oid}, now, p, 1.0}, expiry);
-          db.set_offered_acc(ObjectId{oid}, acc);
+          SightingDb::Record* rec = db.find(ObjectId{oid});
+          ASSERT_NE(rec, nullptr);
+          db.update(*rec, {ObjectId{oid}, now, p, 1.0}, expiry);
+          db.set_visitor(*rec, acc, rec->reg_info);
         }
-        known->second = {p, acc, expiry};
+        known->second = {true, p, acc, expiry};
+      } else if (rng.next_below(8) == 0) {
+        // A visitor whose sighting has not arrived (a replayed record).
+        db.set_visitor(ObjectId{oid}, acc, {});
+        oracle[oid] = {false, {}, acc, 0};
       } else {
         db.insert({ObjectId{oid}, now, p, 1.0}, acc, expiry);
-        oracle[oid] = {p, acc, expiry};
+        oracle[oid] = {true, p, acc, expiry};
       }
     } else if (roll < 0.55 && !oracle.empty()) {
       auto it = oracle.begin();
@@ -67,11 +79,13 @@ TEST_P(SightingDbChurn, MatchesOracleUnderMixedOps) {
       for (const ObjectId oid : expired) {
         const auto it = oracle.find(oid.value);
         ASSERT_NE(it, oracle.end()) << "expired unknown object " << oid.value;
+        EXPECT_TRUE(it->second.has_sighting) << "oid " << oid.value;
         EXPECT_LE(it->second.expiry, now);
         oracle.erase(it);
       }
-      // Everything left must be unexpired.
+      // Every sighting left must be unexpired.
       for (const auto& [oid, rec] : oracle) {
+        if (!rec.has_sighting) continue;
         EXPECT_GT(rec.expiry, now) << "object " << oid << " should have expired";
       }
     } else if (roll < 0.85) {
@@ -81,9 +95,12 @@ TEST_P(SightingDbChurn, MatchesOracleUnderMixedOps) {
       const auto it = oracle.find(oid);
       ASSERT_EQ(rec != nullptr, it != oracle.end()) << "oid " << oid;
       if (rec != nullptr) {
-        EXPECT_EQ(rec->sighting.pos, it->second.pos);
+        ASSERT_EQ(rec->has_sighting, it->second.has_sighting) << "oid " << oid;
         EXPECT_EQ(rec->offered_acc, it->second.acc);
-        EXPECT_EQ(rec->expiry, it->second.expiry);
+        if (rec->has_sighting) {
+          EXPECT_EQ(rec->sighting.pos, it->second.pos);
+          EXPECT_EQ(rec->expiry, it->second.expiry);
+        }
       }
     } else {
       // Area query vs oracle.
@@ -98,7 +115,7 @@ TEST_P(SightingDbChurn, MatchesOracleUnderMixedOps) {
       std::sort(got_ids.begin(), got_ids.end());
       std::vector<std::uint64_t> want_ids;
       for (const auto& [oid, rec] : oracle) {
-        if (rec.acc > req_acc) continue;
+        if (!rec.has_sighting || rec.acc > req_acc) continue;
         if (geo::overlap_degree(area, {rec.pos, rec.acc}) >= 0.3) {
           want_ids.push_back(oid);
         }
@@ -106,103 +123,125 @@ TEST_P(SightingDbChurn, MatchesOracleUnderMixedOps) {
       EXPECT_EQ(got_ids, want_ids) << "step " << step;
     }
     ASSERT_EQ(db.size(), oracle.size()) << "step " << step;
+    ASSERT_EQ(db.index().size(),
+              static_cast<std::size_t>(std::count_if(
+                  oracle.begin(), oracle.end(),
+                  [](const auto& kv) { return kv.second.has_sighting; })))
+        << "step " << step;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SightingDbChurn, ::testing::Values(3u, 5u, 8u, 13u));
 
-using Record = SightingDb::Record;
-
 class VisitorDbPersistence : public ::testing::TestWithParam<std::uint64_t> {
  protected:
   void SetUp() override {
-    path_ = (fs::temp_directory_path() /
-             ("locs_vdb_prop_" + std::to_string(::getpid()) + "_" +
-              std::to_string(GetParam())))
-                .string();
-    fs::remove(path_);
+    const std::string stem = (fs::temp_directory_path() /
+                              ("locs_vdb_prop_" + std::to_string(::getpid()) + "_" +
+                               std::to_string(GetParam())))
+                                 .string();
+    fwd_path_ = stem + ".fwd";
+    leaf_path_ = stem + ".leaf";
+    fs::remove(fwd_path_);
+    fs::remove(leaf_path_);
   }
-  void TearDown() override { fs::remove(path_); }
-  std::string path_;
+  void TearDown() override {
+    fs::remove(fwd_path_);
+    fs::remove(leaf_path_);
+  }
+  static VisitorLog open_log(const std::string& path) {
+    auto log = VisitorLog::open(path);
+    EXPECT_TRUE(log.ok());
+    return std::move(log).value();
+  }
+  std::string fwd_path_;
+  std::string leaf_path_;
 };
 
 TEST_P(VisitorDbPersistence, RandomMutationsSurviveReopenAndCompaction) {
-  struct OracleRec {
-    bool leaf;
-    std::uint32_t fwd;
+  // Both tables of the persistent visitorDB: a non-leaf server's forwarding
+  // references and a leaf table, whose visitor part alone persists.
+  struct LeafRec {
     double acc;
+    std::uint32_t reg_inst;
   };
-  std::map<std::uint64_t, OracleRec> oracle;
+  std::map<std::uint64_t, std::uint32_t> fwd_oracle;
+  std::map<std::uint64_t, LeafRec> leaf_oracle;
   Rng rng(GetParam() * 7 + 1);
 
-  const auto matches = [&](const VisitorRecord& got, const OracleRec& rec) {
-    EXPECT_EQ(got.leaf.has_value(), rec.leaf) << "oid " << got.oid.value;
-    if (rec.leaf && got.leaf) {
-      EXPECT_DOUBLE_EQ(got.leaf->offered_acc, rec.acc) << "oid " << got.oid.value;
-      EXPECT_EQ(got.leaf->reg_info.reg_inst, NodeId{9}) << "oid " << got.oid.value;
-      EXPECT_EQ(got.forward_ref, kNoNode) << "oid " << got.oid.value;
-    } else if (!rec.leaf) {
-      EXPECT_EQ(got.forward_ref.value, rec.fwd) << "oid " << got.oid.value;
+  const auto verify = [&](const VisitorDb& fwd, const SightingDb& leaf) {
+    ASSERT_EQ(fwd.size(), fwd_oracle.size());
+    for (const auto& [oid, child] : fwd_oracle) {
+      EXPECT_EQ(fwd.find(ObjectId{oid}), NodeId{child}) << "oid " << oid;
     }
-  };
-  const auto verify = [&](const VisitorDb& db) {
-    ASSERT_EQ(db.size(), oracle.size());
-    for (const auto& [oid, rec] : oracle) {
-      const std::optional<VisitorRecord> got = db.find(ObjectId{oid});
-      ASSERT_NE(got, std::nullopt) << "oid " << oid;
-      EXPECT_EQ(got->oid, ObjectId{oid});
-      matches(*got, rec);
-    }
-    // for_each visits every record exactly once, leaf and forward alike.
     std::set<std::uint64_t> visited;
-    db.for_each([&](const VisitorRecord& got) {
-      EXPECT_TRUE(visited.insert(got.oid.value).second)
-          << "oid " << got.oid.value << " visited twice";
-      const auto it = oracle.find(got.oid.value);
-      ASSERT_NE(it, oracle.end()) << "oid " << got.oid.value;
-      matches(got, it->second);
+    fwd.for_each([&](ObjectId oid, NodeId child) {
+      EXPECT_TRUE(visited.insert(oid.value).second) << "oid " << oid.value;
+      EXPECT_EQ(fwd_oracle.at(oid.value), child.value) << "oid " << oid.value;
     });
-    EXPECT_EQ(visited.size(), oracle.size());
+    EXPECT_EQ(visited.size(), fwd_oracle.size());
+
+    ASSERT_EQ(leaf.size(), leaf_oracle.size());
+    for (const auto& [oid, want] : leaf_oracle) {
+      const SightingDb::Record* got = leaf.find(ObjectId{oid});
+      ASSERT_NE(got, nullptr) << "oid " << oid;
+      EXPECT_DOUBLE_EQ(got->offered_acc, want.acc) << "oid " << oid;
+      EXPECT_EQ(got->reg_info.reg_inst, NodeId{want.reg_inst}) << "oid " << oid;
+      EXPECT_EQ(got->reg_info.acc_range, (core::AccuracyRange{want.acc, want.acc * 2}))
+          << "oid " << oid;
+    }
   };
 
   for (int round = 0; round < 4; ++round) {
-    auto opened = VisitorDb::open(path_);
-    ASSERT_TRUE(opened.ok());
-    VisitorDb db = std::move(opened).value();
-    verify(db);
+    VisitorDb fwd(open_log(fwd_path_));
+    SightingDb leaf([] { return spatial::make_point_quadtree(); }, open_log(leaf_path_));
+    verify(fwd, leaf);
+    // Sightings are volatile: a reopened leaf table holds none.
+    leaf.for_each([](ObjectId oid, const SightingDb::Record& rec) {
+      EXPECT_FALSE(rec.has_sighting) << "oid " << oid.value;
+    });
+    TimePoint now = 0;
     for (int step = 0; step < 300; ++step) {
       const double roll = rng.next_double();
       const std::uint64_t oid = rng.next_below(200);
-      if (roll < 0.4) {
-        const auto fwd = static_cast<std::uint32_t>(1 + rng.next_below(30));
-        db.set_forward(ObjectId{oid}, NodeId{fwd});
-        oracle[oid] = {false, fwd, 0};
-      } else if (roll < 0.7) {
-        const double acc = rng.uniform(1, 100);
-        db.insert_leaf(ObjectId{oid}, acc, {NodeId{9}, {acc, acc * 2}});
-        oracle[oid] = {true, 0, acc};
-      } else if (roll < 0.85) {
-        const double acc = rng.uniform(1, 100);
-        db.set_offered_acc(ObjectId{oid}, acc);
-        const auto it = oracle.find(oid);
-        if (it != oracle.end() && it->second.leaf) it->second.acc = acc;
-      } else if (roll < 0.95) {
-        db.remove(ObjectId{oid});
-        oracle.erase(oid);
+      const double acc = rng.uniform(1, 100);
+      const auto reg_inst = static_cast<std::uint32_t>(1 + rng.next_below(30));
+      const core::RegInfo reg{NodeId{reg_inst}, {acc, acc * 2}};
+      now += 10;
+      if (roll < 0.25) {
+        fwd.set_forward(ObjectId{oid}, NodeId{reg_inst});
+        fwd_oracle[oid] = reg_inst;
+      } else if (roll < 0.35) {
+        EXPECT_EQ(fwd.remove(ObjectId{oid}), fwd_oracle.erase(oid) == 1);
+      } else if (roll < 0.55) {
+        // Registration or handover-in: visitor part and sighting.
+        leaf.upsert({ObjectId{oid}, now, {acc, acc}, 1.0}, acc, now + 500, reg);
+        leaf_oracle[oid] = {acc, reg_inst};
+      } else if (roll < 0.65) {
+        // Accuracy change through a found record, or a mirrored one by id.
+        if (SightingDb::Record* rec = leaf.find(ObjectId{oid}); rec && roll < 0.6) {
+          leaf.set_visitor(*rec, acc, reg);
+        } else {
+          leaf.set_visitor(ObjectId{oid}, acc, reg);
+        }
+        leaf_oracle[oid] = {acc, reg_inst};
+      } else if (roll < 0.80) {
+        // A position update persists nothing.
+        leaf.update({ObjectId{oid}, now, {acc, 1.0}, 1.0}, now + 500);
+      } else if (roll < 0.92) {
+        EXPECT_EQ(leaf.remove(ObjectId{oid}), leaf_oracle.erase(oid) == 1);
       } else {
-        // A small batch, absent ids and repeats included.
-        std::vector<ObjectId> batch{ObjectId{oid}};
-        for (int extra = 0; extra < 3; ++extra) batch.push_back(ObjectId{rng.next_below(200)});
-        std::size_t expected = 0;
-        for (const ObjectId id : batch) expected += oracle.erase(id.value);
-        EXPECT_EQ(db.remove_batch(batch), expected);
+        for (const ObjectId gone : leaf.expire_until(now)) {
+          EXPECT_EQ(leaf_oracle.erase(gone.value), 1u) << "oid " << gone.value;
+        }
       }
     }
     if (round % 2 == 1) {
-      ASSERT_TRUE(db.compact().is_ok());
+      ASSERT_TRUE(fwd.compact().is_ok());
+      ASSERT_TRUE(leaf.compact().is_ok());
     }
-    verify(db);
-    // db goes out of scope = clean close; next round reopens from disk.
+    verify(fwd, leaf);
+    // The tables go out of scope = clean close; the next round reopens.
   }
 }
 
@@ -212,19 +251,19 @@ TEST(VisitorDbCompaction, ServerTickTriggersCompaction) {
   const std::string path =
       (fs::temp_directory_path() / "locs_vdb_autocompact").string();
   fs::remove(path);
-  auto opened = VisitorDb::open(path);
+  auto opened = VisitorLog::open(path);
   ASSERT_TRUE(opened.ok());
-  VisitorDb db = std::move(opened).value();
+  VisitorDb db(std::move(opened).value());
   for (std::uint64_t i = 0; i < 600; ++i) {
     db.set_forward(ObjectId{i % 10}, NodeId{static_cast<std::uint32_t>(i % 5 + 1)});
   }
   EXPECT_GE(db.log_appended(), 600u);
-  ASSERT_TRUE(db.maybe_compact(500).is_ok());
+  ASSERT_TRUE(db.compact(500).is_ok());
   EXPECT_EQ(db.log_appended(), 0u);  // fresh log after rewrite
   EXPECT_EQ(db.size(), 10u);
   // Below threshold: no-op.
   db.set_forward(ObjectId{1}, NodeId{2});
-  ASSERT_TRUE(db.maybe_compact(500).is_ok());
+  ASSERT_TRUE(db.compact(500).is_ok());
   EXPECT_EQ(db.log_appended(), 1u);
   fs::remove(path);
 }

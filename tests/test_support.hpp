@@ -70,6 +70,28 @@ OpCost timed_op(net::SimNetwork& net, Issue issue, Done done) {
   return {us, net.messages_sent() - msgs};
 }
 
+/// Whether `server` keeps a visitor record for `oid`: a leaf record on a
+/// leaf, a forwarding reference on any other server.
+inline bool has_visitor(const core::LocationServer& server, ObjectId oid) {
+  if (const store::SightingDb* leaf = server.sightings()) {
+    return leaf->find(oid) != nullptr;
+  }
+  return server.visitors()->find(oid).has_value();
+}
+
+/// Every visitor of every leaf as a query answer would list it; a record
+/// still waiting for its first sighting has no position and is left out.
+inline std::vector<ObjectResult> leaf_visitors(core::Deployment& deployment) {
+  std::vector<ObjectResult> all;
+  for (const NodeId leaf : deployment.leaf_ids()) {
+    deployment.server(leaf).sightings()->for_each(
+        [&](ObjectId oid, const store::SightingDb::Record& rec) {
+          if (rec.has_sighting) all.push_back({oid, {rec.sighting.pos, rec.offered_acc}});
+        });
+  }
+  return all;
+}
+
 /// A complete simulated world: network + hierarchy + client id allocation.
 struct SimWorld {
   net::SimNetwork net;

@@ -53,17 +53,23 @@ TEST_P(SystemChurnProperty, InvariantsHoldUnderChurn) {
     for (std::uint64_t i = 0; i < kObjects; ++i) {
       if (!objs[i]->tracked()) continue;  // may have walked out at the border
       ++tracked;
-      ASSERT_NE(root.visitors().find(ObjectId{i + 1}), std::nullopt)
+      ASSERT_NE(root.visitors()->find(ObjectId{i + 1}), std::nullopt)
           << "burst " << burst << " object " << i + 1;
     }
     ASSERT_GT(tracked, kObjects / 2);  // waypoint model stays inside: all, usually
 
-    // Invariant 2: exactly one leaf holds a sighting for each tracked object.
+    // Invariant 2: exactly one leaf holds a record for each tracked object,
+    // and that one record carries both the registration and the sighting.
     std::unordered_map<std::uint64_t, int> sightings_count;
     for (const NodeId leaf : world.deployment->leaf_ids()) {
       const auto* db = world.deployment->server(leaf).sightings();
       for (std::uint64_t i = 1; i <= kObjects; ++i) {
-        if (db->find(ObjectId{i}) != nullptr) ++sightings_count[i];
+        const store::SightingDb::Record* rec = db->find(ObjectId{i});
+        if (rec == nullptr) continue;
+        ++sightings_count[i];
+        EXPECT_TRUE(rec->has_sighting) << "object " << i;
+        EXPECT_EQ(rec->reg_info.reg_inst, objs[i - 1]->node()) << "object " << i;
+        EXPECT_EQ(rec->offered_acc, objs[i - 1]->offered_acc()) << "object " << i;
       }
     }
     for (std::uint64_t i = 0; i < kObjects; ++i) {
@@ -88,17 +94,7 @@ TEST_P(SystemChurnProperty, InvariantsHoldUnderChurn) {
 
     // Invariant 4: a random range query matches the oracle built from the
     // leaves' ground truth.
-    std::vector<ObjectResult> truth;
-    for (const NodeId leaf : world.deployment->leaf_ids()) {
-      const auto& server = world.deployment->server(leaf);
-      server.visitors().for_each([&](const store::VisitorRecord& rec) {
-        if (!rec.leaf) return;
-        const auto* srec = server.sightings()->find(rec.oid);
-        if (srec != nullptr) {
-          truth.push_back({rec.oid, {srec->sighting.pos, rec.leaf->offered_acc}});
-        }
-      });
-    }
+    const std::vector<ObjectResult> truth = leaf_visitors(*world.deployment);
     const geo::Polygon area = geo::Polygon::from_rect(geo::Rect::from_center(
         {rng.uniform(0, 2000), rng.uniform(0, 2000)}, rng.uniform(100, 500),
         rng.uniform(100, 500)));

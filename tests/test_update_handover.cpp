@@ -12,8 +12,9 @@ namespace {
 const geo::Rect kArea{{0, 0}, {1000, 1000}};
 
 /// The forwarding-path invariant: for a tracked object at an agent leaf,
-/// every ancestor of the agent holds a forward_ref pointing to the next hop
-/// down, and no other server knows the object.
+/// the agent holds its leaf record, every ancestor of the agent holds a
+/// forwarding reference pointing to the next hop down, and no other server
+/// knows the object.
 void check_forwarding_invariant(SimWorld& world, ObjectId oid, NodeId agent) {
   const auto& spec = world.deployment->spec();
   // Collect the ancestor chain agent -> root.
@@ -25,21 +26,21 @@ void check_forwarding_invariant(SimWorld& world, ObjectId oid, NodeId agent) {
     chain.push_back(node->cfg.parent);
   }
   for (const auto& node : spec.nodes) {
-    const auto rec = node.cfg.is_leaf() || true
-                         ? world.deployment->server(node.id).visitors().find(oid)
-                         : std::nullopt;
+    const core::LocationServer& server = world.deployment->server(node.id);
     const auto on_chain = std::find(chain.begin(), chain.end(), node.id);
     if (on_chain == chain.end()) {
-      EXPECT_EQ(rec, std::nullopt) << "server " << node.id.value
-                                   << " should not know " << oid.value;
+      EXPECT_FALSE(has_visitor(server, oid))
+          << "server " << node.id.value << " should not know " << oid.value;
       continue;
     }
-    ASSERT_NE(rec, std::nullopt) << "server " << node.id.value << " lost the path";
     if (node.id == agent) {
-      EXPECT_TRUE(rec->leaf.has_value());
+      const store::SightingDb::Record* rec = server.sightings()->find(oid);
+      ASSERT_NE(rec, nullptr) << "agent " << node.id.value << " lost the record";
+      EXPECT_TRUE(rec->has_sighting);
+      EXPECT_FALSE(rec->in_handover);
     } else {
       const std::size_t idx = static_cast<std::size_t>(on_chain - chain.begin());
-      EXPECT_EQ(rec->forward_ref, chain[idx - 1])
+      EXPECT_EQ(server.visitors()->find(oid), chain[idx - 1])
           << "server " << node.id.value << " points the wrong way";
     }
   }
@@ -76,8 +77,7 @@ TEST(Handover, SiblingLeafViaCommonParent) {
   EXPECT_EQ(world.deployment->server(NodeId{4}).sightings()->find(ObjectId{1}),
             nullptr);
   // Only one non-leaf (s2) was involved: root pointer unchanged toward s2.
-  EXPECT_EQ(world.deployment->server(NodeId{1}).visitors().find(ObjectId{1})
-                ->forward_ref,
+  EXPECT_EQ(world.deployment->server(NodeId{1}).visitors()->find(ObjectId{1}),
             NodeId{2});
 }
 
@@ -90,7 +90,7 @@ TEST(Handover, CrossesRootBetweenSubtrees) {
   EXPECT_EQ(obj->agent(), NodeId{7});
   check_forwarding_invariant(world, ObjectId{2}, NodeId{7});
   // s2 must have dropped its record (upward-path removal, Alg 6-3 line 19).
-  EXPECT_EQ(world.deployment->server(NodeId{2}).visitors().find(ObjectId{2}),
+  EXPECT_EQ(world.deployment->server(NodeId{2}).visitors()->find(ObjectId{2}),
             std::nullopt);
 }
 
@@ -148,8 +148,7 @@ TEST(Handover, LeavingRootAreaDeregisters) {
   world.run();
   EXPECT_EQ(obj->state(), TrackedObject::State::kDeregistered);
   for (const auto& node : world.deployment->spec().nodes) {
-    EXPECT_EQ(world.deployment->server(node.id).visitors().find(ObjectId{5}),
-              std::nullopt)
+    EXPECT_FALSE(has_visitor(world.deployment->server(node.id), ObjectId{5}))
         << "server " << node.id.value;
   }
 }

@@ -193,7 +193,8 @@ std::size_t home_slot(std::uint64_t v, std::size_t capacity) {
 }
 
 // OidMap against std::unordered_map under a seeded mix of try_emplace, find,
-// erase and clear, in two key ranges. Both include key 0, which lives out of
+// erase (by key, or through a pointer from find) and clear, in two key
+// ranges. Both include key 0, which lives out of
 // band.
 //  * 60 keys, at most 44 live, so the table keeps its first 64 slots (it
 //    grows at the 45th) at up to 69% load. Half the keys have their home in
@@ -262,8 +263,14 @@ TEST(OidMap, MatchesUnorderedMapUnderChurn) {
           ASSERT_EQ(*value, it->second) << "op " << op;
         }
       } else if (roll < 0.9999) {
-        ASSERT_EQ(map.erase(id), oracle.erase(id.value) == 1)
-            << "op " << op << " key " << id.value;
+        if (op % 2 == 0) {
+          ASSERT_EQ(map.erase(id), oracle.erase(id.value) == 1)
+              << "op " << op << " key " << id.value;
+        } else if (const std::uint64_t* value = map.find(id)) {
+          // Erase through the pointer a lookup returned, no second probe.
+          map.erase(value);
+          ASSERT_EQ(oracle.erase(id.value), 1u) << "op " << op << " key " << id.value;
+        }
       } else {
         map.clear();
         oracle.clear();
