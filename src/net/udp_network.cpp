@@ -81,41 +81,42 @@ struct UdpNetwork::Node {
   // Reassembly state keyed by (sender address and port, msg_id): every
   // UdpNetwork counts msg_ids from 1, so two peer processes reuse ids.
   // Single-threaded per node. The first fragment of a message fixes its
-  // count (frags.size()), and `arrived` marks the indices already stashed,
-  // so a fragment that names another count or repeats an index is dropped
-  // instead of completing the message early. `opened` orders partials by
-  // creation, so the cap drops the oldest.
+  // count, and a partial holds only the fragments that arrived, sorted by
+  // index, so its memory follows what arrived, not the count a first
+  // fragment claims. A fragment that names another count or repeats an
+  // index is dropped instead of completing the message early. `opened`
+  // orders partials by creation, so the cap drops the oldest.
   struct PartialKey {
     std::uint64_t sender;
     std::uint32_t msg_id;
     auto operator<=>(const PartialKey&) const = default;
   };
+  struct Frag {
+    std::uint16_t index = 0;
+    wire::Buffer bytes;
+  };
   struct Partial {
-    std::vector<wire::Buffer> frags;
-    std::vector<bool> arrived;
-    std::size_t received = 0;
+    std::uint16_t count = 0;
+    std::vector<Frag> frags;  // sorted by index
     std::uint64_t opened = 0;
   };
   std::map<PartialKey, Partial> partials;
   std::uint64_t partials_opened = 0;
-  // Buffer reuse: retired partials (fragment buffers keep capacity) and the
-  // reassembled-message scratch, so steady multi-fragment traffic stops
-  // allocating once the buffers reach their working sizes. The scratch is a
-  // pooled slot so a handler can pin a reassembled message zero-copy
-  // (Datagram::take steals it; the loop re-provisions on demand).
+  // Buffer reuse: retired partials (their fragment lists keep capacity) and
+  // the reassembled-message scratch. The scratch is a pooled slot so a
+  // handler can pin a reassembled message zero-copy (Datagram::take steals
+  // it; the loop re-provisions on demand).
   std::vector<Partial> partial_pool;
   PooledBuffer reassembly;
 
-  Partial take_partial(std::size_t count) {
+  Partial take_partial(std::uint16_t count) {
     Partial p;
     if (!partial_pool.empty()) {
       p = std::move(partial_pool.back());
       partial_pool.pop_back();
     }
-    for (wire::Buffer& b : p.frags) b.clear();
-    p.frags.resize(count);
-    p.arrived.assign(count, false);
-    p.received = 0;
+    p.count = count;
+    p.frags.clear();
     p.opened = ++partials_opened;
     return p;
   }
@@ -306,10 +307,14 @@ void UdpNetwork::handle_datagram(Node& node, std::uint64_t sender,
   const auto [it, fresh] = node.partials.try_emplace({sender, msg_id});
   Node::Partial& partial = it->second;
   if (fresh) partial = node.take_partial(count);
-  if (count != partial.frags.size() || partial.arrived[index]) return;
-  partial.arrived[index] = true;
-  partial.frags[index].assign(payload, payload + payload_len);
-  if (++partial.received == count) {
+  if (count != partial.count) return;
+  std::vector<Node::Frag>& frags = partial.frags;
+  const auto at = std::lower_bound(
+      frags.begin(), frags.end(), index,
+      [](const Node::Frag& f, std::uint16_t i) { return f.index < i; });
+  if (at != frags.end() && at->index == index) return;  // repeated index
+  frags.insert(at, {index, wire::Buffer(payload, payload + payload_len)});
+  if (frags.size() == count) {
     // Reassemble into the pooled scratch slot so the handler can pin the
     // whole message zero-copy, exactly like a single-fragment datagram.
     if (!node.reassembly.armed()) {
@@ -317,8 +322,8 @@ void UdpNetwork::handle_datagram(Node& node, std::uint64_t sender,
     }
     wire::Buffer& whole = *node.reassembly;
     whole.clear();
-    for (const auto& frag : partial.frags) {
-      whole.insert(whole.end(), frag.begin(), frag.end());
+    for (const Node::Frag& frag : frags) {
+      whole.insert(whole.end(), frag.bytes.begin(), frag.bytes.end());
     }
     node.recycle_partial(std::move(partial));
     node.partials.erase(it);

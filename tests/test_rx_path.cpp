@@ -7,8 +7,9 @@
 //  * reassembled multi-fragment messages honor the same pin protocol, and a
 //    fragment that disagrees with its message's first fragment (another
 //    count, a repeated index) is dropped rather than completing it;
-//  * reassembly keys fragments by sender as well as msg_id, and its cap on
-//    incomplete messages drops the oldest;
+//  * reassembly keys fragments by sender as well as msg_id, its cap on
+//    incomplete messages drops the oldest, and a partial's memory follows
+//    the fragments that arrived, not the count its first fragment claims;
 //  * an entry server's range merge over real UDP -- sub-results pinned
 //    across multiple recvmmsg batches -- produces correct answers.
 #include <arpa/inet.h>
@@ -21,6 +22,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <fstream>
 #include <thread>
 #include <vector>
 
@@ -339,6 +341,41 @@ TEST(RxPath, ReassemblyCapDropsTheOldestPartial) {
   std::lock_guard<std::mutex> lock(echo.mu);
   ASSERT_EQ(echo.received.size(), 1u);
   EXPECT_EQ(echo.received[0], bytes_of("new-one"));
+}
+
+// Resident set size of this process, from /proc/self/statm.
+std::size_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t pages = 0;
+  std::size_t resident = 0;
+  statm >> pages >> resident;
+  return resident * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+TEST(RxPath, PartialMemoryFollowsTheFragmentsThatArrived) {
+  const std::uint16_t base = net::UdpNetwork::pick_free_base_port(4);
+  net::UdpNetwork net(base);
+  UdpEcho echo;
+  attach_collector(net, echo);
+  RawFragSender peer(base);
+  // Warm up the receive path (its thread's allocations) with one message.
+  peer.send(1, 0, 2, "AA");
+  peer.send(1, 1, 2, "BB");
+  settle(echo, 1);
+  ASSERT_EQ(echo.count.load(), 1u);
+
+  // 72 first fragments of 14 bytes, each claiming the largest count: more
+  // than the cap keeps, so the oldest are evicted into the recycle pool.
+  const std::size_t before = resident_bytes();
+  for (std::uint32_t id = 100; id < 172; ++id) peer.send(id, 0, 65'535, "xxxx");
+  // The receive loop handles datagrams in arrival order: once this message
+  // is delivered, every forged fragment has been stashed.
+  peer.send(2, 0, 2, "CC");
+  peer.send(2, 1, 2, "DD");
+  settle(echo, 2);
+  ASSERT_EQ(echo.count.load(), 2u);
+  const std::size_t grown = resident_bytes() - std::min(before, resident_bytes());
+  EXPECT_LT(grown, std::size_t{16} << 20) << "resident set grew by " << grown << " bytes";
 }
 
 // --- end-to-end: pinned merge over real UDP ----------------------------------
