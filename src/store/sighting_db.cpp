@@ -61,6 +61,7 @@ void SightingDb::set_visitor(Record& rec, double offered_acc,
 }
 
 void SightingDb::update(Record& rec, const core::Sighting& s, TimePoint expiry) {
+  assert(s.oid == rec.sighting.oid);
   if (!rec.has_sighting) {
     index_->insert(s.oid, s.pos);
   } else if (std::memcmp(&rec.sighting.pos, &s.pos, sizeof s.pos) != 0) {

@@ -1,6 +1,9 @@
 // Algorithm 6-4: position query processing, local and remote, including the
-// Fig 6 hop trace (entry -> root -> forwarding path -> agent -> entry).
+// Fig 6 hop trace (entry -> root -> forwarding path -> agent -> entry) and
+// the local answer for a leaf record still waiting for its sighting.
 #include <gtest/gtest.h>
+
+#include <filesystem>
 
 #include "test_support.hpp"
 #include "wire/messages.hpp"
@@ -20,6 +23,41 @@ TEST(PosQuery, LocalAtAgentLeaf) {
   EXPECT_EQ(res.ld.pos, (geo::Point{100, 100}));
   EXPECT_DOUBLE_EQ(res.ld.acc, 10.0);
   EXPECT_EQ(world.deployment->server(NodeId{4}).stats().pos_queries_served, 1u);
+}
+
+TEST(PosQuery, LocalRecordWithoutSightingWaitsForOneRefresh) {
+  // A leaf restarted over its persistent log knows the object but not where
+  // it is: a query entering at that leaf asks the object once and is
+  // answered when the refresh arrives.
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() / ("locs_pos_query_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  core::Deployment::Config cfg;
+  cfg.visitor_db_factory = [&dir](NodeId id) {
+    auto log = store::VisitorLog::open((dir / std::to_string(id.value)).string());
+    EXPECT_TRUE(log.ok());
+    return std::move(log).value();
+  };
+  {
+    SimWorld world(core::HierarchyBuilder::fig6(kArea), cfg);
+    auto obj = world.register_object(ObjectId{1}, {100, 100}, 1.0, {10.0, 50.0});
+    ASSERT_TRUE(obj->tracked());
+    world.deployment->crash(NodeId{4});
+    world.deployment->restart(NodeId{4}, /*announce=*/false);
+    const core::LocationServer& leaf = world.deployment->server(NodeId{4});
+    ASSERT_FALSE(leaf.sightings()->find(ObjectId{1})->has_sighting);
+
+    auto qc = world.make_query_client(NodeId{4});
+    const auto res = world.pos_query(*qc, ObjectId{1});
+    ASSERT_TRUE(res.found);
+    EXPECT_EQ(res.ld.pos, (geo::Point{100, 100}));
+    EXPECT_DOUBLE_EQ(res.ld.acc, 10.0);
+    EXPECT_EQ(leaf.stats().refresh_requests, 1u);
+    EXPECT_EQ(obj->refreshes_answered(), 1u);
+    EXPECT_TRUE(leaf.sightings()->find(ObjectId{1})->has_sighting);
+  }
+  fs::remove_all(dir);
 }
 
 TEST(PosQuery, RemoteClimbsToPivotOnly) {
