@@ -48,7 +48,11 @@ LocationServer::LocationServer(NodeId self, ConfigRecord cfg, net::Transport& ne
                                Clock& clock, Options opts,
                                store::VisitorLog visitor_log,
                                spatial::IndexFactory index_factory)
-    : self_(self), cfg_(std::move(cfg)), net_(net), clock_(clock), opts_(opts) {
+    : self_(self),
+      cfg_(std::move(cfg)),
+      net_(net),
+      clock_(clock),
+      opts_(opts) {
   if (cfg_.is_leaf()) {
     if (!index_factory) index_factory = [] { return spatial::make_point_quadtree(); };
     sightings_.emplace(std::move(index_factory), std::move(visitor_log));

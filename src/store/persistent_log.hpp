@@ -50,8 +50,6 @@ class PersistentLog {
   /// replayed records) -- the compaction trigger.
   std::uint64_t appended() const { return appended_; }
 
-  bool is_open() const { return fd_ >= 0; }
-
  private:
   std::string path_;
   int fd_ = -1;

@@ -32,19 +32,21 @@ namespace locs::store {
 
 class SightingDb {
  public:
+  // The fields every update and query reads sit next to the slot's key;
+  // the registration information, read on handovers and recovery only,
+  // sits last.
   struct Record {
-    // Visitor part (persistent).
-    double offered_acc = 0.0;
-    core::RegInfo reg_info;
     // Sighting part (volatile). `sighting.oid` is the record's id even
     // before the first sighting arrives.
     core::Sighting sighting;
+    double offered_acc = 0.0;  // visitor part (persistent)
     TimePoint expiry = 0;
     TimePoint queued = 0;  // internal: the expiry of the record's heap entry
     bool has_sighting = false;
     // The owner's flag, not read here: a handover of this object is in
     // flight.
     bool in_handover = false;
+    core::RegInfo reg_info;  // visitor part (persistent)
   };
 
   /// Replays the visitor part of every record in `log` (in memory when
