@@ -220,9 +220,13 @@ double LocationServer::negotiate_offered_acc(const AccuracyRange& range) const {
 void LocationServer::put_sighting(store::SightingDb::Record& rec, const Sighting& s) {
   sightings_->update(rec, s, sighting_expiry());
   events_on_sighting(s.oid, true, s.pos);
-  // The ORIGINAL absolute expiry: the replica must not extend the soft-state
-  // TTL (§5) beyond what the primary granted.
-  tee({wm::ReplicaTee::Op::kUpsert, s, rec.offered_acc, rec.expiry, rec.reg_info});
+  // Checked here, not only in tee(), so that without a standby an update
+  // does not read the record's registration information. The ORIGINAL
+  // absolute expiry: the replica must not extend the soft-state TTL (§5)
+  // beyond what the primary granted.
+  if (standby_.valid()) {
+    tee({wm::ReplicaTee::Op::kUpsert, s, rec.offered_acc, rec.expiry, rec.reg_info});
+  }
 }
 
 // --------------------------------------------------------------------------
@@ -334,7 +338,7 @@ void LocationServer::on_batched_update_req(NodeId src, const wm::BatchedUpdateRe
   while (const auto item = sightings.next()) {
     if (const store::SightingDb::Record* rec = apply_update(src, item->value)) {
       ack.acks.append({rec->sighting.oid, rec->offered_acc});
-      flush_awaiting_refresh(*rec);
+      if (!awaiting_refresh_.empty()) flush_awaiting_refresh(*rec);
     }
   }
   if (!ack.acks.empty()) send_msg(src, ack);
