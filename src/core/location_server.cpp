@@ -220,10 +220,8 @@ double LocationServer::negotiate_offered_acc(const AccuracyRange& range) const {
 void LocationServer::put_sighting(store::SightingDb::Record& rec, const Sighting& s) {
   sightings_->update(rec, s, sighting_expiry());
   events_on_sighting(s.oid, true, s.pos);
-  // Checked here, not only in tee(), so that without a standby an update
-  // does not read the record's registration information. The ORIGINAL
-  // absolute expiry: the replica must not extend the soft-state TTL (§5)
-  // beyond what the primary granted.
+  // Checked first so that an update without a standby reads no RegInfo. The
+  // ORIGINAL absolute expiry: the replica must not extend the TTL (§5).
   if (standby_.valid()) {
     tee({wm::ReplicaTee::Op::kUpsert, s, rec.offered_acc, rec.expiry, rec.reg_info});
   }
