@@ -44,6 +44,7 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/client.hpp"
@@ -297,7 +298,7 @@ MergeCost view_merge(const std::vector<std::vector<wm::Buffer>>& groups,
     std::size_t len;
   };
   std::vector<Segment> segments;
-  util::OidSet seen;  // flat dedup scratch, capacity reused (as the server's)
+  util::OidMap<std::monostate> seen;  // flat dedup set, capacity reused (as the server's)
   const std::uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
   for (int round = 0; round < rounds; ++round) {
     for (const auto& group : groups) {
@@ -316,7 +317,7 @@ MergeCost view_merge(const std::vector<std::vector<wm::Buffer>>& groups,
       for (const Segment& seg : segments) {
         wm::ItemView<core::ObjectResult> items(seg.data, seg.len);
         while (const auto item = items.next()) {
-          if (dedup && !seen.insert(item->value.oid)) continue;
+          if (dedup && !seen.try_emplace(item->value.oid).second) continue;
           ++kept;
           kept_bytes += item->len;
         }
@@ -334,7 +335,7 @@ MergeCost view_merge(const std::vector<std::vector<wm::Buffer>>& groups,
         for (const Segment& seg : segments) {
           wm::ItemView<core::ObjectResult> items(seg.data, seg.len);
           while (const auto item = items.next()) {
-            if (dedup && !seen.insert(item->value.oid)) continue;
+            if (dedup && !seen.try_emplace(item->value.oid).second) continue;
             w.bytes(item->data, item->len);
           }
         }

@@ -240,7 +240,6 @@ ReplicatedMetrics run_replicated(const std::string& tag, bool fault) {
   net::SimNetwork net(nopts);
   core::Deployment::Config cfg;
   cfg.server.heartbeat_interval = seconds(1);
-  cfg.server.heartbeat_miss_threshold = 3;
   cfg.visitor_db_factory = [&](NodeId id) {
     auto log = store::VisitorLog::open(
         (dir / ("visitor_" + std::to_string(id.value) + ".log")).string());

@@ -6,7 +6,9 @@
 //     handovers and range queries without traversing the hierarchy.
 //  2. (tracked object, current agent): learned from query responses; speeds
 //     up position queries. Entries go stale when the object hands over --
-//     consumers fall back to the hierarchy on a miss/timeout.
+//     a query sent to a cached agent falls back on the hierarchy when that
+//     agent answers not-found or does not answer in time, and the entry is
+//     dropped.
 //  3. (tracked object, position descriptor): caches query results; a hit is
 //     valid only while the accuracy, aged by the object's maximum speed
 //     (acc + v * dt, §3/[15]), still meets the configured bound.
@@ -37,11 +39,6 @@ class LeafAreaCache {
     }
     if (entries_.size() >= max_entries_) entries_.erase(entries_.begin());
     entries_.emplace(leaf, std::move(area));
-  }
-
-  const geo::Polygon* find(NodeId leaf) const {
-    const auto it = entries_.find(leaf);
-    return it == entries_.end() ? nullptr : &it->second;
   }
 
   /// The leaf whose cached area contains p (handover shortcut), if any.

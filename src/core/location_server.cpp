@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <tuple>
+#include <type_traits>
 
 namespace locs::core {
 
@@ -28,6 +29,10 @@ constexpr std::uint64_t kVisitorCompactThreshold = 1 << 18;
 
 /// Sides of the polygon circumscribing NN probe circles.
 constexpr int kNNProbeSides = 32;
+
+/// Consecutive heartbeat probes a child may leave unanswered; at this many
+/// the failure detector marks it suspect.
+constexpr int kHeartbeatMissThreshold = 3;
 
 /// The polygon an NN probe circle is routed and credited by.
 geo::Polygon nn_probe_polygon(geo::Point p, double radius) {
@@ -681,7 +686,8 @@ void LocationServer::on_pos_query_req(NodeId src, const wm::PosQueryReq& m) {
   const std::uint64_t internal_id = next_req_id();
   PendingPos pending{src, m.req_id, m.oid, false, now() + opts_.pending_timeout};
 
-  // §6.5 cache 2: ask the cached agent directly; fall back on timeout.
+  // §6.5 cache 2: ask the cached agent directly; a negative answer or a
+  // timeout falls back on the hierarchy.
   if (opts_.enable_agent_cache) {
     const auto agent = agent_cache_.find(m.oid, now());
     if (agent && *agent != self_) {
@@ -692,30 +698,40 @@ void LocationServer::on_pos_query_req(NodeId src, const wm::PosQueryReq& m) {
       return;
     }
   }
+  route_pos_query(internal_id, pending);
+}
+
+void LocationServer::route_pos_query(std::uint64_t key, PendingPos pending) {
+  if (pending.via_agent_cache) {
+    // The cached agent no longer answers for the object: forget it.
+    agent_cache_.invalidate(pending.oid);
+    pending.via_agent_cache = false;
+    pending.deadline = now() + opts_.pending_timeout;
+  }
   // Down a forwarding pointer if this non-leaf server has one, otherwise
   // upwards (Alg 6-4 line 6).
   NodeId next = cfg_.is_root() ? kNoNode : cfg_.parent;
-  if (visitor_db_) next = visitor_db_->find(m.oid).value_or(next);
+  if (visitor_db_) next = visitor_db_->find(pending.oid).value_or(next);
   if (next.valid() && child_suspect(next)) {
     const NodeId standby = standby_for(next);
     if (standby.valid()) {
       // The crashed leaf has a promoted hot standby: route there and keep
       // the answer complete instead of short-circuiting to not-found.
       ++stats_.standby_routed_queries;
-      pending_pos_.emplace(internal_id, pending);
-      send_msg(standby, wm::PosQueryFwd{m.oid, self_, internal_id});
-      return;
+    } else {
+      // The route leads into a crashed subtree: answer fast instead of
+      // letting the client wait out the pending timeout.
+      ++stats_.suspect_short_circuits;
     }
+    next = standby;
   }
-  if (!next.valid() || child_suspect(next)) {
-    // No route -- or the route leads into a crashed subtree: answer fast
-    // instead of letting the client wait out the pending timeout.
-    if (next.valid()) ++stats_.suspect_short_circuits;
-    send_msg(src, wm::PosQueryRes{m.oid, false, {}, kNoNode, m.req_id, std::nullopt});
+  if (!next.valid()) {
+    send_msg(pending.client, wm::PosQueryRes{pending.oid, false, {}, kNoNode,
+                                             pending.client_req_id, std::nullopt});
     return;
   }
-  pending_pos_.emplace(internal_id, pending);
-  send_msg(next, wm::PosQueryFwd{m.oid, self_, internal_id});
+  pending_pos_.emplace(key, pending);
+  send_msg(next, wm::PosQueryFwd{pending.oid, self_, key});
 }
 
 void LocationServer::on_pos_query_fwd(NodeId src, const wm::PosQueryFwd& m) {
@@ -771,7 +787,11 @@ void LocationServer::on_pos_query_res(NodeId src, const wm::PosQueryRes& m) {
     }
     if (opts_.enable_position_cache) position_cache_.learn(m.oid, m.ld, now());
   } else if (pending.via_agent_cache) {
-    agent_cache_.invalidate(m.oid);
+    // A stale cached agent's not-found says nothing about the object: ask
+    // the hierarchy, under a new key so a duplicate of this answer is
+    // dropped.
+    route_pos_query(next_req_id(), pending);
+    return;
   }
   send_msg(pending.client, wm::PosQueryRes{m.oid, m.found, m.ld, m.agent,
                                            pending.client_req_id, std::nullopt});
@@ -855,10 +875,10 @@ void LocationServer::on_range_query_req(NodeId src, const wm::RangeQueryReq& m) 
         pending.target - coverage_epsilon(pending.target)) {
       ++stats_.range_direct;
       pending_range_.emplace(internal_id, std::move(pending));
+      const wm::RangeQueryFwd fwd{m.area, m.req_acc, m.req_overlap, self_, internal_id,
+                                  /*direct=*/true};
       for (const NodeId leaf : cov.leaves) {
-        if (leaf == self_) continue;
-        send_msg(leaf, wm::RangeQueryFwd{m.area, m.req_acc, m.req_overlap, self_,
-                                         internal_id, /*direct=*/true});
+        if (leaf != self_) send_msg(leaf, fwd);
       }
       try_complete_range(internal_id);
       return;
@@ -866,53 +886,60 @@ void LocationServer::on_range_query_req(NodeId src, const wm::RangeQueryReq& m) 
   }
   pending_range_.emplace(internal_id, std::move(pending));
   if (needs_more) {
-    route_range(m.area, enlarged, m.req_acc, m.req_overlap, self_, internal_id,
-                kNoNode);
+    route_range(wm::RangeQueryFwd{m.area, m.req_acc, m.req_overlap, self_, internal_id,
+                                  /*direct=*/false},
+                enlarged, kNoNode);
   }
   try_complete_range(internal_id);
 }
 
-void LocationServer::route_range(const geo::Polygon& area,
-                                 const geo::Polygon& enlarged, double req_acc,
-                                 double req_overlap, NodeId entry,
-                                 std::uint64_t req_id, NodeId from) {
-  // Downwards: every child whose area intersects the enlarged query and that
-  // did not send us the query (Alg 6-5 fwd lines 8-11).
+template <typename SubRes, typename Fwd>
+void LocationServer::fan_out(const Fwd& fwd, const geo::Polygon& area, NodeId entry,
+                             NodeId from) {
+  // Downwards: every child whose area intersects the request's and that did
+  // not send it to us (Alg 6-5 fwd lines 8-11).
   for (const ChildRecord& child : cfg_.children) {
-    if (child.id == from) continue;
-    if (!enlarged.intersects(child.sa)) continue;
-    if (child_suspect(child.id)) {
-      const NodeId standby = standby_for(child.id);
-      if (standby.valid()) {
-        // Promoted hot standby: forward the query there -- the mirror holds
-        // the crashed leaf's full sighting set, so the sub-result (and thus
-        // the merged answer) is identical to the unfaulted run.
-        ++stats_.standby_routed_queries;
-        send_msg(standby, wm::RangeQueryFwd{area, req_acc, req_overlap, entry,
-                                            req_id, /*direct=*/true});
-        continue;
-      }
-      // Answer FOR the crashed subtree: credit its covered portion with no
-      // results so the entry completes promptly (availability over
-      // completeness -- the soft state below the crash is being rebuilt by
-      // refreshes) instead of timing the whole query out.
-      ++stats_.suspect_short_circuits;
-      wm::RangeQuerySubRes sub;
-      sub.req_id = req_id;
-      sub.covered_size = geo::intersection_area(enlarged, child.sa);
-      send_msg(entry, sub);
+    if (child.id == from || !area.intersects(child.sa)) continue;
+    if (!child_suspect(child.id)) {
+      send_msg(child.id, fwd);
       continue;
     }
-    send_msg(child.id,
-             wm::RangeQueryFwd{area, req_acc, req_overlap, entry, req_id, false});
+    if (const NodeId standby = standby_for(child.id); standby.valid()) {
+      // Promoted hot standby: the mirror holds the crashed leaf's full
+      // sighting set, so its sub-result (and the merged answer) is the
+      // unfaulted run's. A range query goes `direct`: the standby answers
+      // only the crashed leaf's share.
+      ++stats_.standby_routed_queries;
+      if constexpr (std::is_same_v<Fwd, wm::RangeQueryFwd>) {
+        Fwd direct = fwd;
+        direct.direct = true;
+        send_msg(standby, direct);
+      } else {
+        send_msg(standby, fwd);
+      }
+      continue;
+    }
+    // Answer FOR the crashed subtree: credit its covered portion with no
+    // results so the entry completes promptly (availability over
+    // completeness -- the soft state below the crash is being rebuilt by
+    // refreshes) instead of timing the whole request out.
+    ++stats_.suspect_short_circuits;
+    SubRes sub;
+    sub.req_id = fwd.req_id;
+    sub.covered_size = geo::intersection_area(area, child.sa);
+    send_msg(entry, sub);
   }
-  // Upwards: while part of the enlarged area lies outside our service area
-  // (Alg 6-5 fwd lines 13-14).
+  // Upwards: while part of the area lies outside our service area (Alg 6-5
+  // fwd lines 13-14).
   if (!cfg_.is_root() && cfg_.parent != from &&
-      !geo::convex_contains_polygon(cfg_.sa, enlarged)) {
-    send_msg(cfg_.parent,
-             wm::RangeQueryFwd{area, req_acc, req_overlap, entry, req_id, false});
+      !geo::convex_contains_polygon(cfg_.sa, area)) {
+    send_msg(cfg_.parent, fwd);
   }
+}
+
+void LocationServer::route_range(const wm::RangeQueryFwd& fwd,
+                                 const geo::Polygon& enlarged, NodeId from) {
+  fan_out<wm::RangeQuerySubRes>(fwd, enlarged, fwd.entry, from);
 }
 
 void LocationServer::answer_range_locally(const geo::Polygon& area,
@@ -954,9 +981,7 @@ void LocationServer::on_range_query_fwd(NodeId src, const wm::RangeQueryFwd& m) 
     sub.covered_size = credit;
     send_msg(m.entry, sub);
   }
-  if (!m.direct) {
-    route_range(m.area, enlarged, m.req_acc, m.req_overlap, m.entry, m.req_id, src);
-  }
+  if (!m.direct) route_range(m, enlarged, src);
 }
 
 void LocationServer::handle_sub_res_view(wm::SubResView& view,
@@ -1032,7 +1057,7 @@ void LocationServer::emit_range_result(NodeId client, std::uint64_t client_req_i
   for (const SubSegment& seg : pending.segments) {
     wm::ItemView<ObjectResult> items(seg.data, seg.len);
     while (const auto item = items.next()) {
-      if (dedup && !merge_seen_scratch_.insert(item->value.oid)) {
+      if (dedup && !merge_seen_scratch_.try_emplace(item->value.oid).second) {
         ++stats_.merge_dedup_dropped;
         continue;
       }
@@ -1055,7 +1080,7 @@ void LocationServer::emit_range_result(NodeId client, std::uint64_t client_req_i
     for (const SubSegment& seg : pending.segments) {
       wm::ItemView<ObjectResult> items(seg.data, seg.len);
       while (const auto item = items.next()) {
-        if (dedup && !merge_seen_scratch_.insert(item->value.oid)) continue;
+        if (dedup && !merge_seen_scratch_.try_emplace(item->value.oid).second) continue;
         w.bytes(item->data, item->len);
       }
     }
@@ -1143,46 +1168,20 @@ std::uint64_t LocationServer::launch_nn_ring(PendingNN op) {
   }
 
   pending_nn_.emplace(ring_key, std::move(op));
-  route_nn_probe(probe, kNoNode);
+  route_nn_probe(probe, probe_poly, kNoNode);
   check_nn_ring(ring_key);
   return ring_key;
 }
 
-void LocationServer::route_nn_probe(const wm::NNProbeFwd& probe, NodeId from) {
-  const geo::Polygon probe_poly = nn_probe_polygon(probe.p, probe.radius);
-  for (const ChildRecord& child : cfg_.children) {
-    if (child.id == from) continue;
-    if (!probe_poly.intersects(child.sa)) continue;
-    if (child_suspect(child.id)) {
-      const NodeId standby = standby_for(child.id);
-      if (standby.valid()) {
-        // Promoted hot standby: probe the mirror instead of crediting empty
-        // coverage -- the expanding ring sees the crashed leaf's candidates.
-        ++stats_.standby_routed_queries;
-        send_msg(standby, probe);
-        continue;
-      }
-      // Mirror of the range-query fast path: credit the suspect child's
-      // probe coverage so the expanding ring closes without a timeout.
-      ++stats_.suspect_short_circuits;
-      wm::NNProbeSubRes sub;
-      sub.req_id = probe.req_id;
-      sub.covered_size = geo::intersection_area(probe_poly, child.sa);
-      send_msg(probe.coordinator, sub);
-      continue;
-    }
-    send_msg(child.id, probe);
-  }
-  if (!cfg_.is_root() && cfg_.parent != from &&
-      !geo::convex_contains_polygon(cfg_.sa, probe_poly)) {
-    send_msg(cfg_.parent, probe);
-  }
+void LocationServer::route_nn_probe(const wm::NNProbeFwd& probe,
+                                    const geo::Polygon& probe_poly, NodeId from) {
+  fan_out<wm::NNProbeSubRes>(probe, probe_poly, probe.coordinator, from);
 }
 
 void LocationServer::answer_nn_probe_locally(const wm::NNProbeFwd& probe,
+                                             const geo::Polygon& probe_poly,
                                              double extra_covered) {
   assert(sightings_);
-  const geo::Polygon probe_poly = nn_probe_polygon(probe.p, probe.radius);
   wm::NNProbeSubRes& sub = nn_sub_scratch_;
   sub.req_id = probe.req_id;
   sub.candidates.clear();
@@ -1202,7 +1201,7 @@ void LocationServer::on_nn_probe_fwd(NodeId src, const wm::NNProbeFwd& m) {
   }
   if (cfg_.is_leaf()) {
     if (probe_poly.intersects(cfg_.sa) || credit > 0.0) {
-      answer_nn_probe_locally(m, credit);
+      answer_nn_probe_locally(m, probe_poly, credit);
     }
   } else if (credit > coverage_epsilon(probe_poly.area())) {
     wm::NNProbeSubRes sub;
@@ -1210,7 +1209,7 @@ void LocationServer::on_nn_probe_fwd(NodeId src, const wm::NNProbeFwd& m) {
     sub.covered_size = credit;
     send_msg(m.coordinator, sub);
   }
-  route_nn_probe(m, src);
+  route_nn_probe(m, probe_poly, src);
 }
 
 void LocationServer::check_nn_ring(std::uint64_t ring_key) {
@@ -1641,14 +1640,14 @@ void LocationServer::tick(TimePoint t) {
 
 void LocationServer::tick_body(TimePoint t) {
   // Failure detection: probe every child each interval; a child that let
-  // heartbeat_miss_threshold whole intervals pass unanswered is suspect
+  // kHeartbeatMissThreshold whole intervals pass unanswered is suspect
   // (query routing then answers on its behalf; see the header invariants).
   if (opts_.heartbeat_interval > 0 && !cfg_.children.empty() &&
       t >= next_heartbeat_) {
     for (const ChildRecord& child : cfg_.children) {
       ChildHealth& h = child_health_[child.id];
       if (h.last_seq_sent > h.last_seq_acked) {
-        if (++h.misses >= opts_.heartbeat_miss_threshold && !h.suspect) {
+        if (++h.misses >= kHeartbeatMissThreshold && !h.suspect) {
           h.suspect = true;
           ++stats_.children_suspected;
           engage_standby(child.id);
@@ -1680,30 +1679,24 @@ void LocationServer::tick_body(TimePoint t) {
       tee({wm::ReplicaTee::Op::kRemove, Sighting{oid}});
     }
   }
-  // Pending-operation timeouts.
-  for (auto it = pending_pos_.begin(); it != pending_pos_.end();) {
-    if (it->second.deadline > t) {
-      ++it;
-      continue;
-    }
-    PendingPos pending = it->second;
+  // Pending-operation timeouts. A query a cached agent left unanswered
+  // retries through the hierarchy under a new key, which inserts into
+  // pending_pos_, so the expired keys are collected first.
+  std::vector<std::uint64_t> expired;
+  for (const auto& [key, pending] : pending_pos_) {
+    if (pending.deadline <= t) expired.push_back(key);
+  }
+  for (const std::uint64_t key : expired) {
+    const auto it = pending_pos_.find(key);
+    const PendingPos pending = it->second;
+    pending_pos_.erase(it);
     if (pending.via_agent_cache) {
-      // Stale agent cache: invalidate and retry through the hierarchy.
-      agent_cache_.invalidate(pending.oid);
-      pending.via_agent_cache = false;
-      pending.deadline = t + opts_.pending_timeout;
-      const NodeId next = cfg_.is_root() ? kNoNode : cfg_.parent;
-      if (next.valid()) {
-        it->second = pending;
-        send_msg(next, wm::PosQueryFwd{pending.oid, self_, it->first});
-        ++it;
-        continue;
-      }
+      route_pos_query(next_req_id(), pending);
+      continue;
     }
     ++stats_.pending_timeouts;
     send_msg(pending.client, wm::PosQueryRes{pending.oid, false, {}, kNoNode,
                                              pending.client_req_id, std::nullopt});
-    it = pending_pos_.erase(it);
   }
   for (auto it = pending_range_.begin(); it != pending_range_.end();) {
     if (it->second.deadline > t) {
@@ -1715,11 +1708,11 @@ void LocationServer::tick_body(TimePoint t) {
                       /*complete=*/false, it->second);
     it = pending_range_.erase(it);
   }
-  std::vector<std::uint64_t> nn_timeouts;
+  expired.clear();
   for (const auto& [key, op] : pending_nn_) {
-    if (op.deadline <= t) nn_timeouts.push_back(key);
+    if (op.deadline <= t) expired.push_back(key);
   }
-  for (const std::uint64_t key : nn_timeouts) {
+  for (const std::uint64_t key : expired) {
     ++stats_.pending_timeouts;
     finish_nn(key);  // best effort with whatever candidates arrived
   }

@@ -30,8 +30,8 @@
 // framing side):
 //  * failure detection -- with Options::heartbeat_interval > 0 a non-leaf
 //    parent probes each child every interval (wire::Heartbeat) and counts
-//    consecutive unanswered probes; at heartbeat_miss_threshold the child is
-//    SUSPECT. Any HeartbeatAck (or a RecoveryHello) clears suspicion -- a
+//    consecutive unanswered probes; at kHeartbeatMissThreshold (3) the child
+//    is SUSPECT. Any HeartbeatAck (or a RecoveryHello) clears suspicion -- a
 //    reordered stale ack is still liveness evidence. Disabled by default
 //    (interval 0) so no-fault message traces stay bit-identical to seeds.
 //  * routing around suspects -- a query that would be forwarded into a
@@ -81,6 +81,7 @@
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/caches.hpp"
@@ -115,11 +116,11 @@ class LocationServer {
     /// Worst aged accuracy a position-cache hit may report.
     double position_cache_max_acc = 200.0;
     /// Failure detection: probe interval for wire::Heartbeat sent to every
-    /// child from tick(). 0 disables the detector entirely (default; keeps
-    /// no-fault traces bit-identical to heartbeat-free builds).
+    /// child from tick(); three unanswered probes in a row
+    /// (kHeartbeatMissThreshold) mark the child suspect. 0 disables the
+    /// detector entirely (default; keeps no-fault traces bit-identical to
+    /// heartbeat-free builds).
     Duration heartbeat_interval = 0;
-    /// Consecutive unanswered probes before a child is marked suspect.
-    int heartbeat_miss_threshold = 3;
     /// Answer updates for unknown objects with AgentChanged{kNoNode} so a
     /// client that outlived a total leaf-state loss (in-memory visitorDB)
     /// can re-register instead of retrying blindly. Off by default: in
@@ -260,7 +261,6 @@ class LocationServer {
   }
   const Options& options() const { return opts_; }
   const LeafAreaCache& leaf_area_cache() const { return leaf_cache_; }
-  const ObjectAgentCache& agent_cache() const { return agent_cache_; }
 
  private:
   // -- pending distributed operations (the paper's blocking "receive ..."
@@ -354,19 +354,28 @@ class LocationServer {
   void drop_leaf_visitor(ObjectId oid, store::SightingDb::Record* rec,
                          bool prune_path);
 
-  /// Routes a range query one hop further (Alg 6-5 range query fwd). `from`
-  /// is the node the query arrived from (kNoNode at the entry server).
-  void route_range(const geo::Polygon& area, const geo::Polygon& enlarged,
-                   double req_acc, double req_overlap, NodeId entry,
-                   std::uint64_t req_id, NodeId from);
+  /// The fan-out of range queries and NN probes (Alg 6-5 fwd lines 8-14):
+  /// sends `fwd` to every child whose service area intersects `area` except
+  /// `from`, the node it arrived from (kNoNode at the entry server). A
+  /// suspect child's share goes to its engaged standby or, without one, is
+  /// credited to `entry` as an empty `SubRes` covering the child's part of
+  /// `area`. `fwd` goes upward while `area` extends outside ours.
+  template <typename SubRes, typename Fwd>
+  void fan_out(const Fwd& fwd, const geo::Polygon& area, NodeId entry, NodeId from);
+  /// Routes a range query one hop further (Alg 6-5 range query fwd) over its
+  /// enlarged area.
+  void route_range(const wire::RangeQueryFwd& fwd, const geo::Polygon& enlarged,
+                   NodeId from);
   /// Leaf-local answer for a routed range query.
   void answer_range_locally(const geo::Polygon& area, const geo::Polygon& enlarged,
                             double req_acc, double req_overlap, NodeId entry,
                             std::uint64_t req_id, double extra_covered);
 
-  /// Routes an NN probe (mirrors range routing over the probe polygon).
-  void route_nn_probe(const wire::NNProbeFwd& probe, NodeId from);
-  void answer_nn_probe_locally(const wire::NNProbeFwd& probe, double extra_covered);
+  /// Routes an NN probe over its probe polygon, as range queries are routed.
+  void route_nn_probe(const wire::NNProbeFwd& probe, const geo::Polygon& probe_poly,
+                      NodeId from);
+  void answer_nn_probe_locally(const wire::NNProbeFwd& probe,
+                               const geo::Polygon& probe_poly, double extra_covered);
   /// This leaf's share of an NN probe: if its nearest qualifying object lies
   /// in the probe disk, at distance b, every qualifying object within
   /// min(radius, b + near_qual) of p; otherwise nothing.
@@ -391,6 +400,14 @@ class LocationServer {
       const std::optional<wire::OriginArea>& origin);
   /// Answers the position queries waiting for `rec`'s refresh (§5).
   void flush_awaiting_refresh(const store::SightingDb::Record& rec);
+  /// Sends a pending position query on through the hierarchy under `key`
+  /// (Alg 6-4 line 6): down this server's forwarding reference if it has
+  /// one, otherwise upwards. A suspect next hop hands the query to its
+  /// engaged standby; without one, or without a next hop, the client is
+  /// answered not-found at once. A query that went to a cached agent first
+  /// drops that agent from the cache (§6.5 cache 2's fallback).
+  struct PendingPos;
+  void route_pos_query(std::uint64_t key, PendingPos pending);
 
   /// Zero-materialization sub-result intake (see the header invariants):
   /// consumes a valid SubResView straight off the receive buffer, pinning
@@ -514,7 +531,7 @@ class LocationServer {
   // Merge scratch: dedup-on-emit seen set (flat table, capacity reused --
   // zero allocations at working size) and the origin piggyback decode
   // target for the sub-result view path (polygon capacity reused).
-  util::OidSet merge_seen_scratch_;
+  util::OidMap<std::monostate> merge_seen_scratch_;
   std::optional<wire::OriginArea> origin_scratch_;
 
   // -- pending distributed operations --
@@ -533,7 +550,7 @@ class LocationServer {
     NodeId client;
     std::uint64_t client_req_id;
     ObjectId oid;
-    bool via_agent_cache;  // on timeout: invalidate + retry via hierarchy
+    bool via_agent_cache;  // not found / timeout: invalidate + retry via hierarchy
     TimePoint deadline;
   };
   std::unordered_map<std::uint64_t, PendingPos> pending_pos_;

@@ -16,7 +16,7 @@ namespace locs::core {
 struct Sighting {
   ObjectId oid;
   TimePoint t = 0;
-  geo::Point pos;
+  geo::Point pos{};
   double acc_sens = 0.0;
 
   friend bool operator==(const Sighting&, const Sighting&) = default;

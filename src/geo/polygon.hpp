@@ -1,8 +1,8 @@
 // Simple polygons -- the paper's geographic areas ("an arbitrary connected
 // polygon given by the geographic coordinates of its corners", §3.2).
 //
-// Conventions: vertices are stored counter-clockwise (normalize() enforces
-// this); polygons are simple (non-self-intersecting). Service areas produced
+// Conventions: vertices are stored counter-clockwise (the constructor
+// reverses clockwise input); polygons are simple (non-self-intersecting). Service areas produced
 // by the hierarchy builder are convex (rectangles); query areas may be any
 // simple polygon.
 #pragma once

@@ -48,7 +48,6 @@ class BufferPool {
   /// Returns an empty buffer, reusing a retired one when available.
   wire::Buffer acquire() {
     SpinGuard guard(lock_);
-    ++acquired_;
     if (free_.empty()) return {};
     wire::Buffer b = std::move(free_.back());
     free_.pop_back();
@@ -77,10 +76,6 @@ class BufferPool {
     if (!on) free_.clear();
   }
 
-  std::uint64_t acquired() const {
-    SpinGuard guard(lock_);
-    return acquired_;
-  }
   std::uint64_t reused() const {
     SpinGuard guard(lock_);
     return reused_;
@@ -109,7 +104,6 @@ class BufferPool {
   std::size_t max_pooled_capacity_ = kDefaultMaxPooledCapacity;
   std::vector<wire::Buffer> free_;
   bool enabled_ = true;
-  std::uint64_t acquired_ = 0;
   std::uint64_t reused_ = 0;
 };
 

@@ -87,9 +87,6 @@ class SimNetwork : public Transport {
   void set_link_fault(NodeId from, NodeId to, LinkFault fault) {
     link_faults_[{from.value, to.value}] = fault;
   }
-  void clear_link_fault(NodeId from, NodeId to) {
-    link_faults_.erase({from.value, to.value});
-  }
 
   /// Transport-level blackout: while down, every datagram to or from the
   /// node is dropped (counted in messages_dropped). Crash emulation pairs
@@ -101,7 +98,6 @@ class SimNetwork : public Transport {
       down_nodes_.erase(node);
     }
   }
-  bool node_down(NodeId node) const { return down_nodes_.count(node) > 0; }
 
   /// Observer for every delivered message (Fig-6 hop tracing in tests).
   using Tracer =

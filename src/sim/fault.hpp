@@ -59,8 +59,6 @@ class FaultPlan {
   /// the harness drives -- e.g. milliseconds since soak start.
   std::vector<Event> take_due(TimePoint now);
 
-  std::size_t pending_events() const { return events_.size() - next_; }
-
  private:
   void sort_events();
 

@@ -2,9 +2,12 @@
 //
 // The paper's leaf servers keep "a spatial index containing the position
 // information of the tracked objects ... to find the candidates for a range
-// or nearest neighbor query" (§5). The prototype used a Point Quadtree [17];
-// an R-Tree [6] is named as an alternative. All implementations share this
-// interface so the data-storage component can swap them (ablation A3).
+// or nearest neighbor query" (§5). The prototype used a Point Quadtree [17],
+// and so does every server here. The interface lets store::SightingDb take
+// any implementation through an IndexFactory: tests and perfbench wrap the
+// quadtree in decorators that count or time its calls, and the linear scan
+// is the brute-force oracle and the baseline the quadtree must outrun
+// (ablation A3).
 #pragma once
 
 #include <functional>
@@ -68,10 +71,7 @@ class SpatialIndex {
 using IndexFactory = std::function<std::unique_ptr<SpatialIndex>()>;
 
 std::unique_ptr<SpatialIndex> make_point_quadtree();
-std::unique_ptr<SpatialIndex> make_rtree();
-/// Grid over `bounds` with roughly `target_cells` cells.
-std::unique_ptr<SpatialIndex> make_grid_index(const geo::Rect& bounds,
-                                              std::size_t target_cells = 4096);
+/// Linear scan: the oracle, for tests and ablation A3.
 std::unique_ptr<SpatialIndex> make_linear_index();
 
 }  // namespace locs::spatial

@@ -1,16 +1,17 @@
-// Open-addressing ObjectId set and map with reusable capacity.
+// Open-addressing ObjectId table with reusable capacity: one flat map, which
+// over an empty value is also the service's ObjectId set.
 //
 // The query merge's dedup-on-emit needs a membership test per merged result,
 // twice per merge (size pass + copy pass). A node-based std::unordered_set
 // heap-allocates one node per insert -- two allocations per merged result,
-// which alone would dominate the zero-materialization merge path. OidSet is
-// a flat linear-probing table: clear() keeps the slot array, insert()
+// which alone would dominate the zero-materialization merge path. OidMap is
+// a flat linear-probing table: clear() keeps the slot array, try_emplace()
 // allocates only when the table grows, so a scratch instance reaches its
 // working size once and then dedups merge after merge allocation-free.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -18,84 +19,14 @@
 
 namespace locs::util {
 
-class OidSet {
- public:
-  /// Inserts `id`; returns true if it was not present before.
-  bool insert(ObjectId id) {
-    if (id.value == kEmptySlot) {
-      // The sentinel value cannot live in the table; track it out of band.
-      const bool added = !has_sentinel_;
-      has_sentinel_ = true;
-      return added;
-    }
-    // Grow at ~70% load (and on first use).
-    if ((size_ + 1) * 10 > slots_.size() * 7) grow();
-    std::size_t i = slot_of(id.value);
-    while (slots_[i] != kEmptySlot) {
-      if (slots_[i] == id.value) return false;
-      i = (i + 1) & (slots_.size() - 1);
-    }
-    slots_[i] = id.value;
-    ++size_;
-    return true;
-  }
-
-  bool contains(ObjectId id) const {
-    if (id.value == kEmptySlot) return has_sentinel_;
-    if (slots_.empty()) return false;
-    std::size_t i = slot_of(id.value);
-    while (slots_[i] != kEmptySlot) {
-      if (slots_[i] == id.value) return true;
-      i = (i + 1) & (slots_.size() - 1);
-    }
-    return false;
-  }
-
-  /// Empties the set, KEEPING the slot array (the reuse contract).
-  void clear() {
-    std::fill(slots_.begin(), slots_.end(), kEmptySlot);
-    size_ = 0;
-    has_sentinel_ = false;
-  }
-
-  std::size_t size() const { return size_ + (has_sentinel_ ? 1 : 0); }
-  std::size_t capacity() const { return slots_.size(); }
-
- private:
-  static constexpr std::uint64_t kEmptySlot = 0;  // ObjectId{0}: see insert
-
-  std::size_t slot_of(std::uint64_t v) const {
-    // splitmix64 finalizer: sequential ids spread uniformly.
-    std::uint64_t x = v + 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return static_cast<std::size_t>(x) & (slots_.size() - 1);
-  }
-
-  void grow() {
-    const std::size_t next_cap = slots_.empty() ? 64 : slots_.size() * 2;
-    std::vector<std::uint64_t> old = std::move(slots_);
-    slots_.assign(next_cap, kEmptySlot);
-    size_ = 0;
-    for (const std::uint64_t v : old) {
-      if (v == kEmptySlot) continue;
-      std::size_t i = slot_of(v);
-      while (slots_[i] != kEmptySlot) i = (i + 1) & (slots_.size() - 1);
-      slots_[i] = v;
-      ++size_;
-    }
-  }
-
-  std::vector<std::uint64_t> slots_;
-  std::size_t size_ = 0;
-  bool has_sentinel_ = false;
-};
-
-/// Companion flat map (ObjectId -> V) with the same reuse contract: clear()
-/// keeps the slot array, insertion allocates only on growth, and a lookup is
-/// one probe run instead of a node-based map's chain of dependent loads and
-/// heap node per entry. Its users:
+/// Flat map (ObjectId -> V): clear() keeps the slot array, insertion
+/// allocates only on growth, and a lookup is one probe run instead of a
+/// node-based map's chain of dependent loads and heap node per entry. Its
+/// users:
+///  * the range merge's dedup-on-emit set and bench_query_merge's copy of
+///    it, an OidMap<std::monostate>: the empty value takes no space, so a
+///    slot is the 8-byte key alone, and try_emplace(id).second is a set's
+///    insert;
 ///  * the NN merge's candidate state (one entry per candidate streamed off a
 ///    probe sub-result);
 ///  * store::VisitorDb's forwarding references (one entry per object on a
@@ -194,6 +125,8 @@ class OidMap {
 
   bool empty() const { return size_ == 0 && !has_sentinel_; }
   std::size_t size() const { return size_ + (has_sentinel_ ? 1 : 0); }
+  /// Slots in the array, which clear() keeps.
+  std::size_t capacity() const { return slots_.size(); }
 
   /// Invokes fn(ObjectId, const V&) per entry, in slot order.
   template <typename Fn>
@@ -209,8 +142,10 @@ class OidMap {
 
   struct Slot {
     std::uint64_t key = kEmptySlot;
-    V value{};
+    [[no_unique_address]] V value{};
   };
+  static_assert(!std::is_empty_v<V> || sizeof(Slot) == sizeof(std::uint64_t),
+                "an empty value must add nothing to the slot");
 
   std::size_t slot_of(std::uint64_t v) const {
     std::uint64_t x = v + 0x9e3779b97f4a7c15ULL;

@@ -500,7 +500,7 @@ struct ReplicaTee {
     core::Sighting s;          // kRemove: only s.oid is meaningful
     double offered_acc = 0.0;
     TimePoint expiry = 0;      // absolute, as stored by the primary
-    core::RegInfo reg;
+    core::RegInfo reg{};
   };
   PackedList<Entry> entries;
 };

@@ -81,15 +81,51 @@ TEST(Caching, StaleAgentCacheFallsBackAndRecovers) {
   world.run();
   ASSERT_EQ(obj->agent(), NodeId{7});
 
-  // Next query from s4 hits the stale cache entry (s6). s6 answers
-  // negatively; the entry returns not-found for this query (documented
-  // semantics under concurrent movement) and invalidates the entry...
+  // The next query from s4 hits the stale cache entry (s6). s6 answers
+  // not-found; s4 drops the entry and asks the hierarchy instead, which
+  // finds the object at s7. 9 messages: client->4, 4->6 and back,
+  // 4-2-1-3-7, 7->4 and 4->client.
+  const core::LocationServer& entry = world.deployment->server(NodeId{4});
+  std::uint64_t msgs_before = world.net.messages_sent();
   const auto stale = world.pos_query(*qc, ObjectId{1});
-  // ...so the following query goes through the hierarchy and succeeds.
+  ASSERT_TRUE(stale.found);
+  EXPECT_EQ(stale.ld.pos, (geo::Point{600, 900}));
+  EXPECT_EQ(world.net.messages_sent() - msgs_before, 9u);
+  EXPECT_EQ(entry.stats().agent_cache_hits, 1u);
+  // The answer came from agent 7, which the cache learned from it: the
+  // following query goes straight there.
+  msgs_before = world.net.messages_sent();
   const auto fresh = world.pos_query(*qc, ObjectId{1});
   ASSERT_TRUE(fresh.found);
   EXPECT_EQ(fresh.ld.pos, (geo::Point{600, 900}));
-  (void)stale;
+  EXPECT_EQ(world.net.messages_sent() - msgs_before, 4u);
+  EXPECT_EQ(entry.stats().agent_cache_hits, 2u);
+}
+
+TEST(Caching, AgentCacheTimeoutAtTheRootRetriesDownTheForwardingPath) {
+  SimWorld world(core::HierarchyBuilder::fig6(kArea), cached_opts());
+  auto obj = world.register_object(ObjectId{1}, {600, 100}, 1.0, {10.0, 50.0});
+  auto qc = world.make_query_client(NodeId{1});  // the root is the entry
+  ASSERT_TRUE(world.pos_query(*qc, ObjectId{1}).found);  // seeds cache: agent 6
+
+  obj->feed_position({600, 900});  // handover s6 -> s7
+  world.run();
+  ASSERT_EQ(obj->agent(), NodeId{7});
+
+  // The root's query to its cached agent s6 is lost, so only the timeout
+  // sweep can answer it. The root has no parent to retry through; it
+  // follows its forwarding reference down to s7 instead.
+  world.net.set_drop_fn(
+      [](NodeId from, NodeId to) { return from == NodeId{1} && to == NodeId{6}; });
+  const std::uint64_t id = qc->send_pos_query(ObjectId{1});
+  world.run();
+  EXPECT_FALSE(qc->take_pos(id).has_value());
+  world.advance(seconds(6));
+  const auto res = qc->take_pos(id);
+  ASSERT_TRUE(res.has_value()) << "position query did not complete";
+  EXPECT_TRUE(res->found);
+  EXPECT_EQ(res->ld.pos, (geo::Point{600, 900}));
+  EXPECT_EQ(world.deployment->server(NodeId{1}).stats().pending_timeouts, 0u);
 }
 
 /// Object 1 registered at (100, 100), and a range query around `to` sent

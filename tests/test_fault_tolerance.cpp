@@ -34,7 +34,6 @@ const NodeId kCrashLeaf{2};  // table2 leaf over the lower-left quadrant
 core::LocationServer::Options fault_opts() {
   core::LocationServer::Options opts;
   opts.heartbeat_interval = seconds(1);
-  opts.heartbeat_miss_threshold = 3;
   return opts;
 }
 
@@ -86,6 +85,13 @@ std::string fmt_results(std::vector<core::ObjectResult> rs) {
     out += std::to_string(r.oid.value) + fmt_ld(r.ld) + ";";
   }
   return out;
+}
+
+std::string fmt_nn(QueryClient::NNResult nn) {
+  return "nn:" + (nn.found ? std::to_string(nn.nearest.oid.value) +
+                                 fmt_ld(nn.nearest.ld) + "|" +
+                                 fmt_results(std::move(nn.near_set))
+                           : std::string("miss"));
 }
 
 /// The crash-restart acceptance scenario: a loaded table2 deployment whose
@@ -174,6 +180,12 @@ Observation run_scenario(bool fault, const std::string& tag) {
     auto range = w.range_query(
         *qc, geo::Polygon::from_rect(geo::Rect{{0, 0}, {kArea, kArea}}), 50.0, 0.1);
     obs.during_fault.push_back("range:" + fmt_results(std::move(range.objects)));
+    // The probe disks around the centre reach every leaf; the root credits
+    // the dead leaf's share instead of probing it.
+    const std::uint64_t short_circuits =
+        w.deployment->total_stats().suspect_short_circuits;
+    obs.during_fault.push_back(fmt_nn(w.nn_query(*qc, {kArea / 2, kArea / 2}, 60.0, 30.0)));
+    EXPECT_GT(w.deployment->total_stats().suspect_short_circuits, short_circuits);
   }
 
   // Phase 3: restart + recovery sweep, then let heartbeats clear suspicion.
@@ -203,12 +215,7 @@ Observation run_scenario(bool fault, const std::string& tag) {
   auto range = w.range_query(
       *qc, geo::Polygon::from_rect(geo::Rect{{0, 0}, {kArea, kArea}}), 50.0, 0.1);
   obs.final_answers.push_back("range:" + fmt_results(std::move(range.objects)));
-  auto nn = w.nn_query(*qc, {kArea / 2, kArea / 2}, 60.0, 30.0);
-  obs.final_answers.push_back(
-      "nn:" + (nn.found ? std::to_string(nn.nearest.oid.value) +
-                              fmt_ld(nn.nearest.ld) + "|" +
-                              fmt_results(std::move(nn.near_set))
-                        : std::string("miss")));
+  obs.final_answers.push_back(fmt_nn(w.nn_query(*qc, {kArea / 2, kArea / 2}, 60.0, 30.0)));
 
   obs.messages = w.net.messages_sent();
   const core::LocationServer::Stats stats = w.deployment->total_stats();
@@ -475,12 +482,8 @@ RepObservation run_replicated_scenario(bool fault, const std::string& tag) {
         *qc, geo::Polygon::from_rect(geo::Rect{{0, 0}, {kArea, kArea}}), 50.0, 0.1);
     obs.blackout_answers.push_back("range:" + std::to_string(range.complete) +
                                    ":" + fmt_results(std::move(range.objects)));
-    auto nn = w.nn_query(*qc, {kArea / 2, kArea / 2}, 60.0, 30.0);
     obs.blackout_answers.push_back(
-        "nn:" + (nn.found ? std::to_string(nn.nearest.oid.value) +
-                                fmt_ld(nn.nearest.ld) + "|" +
-                                fmt_results(std::move(nn.near_set))
-                          : std::string("miss")));
+        fmt_nn(w.nn_query(*qc, {kArea / 2, kArea / 2}, 60.0, 30.0)));
   }
 
   // Phase 3: primary returns -- RecoveryHello demotes the standby, whose
@@ -511,12 +514,7 @@ RepObservation run_replicated_scenario(bool fault, const std::string& tag) {
       *qc, geo::Polygon::from_rect(geo::Rect{{0, 0}, {kArea, kArea}}), 50.0, 0.1);
   obs.final_range_ids = sorted_ids(range.objects);
   obs.final_answers.push_back("range:" + fmt_results(std::move(range.objects)));
-  auto nn = w.nn_query(*qc, {kArea / 2, kArea / 2}, 60.0, 30.0);
-  obs.final_answers.push_back(
-      "nn:" + (nn.found ? std::to_string(nn.nearest.oid.value) +
-                              fmt_ld(nn.nearest.ld) + "|" +
-                              fmt_results(std::move(nn.near_set))
-                        : std::string("miss")));
+  obs.final_answers.push_back(fmt_nn(w.nn_query(*qc, {kArea / 2, kArea / 2}, 60.0, 30.0)));
 
   obs.messages = w.net.messages_sent();
   obs.stats = w.deployment->total_stats();

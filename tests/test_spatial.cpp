@@ -1,7 +1,7 @@
-// Spatial index implementations validated against a brute-force oracle --
-// parameterized over all four index types (paper's Point Quadtree, R-Tree,
-// plus grid / linear ablation baselines), so every implementation satisfies
-// the same contract.
+// The paper's Point Quadtree validated against a brute-force oracle: the
+// contract cases run over the quadtree and the linear scan (the oracle the
+// A3 ablation times it against), so both satisfy the same contract; the
+// quadtree's own cases pin its rebuilds and shape.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,13 +21,9 @@ struct IndexCase {
   IndexFactory factory;
 };
 
-const geo::Rect kArea{{0, 0}, {1000, 1000}};
-
 std::vector<IndexCase> index_cases() {
   return {
       {"quadtree", [] { return make_point_quadtree(); }},
-      {"rtree", [] { return make_rtree(); }},
-      {"grid", [] { return make_grid_index(kArea, 1024); }},
       {"linear", [] { return make_linear_index(); }},
   };
 }
@@ -182,7 +178,7 @@ TEST_P(SpatialIndexContract, DuplicatePositionsSupported) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllIndexes, SpatialIndexContract,
-    ::testing::Combine(::testing::Range(0, 4), ::testing::Values(11u, 22u, 33u)),
+    ::testing::Combine(::testing::Range(0, 2), ::testing::Values(11u, 22u, 33u)),
     [](const ::testing::TestParamInfo<std::tuple<int, std::uint64_t>>& info) {
       return std::string(index_cases()[std::get<0>(info.param)].name) + "_seed" +
              std::to_string(std::get<1>(info.param));
@@ -339,24 +335,6 @@ TEST(PointQuadtree, ShapeIsPinnedAcrossRebuilds) {
   }
   EXPECT_EQ(index->size(), 1089u);
   EXPECT_EQ(crc, 0x74ed003au) << std::hex << crc;
-}
-
-TEST(RTree, DeepDeleteCondenses) {
-  auto index = make_rtree();
-  Rng rng(777);
-  std::vector<std::uint64_t> ids;
-  for (std::uint64_t i = 0; i < 1000; ++i) {
-    index->insert(ObjectId{i}, {rng.uniform(0, 1000), rng.uniform(0, 1000)});
-    ids.push_back(i);
-  }
-  std::shuffle(ids.begin(), ids.end(), rng);
-  for (std::size_t i = 0; i < 995; ++i) {
-    ASSERT_TRUE(index->remove(ObjectId{ids[i]})) << i;
-  }
-  EXPECT_EQ(index->size(), 5u);
-  std::vector<Entry> got;
-  index->query_rect(geo::Rect{{-1, -1}, {1001, 1001}}, got);
-  EXPECT_EQ(got.size(), 5u);
 }
 
 }  // namespace

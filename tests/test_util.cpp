@@ -4,6 +4,7 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "util/clock.hpp"
@@ -158,26 +159,31 @@ TEST(Clock, DurationConversions) {
   EXPECT_DOUBLE_EQ(to_millis(milliseconds(7)), 7.0);
 }
 
-TEST(OidSet, InsertContainsAndReuseAfterClear) {
-  util::OidSet set;
-  EXPECT_FALSE(set.contains(ObjectId{0}));
-  for (std::uint64_t i = 0; i < 1000; ++i) EXPECT_TRUE(set.insert(ObjectId{i * 7}));
-  EXPECT_FALSE(set.insert(ObjectId{0}));  // key 0 lives out of band
-  EXPECT_FALSE(set.insert(ObjectId{7}));
+// OidMap over an empty value is the ObjectId set the range merge dedups
+// with: try_emplace(id).second inserts, find tests membership.
+TEST(OidMap, AsSetInsertContainsAndReuseAfterClear) {
+  util::OidMap<std::monostate> set;
+  const auto contains = [&](std::uint64_t v) { return set.find(ObjectId{v}) != nullptr; };
+  EXPECT_FALSE(contains(0));
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    EXPECT_TRUE(set.try_emplace(ObjectId{i * 7}).second);
+  }
+  EXPECT_FALSE(set.try_emplace(ObjectId{0}).second);  // key 0 lives out of band
+  EXPECT_FALSE(set.try_emplace(ObjectId{7}).second);
   EXPECT_EQ(set.size(), 1000u);
   for (std::uint64_t i = 0; i < 7000; ++i) {
-    EXPECT_EQ(set.contains(ObjectId{i}), i % 7 == 0) << i;
+    EXPECT_EQ(contains(i), i % 7 == 0) << i;
   }
   const std::size_t capacity = set.capacity();
   set.clear();
   EXPECT_EQ(set.size(), 0u);
   EXPECT_EQ(set.capacity(), capacity);  // clear() keeps the slot array
-  EXPECT_FALSE(set.contains(ObjectId{0}));
-  EXPECT_FALSE(set.contains(ObjectId{7}));
-  EXPECT_TRUE(set.insert(ObjectId{0}));
-  EXPECT_TRUE(set.insert(ObjectId{14}));
-  EXPECT_TRUE(set.contains(ObjectId{0}));
-  EXPECT_FALSE(set.contains(ObjectId{21}));
+  EXPECT_FALSE(contains(0));
+  EXPECT_FALSE(contains(7));
+  EXPECT_TRUE(set.try_emplace(ObjectId{0}).second);
+  EXPECT_TRUE(set.try_emplace(ObjectId{14}).second);
+  EXPECT_TRUE(contains(0));
+  EXPECT_FALSE(contains(21));
   EXPECT_EQ(set.size(), 2u);
   EXPECT_EQ(set.capacity(), capacity);
 }
