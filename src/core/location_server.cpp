@@ -701,6 +701,25 @@ void LocationServer::on_pos_query_req(NodeId src, const wm::PosQueryReq& m) {
   route_pos_query(internal_id, pending);
 }
 
+NodeId LocationServer::pos_query_next_hop(ObjectId oid) {
+  // Down a forwarding pointer if this non-leaf server has one, otherwise
+  // upwards (Alg 6-4 line 6).
+  NodeId next = cfg_.is_root() ? kNoNode : cfg_.parent;
+  if (visitor_db_) next = visitor_db_->find(oid).value_or(next);
+  if (!next.valid() || !child_suspect(next)) return next;
+  const NodeId standby = standby_for(next);
+  if (standby.valid()) {
+    // The crashed leaf has a promoted hot standby: its mirrored state
+    // answers in place of the crashed child, so the answer stays complete.
+    ++stats_.standby_routed_queries;
+  } else {
+    // The route leads into a crashed subtree: answer for it (not found)
+    // instead of letting the entry wait out the pending timeout.
+    ++stats_.suspect_short_circuits;
+  }
+  return standby;
+}
+
 void LocationServer::route_pos_query(std::uint64_t key, PendingPos pending) {
   if (pending.via_agent_cache) {
     // The cached agent no longer answers for the object: forget it.
@@ -708,23 +727,7 @@ void LocationServer::route_pos_query(std::uint64_t key, PendingPos pending) {
     pending.via_agent_cache = false;
     pending.deadline = now() + opts_.pending_timeout;
   }
-  // Down a forwarding pointer if this non-leaf server has one, otherwise
-  // upwards (Alg 6-4 line 6).
-  NodeId next = cfg_.is_root() ? kNoNode : cfg_.parent;
-  if (visitor_db_) next = visitor_db_->find(pending.oid).value_or(next);
-  if (next.valid() && child_suspect(next)) {
-    const NodeId standby = standby_for(next);
-    if (standby.valid()) {
-      // The crashed leaf has a promoted hot standby: route there and keep
-      // the answer complete instead of short-circuiting to not-found.
-      ++stats_.standby_routed_queries;
-    } else {
-      // The route leads into a crashed subtree: answer fast instead of
-      // letting the client wait out the pending timeout.
-      ++stats_.suspect_short_circuits;
-    }
-    next = standby;
-  }
+  const NodeId next = pos_query_next_hop(pending.oid);
   if (!next.valid()) {
     send_msg(pending.client, wm::PosQueryRes{pending.oid, false, {}, kNoNode,
                                              pending.client_req_id, std::nullopt});
@@ -745,32 +748,12 @@ void LocationServer::on_pos_query_fwd(NodeId src, const wm::PosQueryFwd& m) {
              wm::PosQueryRes{m.oid, false, {}, kNoNode, m.req_id, origin_piggyback()});
     return;
   }
-  const std::optional<NodeId> child = visitor_db_->find(m.oid);
-  if (child && child->valid()) {
-    if (child_suspect(*child)) {
-      const NodeId standby = standby_for(*child);
-      if (standby.valid()) {
-        // Promoted hot standby: the mirrored leaf state answers in place of
-        // the crashed child -- the query stays answer-complete.
-        ++stats_.standby_routed_queries;
-        send_msg(standby, m);
-        return;
-      }
-      // The forwarding path leads into a crashed subtree: answer for it
-      // (not found) instead of letting the entry time out per query.
-      ++stats_.suspect_short_circuits;
-      send_msg(m.entry,
-               wm::PosQueryRes{m.oid, false, {}, kNoNode, m.req_id, std::nullopt});
-      return;
-    }
-    send_msg(*child, m);  // down the forwarding path
+  if (const NodeId next = pos_query_next_hop(m.oid); next.valid()) {
+    send_msg(next, m);
     return;
   }
-  if (!cfg_.is_root()) {
-    send_msg(cfg_.parent, m);  // upwards
-    return;
-  }
-  // Root without a record: the object is not tracked.
+  // The root without a record (the object is not tracked), or a crashed
+  // subtree on the way.
   send_msg(m.entry, wm::PosQueryRes{m.oid, false, {}, kNoNode, m.req_id, std::nullopt});
 }
 

@@ -400,12 +400,15 @@ class LocationServer {
       const std::optional<wire::OriginArea>& origin);
   /// Answers the position queries waiting for `rec`'s refresh (§5).
   void flush_awaiting_refresh(const store::SightingDb::Record& rec);
-  /// Sends a pending position query on through the hierarchy under `key`
-  /// (Alg 6-4 line 6): down this server's forwarding reference if it has
-  /// one, otherwise upwards. A suspect next hop hands the query to its
-  /// engaged standby; without one, or without a next hop, the client is
-  /// answered not-found at once. A query that went to a cached agent first
-  /// drops that agent from the cache (§6.5 cache 2's fallback).
+  /// The next hop of a position query for `oid` through the hierarchy (Alg
+  /// 6-4 line 6): this server's forwarding reference if it has one,
+  /// otherwise the parent. A suspect child is replaced by its engaged
+  /// standby, or by kNoNode without one; kNoNode also when there is no
+  /// next hop, and the query is then answered not-found.
+  NodeId pos_query_next_hop(ObjectId oid);
+  /// Sends a pending position query to its next hop under `key`, or answers
+  /// the client not-found. A query that went to a cached agent first drops
+  /// that agent from the cache (§6.5 cache 2's fallback).
   struct PendingPos;
   void route_pos_query(std::uint64_t key, PendingPos pending);
 
