@@ -16,8 +16,8 @@
 //   gateway --BatchedUpdateReq-->  leaf  (leaf table)  [refresh updates]
 //
 // The headline metric is refresh_datagram_ratio: visitors needing a refresh
-// divided by the client-sweep datagrams actually sent -- the per-object
-// RefreshReq sweep this replaces used one datagram per visitor. Datagram
+// divided by the client-sweep datagrams actually sent -- a sweep of one
+// refresh request per object would use one datagram per visitor. Datagram
 // counts, rounds and reconvergence are DETERMINISTIC (identical across runs
 // and machines; the bench replays the scenario twice and checks); wall-clock
 // throughput is reported for trend lines. scripts/check_bench.py gates the
@@ -437,7 +437,7 @@ int main() {
   const bool deterministic = a.trace_crc == b.trace_crc &&
                              a.recovery_datagrams_total == b.recovery_datagrams_total;
 
-  // The per-object RefreshReq sweep this replaces: one datagram per visitor.
+  // A sweep of one refresh request per object: one datagram per visitor.
   const double ratio =
       a.client_sweep_datagrams > 0
           ? static_cast<double>(a.crashed_leaf_visitors) /
@@ -445,7 +445,7 @@ int main() {
           : 0.0;
   std::printf("  crashed-leaf visitors: %zu\n", a.crashed_leaf_visitors);
   std::printf("  recovery sweep: %llu parent + %llu client BatchedRefreshReq "
-              "datagrams (vs %zu per-object RefreshReqs, %.1fx fewer)\n",
+              "datagrams (vs %zu per-object refresh requests, %.1fx fewer)\n",
               static_cast<unsigned long long>(a.parent_sweep_datagrams),
               static_cast<unsigned long long>(a.client_sweep_datagrams),
               a.crashed_leaf_visitors, ratio);

@@ -16,11 +16,7 @@ constexpr Duration kUpdateRetry = seconds(2);
 
 TrackedObject::TrackedObject(NodeId self, ObjectId oid, net::Transport& net,
                              Clock& clock)
-    : TrackedObject(self, oid, net, clock, Options{}) {}
-
-TrackedObject::TrackedObject(NodeId self, ObjectId oid, net::Transport& net,
-                             Clock& clock, Options opts)
-    : self_(self), oid_(oid), net_(net), clock_(clock), opts_(opts) {
+    : self_(self), oid_(oid), net_(net), clock_(clock) {
   net_.attach(self_, [this](const std::uint8_t* data, std::size_t len) {
     handle(data, len);
   });
@@ -99,26 +95,31 @@ void TrackedObject::apply_agent_changed_locked(NodeId new_agent,
     ++handovers_observed_;
     return;
   }
-  if (opts_.reregister_on_agent_loss && state_ == State::kTracked &&
-      agent_.valid()) {
-    // A restarted leaf that lost its visitorDB nacked our update: rebuild
-    // the registration from scratch through the (recovered) old agent --
-    // the object has not moved out of its area, so it doubles as the entry
-    // server (see Options::reregister_on_agent_loss).
-    ++reregistrations_;
-    state_ = State::kRegistering;
-    wm::RegisterReq req;
-    req.s = Sighting{oid_, clock_.now(), last_fed_pos_, sensor_acc_};
-    req.acc_range = acc_range_;
-    req.reg_inst = self_;
-    req.req_id = ++req_counter_;
-    last_sent_pos_ = last_fed_pos_;
-    send_msg(agent_, req);
-    return;
-  }
   // Moved out of the root service area: automatically deregistered.
   state_ = State::kDeregistered;
   agent_ = kNoNode;
+}
+
+void TrackedObject::apply_unknown_object(NodeId leaf) {
+  std::lock_guard<std::mutex> lock(mu_);
+  apply_unknown_object_locked(leaf);
+}
+
+void TrackedObject::apply_unknown_object_locked(NodeId leaf) {
+  if (state_ != State::kTracked || leaf != agent_) return;
+  // Our agent lost the record: rebuild the registration from scratch
+  // through it. The registration carries the last fed position, so a move
+  // out of the agent's area goes up the hierarchy to the right leaf.
+  ++reregistrations_;
+  update_pending_ = false;
+  state_ = State::kRegistering;
+  wm::RegisterReq req;
+  req.s = Sighting{oid_, clock_.now(), last_fed_pos_, sensor_acc_};
+  req.acc_range = acc_range_;
+  req.reg_inst = self_;
+  req.req_id = ++req_counter_;
+  last_sent_pos_ = last_fed_pos_;
+  send_msg(agent_, req);
 }
 
 void TrackedObject::request_change_acc(AccuracyRange range) {
@@ -154,18 +155,14 @@ void TrackedObject::handle(const std::uint8_t* data, std::size_t len) {
         } else if constexpr (std::is_same_v<T, wm::AgentChanged>) {
           if (m.oid != oid_) return;
           apply_agent_changed_locked(m.new_agent, m.offered_acc);
+        } else if constexpr (std::is_same_v<T, wm::UnknownObject>) {
+          if (m.oid == oid_) apply_unknown_object_locked(rx_scratch_.src);
         } else if constexpr (std::is_same_v<T, wm::NotifyAvailAcc>) {
           if (m.oid == oid_) offered_acc_ = m.offered_acc;
         } else if constexpr (std::is_same_v<T, wm::ChangeAccRes>) {
           if (m.ok) offered_acc_ = m.offered_acc;
-        } else if constexpr (std::is_same_v<T, wm::RefreshReq>) {
-          // Post-recovery: immediately restore the agent's sighting (§5).
-          if (m.oid == oid_ && state_ == State::kTracked) {
-            ++refreshes_answered_;
-            send_update(last_fed_pos_);
-          }
         } else if constexpr (std::is_same_v<T, wm::BatchedRefreshReq>) {
-          // Batched recovery sweep: answer if our oid is listed (clients
+          // Refresh request (§5): answer if our oid is listed (clients
           // owning one object get single-entry batches; gateways fan out).
           if (state_ != State::kTracked) return;
           auto oids = m.oids.items();

@@ -6,7 +6,9 @@
 // If these positions differ by more than the distance defined by the offered
 // accuracy, the tracked object sends a new updateReq" (§6.2). It also follows
 // agent changes announced by handover and answers post-recovery refresh
-// requests.
+// requests. When its agent answers an update with UnknownObject (the leaf
+// lost the record), the object registers again through that agent; the same
+// answer from a former agent, to a straggler update, changes nothing.
 //
 // A QueryClient issues position / range / nearest-neighbor queries and event
 // subscriptions against an entry server and collects responses. Results are
@@ -32,19 +34,6 @@ class TrackedObject {
  public:
   enum class State { kIdle, kRegistering, kTracked, kFailed, kDeregistered };
 
-  struct Options {
-    /// Recovery behavior for AgentChanged{kNoNode}: instead of treating the
-    /// agent loss as deregistration, immediately RE-REGISTER through the
-    /// announcing server (a restarted leaf that lost its visitorDB nacks
-    /// unknown updates this way; see LocationServer::Options::
-    /// nack_unknown_updates). The object still covers the old position, so
-    /// the old agent doubles as the entry server. Off by default: leaving
-    /// the root service area must keep meaning deregistration.
-    bool reregister_on_agent_loss = false;
-  };
-
-  TrackedObject(NodeId self, ObjectId oid, net::Transport& net, Clock& clock,
-                Options opts);
   TrackedObject(NodeId self, ObjectId oid, net::Transport& net, Clock& clock);
   /// Detaches from the transport (no callback can outlive the object).
   ~TrackedObject();
@@ -66,8 +55,9 @@ class TrackedObject {
   // -- update coalescing hooks (core/update_coalescer.hpp) --
   /// Routes outgoing updates through `sink` (the coalescer's enqueue)
   /// instead of sending an UpdateReq directly; the leaf then replies to the
-  /// coalescer, which fans acks / agent changes back in through the two
-  /// apply_* methods below. Set during setup, before traffic.
+  /// coalescer, which fans acks, agent changes and unknown-object answers
+  /// back in through the apply_* methods below. Set during setup, before
+  /// traffic.
   using UpdateSink = std::function<void(NodeId agent, const Sighting& s)>;
   void set_update_sink(UpdateSink sink);
 
@@ -76,6 +66,10 @@ class TrackedObject {
   /// Applies an agent change (same state transition as AgentChanged; an
   /// invalid `new_agent` means the object left the LS and is deregistered).
   void apply_agent_changed(NodeId new_agent, double offered_acc);
+  /// Applies `leaf`'s UnknownObject answer (same transition as the message):
+  /// a tracked object whose agent is `leaf` registers again through it, at
+  /// its last fed position; otherwise nothing changes.
+  void apply_unknown_object(NodeId leaf);
 
   // Accessors lock: over UDP the receive thread mutates this state while
   // the feeding/test thread polls it (same discipline as QueryClient).
@@ -98,6 +92,7 @@ class TrackedObject {
   void send_update(geo::Point pos);
   void apply_update_ack_locked(double offered_acc);
   void apply_agent_changed_locked(NodeId new_agent, double offered_acc);
+  void apply_unknown_object_locked(NodeId leaf);
 
   /// Encodes into a pooled transport buffer and sends (zero allocations in
   /// steady state; see net/buffer_pool.hpp).
@@ -116,7 +111,6 @@ class TrackedObject {
   ObjectId oid_;
   net::Transport& net_;
   Clock& clock_;
-  Options opts_;
   UpdateSink update_sink_;  // set before traffic; never mutated afterwards
 
   /// Guards every field below (receive thread vs. feeding thread).
@@ -125,7 +119,7 @@ class TrackedObject {
   NodeId agent_;
   double offered_acc_ = 0.0;
   double sensor_acc_ = 0.0;
-  AccuracyRange acc_range_;  // remembered for recovery re-registration
+  AccuracyRange acc_range_;  // remembered for re-registration
   double register_failed_acc_ = 0.0;
   wire::Envelope rx_scratch_;  // receive-side decode scratch (handle())
   geo::Point last_sent_pos_;

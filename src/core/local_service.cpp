@@ -21,8 +21,8 @@ LocalLocationService::LocalLocationService(Config cfg)
   if (cfg_.coalesce_updates) {
     coalescer_ = std::make_unique<UpdateCoalescer>(alloc_node_id(), net_,
                                                    net_.clock(), cfg_.coalescing);
-    // The leaf replies to the coalescer's node; fan acks and agent changes
-    // back out to the owning TrackedObjects.
+    // The leaf replies to the coalescer's node; fan acks, agent changes and
+    // unknown-object answers back out to the owning TrackedObjects.
     coalescer_->set_on_ack([this](ObjectId oid, double acc) {
       const auto it = objects_.find(oid);
       if (it != objects_.end()) it->second->apply_update_ack(acc);
@@ -32,6 +32,10 @@ LocalLocationService::LocalLocationService(Config cfg)
           const auto it = objects_.find(oid);
           if (it != objects_.end()) it->second->apply_agent_changed(new_agent, acc);
         });
+    coalescer_->set_on_unknown_object([this](ObjectId oid, NodeId leaf) {
+      const auto it = objects_.find(oid);
+      if (it != objects_.end()) it->second->apply_unknown_object(leaf);
+    });
   }
 }
 
@@ -47,7 +51,7 @@ Result<double> LocalLocationService::register_object(ObjectId oid, geo::Point po
   auto it = objects_.find(oid);
   if (it == objects_.end()) {
     auto obj = std::make_unique<TrackedObject>(alloc_node_id(), oid, net_,
-                                               net_.clock(), cfg_.object);
+                                               net_.clock());
     if (coalescer_) {
       obj->set_update_sink([this](NodeId agent, const Sighting& s) {
         coalescer_->enqueue(agent, s);

@@ -5,7 +5,8 @@
 // until its response arrives. This is the entry point for the quickstart
 // example and for applications that want the paper's full semantics
 // (accuracy negotiation, handover, range / NN queries, events, soft state)
-// without operating a distributed deployment.
+// without operating a distributed deployment. An object whose sighting
+// expired registers again on its next update, coalesced or not.
 #pragma once
 
 #include <memory>
@@ -38,9 +39,6 @@ class LocalLocationService {
     /// advance_time() past the deadline for read-your-writes.
     bool coalesce_updates = false;
     UpdateCoalescer::Options coalescing;
-    /// Options for every TrackedObject the facade creates (e.g. the
-    /// reregister_on_agent_loss recovery behavior).
-    TrackedObject::Options object;
   };
 
   LocalLocationService() : LocalLocationService(Config()) {}

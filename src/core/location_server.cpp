@@ -193,8 +193,8 @@ void LocationServer::handle(const net::Datagram& dg) {
         } else if constexpr (std::is_same_v<T, wm::StandbyDemote>) {
           on_standby_demote(src, m);
         }
-        // Other message types (responses to clients, RefreshReq, ...) are
-        // not addressed to servers; ignore them defensively.
+        // Other message types (responses to clients, UnknownObject, ...)
+        // are not addressed to servers; ignore them defensively.
       },
       msg);
   // One tee datagram per handled datagram: every sighting the message above
@@ -351,12 +351,11 @@ const store::SightingDb::Record* LocationServer::apply_update(NodeId src,
                                                               const Sighting& s) {
   store::SightingDb::Record* rec = sightings_->find(s.oid);
   if (rec == nullptr) {
-    ++stats_.updates_unknown;  // stale agent; the object relearns via timeout
-    if (should_nack_unknown(s.oid)) {
-      // Total state loss (crash without persistent visitorDB): tell the
-      // client it has no agent so it can re-register (see header note).
-      send_msg(src, wm::AgentChanged{s.oid, kNoNode, 0.0});
-    }
+    // Expired, lost with an in-memory visitorDB, or handed away before this
+    // straggler arrived: the object re-registers only if we are still its
+    // agent (see the header's lost-records note).
+    ++stats_.updates_unknown;
+    send_msg(src, wm::UnknownObject{s.oid});
     return nullptr;
   }
   if (!cfg_.covers(s.pos)) {
@@ -500,12 +499,6 @@ void LocationServer::on_handover_res(NodeId src, const wm::HandoverRes& m) {
 
 void LocationServer::drop_leaf_visitor(ObjectId oid, store::SightingDb::Record* rec,
                                        bool prune_path) {
-  // The object was dropped DELIBERATELY (handover away, deregistration,
-  // expiry), so an update racing that drop is not state loss: remember the
-  // departure briefly and let the nack path ignore such stragglers.
-  if (opts_.nack_unknown_updates) {
-    recent_departures_[oid] = now() + opts_.pending_timeout;
-  }
   if (rec != nullptr) {
     if (rec->has_sighting) events_on_sighting(oid, false, rec->sighting.pos);
     sightings_->remove(*rec);
@@ -596,7 +589,7 @@ void LocationServer::on_standby_promote(NodeId src, const wm::StandbyPromote& m)
   ++stats_.standby_promotions;
   // Clients keep sending updates to the dead primary until told otherwise;
   // the AgentChanged fan-out re-points every mirrored visitor at us NOW
-  // instead of waiting for per-update nacks.
+  // instead of leaving each client's updates to time out.
   standby_fan_agent_changed(self_);
 }
 
@@ -792,8 +785,8 @@ const store::SightingDb::Record* LocationServer::answer_pos_locally(
   }
   // Visitor known persistently but sighting lost (recovery, §5): ask the
   // object for a refresh and answer when it arrives.
-  ++stats_.refresh_requests;
-  send_msg(rec->reg_info.reg_inst, wm::RefreshReq{oid});
+  refresh_targets_scratch_.assign(1, {rec->reg_info.reg_inst, oid});
+  send_refresh_batches(refresh_targets_scratch_);
   awaiting_refresh_[oid].push_back({to, req_id, now() + opts_.pending_timeout});
   return rec;
 }
@@ -1371,18 +1364,6 @@ bool LocationServer::child_suspect(NodeId child) const {
   return it != child_health_.end() && it->second.suspect;
 }
 
-bool LocationServer::should_nack_unknown(ObjectId oid) {
-  if (!opts_.nack_unknown_updates) return false;
-  // An update racing a deliberate drop (handover away, dereg, expiry) is not
-  // state loss: the legitimate AgentChanged / silence is already on its way,
-  // and a nack would trigger a spurious client re-registration.
-  const auto it = recent_departures_.find(oid);
-  if (it == recent_departures_.end()) return true;
-  if (now() < it->second) return false;
-  recent_departures_.erase(it);
-  return true;
-}
-
 void LocationServer::on_heartbeat(NodeId src, const wm::Heartbeat& m) {
   send_msg(src, wm::HeartbeatAck{m.seq});
 }
@@ -1427,7 +1408,7 @@ void LocationServer::on_batched_refresh_req(NodeId src,
   // Parent-driven recovery sweep: refresh every listed object whose leaf
   // record survived (the persisted regInfo knows the registering instance)
   // but whose volatile sighting did not. Oids without a leaf record were
-  // lost wholesale; those clients recover via nack_unknown_updates.
+  // lost wholesale; their next update is answered with UnknownObject.
   refresh_targets_scratch_.clear();
   auto oids = m.oids.items();
   while (const auto item = oids.next()) {
@@ -1645,10 +1626,6 @@ void LocationServer::tick_body(TimePoint t) {
   // Bound the persistent log (and with it, recovery time).
   if (visitor_db_) visitor_db_->compact(kVisitorCompactThreshold);
   if (sightings_) sightings_->compact(kVisitorCompactThreshold);
-  // Forget deliberate departures once their nack-suppression window passed.
-  for (auto it = recent_departures_.begin(); it != recent_departures_.end();) {
-    it = it->second <= t ? recent_departures_.erase(it) : std::next(it);
-  }
   // Soft-state expiry (§5): deregister objects whose sightings lapsed
   // (expire_until persists the removals in one frame write). A PASSIVE
   // replica never expires on its own clock: the primary owns the TTL

@@ -21,7 +21,8 @@
 //    whose probe replies carry only the answer's candidates,
 //  * the three §6.5 caches (leaf-area / object-agent / position descriptor),
 //  * soft-state expiry and removePath pruning (§5),
-//  * crash recovery: persistent visitorDB replay + refreshReq (§5),
+//  * crash recovery: persistent visitorDB replay + refresh requests, and
+//    re-registration of an object whose record was lost (§5),
 //  * changeAcc / notifyAvailAcc (§3.1),
 //  * the event mechanism sketched in §1/§8 (area-count and proximity
 //    predicates with leaf-side membership deltas).
@@ -45,15 +46,15 @@
 //    RecoveryHello; the parent answers with BatchedRefreshReq sweeps listing
 //    every object it still forwards to that leaf; the leaf intersects that
 //    list with its (persisted) leaf records and sweeps BatchedRefreshReq
-//    datagrams to the registering instances -- one datagram per client chunk
-//    instead of one RefreshReq per object. The resulting client updates
-//    write the lost sightings back into the leaf records the restarted leaf
-//    replayed from its visitor log. Objects whose leaf records were ALSO
-//    lost (in-memory visitorDB) cannot be reached this way; with
-//    Options::nack_unknown_updates their next update is answered with
-//    AgentChanged{kNoNode} and clients configured with
-//    TrackedObject::Options::reregister_on_agent_loss re-register,
-//    rebuilding leaf record, forwarding path and sighting from scratch.
+//    datagrams to the registering instances -- one datagram per client
+//    chunk, not one per object. The resulting client updates write the
+//    lost sightings back into the leaf records the restarted leaf replayed
+//    from its visitor log.
+//  * lost records -- a leaf answers every update for an object it has no
+//    record of (expired, or lost with an in-memory visitorDB) with
+//    UnknownObject to the update's sender. The object registers again
+//    through that leaf only if the leaf is still its agent, so the leaf
+//    keeps no memory of the objects it dropped on purpose.
 //
 // Zero-materialization query merge (read-path invariants; wire/messages.hpp
 // has the framing side):
@@ -121,11 +122,6 @@ class LocationServer {
     /// detector entirely (default; keeps no-fault traces bit-identical to
     /// heartbeat-free builds).
     Duration heartbeat_interval = 0;
-    /// Answer updates for unknown objects with AgentChanged{kNoNode} so a
-    /// client that outlived a total leaf-state loss (in-memory visitorDB)
-    /// can re-register instead of retrying blindly. Off by default: in
-    /// normal operation an unknown update is a transient handover race.
-    bool nack_unknown_updates = false;
   };
 
   struct Stats {
@@ -393,8 +389,8 @@ class LocationServer {
   void try_complete_range(std::uint64_t key);
   /// A leaf's answer to a position query for `oid` (Alg 6-4 lines 1-4), sent
   /// to `to` -- or, for a record still without its sighting (§5), a
-  /// RefreshReq to the object and a waiting query. Returns the record, or
-  /// nullptr when the object has none here.
+  /// one-entry refresh request to the object and a waiting query. Returns
+  /// the record, or nullptr when the object has none here.
   const store::SightingDb::Record* answer_pos_locally(
       ObjectId oid, NodeId to, std::uint64_t req_id,
       const std::optional<wire::OriginArea>& origin);
@@ -431,10 +427,6 @@ class LocationServer {
   /// Packs (client, oid) refresh targets into per-client BatchedRefreshReq
   /// chunks (sorted for deterministic traces) and sends them.
   void send_refresh_batches(std::vector<std::pair<NodeId, ObjectId>>& targets);
-
-  /// Whether an unknown update should be answered with the AgentChanged nack
-  /// (suppressed for objects this server dropped deliberately just now).
-  bool should_nack_unknown(ObjectId oid);
 
   // -- hot-standby replication helpers (no-ops without a standby wired) --
   /// Stages one tee entry; flush_tee (end of handle()/tick_body) sends the
@@ -495,11 +487,6 @@ class LocationServer {
   TimePoint next_heartbeat_ = 0;
   std::uint64_t heartbeat_seq_ = 0;
   std::uint64_t recovery_incarnation_ = 0;
-  // Objects recently handed away (nack_unknown_updates only): an update that
-  // raced the handover must NOT be nacked -- the legitimate AgentChanged is
-  // already in flight, and a nack would trigger a spurious re-registration.
-  // Entries expire after pending_timeout (swept by tick()).
-  std::unordered_map<ObjectId, TimePoint> recent_departures_;
   // Recovery-sweep scratch (sorted targets + the batch under construction).
   std::vector<std::pair<NodeId, ObjectId>> refresh_targets_scratch_;
   wire::BatchedRefreshReq refresh_batch_scratch_;

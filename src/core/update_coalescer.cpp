@@ -117,6 +117,8 @@ void UpdateCoalescer::handle(const std::uint8_t* data, std::size_t len) {
             auto oids = m.oids.items();
             while (const auto oid = oids.next()) on_refresh_(oid->value);
           }
+        } else if constexpr (std::is_same_v<T, wm::UnknownObject>) {
+          if (on_unknown_object_) on_unknown_object_(m.oid, rx_scratch_.src);
         }
       },
       rx_scratch_.msg);

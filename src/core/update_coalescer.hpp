@@ -17,12 +17,13 @@
 //  * forced  -- flush_all() drains everything (shutdown, simulation sync).
 //
 // The coalescer owns a NodeId: the leaf replies to the envelope source, so
-// BatchedUpdateAck / AgentChanged messages arrive HERE and are fanned back
-// out to the per-object owners through the registered callbacks. Thread
-// safety matches QueryClient: enqueue/tick/flush may run on one thread while
-// the transport's receive context invokes handle(); callbacks are invoked
-// WITHOUT the internal lock held (they typically lock a TrackedObject that
-// may itself be mid-enqueue on another thread).
+// acks, agent changes, unknown-object answers and refresh requests arrive
+// HERE and are fanned back out to the per-object owners through the
+// registered callbacks. Thread safety matches QueryClient: enqueue/tick/flush
+// may run on one thread while the transport's receive context invokes
+// handle(); callbacks are invoked WITHOUT the internal lock held (they
+// typically lock a TrackedObject that may itself be mid-enqueue on another
+// thread).
 #pragma once
 
 #include <functional>
@@ -65,6 +66,7 @@ class UpdateCoalescer {
   using AgentChangedFn =
       std::function<void(ObjectId, NodeId new_agent, double offered_acc)>;
   using RefreshFn = std::function<void(ObjectId)>;
+  using UnknownObjectFn = std::function<void(ObjectId, NodeId leaf)>;
 
   UpdateCoalescer(NodeId self, net::Transport& net, Clock& clock, Options opts);
   /// Flushes every pending batch, then detaches from the transport.
@@ -78,11 +80,18 @@ class UpdateCoalescer {
   void set_on_agent_changed(AgentChangedFn fn) {
     on_agent_changed_ = std::move(fn);
   }
-  /// Fan-out of batched recovery sweeps (wire::BatchedRefreshReq): a
-  /// restarted leaf asks the registering instance -- this node, for
-  /// gateway-style setups -- to refresh each listed object; the owner
-  /// typically re-feeds the object's last position through enqueue().
+  /// Fan-out of refresh requests (wire::BatchedRefreshReq): a restarted
+  /// leaf asks the registering instance -- this node, for gateway-style
+  /// setups -- to refresh each listed object, in a recovery sweep or for a
+  /// waiting position query; the owner typically re-feeds the object's last
+  /// position through enqueue().
   void set_on_refresh(RefreshFn fn) { on_refresh_ = std::move(fn); }
+  /// Fan-out of wire::UnknownObject: `leaf` has no record of the object an
+  /// update named. The owner registers the object again if `leaf` is its
+  /// agent (TrackedObject::apply_unknown_object).
+  void set_on_unknown_object(UnknownObjectFn fn) {
+    on_unknown_object_ = std::move(fn);
+  }
 
   /// Buffers one sighting bound for `agent`; may flush (size / byte budget).
   void enqueue(NodeId agent, const Sighting& s);
@@ -123,6 +132,7 @@ class UpdateCoalescer {
   AckFn on_ack_;
   AgentChangedFn on_agent_changed_;
   RefreshFn on_refresh_;
+  UnknownObjectFn on_unknown_object_;
 };
 
 }  // namespace locs::core

@@ -6,7 +6,7 @@
 //  * neighborQuery messages and internal NN probes (the paper defines the
 //    semantics in §3.2 but no distributed algorithm; see core/location_server),
 //  * accuracy management (changeAcc, notifyAvailAcc) of §3.1,
-//  * soft-state / recovery messages (removePath, refreshReq) of §5,
+//  * soft-state / recovery messages (removePath, refresh, unknownObject) of §5,
 //  * the event mechanism sketched in §1/§8 (subscribe/delta/notify).
 //
 // Each message is declared once: a struct, its field list
@@ -106,8 +106,9 @@ enum class MsgType : std::uint8_t {
   kChangeAccRes,
   kNotifyAvailAcc,
   kDeregisterReq,
-  kRefreshReq,
-  kEventSubscribe,
+  // 26 is retired (the single-object refresh request; a BatchedRefreshReq
+  // of one oid asks for the same): reserved and rejected as unknown.
+  kEventSubscribe = 27,
   kEventInstall,
   kEventDelta,
   kEventNotify,
@@ -123,6 +124,7 @@ enum class MsgType : std::uint8_t {
   kReplicaTee = 41,
   kStandbyPromote,
   kStandbyDemote,
+  kUnknownObject,
 };
 
 const char* msg_type_name(MsgType t);
@@ -411,14 +413,13 @@ struct DeregisterReq {
 };
 LOCS_WIRE_FIELDS(DeregisterReq, m.oid)
 
-/// Server -> tracked object: request an immediate position update (used
-/// after recovery, when the persistent visitorDB survived but the in-memory
-/// sightingDB did not; §5).
-struct RefreshReq {
-  static constexpr MsgType kType = MsgType::kRefreshReq;
+/// Leaf -> the sender of an update for an object the leaf has no record of
+/// (see the recovery invariants below).
+struct UnknownObject {
+  static constexpr MsgType kType = MsgType::kUnknownObject;
   ObjectId oid;
 };
-LOCS_WIRE_FIELDS(RefreshReq, m.oid)
+LOCS_WIRE_FIELDS(UnknownObject, m.oid)
 
 // --- Fault tolerance (failure detection + batched soft-state recovery) -------
 //
@@ -433,12 +434,18 @@ LOCS_WIRE_FIELDS(RefreshReq, m.oid)
 //    sweep of every object it still forwards to that child. Duplicate hellos
 //    just repeat the sweep; refreshes are filtered against present sightings
 //    on the leaf, so the steady state converges.
-//  * BatchedRefreshReq is a packed list of ObjectIds. The same message
-//    travels parent -> restarted leaf (oids with forwarding paths into that
-//    leaf) and leaf -> registering instance (oids whose sightings need a
-//    refresh), replacing one RefreshReq datagram per object with one sweep
-//    datagram per client node (chunked at 256 ObjectIds per datagram; see
-//    LocationServer::send_refresh_batches).
+//  * BatchedRefreshReq is a packed list of ObjectIds and the only refresh
+//    request. The same message travels parent -> restarted leaf (oids with
+//    forwarding paths into that leaf) and leaf -> registering instance (oids
+//    whose sightings need a refresh): one datagram per client node per
+//    sweep (chunked at 256 ObjectIds; see
+//    LocationServer::send_refresh_batches), one oid for a waiting query.
+//  * A record the leaf lost outright (its sighting expired, or an in-memory
+//    visitor log went with a restart) is rebuilt by the object: the leaf
+//    answers each update for it with UnknownObject, and the object registers
+//    again if that leaf is still its agent, so a former agent's answer to a
+//    straggler changes nothing. AgentChanged{kNoNode} keeps meaning only
+//    "left the root service area".
 
 /// Parent -> child liveness probe (miss-threshold failure detection).
 struct Heartbeat {
@@ -462,8 +469,8 @@ struct RecoveryHello {
 };
 LOCS_WIRE_FIELDS(RecoveryHello, m.incarnation)
 
-/// Batched refresh sweep: the ObjectIds that need an immediate position
-/// refresh (the batch analogue of RefreshReq).
+/// Refresh request: the ObjectIds that need an immediate position update
+/// (a recovery sweep, or one oid for a waiting position query).
 struct BatchedRefreshReq {
   static constexpr MsgType kType = MsgType::kBatchedRefreshReq;
   PackedList<ObjectId> oids;
@@ -623,7 +630,6 @@ LOCS_WIRE_FIELDS(EventUnsubscribe, m.sub_id)
   X(ChangeAccRes)                                                              \
   X(NotifyAvailAcc)                                                            \
   X(DeregisterReq)                                                             \
-  X(RefreshReq)                                                                \
   X(EventSubscribe)                                                            \
   X(EventInstall)                                                              \
   X(EventDelta)                                                                \
@@ -637,7 +643,8 @@ LOCS_WIRE_FIELDS(EventUnsubscribe, m.sub_id)
   X(BatchedRefreshReq)                                                         \
   X(ReplicaTee)                                                                \
   X(StandbyPromote)                                                            \
-  X(StandbyDemote)
+  X(StandbyDemote)                                                             \
+  X(UnknownObject)
 
 namespace detail {
 template <typename Ignored, typename... Ts>

@@ -305,7 +305,7 @@ TEST(Messages, AccuracyAndLifecycleRoundTrip) {
   const NotifyAvailAcc n = round_trip(NotifyAvailAcc{ObjectId{2}, 30.0});
   EXPECT_DOUBLE_EQ(n.offered_acc, 30.0);
   EXPECT_EQ(round_trip(DeregisterReq{ObjectId{3}}).oid, ObjectId{3});
-  EXPECT_EQ(round_trip(RefreshReq{ObjectId{4}}).oid, ObjectId{4});
+  EXPECT_EQ(round_trip(UnknownObject{ObjectId{4}}).oid, ObjectId{4});
 }
 
 TEST(Messages, EventMessagesRoundTrip) {

@@ -196,7 +196,6 @@ constexpr Generator kGenerators[] = {
     },
     [](Rng& rng) -> Message { return NotifyAvailAcc{rand_oid(rng), rng.uniform(0, 100)}; },
     [](Rng& rng) -> Message { return DeregisterReq{rand_oid(rng)}; },
-    [](Rng& rng) -> Message { return RefreshReq{rand_oid(rng)}; },
     [](Rng& rng) -> Message {
       return EventSubscribe{rng.next_u64(),
                             rng.next_below(2) == 0 ? PredicateKind::kAreaCount
@@ -236,6 +235,7 @@ constexpr Generator kGenerators[] = {
     [](Rng& rng) -> Message { return rand_replica_tee(rng); },
     [](Rng& rng) -> Message { return StandbyPromote{rand_node(rng), rng.next_u64()}; },
     [](Rng& rng) -> Message { return StandbyDemote{rand_node(rng), rng.next_u64()}; },
+    [](Rng& rng) -> Message { return UnknownObject{rand_oid(rng)}; },
 };
 
 /// One randomized instance of every protocol message type, drawn from one
@@ -312,7 +312,6 @@ TEST(CodecProperty, WireBytesMatchGolden) {
       {MsgType::kChangeAccRes, 390, 0xc43c3fbeu},
       {MsgType::kNotifyAvailAcc, 294, 0x9b2530b7u},
       {MsgType::kDeregisterReq, 154, 0x6e313e06u},
-      {MsgType::kRefreshReq, 165, 0xaf53baffu},
       {MsgType::kEventSubscribe, 1779, 0x2e6e10b6u},
       {MsgType::kEventInstall, 1403, 0x5aa09f6bu},
       {MsgType::kEventDelta, 591, 0xfe18c86fu},
@@ -327,6 +326,7 @@ TEST(CodecProperty, WireBytesMatchGolden) {
       {MsgType::kReplicaTee, 2023, 0xc6991f9bu},
       {MsgType::kStandbyPromote, 327, 0x74c93db5u},
       {MsgType::kStandbyDemote, 327, 0xbe73a43eu},
+      {MsgType::kUnknownObject, 165, 0xf90b6025u},
   };
   ASSERT_EQ(std::size(kGolden), std::size(kGenerators));
   for (std::size_t i = 0; i < std::size(kGolden); ++i) {
@@ -812,9 +812,10 @@ TEST(CodecProperty, EveryTypeAcceptsOnlyItsOwnVersionByte) {
 }
 
 TEST(CodecProperty, RetiredTypeNumbersAreRejected) {
-  // 38-40 were retired message types (see wire/messages.hpp); the payload
-  // [1][0][0] decoded as each of them. Now the type byte alone rejects the
-  // datagram, and a leaf drops it without side effects.
+  // 26 and 38-40 were retired message types (see wire/messages.hpp); the
+  // payload [1][0][0] decoded as each of them (26 read its first field).
+  // Now the type byte alone rejects the datagram, and a leaf drops it
+  // without side effects.
   net::SimNetwork net;
   core::ConfigRecord cfg;
   cfg.sa = geo::Polygon::from_rect(geo::Rect{{0, 0}, {100, 100}});
@@ -831,7 +832,7 @@ TEST(CodecProperty, RetiredTypeNumbersAreRejected) {
   const std::uint64_t handled_before = leaf.stats().msgs_handled;
   const std::uint64_t sent_before = net.messages_sent();
 
-  for (const std::uint8_t type : {38, 39, 40}) {
+  for (const std::uint8_t type : {26, 38, 39, 40}) {
     SCOPED_TRACE(static_cast<int>(type));
     Buffer wire;
     {
@@ -851,7 +852,7 @@ TEST(CodecProperty, RetiredTypeNumbersAreRejected) {
     EXPECT_EQ(leaf.stats().decode_errors, errors + 1);
   }
 
-  EXPECT_EQ(leaf.stats().decode_errors, 3u);
+  EXPECT_EQ(leaf.stats().decode_errors, 4u);
   EXPECT_EQ(net.messages_sent(), sent_before);
   EXPECT_EQ(leaf.sightings()->size(), sightings_before);
   EXPECT_EQ(leaf.stats().msgs_handled, handled_before);

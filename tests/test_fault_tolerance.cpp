@@ -9,8 +9,9 @@
 //  * reconvergence -- after recovery, every position/range/NN answer equals
 //    the answers of an unfaulted control run over the same workload,
 //    and the whole faulted execution is bit-identical run to run,
-//  * total-state loss -- an in-memory leaf that lost its visitorDB nacks
-//    unknown updates (AgentChanged{kNoNode}) and clients re-register,
+//  * total-state loss -- an in-memory leaf that lost its visitorDB answers
+//    unknown updates with UnknownObject and clients re-register through it,
+//    while a former agent's answer to a straggler update changes nothing,
 //  * per-link drop/duplicate/jitter faults leave the protocols converging.
 #include <gtest/gtest.h>
 
@@ -263,15 +264,11 @@ TEST(FaultTolerance, FaultedScenarioIsBitIdenticalRunToRun) {
 
 TEST(FaultTolerance, TotalStateLossRecoversViaNackAndReregistration) {
   core::Deployment::Config cfg;
-  cfg.server = fault_opts();
-  cfg.server.nack_unknown_updates = true;  // in-memory visitorDBs: total loss
+  cfg.server = fault_opts();  // in-memory visitorDBs: a crash is total loss
   SimWorld w(core::HierarchyBuilder::table2(geo::Rect{{0, 0}, {kArea, kArea}}),
              cfg);
 
-  core::TrackedObject::Options obj_opts;
-  obj_opts.reregister_on_agent_loss = true;
-  core::TrackedObject obj(w.client_node(), ObjectId{7}, w.net, w.net.clock(),
-                          obj_opts);
+  core::TrackedObject obj(w.client_node(), ObjectId{7}, w.net, w.net.clock());
   obj.start_register(kCrashLeaf, {100, 100}, 1.0, {10.0, 100.0});
   w.run();
   ASSERT_TRUE(obj.tracked());
@@ -283,8 +280,9 @@ TEST(FaultTolerance, TotalStateLossRecoversViaNackAndReregistration) {
   w.deployment->restart(kCrashLeaf, /*announce=*/true);
   w.run();
 
-  // The leaf forgot the object entirely; the next update is nacked, the
-  // client re-registers through the recovered leaf and tracking resumes.
+  // The leaf forgot the object entirely; it answers the next update with
+  // UnknownObject, the client re-registers through the recovered leaf and
+  // tracking resumes.
   obj.feed_position({150, 150});
   w.run();
   EXPECT_EQ(obj.reregistrations(), 1u);
@@ -296,44 +294,43 @@ TEST(FaultTolerance, TotalStateLossRecoversViaNackAndReregistration) {
   EXPECT_EQ(res.ld.pos, (geo::Point{150, 150}));
 }
 
-TEST(FaultTolerance, NackIsSuppressedForUpdatesRacingAHandover) {
-  core::Deployment::Config cfg;
-  cfg.server = fault_opts();
-  cfg.server.nack_unknown_updates = true;
+TEST(FaultTolerance, StragglerAnsweredByAFormerAgentChangesNothing) {
   SimWorld w(core::HierarchyBuilder::table2(geo::Rect{{0, 0}, {kArea, kArea}}),
-             cfg);
+             fault_opts());
   auto obj = w.register_object(ObjectId{3}, {100, 100});
   ASSERT_TRUE(obj->tracked());
   ASSERT_EQ(obj->agent(), kCrashLeaf);
   // Hand the object over to another leaf; kCrashLeaf drops its record.
   obj->feed_position({kArea - 100, kArea - 100});
   w.run();
-  ASSERT_NE(obj->agent(), kCrashLeaf);
+  const NodeId new_agent = obj->agent();
+  ASSERT_NE(new_agent, kCrashLeaf);
+  ASSERT_EQ(obj->handovers_observed(), 1u);
 
-  // A stale update racing the handover must NOT be nacked -- the legitimate
-  // AgentChanged already went out, and a nack would trigger a spurious
-  // re-registration.
-  const NodeId stale_client = w.client_node();
-  std::uint64_t nacks = 0;
-  w.net.attach(stale_client, [&](const std::uint8_t* data, std::size_t len) {
-    const auto env = wire::decode_envelope(data, len);
-    if (!env.ok()) return;
-    if (const auto* ch = std::get_if<wire::AgentChanged>(&env.value().msg)) {
-      if (!ch->new_agent.valid()) ++nacks;
+  // A stale update from the object's own node, racing the handover, reaches
+  // the former agent. It is answered like any unknown update; the object
+  // ignores the answer, because it comes from a leaf that is not its agent.
+  std::uint64_t answers = 0;
+  w.net.set_tracer([&](TimePoint, NodeId from, NodeId to, const wire::Buffer& b) {
+    if (from == kCrashLeaf && to == obj->node() && b.size() > 1 &&
+        b[1] == static_cast<std::uint8_t>(wire::MsgType::kUnknownObject)) {
+      ++answers;
     }
   });
-  const auto send_stale_update = [&] {
-    net::send_message(w.net, stale_client, kCrashLeaf,
-                      wire::UpdateReq{core::Sighting{ObjectId{3}, 0, {110, 110}, 5.0}});
-    w.run();
-  };
-  send_stale_update();
-  EXPECT_EQ(nacks, 0u);  // inside the suppression window: silently dropped
-  // Once the window passes, an unknown update IS state loss and gets nacked.
-  w.advance(cfg.server.pending_timeout + seconds(1), 2);
-  send_stale_update();
-  EXPECT_EQ(nacks, 1u);
-  w.net.detach(stale_client);
+  const core::LocationServer& former = w.deployment->server(kCrashLeaf);
+  const std::uint64_t unknown_before = former.stats().updates_unknown;
+  const std::uint64_t registrations_before = w.deployment->total_stats().registrations;
+  net::send_message(w.net, obj->node(), kCrashLeaf,
+                    wire::UpdateReq{core::Sighting{ObjectId{3}, 0, {110, 110}, 5.0}});
+  w.run();
+  EXPECT_EQ(former.stats().updates_unknown, unknown_before + 1);
+  EXPECT_EQ(answers, 1u);
+  EXPECT_EQ(obj->reregistrations(), 0u);
+  EXPECT_TRUE(obj->tracked());
+  EXPECT_EQ(obj->agent(), new_agent);
+  EXPECT_EQ(obj->handovers_observed(), 1u);
+  EXPECT_EQ(w.deployment->total_stats().registrations, registrations_before);
+  w.net.set_tracer(nullptr);
 }
 
 TEST(FaultTolerance, LinkFaultsDropDuplicateAndJitterStillConverge) {

@@ -96,6 +96,33 @@ TEST(LocalService, SoftStateExpiryViaAdvanceTime) {
   EXPECT_FALSE(ls.position(ObjectId{1}).has_value());
 }
 
+TEST(LocalService, ExpiredObjectRegistersAgainOnItsNextUpdate) {
+  // Default options (120 s TTL), with and without update coalescing: the
+  // update after expiry is answered with UnknownObject, directly or through
+  // the coalescer's callback, and the object registers again.
+  for (const bool coalesce : {false, true}) {
+    SCOPED_TRACE(coalesce ? "coalesced" : "direct");
+    LocalLocationService::Config cfg = small_config();
+    cfg.coalesce_updates = coalesce;
+    LocalLocationService ls(cfg);
+    ASSERT_TRUE(ls.register_object(ObjectId{1}, {100, 100}, 1.0, {10, 50}).ok());
+    const NodeId agent = ls.agent_of(ObjectId{1});
+    ls.advance_time(seconds(130));
+    ASSERT_FALSE(ls.position(ObjectId{1}).has_value());
+    ASSERT_TRUE(ls.is_tracked(ObjectId{1}));
+
+    ASSERT_TRUE(ls.feed_position(ObjectId{1}, {200, 150}));
+    ls.flush_updates();
+    EXPECT_EQ(ls.deployment().server(agent).stats().updates_unknown, 1u);
+    EXPECT_EQ(ls.deployment().total_stats().registrations, 2u);
+    EXPECT_TRUE(ls.is_tracked(ObjectId{1}));
+    EXPECT_EQ(ls.agent_of(ObjectId{1}), agent);
+    const auto ld = ls.position(ObjectId{1});
+    ASSERT_TRUE(ld.has_value());
+    EXPECT_EQ(ld->pos, (geo::Point{200, 150}));
+  }
+}
+
 TEST(LocalService, EventsThroughFacade) {
   LocalLocationService ls(small_config());
   const auto sub = ls.subscribe_area_count(

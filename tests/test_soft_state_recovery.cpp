@@ -1,10 +1,12 @@
-// Soft state (§5): sighting expiry deregisters objects bottom-up. Crash
+// Soft state (§5): sighting expiry deregisters objects bottom-up, and an
+// object whose record expired registers again on its next update. Crash
 // recovery: the persistent visitorDB restores forwarding paths; sightings
-// are restored via refreshReq / incoming updates.
+// are restored via refresh requests / incoming updates.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 
+#include "core/update_coalescer.hpp"
 #include "test_support.hpp"
 
 namespace locs::test {
@@ -55,6 +57,35 @@ TEST(SoftState, ExpiredObjectQueriesNotFound) {
   const auto range = world.range_query(
       *qc, geo::Polygon::from_rect(geo::Rect{{0, 0}, {1000, 1000}}), 50.0, 0.1);
   EXPECT_TRUE(range.objects.empty());
+}
+
+TEST(SoftState, ExpiredObjectRegistersAgainOnItsNextUpdate) {
+  // Default options (120 s TTL). The object stays within its offered
+  // accuracy, so it sends nothing, and its record expires everywhere while
+  // the client still counts itself tracked.
+  SimWorld world(core::HierarchyBuilder::fig6(kArea));
+  auto obj = world.register_object(ObjectId{1}, {100, 100}, 1.0, {10.0, 50.0});
+  ASSERT_TRUE(obj->tracked());
+  ASSERT_EQ(obj->agent(), NodeId{4});
+  world.advance(seconds(130));
+  const core::LocationServer& leaf = world.deployment->server(NodeId{4});
+  ASSERT_EQ(leaf.stats().sightings_expired, 1u);
+  ASSERT_FALSE(has_visitor(leaf, ObjectId{1}));
+  ASSERT_TRUE(obj->tracked());
+
+  // The next update reaches a leaf without a record of the object: it
+  // answers UnknownObject, and the object registers again through it.
+  ASSERT_TRUE(obj->feed_position({300, 200}));
+  world.run();
+  EXPECT_EQ(leaf.stats().updates_unknown, 1u);
+  EXPECT_EQ(obj->reregistrations(), 1u);
+  EXPECT_TRUE(obj->tracked());
+  EXPECT_EQ(obj->agent(), NodeId{4});
+  EXPECT_EQ(leaf.stats().registrations, 2u);
+  auto qc = world.make_query_client(NodeId{7});
+  const auto res = world.pos_query(*qc, ObjectId{1});
+  EXPECT_TRUE(res.found);
+  EXPECT_EQ(res.ld.pos, (geo::Point{300, 200}));
 }
 
 class RecoveryTest : public ::testing::Test {
@@ -135,7 +166,7 @@ TEST_F(RecoveryTest, QueryAfterRestartTriggersRefresh) {
   // The object is alive and still considers itself tracked at agent s4: we
   // emulate by re-registering its client state cheaply -- feed its state
   // machine a RegisterRes equivalent via start_register... instead, use a
-  // fresh registration-free path: the RefreshReq handler only fires when
+  // fresh registration-free path: the refresh handler only fires when
   // tracked, so register through the recovered service first.
   obj.start_register(NodeId{4}, {120, 120}, 1.0, {10.0, 50.0});
   net2.run_until_idle();
@@ -151,7 +182,7 @@ TEST_F(RecoveryTest, QueryAfterRestartTriggersRefresh) {
   EXPECT_TRUE(res->found);
 }
 
-TEST_F(RecoveryTest, RefreshReqRestoresSightingForWaitingQuery) {
+TEST_F(RecoveryTest, RefreshRestoresSightingForWaitingQuery) {
   // A leaf crashes and restarts over its persistent log WITHOUT announcing
   // itself, so no recovery sweep runs: its visitor records are back, its
   // sightings are not, and a position query has to wait for a refresh.
@@ -183,13 +214,51 @@ TEST_F(RecoveryTest, RefreshReqRestoresSightingForWaitingQuery) {
   EXPECT_EQ(leaf.stats().sightings_expired, 0u);
   EXPECT_EQ(obj->refreshes_answered(), 0u);
 
-  // The position query sends exactly one RefreshReq and is answered, once
-  // the refresh arrives, with the object's last fed position.
+  // The position query sends exactly one refresh request and is answered,
+  // once the refresh arrives, with the object's last fed position.
   const auto res = world.pos_query(*qc, ObjectId{9});
   EXPECT_TRUE(res.found);
   EXPECT_EQ(res.ld.pos, last_fed);
   EXPECT_EQ(leaf.stats().refresh_requests, 1u);
   EXPECT_EQ(obj->refreshes_answered(), 1u);
+}
+
+TEST_F(RecoveryTest, GatewayAnswersTheRefreshOfAWaitingQuery) {
+  // The object registered through a sensor gateway, so the gateway's
+  // UpdateCoalescer is its registering instance (as in drive_scenario and
+  // bench_recovery). A waiting position query's refresh request must reach
+  // the gateway's refresh callback like a recovery sweep does.
+  core::Deployment::Config cfg;
+  cfg.visitor_db_factory = vdb_factory();
+  SimWorld world(core::HierarchyBuilder::fig6(kArea), cfg);
+  core::UpdateCoalescer gateway(world.client_node(), world.net, world.net.clock(), {});
+  const geo::Point last_fed{104, 103};
+  std::uint64_t refreshes = 0;
+  gateway.set_on_refresh([&](ObjectId oid) {
+    ++refreshes;
+    gateway.enqueue(NodeId{4}, Sighting{oid, 0, last_fed, 5.0});
+  });
+  net::send_message(world.net, gateway.node(), NodeId{4},
+                    wire::RegisterReq{Sighting{ObjectId{9}, 0, {100, 100}, 5.0}, "",
+                                      {10.0, 50.0}, gateway.node(), 1});
+  world.run();
+  ASSERT_TRUE(has_visitor(world.deployment->server(NodeId{4}), ObjectId{9}));
+
+  world.deployment->crash(NodeId{4});
+  world.deployment->restart(NodeId{4}, /*announce=*/false);
+  const core::LocationServer& leaf = world.deployment->server(NodeId{4});
+
+  auto qc = world.make_query_client(NodeId{7});
+  const std::uint64_t id = qc->send_pos_query(ObjectId{9});
+  world.run();
+  EXPECT_EQ(leaf.stats().refresh_requests, 1u);
+  EXPECT_EQ(refreshes, 1u);
+  gateway.flush_all();
+  world.run();
+  const auto res = qc->take_pos(id);
+  ASSERT_TRUE(res.has_value()) << "the waiting query was never answered";
+  EXPECT_TRUE(res->found);
+  EXPECT_EQ(res->ld.pos, last_fed);
 }
 
 }  // namespace

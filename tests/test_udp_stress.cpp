@@ -50,12 +50,17 @@ class SyncUpdater {
           agents_[ch->oid] = ch->new_agent;
           // The handover carried the triggering sighting to the new agent.
           acked_[ch->oid] = pending_pos_[ch->oid];
-        } else {
-          // A restarted leaf that lost its state nacked the update
-          // (nack_unknown_updates); update_blocking re-registers.
-          nacked_.insert(ch->oid);
         }
         ++completions_;
+      } else if (const auto* unk = std::get_if<wire::UnknownObject>(&env.value().msg)) {
+        // The agent lost the object's record (a restarted leaf without its
+        // visitor log); update_blocking re-registers. The same answer from a
+        // former agent, to a straggler update, is ignored.
+        const auto agent = agents_.find(unk->oid);
+        if (agent != agents_.end() && agent->second == env.value().src) {
+          unknown_.insert(unk->oid);
+          ++completions_;
+        }
       }
       cv_.notify_all();
     });
@@ -66,7 +71,8 @@ class SyncUpdater {
   bool register_blocking(ObjectId oid, geo::Point pos, NodeId entry) {
     {
       // Forget any previous agent so the completion wait below really waits
-      // for THIS registration's response (re-registration after a nack).
+      // for THIS registration's response (re-registration after an
+      // UnknownObject).
       std::lock_guard<std::mutex> lock(mu_);
       agents_.erase(oid);
     }
@@ -83,13 +89,15 @@ class SyncUpdater {
     return true;
   }
 
-  /// Registration entry point used when an update is nacked (the agent lost
-  /// its state in a crash) and the object must re-register.
+  /// Registration entry point used when the agent answers an update with
+  /// UnknownObject (it lost its state in a crash) and the object must
+  /// re-register.
   void set_reregister_entry(NodeId entry) { reregister_entry_ = entry; }
 
   /// Sends an update and waits for the UpdateAck (or the AgentChanged that a
-  /// cross-leaf move produces). Retries around handover races; a nack from a
-  /// restarted leaf triggers re-registration when an entry hint is set.
+  /// cross-leaf move produces). Retries around handover races; an
+  /// UnknownObject from a restarted agent triggers re-registration when an
+  /// entry hint is set.
   bool update_blocking(ObjectId oid, geo::Point pos, int attempts = 8) {
     for (int i = 0; i < attempts; ++i) {
       NodeId agent;
@@ -97,20 +105,20 @@ class SyncUpdater {
         std::lock_guard<std::mutex> lock(mu_);
         agent = agents_[oid];
         pending_pos_[oid] = pos;
-        nacked_.erase(oid);
+        unknown_.erase(oid);
       }
       if (!agent.valid()) return false;
       const std::uint64_t wait_for = completion_count() + 1;
       net::send_message(net_, self_, agent,
                         wire::UpdateReq{core::Sighting{oid, 0, pos, 5.0}});
       const bool done = wait_until(
-          [&] { return acked_[oid] == pos || nacked_.count(oid) > 0; }, wait_for);
+          [&] { return acked_[oid] == pos || unknown_.count(oid) > 0; }, wait_for);
       if (done) {
-        const bool nacked = [&] {
+        const bool lost = [&] {
           std::lock_guard<std::mutex> lock(mu_);
-          return nacked_.erase(oid) > 0;
+          return unknown_.erase(oid) > 0;
         }();
-        if (!nacked) return true;
+        if (!lost) return true;
         if (!reregister_entry_.valid()) return false;
         if (!register_blocking(oid, pos, reregister_entry_)) continue;
         return true;  // registration carried the position as its sighting
@@ -153,7 +161,7 @@ class SyncUpdater {
   std::unordered_map<ObjectId, NodeId> agents_;
   std::unordered_map<ObjectId, geo::Point> pending_pos_;
   std::unordered_map<ObjectId, geo::Point> acked_;
-  std::unordered_set<ObjectId> nacked_;
+  std::unordered_set<ObjectId> unknown_;
 };
 
 TEST(UdpStress, ConcurrentUpdatesQueriesAndHandovers) {
@@ -289,7 +297,7 @@ TEST(UdpStress, ConcurrentUpdatesQueriesAndHandovers) {
 /// WHILE updater and query threads hammer the deployment. Drives the
 /// sim::FaultPlan wall-clock hook (take_due), Deployment::crash/restart over
 /// a live UdpNetwork (handler swap on the surviving socket), and the
-/// nack-driven client re-registration path; under ASan/TSan in CI this is
+/// client re-registration after UnknownObject; under ASan/TSan in CI this is
 /// the teardown-vs-traffic race check for the whole fault subsystem.
 TEST(UdpStress, CrashRestartUnderConcurrentLoad) {
   constexpr int kUpdaterThreads = 3;
@@ -300,8 +308,7 @@ TEST(UdpStress, CrashRestartUnderConcurrentLoad) {
   SystemClock clock;
   core::Deployment::Config cfg;
   // In-memory visitorDBs: the crash is a TOTAL state loss, recovered through
-  // nacked updates + client re-registration.
-  cfg.server.nack_unknown_updates = true;
+  // updates answered with UnknownObject + client re-registration.
   core::Deployment deployment(
       net, clock, core::HierarchyBuilder::table2(geo::Rect{{0, 0}, {kArea, kArea}}),
       cfg);
@@ -417,7 +424,8 @@ TEST(UdpStress, CrashRestartUnderConcurrentLoad) {
   } ticker(deployment, clock);
 
   // Final consistency: every object settles (re-registering through the
-  // nack path where the crash erased it) and is queryable everywhere.
+  // UnknownObject path where the crash erased it) and is queryable
+  // everywhere.
   core::QueryClient verifier(NodeId{260}, net, clock);
   Rng rng(6);
   for (int t = 0; t < kUpdaterThreads; ++t) {
