@@ -7,6 +7,16 @@ namespace locs::baseline {
 
 namespace wm = locs::wire;
 
+namespace {
+
+/// The same values as LocationServer's defaults, so A4 compares the two
+/// architectures under one accuracy floor, sighting TTL (§5) and deadline.
+constexpr double kMinSupportedAcc = 5.0;
+constexpr Duration kSightingTtl = seconds(120);
+constexpr Duration kPendingTimeout = seconds(5);
+
+}  // namespace
+
 RegionMap RegionMap::grid(const geo::Rect& area, int cols, int rows,
                           std::uint32_t first_id) {
   RegionMap map;
@@ -24,12 +34,11 @@ RegionMap RegionMap::grid(const geo::Rect& area, int cols, int rows,
 }
 
 TwoTierServer::TwoTierServer(NodeId self, RegionMap map, net::Transport& net,
-                             Clock& clock, Options opts)
+                             Clock& clock)
     : self_(self),
       map_(std::move(map)),
       net_(net),
       clock_(clock),
-      opts_(opts),
       sightings_([] { return spatial::make_point_quadtree(); }) {}
 
 const geo::Polygon& TwoTierServer::my_area() const {
@@ -101,12 +110,12 @@ void TwoTierServer::on_register_req(NodeId src, const wire::RegisterReq& m) {
     }
     return;
   }
-  if (opts_.min_supported_acc > m.acc_range.minimum) {
-    send_msg(m.reg_inst, wm::RegisterFailed{self_, opts_.min_supported_acc, m.req_id});
+  if (kMinSupportedAcc > m.acc_range.minimum) {
+    send_msg(m.reg_inst, wm::RegisterFailed{self_, kMinSupportedAcc, m.req_id});
     return;
   }
-  const double offered = std::max(opts_.min_supported_acc, m.acc_range.desired);
-  sightings_.upsert(m.s, offered, clock_.now() + opts_.sighting_ttl,
+  const double offered = std::max(kMinSupportedAcc, m.acc_range.desired);
+  sightings_.upsert(m.s, offered, clock_.now() + kSightingTtl,
                     RegInfo{m.reg_inst, m.acc_range});
   // Install the home pointer (the HLR write).
   const NodeId home = map_.home_for(m.s.oid);
@@ -128,7 +137,7 @@ void TwoTierServer::on_update_req(NodeId src, const wire::UpdateReq& m) {
   store::SightingDb::Record* rec = sightings_.find(m.s.oid);
   if (rec == nullptr) return;  // not serving this object
   if (my_area().contains(m.s.pos)) {
-    sightings_.update(*rec, m.s, clock_.now() + opts_.sighting_ttl);
+    sightings_.update(*rec, m.s, clock_.now() + kSightingTtl);
     ++stats_.updates_applied;
     send_msg(src, wm::UpdateAck{m.s.oid, rec->offered_acc});
     return;
@@ -159,9 +168,9 @@ void TwoTierServer::on_update_req(NodeId src, const wire::UpdateReq& m) {
 }
 
 void TwoTierServer::on_handover_req(NodeId src, const wire::HandoverReq& m) {
-  const double offered = std::max(opts_.min_supported_acc,
+  const double offered = std::max(kMinSupportedAcc,
                                   m.reg_info.acc_range.desired);
-  sightings_.upsert(m.s, offered, clock_.now() + opts_.sighting_ttl, m.reg_info);
+  sightings_.upsert(m.s, offered, clock_.now() + kSightingTtl, m.reg_info);
   // HLR write on every region change.
   const NodeId home = map_.home_for(m.s.oid);
   if (home == self_) {
@@ -245,7 +254,7 @@ void TwoTierServer::on_range_query_req(NodeId src, const wire::RangeQueryReq& m)
   pending.client = src;
   pending.client_req_id = m.req_id;
   pending.target = enlarged.area();
-  pending.deadline = clock_.now() + opts_.pending_timeout;
+  pending.deadline = clock_.now() + kPendingTimeout;
 
   double outside = enlarged.area();
   for (const RegionMap::Region& region : map_.regions) {
@@ -346,10 +355,10 @@ void TwoTierServer::tick(TimePoint now) {
 }
 
 TwoTierDeployment::TwoTierDeployment(net::Transport& net, Clock& clock,
-                                     RegionMap map, TwoTierServer::Options opts)
+                                     RegionMap map)
     : net_(net), map_(std::move(map)) {
   for (const RegionMap::Region& region : map_.regions) {
-    auto server = std::make_unique<TwoTierServer>(region.id, map_, net, clock, opts);
+    auto server = std::make_unique<TwoTierServer>(region.id, map_, net, clock);
     TwoTierServer* raw = server.get();
     net.attach(region.id, [raw](const std::uint8_t* data, std::size_t len) {
       raw->handle(data, len);

@@ -65,12 +65,6 @@ struct RegionMap {
 
 class TwoTierServer {
  public:
-  struct Options {
-    double min_supported_acc = 5.0;
-    Duration sighting_ttl = seconds(120);
-    Duration pending_timeout = seconds(5);
-  };
-
   struct Stats {
     std::uint64_t msgs_handled = 0;
     std::uint64_t msgs_sent = 0;
@@ -81,8 +75,7 @@ class TwoTierServer {
     std::uint64_t range_sub_answered = 0;
   };
 
-  TwoTierServer(NodeId self, RegionMap map, net::Transport& net, Clock& clock,
-                Options opts);
+  TwoTierServer(NodeId self, RegionMap map, net::Transport& net, Clock& clock);
 
   void handle(const std::uint8_t* data, std::size_t len);
   void tick(TimePoint now);
@@ -113,7 +106,6 @@ class TwoTierServer {
   RegionMap map_;
   net::Transport& net_;
   Clock& clock_;
-  Options opts_;
   Stats stats_;
 
   store::SightingDb sightings_;       // serving-role state
@@ -146,8 +138,7 @@ class TwoTierServer {
 /// Instantiates one TwoTierServer per region and attaches handlers.
 class TwoTierDeployment {
  public:
-  TwoTierDeployment(net::Transport& net, Clock& clock, RegionMap map,
-                    TwoTierServer::Options opts = {});
+  TwoTierDeployment(net::Transport& net, Clock& clock, RegionMap map);
   /// Detaches every server before they are destroyed.
   ~TwoTierDeployment();
 

@@ -21,7 +21,7 @@ struct TwoTierWorld {
   std::uint32_t next_client = 1 << 20;
 
   TwoTierWorld()
-      : deployment(net, net.clock(), RegionMap::grid(kArea, 2, 2), {}) {}
+      : deployment(net, net.clock(), RegionMap::grid(kArea, 2, 2)) {}
 
   NodeId client_node() { return NodeId{next_client++}; }
   void run() { net.run_until_idle(); }
