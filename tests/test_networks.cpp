@@ -120,7 +120,7 @@ TEST(SimNetwork, MessagesCascadeFromHandlers) {
 // --------------------------------------------------------------------------
 
 TEST(UdpNetwork, LoopbackRoundTrip) {
-  UdpNetwork net(24100);
+  UdpNetwork net(UdpNetwork::pick_free_base_port(/*span=*/2));
   std::atomic<int> got{0};
   std::vector<std::uint8_t> received;
   std::mutex mu;
@@ -140,7 +140,7 @@ TEST(UdpNetwork, LoopbackRoundTrip) {
 }
 
 TEST(UdpNetwork, LargeMessageFragmentsAndReassembles) {
-  UdpNetwork net(24200);
+  UdpNetwork net(UdpNetwork::pick_free_base_port(/*span=*/2));
   std::atomic<int> got{0};
   std::vector<std::uint8_t> received;
   std::mutex mu;
@@ -169,7 +169,7 @@ TEST(UdpNetwork, LargeMessageFragmentsAndReassembles) {
 }
 
 TEST(UdpNetwork, ManySmallMessagesAllArrive) {
-  UdpNetwork net(24300);
+  UdpNetwork net(UdpNetwork::pick_free_base_port(/*span=*/2));
   std::atomic<int> count{0};
   net.attach(NodeId{1}, [&](const std::uint8_t*, std::size_t) {
     count.fetch_add(1);
