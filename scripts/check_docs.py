@@ -18,6 +18,10 @@ Checks, in order:
                every table row of the form | N | `kName` | carries the
                enumerator's value N (explicit `= N` values and implicit
                increments both count).
+  counts    -- README.md's "N message types plus the M reserved type
+               numbers" matches MsgType: N is the number of enumerators
+               and M the largest value minus N (the numbers retired
+               below it).
 
 Exit status: 0 when every check passes, 1 otherwise; one line per
 failure on stdout. Wired through ctest as test_check_docs and run by
@@ -40,6 +44,9 @@ KCONST_RE = re.compile(r"\bk[A-Z][A-Za-z0-9]*\b")
 ENUM_RE = re.compile(r"enum\s+class\s+MsgType[^{]*\{(.*?)\};", re.DOTALL)
 # A numbered message-type table row: | 12 | `kPosQueryFwd` | ...
 ROW_RE = re.compile(r"^\|\s*(\d+)\s*\|\s*`(k[A-Za-z0-9]+)`\s*\|", re.MULTILINE)
+# README's count of the message types and of the reserved numbers among them.
+COUNTS_RE = re.compile(
+    r"(\d+)\s+message\s+types\s+plus\s+the\s+(\d+)\s+reserved\s+type\s+numbers")
 
 
 def iter_doc_files(root):
@@ -158,6 +165,30 @@ def check_msg_types(root):
     return failures
 
 
+def check_readme_counts(root):
+    messages_hpp = root / "src" / "wire" / "messages.hpp"
+    readme = root / "README.md"
+    if not messages_hpp.is_file() or not readme.is_file():
+        return []  # check_links / check_msg_types report the missing file
+    enums = msg_type_enumerators(messages_hpp)
+    if not enums:
+        return []  # check_msg_types reports the parse failure
+    types = len(enums)
+    reserved = max(enums.values()) - types
+    m = COUNTS_RE.search(readme.read_text(encoding="utf-8"))
+    if m is None:
+        return ["README.md: no \"N message types plus the M reserved type "
+                "numbers\" sentence to check against MsgType"]
+    failures = []
+    if int(m.group(1)) != types:
+        failures.append(f"README.md: says {m.group(1)} message types, "
+                        f"MsgType has {types}")
+    if int(m.group(2)) != reserved:
+        failures.append(f"README.md: says {m.group(2)} reserved type numbers, "
+                        f"MsgType leaves {reserved}")
+    return failures
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repo-root", default=None,
@@ -167,14 +198,15 @@ def main():
     root = (pathlib.Path(args.repo_root).resolve() if args.repo_root
             else pathlib.Path(__file__).resolve().parent.parent)
 
-    failures = check_links(root) + check_msg_types(root)
+    failures = (check_links(root) + check_msg_types(root)
+                + check_readme_counts(root))
     for failure in failures:
         print(f"FAIL {failure}")
     if failures:
         print(f"check_docs: {len(failures)} failure(s)")
         return 1
     print("check_docs: all links and anchors resolve, all message types "
-          "documented with their values")
+          "documented with their values, README's type counts match")
     return 0
 
 
