@@ -1,7 +1,6 @@
 #include "core/location_server.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <tuple>
 #include <type_traits>
@@ -42,6 +41,10 @@ geo::Polygon nn_probe_polygon(geo::Point p, double radius) {
 double coverage_epsilon(double target) {
   return std::max(1e-6, 1e-9 * target);
 }
+
+/// The packed result list of a range or NN sub-result.
+wm::PackedResults& share_items(wm::RangeQuerySubRes& sub) { return sub.results; }
+wm::PackedResults& share_items(wm::NNProbeSubRes& sub) { return sub.candidates; }
 
 }  // namespace
 
@@ -805,68 +808,42 @@ void LocationServer::flush_awaiting_refresh(const store::SightingDb::Record& rec
 }
 
 // --------------------------------------------------------------------------
-// range queries (Algorithm 6-5)
+// range queries and NN rings: one scatter-gather (Algorithm 6-5)
 
-void LocationServer::on_range_query_req(NodeId src, const wm::RangeQueryReq& m) {
-  const geo::Polygon enlarged = geo::enlarge(m.area, std::max(m.req_acc, 0.0));
-  const std::uint64_t internal_id = next_req_id();
-  PendingRange pending;
-  pending.client = src;
-  pending.client_req_id = m.req_id;
-  pending.target = enlarged.area();
-  pending.deadline = now() + opts_.pending_timeout;
+bool LocationServer::Gather::complete() const {
+  return !(covered < target - coverage_epsilon(target));
+}
 
-  // Local contribution (Alg 6-5 lines 3-7): streamed from the store into a
-  // packed segment -- already the merge input format -- so the entry's own
-  // results never exist as a vector either.
-  if (cfg_.is_leaf() && sightings_ && enlarged.intersects(cfg_.sa)) {
-    SubSegment local;
-    local.buf = net_.make_buffer();
-    {
-      wm::Writer w(*local.buf);
-      sightings_->objects_in_area_emit(
-          m.area, m.req_acc, m.req_overlap, [&](const ObjectResult& r) {
-            wm::put(w, r);
-            ++local.count;
-          });
-    }  // Writer flushes at scope exit
-    local.data = local.buf->data();
-    local.len = local.buf->size();
-    if (local.count > 0) pending.segments.push_back(std::move(local));
-    pending.covered += geo::intersection_area(enlarged, cfg_.sa);
-  }
-  if (cfg_.is_root()) {
-    // Credit the part of the (enlarged) query that lies outside the entire
-    // service area -- no server will ever report it.
-    pending.covered +=
-        enlarged.area() - geo::intersection_area(enlarged, cfg_.sa);
-  }
+bool LocationServer::credit_own_share(Gather& gather, const geo::Polygon& area) {
+  const bool own = cfg_.is_leaf() && area.intersects(cfg_.sa);
+  if (!own && !cfg_.is_root()) return false;
+  const double inside = geo::intersection_area(area, cfg_.sa);
+  if (own) gather.covered += inside;
+  if (cfg_.is_root()) gather.covered += area.area() - inside;
+  return own;
+}
 
-  const bool needs_more = pending.covered < pending.target - coverage_epsilon(pending.target);
-  if (needs_more && opts_.enable_leaf_area_cache) {
-    // §6.5 cache 1: if cached leaf areas cover the whole remainder, contact
-    // those leaves directly instead of traversing the hierarchy.
-    const LeafAreaCache::Coverage cov = leaf_cache_.coverage_of(enlarged);
-    if (pending.covered + cov.covered_size >=
-        pending.target - coverage_epsilon(pending.target)) {
-      ++stats_.range_direct;
-      pending_range_.emplace(internal_id, std::move(pending));
-      const wm::RangeQueryFwd fwd{m.area, m.req_acc, m.req_overlap, self_, internal_id,
-                                  /*direct=*/true};
-      for (const NodeId leaf : cov.leaves) {
-        if (leaf != self_) send_msg(leaf, fwd);
-      }
-      try_complete_range(internal_id);
-      return;
-    }
-  }
-  pending_range_.emplace(internal_id, std::move(pending));
-  if (needs_more) {
-    route_range(wm::RangeQueryFwd{m.area, m.req_acc, m.req_overlap, self_, internal_id,
-                                  /*direct=*/false},
-                enlarged, kNoNode);
-  }
-  try_complete_range(internal_id);
+template <typename RangeQuery, typename Sink>
+void LocationServer::emit_share(const RangeQuery& query, Sink&& sink) const {
+  sightings_->objects_in_area_emit(query.area, query.req_acc, query.req_overlap,
+                                   std::forward<Sink>(sink));
+}
+
+template <typename Sink>
+void LocationServer::emit_share(const wm::NNProbeFwd& probe, Sink&& sink) const {
+  // Only the objects the answer can use. With b the distance to this leaf's
+  // own nearest qualifying object, the answer's d* is the smallest b of any
+  // leaf, so d* <= b and no answer object here lies beyond b + near_qual.
+  // The ring reads only d* and emptiness, so its decisions stay the same.
+  const std::optional<ObjectResult> nearest = sightings_->nearest(probe.p, probe.req_acc);
+  if (!nearest) return;
+  // The slack keeps the cut at least as inclusive as finish_nn's nearObjSet
+  // bound, d* + near_qual + 1e-9, after rounding. When b lies outside the
+  // disk the radius wins, and the disk holds no qualifying object.
+  const double b = geo::distance(nearest->ld.pos, probe.p);
+  const double keep = (b + std::max(probe.near_qual, 0.0)) * (1 + 1e-9) + 1e-9;
+  sightings_->objects_in_circle_emit({probe.p, std::min(probe.radius, keep)},
+                                     probe.req_acc, std::forward<Sink>(sink));
 }
 
 template <typename SubRes, typename Fwd>
@@ -913,62 +890,114 @@ void LocationServer::fan_out(const Fwd& fwd, const geo::Polygon& area, NodeId en
   }
 }
 
-void LocationServer::route_range(const wm::RangeQueryFwd& fwd,
-                                 const geo::Polygon& enlarged, NodeId from) {
-  fan_out<wm::RangeQuerySubRes>(fwd, enlarged, fwd.entry, from);
+template <typename Fwd, typename SubRes>
+void LocationServer::answer_share(const Fwd& fwd, const geo::Polygon& area,
+                                  NodeId entry, SubRes& sub) {
+  double credit = 0.0;
+  if (cfg_.is_root()) credit = area.area() - geo::intersection_area(area, cfg_.sa);
+  // A leaf answers any share it holds, another server only a root credit
+  // above rounding noise.
+  const bool leaf = cfg_.is_leaf();
+  const bool answers = leaf ? area.intersects(cfg_.sa) || credit > 0.0
+                            : credit > coverage_epsilon(area.area());
+  if (!answers) return;
+  // Scratch message: reusing the packed list and origin polygon capacity
+  // makes a leaf's answer allocation-free in steady state.
+  sub.req_id = fwd.req_id;
+  wm::PackedResults& items = share_items(sub);
+  items.clear();
+  sub.covered_size = credit;
+  if (leaf) {
+    // Results stream straight from the spatial index into the packed wire
+    // framing; no result vector exists between store and socket.
+    emit_share(fwd, [&](const ObjectResult& r) { items.append(r); });
+    sub.covered_size = geo::intersection_area(area, cfg_.sa) + credit;
+    if constexpr (std::is_same_v<SubRes, wm::RangeQuerySubRes>) {
+      ++stats_.range_sub_answered;
+    }
+  }
+  sub.origin = origin_piggyback();  // none on a non-leaf server
+  send_msg(entry, sub);
 }
 
-void LocationServer::answer_range_locally(const geo::Polygon& area,
-                                          const geo::Polygon& enlarged,
-                                          double req_acc, double req_overlap,
-                                          NodeId entry, std::uint64_t req_id,
-                                          double extra_covered) {
-  assert(sightings_);
-  // Scratch message: reusing the results vector and origin polygon capacity
-  // makes the leaf's answer path allocation-free in steady state.
-  wm::RangeQuerySubRes& sub = range_sub_scratch_;
-  sub.req_id = req_id;
-  sub.results.clear();
-  // Results stream straight from the spatial index into the packed wire
-  // framing; no result vector exists between store and socket.
-  sightings_->objects_in_area_emit(
-      area, req_acc, req_overlap,
-      [&](const ObjectResult& r) { sub.results.append(r); });
-  sub.covered_size = geo::intersection_area(enlarged, cfg_.sa) + extra_covered;
-  sub.origin = origin_piggyback();
-  ++stats_.range_sub_answered;
-  send_msg(entry, sub);
+template <typename Table>
+typename Table::mapped_type* LocationServer::credit_sub_res(Table& table,
+                                                            wm::SubResView& view) {
+  const auto it = table.find(view.req_id());
+  if (it == table.end()) return nullptr;
+  if (opts_.enable_leaf_area_cache && view.origin(origin_scratch_)) {
+    learn_origin(origin_scratch_);
+  }
+  it->second.covered += view.covered_size();
+  return &it->second;
+}
+
+void LocationServer::on_range_query_req(NodeId src, const wm::RangeQueryReq& m) {
+  const geo::Polygon enlarged = geo::enlarge(m.area, std::max(m.req_acc, 0.0));
+  const std::uint64_t internal_id = next_req_id();
+  PendingRange pending;
+  pending.client = src;
+  pending.client_req_id = m.req_id;
+  pending.target = enlarged.area();
+  pending.deadline = now() + opts_.pending_timeout;
+
+  if (credit_own_share(pending, enlarged)) {
+    // Local contribution (Alg 6-5 lines 3-7): streamed from the store into a
+    // packed segment -- already the merge input format -- so the entry's own
+    // results never exist as a vector either.
+    SubSegment local;
+    local.buf = net_.make_buffer();
+    {
+      wm::Writer w(*local.buf);
+      emit_share(m, [&](const ObjectResult& r) {
+        wm::put(w, r);
+        ++local.count;
+      });
+    }  // Writer flushes at scope exit
+    local.data = local.buf->data();
+    local.len = local.buf->size();
+    if (local.count > 0) pending.segments.push_back(std::move(local));
+  }
+
+  const auto it = pending_range_.emplace(internal_id, std::move(pending)).first;
+  PendingRange& gather = it->second;
+  if (gather.complete()) {
+    emit_range_result(gather, /*complete=*/true);
+    pending_range_.erase(it);
+    return;
+  }
+  if (opts_.enable_leaf_area_cache) {
+    // §6.5 cache 1: if cached leaf areas cover the whole remainder, contact
+    // those leaves directly instead of traversing the hierarchy.
+    const LeafAreaCache::Coverage cov = leaf_cache_.coverage_of(enlarged);
+    if (gather.covered + cov.covered_size >=
+        gather.target - coverage_epsilon(gather.target)) {
+      ++stats_.range_direct;
+      const wm::RangeQueryFwd fwd{m.area, m.req_acc, m.req_overlap, self_, internal_id,
+                                  /*direct=*/true};
+      for (const NodeId leaf : cov.leaves) {
+        if (leaf != self_) send_msg(leaf, fwd);
+      }
+      return;
+    }
+  }
+  fan_out<wm::RangeQuerySubRes>(
+      wm::RangeQueryFwd{m.area, m.req_acc, m.req_overlap, self_, internal_id,
+                        /*direct=*/false},
+      enlarged, self_, kNoNode);
 }
 
 void LocationServer::on_range_query_fwd(NodeId src, const wm::RangeQueryFwd& m) {
   const geo::Polygon enlarged = geo::enlarge(m.area, std::max(m.req_acc, 0.0));
-  double credit = 0.0;
-  if (cfg_.is_root()) {
-    credit = enlarged.area() - geo::intersection_area(enlarged, cfg_.sa);
-  }
-  if (cfg_.is_leaf()) {
-    if (enlarged.intersects(cfg_.sa) || credit > 0.0) {
-      answer_range_locally(m.area, enlarged, m.req_acc, m.req_overlap, m.entry,
-                           m.req_id, credit);
-    }
-  } else if (credit > coverage_epsilon(enlarged.area())) {
-    wm::RangeQuerySubRes sub;
-    sub.req_id = m.req_id;
-    sub.covered_size = credit;
-    send_msg(m.entry, sub);
-  }
-  if (!m.direct) route_range(m, enlarged, src);
+  answer_share(m, enlarged, m.entry, range_sub_scratch_);
+  if (!m.direct) fan_out<wm::RangeQuerySubRes>(m, enlarged, m.entry, src);
 }
 
 void LocationServer::handle_sub_res_view(wm::SubResView& view,
                                          const net::Datagram& dg) {
   if (view.type() == wm::MsgType::kRangeQuerySubRes) {
-    const auto it = pending_range_.find(view.req_id());
-    if (it == pending_range_.end()) return;  // timed out earlier
-    if (opts_.enable_leaf_area_cache && view.origin(origin_scratch_)) {
-      learn_origin(origin_scratch_);
-    }
-    it->second.covered += view.covered_size();
+    PendingRange* pending = credit_sub_res(pending_range_, view);
+    if (pending == nullptr) return;  // timed out earlier
     if (view.count() > 0) {
       // Pin the receive buffer for the duration of the merge: zero-copy on
       // both transports' native delivery paths; a borrow-only datagram (raw
@@ -984,39 +1013,27 @@ void LocationServer::handle_sub_res_view(wm::SubResView& view,
       seg.len = view.packed_size();
       seg.count = view.count();
       seg.buf = std::move(taken.buf);
-      it->second.segments.push_back(std::move(seg));
+      pending->segments.push_back(std::move(seg));
     }
-    try_complete_range(view.req_id());
+    if (pending->complete()) {
+      emit_range_result(*pending, /*complete=*/true);
+      pending_range_.erase(view.req_id());
+    }
     return;
   }
   // NN probe sub-result: candidates stream item-by-item off the datagram
   // into the pending ring's dedup map -- the map IS the merge state, so
   // nothing is pinned and no candidate vector ever exists.
-  const auto it = pending_nn_.find(view.req_id());
-  if (it == pending_nn_.end()) return;
-  if (opts_.enable_leaf_area_cache && view.origin(origin_scratch_)) {
-    learn_origin(origin_scratch_);
-  }
-  it->second.covered += view.covered_size();
+  PendingNN* ring = credit_sub_res(pending_nn_, view);
+  if (ring == nullptr) return;
   auto items = view.items();
   while (const auto item = items.next()) {
-    it->second.candidates[item->value.oid] = item->value.ld;
+    ring->candidates[item->value.oid] = item->value.ld;
   }
   check_nn_ring(view.req_id());
 }
 
-void LocationServer::try_complete_range(std::uint64_t key) {
-  const auto it = pending_range_.find(key);
-  if (it == pending_range_.end()) return;
-  PendingRange& pending = it->second;
-  if (pending.covered < pending.target - coverage_epsilon(pending.target)) return;
-  emit_range_result(pending.client, pending.client_req_id, /*complete=*/true,
-                    pending);
-  pending_range_.erase(it);
-}
-
-void LocationServer::emit_range_result(NodeId client, std::uint64_t client_req_id,
-                                       bool complete, PendingRange& pending) {
+void LocationServer::emit_range_result(PendingRange& pending, bool complete) {
   // Streaming merge: the final RangeQueryRes is written directly into an
   // outgoing pooled envelope by copying kept item byte ranges out of the
   // pinned segments -- the sub-results are never decoded. Dedup-on-emit:
@@ -1048,7 +1065,7 @@ void LocationServer::emit_range_result(NodeId client, std::uint64_t client_req_i
     wm::Writer w(*out);
     w.reserve(64 + kept_bytes);
     wm::begin_envelope(w, self_, wm::MsgType::kRangeQueryRes);
-    w.u64(client_req_id);
+    w.u64(pending.client_req_id);
     w.boolean(complete);
     w.u64(kept);
     w.u64(kept_bytes);
@@ -1062,12 +1079,12 @@ void LocationServer::emit_range_result(NodeId client, std::uint64_t client_req_i
     }
   }  // Writer flushes at scope exit
   pending.segments.clear();  // release the pinned receive buffers
-  if (!client.valid()) return;
-  send_buffer(client, std::move(out));
+  if (!pending.client.valid()) return;
+  send_buffer(pending.client, std::move(out));
 }
 
-// --------------------------------------------------------------------------
-// nearest-neighbor queries (expanding-ring search; semantics of §3.2)
+// Nearest-neighbor queries run as expanding rings of probe gathers (semantics
+// of §3.2).
 
 void LocationServer::on_nn_query_req(NodeId src, const wm::NNQueryReq& m) {
   PendingNN op;
@@ -1088,121 +1105,53 @@ void LocationServer::on_nn_query_req(NodeId src, const wm::NNQueryReq& m) {
   // our own service area.
   const geo::Rect& own = cfg_.sa.bounding_box();
   double radius = std::max(own.width(), own.height());
-  if (cfg_.is_leaf() && sightings_) {
-    const auto local = sightings_->k_nearest(m.p, 1, m.req_acc);
-    if (!local.empty()) {
-      radius = std::max(geo::distance(local[0].ld.pos, m.p) * 1.001, 1.0);
+  if (cfg_.is_leaf()) {
+    if (const auto local = sightings_->nearest(m.p, m.req_acc)) {
+      radius = std::max(geo::distance(local->ld.pos, m.p) * 1.001, 1.0);
     }
   }
   op.radius = std::max(radius, 1.0);
   launch_nn_ring(std::move(op));
 }
 
-template <typename Sink>
-void LocationServer::emit_nn_candidates(const wm::NNProbeFwd& probe,
-                                        Sink&& sink) const {
-  // Only the objects the answer can use. With b the distance to this leaf's
-  // own nearest qualifying object, the answer's d* is the smallest b of any
-  // leaf, so d* <= b and no answer object here lies beyond b + near_qual.
-  // The ring reads only d* and emptiness, so its decisions stay the same.
-  const auto nearest = sightings_->k_nearest(probe.p, 1, probe.req_acc);
-  if (nearest.empty()) return;
-  // The slack keeps the cut at least as inclusive as finish_nn's nearObjSet
-  // bound, d* + near_qual + 1e-9, after rounding. When b lies outside the
-  // disk the radius wins, and the disk holds no qualifying object.
-  const double b = geo::distance(nearest[0].ld.pos, probe.p);
-  const double keep = (b + std::max(probe.near_qual, 0.0)) * (1 + 1e-9) + 1e-9;
-  sightings_->objects_in_circle_emit({probe.p, std::min(probe.radius, keep)},
-                                     probe.req_acc, std::forward<Sink>(sink));
-}
-
-std::uint64_t LocationServer::launch_nn_ring(PendingNN op) {
+void LocationServer::launch_nn_ring(PendingNN op) {
   ++stats_.nn_rings;
   const std::uint64_t ring_key = next_req_id();
   const geo::Polygon probe_poly = nn_probe_polygon(op.p, op.radius);
   op.target = probe_poly.area();
   op.covered = 0.0;
   op.deadline = now() + opts_.pending_timeout;
-
-  wm::NNProbeFwd probe;
-  probe.p = op.p;
-  probe.radius = op.radius;
-  probe.req_acc = op.req_acc;
-  probe.coordinator = self_;
-  probe.req_id = ring_key;
-  probe.near_qual = op.near_qual;
+  const wm::NNProbeFwd probe{op.p, op.radius, op.req_acc, self_, ring_key, op.near_qual};
 
   // Local contribution: streamed from the store straight into the ring's
   // candidate map (no intermediate vector).
-  if (cfg_.is_leaf() && sightings_ && probe_poly.intersects(cfg_.sa)) {
-    emit_nn_candidates(probe,
-                       [&](const ObjectResult& r) { op.candidates[r.oid] = r.ld; });
-    op.covered += geo::intersection_area(probe_poly, cfg_.sa);
+  if (credit_own_share(op, probe_poly)) {
+    emit_share(probe, [&](const ObjectResult& r) { op.candidates[r.oid] = r.ld; });
   }
-  if (cfg_.is_root()) {
-    op.covered += probe_poly.area() - geo::intersection_area(probe_poly, cfg_.sa);
-  }
-
   pending_nn_.emplace(ring_key, std::move(op));
-  route_nn_probe(probe, probe_poly, kNoNode);
+  fan_out<wm::NNProbeSubRes>(probe, probe_poly, self_, kNoNode);
   check_nn_ring(ring_key);
-  return ring_key;
-}
-
-void LocationServer::route_nn_probe(const wm::NNProbeFwd& probe,
-                                    const geo::Polygon& probe_poly, NodeId from) {
-  fan_out<wm::NNProbeSubRes>(probe, probe_poly, probe.coordinator, from);
-}
-
-void LocationServer::answer_nn_probe_locally(const wm::NNProbeFwd& probe,
-                                             const geo::Polygon& probe_poly,
-                                             double extra_covered) {
-  assert(sightings_);
-  wm::NNProbeSubRes& sub = nn_sub_scratch_;
-  sub.req_id = probe.req_id;
-  sub.candidates.clear();
-  // Candidates stream straight from the spatial index into the packed wire
-  // framing; no candidate vector exists between store and socket.
-  emit_nn_candidates(probe, [&](const ObjectResult& r) { sub.candidates.append(r); });
-  sub.covered_size = geo::intersection_area(probe_poly, cfg_.sa) + extra_covered;
-  sub.origin = origin_piggyback();
-  send_msg(probe.coordinator, sub);
 }
 
 void LocationServer::on_nn_probe_fwd(NodeId src, const wm::NNProbeFwd& m) {
   const geo::Polygon probe_poly = nn_probe_polygon(m.p, m.radius);
-  double credit = 0.0;
-  if (cfg_.is_root()) {
-    credit = probe_poly.area() - geo::intersection_area(probe_poly, cfg_.sa);
-  }
-  if (cfg_.is_leaf()) {
-    if (probe_poly.intersects(cfg_.sa) || credit > 0.0) {
-      answer_nn_probe_locally(m, probe_poly, credit);
-    }
-  } else if (credit > coverage_epsilon(probe_poly.area())) {
-    wm::NNProbeSubRes sub;
-    sub.req_id = m.req_id;
-    sub.covered_size = credit;
-    send_msg(m.coordinator, sub);
-  }
-  route_nn_probe(m, probe_poly, src);
+  answer_share(m, probe_poly, m.coordinator, nn_sub_scratch_);
+  fan_out<wm::NNProbeSubRes>(m, probe_poly, m.coordinator, src);
 }
 
 void LocationServer::check_nn_ring(std::uint64_t ring_key) {
   const auto it = pending_nn_.find(ring_key);
-  if (it == pending_nn_.end()) return;
-  PendingNN& op = it->second;
-  if (op.covered < op.target - coverage_epsilon(op.target)) return;  // ring open
+  if (it == pending_nn_.end() || !it->second.complete()) return;  // ring open
+  PendingNN op = std::move(it->second);
+  pending_nn_.erase(it);
 
   if (op.candidates.empty()) {
     if (op.radius >= kNNMaxRadius) {
-      finish_nn(ring_key);
+      finish_nn(std::move(op));
       return;
     }
-    PendingNN next = std::move(op);
-    pending_nn_.erase(it);
-    next.radius = std::min(next.radius * 2.0, kNNMaxRadius);
-    launch_nn_ring(std::move(next));
+    op.radius = std::min(op.radius * 2.0, kNNMaxRadius);
+    launch_nn_ring(std::move(op));
     return;
   }
   // d*: distance to the best candidate. The completed ring guarantees that
@@ -1216,22 +1165,15 @@ void LocationServer::check_nn_ring(std::uint64_t ring_key) {
   });
   const double needed = best + op.near_qual;
   if (op.final_ring || op.radius >= needed - 1e-9) {
-    finish_nn(ring_key);
+    finish_nn(std::move(op));
     return;
   }
-  PendingNN next = std::move(op);
-  pending_nn_.erase(it);
-  next.radius = std::min(needed * 1.001, kNNMaxRadius);
-  next.final_ring = true;
-  launch_nn_ring(std::move(next));
+  op.radius = std::min(needed * 1.001, kNNMaxRadius);
+  op.final_ring = true;
+  launch_nn_ring(std::move(op));
 }
 
-void LocationServer::finish_nn(std::uint64_t ring_key) {
-  const auto it = pending_nn_.find(ring_key);
-  if (it == pending_nn_.end()) return;
-  PendingNN op = std::move(it->second);
-  pending_nn_.erase(it);
-
+void LocationServer::finish_nn(PendingNN op) {
   wm::NNQueryRes& res = nn_res_scratch_;
   res.req_id = op.client_req_id;
   res.found = false;
@@ -1590,6 +1532,22 @@ void LocationServer::on_event_unsubscribe(NodeId src, const wm::EventUnsubscribe
 // --------------------------------------------------------------------------
 // maintenance
 
+template <typename Table, typename OnTimeout>
+void LocationServer::sweep(Table& table, TimePoint t, OnTimeout&& on_timeout) {
+  // Expired keys first: a timeout may insert into `table` (a position query
+  // retried under a new key).
+  std::vector<std::uint64_t> expired;
+  for (const auto& [key, op] : table) {
+    if (op.deadline <= t) expired.push_back(key);
+  }
+  for (const std::uint64_t key : expired) {
+    const auto it = table.find(key);
+    typename Table::mapped_type op = std::move(it->second);
+    table.erase(it);
+    on_timeout(op);
+  }
+}
+
 void LocationServer::tick(TimePoint t) {
   // Send-burst bracket: a tick can emit a storm (heartbeats to every child,
   // batch deadline flushes, expiry notifications), so cork the sender and
@@ -1639,57 +1597,34 @@ void LocationServer::tick_body(TimePoint t) {
       tee({wm::ReplicaTee::Op::kRemove, Sighting{oid}});
     }
   }
-  // Pending-operation timeouts. A query a cached agent left unanswered
-  // retries through the hierarchy under a new key, which inserts into
-  // pending_pos_, so the expired keys are collected first.
-  std::vector<std::uint64_t> expired;
-  for (const auto& [key, pending] : pending_pos_) {
-    if (pending.deadline <= t) expired.push_back(key);
-  }
-  for (const std::uint64_t key : expired) {
-    const auto it = pending_pos_.find(key);
-    const PendingPos pending = it->second;
-    pending_pos_.erase(it);
+  // Pending-operation timeouts.
+  sweep(pending_pos_, t, [&](const PendingPos& pending) {
+    // A query a cached agent left unanswered retries through the hierarchy.
     if (pending.via_agent_cache) {
       route_pos_query(next_req_id(), pending);
-      continue;
+      return;
     }
     ++stats_.pending_timeouts;
     send_msg(pending.client, wm::PosQueryRes{pending.oid, false, {}, kNoNode,
                                              pending.client_req_id, std::nullopt});
-  }
-  for (auto it = pending_range_.begin(); it != pending_range_.end();) {
-    if (it->second.deadline > t) {
-      ++it;
-      continue;
-    }
+  });
+  sweep(pending_range_, t, [&](PendingRange& pending) {
     ++stats_.pending_timeouts;
-    emit_range_result(it->second.client, it->second.client_req_id,
-                      /*complete=*/false, it->second);
-    it = pending_range_.erase(it);
-  }
-  expired.clear();
-  for (const auto& [key, op] : pending_nn_) {
-    if (op.deadline <= t) expired.push_back(key);
-  }
-  for (const std::uint64_t key : expired) {
+    emit_range_result(pending, /*complete=*/false);
+  });
+  sweep(pending_nn_, t, [&](PendingNN& op) {
     ++stats_.pending_timeouts;
-    finish_nn(key);  // best effort with whatever candidates arrived
-  }
-  for (auto it = pending_handover_.begin(); it != pending_handover_.end();) {
-    if (it->second.deadline > t) {
-      ++it;
-      continue;
-    }
+    finish_nn(std::move(op));  // best effort with whatever candidates arrived
+  });
+  sweep(pending_handover_, t, [&](const PendingHandover& pending) {
     ++stats_.pending_timeouts;
-    if (it->second.reply_to_object) {
+    if (pending.reply_to_object) {
       // The old agent may hand the object over again.
-      if (store::SightingDb::Record* rec = sightings_->find(it->second.oid)) {
+      if (store::SightingDb::Record* rec = sightings_->find(pending.oid)) {
         rec->in_handover = false;
       }
     }
-    it = pending_handover_.erase(it);
-  }
+  });
   for (auto it = awaiting_refresh_.begin(); it != awaiting_refresh_.end();) {
     auto& waiters = it->second;
     waiters.erase(std::remove_if(waiters.begin(), waiters.end(),

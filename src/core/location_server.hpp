@@ -18,7 +18,8 @@
 //  * Algorithm 6-5  range queries with Enlarge(area, reqAcc) routing and
 //    covered-area completion accounting,
 //  * nearest-neighbor queries (§3.2 semantics) via an expanding-ring search
-//    whose probe replies carry only the answer's candidates,
+//    whose probe replies carry only the answer's candidates; each ring is
+//    gathered as a range query is (one scatter-gather, see Gather),
 //  * the three §6.5 caches (leaf-area / object-agent / position descriptor),
 //  * soft-state expiry and removePath pruning (§5),
 //  * crash recovery: persistent visitorDB replay + refresh requests, and
@@ -261,21 +262,29 @@ class LocationServer {
  private:
   // -- pending distributed operations (the paper's blocking "receive ..."
   //    steps become continuation state swept by tick()) --
-  struct PendingNN {
+  /// One scatter-gather (Alg 6-5): the entry forwards a request over an
+  /// area, every leaf answers its share with the size of the area it covers,
+  /// and the entry answers `client` once those sizes add up to `target`.
+  /// Range queries and NN probe rings both gather this way.
+  struct Gather {
     NodeId client;
-    std::uint64_t client_req_id;
+    std::uint64_t client_req_id = 0;
+    double target = 0.0;   // size of the area the shares must cover
+    double covered = 0.0;  // credited so far
+    TimePoint deadline = 0;
+    /// The shares cover the target (within coverage_epsilon).
+    bool complete() const;
+  };
+  struct PendingNN : Gather {
     geo::Point p;
     double req_acc = 0.0;
     double near_qual = 0.0;
     double radius = 0.0;
     bool final_ring = false;  // radius already covers d* + nearQual
-    double target = 0.0;
-    double covered = 0.0;
     // Flat candidate map (util/oid_set.hpp): streaming sub-result merge
     // with zero allocations at working size; retired maps recycle through
     // nn_map_pool_ with their slot arrays intact.
     util::OidMap<LocationDescriptor> candidates;
-    TimePoint deadline = 0;
   };
 
   // -- message handlers (one per protocol message) --
@@ -358,35 +367,38 @@ class LocationServer {
   /// `area`. `fwd` goes upward while `area` extends outside ours.
   template <typename SubRes, typename Fwd>
   void fan_out(const Fwd& fwd, const geo::Polygon& area, NodeId entry, NodeId from);
-  /// Routes a range query one hop further (Alg 6-5 range query fwd) over its
-  /// enlarged area.
-  void route_range(const wire::RangeQueryFwd& fwd, const geo::Polygon& enlarged,
-                   NodeId from);
-  /// Leaf-local answer for a routed range query.
-  void answer_range_locally(const geo::Polygon& area, const geo::Polygon& enlarged,
-                            double req_acc, double req_overlap, NodeId entry,
-                            std::uint64_t req_id, double extra_covered);
-
-  /// Routes an NN probe over its probe polygon, as range queries are routed.
-  void route_nn_probe(const wire::NNProbeFwd& probe, const geo::Polygon& probe_poly,
-                      NodeId from);
-  void answer_nn_probe_locally(const wire::NNProbeFwd& probe,
-                               const geo::Polygon& probe_poly, double extra_covered);
+  /// The entry's own credit toward `gather` over `area`: its leaf share and,
+  /// at the root, the part of `area` outside the entire service area, which
+  /// no server will ever report. True when this leaf holds a share, which
+  /// the caller then emits.
+  bool credit_own_share(Gather& gather, const geo::Polygon& area);
+  /// Answers a forwarded RangeQueryFwd or NNProbeFwd routed over `area`: a
+  /// leaf sends `entry` its share, the root the credit for `area` outside
+  /// the service area. `sub` is the scratch sub-result.
+  template <typename Fwd, typename SubRes>
+  void answer_share(const Fwd& fwd, const geo::Polygon& area, NodeId entry, SubRes& sub);
+  /// This leaf's share of a range query (RangeQueryReq at the entry,
+  /// RangeQueryFwd past it): every qualifying object in the query area.
+  template <typename RangeQuery, typename Sink>
+  void emit_share(const RangeQuery& query, Sink&& sink) const;
   /// This leaf's share of an NN probe: if its nearest qualifying object lies
   /// in the probe disk, at distance b, every qualifying object within
   /// min(radius, b + near_qual) of p; otherwise nothing.
   template <typename Sink>
-  void emit_nn_candidates(const wire::NNProbeFwd& probe, Sink&& sink) const;
+  void emit_share(const wire::NNProbeFwd& probe, Sink&& sink) const;
+  /// Credits a sub-result to the gather in `table` it answers; returns that
+  /// gather, or nullptr when it is gone (timed out earlier).
+  template <typename Table>
+  typename Table::mapped_type* credit_sub_res(Table& table, wire::SubResView& view);
   /// Starts (or restarts with a larger radius) the expanding-ring probe for
-  /// a pending NN operation; returns the new ring key.
-  std::uint64_t launch_nn_ring(PendingNN op);
+  /// a pending NN operation.
+  void launch_nn_ring(PendingNN op);
   void check_nn_ring(std::uint64_t ring_key);
-  void finish_nn(std::uint64_t ring_key);
+  void finish_nn(PendingNN op);
 
   /// Writes an accepted sighting through its leaf record, then the event
   /// predicates and the standby's tee.
   void put_sighting(store::SightingDb::Record& rec, const Sighting& s);
-  void try_complete_range(std::uint64_t key);
   /// A leaf's answer to a position query for `oid` (Alg 6-4 lines 1-4), sent
   /// to `to` -- or, for a record still without its sighting (§5), a
   /// one-entry refresh request to the object and a waiting query. Returns
@@ -415,8 +427,12 @@ class LocationServer {
   /// Streams the merged range answer directly into an outgoing pooled
   /// envelope (dedup-on-emit) and releases the pinned segments.
   struct PendingRange;
-  void emit_range_result(NodeId client, std::uint64_t client_req_id,
-                         bool complete, PendingRange& pending);
+  void emit_range_result(PendingRange& pending, bool complete);
+
+  /// Removes every operation of `table` whose deadline has passed at `t`,
+  /// then hands each to `on_timeout`, in the table's iteration order.
+  template <typename Table, typename OnTimeout>
+  void sweep(Table& table, TimePoint t, OnTimeout&& on_timeout);
 
   /// CreatePath/RemovePath toward the parent (one per object, Alg 6-1/6-3).
   void send_path(bool create, ObjectId oid);
@@ -555,13 +571,8 @@ class LocationServer {
     std::size_t len = 0;
     std::uint64_t count = 0;
   };
-  struct PendingRange {
-    NodeId client;
-    std::uint64_t client_req_id;
-    double target = 0.0;   // size of the enlarged query area
-    double covered = 0.0;  // accumulated from sub-results
+  struct PendingRange : Gather {
     std::vector<SubSegment> segments;  // local + sub-results, arrival order
-    TimePoint deadline;
   };
   std::unordered_map<std::uint64_t, PendingRange> pending_range_;
 

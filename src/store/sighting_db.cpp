@@ -66,7 +66,7 @@ void SightingDb::update(Record& rec, const core::Sighting& s, TimePoint expiry) 
     index_->insert(s.oid, s.pos);
   } else if (std::memcmp(&rec.sighting.pos, &s.pos, sizeof s.pos) != 0) {
     // Compared bit for bit, not with ==, so the index always holds the
-    // record's exact position (k_nearest answers with the index's copy, and
+    // record's exact position (nearest answers with the index's copy, and
     // -0.0 == 0.0).
     index_->update(s.oid, s.pos);
   }
@@ -137,22 +137,19 @@ void SightingDb::objects_in_area(const geo::Polygon& area, double req_acc,
                        [&](const core::ObjectResult& r) { out.push_back(r); });
 }
 
-std::vector<core::ObjectResult> SightingDb::k_nearest(geo::Point p, std::size_t k,
+std::optional<core::ObjectResult> SightingDb::nearest(geo::Point p,
                                                       double req_acc) const {
   // Over-fetch to compensate for accuracy filtering, then widen if needed.
-  std::vector<core::ObjectResult> result;
-  std::size_t fetch = k;
+  std::size_t fetch = 1;
   while (true) {
     const auto entries = index_->k_nearest(p, fetch);
-    result.clear();
     for (const spatial::Entry& e : entries) {
       const Record* rec = records_.find(e.id);
       assert(rec != nullptr);
       if (rec->offered_acc > req_acc) continue;
-      result.push_back({e.id, {e.pos, rec->offered_acc}});
-      if (result.size() == k) return result;
+      return core::ObjectResult{e.id, {e.pos, rec->offered_acc}};
     }
-    if (entries.size() < fetch) return result;  // exhausted the database
+    if (entries.size() < fetch) return std::nullopt;  // exhausted the database
     fetch *= 2;
   }
 }

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cassert>
+#include <optional>
 #include <vector>
 
 #include "core/types.hpp"
@@ -157,9 +158,8 @@ class SightingDb {
     }
   }
 
-  /// The k nearest objects (by stored position) with acc <= req_acc.
-  std::vector<core::ObjectResult> k_nearest(geo::Point p, std::size_t k,
-                                            double req_acc) const;
+  /// The nearest object (by stored position) with acc <= req_acc.
+  std::optional<core::ObjectResult> nearest(geo::Point p, double req_acc) const;
 
   /// Records, with or without a sighting.
   std::size_t size() const { return records_.size(); }

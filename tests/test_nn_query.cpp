@@ -228,6 +228,29 @@ TEST_P(NNOracle, MatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NNOracle, ::testing::Values(1, 2, 3, 4));
 
+TEST(NNQuery, TimeoutAnswersWithTheCandidatesThatArrived) {
+  SimWorld world(core::HierarchyBuilder::fig6(kArea));
+  auto o1 = world.register_object(ObjectId{1}, {480, 480}, 1.0, {10.0, 50.0});  // s4
+  auto o2 = world.register_object(ObjectId{2}, {600, 600}, 1.0, {10.0, 50.0});  // s7
+  ASSERT_EQ(o2->agent(), NodeId{7});
+  // The first ring (radius ~14 m around the corner of s4) reaches s5, s6
+  // and s7; s7 never answers, so the ring stays open until its deadline.
+  world.net.set_node_down(NodeId{7}, true);
+  auto qc = world.make_query_client(NodeId{4});
+  const std::uint64_t id = qc->send_nn_query({490, 490}, 50.0, 200.0);
+  world.run();
+  EXPECT_FALSE(qc->take_nn(id).has_value());
+
+  world.advance(seconds(6));
+  const auto res = qc->take_nn(id);
+  ASSERT_TRUE(res.has_value()) << "NN query did not complete";
+  ASSERT_TRUE(res->found);
+  EXPECT_EQ(res->nearest.oid, ObjectId{1});
+  // o2 lies within d* + nearQual, but the ring that would reach it never ran.
+  EXPECT_TRUE(res->near_set.empty());
+  EXPECT_EQ(world.deployment->server(NodeId{4}).stats().pending_timeouts, 1u);
+}
+
 TEST(NNQuery, EmptyDatabaseNotFound) {
   SimWorld world(core::HierarchyBuilder::fig6(kArea));
   auto qc = world.make_query_client(NodeId{4});

@@ -274,14 +274,14 @@ TEST(SightingDb, ObjectsInAreaCandidateMarginCatchesOutsideCenters) {
   ASSERT_EQ(out.size(), 1u);
 }
 
-TEST(SightingDb, KNearestRespectsAccuracyFilter) {
+TEST(SightingDb, NearestRespectsAccuracyFilter) {
   SightingDb db = make_db();
   db.insert(sighting(1, 10, 0), 100.0, 1e9);  // nearest but inaccurate
   db.insert(sighting(2, 20, 0), 5.0, 1e9);
   db.insert(sighting(3, 30, 0), 5.0, 1e9);
-  const auto nn = db.k_nearest({0, 0}, 1, 50.0);
-  ASSERT_EQ(nn.size(), 1u);
-  EXPECT_EQ(nn[0].oid, ObjectId{2});
+  const auto nn = db.nearest({0, 0}, 50.0);
+  ASSERT_TRUE(nn.has_value());
+  EXPECT_EQ(nn->oid, ObjectId{2});
 }
 
 // Forwards to a point quadtree and counts inserts and updates.
@@ -399,7 +399,7 @@ TEST(SightingDb, VisitorWithoutSightingIsInNeitherIndexNorHeap) {
   db.objects_in_area(geo::Polygon::from_rect(geo::Rect{{-1e6, -1e6}, {1e6, 1e6}}),
                      1e9, 1e-9, out);
   EXPECT_TRUE(out.empty());
-  EXPECT_TRUE(db.k_nearest({0, 0}, 1, 1e9).empty());
+  EXPECT_FALSE(db.nearest({0, 0}, 1e9).has_value());
   EXPECT_TRUE(db.expire_until(1'000'000'000).empty());
   ASSERT_NE(db.find(ObjectId{1}), nullptr);
 
