@@ -7,7 +7,8 @@ namespace locs::core {
 namespace wm = locs::wire;
 
 namespace {
-/// Resend an unacknowledged update after this long (on next sensor feed).
+/// Resend an unacknowledged update or registration after this long (on the
+/// next sensor feed).
 constexpr Duration kUpdateRetry = seconds(2);
 }  // namespace
 
@@ -30,24 +31,36 @@ void TrackedObject::start_register(NodeId entry_server, geo::Point pos,
   sensor_acc_ = sensor_acc;
   acc_range_ = range;
   last_fed_pos_ = pos;
+  send_register(entry_server);
+}
+
+void TrackedObject::send_register(NodeId to) {
   state_ = State::kRegistering;
+  register_to_ = to;
   wm::RegisterReq req;
-  req.s = Sighting{oid_, clock_.now(), pos, sensor_acc};
-  req.acc_range = range;
+  req.s = Sighting{oid_, clock_.now(), last_fed_pos_, sensor_acc_};
+  req.acc_range = acc_range_;
   req.reg_inst = self_;
   req.req_id = ++req_counter_;
-  last_sent_pos_ = pos;
-  send_msg(entry_server, req);
+  last_sent_pos_ = last_fed_pos_;
+  last_send_time_ = clock_.now();
+  send_msg(to, req);
 }
 
 bool TrackedObject::feed_position(geo::Point pos) {
   std::lock_guard<std::mutex> lock(mu_);
   last_fed_pos_ = pos;
+  const auto retry_due = [&] { return clock_.now() - last_send_time_ >= kUpdateRetry; };
+  if (state_ == State::kRegistering) {
+    // A lost RegisterReq or RegisterRes would leave us registering for good.
+    if (!retry_due()) return false;
+    send_register(register_to_);
+    return true;
+  }
   if (state_ != State::kTracked) return false;
   const bool threshold_crossed =
       geo::distance(pos, last_sent_pos_) > offered_acc_;
-  const bool retry = update_pending_ &&
-                     clock_.now() - last_send_time_ >= kUpdateRetry;
+  const bool retry = update_pending_ && retry_due();
   if (!threshold_crossed && !retry) return false;
   send_update(pos);
   return true;
@@ -112,14 +125,7 @@ void TrackedObject::apply_unknown_object_locked(NodeId leaf) {
   // out of the agent's area goes up the hierarchy to the right leaf.
   ++reregistrations_;
   update_pending_ = false;
-  state_ = State::kRegistering;
-  wm::RegisterReq req;
-  req.s = Sighting{oid_, clock_.now(), last_fed_pos_, sensor_acc_};
-  req.acc_range = acc_range_;
-  req.reg_inst = self_;
-  req.req_id = ++req_counter_;
-  last_sent_pos_ = last_fed_pos_;
-  send_msg(agent_, req);
+  send_register(agent_);
 }
 
 void TrackedObject::request_change_acc(AccuracyRange range) {
@@ -143,11 +149,15 @@ void TrackedObject::handle(const std::uint8_t* data, std::size_t len) {
   std::visit(
       [&](const auto& m) {
         using T = std::decay_t<decltype(m)>;
+        // Only the answer to the latest RegisterReq counts: an earlier
+        // attempt's answer may arrive after a retry.
         if constexpr (std::is_same_v<T, wm::RegisterRes>) {
+          if (m.req_id != req_counter_) return;
           agent_ = m.agent;
           offered_acc_ = m.offered_acc;
           state_ = State::kTracked;
         } else if constexpr (std::is_same_v<T, wm::RegisterFailed>) {
+          if (m.req_id != req_counter_) return;
           register_failed_acc_ = m.best_acc;
           state_ = State::kFailed;
         } else if constexpr (std::is_same_v<T, wm::UpdateAck>) {

@@ -8,7 +8,9 @@
 // agent changes announced by handover and answers post-recovery refresh
 // requests. When its agent answers an update with UnknownObject (the leaf
 // lost the record), the object registers again through that agent; the same
-// answer from a former agent, to a straggler update, changes nothing.
+// answer from a former agent, to a straggler update, changes nothing. A
+// registration left unanswered is sent again, like an update, on the first
+// sensor feed after the retry interval.
 //
 // A QueryClient issues position / range / nearest-neighbor queries and event
 // subscriptions against an entry server and collects responses. Results are
@@ -43,8 +45,10 @@ class TrackedObject {
                       AccuracyRange range);
 
   /// Sensor feed: remembers the position and sends an update when the
-  /// §6.2 threshold (offered accuracy) is exceeded. Returns true if an
-  /// update message was sent.
+  /// §6.2 threshold (offered accuracy) is exceeded. While registering, it
+  /// sends the registration again, at this position, once the last attempt
+  /// has gone unanswered for the retry interval. Returns true if a message
+  /// was sent.
   bool feed_position(geo::Point pos);
 
   /// Requests a different accuracy range from the agent (§3.1 changeAcc).
@@ -89,6 +93,9 @@ class TrackedObject {
 
  private:
   void handle(const std::uint8_t* data, std::size_t len);
+  /// Every RegisterReq: the first, the re-registration after UnknownObject
+  /// and their retries, all at the last fed position.
+  void send_register(NodeId to);
   void send_update(geo::Point pos);
   void apply_update_ack_locked(double offered_acc);
   void apply_agent_changed_locked(NodeId new_agent, double offered_acc);
@@ -117,6 +124,7 @@ class TrackedObject {
   mutable std::mutex mu_;
   State state_ = State::kIdle;
   NodeId agent_;
+  NodeId register_to_;  // where the pending registration went
   double offered_acc_ = 0.0;
   double sensor_acc_ = 0.0;
   AccuracyRange acc_range_;  // remembered for re-registration
@@ -125,7 +133,7 @@ class TrackedObject {
   geo::Point last_sent_pos_;
   geo::Point last_fed_pos_;
   bool update_pending_ = false;  // sent but unacknowledged
-  TimePoint last_send_time_ = 0;
+  TimePoint last_send_time_ = 0;  // of the last update or registration
   std::uint64_t updates_sent_ = 0;
   std::uint64_t handovers_observed_ = 0;
   std::uint64_t refreshes_answered_ = 0;

@@ -1,6 +1,7 @@
-// Edge cases across the protocol: update-retry after ack loss,
-// heterogeneous per-leaf accuracy with notifyAvailAcc on handover,
-// concurrent handovers, and event routing from arbitrary entry servers.
+// Edge cases across the protocol: update and registration retries after a
+// lost answer, heterogeneous per-leaf accuracy with notifyAvailAcc on
+// handover, concurrent handovers, and event routing from arbitrary entry
+// servers.
 #include <gtest/gtest.h>
 
 #include "test_support.hpp"
@@ -36,6 +37,37 @@ TEST(UpdateRetry, ResendsAfterLostAck) {
   const auto* rec = world.deployment->server(NodeId{4}).sightings()->find(ObjectId{1});
   ASSERT_NE(rec, nullptr);
   EXPECT_EQ(rec->sighting.pos, (geo::Point{131, 100}));
+}
+
+TEST(RegistrationRetry, ResendsAfterLostResponse) {
+  SimWorld world(core::HierarchyBuilder::fig6(kArea));
+  TrackedObject obj(world.client_node(), ObjectId{1}, world.net, world.net.clock());
+  // Leaf 4's first answer to the object (its RegisterRes) is lost.
+  int answers = 0;
+  world.net.set_drop_fn([&](NodeId from, NodeId to) {
+    return from == NodeId{4} && to == obj.node() && answers++ == 0;
+  });
+  obj.start_register(NodeId{4}, {100, 100}, 1.0, {10.0, 50.0});
+  world.run();
+  EXPECT_EQ(obj.state(), TrackedObject::State::kRegistering);
+
+  // Within the retry interval a feed sends nothing; after it, the feed
+  // registers again with the same leaf, at the fed position.
+  world.net.clock().advance(seconds(1));
+  EXPECT_FALSE(obj.feed_position({110, 100}));
+  world.net.clock().advance(seconds(2));
+  EXPECT_TRUE(obj.feed_position({120, 100}));
+  world.run();
+  EXPECT_TRUE(obj.tracked());
+  EXPECT_EQ(obj.agent(), NodeId{4});
+  const auto* rec = world.deployment->server(NodeId{4}).sightings()->find(ObjectId{1});
+  ASSERT_NE(rec, nullptr);
+  EXPECT_EQ(rec->sighting.pos, (geo::Point{120, 100}));
+
+  // A late answer to the first attempt changes nothing.
+  net::send_message(world.net, NodeId{5}, obj.node(), wire::RegisterRes{NodeId{5}, 30.0, 1});
+  world.run();
+  EXPECT_EQ(obj.agent(), NodeId{4});
 }
 
 TEST(HeterogeneousAccuracy, HandoverIntoCoarserLeafNotifies) {
