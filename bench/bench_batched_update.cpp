@@ -26,7 +26,7 @@
 #include "core/hierarchy_builder.hpp"
 #include "core/update_coalescer.hpp"
 #include "net/sim_network.hpp"
-#include "sim/workload.hpp"
+#include "sim/scenario.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -92,24 +92,22 @@ struct World {
 /// with positions jittered inside the leaf so no update triggers handover).
 Schedule make_schedule(const World& w) {
   Schedule sched;
-  sim::WorkloadParams params;
-  params.area = geo::Rect{{0, 0}, {kAreaSize, kAreaSize}};
-  params.update_burst = {/*burst_prob=*/0.85, /*burst_min=*/4, /*burst_max=*/16};
-  sim::WorkloadGenerator gen(params, /*seed=*/42);
+  const sim::BurstModel bursts{/*burst_prob=*/0.85, /*burst_min=*/4, /*burst_max=*/16};
+  Rng rng(/*seed=*/42);
   for (int r = 0; r < kRounds; ++r) {
     for (int s = 0; s < kSlotsPerRound; ++s) {
       Schedule::Slot slot;
-      const std::size_t leaf_idx = gen.rng().next_below(w.leaves.size());
+      const std::size_t leaf_idx = rng.next_below(w.leaves.size());
       slot.leaf = w.leaves[leaf_idx];
       const geo::Rect& rect = w.leaf_rects[leaf_idx];
-      const std::uint32_t burst = gen.next_update_burst();
+      const std::uint32_t burst = bursts.draw(rng);
       const auto& pool = w.by_leaf[leaf_idx];
       for (std::uint32_t u = 0; u < burst; ++u) {
-        const ObjectId oid = pool[gen.rng().next_below(pool.size())];
+        const ObjectId oid = pool[rng.next_below(pool.size())];
         slot.sightings.push_back(core::Sighting{
             oid, 0,
-            {gen.rng().uniform(rect.min.x + 1, rect.max.x - 1),
-             gen.rng().uniform(rect.min.y + 1, rect.max.y - 1)},
+            {rng.uniform(rect.min.x + 1, rect.max.x - 1),
+             rng.uniform(rect.min.y + 1, rect.max.y - 1)},
             5.0});
       }
       sched.total_updates += slot.sightings.size();

@@ -1,8 +1,7 @@
 // 2-D points/vectors on the local tangent plane, in metres.
 //
 // The location service core operates on planar coordinates (all quantities
-// in the paper -- areas, accuracies, distances -- are metres). geo/projection
-// maps WGS84 geodetic coordinates onto this plane.
+// in the paper -- areas, accuracies, distances -- are metres).
 #pragma once
 
 #include <cmath>

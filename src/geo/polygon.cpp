@@ -291,45 +291,4 @@ Polygon enlarge(const Polygon& area, double margin) {
   return Polygon(std::move(out));
 }
 
-std::vector<Triangle> triangulate(const Polygon& poly) {
-  std::vector<Triangle> result;
-  if (poly.empty()) return result;
-  std::vector<Point> v(poly.vertices().begin(), poly.vertices().end());
-  // Ear clipping (O(n^2), fine for the small polygons the service handles).
-  const auto is_ear = [&](std::size_t i) {
-    const std::size_t n = v.size();
-    const Point a = v[(i + n - 1) % n];
-    const Point b = v[i];
-    const Point c = v[(i + 1) % n];
-    if (cross(b - a, c - b) <= kEps) return false;  // reflex or degenerate
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j == (i + n - 1) % n || j == i || j == (i + 1) % n) continue;
-      const Point p = v[j];
-      // Strict point-in-triangle.
-      const double d1 = cross(b - a, p - a);
-      const double d2 = cross(c - b, p - b);
-      const double d3 = cross(a - c, p - c);
-      if (d1 > -kEps && d2 > -kEps && d3 > -kEps) return false;
-    }
-    return true;
-  };
-  std::size_t guard = 0;
-  while (v.size() > 3 && guard < 100000) {
-    bool clipped = false;
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      if (is_ear(i)) {
-        const std::size_t n = v.size();
-        result.push_back({v[(i + n - 1) % n], v[i], v[(i + 1) % n]});
-        v.erase(v.begin() + static_cast<std::ptrdiff_t>(i));
-        clipped = true;
-        break;
-      }
-    }
-    if (!clipped) break;  // numerically degenerate remainder
-    ++guard;
-  }
-  if (v.size() == 3) result.push_back({v[0], v[1], v[2]});
-  return result;
-}
-
 }  // namespace locs::geo

@@ -90,13 +90,4 @@ Polygon convex_hull(std::vector<Point> points);
 /// candidate servers to a range query, never lose one.
 Polygon enlarge(const Polygon& area, double margin);
 
-/// Ear-clipping triangulation of a simple polygon (CCW). Each triangle is a
-/// (a, b, c) triple. Used by tests (uniform sampling inside polygons) and by
-/// the workload generator.
-struct Triangle {
-  Point a, b, c;
-  double area() const { return cross(b - a, c - a) / 2.0; }
-};
-std::vector<Triangle> triangulate(const Polygon& poly);
-
 }  // namespace locs::geo

@@ -151,56 +151,6 @@ class Manhattan final : public MobilityModel {
   Rng& rng_;
 };
 
-class GaussMarkov final : public MobilityModel {
- public:
-  GaussMarkov(const geo::Rect& area, geo::Point start, double mean_speed,
-              double alpha, Rng& rng)
-      : area_(area),
-        pos_(clamp_to(area, start)),
-        mean_speed_(mean_speed),
-        speed_(mean_speed),
-        heading_(rng.uniform(0.0, 2.0 * M_PI)),
-        alpha_(alpha),
-        rng_(rng) {}
-
-  geo::Point step(Duration dt) override {
-    const double a = alpha_;
-    const double root = std::sqrt(std::max(0.0, 1.0 - a * a));
-    speed_ = a * speed_ + (1.0 - a) * mean_speed_ +
-             root * rng_.normal(0.0, mean_speed_ * 0.3);
-    speed_ = std::max(0.0, speed_);
-    heading_ = a * heading_ + (1.0 - a) * mean_heading_ +
-               root * rng_.normal(0.0, 0.5);
-    geo::Point next = pos_ + geo::Point{std::cos(heading_), std::sin(heading_)} *
-                                 (speed_ * to_seconds(dt));
-    // Reflect off the boundary and bias the mean heading back inwards.
-    if (next.x < area_.min.x || next.x > area_.max.x) {
-      heading_ = M_PI - heading_;
-      mean_heading_ = heading_;
-      next.x = std::clamp(next.x, area_.min.x, area_.max.x);
-    }
-    if (next.y < area_.min.y || next.y > area_.max.y) {
-      heading_ = -heading_;
-      mean_heading_ = heading_;
-      next.y = std::clamp(next.y, area_.min.y, area_.max.y);
-    }
-    pos_ = next;
-    return pos_;
-  }
-
-  geo::Point position() const override { return pos_; }
-
- private:
-  geo::Rect area_;
-  geo::Point pos_;
-  double mean_speed_;
-  double speed_;
-  double heading_;
-  double mean_heading_ = 0.0;
-  double alpha_;
-  Rng& rng_;
-};
-
 }  // namespace
 
 std::unique_ptr<MobilityModel> make_random_waypoint(const geo::Rect& area,
@@ -218,12 +168,6 @@ std::unique_ptr<MobilityModel> make_manhattan(const geo::Rect& area,
   return std::make_unique<Manhattan>(area, start, block_size, speed, rng);
 }
 
-std::unique_ptr<MobilityModel> make_gauss_markov(const geo::Rect& area,
-                                                 geo::Point start, double mean_speed,
-                                                 double alpha, Rng& rng) {
-  return std::make_unique<GaussMarkov>(area, start, mean_speed, alpha, rng);
-}
-
 std::vector<geo::Point> uniform_placement(const geo::Rect& area, std::size_t n,
                                           Rng& rng) {
   std::vector<geo::Point> out;
@@ -233,50 +177,6 @@ std::vector<geo::Point> uniform_placement(const geo::Rect& area, std::size_t n,
                    rng.uniform(area.min.y, area.max.y)});
   }
   return out;
-}
-
-std::vector<geo::Point> hotspot_placement(const geo::Rect& area, std::size_t n,
-                                          std::size_t hotspot_count,
-                                          double hotspot_fraction, double sigma,
-                                          Rng& rng) {
-  std::vector<geo::Point> centers = uniform_placement(area, hotspot_count, rng);
-  std::vector<geo::Point> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!centers.empty() && rng.bernoulli(hotspot_fraction)) {
-      const geo::Point c = centers[rng.next_below(centers.size())];
-      geo::Point p{c.x + rng.normal(0.0, sigma), c.y + rng.normal(0.0, sigma)};
-      out.push_back({std::clamp(p.x, area.min.x, area.max.x),
-                     std::clamp(p.y, area.min.y, area.max.y)});
-    } else {
-      out.push_back({rng.uniform(area.min.x, area.max.x),
-                     rng.uniform(area.min.y, area.max.y)});
-    }
-  }
-  return out;
-}
-
-geo::Point sample_in_polygon(const geo::Polygon& poly, Rng& rng) {
-  const auto tris = geo::triangulate(poly);
-  if (tris.empty()) return poly.bounding_box().center();
-  double total = 0.0;
-  for (const auto& t : tris) total += t.area();
-  double pick = rng.uniform(0.0, total);
-  const geo::Triangle* chosen = &tris.back();
-  for (const auto& t : tris) {
-    pick -= t.area();
-    if (pick <= 0.0) {
-      chosen = &t;
-      break;
-    }
-  }
-  double u = rng.next_double();
-  double v = rng.next_double();
-  if (u + v > 1.0) {
-    u = 1.0 - u;
-    v = 1.0 - v;
-  }
-  return chosen->a + (chosen->b - chosen->a) * u + (chosen->c - chosen->a) * v;
 }
 
 }  // namespace locs::sim

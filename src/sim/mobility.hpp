@@ -5,8 +5,6 @@
 //  * RandomWaypoint -- the classic model: pick a destination uniformly in
 //    the area, travel at a uniform-random speed, pause, repeat.
 //  * ManhattanGrid  -- movement constrained to a street grid (city traffic).
-//  * GaussMarkov    -- temporally correlated heading/speed (smooth paths,
-//    tunable randomness).
 //
 // All models are deterministic given the Rng seed.
 #pragma once
@@ -15,7 +13,6 @@
 #include <vector>
 
 #include "geo/point.hpp"
-#include "geo/polygon.hpp"
 #include "geo/rect.hpp"
 #include "util/clock.hpp"
 #include "util/rng.hpp"
@@ -43,23 +40,8 @@ std::unique_ptr<MobilityModel> make_manhattan(const geo::Rect& area,
                                               geo::Point start, double block_size,
                                               double speed, Rng& rng);
 
-std::unique_ptr<MobilityModel> make_gauss_markov(const geo::Rect& area,
-                                                 geo::Point start, double mean_speed,
-                                                 double alpha, Rng& rng);
-
 /// Initial placement: uniform over the area.
 std::vector<geo::Point> uniform_placement(const geo::Rect& area, std::size_t n,
                                           Rng& rng);
-
-/// Initial placement with hot spots: a fraction of the objects cluster
-/// around `hotspot_count` Gaussian centers (§4: "where hot spots are
-/// located"); the rest are uniform. Positions are clamped into the area.
-std::vector<geo::Point> hotspot_placement(const geo::Rect& area, std::size_t n,
-                                          std::size_t hotspot_count,
-                                          double hotspot_fraction, double sigma,
-                                          Rng& rng);
-
-/// Uniform sample inside an arbitrary simple polygon (via triangulation).
-geo::Point sample_in_polygon(const geo::Polygon& poly, Rng& rng);
 
 }  // namespace locs::sim

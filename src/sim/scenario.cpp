@@ -199,11 +199,7 @@ void Scenario::step_round(int round, const EmitFn& emit) {
           p_.night_floor + (1.0 - p_.night_floor) * 0.5 * (1.0 - std::cos(phase));
       for (std::size_t i = 0; i < n; ++i) {
         if (activity_u_[i] >= frac) continue;  // off-shift: no report, no draw
-        const std::uint32_t burst =
-            rng_.bernoulli(p_.burst.burst_prob)
-                ? static_cast<std::uint32_t>(rng_.uniform_int(
-                      p_.burst.burst_min, p_.burst.burst_max))
-                : 1;
+        const std::uint32_t burst = p_.burst.draw(rng_);
         const Duration sub = p_.round_dt / static_cast<Duration>(burst);
         for (std::uint32_t k = 0; k < burst; ++k) {
           emit(i, models_[i]->step(sub));

@@ -24,8 +24,39 @@
 // draws happen in ascending object order, so two instances with equal
 // params emit bit-identical update streams -- driven over SimNetwork (see
 // drive_scenario) whole runs replay bit-identically (trace CRC equality,
-// pinned by tests/test_macro_scenarios.cpp). A scenario-authoring guide
-// lives in sim/workload.hpp next to the BurstModel it builds on.
+// pinned by tests/test_macro_scenarios.cpp).
+//
+// --- Authoring a macro scenario ---------------------------------------------
+//
+// The city-scale suite composes three layers; a new scenario only ever adds
+// to the first one:
+//
+//  1. Population model -- a ScenarioKind case in Scenario. Contract:
+//     * ALL rng draws happen in the constructor and step_round() in
+//       ascending object order, from the Scenario's single seeded Rng.
+//       Never draw conditionally on anything except (params, round, i):
+//       same params must mean the same draw schedule, or replay breaks.
+//     * oid(i) defines the wire identity. Keep ids dense (1 + i); the flash
+//       crowd's strided ids (1 + 64j) are fixed so its pinned trace stays
+//       stable.
+//     * step_round(round, emit) calls emit(i, pos) once per update,
+//       ascending i. Motion may be closed-form (commuters, convoys: cheap,
+//       1M-object friendly) or per-object MobilityModels (wanderers).
+//       Correlation is the point: move GROUPS together (a zone flow, a
+//       convoy, a converging crowd), because correlated load is what the
+//       hierarchy and the coalescer must absorb.
+//       Bursty arrival (day/night) draws per-active-object burst lengths
+//       from the BurstModel below.
+//  2. Deterministic driver -- drive_scenario() registers the population
+//     through one gateway UpdateCoalescer, replays the rounds over
+//     SimNetwork, and folds two CRCs: trace_crc (bit-identical replay) and
+//     answer_crc (query-answer equivalence across traces that differ). New
+//     scenarios get both for free; never add wall-clock-dependent logic to
+//     the driven path.
+//  3. Gates -- tests/test_macro_scenarios.cpp pins replay and the flash
+//     crowd's fingerprint;
+//     bench/bench_macro.cpp emits BENCH_macro.json, gated by
+//     bench/baselines/macro.json via scripts/check_bench.py.
 #pragma once
 
 #include <cstdint>
@@ -36,12 +67,30 @@
 #include "geo/point.hpp"
 #include "geo/rect.hpp"
 #include "sim/mobility.hpp"
-#include "sim/workload.hpp"
 #include "util/clock.hpp"
 #include "util/ids.hpp"
 #include "util/rng.hpp"
 
 namespace locs::sim {
+
+/// Update arrival model: real sensor feeds are bursty (a gateway uploads a
+/// whole window of sightings at once, a fleet reports on a shared timer), so
+/// many updates land on one leaf within one latency window -- exactly the
+/// pattern batched coalescing (core/update_coalescer.hpp) amortizes. With
+/// probability `burst_prob` an arrival slot opens a burst of
+/// [burst_min, burst_max] updates; otherwise a single update arrives.
+struct BurstModel {
+  double burst_prob = 0.3;
+  std::uint32_t burst_min = 4;
+  std::uint32_t burst_max = 16;
+
+  /// Number of updates arriving in the next arrival slot (>= 1).
+  std::uint32_t draw(Rng& rng) const {
+    return rng.bernoulli(burst_prob)
+               ? static_cast<std::uint32_t>(rng.uniform_int(burst_min, burst_max))
+               : 1;
+  }
+};
 
 enum class ScenarioKind { kUniform, kCommuterRush, kFlashCrowd, kConvoys, kDayNight };
 

@@ -5,7 +5,6 @@
 
 #include "geo/point.hpp"
 #include "geo/polygon.hpp"
-#include "geo/projection.hpp"
 #include "geo/rect.hpp"
 #include "util/rng.hpp"
 
@@ -192,45 +191,11 @@ TEST(Polygon, CircumscribedCircleContainsDisk) {
   EXPECT_LT(poly.area(), M_PI * r * r * 1.11);
 }
 
-TEST(Polygon, TriangulationPreservesArea) {
-  Polygon l({{0, 0}, {4, 0}, {4, 2}, {2, 2}, {2, 4}, {0, 4}});
-  const auto tris = triangulate(l);
-  ASSERT_EQ(tris.size(), l.size() - 2);
-  double sum = 0.0;
-  for (const auto& t : tris) sum += t.area();
-  EXPECT_NEAR(sum, l.area(), 1e-9);
-}
-
 TEST(Polygon, ConvexHull) {
   const Polygon hull = convex_hull({{0, 0}, {4, 0}, {4, 4}, {0, 4}, {2, 2}, {1, 1}});
   EXPECT_EQ(hull.size(), 4u);
   EXPECT_DOUBLE_EQ(hull.area(), 16.0);
   EXPECT_TRUE(hull.is_convex());
-}
-
-TEST(Projection, RoundTrip) {
-  const GeoPoint stuttgart{48.7758, 9.1829};
-  const LocalProjection proj(stuttgart);
-  const GeoPoint nearby{48.7800, 9.1900};
-  const Point local = proj.to_local(nearby);
-  const GeoPoint back = proj.to_geo(local);
-  EXPECT_NEAR(back.lat_deg, nearby.lat_deg, 1e-9);
-  EXPECT_NEAR(back.lon_deg, nearby.lon_deg, 1e-9);
-}
-
-TEST(Projection, MatchesHaversineLocally) {
-  const GeoPoint origin{48.7758, 9.1829};
-  const LocalProjection proj(origin);
-  const GeoPoint other{48.7858, 9.1979};  // ~1.5 km away
-  const double planar = norm(proj.to_local(other));
-  const double geodesic = haversine_m(origin, other);
-  EXPECT_NEAR(planar, geodesic, geodesic * 1e-3);  // <0.1% at city scale
-}
-
-TEST(Projection, HaversineKnownDistance) {
-  // Stuttgart -> Munich is roughly 190 km.
-  const double d = haversine_m({48.7758, 9.1829}, {48.1351, 11.5820});
-  EXPECT_NEAR(d, 190000, 5000);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
-// Mobility models and workload generation (sim substrate).
+// Mobility models, placement and update bursts (sim substrate).
 #include <gtest/gtest.h>
 
 #include "sim/mobility.hpp"
-#include "sim/workload.hpp"
+#include "sim/scenario.hpp"
 
 namespace locs::sim {
 namespace {
@@ -15,10 +15,8 @@ class MobilityModels : public ::testing::TestWithParam<int> {
     switch (GetParam()) {
       case 0:
         return make_random_waypoint(kArea, {500, 500}, 1.0, 10.0, seconds(5), rng);
-      case 1:
-        return make_manhattan(kArea, {500, 500}, 100.0, 5.0, rng);
       default:
-        return make_gauss_markov(kArea, {500, 500}, 5.0, 0.8, rng);
+        return make_manhattan(kArea, {500, 500}, 100.0, 5.0, rng);
     }
   }
 };
@@ -41,8 +39,7 @@ TEST_P(MobilityModels, SpeedBounded) {
   geo::Point prev = model->position();
   for (int i = 0; i < 500; ++i) {
     const geo::Point p = model->step(seconds(1));
-    // Max configured speed is 10 m/s; Gauss-Markov can overshoot its mean
-    // with noise, so allow generous headroom.
+    // Max configured speed is 10 m/s; allow generous headroom.
     ASSERT_LE(geo::distance(prev, p), 40.0) << "step " << i;
     prev = p;
   }
@@ -74,11 +71,11 @@ TEST_P(MobilityModels, DeterministicUnderSeed) {
 }
 
 std::string model_name(const ::testing::TestParamInfo<int>& info) {
-  static const char* kNames[] = {"waypoint", "manhattan", "gauss_markov"};
+  static const char* kNames[] = {"waypoint", "manhattan"};
   return kNames[info.param];
 }
 
-INSTANTIATE_TEST_SUITE_P(Models, MobilityModels, ::testing::Values(0, 1, 2),
+INSTANTIATE_TEST_SUITE_P(Models, MobilityModels, ::testing::Values(0, 1),
                          model_name);
 
 TEST(Placement, UniformCoversArea) {
@@ -94,75 +91,12 @@ TEST(Placement, UniformCoversArea) {
   for (const int count : quadrant_counts) EXPECT_GT(count, 150);
 }
 
-TEST(Placement, HotspotsConcentrate) {
-  Rng rng(6);
-  const auto points = hotspot_placement(kArea, 2000, 3, 0.9, 30.0, rng);
-  ASSERT_EQ(points.size(), 2000u);
-  // With sigma 30 and 3 hotspots, density must be very uneven: measure the
-  // max count over a 10x10 grid vs the uniform expectation.
-  int grid[100] = {};
-  for (const geo::Point& p : points) {
-    ASSERT_TRUE(kArea.contains(p));
-    const int gx = std::min(9, static_cast<int>(p.x / 100));
-    const int gy = std::min(9, static_cast<int>(p.y / 100));
-    ++grid[gy * 10 + gx];
-  }
-  EXPECT_GT(*std::max_element(grid, grid + 100), 100);  // uniform would be ~20
-}
-
-TEST(Placement, SampleInPolygonStaysInside) {
-  Rng rng(7);
-  const geo::Polygon l({{0, 0}, {40, 0}, {40, 20}, {20, 20}, {20, 40}, {0, 40}});
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_TRUE(l.contains(sample_in_polygon(l, rng)));
-  }
-}
-
-TEST(Workload, MixProportionsRoughlyRespected) {
-  WorkloadParams params;
-  params.area = kArea;
-  params.mix = {0.6, 0.3, 0.1};
-  WorkloadGenerator gen(params, 11);
-  std::vector<ObjectId> population{ObjectId{1}, ObjectId{2}};
-  int counts[3] = {};
-  for (int i = 0; i < 5000; ++i) {
-    const QueryOp op = gen.next({500, 500}, population);
-    ++counts[static_cast<int>(op.kind)];
-  }
-  EXPECT_NEAR(counts[0] / 5000.0, 0.6, 0.05);
-  EXPECT_NEAR(counts[1] / 5000.0, 0.3, 0.05);
-  EXPECT_NEAR(counts[2] / 5000.0, 0.1, 0.05);
-}
-
-TEST(Workload, LocalityKeepsAnchorsNearby) {
-  WorkloadParams params;
-  params.area = kArea;
-  params.locality = 1.0;
-  params.local_radius = 100.0;
-  WorkloadGenerator gen(params, 12);
-  for (int i = 0; i < 500; ++i) {
-    const geo::Point a = gen.anchor({500, 500});
-    EXPECT_LE(geo::distance(a, {500, 500}), 100.0 + 1e-9);
-  }
-  // Zero locality: anchors spread over the whole area.
-  WorkloadParams spread = params;
-  spread.locality = 0.0;
-  WorkloadGenerator gen2(spread, 13);
-  double max_d = 0.0;
-  for (int i = 0; i < 500; ++i) {
-    max_d = std::max(max_d, geo::distance(gen2.anchor({500, 500}), {500, 500}));
-  }
-  EXPECT_GT(max_d, 300.0);
-}
-
-TEST(Workload, UpdateBurstsStayInBoundsAndMix) {
-  WorkloadParams params;
-  params.area = kArea;
-  params.update_burst = {/*burst_prob=*/0.5, /*burst_min=*/4, /*burst_max=*/16};
-  WorkloadGenerator gen(params, 21);
+TEST(BurstModel, BurstsStayInBoundsAndMix) {
+  const BurstModel model{/*burst_prob=*/0.5, /*burst_min=*/4, /*burst_max=*/16};
+  Rng rng(21);
   std::size_t singles = 0, bursts = 0, total = 0;
   for (int i = 0; i < 2000; ++i) {
-    const std::uint32_t n = gen.next_update_burst();
+    const std::uint32_t n = model.draw(rng);
     total += n;
     if (n == 1) {
       ++singles;
@@ -179,23 +113,9 @@ TEST(Workload, UpdateBurstsStayInBoundsAndMix) {
   EXPECT_GT(static_cast<double>(total) / 2000.0, 2.0);
 
   // Degenerate model: never bursts.
-  WorkloadParams flat = params;
-  flat.update_burst = {0.0, 4, 16};
-  WorkloadGenerator gen2(flat, 22);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(gen2.next_update_burst(), 1u);
-}
-
-TEST(Workload, RangeAreasHaveConfiguredExtent) {
-  WorkloadParams params;
-  params.area = kArea;
-  params.mix = {0.0, 1.0, 0.0};
-  params.range_extent = 50.0;
-  WorkloadGenerator gen(params, 14);
-  const QueryOp op = gen.next({500, 500}, {});
-  ASSERT_EQ(op.kind, QueryOp::Kind::kRange);
-  const geo::Rect box = op.area.bounding_box();
-  EXPECT_NEAR(box.width(), 50.0, 1e-9);
-  EXPECT_NEAR(box.height(), 50.0, 1e-9);
+  const BurstModel flat{0.0, 4, 16};
+  Rng rng2(22);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(flat.draw(rng2), 1u);
 }
 
 }  // namespace
