@@ -247,87 +247,70 @@ std::uint64_t QueryClient::send_nn_query(geo::Point p, double req_acc,
   return id;
 }
 
-std::optional<QueryClient::PosResult> QueryClient::take_pos(std::uint64_t req_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = pos_results_.find(req_id);
-  if (it == pos_results_.end()) return std::nullopt;
-  PosResult res = it->second;
-  pos_results_.erase(it);
-  return res;
-}
-
-std::optional<QueryClient::RangeResult> QueryClient::take_range(std::uint64_t req_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = range_results_.find(req_id);
-  if (it == range_results_.end()) return std::nullopt;
-  RangeResult res = std::move(it->second);
-  range_results_.erase(it);
-  return res;
-}
-
-std::optional<QueryClient::NNResult> QueryClient::take_nn(std::uint64_t req_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = nn_results_.find(req_id);
-  if (it == nn_results_.end()) return std::nullopt;
-  NNResult res = std::move(it->second);
-  nn_results_.erase(it);
-  return res;
-}
-
 namespace {
 
-/// Blocks on the condition variable until `take` yields a value or the
-/// timeout elapses (wall clock; UDP transport only).
-template <typename TakeFn>
-auto wait_blocking(std::condition_variable& cv, std::mutex& mu, Duration timeout,
-                   TakeFn take) -> decltype(take()) {
+/// Removes and returns the result for `req_id`, if it has arrived. The
+/// caller holds the client's mutex.
+template <typename R>
+std::optional<R> take_locked(std::unordered_map<std::uint64_t, R>& results,
+                             std::uint64_t req_id) {
+  const auto it = results.find(req_id);
+  if (it == results.end()) return std::nullopt;
+  R res = std::move(it->second);
+  results.erase(it);
+  return res;
+}
+
+/// Blocks on the condition variable until the result for `req_id` arrives
+/// or the timeout elapses (wall clock; UDP transport only).
+template <typename R>
+std::optional<R> wait_blocking(std::condition_variable& cv, std::mutex& mu,
+                               std::unordered_map<std::uint64_t, R>& results,
+                               std::uint64_t req_id, Duration timeout) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::microseconds(timeout);
   std::unique_lock<std::mutex> lock(mu);
   for (;;) {
-    if (auto res = take()) return res;
+    if (auto res = take_locked(results, req_id)) return res;
     if (cv.wait_until(lock, deadline) == std::cv_status::timeout) {
-      return take();
+      return take_locked(results, req_id);
     }
   }
 }
 
 }  // namespace
 
+std::optional<QueryClient::PosResult> QueryClient::take_pos(std::uint64_t req_id) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return take_locked(pos_results_, req_id);
+}
+
+std::optional<QueryClient::RangeResult> QueryClient::take_range(std::uint64_t req_id) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return take_locked(range_results_, req_id);
+}
+
+std::optional<QueryClient::NNResult> QueryClient::take_nn(std::uint64_t req_id) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return take_locked(nn_results_, req_id);
+}
+
 std::optional<QueryClient::PosResult> QueryClient::pos_query_blocking(
     ObjectId oid, Duration timeout) {
   const std::uint64_t id = send_pos_query(oid);
-  return wait_blocking(cv_, mu_, timeout, [&]() -> std::optional<PosResult> {
-    const auto it = pos_results_.find(id);
-    if (it == pos_results_.end()) return std::nullopt;
-    PosResult res = it->second;
-    pos_results_.erase(it);
-    return res;
-  });
+  return wait_blocking(cv_, mu_, pos_results_, id, timeout);
 }
 
 std::optional<QueryClient::RangeResult> QueryClient::range_query_blocking(
     const geo::Polygon& area, double req_acc, double req_overlap, Duration timeout) {
   const std::uint64_t id = send_range_query(area, req_acc, req_overlap);
-  return wait_blocking(cv_, mu_, timeout, [&]() -> std::optional<RangeResult> {
-    const auto it = range_results_.find(id);
-    if (it == range_results_.end()) return std::nullopt;
-    RangeResult res = std::move(it->second);
-    range_results_.erase(it);
-    return res;
-  });
+  return wait_blocking(cv_, mu_, range_results_, id, timeout);
 }
 
 std::optional<QueryClient::NNResult> QueryClient::nn_query_blocking(
     geo::Point p, double req_acc, double near_qual, Duration timeout) {
   const std::uint64_t id = send_nn_query(p, req_acc, near_qual);
-  return wait_blocking(cv_, mu_, timeout, [&]() -> std::optional<NNResult> {
-    const auto it = nn_results_.find(id);
-    if (it == nn_results_.end()) return std::nullopt;
-    NNResult res = std::move(it->second);
-    nn_results_.erase(it);
-    return res;
-  });
+  return wait_blocking(cv_, mu_, nn_results_, id, timeout);
 }
 
 std::uint64_t QueryClient::subscribe_area_count(const geo::Polygon& area,

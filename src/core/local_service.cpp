@@ -63,6 +63,11 @@ Result<double> LocalLocationService::register_object(ObjectId oid, geo::Point po
   obj.start_register(entry, pos, sensor_acc, range);
   run();
   if (obj.state() == TrackedObject::State::kTracked) return obj.offered_acc();
+  if (obj.state() == TrackedObject::State::kRegistering) {
+    // No answer came (a lost datagram): the leaf may hold the record, and
+    // the object's next feed_position sends the registration again.
+    return Status(StatusCode::kUnavailable, "registration unanswered");
+  }
   const double best = obj.register_failed_acc();
   objects_.erase(it);
   if (best < 0.0) {

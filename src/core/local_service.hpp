@@ -46,7 +46,9 @@ class LocalLocationService {
 
   /// register(s, desAcc, minAcc) -> offeredAcc (§3.1). Fails if the service
   /// cannot provide an accuracy within [desired, minimum] or the position is
-  /// outside the service area.
+  /// outside the service area. A registration left unanswered returns
+  /// kUnavailable and keeps the object: its next feed_position after the
+  /// 2 s retry interval sends the registration again.
   Result<double> register_object(ObjectId oid, geo::Point pos, double sensor_acc,
                                  AccuracyRange range);
 

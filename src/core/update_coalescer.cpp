@@ -1,24 +1,13 @@
 #include "core/update_coalescer.hpp"
 
-#include <algorithm>
-
 namespace locs::core {
 
 namespace wm = locs::wire;
 
 UpdateCoalescer::UpdateCoalescer(NodeId self, net::Transport& net, Clock& clock,
                                  Options opts)
-    : self_(self),
-      net_(net),
-      clock_(clock),
-      opts_(opts),
-      pool_(std::make_shared<net::BufferPool>(
-          /*max_free=*/64,
-          /*max_pooled_capacity=*/std::max<std::size_t>(
-              net::BufferPool::kDefaultMaxPooledCapacity,
-              2 * opts.max_bytes))) {
+    : self_(self), net_(net), clock_(clock), opts_(opts) {
   if (opts_.max_batch == 0) opts_.max_batch = 1;
-  net_.adopt_pool(pool_);
   net_.attach(self_, [this](const std::uint8_t* data, std::size_t len) {
     handle(data, len);
   });
@@ -48,7 +37,7 @@ void UpdateCoalescer::enqueue(NodeId agent, const Sighting& s) {
 void UpdateCoalescer::flush_locked(NodeId agent, Pending& p) {
   if (p.batch.sightings.empty()) return;
   ++stats_.batches_sent;
-  net::send_message(net_, *pool_, self_, agent, p.batch);
+  net::send_message(net_, self_, agent, p.batch);
   p.batch.sightings.clear();  // count = 0; packed keeps its capacity
 }
 

@@ -27,7 +27,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <unordered_map>
 
@@ -45,7 +44,7 @@ class UpdateCoalescer {
     /// datagram per update (useful for A/B runs; still batch-framed).
     std::size_t max_batch = 16;
     /// Flush when the packed payload reaches this many bytes (datagram /
-    /// MTU budget; also sizes the private send pool).
+    /// MTU budget).
     std::size_t max_bytes = 1200;
     /// Deadline flush: the oldest buffered sighting waits at most this long
     /// (enforced by tick(); the added update latency is bounded by it).
@@ -120,9 +119,6 @@ class UpdateCoalescer {
   net::Transport& net_;
   Clock& clock_;
   Options opts_;
-  // Private send pool sized for batches (batch-aware BufferPool caps); the
-  // transport adopts it so in-flight batch buffers outlive this object.
-  std::shared_ptr<net::BufferPool> pool_;
 
   mutable std::mutex mu_;  // guards pending_ and stats_
   std::unordered_map<NodeId, Pending> pending_;

@@ -13,13 +13,14 @@
 //    handle dies (after real or simulated delivery) the buffer returns to
 //    the pool automatically.
 //  * release() / handle destruction may run on any thread (UdpNetwork
-//    receive threads send replies); the free list is mutex-guarded.
+//    receive threads send replies); a spin lock guards the free list.
 //  * A disabled pool (set_enabled(false)) degrades to plain allocation --
 //    used by determinism tests to compare pooled vs unpooled traces.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -29,21 +30,12 @@ namespace locs::net {
 
 class BufferPool {
  public:
-  // Default bounds on pool memory under bursts; beyond these, releases
-  // degrade to frees. 64 KiB comfortably covers every steady-state message
-  // (UDP fragments are 32 KiB) while letting oversized result buffers die.
-  static constexpr std::size_t kDefaultMaxFree = 4096;
-  static constexpr std::size_t kDefaultMaxPooledCapacity = 64 * 1024;
-
-  BufferPool() = default;
-
-  /// Batch-aware sizing: a sender that coalesces many messages into one
-  /// datagram (core/update_coalescer.hpp) retires buffers at its batch
-  /// byte-budget, so it passes a capacity cap covering that budget (and
-  /// typically a much smaller free-list bound -- a handful of in-flight
-  /// batches, not thousands of singletons).
-  BufferPool(std::size_t max_free, std::size_t max_pooled_capacity)
-      : max_free_(max_free), max_pooled_capacity_(max_pooled_capacity) {}
+  // Bounds on pool memory under bursts; beyond these, releases degrade to
+  // frees. 64 KiB comfortably covers every steady-state message (UDP
+  // fragments are 32 KiB, a coalesced update batch about 1.2 KB) while
+  // letting oversized result buffers die.
+  static constexpr std::size_t kMaxFree = 4096;
+  static constexpr std::size_t kMaxPooledCapacity = 64 * 1024;
 
   /// Returns an empty buffer, reusing a retired one when available.
   wire::Buffer acquire() {
@@ -57,13 +49,13 @@ class BufferPool {
   }
 
   /// Retires a buffer into the free list. Dropped (plain free) when the
-  /// pool is disabled, already holds max_free buffers, or the buffer grew
-  /// beyond max_pooled_capacity -- a burst of huge range results must not
+  /// pool is disabled, already holds kMaxFree buffers, or the buffer grew
+  /// beyond kMaxPooledCapacity -- a burst of huge range results must not
   /// pin gigabytes of capacity behind the pool forever.
   void release(wire::Buffer&& b) {
     SpinGuard guard(lock_);
-    if (!enabled_ || free_.size() >= max_free_ ||
-        b.capacity() > max_pooled_capacity_) {
+    if (!enabled_ || free_.size() >= kMaxFree ||
+        b.capacity() > kMaxPooledCapacity) {
       return;
     }
     free_.push_back(std::move(b));
@@ -89,10 +81,14 @@ class BufferPool {
   // The critical sections are a handful of instructions, and on the
   // single-threaded SimNetwork hot path acquire/release run once per
   // message: an uncontended atomic-flag spinlock costs a few ns where a
-  // std::mutex round trip costs tens.
+  // std::mutex round trip costs tens. A contended spin yields: over UDP
+  // every sender thread shares its transport's pool, and with more runnable
+  // threads than cores a pure spin can burn a whole time slice while the
+  // holder waits to run.
   struct SpinGuard {
     explicit SpinGuard(std::atomic_flag& f) : flag(f) {
       while (flag.test_and_set(std::memory_order_acquire)) {
+        std::this_thread::yield();
       }
     }
     ~SpinGuard() { flag.clear(std::memory_order_release); }
@@ -100,8 +96,6 @@ class BufferPool {
   };
 
   mutable std::atomic_flag lock_ = ATOMIC_FLAG_INIT;
-  std::size_t max_free_ = kDefaultMaxFree;
-  std::size_t max_pooled_capacity_ = kDefaultMaxPooledCapacity;
   std::vector<wire::Buffer> free_;
   bool enabled_ = true;
   std::uint64_t reused_ = 0;

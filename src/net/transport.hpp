@@ -48,8 +48,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <vector>
 
 #include "net/buffer_pool.hpp"
 #include "util/ids.hpp"
@@ -160,38 +158,20 @@ class Transport {
 
   BufferPool& pool() { return pool_; }
 
-  /// Pins an external pool (e.g. an UpdateCoalescer's send pool) to the
-  /// transport's lifetime. In-flight PooledBuffers carry a raw pointer to
-  /// their pool; the transport outlives every queued datagram (SimNetwork
-  /// events, UDP sends), so adopting the pool here lets the reactor that
-  /// created it be destroyed while its buffers are still queued. Call during
-  /// setup only (not thread-safe against concurrent sends).
-  void adopt_pool(std::shared_ptr<BufferPool> pool) {
-    adopted_pools_.push_back(std::move(pool));
-  }
-
  protected:
   BufferPool pool_;
-  std::vector<std::shared_ptr<BufferPool>> adopted_pools_;
 };
 
 /// The canonical hot-path send used by every reactor: encodes `msg` into a
-/// buffer recycled from `pool` (zero allocations in steady state) and sends
-/// it. Concrete message types hit the per-type encode_envelope_into
-/// overloads, skipping Message variant construction. The transport returns
-/// the buffer to `pool` after delivery.
-template <typename M>
-void send_message(Transport& net, BufferPool& pool, NodeId from, NodeId to,
-                  const M& msg) {
-  PooledBuffer buf(&pool, pool.acquire());
-  wire::encode_envelope_into(*buf, from, msg);
-  net.send(from, to, std::move(buf));
-}
-
-/// Convenience overload drawing from the transport's shared pool.
+/// buffer recycled from the transport's pool (zero allocations in steady
+/// state) and sends it. Concrete message types hit the per-type
+/// encode_envelope_into overloads, skipping Message variant construction.
+/// The transport returns the buffer to its pool after delivery.
 template <typename M>
 void send_message(Transport& net, NodeId from, NodeId to, const M& msg) {
-  send_message(net, net.pool(), from, to, msg);
+  PooledBuffer buf = net.make_buffer();
+  wire::encode_envelope_into(*buf, from, msg);
+  net.send(from, to, std::move(buf));
 }
 
 }  // namespace locs::net

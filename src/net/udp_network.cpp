@@ -32,14 +32,12 @@ int make_socket(std::uint16_t bind_port) {
   const int buf_size = 4 * 1024 * 1024;
   ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &buf_size, sizeof buf_size);
   ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &buf_size, sizeof buf_size);
-  if (bind_port != 0) {
-    sockaddr_in addr = addr_for(bind_port);
-    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-      const int err = errno;
-      ::close(fd);
-      errno = err;
-      return -1;
-    }
+  sockaddr_in addr = addr_for(bind_port);
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    const int err = errno;
+    ::close(fd);
+    errno = err;
+    return -1;
   }
   return fd;
 }
@@ -170,7 +168,6 @@ UdpNetwork::~UdpNetwork() {
   stop();
   std::lock_guard<std::mutex> lock(mu_);
   nodes_.clear();
-  fallback_ring_.reset();
 }
 
 void UdpNetwork::attach(NodeId node, DatagramHandler handler) {
@@ -246,21 +243,16 @@ UdpNetwork::Node* UdpNetwork::node_for_send(NodeId from) {
 }
 
 void UdpNetwork::send(NodeId from, NodeId to, PooledBuffer bytes) {
-  const sockaddr_in dst =
-      addr_for(static_cast<std::uint16_t>(base_port_ + to.value));
-  if (Node* node = node_for_send(from)) {
-    node->ring->enqueue(dst, std::move(bytes));
-    return;
+  Node* node = node_for_send(from);
+  if (node == nullptr) {
+    // A sender without a socket could never receive the answer: a setup
+    // error, like a taken port in attach().
+    std::fprintf(stderr, "UdpNetwork: node %u sends but is not attached\n",
+                 from.value);
+    std::abort();
   }
-  // Never-attached sender (bare clients, tests): shared fallback socket +
-  // ring behind the transport mutex -- the documented cold path.
-  std::lock_guard<std::mutex> lock(mu_);
-  if (fallback_send_fd_ < 0) {
-    fallback_send_fd_ = make_socket(0);
-    if (fallback_send_fd_ < 0) return;
-    fallback_ring_ = std::make_unique<TxRing>(fallback_send_fd_, next_msg_id_);
-  }
-  fallback_ring_->enqueue(dst, std::move(bytes));
+  node->ring->enqueue(addr_for(static_cast<std::uint16_t>(base_port_ + to.value)),
+                      std::move(bytes));
 }
 
 void UdpNetwork::cork(NodeId from) {
@@ -408,14 +400,6 @@ void UdpNetwork::stop() {
     node->ring->set_fd(-1);
     if (node->fd >= 0) ::close(node->fd);
     node->fd = -1;
-  }
-  if (fallback_ring_ != nullptr) {
-    fallback_ring_->flush();
-    fallback_ring_->set_fd(-1);
-  }
-  if (fallback_send_fd_ >= 0) {
-    ::close(fallback_send_fd_);
-    fallback_send_fd_ = -1;
   }
 }
 

@@ -85,7 +85,10 @@ class UdpNetwork : public Transport {
   void detach(NodeId node) override;
   using Transport::send;
   // Enqueues on the sender's transmit ring (fragmented with scatter/gather
-  // iovecs, zero copies); an uncorked ring flushes before returning.
+  // iovecs, zero copies); an uncorked ring flushes before returning. The
+  // sender must be attached, since only an attached node can receive the
+  // answer: a send from any other node aborts with a message naming it, as
+  // attach() does for a taken port.
   void send(NodeId from, NodeId to, PooledBuffer bytes) override;
 
   /// Send-burst brackets and the explicit flush for `from`'s ring (see the
@@ -110,10 +113,10 @@ class UdpNetwork : public Transport {
   using TxStats = TxRing::Stats;
   TxStats tx_stats(NodeId node) const;
 
-  /// Times a send had to take the transport mutex to locate its socket (the
-  /// slow path: first send from a thread, or a never-attached sender).
-  /// Steady-state sends from attached nodes hit a thread-local cache and
-  /// never touch it -- the regression tests pin that down.
+  /// Times a send, cork or flush had to take the transport mutex to locate
+  /// its node's ring (the slow path: the first such call for a node on a
+  /// thread). Steady-state sends hit a thread-local cache and never touch
+  /// it -- the regression tests pin that down.
   std::uint64_t tx_lookup_locks() const {
     return tx_lookup_locks_.load(std::memory_order_relaxed);
   }
@@ -134,7 +137,8 @@ class UdpNetwork : public Transport {
 
   /// Locates the sender's Node through the thread-local send cache; falls
   /// back to one locked map lookup (counted in tx_lookup_locks_) and
-  /// re-primes the cache. Returns nullptr for never-attached senders.
+  /// re-primes the cache. Returns nullptr for a node that was never
+  /// attached (send() aborts on it; cork, uncork and flush do nothing).
   Node* node_for_send(NodeId from);
   void receive_loop(Node& node);
   /// Parses one received datagram (frag header, reassembly keyed by the
@@ -149,8 +153,6 @@ class UdpNetwork : public Transport {
   mutable std::mutex mu_;  // guards nodes_ (setup/teardown + the cold
                            // send-lookup path)
   std::unordered_map<NodeId, std::unique_ptr<Node>> nodes_;
-  int fallback_send_fd_ = -1;
-  std::unique_ptr<TxRing> fallback_ring_;  // never-attached senders
   std::atomic<bool> stopping_{false};
   std::atomic<std::uint64_t> tx_lookup_locks_{0};
   std::atomic<std::uint32_t> next_msg_id_{1};

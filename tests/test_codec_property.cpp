@@ -247,7 +247,8 @@ std::vector<Message> random_messages(Rng& rng) {
 }
 
 constexpr std::size_t kVariantCount = std::variant_size_v<Message>;
-constexpr auto kLastType = static_cast<std::size_t>(MsgType::kStandbyDemote);
+constexpr auto kLastType = static_cast<std::size_t>(
+    std::variant_alternative_t<kVariantCount - 1, Message>::kType);
 
 // --- round-trip stability ----------------------------------------------------
 

@@ -50,6 +50,29 @@ TEST(LocalService, RegistrationFailures) {
   EXPECT_EQ(too_fine.status().code(), StatusCode::kFailedPrecondition);
 }
 
+TEST(LocalService, UnansweredRegistrationIsSentAgainOnTheNextFeed) {
+  LocalLocationService ls(small_config());
+  // The first datagram from a server to a client, the leaf's RegisterRes,
+  // is lost.
+  const HierarchySpec& spec = ls.deployment().spec();
+  int answers = 0;
+  ls.network().set_drop_fn([&](NodeId from, NodeId to) {
+    return spec.find(from) != nullptr && spec.find(to) == nullptr && answers++ == 0;
+  });
+  const auto unanswered = ls.register_object(ObjectId{1}, {100, 100}, 1.0, {10, 50});
+  ASSERT_FALSE(unanswered.ok());
+  EXPECT_EQ(unanswered.status().code(), StatusCode::kUnavailable);
+
+  // The object is kept, and its next feed after the retry interval
+  // registers it again.
+  ls.advance_time(seconds(2));
+  EXPECT_TRUE(ls.feed_position(ObjectId{1}, {100, 100}));
+  EXPECT_TRUE(ls.is_tracked(ObjectId{1}));
+  const auto ld = ls.position(ObjectId{1});
+  ASSERT_TRUE(ld.has_value());
+  EXPECT_EQ(ld->pos, (geo::Point{100, 100}));
+}
+
 TEST(LocalService, RangeAndNeighborQueries) {
   LocalLocationService ls(small_config());
   ASSERT_TRUE(ls.register_object(ObjectId{1}, {100, 100}, 1.0, {10, 50}).ok());

@@ -79,7 +79,7 @@ TEST(RxPath, ExhaustedOrDisabledPoolStillServesCopies) {
   // "Pool exhaustion" is not a failure mode: an empty -- or even disabled --
   // fallback pool just allocates, so take() always degrades to copy, never
   // to a crash or a dangling view. (Pool LIFETIME is a separate contract:
-  // transports own their pools and outlive every pin; see adopt_pool.)
+  // transports own their pools and outlive every pin.)
   BufferPool pool;
   pool.set_enabled(false);
   const wire::Buffer raw = bytes_of("no pooling available");
