@@ -11,9 +11,8 @@
 //
 // Headline metric: flash-vs-uniform wall-clock message throughput (the hot
 // leaf must not collapse the deployment's message rate under skew).
-// Scale via LOCS_MACRO_OBJECTS / LOCS_MACRO_ROUNDS (defaults 30000 / 6).
+// Every run drives 30000 objects for 6 rounds.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -23,18 +22,12 @@ namespace {
 
 using namespace locs;
 
-std::size_t env_size(const char* name, std::size_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-}
-
 sim::ScenarioParams scenario(sim::ScenarioKind kind) {
   sim::ScenarioParams p;
   p.kind = kind;
   p.seed = 11;
-  p.objects = env_size("LOCS_MACRO_OBJECTS", 30000);
-  p.rounds = static_cast<int>(env_size("LOCS_MACRO_ROUNDS", 6));
+  p.objects = 30000;
+  p.rounds = 6;
   return p;
 }
 

@@ -50,7 +50,7 @@ wire::Buffer blast_payload(std::uint8_t run_tag, int seq) {
 }
 
 SyscallResult run_blasts() {
-  net::UdpNetwork net(net::UdpNetwork::pick_free_base_port(/*span=*/10));
+  net::UdpNetwork net;
   // Order-independent tally per run (keyed by the payload's run tag): count
   // plus a commutative FNV-style checksum over the payload BODY, so the two
   // runs must deliver the same multiset of bytes to count as equal.

@@ -23,16 +23,13 @@
 namespace locs::bench {
 
 constexpr double kAreaSize = 1500.0;
-/// Servers are nodes 1-5, the registrar is node 91 and the benches' clients
-/// take ids in [100, kIdSpan]; node n binds base port + n.
-constexpr std::uint16_t kIdSpan = 200;
 
-/// The Table-2 deployment on loopback ports that pick_free_base_port found
-/// free, so parallel runs do not collide.
+/// The Table-2 deployment on loopback ports the kernel picks. Servers are
+/// nodes 1-5, the registrar is node 91 and the benches' clients take ids
+/// from 100.
 struct UdpTable2 {
   UdpTable2()
-      : net(net::UdpNetwork::pick_free_base_port(kIdSpan)),
-        deployment(net, clock,
+      : deployment(net, clock,
                    core::HierarchyBuilder::table2(
                        geo::Rect{{0, 0}, {kAreaSize, kAreaSize}})),
         leaves(deployment.leaf_ids()) {

@@ -14,16 +14,18 @@ using namespace locs;
 int main() {
   // 1.5 km x 1.5 km service area split into quarters (Fig 8).
   const geo::Rect area{{0, 0}, {1500, 1500}};
-  // Node and client ids span [1, 6001]; id n binds base + n.
-  const std::uint16_t base = net::UdpNetwork::pick_free_base_port(6001);
-  net::UdpNetwork net(base);
+  net::UdpNetwork net;
   SystemClock clock;
 
   core::Deployment::Config cfg;
   cfg.server.enable_leaf_area_cache = true;
   cfg.server.enable_agent_cache = true;
   core::Deployment deployment(net, clock, core::HierarchyBuilder::table2(area), cfg);
-  std::printf("5 location servers listening on UDP ports %u..%u\n", base + 1u, base + 5u);
+  std::printf("location servers listening on UDP ports:");
+  for (const auto& node : deployment.spec().nodes) {
+    std::printf(" %u (server %u)", net.port_of(node.id), node.id.value);
+  }
+  std::printf("\n");
 
   // A tracked object enters at the south-west leaf.
   core::TrackedObject car(NodeId{6000}, ObjectId{1}, net, clock);

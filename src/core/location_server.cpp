@@ -152,7 +152,7 @@ void LocationServer::handle(const net::Datagram& dg) {
         } else if constexpr (std::is_same_v<T, wm::BatchedUpdateReq>) {
           on_batched_update_req(src, m);
         } else if constexpr (std::is_same_v<T, wm::HandoverReq>) {
-          on_handover_req(src, std::move(m));
+          on_handover_req(src, m);
         } else if constexpr (std::is_same_v<T, wm::HandoverRes>) {
           on_handover_res(src, m);
         } else if constexpr (std::is_same_v<T, wm::PosQueryReq>) {
@@ -434,7 +434,7 @@ void LocationServer::accept_handover(NodeId src, const wm::HandoverReq& m) {
   }
 }
 
-void LocationServer::on_handover_req(NodeId src, wm::HandoverReq m) {
+void LocationServer::on_handover_req(NodeId src, const wm::HandoverReq& m) {
   learn_origin(m.origin);
   if (cfg_.covers(m.s.pos)) {
     if (cfg_.is_leaf()) {

@@ -293,7 +293,7 @@ class LocationServer {
   void on_remove_path(NodeId src, const wire::RemovePath& m);
   void on_update_req(NodeId src, const wire::UpdateReq& m);
   void on_batched_update_req(NodeId src, const wire::BatchedUpdateReq& m);
-  void on_handover_req(NodeId src, wire::HandoverReq m);
+  void on_handover_req(NodeId src, const wire::HandoverReq& m);
   void on_handover_res(NodeId src, const wire::HandoverRes& m);
   void on_pos_query_req(NodeId src, const wire::PosQueryReq& m);
   void on_pos_query_fwd(NodeId src, const wire::PosQueryFwd& m);

@@ -8,32 +8,31 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <compare>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
+#include <thread>
 
 namespace locs::net {
 
 namespace {
 
-sockaddr_in addr_for(std::uint16_t port) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  return addr;
-}
-
-int make_socket(std::uint16_t bind_port) {
+// Binds a socket to 127.0.0.1 on a port the kernel picks and stores the
+// bound address in `addr`. Returns -1 (errno set) on failure.
+int make_socket(sockaddr_in& addr) {
   const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
   if (fd < 0) return -1;
   const int buf_size = 4 * 1024 * 1024;
   ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &buf_size, sizeof buf_size);
   ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &buf_size, sizeof buf_size);
-  sockaddr_in addr = addr_for(bind_port);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+  addr = sockaddr_in{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof addr;
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
+      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
     const int err = errno;
     ::close(fd);
     errno = err;
@@ -41,20 +40,6 @@ int make_socket(std::uint16_t bind_port) {
   }
   return fd;
 }
-
-// Thread-local send cache: one (transport instance, sender) -> Node mapping
-// per thread. Reactors send as themselves from one thread and client threads
-// send as one id, so steady-state sends resolve their ring with three
-// compares -- no transport mutex, no hash lookup. The instance id guards
-// against a recycled UdpNetwork address.
-struct SendCache {
-  const void* net = nullptr;
-  std::uint64_t instance = 0;
-  std::uint32_t from = 0;
-  void* node = nullptr;
-};
-thread_local SendCache t_send_cache;
-std::atomic<std::uint64_t> g_instance_ids{1};
 
 // A datagram's source address and port, packed into one reassembly key.
 std::uint64_t sender_key(const sockaddr_in& from) {
@@ -64,11 +49,11 @@ std::uint64_t sender_key(const sockaddr_in& from) {
 }  // namespace
 
 struct UdpNetwork::Node {
-  NodeId id;
   int fd = -1;
+  sockaddr_in addr{};  // the bound address; senders to this node use it
   // Transmit ring on this node's socket (never null once attached). The
-  // Node -- and with it the ring and its stats -- survives stop() so stale
-  // thread-local cache entries and late stats reads stay valid; stop()
+  // Node -- and with it the ring and its stats -- survives stop() so late
+  // sends and stats reads through the node table stay valid; stop()
   // poisons the ring's fd instead.
   std::unique_ptr<TxRing> ring;
   // Guards handler invocation vs detach(): a reactor clearing its handler
@@ -124,101 +109,54 @@ struct UdpNetwork::Node {
   }
 };
 
-UdpNetwork::UdpNetwork(std::uint16_t base_port)
-    : base_port_(base_port),
-      instance_id_(g_instance_ids.fetch_add(1, std::memory_order_relaxed)) {}
+UdpNetwork::UdpNetwork()
+    : table_(std::make_unique<std::atomic<Node*>[]>(kMaxNodes)) {}
 
-std::uint16_t UdpNetwork::pick_free_base_port(std::uint16_t span) {
-  static std::atomic<std::uint32_t> counter{0};
-  // splitmix64 over (pid, wall clock, in-process counter): distinct processes
-  // and repeated calls land in distinct regions of the port space.
-  std::uint64_t x = static_cast<std::uint64_t>(::getpid()) +
-                    static_cast<std::uint64_t>(
-                        std::chrono::steady_clock::now().time_since_epoch().count()) +
-                    (static_cast<std::uint64_t>(counter.fetch_add(1)) << 32);
-  const auto next = [&x] {
-    x += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  };
-  const auto bindable = [](std::uint16_t port) {
-    const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-    if (fd < 0) return false;
-    sockaddr_in addr = addr_for(port);
-    const bool ok =
-        ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0;
-    ::close(fd);
-    return ok;
-  };
-  const std::uint32_t room = 64000u - 17000u - span;
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    const auto base = static_cast<std::uint16_t>(17000u + next() % room);
-    if (bindable(static_cast<std::uint16_t>(base + 1)) &&
-        bindable(static_cast<std::uint16_t>(base + span / 2)) &&
-        bindable(static_cast<std::uint16_t>(base + span))) {
-      return base;
-    }
-  }
-  return 25000;  // last resort: the historical fixed base
-}
+UdpNetwork::~UdpNetwork() { stop(); }
 
-UdpNetwork::~UdpNetwork() {
-  stop();
-  std::lock_guard<std::mutex> lock(mu_);
-  nodes_.clear();
+UdpNetwork::Node* UdpNetwork::find(NodeId id) const {
+  return id.value < kMaxNodes ? table_[id.value].load(std::memory_order_acquire)
+                              : nullptr;
 }
 
 void UdpNetwork::attach(NodeId node, DatagramHandler handler) {
-  // Re-attach after detach (crash-restart harness hook): the socket and its
-  // receive thread survived the detach and keep draining; just swap the
-  // handler in so delivery resumes for the restarted reactor.
-  Node* existing = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = nodes_.find(node);
-    if (it != nodes_.end()) existing = it->second.get();
+  if (node.value >= kMaxNodes) {
+    std::fprintf(stderr, "UdpNetwork: node id %u is beyond the node table (ids below %u)\n",
+                 node.value, kMaxNodes);
+    std::abort();
   }
-  if (existing != nullptr) {
-    // handler_mu taken WITHOUT mu_ held: a receive thread holds handler_mu
-    // while its handler sends (which may lock mu_) -- same order as detach().
+  std::unique_lock<std::mutex> lock(mu_);
+  if (Node* existing = find(node)) {
+    // Re-attach after detach (crash-restart harness hook): the socket and
+    // its receive thread survived the detach and keep draining; just swap
+    // the handler in so delivery resumes for the restarted reactor.
+    // handler_mu is taken WITHOUT mu_ held: a receive thread holds
+    // handler_mu while its handler runs, and that handler may attach.
+    lock.unlock();
     std::lock_guard<std::mutex> hlock(existing->handler_mu);
     existing->handler = std::move(handler);
     return;
   }
   auto n = std::make_unique<Node>();
-  n->id = node;
   n->handler = std::move(handler);
-  const auto port = static_cast<std::uint16_t>(base_port_ + node.value);
-  n->fd = make_socket(port);
+  n->fd = make_socket(n->addr);
   if (n->fd < 0) {
-    // The port is exclusive (header comment), so a collision is a setup
-    // error: stop here instead of running a node that never receives.
-    std::fprintf(stderr, "UdpNetwork: cannot bind 127.0.0.1:%u for node %u: %s\n",
-                 static_cast<unsigned>(port), node.value, std::strerror(errno));
+    // A node that cannot bind would never receive: a setup error.
+    std::fprintf(stderr, "UdpNetwork: cannot bind a loopback port for node %u: %s\n",
+                 node.value, std::strerror(errno));
     std::abort();
   }
   n->ring = std::make_unique<TxRing>(n->fd, next_msg_id_);
   Node* raw = n.get();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    nodes_[node] = std::move(n);
-  }
+  nodes_.push_back(std::move(n));
+  table_[node.value].store(raw, std::memory_order_release);
   raw->thread = std::thread([this, raw] { receive_loop(*raw); });
 }
 
 void UdpNetwork::detach(NodeId node) {
-  Node* raw = nullptr;
+  Node* raw = find(node);
+  if (raw == nullptr) return;
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = nodes_.find(node);
-    if (it == nodes_.end()) return;
-    raw = it->second.get();
-  }
-  {
-    // Taken without mu_ held: the handler itself may send (which can lock
-    // mu_ on a cold lookup).
     std::lock_guard<std::mutex> lock(raw->handler_mu);
     raw->handler = nullptr;
   }
@@ -228,49 +166,38 @@ void UdpNetwork::detach(NodeId node) {
   raw->ring->flush();
 }
 
-UdpNetwork::Node* UdpNetwork::node_for_send(NodeId from) {
-  SendCache& cache = t_send_cache;
-  if (cache.net == this && cache.instance == instance_id_ &&
-      cache.from == from.value) {
-    return static_cast<Node*>(cache.node);
-  }
-  tx_lookup_locks_.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = nodes_.find(from);
-  if (it == nodes_.end()) return nullptr;  // uncached: attach may follow
-  cache = SendCache{this, instance_id_, from.value, it->second.get()};
-  return it->second.get();
-}
-
 void UdpNetwork::send(NodeId from, NodeId to, PooledBuffer bytes) {
-  Node* node = node_for_send(from);
+  Node* node = find(from);
   if (node == nullptr) {
     // A sender without a socket could never receive the answer: a setup
-    // error, like a taken port in attach().
+    // error, like a failed bind in attach().
     std::fprintf(stderr, "UdpNetwork: node %u sends but is not attached\n",
                  from.value);
     std::abort();
   }
-  node->ring->enqueue(addr_for(static_cast<std::uint16_t>(base_port_ + to.value)),
-                      std::move(bytes));
+  if (const Node* dst = find(to)) node->ring->enqueue(dst->addr, std::move(bytes));
 }
 
 void UdpNetwork::cork(NodeId from) {
-  if (Node* node = node_for_send(from)) node->ring->cork();
+  if (Node* node = find(from)) node->ring->cork();
 }
 
 void UdpNetwork::uncork(NodeId from) {
-  if (Node* node = node_for_send(from)) node->ring->uncork();
+  if (Node* node = find(from)) node->ring->uncork();
 }
 
 void UdpNetwork::flush(NodeId from) {
-  if (Node* node = node_for_send(from)) node->ring->flush();
+  if (Node* node = find(from)) node->ring->flush();
+}
+
+std::uint16_t UdpNetwork::port_of(NodeId node) const {
+  const Node* n = find(node);
+  return n != nullptr ? ntohs(n->addr.sin_port) : 0;
 }
 
 UdpNetwork::TxStats UdpNetwork::tx_stats(NodeId node) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = nodes_.find(node);
-  return it != nodes_.end() ? it->second->ring->stats() : TxStats{};
+  const Node* n = find(node);
+  return n != nullptr ? n->ring->stats() : TxStats{};
 }
 
 void UdpNetwork::handle_datagram(Node& node, std::uint64_t sender,
@@ -387,15 +314,14 @@ void UdpNetwork::stop() {
   bool expected = false;
   if (!stopping_.compare_exchange_strong(expected, true)) return;
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [id, node] : nodes_) {
+  for (auto& node : nodes_) {
     if (node->thread.joinable()) node->thread.join();
   }
   // Sends have quiesced (reactors stop before their transport): drain what
-  // is left, then poison the ring fds so a stale thread-local cache entry
-  // turns a late send into a counted drop instead of a write to a recycled
-  // descriptor. Node objects survive until destruction, keeping tx_stats()
-  // readable after stop().
-  for (auto& [id, node] : nodes_) {
+  // is left, then poison the ring fds so a late send turns into a counted
+  // drop instead of a write to a recycled descriptor. Node objects stay in
+  // the table until destruction, keeping tx_stats() readable after stop().
+  for (auto& node : nodes_) {
     node->ring->flush();
     node->ring->set_fd(-1);
     if (node->fd >= 0) ::close(node->fd);

@@ -3,13 +3,20 @@
 // The paper's prototype implemented its protocols "on top of UDP to achieve
 // efficient client/server and server/server interactions" (§7.2); the
 // Table-2 benchmark runs over this transport. Each attached node gets its
-// own socket (port = base_port + node id) and receive thread, so a node's
-// handler is always invoked from a single thread -- the same single-threaded
-// reactor discipline the simulator provides, with real parallelism between
-// nodes (the paper ran one server per machine). The node's port is
-// exclusive: its socket sets no port-sharing option, so no other socket --
-// in this process or another -- can bind the port while the node is
-// attached.
+// own socket, bound to a loopback port the kernel picks (port_of reads it
+// back), and its own receive thread, so a node's handler is always invoked
+// from a single thread -- the same single-threaded reactor discipline the
+// simulator provides, with real parallelism between nodes (the paper ran
+// one server per machine). The node's port is exclusive: its socket sets no
+// port-sharing option, so no other socket -- in this process or another --
+// can bind the port while the node is attached.
+//
+// Node table: one slot per NodeId below kMaxNodes, filled by attach and
+// never cleared while the transport lives. Every lookup -- the sender's
+// ring and the destination's address on each send, cork/uncork/flush,
+// tx_stats, port_of -- is one atomic load, so no send path takes the
+// transport mutex. A datagram for an id nobody attached (or one beyond the
+// table) is dropped, as the kernel drops one for a port nobody bound.
 //
 // Receive path (recvmmsg + receive-side BufferPool): each receive thread
 // drains its socket in batches of up to kRecvBatch datagrams per syscall
@@ -31,12 +38,10 @@
 //    copy inside Datagram::take -- never to a dangling view.
 //
 // Send path (net/tx_ring.hpp): every attached node owns a TxRing on its
-// socket. send(from, ...) enqueues on the sender's ring -- located through a
-// thread-local cache, so the steady-state send path touches NO global lock
-// and NO hash lookup (tx_lookup_locks() counts the slow-path exceptions) --
-// and the ring writes sendmmsg batches. The receive loop corks the node's
-// ring around each recvmmsg batch, so all handler replies of one batch
-// leave in one syscall; uncorked sends (clients, tests) flush inline.
+// socket. send(from, ...) enqueues on the sender's ring, and the ring
+// writes sendmmsg batches. The receive loop corks the node's ring around
+// each recvmmsg batch, so all handler replies of one batch leave in one
+// syscall; uncorked sends (clients, tests) flush inline.
 // Backpressure (EAGAIN/ENOBUFS) waits for POLLOUT under a bounded budget and
 // is surfaced -- never silently swallowed -- via tx_stats(node):
 // {datagrams_sent, batches_flushed, eagain_retries, dropped}.
@@ -50,11 +55,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "net/transport.hpp"
@@ -64,17 +66,21 @@ namespace locs::net {
 
 class UdpNetwork : public Transport {
  public:
-  /// Nodes bind to 127.0.0.1:(base_port + node.value).
-  explicit UdpNetwork(std::uint16_t base_port);
+  /// Node ids must stay below this: the node table has one slot per id.
+  static constexpr std::uint32_t kMaxNodes = 1u << 16;
+
+  UdpNetwork();
   ~UdpNetwork() override;
 
   UdpNetwork(const UdpNetwork&) = delete;
   UdpNetwork& operator=(const UdpNetwork&) = delete;
 
-  /// Binds the node's socket and starts its receive thread; aborts with a
-  /// message if the port is taken. Re-attaching a previously detached node
-  /// swaps the handler in on the surviving socket (the crash-restart harness
-  /// hook: a restarted reactor resumes delivery without rebinding the port).
+  /// Binds the node's socket to 127.0.0.1 on a port the kernel picks and
+  /// starts its receive thread; aborts with a message for an id of
+  /// kMaxNodes or more, or if the bind fails. Re-attaching a previously
+  /// detached node swaps the handler in on the surviving socket (the
+  /// crash-restart harness hook: a restarted reactor resumes delivery on
+  /// the same port).
   using Transport::attach;
   void attach(NodeId node, DatagramHandler handler) override;
   /// Clears the node's handler; blocks until an in-flight callback on the
@@ -88,7 +94,8 @@ class UdpNetwork : public Transport {
   // iovecs, zero copies); an uncorked ring flushes before returning. The
   // sender must be attached, since only an attached node can receive the
   // answer: a send from any other node aborts with a message naming it, as
-  // attach() does for a taken port.
+  // attach() does for a failed bind. A datagram for a destination that was
+  // never attached is dropped.
   void send(NodeId from, NodeId to, PooledBuffer bytes) override;
 
   /// Send-burst brackets and the explicit flush for `from`'s ring (see the
@@ -101,25 +108,13 @@ class UdpNetwork : public Transport {
   /// sockets. Called by the destructor. Stats remain readable afterwards.
   void stop();
 
-  /// Best-effort free base port for a deployment whose node/client ids span
-  /// [1, span]: randomizes the base from the pid + an in-process counter (so
-  /// parallel test runners pick disjoint ranges) and probe-binds a few
-  /// representative ports before settling. Collisions remain possible --
-  /// another process can grab a port between probe and bind -- but ctest -j
-  /// runs no longer contend for one hardcoded pair.
-  static std::uint16_t pick_free_base_port(std::uint16_t span);
+  /// The loopback port `node`'s socket is bound to; 0 for a node that was
+  /// never attached.
+  std::uint16_t port_of(NodeId node) const;
 
   /// Per-node transmit stats (the node's ring). Unknown nodes read all-zero.
   using TxStats = TxRing::Stats;
   TxStats tx_stats(NodeId node) const;
-
-  /// Times a send, cork or flush had to take the transport mutex to locate
-  /// its node's ring (the slow path: the first such call for a node on a
-  /// thread). Steady-state sends hit a thread-local cache and never touch
-  /// it -- the regression tests pin that down.
-  std::uint64_t tx_lookup_locks() const {
-    return tx_lookup_locks_.load(std::memory_order_relaxed);
-  }
 
   /// Receive-side pool feeding the recvmmsg slot buffers and reassembly
   /// scratch (shared by all receive threads; see the header contract).
@@ -135,11 +130,10 @@ class UdpNetwork : public Transport {
  private:
   struct Node;
 
-  /// Locates the sender's Node through the thread-local send cache; falls
-  /// back to one locked map lookup (counted in tx_lookup_locks_) and
-  /// re-primes the cache. Returns nullptr for a node that was never
-  /// attached (send() aborts on it; cork, uncork and flush do nothing).
-  Node* node_for_send(NodeId from);
+  /// The node's table slot: nullptr for an id that was never attached or
+  /// lies beyond the table (send() aborts on such a sender and drops a
+  /// datagram to such a destination; cork, uncork and flush do nothing).
+  Node* find(NodeId id) const;
   void receive_loop(Node& node);
   /// Parses one received datagram (frag header, reassembly keyed by the
   /// `sender` address and port plus msg_id) and invokes the node's handler
@@ -147,15 +141,15 @@ class UdpNetwork : public Transport {
   void handle_datagram(Node& node, std::uint64_t sender, PooledBuffer& slot,
                        std::size_t len);
 
-  std::uint16_t base_port_;
-  const std::uint64_t instance_id_;  // guards the TLS cache across reuse
   BufferPool rx_pool_;  // receive-side buffers (recvmmsg slots + reassembly)
-  mutable std::mutex mu_;  // guards nodes_ (setup/teardown + the cold
-                           // send-lookup path)
-  std::unordered_map<NodeId, std::unique_ptr<Node>> nodes_;
   std::atomic<bool> stopping_{false};
-  std::atomic<std::uint64_t> tx_lookup_locks_{0};
   std::atomic<std::uint32_t> next_msg_id_{1};
+  // kMaxNodes zero-initialised slots (see the header comment).
+  const std::unique_ptr<std::atomic<Node*>[]> table_;
+  std::mutex mu_;  // serializes attach and stop over nodes_
+  // Owns every attached node; declared last, so nodes (whose rings and
+  // buffers use the members above) are destroyed first.
+  std::vector<std::unique_ptr<Node>> nodes_;
 };
 
 }  // namespace locs::net

@@ -546,8 +546,13 @@ enum class PredicateKind : std::uint8_t {
   kAreaCount = 0,  // "more than N objects are in a certain area"
   kProximity = 1,  // "two users of the system meet"
 };
+/// Kind byte; anything beyond kProximity sticky-fails.
 inline void put(Writer& w, PredicateKind k) { w.u8(static_cast<std::uint8_t>(k)); }
-inline void get(Reader& r, PredicateKind& k) { k = static_cast<PredicateKind>(r.u8()); }
+inline void get(Reader& r, PredicateKind& k) {
+  const std::uint8_t v = r.u8();
+  if (v > static_cast<std::uint8_t>(PredicateKind::kProximity)) r.fail();
+  k = static_cast<PredicateKind>(v);
+}
 
 struct EventSubscribe {
   static constexpr MsgType kType = MsgType::kEventSubscribe;

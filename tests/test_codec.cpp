@@ -2,6 +2,8 @@
 // every protocol message (including randomized property sweeps).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "util/rng.hpp"
 #include "wire/codec.hpp"
 #include "wire/messages.hpp"
@@ -325,6 +327,38 @@ TEST(Messages, EventMessagesRoundTrip) {
   const EventNotify notify = round_trip(EventNotify{100, true, 6});
   EXPECT_EQ(notify.count, 6u);
   EXPECT_EQ(round_trip(EventUnsubscribe{100}).sub_id, 100u);
+}
+
+// Patches the predicate kind byte of an encoded `msg` (the one byte where
+// its kAreaCount and kProximity encodings differ) to values beyond
+// kProximity: each must fail to decode.
+template <typename T>
+void expect_unknown_kinds_rejected(T msg) {
+  msg.kind = PredicateKind::kAreaCount;
+  Buffer buf = encode_envelope(NodeId{9}, Message{msg});
+  msg.kind = PredicateKind::kProximity;
+  const Buffer proximity = encode_envelope(NodeId{9}, Message{msg});
+  ASSERT_EQ(buf.size(), proximity.size());
+  const auto at = static_cast<std::size_t>(
+      std::mismatch(buf.begin(), buf.end(), proximity.begin()).first - buf.begin());
+  ASSERT_LT(at, buf.size());
+  for (const std::uint8_t kind : {2, 9, 255}) {
+    buf[at] = kind;
+    EXPECT_FALSE(decode_envelope(buf).ok()) << "kind byte " << int{kind};
+  }
+}
+
+TEST(Messages, PredicateKindBeyondProximityIsRejected) {
+  EventSubscribe sub;
+  sub.sub_id = 100;
+  sub.area = test_polygon();
+  sub.subscriber = NodeId{77};
+  expect_unknown_kinds_rejected(sub);
+  EventInstall install;
+  install.sub_id = 100;
+  install.area = test_polygon();
+  install.coordinator = NodeId{1};
+  expect_unknown_kinds_rejected(install);
 }
 
 TEST(Messages, RejectsGarbage) {

@@ -1,25 +1,19 @@
 // City-scale macro-scenario suite (sim/scenario.hpp):
 //
 //  * every scenario kind replays bit-identically (same seed => same trace
-//    CRC; population via LOCS_MACRO_OBJECTS, default 100k -- the suite
-//    carries the `macro`/`slow` ctest labels),
+//    CRC; 100k objects -- the suite carries the `macro`/`slow` ctest
+//    labels),
 //  * different seeds diverge,
 //  * the flash crowd at bench_macro's parameters keeps its pinned trace
 //    CRC, answer CRC and message / byte counts.
 #include <gtest/gtest.h>
-
-#include <cstdlib>
 
 #include "sim/scenario.hpp"
 
 namespace locs::test {
 namespace {
 
-std::size_t macro_objects() {
-  const char* v = std::getenv("LOCS_MACRO_OBJECTS");
-  if (v == nullptr || *v == '\0') return 100000;
-  return static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-}
+constexpr std::size_t kMacroObjects = 100000;
 
 sim::ScenarioParams macro_params(sim::ScenarioKind kind, std::size_t objects,
                                  int rounds) {
@@ -32,13 +26,12 @@ sim::ScenarioParams macro_params(sim::ScenarioKind kind, std::size_t objects,
 }
 
 TEST(MacroScenarios, EveryKindReplaysBitIdentically) {
-  const std::size_t objects = macro_objects();
   const sim::ScenarioKind kinds[] = {
       sim::ScenarioKind::kCommuterRush, sim::ScenarioKind::kFlashCrowd,
       sim::ScenarioKind::kConvoys, sim::ScenarioKind::kDayNight};
   for (const sim::ScenarioKind kind : kinds) {
     SCOPED_TRACE(sim::scenario_name(kind));
-    const sim::ScenarioParams p = macro_params(kind, objects, 3);
+    const sim::ScenarioParams p = macro_params(kind, kMacroObjects, 3);
     sim::DriveOptions opts;
     opts.pos_probes = 64;
     const sim::DriveResult a = sim::drive_scenario(p, opts);

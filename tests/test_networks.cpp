@@ -120,7 +120,7 @@ TEST(SimNetwork, MessagesCascadeFromHandlers) {
 // --------------------------------------------------------------------------
 
 TEST(UdpNetwork, LoopbackRoundTrip) {
-  UdpNetwork net(UdpNetwork::pick_free_base_port(/*span=*/2));
+  UdpNetwork net;
   std::atomic<int> got{0};
   std::vector<std::uint8_t> received;
   std::mutex mu;
@@ -140,7 +140,7 @@ TEST(UdpNetwork, LoopbackRoundTrip) {
 }
 
 TEST(UdpNetwork, LargeMessageFragmentsAndReassembles) {
-  UdpNetwork net(UdpNetwork::pick_free_base_port(/*span=*/2));
+  UdpNetwork net;
   std::atomic<int> got{0};
   std::vector<std::uint8_t> received;
   std::mutex mu;
@@ -169,7 +169,7 @@ TEST(UdpNetwork, LargeMessageFragmentsAndReassembles) {
 }
 
 TEST(UdpNetwork, ManySmallMessagesAllArrive) {
-  UdpNetwork net(UdpNetwork::pick_free_base_port(/*span=*/2));
+  UdpNetwork net;
   std::atomic<int> count{0};
   net.attach(NodeId{1}, [&](const std::uint8_t*, std::size_t) {
     count.fetch_add(1);
@@ -193,12 +193,11 @@ TEST(UdpNetwork, AttachedPortIsExclusive) {
   // A node's port belongs to its socket alone. A second socket -- from this
   // process or another of the same user, with or without SO_REUSEPORT --
   // must fail to bind it rather than silently join the node's traffic.
-  const std::uint16_t base = UdpNetwork::pick_free_base_port(10);
-  UdpNetwork net(base);
+  UdpNetwork net;
   net.attach(NodeId{3}, [](const std::uint8_t*, std::size_t) {});
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(base + 3));
+  addr.sin_port = htons(net.port_of(NodeId{3}));
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   for (const bool reuseport : {false, true}) {
     const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
@@ -214,6 +213,46 @@ TEST(UdpNetwork, AttachedPortIsExclusive) {
     EXPECT_EQ(rc, -1) << "reuseport=" << reuseport;
     EXPECT_EQ(err, EADDRINUSE) << "reuseport=" << reuseport;
   }
+}
+
+TEST(UdpNetwork, SendToAnUnattachedOrOutOfRangeIdReachesNoNode) {
+  // Ids 70000 and 4464 are 2^16 apart: a port computed as base + id in 16
+  // bits would deliver the first to the second.
+  UdpNetwork net;
+  std::mutex mu;
+  std::vector<std::vector<std::uint8_t>> received;
+  net.attach(NodeId{1}, [](const std::uint8_t*, std::size_t) {});
+  net.attach(NodeId{4464}, [&](const std::uint8_t* d, std::size_t n) {
+    std::lock_guard<std::mutex> lock(mu);
+    received.emplace_back(d, d + n);
+  });
+  EXPECT_EQ(net.port_of(NodeId{70000}), 0);
+  EXPECT_EQ(net.port_of(NodeId{4463}), 0);
+  net.send(NodeId{1}, NodeId{70000}, {7});
+  net.send(NodeId{1}, NodeId{4463}, {3});
+  // Sent last on the same path: once it arrives, a misdelivered datagram
+  // would have arrived too.
+  net.send(NodeId{1}, NodeId{4464}, {4});
+  for (int i = 0; i < 400; ++i) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      if (!received.empty() && received.back() == std::vector<std::uint8_t>{4}) break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(received, (std::vector<std::vector<std::uint8_t>>{{4}}));
+}
+
+TEST(UdpNetwork, AttachBeyondTheNodeTableAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        UdpNetwork net;
+        net.attach(NodeId{UdpNetwork::kMaxNodes},
+                   [](const std::uint8_t*, std::size_t) {});
+      },
+      "node id 65536");
 }
 
 }  // namespace

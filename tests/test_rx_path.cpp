@@ -101,8 +101,7 @@ struct UdpEcho {
 };
 
 TEST(RxPath, RecvmmsgBurstDeliversEveryDatagramIntact) {
-  const std::uint16_t base = net::UdpNetwork::pick_free_base_port(4);
-  net::UdpNetwork net(base);
+  net::UdpNetwork net;
   UdpEcho echo;
   constexpr std::size_t kBurst = 4 * net::UdpNetwork::kRecvBatch + 3;
 
@@ -143,8 +142,7 @@ TEST(RxPath, RecvmmsgBurstDeliversEveryDatagramIntact) {
 }
 
 TEST(RxPath, PinnedDatagramSurvivesLaterBatches) {
-  const std::uint16_t base = net::UdpNetwork::pick_free_base_port(4);
-  net::UdpNetwork net(base);
+  net::UdpNetwork net;
   UdpEcho echo;
   constexpr std::size_t kTotal = 3 * net::UdpNetwork::kRecvBatch;
 
@@ -182,8 +180,7 @@ TEST(RxPath, PinnedDatagramSurvivesLaterBatches) {
 }
 
 TEST(RxPath, ReassembledFragmentsArePinnableZeroCopy) {
-  const std::uint16_t base = net::UdpNetwork::pick_free_base_port(4);
-  net::UdpNetwork net(base);
+  net::UdpNetwork net;
   UdpEcho echo;
 
   net.attach(NodeId{1}, net::DatagramHandler([&](const Datagram& dg) {
@@ -223,10 +220,10 @@ TEST(RxPath, ReassembledFragmentsArePinnableZeroCopy) {
 // frames to node 1 -- a peer in another process, as the receiver sees it.
 class RawFragSender {
  public:
-  explicit RawFragSender(std::uint16_t base) {
+  explicit RawFragSender(const net::UdpNetwork& net) {
     dst_.sin_family = AF_INET;
     dst_.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    dst_.sin_port = htons(static_cast<std::uint16_t>(base + 1));
+    dst_.sin_port = htons(net.port_of(NodeId{1}));
   }
   ~RawFragSender() {
     if (fd_ >= 0) ::close(fd_);
@@ -272,8 +269,7 @@ void settle(const UdpEcho& echo, std::size_t n) {
 }
 
 TEST(RxPath, InconsistentFragmentsNeverDeliver) {
-  const std::uint16_t base = net::UdpNetwork::pick_free_base_port(4);
-  net::UdpNetwork net(base);
+  net::UdpNetwork net;
   UdpEcho echo;
   attach_collector(net, echo);
   net.attach(NodeId{2}, [](const std::uint8_t*, std::size_t) {});
@@ -281,7 +277,7 @@ TEST(RxPath, InconsistentFragmentsNeverDeliver) {
   // Raw fragments from a plain socket, each disagreeing with the first
   // fragment of its msg_id: a different count, then a repeated index.
   {
-    RawFragSender peer(base);
+    RawFragSender peer(net);
     peer.send(77, 0, 3, "AAAA");
     peer.send(77, 1, 2, "BBBB");
     peer.send(78, 0, 2, "");
@@ -302,15 +298,14 @@ TEST(RxPath, InconsistentFragmentsNeverDeliver) {
 }
 
 TEST(RxPath, SameMsgIdFromTwoSendersStaysApart) {
-  const std::uint16_t base = net::UdpNetwork::pick_free_base_port(4);
-  net::UdpNetwork net(base);
+  net::UdpNetwork net;
   UdpEcho echo;
   attach_collector(net, echo);
 
   // Every UdpNetwork numbers its messages from 1, so two peer processes
   // send the same msg_id; here their fragments interleave on the wire.
-  RawFragSender a(base);
-  RawFragSender b(base);
+  RawFragSender a(net);
+  RawFragSender b(net);
   a.send(1, 0, 2, "AAAA");
   b.send(1, 1, 2, "bbbb");
   a.send(1, 1, 2, "aaaa");
@@ -323,14 +318,13 @@ TEST(RxPath, SameMsgIdFromTwoSendersStaysApart) {
 }
 
 TEST(RxPath, ReassemblyCapDropsTheOldestPartial) {
-  const std::uint16_t base = net::UdpNetwork::pick_free_base_port(4);
-  net::UdpNetwork net(base);
+  net::UdpNetwork net;
   UdpEcho echo;
   attach_collector(net, echo);
 
   // Message 900 opens first, then messages 1..cap: one partial too many.
   // The oldest (900) goes, although 1 has the smallest msg_id.
-  RawFragSender peer(base);
+  RawFragSender peer(net);
   peer.send(900, 0, 2, "old-");
   for (std::uint32_t id = 1; id <= net::UdpNetwork::kMaxPartials; ++id) {
     peer.send(id, 0, 2, "new-");
@@ -353,11 +347,10 @@ std::size_t resident_bytes() {
 }
 
 TEST(RxPath, PartialMemoryFollowsTheFragmentsThatArrived) {
-  const std::uint16_t base = net::UdpNetwork::pick_free_base_port(4);
-  net::UdpNetwork net(base);
+  net::UdpNetwork net;
   UdpEcho echo;
   attach_collector(net, echo);
-  RawFragSender peer(base);
+  RawFragSender peer(net);
   // Warm up the receive path (its thread's allocations) with one message.
   peer.send(1, 0, 2, "AA");
   peer.send(1, 1, 2, "BB");
@@ -385,9 +378,7 @@ TEST(RxPath, UdpRangeMergePinsSubResultsAcrossBatches) {
   // borrowed sub-result views across however many recvmmsg batches the
   // fan-out responses arrive in.
   auto spec = core::HierarchyBuilder::table2(geo::Rect{{0, 0}, {1200, 1200}});
-  // Node ids reach 5, client ids 5200+: cover that span with the base port.
-  const std::uint16_t base = net::UdpNetwork::pick_free_base_port(5400);
-  net::UdpNetwork net(base);
+  net::UdpNetwork net;
   SystemClock clock;
   core::Deployment dep(net, clock, spec);
 

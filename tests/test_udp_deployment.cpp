@@ -19,11 +19,8 @@ constexpr Duration kTimeout = seconds(5);
 
 class UdpDeploymentTest : public ::testing::Test {
  protected:
-  // Node ids reach 5, client ids 5000+: pick an ephemeral base covering that
-  // span so parallel ctest runs don't collide on one hardcoded port pair.
   UdpDeploymentTest()
-      : net_(net::UdpNetwork::pick_free_base_port(/*span=*/5100)),
-        spec_(core::HierarchyBuilder::table2(geo::Rect{{0, 0}, {1500, 1500}})) {
+      : spec_(core::HierarchyBuilder::table2(geo::Rect{{0, 0}, {1500, 1500}})) {
     deployment_ = std::make_unique<core::Deployment>(net_, clock_, spec_);
   }
 
@@ -41,7 +38,7 @@ class UdpDeploymentTest : public ::testing::Test {
   SystemClock clock_;
   core::HierarchySpec spec_;
   std::unique_ptr<core::Deployment> deployment_;
-  std::uint32_t next_client_ = 5000;  // ports base+5000
+  std::uint32_t next_client_ = 5000;
 };
 
 TEST_F(UdpDeploymentTest, RegisterUpdateHandoverAndQueries) {

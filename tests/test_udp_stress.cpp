@@ -169,7 +169,7 @@ TEST(UdpStress, ConcurrentUpdatesQueriesAndHandovers) {
   constexpr int kQueryThreads = 2;
   constexpr std::uint64_t kObjectsPerThread = 16;
 
-  net::UdpNetwork net(net::UdpNetwork::pick_free_base_port(/*span=*/300));
+  net::UdpNetwork net;
   SystemClock clock;
   core::Deployment deployment(
       net, clock, core::HierarchyBuilder::table2(geo::Rect{{0, 0}, {kArea, kArea}}));
@@ -304,7 +304,7 @@ TEST(UdpStress, CrashRestartUnderConcurrentLoad) {
   constexpr std::uint64_t kObjectsPerThread = 12;
   constexpr auto kSoak = std::chrono::milliseconds(1500);
 
-  net::UdpNetwork net(net::UdpNetwork::pick_free_base_port(/*span=*/300));
+  net::UdpNetwork net;
   SystemClock clock;
   core::Deployment::Config cfg;
   // In-memory visitorDBs: the crash is a TOTAL state loss, recovered through
@@ -453,7 +453,7 @@ TEST(UdpStress, CrashRestartUnderConcurrentLoad) {
 /// receive thread. The node lock covers them; TSan is the real assertion
 /// here.
 TEST(UdpStress, FindSightingRacesReactorSafely) {
-  net::UdpNetwork net(net::UdpNetwork::pick_free_base_port(/*span=*/300));
+  net::UdpNetwork net;
   SystemClock clock;
   core::Deployment deployment(
       net, clock, core::HierarchyBuilder::table2(geo::Rect{{0, 0}, {kArea, kArea}}));
