@@ -62,16 +62,20 @@ namespace {
 std::atomic<std::uint64_t> g_allocs{0};
 }  // namespace
 
-void* operator new(std::size_t n) {
+// One allocating and one freeing function; the other forms forward to them.
+// Both stay out of line: inlined into this file's callers, g++ would see
+// malloc() paired with operator delete, or operator new with free(), and
+// -Wmismatched-new-delete fires.
+[[gnu::noinline]] void* operator new(std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc{};
 }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace {
 

@@ -41,7 +41,8 @@ int main() {
   std::printf("car registered at server %u, offered accuracy %.0f m\n",
               car.agent().value, car.offered_acc());
 
-  // Drive diagonally across the whole area: three handovers.
+  // Drive diagonally across the whole area: one handover, where the path
+  // crosses the centre from the south-west leaf into the north-east one.
   for (double d = 200; d <= 1400; d += 100) {
     car.feed_position({d, d});
     std::this_thread::sleep_for(std::chrono::milliseconds(20));

@@ -67,39 +67,12 @@ void TwoTierServer::handle(const std::uint8_t* data, std::size_t len) {
   const NodeId src = decoded.value().src;
   std::visit(
       [&](auto& m) {
-        using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, wm::RegisterReq>) {
-          on_register_req(src, m);
-        } else if constexpr (std::is_same_v<T, wm::UpdateReq>) {
-          on_update_req(src, m);
-        } else if constexpr (std::is_same_v<T, wm::HandoverReq>) {
-          on_handover_req(src, m);
-        } else if constexpr (std::is_same_v<T, wm::HandoverRes>) {
-          on_handover_res(src, m);
-        } else if constexpr (std::is_same_v<T, wm::CreatePath>) {
-          on_create_path(src, m);
-        } else if constexpr (std::is_same_v<T, wm::RemovePath>) {
-          home_pointers_.remove(m.oid);
-        } else if constexpr (std::is_same_v<T, wm::PosQueryReq>) {
-          on_pos_query_req(src, m);
-        } else if constexpr (std::is_same_v<T, wm::PosQueryFwd>) {
-          on_pos_query_fwd(src, m);
-        } else if constexpr (std::is_same_v<T, wm::PosQueryRes>) {
-          on_pos_query_res(src, m);
-        } else if constexpr (std::is_same_v<T, wm::RangeQueryReq>) {
-          on_range_query_req(src, m);
-        } else if constexpr (std::is_same_v<T, wm::RangeQueryFwd>) {
-          on_range_query_fwd(src, m);
-        } else if constexpr (std::is_same_v<T, wm::RangeQuerySubRes>) {
-          on_range_query_sub_res(src, m);
-        } else if constexpr (std::is_same_v<T, wm::DeregisterReq>) {
-          on_deregister_req(src, m);
-        }
+        if constexpr (requires { on(src, m); }) on(src, m);
       },
       decoded.value().msg);
 }
 
-void TwoTierServer::on_register_req(NodeId src, const wire::RegisterReq& m) {
+void TwoTierServer::on(NodeId src, const wire::RegisterReq& m) {
   (void)src;
   const NodeId serving = map_.region_for(m.s.pos);
   if (serving != self_) {
@@ -128,12 +101,16 @@ void TwoTierServer::on_register_req(NodeId src, const wire::RegisterReq& m) {
   send_msg(m.reg_inst, wm::RegisterRes{self_, offered, m.req_id});
 }
 
-void TwoTierServer::on_create_path(NodeId src, const wire::CreatePath& m) {
+void TwoTierServer::on(NodeId src, const wire::CreatePath& m) {
   ++stats_.home_updates;
   home_pointers_.set_forward(m.oid, src);
 }
 
-void TwoTierServer::on_update_req(NodeId src, const wire::UpdateReq& m) {
+void TwoTierServer::on(NodeId, const wire::RemovePath& m) {
+  home_pointers_.remove(m.oid);
+}
+
+void TwoTierServer::on(NodeId src, const wire::UpdateReq& m) {
   store::SightingDb::Record* rec = sightings_.find(m.s.oid);
   if (rec == nullptr) return;  // not serving this object
   if (my_area().contains(m.s.pos)) {
@@ -167,7 +144,7 @@ void TwoTierServer::on_update_req(NodeId src, const wire::UpdateReq& m) {
   send_msg(target, req);
 }
 
-void TwoTierServer::on_handover_req(NodeId src, const wire::HandoverReq& m) {
+void TwoTierServer::on(NodeId src, const wire::HandoverReq& m) {
   const double offered = std::max(kMinSupportedAcc,
                                   m.reg_info.acc_range.desired);
   sightings_.upsert(m.s, offered, clock_.now() + kSightingTtl, m.reg_info);
@@ -182,7 +159,7 @@ void TwoTierServer::on_handover_req(NodeId src, const wire::HandoverReq& m) {
   send_msg(src, wm::HandoverRes{m.s.oid, self_, offered, m.req_id, std::nullopt});
 }
 
-void TwoTierServer::on_handover_res(NodeId src, const wire::HandoverRes& m) {
+void TwoTierServer::on(NodeId src, const wire::HandoverRes& m) {
   (void)src;
   const auto it = pending_handover_.find(m.req_id);
   if (it == pending_handover_.end()) return;
@@ -193,7 +170,7 @@ void TwoTierServer::on_handover_res(NodeId src, const wire::HandoverRes& m) {
            wm::AgentChanged{pending.oid, m.new_agent, m.offered_acc});
 }
 
-void TwoTierServer::on_pos_query_req(NodeId src, const wire::PosQueryReq& m) {
+void TwoTierServer::on(NodeId src, const wire::PosQueryReq& m) {
   const store::SightingDb::Record* rec = sightings_.find(m.oid);
   if (rec != nullptr) {
     ++stats_.pos_queries_served;
@@ -219,7 +196,7 @@ void TwoTierServer::on_pos_query_req(NodeId src, const wire::PosQueryReq& m) {
   send_msg(home, wm::PosQueryFwd{m.oid, self_, internal});
 }
 
-void TwoTierServer::on_pos_query_fwd(NodeId src, const wire::PosQueryFwd& m) {
+void TwoTierServer::on(NodeId src, const wire::PosQueryFwd& m) {
   (void)src;
   const store::SightingDb::Record* rec = sightings_.find(m.oid);
   if (rec != nullptr) {
@@ -237,7 +214,7 @@ void TwoTierServer::on_pos_query_fwd(NodeId src, const wire::PosQueryFwd& m) {
   send_msg(m.entry, wm::PosQueryRes{m.oid, false, {}, kNoNode, m.req_id, std::nullopt});
 }
 
-void TwoTierServer::on_pos_query_res(NodeId src, const wire::PosQueryRes& m) {
+void TwoTierServer::on(NodeId src, const wire::PosQueryRes& m) {
   (void)src;
   const auto it = pending_pos_.find(m.req_id);
   if (it == pending_pos_.end()) return;
@@ -247,7 +224,7 @@ void TwoTierServer::on_pos_query_res(NodeId src, const wire::PosQueryRes& m) {
                                            pending.client_req_id, std::nullopt});
 }
 
-void TwoTierServer::on_range_query_req(NodeId src, const wire::RangeQueryReq& m) {
+void TwoTierServer::on(NodeId src, const wire::RangeQueryReq& m) {
   const geo::Polygon enlarged = geo::enlarge(m.area, std::max(m.req_acc, 0.0));
   const std::uint64_t internal = next_req_id();
   PendingRange pending;
@@ -278,7 +255,7 @@ void TwoTierServer::on_range_query_req(NodeId src, const wire::RangeQueryReq& m)
   try_complete_range(internal);
 }
 
-void TwoTierServer::on_range_query_fwd(NodeId src, const wire::RangeQueryFwd& m) {
+void TwoTierServer::on(NodeId src, const wire::RangeQueryFwd& m) {
   (void)src;
   const geo::Polygon enlarged = geo::enlarge(m.area, std::max(m.req_acc, 0.0));
   wm::RangeQuerySubRes sub;
@@ -291,8 +268,7 @@ void TwoTierServer::on_range_query_fwd(NodeId src, const wire::RangeQueryFwd& m)
   send_msg(m.entry, sub);
 }
 
-void TwoTierServer::on_range_query_sub_res(NodeId src,
-                                           const wire::RangeQuerySubRes& m) {
+void TwoTierServer::on(NodeId src, const wire::RangeQuerySubRes& m) {
   (void)src;
   const auto it = pending_range_.find(m.req_id);
   if (it == pending_range_.end()) return;
@@ -317,7 +293,7 @@ void TwoTierServer::try_complete_range(std::uint64_t key) {
   send_msg(client, res);
 }
 
-void TwoTierServer::on_deregister_req(NodeId src, const wire::DeregisterReq& m) {
+void TwoTierServer::on(NodeId src, const wire::DeregisterReq& m) {
   (void)src;
   if (sightings_.remove(m.oid)) {
     const NodeId home = map_.home_for(m.oid);

@@ -88,18 +88,21 @@ class TwoTierServer {
   const geo::Polygon& my_area() const;
   std::uint64_t next_req_id();
 
-  void on_register_req(NodeId src, const wire::RegisterReq& m);
-  void on_update_req(NodeId src, const wire::UpdateReq& m);
-  void on_handover_req(NodeId src, const wire::HandoverReq& m);
-  void on_handover_res(NodeId src, const wire::HandoverRes& m);
-  void on_create_path(NodeId src, const wire::CreatePath& m);  // home pointer
-  void on_pos_query_req(NodeId src, const wire::PosQueryReq& m);
-  void on_pos_query_fwd(NodeId src, const wire::PosQueryFwd& m);
-  void on_pos_query_res(NodeId src, const wire::PosQueryRes& m);
-  void on_range_query_req(NodeId src, const wire::RangeQueryReq& m);
-  void on_range_query_fwd(NodeId src, const wire::RangeQueryFwd& m);
-  void on_range_query_sub_res(NodeId src, const wire::RangeQuerySubRes& m);
-  void on_deregister_req(NodeId src, const wire::DeregisterReq& m);
+  // One overload per message type a region server receives; handle() calls
+  // the overload of each decoded message.
+  void on(NodeId src, const wire::RegisterReq& m);
+  void on(NodeId src, const wire::UpdateReq& m);
+  void on(NodeId src, const wire::HandoverReq& m);
+  void on(NodeId src, const wire::HandoverRes& m);
+  void on(NodeId src, const wire::CreatePath& m);  // home pointer
+  void on(NodeId src, const wire::RemovePath& m);  // home pointer
+  void on(NodeId src, const wire::PosQueryReq& m);
+  void on(NodeId src, const wire::PosQueryFwd& m);
+  void on(NodeId src, const wire::PosQueryRes& m);
+  void on(NodeId src, const wire::RangeQueryReq& m);
+  void on(NodeId src, const wire::RangeQueryFwd& m);
+  void on(NodeId src, const wire::RangeQuerySubRes& m);
+  void on(NodeId src, const wire::DeregisterReq& m);
   void try_complete_range(std::uint64_t key);
 
   NodeId self_;

@@ -27,8 +27,7 @@ namespace locs::core {
 /// Cache 1: leaf server -> service area.
 class LeafAreaCache {
  public:
-  explicit LeafAreaCache(std::size_t max_entries = 4096)
-      : max_entries_(max_entries) {}
+  static constexpr std::size_t kMaxEntries = 4096;
 
   void learn(NodeId leaf, geo::Polygon area) {
     if (!leaf.valid()) return;
@@ -37,7 +36,7 @@ class LeafAreaCache {
       it->second = std::move(area);
       return;
     }
-    if (entries_.size() >= max_entries_) entries_.erase(entries_.begin());
+    if (entries_.size() >= kMaxEntries) entries_.erase(entries_.begin());
     entries_.emplace(leaf, std::move(area));
   }
 
@@ -73,20 +72,19 @@ class LeafAreaCache {
   void clear() { entries_.clear(); }
 
  private:
-  std::size_t max_entries_;
   std::unordered_map<NodeId, geo::Polygon> entries_;
 };
 
 /// Cache 2: tracked object -> current agent.
 class ObjectAgentCache {
  public:
-  explicit ObjectAgentCache(std::size_t max_entries = 65536,
-                            Duration ttl = seconds(300))
-      : max_entries_(max_entries), ttl_(ttl) {}
+  static constexpr std::size_t kMaxEntries = 65536;
+  /// An entry older than this is not used.
+  static constexpr Duration kTtl = seconds(300);
 
   void learn(ObjectId oid, NodeId agent, TimePoint now) {
     if (!agent.valid()) return;
-    if (entries_.size() >= max_entries_ && entries_.find(oid) == entries_.end()) {
+    if (entries_.size() >= kMaxEntries && entries_.find(oid) == entries_.end()) {
       entries_.erase(entries_.begin());
     }
     entries_[oid] = {agent, now};
@@ -95,7 +93,7 @@ class ObjectAgentCache {
   std::optional<NodeId> find(ObjectId oid, TimePoint now) const {
     const auto it = entries_.find(oid);
     if (it == entries_.end()) return std::nullopt;
-    if (now - it->second.at > ttl_) return std::nullopt;
+    if (now - it->second.at > kTtl) return std::nullopt;
     return it->second.agent;
   }
 
@@ -108,19 +106,16 @@ class ObjectAgentCache {
     NodeId agent;
     TimePoint at;
   };
-  std::size_t max_entries_;
-  Duration ttl_;
   std::unordered_map<ObjectId, EntryRec> entries_;
 };
 
 /// Cache 3: tracked object -> position descriptor.
 class PositionCache {
  public:
-  explicit PositionCache(std::size_t max_entries = 65536)
-      : max_entries_(max_entries) {}
+  static constexpr std::size_t kMaxEntries = 65536;
 
   void learn(ObjectId oid, const LocationDescriptor& ld, TimePoint now) {
-    if (entries_.size() >= max_entries_ && entries_.find(oid) == entries_.end()) {
+    if (entries_.size() >= kMaxEntries && entries_.find(oid) == entries_.end()) {
       entries_.erase(entries_.begin());
     }
     entries_[oid] = {ld, now};
@@ -149,7 +144,6 @@ class PositionCache {
     LocationDescriptor ld;
     TimePoint at;
   };
-  std::size_t max_entries_;
   std::unordered_map<ObjectId, EntryRec> entries_;
 };
 

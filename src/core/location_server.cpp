@@ -140,64 +140,9 @@ void LocationServer::handle(const net::Datagram& dg) {
   wm::Message& msg = rx_scratch_.msg;
   std::visit(
       [&](auto& m) {
-        using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, wm::RegisterReq>) {
-          on_register_req(src, m);
-        } else if constexpr (std::is_same_v<T, wm::CreatePath>) {
-          on_create_path(src, m);
-        } else if constexpr (std::is_same_v<T, wm::RemovePath>) {
-          on_remove_path(src, m);
-        } else if constexpr (std::is_same_v<T, wm::UpdateReq>) {
-          on_update_req(src, m);
-        } else if constexpr (std::is_same_v<T, wm::BatchedUpdateReq>) {
-          on_batched_update_req(src, m);
-        } else if constexpr (std::is_same_v<T, wm::HandoverReq>) {
-          on_handover_req(src, m);
-        } else if constexpr (std::is_same_v<T, wm::HandoverRes>) {
-          on_handover_res(src, m);
-        } else if constexpr (std::is_same_v<T, wm::PosQueryReq>) {
-          on_pos_query_req(src, m);
-        } else if constexpr (std::is_same_v<T, wm::PosQueryFwd>) {
-          on_pos_query_fwd(src, m);
-        } else if constexpr (std::is_same_v<T, wm::PosQueryRes>) {
-          on_pos_query_res(src, m);
-        } else if constexpr (std::is_same_v<T, wm::RangeQueryReq>) {
-          on_range_query_req(src, m);
-        } else if constexpr (std::is_same_v<T, wm::RangeQueryFwd>) {
-          on_range_query_fwd(src, m);
-        } else if constexpr (std::is_same_v<T, wm::NNQueryReq>) {
-          on_nn_query_req(src, m);
-        } else if constexpr (std::is_same_v<T, wm::NNProbeFwd>) {
-          on_nn_probe_fwd(src, m);
-        } else if constexpr (std::is_same_v<T, wm::ChangeAccReq>) {
-          on_change_acc_req(src, m);
-        } else if constexpr (std::is_same_v<T, wm::DeregisterReq>) {
-          on_deregister_req(src, m);
-        } else if constexpr (std::is_same_v<T, wm::EventSubscribe>) {
-          on_event_subscribe(src, m);
-        } else if constexpr (std::is_same_v<T, wm::EventInstall>) {
-          on_event_install(src, m);
-        } else if constexpr (std::is_same_v<T, wm::EventDelta>) {
-          on_event_delta(src, m);
-        } else if constexpr (std::is_same_v<T, wm::EventUnsubscribe>) {
-          on_event_unsubscribe(src, m);
-        } else if constexpr (std::is_same_v<T, wm::Heartbeat>) {
-          on_heartbeat(src, m);
-        } else if constexpr (std::is_same_v<T, wm::HeartbeatAck>) {
-          on_heartbeat_ack(src, m);
-        } else if constexpr (std::is_same_v<T, wm::RecoveryHello>) {
-          on_recovery_hello(src, m);
-        } else if constexpr (std::is_same_v<T, wm::BatchedRefreshReq>) {
-          on_batched_refresh_req(src, m);
-        } else if constexpr (std::is_same_v<T, wm::ReplicaTee>) {
-          on_replica_tee(src, m);
-        } else if constexpr (std::is_same_v<T, wm::StandbyPromote>) {
-          on_standby_promote(src, m);
-        } else if constexpr (std::is_same_v<T, wm::StandbyDemote>) {
-          on_standby_demote(src, m);
-        }
-        // Other message types (responses to clients, UnknownObject, ...)
-        // are not addressed to servers; ignore them defensively.
+        // Message types without an overload (responses to clients,
+        // UnknownObject, ...) are not addressed to servers; ignore them.
+        if constexpr (requires { on(src, m); }) on(src, m);
       },
       msg);
   // One tee datagram per handled datagram: every sighting the message above
@@ -238,7 +183,7 @@ void LocationServer::put_sighting(store::SightingDb::Record& rec, const Sighting
 // --------------------------------------------------------------------------
 // registration (Algorithm 6-1)
 
-void LocationServer::on_register_req(NodeId src, const wm::RegisterReq& m) {
+void LocationServer::on(NodeId src, const wm::RegisterReq& m) {
   (void)src;
   if (cfg_.covers(m.s.pos)) {
     if (cfg_.is_leaf()) {
@@ -294,13 +239,13 @@ void LocationServer::send_path(bool create, ObjectId oid) {
 
 // A leaf keeps no forwarding references: a path message delivered to one
 // leaves its records as they are.
-void LocationServer::on_create_path(NodeId src, const wm::CreatePath& m) {
+void LocationServer::on(NodeId src, const wm::CreatePath& m) {
   if (!visitor_db_) return;
   visitor_db_->set_forward(m.oid, src);
   send_path(true, m.oid);
 }
 
-void LocationServer::on_remove_path(NodeId src, const wm::RemovePath& m) {
+void LocationServer::on(NodeId src, const wm::RemovePath& m) {
   // Conditional prune: only remove if our pointer still leads toward the
   // sender. If a concurrent createPath already repointed this record to a
   // fresh branch, we are a common ancestor of old and new agent and the
@@ -313,7 +258,7 @@ void LocationServer::on_remove_path(NodeId src, const wm::RemovePath& m) {
 // --------------------------------------------------------------------------
 // position updates and handover (Algorithms 6-2 / 6-3)
 
-void LocationServer::on_update_req(NodeId src, const wm::UpdateReq& m) {
+void LocationServer::on(NodeId src, const wm::UpdateReq& m) {
   if (!cfg_.is_leaf()) return;  // updates always go to the agent (a leaf)
   if (standby_passive()) {
     bounce_sighting(m.s);
@@ -326,7 +271,7 @@ void LocationServer::on_update_req(NodeId src, const wm::UpdateReq& m) {
   }
 }
 
-void LocationServer::on_batched_update_req(NodeId src, const wm::BatchedUpdateReq& m) {
+void LocationServer::on(NodeId src, const wm::BatchedUpdateReq& m) {
   if (!cfg_.is_leaf()) return;  // updates always go to the agent (a leaf)
   if (standby_passive()) {
     auto bounced = m.sightings.items();
@@ -336,7 +281,7 @@ void LocationServer::on_batched_update_req(NodeId src, const wm::BatchedUpdateRe
   }
   ++stats_.update_batches;
   // Single lazy pass over the packed sightings (wire framing note): each one
-  // takes the per-sighting path of on_update_req, and the acks travel back
+  // takes the per-sighting path of a single UpdateReq, and the acks travel back
   // as one packed BatchedUpdateAck to the coalescing sender.
   wm::BatchedUpdateAck& ack = batch_ack_scratch_;
   ack.acks.clear();
@@ -434,7 +379,7 @@ void LocationServer::accept_handover(NodeId src, const wm::HandoverReq& m) {
   }
 }
 
-void LocationServer::on_handover_req(NodeId src, const wm::HandoverReq& m) {
+void LocationServer::on(NodeId src, const wm::HandoverReq& m) {
   learn_origin(m.origin);
   if (cfg_.covers(m.s.pos)) {
     if (cfg_.is_leaf()) {
@@ -467,7 +412,7 @@ void LocationServer::on_handover_req(NodeId src, const wm::HandoverReq& m) {
   send_msg(cfg_.parent, m);
 }
 
-void LocationServer::on_handover_res(NodeId src, const wm::HandoverRes& m) {
+void LocationServer::on(NodeId src, const wm::HandoverRes& m) {
   (void)src;
   const auto it = pending_handover_.find(m.req_id);
   if (it == pending_handover_.end()) return;  // timed out earlier
@@ -537,7 +482,7 @@ void LocationServer::flush_bounce() {
   tee_scratch_.entries.clear();
 }
 
-void LocationServer::on_replica_tee(NodeId src, const wm::ReplicaTee& m) {
+void LocationServer::on(NodeId src, const wm::ReplicaTee& m) {
   if (!cfg_.is_leaf() || !sightings_) return;
   if (standby_.valid() && src == standby_) {
     // Reconciliation return traffic: sightings a straggler client delivered
@@ -567,7 +512,7 @@ void LocationServer::on_replica_tee(NodeId src, const wm::ReplicaTee& m) {
         sightings_->remove(e.s.oid);
         break;
       case wire::ReplicaTee::Op::kSetAcc:
-        // Mirror of on_change_acc_req's store effect: the visitor part
+        // Mirror of the ChangeAccReq handler's store effect: the visitor part
         // changes WITHOUT any spatial-index operation (the primary performs
         // none, and byte-equal answers require identical index op sequences).
         sightings_->set_visitor(e.s.oid, e.offered_acc, e.reg);
@@ -582,7 +527,7 @@ void LocationServer::on_replica_tee(NodeId src, const wm::ReplicaTee& m) {
   }
 }
 
-void LocationServer::on_standby_promote(NodeId src, const wm::StandbyPromote& m) {
+void LocationServer::on(NodeId src, const wm::StandbyPromote& m) {
   // Only our parent may promote us, and only for the primary we mirror.
   if (src != cfg_.parent || !standby_primary_.valid() ||
       m.primary != standby_primary_ || standby_active_) {
@@ -596,7 +541,7 @@ void LocationServer::on_standby_promote(NodeId src, const wm::StandbyPromote& m)
   standby_fan_agent_changed(self_);
 }
 
-void LocationServer::on_standby_demote(NodeId src, const wm::StandbyDemote& m) {
+void LocationServer::on(NodeId src, const wm::StandbyDemote& m) {
   if (src != cfg_.parent || !standby_primary_.valid() ||
       m.primary != standby_primary_) {
     return;
@@ -660,7 +605,7 @@ void LocationServer::disengage_standby(NodeId child) {
 // --------------------------------------------------------------------------
 // position queries (Algorithm 6-4)
 
-void LocationServer::on_pos_query_req(NodeId src, const wm::PosQueryReq& m) {
+void LocationServer::on(NodeId src, const wm::PosQueryReq& m) {
   // §6.5 cache 3: a still-valid cached descriptor answers immediately.
   if (opts_.enable_position_cache) {
     const auto cached = position_cache_.find(
@@ -733,7 +678,7 @@ void LocationServer::route_pos_query(std::uint64_t key, PendingPos pending) {
   send_msg(next, wm::PosQueryFwd{pending.oid, self_, key});
 }
 
-void LocationServer::on_pos_query_fwd(NodeId src, const wm::PosQueryFwd& m) {
+void LocationServer::on(NodeId src, const wm::PosQueryFwd& m) {
   (void)src;
   if (cfg_.is_leaf()) {
     if (answer_pos_locally(m.oid, m.entry, m.req_id, origin_piggyback())) return;
@@ -753,7 +698,7 @@ void LocationServer::on_pos_query_fwd(NodeId src, const wm::PosQueryFwd& m) {
   send_msg(m.entry, wm::PosQueryRes{m.oid, false, {}, kNoNode, m.req_id, std::nullopt});
 }
 
-void LocationServer::on_pos_query_res(NodeId src, const wm::PosQueryRes& m) {
+void LocationServer::on(NodeId src, const wm::PosQueryRes& m) {
   (void)src;
   const auto it = pending_pos_.find(m.req_id);
   if (it == pending_pos_.end()) return;
@@ -932,7 +877,7 @@ typename Table::mapped_type* LocationServer::credit_sub_res(Table& table,
   return &it->second;
 }
 
-void LocationServer::on_range_query_req(NodeId src, const wm::RangeQueryReq& m) {
+void LocationServer::on(NodeId src, const wm::RangeQueryReq& m) {
   const geo::Polygon enlarged = geo::enlarge(m.area, std::max(m.req_acc, 0.0));
   const std::uint64_t internal_id = next_req_id();
   PendingRange pending;
@@ -987,7 +932,7 @@ void LocationServer::on_range_query_req(NodeId src, const wm::RangeQueryReq& m) 
       enlarged, self_, kNoNode);
 }
 
-void LocationServer::on_range_query_fwd(NodeId src, const wm::RangeQueryFwd& m) {
+void LocationServer::on(NodeId src, const wm::RangeQueryFwd& m) {
   const geo::Polygon enlarged = geo::enlarge(m.area, std::max(m.req_acc, 0.0));
   answer_share(m, enlarged, m.entry, range_sub_scratch_);
   if (!m.direct) fan_out<wm::RangeQuerySubRes>(m, enlarged, m.entry, src);
@@ -1086,7 +1031,7 @@ void LocationServer::emit_range_result(PendingRange& pending, bool complete) {
 // Nearest-neighbor queries run as expanding rings of probe gathers (semantics
 // of §3.2).
 
-void LocationServer::on_nn_query_req(NodeId src, const wm::NNQueryReq& m) {
+void LocationServer::on(NodeId src, const wm::NNQueryReq& m) {
   PendingNN op;
   op.client = src;
   op.client_req_id = m.req_id;
@@ -1133,7 +1078,7 @@ void LocationServer::launch_nn_ring(PendingNN op) {
   check_nn_ring(ring_key);
 }
 
-void LocationServer::on_nn_probe_fwd(NodeId src, const wm::NNProbeFwd& m) {
+void LocationServer::on(NodeId src, const wm::NNProbeFwd& m) {
   const geo::Polygon probe_poly = nn_probe_polygon(m.p, m.radius);
   answer_share(m, probe_poly, m.coordinator, nn_sub_scratch_);
   fan_out<wm::NNProbeSubRes>(m, probe_poly, m.coordinator, src);
@@ -1220,7 +1165,7 @@ void LocationServer::finish_nn(PendingNN op) {
 // --------------------------------------------------------------------------
 // accuracy management / lifecycle
 
-void LocationServer::on_change_acc_req(NodeId src, const wm::ChangeAccReq& m) {
+void LocationServer::on(NodeId src, const wm::ChangeAccReq& m) {
   store::SightingDb::Record* rec = sightings_ ? sightings_->find(m.oid) : nullptr;
   if (rec == nullptr) {
     send_msg(src, wm::ChangeAccRes{m.req_id, false, 0.0});
@@ -1243,7 +1188,7 @@ void LocationServer::on_change_acc_req(NodeId src, const wm::ChangeAccReq& m) {
   }
 }
 
-void LocationServer::on_deregister_req(NodeId src, const wm::DeregisterReq& m) {
+void LocationServer::on(NodeId src, const wm::DeregisterReq& m) {
   (void)src;
   if (!cfg_.is_leaf()) return;
   store::SightingDb::Record* rec = sightings_->find(m.oid);
@@ -1296,7 +1241,7 @@ void LocationServer::announce_recovery() {
     return;
   }
   // The parent answers with the BatchedRefreshReq sweep of every object it
-  // still forwards here (on_recovery_hello); the sweep itself happens when
+  // still forwards here (the RecoveryHello handler); the sweep itself happens when
   // that reply arrives, filtered against whatever sightings already exist.
   send_msg(cfg_.parent, wm::RecoveryHello{++recovery_incarnation_});
 }
@@ -1306,11 +1251,11 @@ bool LocationServer::child_suspect(NodeId child) const {
   return it != child_health_.end() && it->second.suspect;
 }
 
-void LocationServer::on_heartbeat(NodeId src, const wm::Heartbeat& m) {
+void LocationServer::on(NodeId src, const wm::Heartbeat& m) {
   send_msg(src, wm::HeartbeatAck{m.seq});
 }
 
-void LocationServer::on_heartbeat_ack(NodeId src, const wm::HeartbeatAck& m) {
+void LocationServer::on(NodeId src, const wm::HeartbeatAck& m) {
   const auto it = child_health_.find(src);
   if (it == child_health_.end()) return;
   ChildHealth& h = it->second;
@@ -1322,7 +1267,7 @@ void LocationServer::on_heartbeat_ack(NodeId src, const wm::HeartbeatAck& m) {
   h.suspect = false;
 }
 
-void LocationServer::on_recovery_hello(NodeId src, const wm::RecoveryHello& m) {
+void LocationServer::on(NodeId src, const wm::RecoveryHello& m) {
   (void)m;  // the incarnation disambiguates log lines; protocol is idempotent
   ++stats_.recovery_hellos;
   disengage_standby(src);
@@ -1343,8 +1288,7 @@ void LocationServer::on_recovery_hello(NodeId src, const wm::RecoveryHello& m) {
   send_refresh_batches(refresh_targets_scratch_);
 }
 
-void LocationServer::on_batched_refresh_req(NodeId src,
-                                            const wm::BatchedRefreshReq& m) {
+void LocationServer::on(NodeId src, const wm::BatchedRefreshReq& m) {
   (void)src;
   if (!cfg_.is_leaf()) return;  // sweeps target leaves (and, beyond, clients)
   // Parent-driven recovery sweep: refresh every listed object whose leaf
@@ -1365,7 +1309,7 @@ void LocationServer::on_batched_refresh_req(NodeId src,
 // --------------------------------------------------------------------------
 // event mechanism (extension)
 
-void LocationServer::on_event_subscribe(NodeId src, const wm::EventSubscribe& m) {
+void LocationServer::on(NodeId src, const wm::EventSubscribe& m) {
   (void)src;
   const bool area_kind = m.kind == wm::PredicateKind::kAreaCount;
   const bool can_coordinate =
@@ -1401,7 +1345,7 @@ void LocationServer::route_event_install(const wm::EventInstall& inst, NodeId fr
   }
 }
 
-void LocationServer::on_event_install(NodeId src, const wm::EventInstall& m) {
+void LocationServer::on(NodeId src, const wm::EventInstall& m) {
   if (cfg_.is_leaf()) {
     install_event(m);
   } else {
@@ -1470,7 +1414,7 @@ void LocationServer::events_on_sighting(ObjectId oid, bool present, geo::Point p
   }
 }
 
-void LocationServer::on_event_delta(NodeId src, const wm::EventDelta& m) {
+void LocationServer::on(NodeId src, const wm::EventDelta& m) {
   coordinator_handle_delta(src, m);
 }
 
@@ -1516,7 +1460,7 @@ void LocationServer::coordinator_handle_delta(NodeId reporting_leaf,
   }
 }
 
-void LocationServer::on_event_unsubscribe(NodeId src, const wm::EventUnsubscribe& m) {
+void LocationServer::on(NodeId src, const wm::EventUnsubscribe& m) {
   leaf_preds_.erase(m.sub_id);
   const bool was_coordinator = coord_preds_.erase(m.sub_id) > 0;
   // Broadcast downwards so every leaf drops its local tracker; forward

@@ -287,34 +287,35 @@ class LocationServer {
     util::OidMap<LocationDescriptor> candidates;
   };
 
-  // -- message handlers (one per protocol message) --
-  void on_register_req(NodeId src, const wire::RegisterReq& m);
-  void on_create_path(NodeId src, const wire::CreatePath& m);
-  void on_remove_path(NodeId src, const wire::RemovePath& m);
-  void on_update_req(NodeId src, const wire::UpdateReq& m);
-  void on_batched_update_req(NodeId src, const wire::BatchedUpdateReq& m);
-  void on_handover_req(NodeId src, const wire::HandoverReq& m);
-  void on_handover_res(NodeId src, const wire::HandoverRes& m);
-  void on_pos_query_req(NodeId src, const wire::PosQueryReq& m);
-  void on_pos_query_fwd(NodeId src, const wire::PosQueryFwd& m);
-  void on_pos_query_res(NodeId src, const wire::PosQueryRes& m);
-  void on_range_query_req(NodeId src, const wire::RangeQueryReq& m);
-  void on_range_query_fwd(NodeId src, const wire::RangeQueryFwd& m);
-  void on_nn_query_req(NodeId src, const wire::NNQueryReq& m);
-  void on_nn_probe_fwd(NodeId src, const wire::NNProbeFwd& m);
-  void on_change_acc_req(NodeId src, const wire::ChangeAccReq& m);
-  void on_deregister_req(NodeId src, const wire::DeregisterReq& m);
-  void on_event_subscribe(NodeId src, const wire::EventSubscribe& m);
-  void on_event_install(NodeId src, const wire::EventInstall& m);
-  void on_event_delta(NodeId src, const wire::EventDelta& m);
-  void on_event_unsubscribe(NodeId src, const wire::EventUnsubscribe& m);
-  void on_heartbeat(NodeId src, const wire::Heartbeat& m);
-  void on_heartbeat_ack(NodeId src, const wire::HeartbeatAck& m);
-  void on_recovery_hello(NodeId src, const wire::RecoveryHello& m);
-  void on_batched_refresh_req(NodeId src, const wire::BatchedRefreshReq& m);
-  void on_replica_tee(NodeId src, const wire::ReplicaTee& m);
-  void on_standby_promote(NodeId src, const wire::StandbyPromote& m);
-  void on_standby_demote(NodeId src, const wire::StandbyDemote& m);
+  // -- message handlers: one overload per message type a server receives;
+  //    handle() calls the overload of each decoded message --
+  void on(NodeId src, const wire::RegisterReq& m);
+  void on(NodeId src, const wire::CreatePath& m);
+  void on(NodeId src, const wire::RemovePath& m);
+  void on(NodeId src, const wire::UpdateReq& m);
+  void on(NodeId src, const wire::BatchedUpdateReq& m);
+  void on(NodeId src, const wire::HandoverReq& m);
+  void on(NodeId src, const wire::HandoverRes& m);
+  void on(NodeId src, const wire::PosQueryReq& m);
+  void on(NodeId src, const wire::PosQueryFwd& m);
+  void on(NodeId src, const wire::PosQueryRes& m);
+  void on(NodeId src, const wire::RangeQueryReq& m);
+  void on(NodeId src, const wire::RangeQueryFwd& m);
+  void on(NodeId src, const wire::NNQueryReq& m);
+  void on(NodeId src, const wire::NNProbeFwd& m);
+  void on(NodeId src, const wire::ChangeAccReq& m);
+  void on(NodeId src, const wire::DeregisterReq& m);
+  void on(NodeId src, const wire::EventSubscribe& m);
+  void on(NodeId src, const wire::EventInstall& m);
+  void on(NodeId src, const wire::EventDelta& m);
+  void on(NodeId src, const wire::EventUnsubscribe& m);
+  void on(NodeId src, const wire::Heartbeat& m);
+  void on(NodeId src, const wire::HeartbeatAck& m);
+  void on(NodeId src, const wire::RecoveryHello& m);
+  void on(NodeId src, const wire::BatchedRefreshReq& m);
+  void on(NodeId src, const wire::ReplicaTee& m);
+  void on(NodeId src, const wire::StandbyPromote& m);
+  void on(NodeId src, const wire::StandbyDemote& m);
 
   // -- helpers --
   /// Encodes into a pooled buffer (zero allocations in steady state) and
@@ -457,7 +458,8 @@ class LocationServer {
     return standby_primary_.valid() && !standby_active_;
   }
   /// Demote-race redirect: stages/sends straggler client sightings back to
-  /// the primary over the tee channel (see on_replica_tee's primary branch).
+  /// the primary over the tee channel (see the ReplicaTee handler's primary
+  /// branch).
   void bounce_sighting(const Sighting& s);
   void flush_bounce();
   /// Parent routing: engage/disengage the standby registered for `child`

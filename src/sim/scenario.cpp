@@ -216,43 +216,34 @@ namespace {
 
 constexpr NodeId kGateway{901};
 constexpr NodeId kProbe{902};
+/// The deployment: a kGridFanout x kGridFanout grid of leaves under one
+/// root, on a SimNetwork whose latency stream is seeded with kNetSeed.
+constexpr int kGridFanout = 4;
+constexpr std::uint64_t kNetSeed = 42;
 
 }  // namespace
 
 DriveResult drive_scenario(const ScenarioParams& sp, const DriveOptions& opts) {
-  const auto wall_start = std::chrono::steady_clock::now();
   Scenario scn(sp);
 
   net::SimNetwork::Options nopts;
-  nopts.seed = opts.net_seed;
+  nopts.seed = kNetSeed;
   net::SimNetwork net(nopts);
 
   core::Deployment deployment(
       net, net.clock(),
-      core::HierarchyBuilder::grid(sp.area, opts.grid_fanout_x,
-                                   opts.grid_fanout_y, opts.grid_levels));
+      core::HierarchyBuilder::grid(sp.area, kGridFanout, kGridFanout,
+                                   /*levels=*/1));
 
   DriveResult res;
   std::vector<NodeId> leaves = deployment.leaf_ids();
   std::sort(leaves.begin(), leaves.end());
-  std::unordered_map<std::uint32_t, std::size_t> leaf_index;
-  for (std::size_t i = 0; i < leaves.size(); ++i) leaf_index[leaves[i].value] = i;
-  res.per_leaf_updates.assign(leaves.size(), 0);
 
   net.set_tracer([&](TimePoint at, NodeId from, NodeId to, const wire::Buffer& b) {
     res.trace_crc = crc32(&at, sizeof at, res.trace_crc);
     res.trace_crc = crc32(&from.value, sizeof from.value, res.trace_crc);
     res.trace_crc = crc32(&to.value, sizeof to.value, res.trace_crc);
     res.trace_crc = crc32(b.data(), b.size(), res.trace_crc);
-    const auto it = leaf_index.find(to.value);
-    if (it != leaf_index.end() && b.size() > 1) {
-      const auto type = static_cast<wire::MsgType>(b[1]);
-      if (type == wire::MsgType::kBatchedUpdateReq ||
-          type == wire::MsgType::kUpdateReq ||
-          type == wire::MsgType::kRegisterReq) {
-        ++res.per_leaf_updates[it->second];
-      }
-    }
   });
 
   // The sensor gateway (bench_recovery idiom): one UpdateCoalescer feeds the
@@ -381,10 +372,6 @@ DriveResult drive_scenario(const ScenarioParams& sp, const DriveOptions& opts) {
   res.answer_crc = acrc;
   res.messages = net.messages_sent();
   res.bytes = net.bytes_sent();
-  res.virtual_ms = static_cast<double>(net.now()) / 1000.0;
-  res.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start)
-          .count();
   return res;
 }
 

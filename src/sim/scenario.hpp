@@ -54,9 +54,8 @@
 //     scenarios get both for free; never add wall-clock-dependent logic to
 //     the driven path.
 //  3. Gates -- tests/test_macro_scenarios.cpp pins replay and the flash
-//     crowd's fingerprint;
-//     bench/bench_macro.cpp emits BENCH_macro.json, gated by
-//     bench/baselines/macro.json via scripts/check_bench.py.
+//     crowd's fingerprint, and floors the flash crowd's message throughput
+//     against the uniform control's.
 #pragma once
 
 #include <cstdint>
@@ -170,13 +169,9 @@ class Scenario {
 
 // --- Deterministic macro driver ---------------------------------------------
 
-/// Topology knobs for one drive_scenario run. Defaults build a 4x4 leaf
-/// grid over the scenario area.
+/// One drive_scenario run deploys a 4x4 grid of leaves under one root over
+/// the scenario area, on a SimNetwork with latency seed 42.
 struct DriveOptions {
-  int grid_fanout_x = 4;
-  int grid_fanout_y = 4;
-  int grid_levels = 1;
-  std::uint64_t net_seed = 42;  // SimNetwork latency stream
   /// Position-query probes folded into answer_crc after the run (plus one
   /// whole-leaf range query per leaf).
   std::size_t pos_probes = 256;
@@ -194,9 +189,6 @@ struct DriveResult {
   std::uint64_t bytes = 0;
   std::uint64_t round_messages = 0;  // delivered during the update rounds
   std::uint64_t sightings_emitted = 0;
-  std::vector<std::uint64_t> per_leaf_updates;  // update datagrams per leaf
-  double virtual_ms = 0.0;
-  double wall_seconds = 0.0;        // whole run (setup + rounds + probes)
   double rounds_wall_seconds = 0.0; // update rounds only (throughput basis)
 };
 

@@ -31,10 +31,11 @@ TEST(CacheUnits, LeafAreaCoverage) {
 }
 
 TEST(CacheUnits, AgentCacheTtl) {
-  core::ObjectAgentCache cache(10, seconds(10));
+  constexpr Duration kTtl = core::ObjectAgentCache::kTtl;
+  core::ObjectAgentCache cache;
   cache.learn(ObjectId{1}, NodeId{5}, 0);
-  EXPECT_EQ(cache.find(ObjectId{1}, seconds(5)).value_or(kNoNode), NodeId{5});
-  EXPECT_FALSE(cache.find(ObjectId{1}, seconds(11)).has_value());
+  EXPECT_EQ(cache.find(ObjectId{1}, kTtl / 2).value_or(kNoNode), NodeId{5});
+  EXPECT_FALSE(cache.find(ObjectId{1}, kTtl + seconds(1)).has_value());
   cache.invalidate(ObjectId{1});
   EXPECT_FALSE(cache.find(ObjectId{1}, 0).has_value());
 }

@@ -1,9 +1,11 @@
-// Transmit-path coverage: TxRing batching/backpressure, a send storm
-// through the node table, and deterministic send-side teardown.
+// Transmit-path coverage: TxRing batching (>= 8x fewer syscalls corked,
+// byte-exact delivery) and backpressure, a send storm through the node
+// table, and deterministic send-side teardown.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -26,26 +28,56 @@ bool wait_until(const std::function<bool()>& pred, int ms = 2000) {
   return pred();
 }
 
+/// A 21-byte storm payload: the datagram's index in its first four bytes,
+/// then a body that depends only on the index.
+std::vector<std::uint8_t> storm_payload(std::uint32_t seq) {
+  std::vector<std::uint8_t> b(21);
+  std::memcpy(b.data(), &seq, sizeof seq);
+  for (std::size_t i = sizeof seq; i < b.size(); ++i) {
+    b[i] = static_cast<std::uint8_t>(seq * 31 + i * 7);
+  }
+  return b;
+}
+
 TEST(TxRing, CorkedStormFlushesInSendmmsgBatches) {
+  constexpr std::uint32_t kMessages = 4096;
   UdpNetwork net;
-  std::atomic<int> count{0};
-  net.attach(NodeId{1}, [&](const std::uint8_t*, std::size_t) {
+  std::mutex mu;
+  std::vector<int> arrivals(kMessages, 0);  // per index, byte-exact copies
+  int wrong = 0;                            // payloads matching no index
+  std::atomic<std::uint32_t> count{0};
+  net.attach(NodeId{1}, [&](const std::uint8_t* d, std::size_t n) {
+    std::uint32_t seq = kMessages;
+    if (n == 21) std::memcpy(&seq, d, sizeof seq);
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      if (seq < kMessages && storm_payload(seq) == std::vector<std::uint8_t>(d, d + n)) {
+        ++arrivals[seq];
+      } else {
+        ++wrong;
+      }
+    }
     count.fetch_add(1);
   });
   net.attach(NodeId{2}, [](const std::uint8_t*, std::size_t) {});
-  constexpr int kMessages = 64;
   net.cork(NodeId{2});
-  for (int i = 0; i < kMessages; ++i) {
-    net.send(NodeId{2}, NodeId{1}, {static_cast<std::uint8_t>(i)});
+  for (std::uint32_t i = 0; i < kMessages; ++i) {
+    net.send(NodeId{2}, NodeId{1}, storm_payload(i));
   }
   net.uncork(NodeId{2});
-  ASSERT_TRUE(wait_until([&] { return count.load() >= kMessages; }));
+  ASSERT_TRUE(wait_until([&] { return count.load() >= kMessages; }, 5000));
   const UdpNetwork::TxStats tx = net.tx_stats(NodeId{2});
-  EXPECT_EQ(tx.datagrams_sent, static_cast<std::uint64_t>(kMessages));
+  EXPECT_EQ(tx.datagrams_sent, kMessages);
   EXPECT_EQ(tx.dropped, 0u);
-  // 64 datagrams at batch factor 16 -> 4 syscalls; allow partial-send splits
-  // but insist on the >=8x amortization the ring exists for.
-  EXPECT_LE(tx.batches_flushed, static_cast<std::uint64_t>(kMessages) / 8);
+  // 4096 datagrams at batch factor 16 -> 256 syscalls; allow partial-send
+  // splits but insist on the >=8x amortization the ring exists for (an
+  // uncorked send is one syscall per datagram: UncorkedSendsFlushInline).
+  EXPECT_LE(tx.batches_flushed, kMessages / 8);
+  // Batching changes no byte: every payload arrives exactly once, intact.
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(wrong, 0);
+  EXPECT_EQ(std::count(arrivals.begin(), arrivals.end(), 1),
+            static_cast<std::ptrdiff_t>(kMessages));
 }
 
 TEST(TxRing, UncorkedSendsFlushInline) {
